@@ -215,11 +215,6 @@ def _add_common(p: argparse.ArgumentParser, *, budget: bool = True) -> None:
                        help="override the scenario's stage budget")
     p.add_argument("--jobs", type=int, default=1,
                    help="run independent scenario files in parallel")
-    p.add_argument("--no-accelerator", action="store_true",
-                   help="force plain canonical-order search for determinism "
-                        "audits (the search already runs in canonical order, "
-                        "so this flag changes nothing and is accepted for "
-                        "interface stability)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,11 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Least accepted value of each numeric option; anything below is invalid input.
+_LEAST = {"jobs": 1, "depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        sys.stderr.write("--jobs must be >= 1\n")
-        return EXIT_INVALID
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            sys.stderr.write(f"--{name.replace('_', '-')} must be >= {least}\n")
+            return EXIT_INVALID
     opts = {
         "depth": getattr(args, "depth", None),
         "stage_budget": getattr(args, "stage_budget", None),

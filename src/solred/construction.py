@@ -26,12 +26,17 @@ certificate.
 Search order is canonical and deterministic: stages ascending; within
 a stage, candidate indices i ascending; within an index, ladders by
 ascending ell and then lexicographically by positions in the
-value-sorted domain (first position pinned to the point 0).  The
-implementation keeps incremental stage state and skips (stage, i)
-pairs that provably admit no ladder -- a pure necessary-condition
-filter; the naive oracle in the harness re-derives the same hits
-without any of that machinery, and the test suite holds the two to
-byte-equality.
+value-sorted domain (first position pinned to the point 0).
+
+The search is incremental.  The domain only grows, and a search's
+answer depends only on (n, b_i, c) and the domain points strictly
+below b_i, so a candidate that missed is searched again only at a
+stage that inserts a point below its b_i.  Within one search, each
+final in the window gets a direct shortest-path search over the
+members that clause (v) admits against it, and the least ladder over
+the finals is the canonical one.  The naive oracle re-derives the same
+hits with none of this machinery, and the test suite holds the two to
+exact equality.
 """
 from __future__ import annotations
 
@@ -125,7 +130,9 @@ class _DomainState:
     Tracks, incrementally: the sorted points with their enumeration
     indices and g-values, the left endpoints of sorted gaps that are
     too wide to cross (>= the step's gap limit), and from those the
-    largest point reachable from 0 by small steps.
+    largest point reachable from 0 by small steps.  It also caches, per
+    enumeration index, whether the point passes clause (v) against the
+    point 0, which is fixed once 0 is in the domain.
     """
 
     def __init__(self, gap_limit: Fraction):
@@ -134,6 +141,7 @@ class _DomainState:
         self.indices: list[int] = []
         self.values: list[Fraction] = []
         self.blocked: list[Fraction] = []  # left endpoints of gaps >= gap_limit
+        self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
     def insert(self, j: int, q: Fraction, v: Fraction) -> None:
         pos = bisect_left(self.points, q)
@@ -150,12 +158,9 @@ class _DomainState:
         self.indices.insert(pos, j)
         self.values.insert(pos, v)
 
-    def has_zero(self) -> bool:
-        return bool(self.points) and self.points[0] == ZERO
-
     def reach_from_zero(self) -> Fraction | None:
         """Largest point reachable from 0 with every hop < gap_limit."""
-        if not self.has_zero():
+        if not self.points or self.points[0] != ZERO:
             return None
         if self.blocked:
             return self.blocked[0]
@@ -169,110 +174,76 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
                       state: _DomainState) -> RequirementTuple | None:
     """Canonically first requirement-satisfying ladder for this (stage, b).
 
-    Walks ladders in ascending ell, then lexicographically by positions
-    in the value-sorted domain.  Every cut is a necessary condition of
-    some clause, so no satisfying ladder is ever skipped and the first
-    one returned is the canonical one:
+    The canonical ladder is the least by (ell, positions in the
+    value-sorted domain).  It is found by a direct shortest-path search
+    per final f in the window (clause (ii)), with no backtracking:
 
-    - ladder lengths below the greedy maximal-hop count that first
-      clears the window floor are skipped whole (no chain outruns the
-      greedy frontier, clauses (ii)+(iv));
-    - a hop that is already too wide stops the scan at its depth, and
-      a depth with too few positions left cannot complete (iv), (i);
-    - a prefix whose every remaining window point fails the value
-      clause against some chosen member is abandoned (v), (ii);
-    - complete candidates are accepted solely by check_requirement.
+    - clause (v) admits as members only the k < f with pair_ok(f, k),
+      and requires pair_ok(f, 0); the latter is cached on the state;
+    - over admissible points, the hop distance to f (hops < gap_limit,
+      clause (iv)) never increases with position, so each distance
+      class is a run of positions.  Walking back from f, class h starts
+      at the first position within one hop of the least member m_{h-1}
+      of class h-1 (m_0 = f), and m_h is its first admissible position;
+      the walk stops when 0 is within one hop, or fails on an empty
+      class;
+    - the lex-first shortest path is then 0, m_{h-1}, ..., m_1, f.  When
+      0 reaches f in one hop, the ladder is (0, first admissible k, f),
+      because clause (i) needs ell >= 2;
+    - the least (ell, positions) over the finals wins, and it is
+      accepted solely by check_requirement.
     """
     gap_limit = state.gap_limit
-    win_lo = b - gap_limit
     pts = state.points
     vals = state.values
     cut = bisect_left(pts, b)  # universe: points strictly below b
     if cut < 3 or pts[0] != ZERO:
         return None
-    w_start = bisect_right(pts, win_lo, 0, cut)
-    if w_start >= cut:
-        return None  # no domain point inside the window
     slack = Q(1, 2 ** (n + 2))
+    zero_ok = state.zero_ok
 
     def pair_ok(f: int, k: int) -> bool:
         diff = vals[f] - vals[k]
         return ZERO < diff < c * (pts[f] - pts[k] + slack)
 
-    finals0 = [f for f in range(w_start, cut) if pair_ok(f, 0)]
-    if not finals0:
-        return None
+    def first_member(f: int, lo: int, hi: int) -> int | None:
+        return next((k for k in range(lo, hi) if pair_ok(f, k)), None)
 
-    # Greedy frontier: the furthest point reachable in h hops bounds every
-    # ladder's h-th point from above, so the first h that clears win_lo is
-    # the least admissible ladder length.
-    frontier = 0
-    probe = 0
-    hops = 0
-    min_ell: int | None = None
-    while hops <= cut:
-        if pts[frontier] > win_lo:
-            min_ell = hops
-            break
-        while probe + 1 < cut and pts[probe + 1] - pts[frontier] < gap_limit:
-            probe += 1
-        if probe == frontier:
-            return None  # frontier stalled below the window
-        frontier = probe
-        hops += 1
-    if min_ell is None:
-        return None
-    if min_ell < 2:
-        min_ell = 2
+    def ladder_to(f: int, max_ell: int | None) -> list[int] | None:
+        """Lex-first shortest ladder ending at f; None if none within max_ell."""
+        chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
+        top, hi = f, f
+        while (lo := bisect_right(pts, pts[top] - gap_limit, 0, hi)) > 0:
+            if max_ell is not None and len(chain) + 2 > max_ell:
+                return None
+            top = first_member(f, lo, hi)
+            if top is None:
+                return None  # empty distance class: 0 cannot reach f
+            chain.append(top)
+            hi = lo
+        if not chain:  # 0 reaches f in one hop, but clause (i) needs ell >= 2
+            k = first_member(f, 1, f)
+            if k is None:
+                return None
+            chain = [k]
+        return [0] + chain[::-1] + [f]
 
-    for ell in range(min_ell, cut):
-        pos = [0] * ell
-        cand = [0] * ell
-        fstack: list[list[int]] = [finals0] + [[] for _ in range(ell - 1)]
-        depth = 1
-        cand[1] = 1
-        while depth >= 1:
-            if depth == ell:
-                last = pos[ell - 1]
-                q_last = pts[last]
-                for f in fstack[ell - 1]:
-                    if pts[f] - q_last >= gap_limit:
-                        break  # finals ascend, the last hop only widens
-                    chosen = pos[:ell] + [f]
-                    tup = RequirementTuple(
-                        tuple(state.indices[t] for t in chosen),
-                        tuple(pts[t] for t in chosen),
-                        tuple(vals[t] for t in chosen),
-                    )
-                    if check_requirement(n, b, c, tup) is None:
-                        return tup
-                depth -= 1
-                continue
-            placed = False
-            p = cand[depth]
-            limit_p = cut - (ell - depth)  # leave room for the rest
-            while p < limit_p:
-                q = pts[p]
-                if q - pts[pos[depth - 1]] >= gap_limit:
-                    break  # later positions only widen this hop
-                if q + (ell - depth) * gap_limit <= win_lo:
-                    p += 1
-                    continue  # window unreachable even with maximal hops
-                child = [f for f in fstack[depth - 1] if f > p and pair_ok(f, p)]
-                if not child:
-                    p += 1
-                    continue  # no final survives clause (v) past this member
-                pos[depth] = p
-                cand[depth] = p + 1
-                fstack[depth] = child
-                depth += 1
-                if depth < ell:
-                    cand[depth] = p + 1
-                placed = True
-                break
-            if not placed:
-                depth -= 1
-    return None
+    best: list[int] | None = None
+    for f in range(bisect_right(pts, b - gap_limit, 0, cut), cut):
+        j = state.indices[f]
+        if j not in zero_ok:
+            zero_ok[j] = pair_ok(f, 0)
+        if not zero_ok[j]:
+            continue
+        ladder = ladder_to(f, len(best) - 1 if best is not None else None)
+        if ladder is not None and (best is None or (len(ladder), ladder) < (len(best), best)):
+            best = ladder
+    if best is None:
+        return None
+    tup = RequirementTuple(tuple(state.indices[t] for t in best),
+                           tuple(pts[t] for t in best),
+                           tuple(vals[t] for t in best))
+    return tup if check_requirement(n, b, c, tup) is None else None
 
 
 def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
@@ -287,6 +258,11 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     points sit below it) wait in heaps keyed by the bound that excludes
     them; both bounds evolve monotonically, so each candidate is woken
     at most twice and never re-examined spuriously.
+
+    A search's answer depends only on (n, b_i, c) and the domain points
+    strictly below b_i, and the domain only grows.  So a candidate that
+    missed is searched again only at a stage that inserts a point
+    below its b_i.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -304,6 +280,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     wait_hi: list[tuple[Fraction, int]] = []   # b_i above the reach bound
     wait_lo: list[tuple[Fraction, int]] = []   # (-b_i, i): b_i at or below the floor
     ready: list[tuple[int, Fraction]] = []     # candidates inside both bounds
+    missed: set[int] = set()                   # ready candidates whose last search failed
 
     floor: Fraction | None = None   # third-smallest point; only decreases
     ceil: Fraction | None = None    # reach + gap_limit; only increases
@@ -320,12 +297,14 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         sj = g.schedule.stage_of(s)
         if sj is not None:
             heapq.heappush(pending, (sj, s))
-        changed = False
+        low: Fraction | None = None  # least point inserted at this stage
         while pending and pending[0][0] <= s:
             _, j = heapq.heappop(pending)
-            state.insert(j, g.enumeration.point(j), g.value_at(j))
-            changed = True
-        if changed:
+            q = g.enumeration.point(j)
+            state.insert(j, q, g.value_at(j))
+            if low is None or q < low:
+                low = q
+        if low is not None:
             floor = state.third_smallest()
             reach = state.reach_from_zero()
             ceil = reach + gap_limit if reach is not None else None
@@ -342,9 +321,12 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         if ready:
             ready.sort()
             for i, bi in ready:
+                if i in missed and (low is None or low >= bi):
+                    continue  # nothing new below b_i since its last miss
                 tup = _lex_first_ladder(n, bi, witness.c, state)
                 if tup is not None:
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
+                missed.add(i)
     return None
 
 

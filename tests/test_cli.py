@@ -46,14 +46,6 @@ def test_construct_depth_override_and_rerun_bytes(tmp_path, capsys):
     assert [row["i"] for row in payload["steps"]] == [0, 3, 4, 5]
 
 
-def test_no_accelerator_flag_changes_nothing(tmp_path, capsys):
-    plain, flagged = tmp_path / "p.json", tmp_path / "f.json"
-    base = ["construct", str(corpus_path("linear_basic")), "--depth", "3"]
-    run(capsys, *base, "--out", str(plain))
-    run(capsys, *base, "--no-accelerator", "--out", str(flagged))
-    assert plain.read_bytes() == flagged.read_bytes()
-
-
 def test_construct_rejects_scenario_without_witness(tmp_path, capsys):
     out = tmp_path / "never.json"
     code, text, err = run(capsys, "construct", str(corpus_path("mirror_geometric")),
@@ -171,6 +163,22 @@ def test_jobs_must_be_positive(capsys):
                        "--mode", "solovay-check", "--jobs", "0")
     assert code == 3
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("construct", "--depth", []),
+    ("construct", "--stage-budget", []),
+    ("verify", "--guard", ["--mode", "s2a-check"]),
+    ("verify", "--depth", ["--mode", "construction"]),
+    ("verify", "--oracle-depth", ["--mode", "construction"]),
+    ("oracle", "--stage-budget", ["--step", "1"]),
+])
+def test_negative_overrides_are_invalid_input(tmp_path, capsys, command, flag, extra):
+    out = tmp_path / "never.json"
+    code, text, err = run(capsys, command, str(corpus_path("linear_basic")),
+                          *extra, flag, "-1", "--out", str(out))
+    assert (code, text, err) == (3, "", f"{flag} must be >= 0\n")
+    assert not out.exists()
 
 
 def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from solred import construction
 from solred.approximations import (
     AffineDyadic,
     Approximation,
@@ -24,6 +25,7 @@ from solred.construction import (
 from solred.errors import BudgetExhausted, InvalidScenario
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO, ExactRational, enclose
+from solred.scenario import load_scenario
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -35,7 +37,7 @@ from solred.witnesses import (
     check_strict_at,
 )
 
-from conftest import VALID_WITNESS_NAMES
+from conftest import VALID_WITNESS_NAMES, corpus_path
 
 
 def ladder(points, values):
@@ -121,6 +123,37 @@ def test_search_step_first_hit_on_halving_witness():
     assert rec.tup.points == (Q(0), Q(1, 8), Q(1, 4))
     assert rec.value == rec.tup.values[-1] == Q(1, 8)
     assert check_requirement(1, b.term(rec.index), w.c, rec.tup) is None
+
+
+def count_searches(monkeypatch, name):
+    """(ladder searches, exhausted step or None) of a full-depth construct."""
+    calls = 0
+    real = construction._lex_first_ladder
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(construction, "_lex_first_ladder", counting)
+    sc = load_scenario(corpus_path(name))
+    try:
+        build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
+                               sc.beta, sc.depth, sc.stage_budget)
+    except BudgetExhausted as exc:
+        return calls, exc.step
+    return calls, None
+
+
+def test_ladder_search_work_is_pinned(monkeypatch):
+    """A candidate that missed is searched again only when a point lands below b_i.
+
+    Searching every ready candidate at every stage cost 78,870 searches on
+    invalid_small_c, over five times the pinned count; each step of a valid
+    witness needs exactly one search.
+    """
+    assert count_searches(monkeypatch, "invalid_small_c") == (11674, 3)
+    assert count_searches(monkeypatch, "linear_basic") == (12, None)
 
 
 FROZEN_HITS = {

@@ -1,0 +1,135 @@
+"""Differential fuzzing of the incremental step search against the oracle.
+
+Small random staged witnesses (permuted enumeration prefixes, "never"
+stage overrides, value-table overrides, non-monotone target tables,
+constants on both sides of the true ratio) must give the incremental
+search_step and the naive oracle_min_hit the same hit, and a larger
+stage budget must never change a hit already found.
+"""
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from solred.approximations import AffineDyadic, Approximation, Kind, Table, prepend
+from solred.construction import StepRecord, search_step
+from solred.oracle import oracle_min_hit
+from solred.reals import ZERO
+from solred.witnesses import (
+    NEVER,
+    DyadicEnumeration,
+    SolovayWitness,
+    StagedPartialFunction,
+    StageSchedule,
+    ValueRule,
+    canonical_point,
+)
+
+FUZZ = settings(max_examples=400, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+dyadics = st.integers(0, 63).map(lambda k: Q(k, 64))
+
+
+@st.composite
+def staged_witnesses(draw):
+    size = draw(st.sampled_from([0, 2, 4, 8, 16]))
+    perm = draw(st.permutations(range(1, size))) if size else []
+    prefix = tuple(canonical_point(j) for j in [0, *perm]) if size else ()
+    stages = draw(st.dictionaries(
+        st.integers(1, 40), st.one_of(st.just(NEVER), st.integers(0, 40)),
+        max_size=8))
+    # A late start brings many points in at once, so first hits see a rich domain.
+    schedule = StageSchedule(draw(st.integers(0, 1)), draw(st.integers(0, 6)),
+                             tuple(sorted(stages.items())))
+    u = draw(st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4), Q(1)]))
+    enumeration = DyadicEnumeration(prefix)
+    # Small nudges off the affine value make a point fail clause (v) against
+    # some finals but not others; wild values break it outright.
+    nudges = draw(st.dictionaries(st.integers(0, 26), st.integers(-6, 6), max_size=6))
+    table = {j: min(max(u * enumeration.point(j) + Q(d, 128), ZERO), Q(127, 128))
+             for j, d in nudges.items()}
+    table.update(draw(st.dictionaries(st.integers(0, 40), dyadics, max_size=2)))
+    rule = ValueRule(u, ZERO, tuple(sorted(table.items())))
+    # The affine part has ratio u: constants range from well below to above it.
+    c = u * draw(st.sampled_from([Q(1, 2), Q(3, 4), Q(7, 8), Q(1), Q(2)]))
+    return SolovayWitness(StagedPartialFunction(enumeration, schedule, rule), c)
+
+
+targets = st.one_of(
+    st.lists(st.integers(2, 15).map(lambda k: Q(k, 16)), min_size=1, max_size=30).map(
+        lambda terms: Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL, None)),
+    st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
+        lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE, None)),
+)
+
+
+# (n, least budget, greatest budget).  The oracle enumerates every ladder of a
+# failing search, so each step's budget stops short of the domain density where
+# that blows up; the least budget keeps most draws dense enough to hit.
+steps = st.sampled_from([(1, 4, 12), (2, 10, 18), (3, 18, 26)]).flatmap(
+    lambda nb: st.tuples(st.just(nb[0]), st.integers(nb[1], nb[2])))
+
+
+def _search(n, prev_index, w, b, budget):
+    return search_step(n, StepRecord(n - 1, prev_index, ZERO, ZERO, None, 0), w, b, budget)
+
+
+def _halving_witness(values=(), schedule=StageSchedule(0, 9)):
+    """g = q/2 with value-table overrides; by default every point up to j = 9
+    arrives at stage 9."""
+    g = StagedPartialFunction(DyadicEnumeration(), schedule, ValueRule(Q(1, 2), ZERO, values))
+    return SolovayWitness(g, Q(1, 2))
+
+
+def _constant(q):
+    return Approximation(Table((q,), q), Kind.GENERAL, None)
+
+
+# g(1/16) raised to 7/64: 1/16 fails clause (v) against 1/8 and 3/16 but not against 1/4.
+NUDGED = ((8, Q(7, 64)),)
+
+
+@FUZZ
+# The later final 1/4 has the lex-first ladder (0, 1/16, 1/4), not 3/16.
+@example(w=_halving_witness(NUDGED), raw=_constant(Q(5, 16)), step=(1, 12), prev_index=0)
+# 0 reaches the final 3/16 in one hop, and its only member is the point just below it.
+@example(w=_halving_witness(NUDGED), raw=_constant(Q(1, 4)), step=(1, 12), prev_index=0)
+# 0 reaches the final 1/8 in one hop, and its member is the least positive point 1/16.
+@example(w=_halving_witness(), raw=_constant(Q(1, 4)), step=(1, 12), prev_index=0)
+# g(0) = 1/16 = g(1/8): the final 1/8 fails clause (v) against 0 alone, so its
+# lex-smaller ladder (0, 1/16, 1/8) must give way to (0, 1/16, 3/16).
+@example(w=_halving_witness(((0, Q(1, 16)),)), raw=_constant(Q(1, 4)), step=(1, 12),
+         prev_index=0)
+# g(1/4) = 0, so candidate 1 (b = 3/8) misses from stage 4 on; 1/16 never arrives,
+# and stage 9 inserts 3/16 below b together with 3/8 and 5/8, which must wake it.
+@example(w=_halving_witness(((2, ZERO),),
+                            StageSchedule(1, 0, ((5, 9), (6, 9), (8, NEVER), (9, 9)))),
+         raw=_constant(Q(3, 8)), step=(1, 12), prev_index=0)
+@given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
+def test_search_step_equals_oracle(w, raw, step, prev_index):
+    n, budget = step
+    b = prepend(ZERO, raw)
+    rec = _search(n, prev_index, w, b, budget)
+    hit = oracle_min_hit(n, prev_index, w, b, budget)
+    if hit is None:
+        assert rec is None
+    else:
+        assert rec is not None
+        assert (rec.stage_found, rec.index, rec.tup) == (hit.stage, hit.index, hit.tup)
+
+
+@FUZZ
+@given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3),
+       extra=st.integers(1, 40))
+def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
+    n, budget = step
+    b = prepend(ZERO, raw)
+    rec = _search(n, prev_index, w, b, budget)
+    more = _search(n, prev_index, w, b, budget + extra)
+    if rec is not None:
+        assert more == rec
+    elif more is not None:
+        assert more.stage_found > budget
