@@ -21,7 +21,6 @@ from .approximations import (
     complement,
     prefix_max,
     prepend,
-    with_kind,
 )
 from .construction import (
     ConstructionTrace,
@@ -110,6 +109,5 @@ __all__ = [
     "mirror_s2a", "oracle_min_hit", "parse_fraction", "parse_scenario",
     "prefix_max", "prepend", "search_step", "trace_payload",
     "verify_construction", "verify_mirror", "verify_prop1",
-    "verify_s2a_declared", "verify_solovay_grid", "with_kind",
-    "witness_image",
+    "verify_s2a_declared", "verify_solovay_grid", "witness_image",
 ]

@@ -23,7 +23,7 @@ validate the range where it is decidable from the parameters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .reals import Complement as ComplementReal
@@ -214,10 +214,6 @@ def prepend(head: Fraction, a: Approximation) -> Approximation:
     elif kind is Kind.RIGHT_CE and head < first:
         kind = Kind.GENERAL
     return Approximation(gen=PrependGen(head, a.gen), kind=kind, limit=a.limit)
-
-
-def with_kind(a: Approximation, kind: Kind) -> Approximation:
-    return replace(a, kind=kind)
 
 
 def check_modulus_prefix(a: Approximation, n_max: int) -> int | None:

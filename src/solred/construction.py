@@ -37,6 +37,14 @@ members that clause (v) admits against it, and the least ladder over
 the finals is the canonical one.  The naive oracle re-derives the same
 hits with none of this machinery, and the test suite holds the two to
 exact equality.
+
+The search loop compares integers only.  Domain points and the gap
+limit are dyadic, so a search holds them at one scale 2**m, and reads
+each candidate's b_i, whose denominator can run to thousands of bits,
+once, as fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m).  No integer
+lies strictly between fl and ce, so for every integer x, b_i < x iff
+fl < x and b_i <= x iff ce <= x.  Clause (v) stays in rationals, and
+check_requirement accepts every hit.
 """
 from __future__ import annotations
 
@@ -127,50 +135,63 @@ class ConstructionTrace:
 class _DomainState:
     """Value-sorted view of the dovetailed domain at the current stage.
 
+    Points are the integers q * 2**m at the search's scale 2**m (a point
+    not exact there raises, never rounds), gap is the gap limit at that
+    scale, and a target b enters only through keys(b), its floor and
+    ceiling at the scale, so every test of b against a point is exact.
+
     Tracks, incrementally: the sorted points with their enumeration
     indices and g-values, the left endpoints of sorted gaps that are
-    too wide to cross (>= the step's gap limit), and from those the
-    largest point reachable from 0 by small steps.  It also caches, per
-    enumeration index, whether the point passes clause (v) against the
-    point 0, which is fixed once 0 is in the domain.
+    too wide to cross (>= gap), and from those the largest point
+    reachable from 0 by small steps.  It also caches, per enumeration
+    index, whether the point passes clause (v) against the point 0,
+    which is fixed once 0 is in the domain.
     """
 
-    def __init__(self, gap_limit: Fraction):
-        self.gap_limit = gap_limit
-        self.points: list[Fraction] = []
+    def __init__(self, m: int, n: int):
+        self.scale = 1 << m
+        self.gap = 1 << (m - n - 1)
+        self.points: list[int] = []
         self.indices: list[int] = []
         self.values: list[Fraction] = []
-        self.blocked: list[Fraction] = []  # left endpoints of gaps >= gap_limit
+        self.blocked: list[int] = []  # left endpoints of gaps >= gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
-    def insert(self, j: int, q: Fraction, v: Fraction) -> None:
-        pos = bisect_left(self.points, q)
+    def keys(self, b: Fraction) -> tuple[int, int]:
+        """(floor, ceil) of b * 2**m."""
+        fl, rem = divmod(b.numerator * self.scale, b.denominator)
+        return fl, fl + (rem != 0)
+
+    def scaled(self, q: Fraction) -> int:
+        fl, ce = self.keys(q)
+        if fl != ce:
+            raise ValueError(f"domain point {q} is not exact at scale {self.scale}")
+        return fl
+
+    def insert(self, j: int, x: int, v: Fraction) -> None:
+        pos = bisect_left(self.points, x)
         left = self.points[pos - 1] if pos > 0 else None
         right = self.points[pos] if pos < len(self.points) else None
-        if left is not None and right is not None and right - left >= self.gap_limit:
-            at = bisect_left(self.blocked, left)
-            del self.blocked[at]
-        if left is not None and q - left >= self.gap_limit:
+        if left is not None and right is not None and right - left >= self.gap:
+            del self.blocked[bisect_left(self.blocked, left)]
+        if left is not None and x - left >= self.gap:
             insort(self.blocked, left)
-        if right is not None and right - q >= self.gap_limit:
-            insort(self.blocked, q)
-        self.points.insert(pos, q)
+        if right is not None and right - x >= self.gap:
+            insort(self.blocked, x)
+        self.points.insert(pos, x)
         self.indices.insert(pos, j)
         self.values.insert(pos, v)
 
-    def reach_from_zero(self) -> Fraction | None:
-        """Largest point reachable from 0 with every hop < gap_limit."""
-        if not self.points or self.points[0] != ZERO:
+    def reach_from_zero(self) -> int | None:
+        """Largest point reachable from 0 with every hop < gap."""
+        if not self.points or self.points[0] != 0:
             return None
         if self.blocked:
             return self.blocked[0]
         return self.points[-1]
 
-    def third_smallest(self) -> Fraction | None:
-        return self.points[2] if len(self.points) >= 3 else None
 
-
-def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
+def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
                       state: _DomainState) -> RequirementTuple | None:
     """Canonically first requirement-satisfying ladder for this (stage, b).
 
@@ -180,7 +201,7 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
       and requires pair_ok(f, 0); the latter is cached on the state;
-    - over admissible points, the hop distance to f (hops < gap_limit,
+    - over admissible points, the hop distance to f (hops < gap,
       clause (iv)) never increases with position, so each distance
       class is a run of positions.  Walking back from f, class h starts
       at the first position within one hop of the least member m_{h-1}
@@ -193,18 +214,18 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
     - the least (ell, positions) over the finals wins, and it is
       accepted solely by check_requirement.
     """
-    gap_limit = state.gap_limit
+    gap = state.gap
     pts = state.points
     vals = state.values
-    cut = bisect_left(pts, b)  # universe: points strictly below b
-    if cut < 3 or pts[0] != ZERO:
+    cut = bisect_left(pts, ce)  # universe: points x < b, that is x < ce
+    if cut < 3 or pts[0] != 0:
         return None
     slack = Q(1, 2 ** (n + 2))
     zero_ok = state.zero_ok
 
     def pair_ok(f: int, k: int) -> bool:
         diff = vals[f] - vals[k]
-        return ZERO < diff < c * (pts[f] - pts[k] + slack)
+        return ZERO < diff < c * (Q(pts[f] - pts[k], state.scale) + slack)
 
     def first_member(f: int, lo: int, hi: int) -> int | None:
         return next((k for k in range(lo, hi) if pair_ok(f, k)), None)
@@ -213,7 +234,7 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
         """Lex-first shortest ladder ending at f; None if none within max_ell."""
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
         top, hi = f, f
-        while (lo := bisect_right(pts, pts[top] - gap_limit, 0, hi)) > 0:
+        while (lo := bisect_right(pts, pts[top] - gap, 0, hi)) > 0:
             if max_ell is not None and len(chain) + 2 > max_ell:
                 return None
             top = first_member(f, lo, hi)
@@ -229,7 +250,7 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
         return [0] + chain[::-1] + [f]
 
     best: list[int] | None = None
-    for f in range(bisect_right(pts, b - gap_limit, 0, cut), cut):
+    for f in range(bisect_right(pts, fl - gap, 0, cut), cut):  # b - gap < x iff fl - gap < x
         j = state.indices[f]
         if j not in zero_ok:
             zero_ok[j] = pair_ok(f, 0)
@@ -241,7 +262,7 @@ def _lex_first_ladder(n: int, b: Fraction, c: Fraction,
     if best is None:
         return None
     tup = RequirementTuple(tuple(state.indices[t] for t in best),
-                           tuple(pts[t] for t in best),
+                           tuple(Q(pts[t], state.scale) for t in best),
                            tuple(vals[t] for t in best))
     return tup if check_requirement(n, b, c, tup) is None else None
 
@@ -269,61 +290,60 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
     g = witness.g
-    gap_limit = Q(1, 2 ** (n + 1))
-    state = _DomainState(gap_limit)
+    # The gap limit and every point j <= stage_budget or in the prefix are exact at 2**m.
+    m = max(n + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
+    state = _DomainState(m, n)
 
     pending: list[tuple[int, int]] = []  # (definition stage, j), admitted but undefined
     s0 = g.schedule.stage_of(0)
     if s0 is not None:
         heapq.heappush(pending, (s0, 0))
 
-    wait_hi: list[tuple[Fraction, int]] = []   # b_i above the reach bound
-    wait_lo: list[tuple[Fraction, int]] = []   # (-b_i, i): b_i at or below the floor
-    ready: list[tuple[int, Fraction]] = []     # candidates inside both bounds
-    missed: set[int] = set()                   # ready candidates whose last search failed
+    ready: list[tuple[int, int, int, Fraction]] = []  # (i, fl, ce, b_i) inside both bounds
+    wait_hi: list[tuple[int, tuple]] = []   # (fl, candidate): b_i at or above the reach bound
+    wait_lo: list[tuple[int, tuple]] = []   # (-ce, candidate): b_i at or below the floor
+    missed: set[int] = set()                # ready candidates whose last search failed
 
-    floor: Fraction | None = None   # third-smallest point; only decreases
-    ceil: Fraction | None = None    # reach + gap_limit; only increases
+    floor: int | None = None   # third-smallest point; only decreases
+    ceil: int | None = None    # reach + gap; only increases
 
-    def route(bi: Fraction, i: int) -> None:
-        if ceil is None or bi >= ceil:
-            heapq.heappush(wait_hi, (bi, i))
-        elif floor is None or bi <= floor:
-            heapq.heappush(wait_lo, (-bi, i))
+    def route(cand: tuple[int, int, int, Fraction]) -> None:
+        _, fl, ce, _ = cand
+        if ceil is None or fl >= ceil:        # b_i >= ceil
+            heapq.heappush(wait_hi, (fl, cand))
+        elif floor is None or ce <= floor:    # b_i <= floor
+            heapq.heappush(wait_lo, (-ce, cand))
         else:
-            ready.append((i, bi))
+            ready.append(cand)
 
     for s in range(1, stage_budget + 1):
         sj = g.schedule.stage_of(s)
         if sj is not None:
             heapq.heappush(pending, (sj, s))
-        low: Fraction | None = None  # least point inserted at this stage
+        low: int | None = None  # least point inserted at this stage
         while pending and pending[0][0] <= s:
             _, j = heapq.heappop(pending)
-            q = g.enumeration.point(j)
-            state.insert(j, q, g.value_at(j))
-            if low is None or q < low:
-                low = q
+            x = state.scaled(g.enumeration.point(j))
+            state.insert(j, x, g.value_at(j))
+            if low is None or x < low:
+                low = x
         if low is not None:
-            floor = state.third_smallest()
+            floor = state.points[2] if len(state.points) >= 3 else None  # third smallest
             reach = state.reach_from_zero()
-            ceil = reach + gap_limit if reach is not None else None
+            ceil = reach + state.gap if reach is not None else None
         if s > prev.index:
-            route(b.term(s), s)
-        if ceil is not None:
-            while wait_hi and wait_hi[0][0] < ceil:
-                bi, i = heapq.heappop(wait_hi)
-                route(bi, i)
-        if floor is not None:
-            while wait_lo and -wait_lo[0][0] > floor:
-                neg, i = heapq.heappop(wait_lo)
-                route(-neg, i)
+            bi = b.term(s)
+            route((s, *state.keys(bi), bi))
+        while ceil is not None and wait_hi and wait_hi[0][0] < ceil:     # b_i < ceil
+            route(heapq.heappop(wait_hi)[1])
+        while floor is not None and wait_lo and -wait_lo[0][0] > floor:  # b_i > floor
+            route(heapq.heappop(wait_lo)[1])
         if ready:
             ready.sort()
-            for i, bi in ready:
-                if i in missed and (low is None or low >= bi):
-                    continue  # nothing new below b_i since its last miss
-                tup = _lex_first_ladder(n, bi, witness.c, state)
+            for i, fl, ce, bi in ready:
+                if i in missed and (low is None or ce <= low):
+                    continue  # nothing new below b_i (low >= b_i) since its last miss
+                tup = _lex_first_ladder(n, bi, fl, ce, witness.c, state)
                 if tup is not None:
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
                 missed.add(i)

@@ -49,7 +49,15 @@ from .witnesses import (
 
 FORMAT_VERSION = "1"
 
+# Deepest nesting of JSON objects and arrays a scenario file may use.  The
+# decoder and the parsers below recurse once per level, and so do the
+# evaluators of nested reals and generators; the bound keeps all of them far
+# inside the interpreter's recursion limit.
+MAX_NESTING = 256
+
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+# A whole JSON string (brackets inside it do not nest), or one bracket.
+_NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 @dataclass(frozen=True)
@@ -337,12 +345,27 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
                     depth, stage_budget, guard)
 
 
+def _check_nesting(text: str, where: str) -> None:
+    """Reject text whose objects and arrays nest deeper than MAX_NESTING."""
+    depth = 0
+    for token in _NESTING_RE.finditer(text):
+        bracket = token.group()
+        if bracket in ("[", "{"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ScenarioError(
+                    f"{where}: objects and arrays nest deeper than {MAX_NESTING} levels")
+        elif bracket in ("]", "}"):
+            depth -= 1
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+    _check_nesting(text, str(path))
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -28,6 +28,17 @@ def corpus_path(name: str) -> Path:
     return CORPUS / f"{name}.json"
 
 
+def nested_alpha_text(levels: int) -> str:
+    """linear_basic with alpha wrapped in complements to `levels` JSON levels.
+
+    Built as a string: the JSON encoder itself recurses once per level.
+    """
+    complements = levels - 2  # the root object and the innermost rational
+    leaf = '{"kind": "rational", "value": "1/16"}'
+    alpha = '{"kind": "complement", "inner": ' * complements + leaf + "}" * complements
+    return corpus_path("linear_basic").read_text(encoding="utf-8").replace(leaf, alpha, 1)
+
+
 @pytest.fixture(scope="session")
 def scenarios():
     return {name: load_scenario(corpus_path(name)) for name in ALL_NAMES}

@@ -9,7 +9,7 @@ import pytest
 
 from solred import cli
 
-from conftest import corpus_path
+from conftest import corpus_path, nested_alpha_text
 
 TIMING = re.compile(r": \d+\.\d{3}s elapsed \(non-deterministic\)$", re.M)
 
@@ -64,6 +64,20 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert code == 3
     assert not out.exists()
     assert "not valid JSON" in err
+
+
+def test_deep_nesting_is_invalid_input_without_traceback(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested_alpha_text(3000), encoding="utf-8")
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "solred.cli", "verify", str(deep),
+         "--mode", "construction", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "nest deeper than" in proc.stderr
+    assert not out.exists()
 
 
 def test_zero_budget_construct_is_inconclusive_with_partial_trace(tmp_path, capsys):

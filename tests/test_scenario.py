@@ -9,6 +9,7 @@ import pytest
 from solred.approximations import Kind, check_modulus_prefix
 from solred.errors import InvalidScenario, ScenarioError
 from solred.scenario import (
+    MAX_NESTING,
     format_fraction,
     load_scenario,
     parse_fraction,
@@ -21,6 +22,7 @@ from conftest import (
     MIRROR_NAMES,
     VALID_WITNESS_NAMES,
     corpus_path,
+    nested_alpha_text,
 )
 
 
@@ -233,6 +235,17 @@ def test_load_scenario_file_errors(tmp_path):
     mangled.write_text("{ not json", encoding="utf-8")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(mangled)
+
+
+def test_nesting_bound_is_exact_and_ignores_brackets_in_strings(tmp_path):
+    path = tmp_path / "deep.json"
+    # Brackets inside strings never count.
+    text = nested_alpha_text(MAX_NESTING).replace('"linear_basic"', '"[[[[ {{{{"', 1)
+    path.write_text(text, encoding="utf-8")
+    assert load_scenario(path).name == "[[[[ {{{{"
+    path.write_text(nested_alpha_text(MAX_NESTING + 1), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=f"nest deeper than {MAX_NESTING} levels"):
+        load_scenario(path)
 
 
 @pytest.mark.parametrize("q", [Q(0), Q(1, 3), Q(-7, 2), Q(5), Q(22, 7)])

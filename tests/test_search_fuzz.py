@@ -1,20 +1,24 @@
 """Differential fuzzing of the incremental step search against the oracle.
 
 Small random staged witnesses (permuted enumeration prefixes, "never"
-stage overrides, value-table overrides, non-monotone target tables,
-constants on both sides of the true ratio) must give the incremental
-search_step and the naive oracle_min_hit the same hit, and a larger
-stage budget must never change a hit already found.
+stage overrides, value-table overrides, non-monotone and non-dyadic
+target values, constants on both sides of the true ratio) must give the
+incremental search_step and the naive oracle_min_hit the same hit, and a
+larger stage budget must never change a hit already found.  The integer
+keys the search compares target values by must order every value
+against every dyadic point exactly as the rationals do.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from solred.approximations import AffineDyadic, Approximation, Kind, Table, prepend
-from solred.construction import StepRecord, search_step
+from solred.construction import StepRecord, _DomainState, search_step
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO
 from solred.witnesses import (
@@ -58,11 +62,17 @@ def staged_witnesses(draw):
     return SolovayWitness(StagedPartialFunction(enumeration, schedule, rule), c)
 
 
+def _table(terms):
+    return Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL, None)
+
+
 targets = st.one_of(
-    st.lists(st.integers(2, 15).map(lambda k: Q(k, 16)), min_size=1, max_size=30).map(
-        lambda terms: Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL, None)),
+    st.lists(st.integers(2, 15).map(lambda k: Q(k, 16)), min_size=1, max_size=30).map(_table),
+    # Values off the dyadic grid, whose floor and ceiling keys differ.
+    st.lists(st.integers(6, 45).map(lambda k: Q(k, 48)), min_size=1, max_size=30).map(_table),
     st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
         lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE, None)),
+    st.just(Approximation(AffineDyadic(Q(1, 3), Q(1, 3), 1), Kind.LEFT_CE, None)),
 )
 
 
@@ -85,7 +95,7 @@ def _halving_witness(values=(), schedule=StageSchedule(0, 9)):
 
 
 def _constant(q):
-    return Approximation(Table((q,), q), Kind.GENERAL, None)
+    return _table((q,))
 
 
 # g(1/16) raised to 7/64: 1/16 fails clause (v) against 1/8 and 3/16 but not against 1/4.
@@ -96,7 +106,12 @@ NUDGED = ((8, Q(7, 64)),)
 # The later final 1/4 has the lex-first ladder (0, 1/16, 1/4), not 3/16.
 @example(w=_halving_witness(NUDGED), raw=_constant(Q(5, 16)), step=(1, 12), prev_index=0)
 # 0 reaches the final 3/16 in one hop, and its only member is the point just below it.
+# b = 1/4 is itself a domain point, with the lex-smaller ladder (0, 1/16, 1/4): the
+# search must leave it out, because a final lies strictly below b.
 @example(w=_halving_witness(NUDGED), raw=_constant(Q(1, 4)), step=(1, 12), prev_index=0)
+# b - 1/4 = 1/8 is a domain point, with the lex-smaller ladder (0, 1/16, 1/8): the
+# window is open at its lower edge, so the hit is (0, 1/16, 3/16).
+@example(w=_halving_witness(), raw=_constant(Q(3, 8)), step=(1, 12), prev_index=0)
 # 0 reaches the final 1/8 in one hop, and its member is the least positive point 1/16.
 @example(w=_halving_witness(), raw=_constant(Q(1, 4)), step=(1, 12), prev_index=0)
 # g(0) = 1/16 = g(1/8): the final 1/8 fails clause (v) against 0 alone, so its
@@ -108,6 +123,10 @@ NUDGED = ((8, Q(7, 64)),)
 @example(w=_halving_witness(((2, ZERO),),
                             StageSchedule(1, 0, ((5, 9), (6, 9), (8, NEVER), (9, 9)))),
          raw=_constant(Q(3, 8)), step=(1, 12), prev_index=0)
+# b = 5/24 is off the dyadic grid, and g(1/8) = 0 leaves it no ladder until stage 11
+# inserts 3/16, the grid point just below b (its floor key), which must wake it.
+@example(w=_halving_witness(((4, ZERO),), StageSchedule(0, 9, ((9, 11),))),
+         raw=_constant(Q(5, 24)), step=(1, 12), prev_index=0)
 @given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
@@ -133,3 +152,27 @@ def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
         assert more == rec
     elif more is not None:
         assert more.stage_found > budget
+
+
+unit_fractions = st.one_of(st.integers(1, 2 ** 300),
+                           st.integers(0, 300).map(lambda k: 1 << k)).flatmap(
+    lambda den: st.integers(0, den).map(lambda num: Q(num, den)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(b=unit_fractions, m=st.integers(1, 64), data=st.data())
+def test_keys_order_values_against_dyadics_exactly(b, m, data):
+    near = math.floor(b * 2 ** m)
+    x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
+    state = _DomainState(m, 0)
+    fl, ce = state.keys(b)
+    point = Q(x, 2 ** m)
+    assert (b < point) == (fl < x)
+    assert (b <= point) == (ce <= x)
+    assert (b >= point) == (fl >= x)
+    assert (b > point) == (ce > x)
+    if b * 2 ** m == near:
+        assert state.scaled(b) == fl == ce
+    else:
+        with pytest.raises(ValueError, match="not exact"):
+            state.scaled(b)
