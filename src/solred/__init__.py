@@ -19,14 +19,12 @@ from .approximations import (
     check_kind_prefix,
     check_modulus_prefix,
     complement,
-    prefix_max,
     prepend,
 )
 from .construction import (
     ConstructionTrace,
     RequirementTuple,
     StepRecord,
-    build_leftce_from_solovay,
     build_s2a_from_solovay,
     check_requirement,
     mirror_s2a,
@@ -69,7 +67,6 @@ from .scenario import (
 )
 from .witnesses import (
     DyadicEnumeration,
-    LadderEntry,
     S2aStepCheck,
     S2aVerdict,
     S2aWitness,
@@ -83,7 +80,6 @@ from .witnesses import (
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
-    check_translation_limit,
     enumerate_domain,
     eval_staged,
 )
@@ -91,23 +87,23 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDyadic", "AffineExponents", "AlternatingDyadic", "Approximation",
-    "Average", "BudgetExhausted", "Complement", "ComplementGen",
-    "ConstructionTrace", "CutVerdict", "DecayBound", "DyadicEnumeration",
-    "DyadicSeries", "ExactRational", "Interval", "InvalidScenario", "Kind",
-    "LadderEntry", "ListExponents", "MIRROR_CITATION", "OracleHit",
-    "PrefixMaxGen", "PrependGen", "ReferenceReal", "Report",
+    "AffineDyadic", "AffineExponents", "AlternatingDyadic",
+    "Approximation", "Average", "BudgetExhausted", "Complement",
+    "ComplementGen", "ConstructionTrace", "CutVerdict", "DecayBound",
+    "DyadicEnumeration", "DyadicSeries", "ExactRational", "Interval",
+    "InvalidScenario", "Kind", "ListExponents", "MIRROR_CITATION",
+    "OracleHit", "PrefixMaxGen", "PrependGen", "ReferenceReal", "Report",
     "RequirementTuple", "S2aStepCheck", "S2aVerdict", "S2aWitness",
-    "Scale", "Scenario", "ScenarioError", "SolovayVerdict", "SolovayWitness",
-    "StageSchedule", "StagedPartialFunction", "StepRecord", "Table",
-    "ValueRule", "build_leftce_from_solovay", "build_s2a_from_solovay",
+    "Scale", "Scenario", "ScenarioError", "SolovayVerdict",
+    "SolovayWitness", "StageSchedule", "StagedPartialFunction",
+    "StepRecord", "Table", "ValueRule", "build_s2a_from_solovay",
     "canonical_index", "canonical_point", "certify_in_open_unit",
     "check_kind_prefix", "check_modulus_prefix", "check_requirement",
     "check_s2a_prefix", "check_solovay_at", "check_strict_at",
-    "check_translation_limit", "complement", "enclose", "enumerate_domain",
-    "eval_staged", "format_fraction", "left_cut_member", "load_scenario",
-    "mirror_s2a", "oracle_min_hit", "parse_fraction", "parse_scenario",
-    "prefix_max", "prepend", "search_step", "trace_payload",
-    "verify_construction", "verify_mirror", "verify_prop1",
-    "verify_s2a_declared", "verify_solovay_grid", "witness_image",
+    "complement", "enclose", "enumerate_domain", "eval_staged",
+    "format_fraction", "left_cut_member", "load_scenario", "mirror_s2a",
+    "oracle_min_hit", "parse_fraction", "parse_scenario", "prepend",
+    "search_step", "trace_payload", "verify_construction",
+    "verify_mirror", "verify_prop1", "verify_s2a_declared",
+    "verify_solovay_grid", "witness_image",
 ]

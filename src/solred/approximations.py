@@ -178,15 +178,6 @@ class Approximation:
         return value
 
 
-def evaluate(a: Approximation, n: int) -> Fraction:
-    return a.term(n)
-
-
-def prefix_max(a: Approximation) -> Approximation:
-    """Running maximum; the result is honestly nondecreasing (left-c.e. shape)."""
-    return Approximation(gen=PrefixMaxGen(a.gen), kind=Kind.LEFT_CE, limit=a.limit)
-
-
 def complement(a: Approximation) -> Approximation:
     """Termwise 1 - a; flips a monotonicity claim, mirrors the limit."""
     if a.kind is Kind.LEFT_CE:

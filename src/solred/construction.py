@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approximations import Approximation, Kind, Table, prefix_max, prepend, complement
+from .approximations import Approximation, Kind, Table, prepend, complement
 from .errors import BudgetExhausted, InvalidScenario
 from .reals import ReferenceReal
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction
@@ -381,16 +381,6 @@ def witness_image(witness: SolovayWitness, b: Approximation,
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
     return Approximation(WitnessImage(witness.g, b.gen, stage_budget), Kind.GENERAL, None)
-
-
-def build_leftce_from_solovay(witness: SolovayWitness, b: Approximation,
-                              stage_budget: int) -> Approximation:
-    """Nondecreasing stand-in: running maximum of n -> g(b_n).
-
-    Sound when b is nondecreasing (check its kind prefix first); term
-    evaluation propagates BudgetExhausted from the staged lookups.
-    """
-    return prefix_max(witness_image(witness, b, stage_budget))
 
 
 def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,

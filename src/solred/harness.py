@@ -14,10 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approximations import Kind, check_kind_prefix, complement, prepend
+from .approximations import (
+    Approximation,
+    Kind,
+    Table,
+    check_kind_prefix,
+    complement,
+    prepend,
+)
 from .construction import (
     ConstructionTrace,
-    build_leftce_from_solovay,
+    StepRecord,
     build_s2a_from_solovay,
     mirror_s2a,
     witness_image,
@@ -28,7 +35,6 @@ from .reals import Complement, CutVerdict, enclose, left_cut_member
 from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
-    SolovayVerdict,
     canonical_point,
     check_s2a_prefix,
     check_solovay_at,
@@ -180,12 +186,7 @@ def _witness_grid_section(report: Report, scenario: Scenario, stage: int) -> Non
         verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha,
                                    scenario.beta, q, stage, GRID_BUDGET)
         rows.append({"q": format_fraction(q), "verdict": verdict.value})
-        if verdict is SolovayVerdict.HOLDS:
-            report.holds += 1
-        elif verdict in (SolovayVerdict.FAILS_LOWER, SolovayVerdict.FAILS_UPPER):
-            report.fails += 1
-        else:
-            report.unknown += 1
+        report.tally(verdict.value)
     report.sections["witness_grid"] = {
         "inequality": "0 < alpha - g(q) < c*(beta - q)",
         "stage": stage,
@@ -194,18 +195,14 @@ def _witness_grid_section(report: Report, scenario: Scenario, stage: int) -> Non
     }
 
 
-def _trace_steps_rows(trace: ConstructionTrace) -> list[dict]:
-    rows = []
-    for rec in trace.steps:
-        rows.append({
-            "n": rec.n,
-            "i": rec.index,
-            "stage_found": rec.stage_found,
-            "a": format_fraction(rec.value),
-            "b_i": format_fraction(rec.b_value),
-            "ladder_len": None if rec.tup is None else rec.tup.ell,
-        })
-    return rows
+def _step_head(rec: StepRecord) -> dict:
+    return {
+        "n": rec.n,
+        "i": rec.index,
+        "stage_found": rec.stage_found,
+        "a": format_fraction(rec.value),
+        "b_i": format_fraction(rec.b_value),
+    }
 
 
 def trace_payload(scenario: Scenario, trace: ConstructionTrace,
@@ -223,14 +220,7 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace,
         "exhausted": None,
     }
     for rec in steps:
-        row = {
-            "n": rec.n,
-            "i": rec.index,
-            "stage_found": rec.stage_found,
-            "a": format_fraction(rec.value),
-            "b_i": format_fraction(rec.b_value),
-            "ladder": None,
-        }
+        row = {**_step_head(rec), "ladder": None}
         if rec.tup is not None:
             row["ladder"] = {
                 "indices": list(rec.tup.indices),
@@ -280,7 +270,9 @@ def verify_construction(scenario: Scenario, *, depth: int | None = None,
         "requested_depth": depth,
         "completed_steps": len(steps) - 1 if steps else None,
         "exhausted_at_step": exhausted_at,
-        "steps": _trace_steps_rows(trace),
+        "steps": [{**_step_head(rec),
+                   "ladder_len": None if rec.tup is None else rec.tup.ell}
+                  for rec in steps],
         "stage_stats": {"max_stage": max(stages, default=0),
                         "total_stages": sum(stages)},
     }
@@ -409,12 +401,10 @@ def verify_prop1(scenario: Scenario, *, depth: int | None = None,
     for a_n in raw:
         mono.append(a_n if not mono else max(mono[-1], a_n))
 
-    built = build_leftce_from_solovay(w, b, stage_budget)
     mono_violation = None
-    if exhausted_at is None:
-        mono_violation = check_kind_prefix(built, depth)
-    elif exhausted_at > 0:
-        mono_violation = check_kind_prefix(built, exhausted_at - 1)
+    if mono:
+        mono_violation = check_kind_prefix(
+            Approximation(Table(tuple(mono), mono[-1]), Kind.LEFT_CE), len(mono) - 1)
     report.sections["image"] = {
         "evaluated_terms": len(raw),
         "exhausted_at_term": exhausted_at,

@@ -345,7 +345,7 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
                     depth, stage_budget, guard)
 
 
-def _check_nesting(text: str, where: str) -> None:
+def _check_nesting(text: str) -> None:
     """Reject text whose objects and arrays nest deeper than MAX_NESTING."""
     depth = 0
     for token in _NESTING_RE.finditer(text):
@@ -354,7 +354,7 @@ def _check_nesting(text: str, where: str) -> None:
             depth += 1
             if depth > MAX_NESTING:
                 raise ScenarioError(
-                    f"{where}: objects and arrays nest deeper than {MAX_NESTING} levels")
+                    f"objects and arrays nest deeper than {MAX_NESTING} levels")
         elif bracket in ("]", "}"):
             depth -= 1
 
@@ -364,10 +364,10 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    _check_nesting(text, str(path))
+        raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    _check_nesting(text)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
+        raise ScenarioError(f"not valid JSON: {exc}") from None
     return parse_scenario(raw, default_name=path.stem)

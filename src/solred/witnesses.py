@@ -352,33 +352,3 @@ def check_strict_at(alpha: ReferenceReal, beta: ReferenceReal,
         verdict = S2aVerdict.UNKNOWN
     return S2aStepCheck(n, verdict, a_lo, a_hi, b_lo, b_hi,
                         a_box.width, b_box.width)
-
-
-@dataclass(frozen=True)
-class LadderEntry:
-    q: Fraction
-    defined: bool
-    bound: Fraction | None  # certified upper bound on |alpha - g(q)|
-
-
-def check_translation_limit(w: SolovayWitness, alpha: ReferenceReal, beta: ReferenceReal,
-                            ladder: list[Fraction], stage: int,
-                            guard: int = 8) -> list[LadderEntry]:
-    """Upper bounds on |alpha - g(q)| along a ladder climbing toward beta.
-
-    Each ladder point must sit certified inside the left cut of beta.
-    Entries where g is still pending at the stage come back undefined;
-    the defined bounds are what a caller inspects for eventual decrease.
-    """
-    out: list[LadderEntry] = []
-    for k, q in enumerate(ladder):
-        if left_cut_member(beta, q, 64) is not CutVerdict.IN_LEFT_CUT:
-            raise InvalidScenario(f"ladder point {q} is not certified below the target real")
-        value = eval_staged(w.g, q, stage)
-        if value is None:
-            out.append(LadderEntry(q, False, None))
-            continue
-        box = enclose(alpha, Q(1, 2 ** (k + guard)))
-        _, upper = _abs_err_bounds(box, value)
-        out.append(LadderEntry(q, True, upper))
-    return out

@@ -18,11 +18,10 @@ from solred import cli
 from solred.approximations import Kind, check_kind_prefix, prepend
 from solred.construction import (
     RequirementTuple,
-    build_leftce_from_solovay,
     check_requirement,
     mirror_s2a,
 )
-from solred.harness import verify_mirror
+from solred.harness import verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import (
     ZERO,
@@ -159,11 +158,12 @@ def test_leftce_closure_stays_below_alpha_with_certified_gap(scenarios):
     for name in LEFTCE_WITNESS_NAMES:
         sc = scenarios[name]
         w = sc.solovay_witness
-        closure = build_leftce_from_solovay(w, sc.beta_approx, sc.stage_budget)
-        assert closure.kind is Kind.LEFT_CE
-        assert check_kind_prefix(closure, depth) is None, name
+        image = verify_prop1(sc, depth=depth).sections["image"]
+        closure = [Q(row["a_n"]) for row in image["terms"]]
+        assert len(closure) == depth + 1, name
+        assert closure == sorted(closure), name
         for n in range(depth + 1):
-            a_n = closure.term(n)
+            a_n = closure[n]
             b_n = sc.beta_approx.term(n)
             alpha_box = enclose(sc.alpha, Q(1, 2 ** (n + sc.guard)))
             beta_box = enclose(sc.beta, Q(1, 2 ** (n + sc.guard)))

@@ -12,12 +12,11 @@ from solred.approximations import (
     Approximation,
     DecayBound,
     Kind,
+    PrefixMaxGen,
     Table,
     check_kind_prefix,
     check_modulus_prefix,
     complement,
-    evaluate,
-    prefix_max,
     prepend,
 )
 from solred.reals import AffineExponents, DyadicSeries, ExactRational
@@ -30,12 +29,16 @@ def table(terms, tail, kind=Kind.GENERAL, limit=None):
     return Approximation(Table(tuple(Q(t) for t in terms), Q(tail)), kind, limit)
 
 
+def running_max(a):
+    return Approximation(PrefixMaxGen(a.gen), Kind.LEFT_CE)
+
+
 def test_evaluate_basic_generators():
     constant = table([], "1/2")
-    assert evaluate(constant, 7) == Q(1, 2)
-    assert evaluate(HALF_CLIMB, 2) == Q(3, 8)
-    assert evaluate(prepend(Q(0), HALF_CLIMB), 0) == Q(0)
-    assert evaluate(prepend(Q(0), HALF_CLIMB), 3) == Q(3, 8)
+    assert constant.term(7) == Q(1, 2)
+    assert HALF_CLIMB.term(2) == Q(3, 8)
+    assert prepend(Q(0), HALF_CLIMB).term(0) == Q(0)
+    assert prepend(Q(0), HALF_CLIMB).term(3) == Q(3, 8)
 
 
 def test_alternating_generator_terms():
@@ -56,14 +59,14 @@ def test_generators_reject_terms_outside_unit_interval():
 
 def test_prefix_max_running_maximum():
     a = table(["1/4", "1/8", "3/8"], "3/8")
-    assert [prefix_max(a).term(n) for n in range(3)] == [Q(1, 4), Q(1, 4), Q(3, 8)]
+    assert [running_max(a).term(n) for n in range(3)] == [Q(1, 4), Q(1, 4), Q(3, 8)]
     b = table(["0", "1/2", "1/4", "3/4"], "3/4")
-    assert [prefix_max(b).term(n) for n in range(4)] == [Q(0), Q(1, 2), Q(1, 2), Q(3, 4)]
+    assert [running_max(b).term(n) for n in range(4)] == [Q(0), Q(1, 2), Q(1, 2), Q(3, 4)]
 
 
 def test_prefix_max_fixes_monotone_input_and_sets_kind():
-    out = prefix_max(HALF_CLIMB)
-    assert out.kind is Kind.LEFT_CE
+    out = running_max(HALF_CLIMB)
+    assert check_kind_prefix(out, 10) is None
     for n in range(10):
         assert out.term(n) == HALF_CLIMB.term(n)
 
@@ -87,8 +90,8 @@ def test_complement_of_general_stays_general():
 
 def test_prepend_shifts_indices():
     a = table(["1/2"], "1/2")
-    assert evaluate(prepend(Q(1, 4), a), 0) == Q(1, 4)
-    assert evaluate(prepend(Q(1, 4), a), 1) == Q(1, 2)
+    assert prepend(Q(1, 4), a).term(0) == Q(1, 4)
+    assert prepend(Q(1, 4), a).term(1) == Q(1, 2)
 
 
 def test_check_kind_prefix_examples():
@@ -136,13 +139,13 @@ def finite_tables(draw):
 @settings(max_examples=120, deadline=None)
 @given(a=finite_tables(), n=st.integers(0, 12))
 def test_prefix_max_output_is_always_nondecreasing(a, n):
-    assert check_kind_prefix(prefix_max(a), n) is None
+    assert check_kind_prefix(running_max(a), n) is None
 
 
 @settings(max_examples=120, deadline=None)
 @given(a=finite_tables(), n=st.integers(0, 12))
 def test_complement_of_prefix_max_is_nonincreasing(a, n):
-    assert check_kind_prefix(complement(prefix_max(a)), n) is None
+    assert check_kind_prefix(complement(running_max(a)), n) is None
 
 
 @settings(max_examples=120, deadline=None)

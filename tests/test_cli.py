@@ -63,7 +63,9 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
                        "--out", str(out))
     assert code == 3
     assert not out.exists()
-    assert "not valid JSON" in err
+    first = err.splitlines()[0]
+    assert first.startswith(f"{bad}: not valid JSON: ")
+    assert first.count(str(bad)) == 1
 
 
 def test_deep_nesting_is_invalid_input_without_traceback(tmp_path):

@@ -23,7 +23,6 @@ from solred.witnesses import (
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
-    check_translation_limit,
     enumerate_domain,
     eval_staged,
 )
@@ -170,32 +169,3 @@ def test_strict_certificate_implies_nonstrict_check(alpha, beta, a_term, b_term,
         w = S2aWitness(const_approx(a_term), const_approx(b_term), c)
         soft = check_s2a_prefix(w, ExactRational(alpha), ExactRational(beta), n, 8)
         assert soft[n].verdict is S2aVerdict.HOLDS
-
-
-def test_check_translation_limit_linear_ladder():
-    alpha, beta = alpha_beta()
-    w = SolovayWitness(HALVING, Q(1))
-    ladder = [Q(1, 2) - Q(1, 2 ** k) for k in range(2, 6)]
-    entries = check_translation_limit(w, alpha, beta, ladder, stage=10 ** 4)
-    assert all(e.defined for e in entries)
-    assert [e.bound for e in entries] == [Q(1, 2 ** (k + 1)) for k in range(2, 6)]
-    for earlier, later in zip(entries, entries[1:]):
-        assert later.bound < earlier.bound
-
-
-def test_check_translation_limit_identity_witness():
-    ident = SolovayWitness(staged(u=Q(1)), Q(1))
-    half = ExactRational(Q(1, 2))
-    ladder = [Q(1, 4), Q(3, 8), Q(7, 16)]
-    entries = check_translation_limit(ident, half, half, ladder, stage=0)
-    assert [e.bound for e in entries] == [Q(1, 2) - q for q in ladder]
-
-
-def test_check_translation_limit_staged_entries():
-    lazy = SolovayWitness(staged(stage_overrides=[(2, 30)]), Q(1))
-    alpha, beta = alpha_beta()
-    ladder = [Q(1, 4)]
-    before = check_translation_limit(lazy, alpha, beta, ladder, stage=0)
-    after = check_translation_limit(lazy, alpha, beta, ladder, stage=30)
-    assert not before[0].defined and before[0].bound is None
-    assert after[0].defined and after[0].bound == Q(1, 8)
