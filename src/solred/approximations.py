@@ -23,7 +23,7 @@ validate the range where it is decidable from the parameters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .reals import Complement as ComplementReal
@@ -136,15 +136,18 @@ class PrependGen:
 
 @dataclass(frozen=True)
 class PrefixMaxGen:
+    """Running maximum of inner; term(n) extends the maxima already computed."""
+
     inner: object
+    # maxima[m] = max(inner.term(0..m)); not part of equality, hash or repr
+    maxima: list = field(default_factory=list, compare=False, repr=False)
 
     def term(self, n: int) -> Fraction:
-        best = self.inner.term(0)
-        for m in range(1, n + 1):
-            t = self.inner.term(m)
-            if t > best:
-                best = t
-        return best
+        maxima = self.maxima
+        while len(maxima) <= n:
+            t = self.inner.term(len(maxima))
+            maxima.append(t if not maxima or t > maxima[-1] else maxima[-1])
+        return maxima[n]
 
 
 @dataclass(frozen=True)

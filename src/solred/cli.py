@@ -36,7 +36,8 @@ from .harness import (
 )
 from .oracle import oracle_min_hit
 from .reals import ZERO
-from .scenario import format_fraction, load_scenario
+from .scenario import (MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, format_fraction,
+                       load_scenario)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -245,16 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Least accepted value of each numeric option; anything below is invalid input.
+# Least and greatest accepted value of each numeric option; anything outside is invalid input.
 _LEAST = {"jobs": 1, "depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0}
+_MOST = {"depth": MAX_DEPTH, "stage_budget": MAX_STAGE_BUDGET, "guard": MAX_GUARD}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     for name, least in _LEAST.items():
         value = getattr(args, name, None)
-        if value is not None and value < least:
-            sys.stderr.write(f"--{name.replace('_', '-')} must be >= {least}\n")
+        if value is not None and not least <= value <= _MOST.get(name, value):
+            bound = f">= {least}" if value < least else f"<= {_MOST[name]}"
+            sys.stderr.write(f"--{name.replace('_', '-')} must be {bound}\n")
             return EXIT_INVALID
     opts = {
         "depth": getattr(args, "depth", None),

@@ -17,14 +17,16 @@ Supported constructors:
 * ``Average(left, right)``      -- (left + right) / 2
 * ``Complement(inner)``         -- 1 - inner
 
-Left-cut membership (is q strictly below the value?) is decided by
-budgeted interval refinement and returns a three-valued verdict; ties
-that the current enclosure cannot separate come back Unknown rather
-than ever guessing.
+A series is enclosed from an integer partial sum (closed-form for affine
+exponents), so any number of terms costs a few integer operations and
+one Fraction per endpoint.  enclose (by width) and enclose_at_tick (by
+refinement round, the budget unit of the three-valued left-cut test)
+share one recursive walk and differ only in how a series picks its terms.
 """
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +98,14 @@ class AffineExponents:
     def count(self) -> int | None:
         return None  # infinite
 
+    def numerator(self, k: int) -> int:
+        """N with sum_{j<k} 2**-e_j = N / 2**e_{k-1}: a repunit in base 2**s."""
+        return k if k < 2 else ((1 << (self.s * k)) - 1) // ((1 << self.s) - 1)
+
+    def first_at_least(self, bits: int) -> int:
+        """Least j >= 0 with e_j >= bits."""
+        return max(0, -((self.t - bits) // self.s))
+
 
 @dataclass(frozen=True)
 class ListExponents:
@@ -116,30 +126,54 @@ class ListExponents:
     def count(self) -> int | None:
         return len(self.values)
 
+    def numerator(self, k: int) -> int:
+        """N with sum_{j<k} 2**-e_j = N / 2**e_{k-1}."""
+        return sum(1 << (self.values[k - 1] - e) for e in self.values[:k])
+
+    def first_at_least(self, bits: int) -> int:
+        """Least j >= 0 with e_j >= bits, or the count when there is none."""
+        return bisect_left(self.values, bits)
+
 
 @dataclass(frozen=True)
 class DyadicSeries(ReferenceReal):
+    """Sum of 2**-e_k over the exponents.
+
+    The first k terms sum to N / 2**e_{k-1} for an integer N (e_{-1} = 0),
+    and the tail after them is at most 2**-e_{k-1}, since exponents grow by
+    at least one per term.  The enclosure after k terms is therefore
+    [N, N + 1] / 2**e_{k-1}, or the point N / 2**e_{k-1} once a list runs out.
+    """
+
     exponents: AffineExponents | ListExponents
 
-    def partial_state(self, k: int) -> tuple[Fraction, Fraction]:
-        """Partial sum of the first k terms and the exact tail bound used.
+    def _box(self, k: int, exhausted: bool) -> Interval:
+        total = self.exponents.numerator(k)
+        scale = 1 << (self.exponents.exponent(k - 1) if k else 0)
+        lo = Q(total, scale)
+        return Interval(lo, lo if exhausted else Q(total + 1, scale))
 
-        After consuming K terms the remaining tail is at most
-        2**(-e_{K-1}): exponents grow by at least one per term, so the
-        tail is dominated by the geometric series with ratio 1/2
-        starting one step past the last consumed exponent.  For an
-        exhausted finite list the tail is exactly zero.
-        """
-        total = ZERO
+    def after_terms(self, k: int) -> Interval:
+        """Enclosure after the first k terms."""
         count = self.exponents.count()
-        n = k if count is None else min(k, count)
-        for j in range(n):
-            total += Q(1, 2 ** self.exponents.exponent(j))
-        if count is not None and n == count:
-            return total, ZERO
-        if n == 0:
-            return ZERO, ONE
-        return total, Q(1, 2 ** self.exponents.exponent(n - 1))
+        return self._box(k, False) if count is None or k < count else self._box(count, True)
+
+    def within(self, precision: Fraction) -> Interval:
+        """Enclosure after the fewest terms (at least one) with tail bound <= precision.
+
+        Only running out of listed terms gives a point: a bound met exactly
+        at the last listed term still gives [S, S + 2**-e_last].
+        """
+        num, den = precision.numerator, precision.denominator
+        bits = max(0, den.bit_length() - num.bit_length())
+        bits += num << bits < den  # the least bits >= 0 with 2**-bits <= precision
+        j = self.exponents.first_at_least(bits)
+        return self._box(j, True) if j == self.exponents.count() else self._box(j + 1, False)
+
+    def partial_state(self, k: int) -> tuple[Fraction, Fraction]:
+        """Partial sum of the first k terms and the exact tail bound used."""
+        box = self.after_terms(k)
+        return box.lo, box.hi - box.lo
 
 
 @dataclass(frozen=True)
@@ -163,70 +197,49 @@ class Complement(ReferenceReal):
     inner: ReferenceReal
 
 
+def _refine(real: ReferenceReal, leaf, factor: Fraction = ONE) -> Interval:
+    """Enclosure of real with each series leaf enclosed by leaf(series, factor).
+
+    factor is the product of the Scale factors above the leaf.
+    """
+    if isinstance(real, ExactRational):
+        return Interval(real.value, real.value)
+    if isinstance(real, DyadicSeries):
+        return leaf(real, factor)
+    if isinstance(real, Scale):
+        inner = _refine(real.inner, leaf, factor * real.factor)
+        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+    if isinstance(real, Average):
+        left = _refine(real.left, leaf, factor)
+        right = _refine(real.right, leaf, factor)
+        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
+    if isinstance(real, Complement):
+        inner = _refine(real.inner, leaf, factor)
+        return Interval(ONE - inner.hi, ONE - inner.lo)
+    raise TypeError(f"not a ReferenceReal: {real!r}")
+
+
 def enclose(real: ReferenceReal, precision: Fraction) -> Interval:
     """Rational-endpoint interval containing the value, width <= precision.
 
-    Repeated calls with shrinking precision return nested-or-equal
-    intervals: every constructor derives its endpoints monotonically
-    from its children's enclosures, and a dyadic series only ever adds
-    partial-sum terms.
+    Each series leaf sums the fewest terms whose tail bound is within the
+    precision left after the Scale factors above it.  Shrinking precision
+    gives nested-or-equal intervals, since a series only ever adds terms.
     """
     if precision <= ZERO:
         raise ValueError("precision must be positive")
-    if isinstance(real, ExactRational):
-        return Interval(real.value, real.value)
-    if isinstance(real, DyadicSeries):
-        count = real.exponents.count()
-        total = ZERO
-        k = 0
-        while True:
-            if count is not None and k == count:
-                return Interval(total, total)
-            exp = real.exponents.exponent(k)
-            total += Q(1, 2 ** exp)
-            k += 1
-            bound = Q(1, 2 ** exp)
-            if bound <= precision:
-                return Interval(total, total + bound)
-    if isinstance(real, Scale):
-        inner = enclose(real.inner, precision / real.factor)
-        return Interval(inner.lo * real.factor, inner.hi * real.factor)
-    if isinstance(real, Average):
-        left = enclose(real.left, precision)
-        right = enclose(real.right, precision)
-        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
-    if isinstance(real, Complement):
-        inner = enclose(real.inner, precision)
-        return Interval(ONE - inner.hi, ONE - inner.lo)
-    raise TypeError(f"not a ReferenceReal: {real!r}")
+    return _refine(real, lambda series, factor: series.within(precision / factor))
 
 
 def enclose_at_tick(real: ReferenceReal, tick: int) -> Interval:
-    """Enclosure after a fixed number of refinement rounds.
+    """Enclosure after tick refinement rounds, one term of every series each.
 
-    One tick buys one series term (one recursive refinement for the
-    composite constructors).  Widths shrink to zero as ticks grow, and
-    successive ticks give nested-or-equal intervals; this is the budget
-    unit for left_cut_member.
+    Successive ticks give nested-or-equal intervals shrinking to the
+    value; this is the budget unit for left_cut_member.
     """
     if tick < 0:
         raise ValueError("tick must be >= 0")
-    if isinstance(real, ExactRational):
-        return Interval(real.value, real.value)
-    if isinstance(real, DyadicSeries):
-        total, bound = real.partial_state(tick)
-        return Interval(total, total + bound)
-    if isinstance(real, Scale):
-        inner = enclose_at_tick(real.inner, tick)
-        return Interval(inner.lo * real.factor, inner.hi * real.factor)
-    if isinstance(real, Average):
-        left = enclose_at_tick(real.left, tick)
-        right = enclose_at_tick(real.right, tick)
-        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
-    if isinstance(real, Complement):
-        inner = enclose_at_tick(real.inner, tick)
-        return Interval(ONE - inner.hi, ONE - inner.lo)
-    raise TypeError(f"not a ReferenceReal: {real!r}")
+    return _refine(real, lambda series, _: series.after_terms(tick))
 
 
 def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> CutVerdict:

@@ -55,6 +55,16 @@ FORMAT_VERSION = "1"
 # inside the interpreter's recursion limit.
 MAX_NESTING = 256
 
+# Upper bounds on the integers that reach an exponent.  The code forms
+# 2**k for k up to about w * max(depth, stage_budget), depth + guard +
+# slope, and 64 * slope + offset (the 64-tick refinement budgets); with
+# these bounds no such power of two exceeds about 2**24 bits.
+MAX_EXPONENT = 2 ** 16      # dyadic series slope, offset and listed exponents
+MAX_RATE = 2 ** 8           # generator and modulus decay rate w
+MAX_DEPTH = 2 ** 16
+MAX_GUARD = 2 ** 16
+MAX_STAGE_BUDGET = 2 ** 16
+
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 # A whole JSON string (brackets inside it do not nest), or one bracket.
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
@@ -95,11 +105,14 @@ def _expect_obj(raw: object, where: str) -> dict:
     return raw
 
 
-def _expect_int(raw: object, where: str, minimum: int | None = None) -> int:
+def _expect_int(raw: object, where: str, minimum: int | None = None,
+                maximum: int | None = None) -> int:
     if type(raw) is not int:
         raise ScenarioError(f"{where}: expected an integer, got {raw!r}")
     if minimum is not None and raw < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {raw}")
+    if maximum is not None and raw > maximum:
+        raise ScenarioError(f"{where}: must be <= {maximum}, got {raw}")
     return raw
 
 
@@ -134,16 +147,16 @@ def parse_real(raw: object, where: str) -> ReferenceReal:
         ekind = exp.get("kind")
         if ekind == "affine":
             _check_keys(exp, f"{where}.exponents", ("kind", "slope", "offset"))
-            s = _expect_int(exp["slope"], f"{where}.exponents.slope")
-            t = _expect_int(exp["offset"], f"{where}.exponents.offset")
+            s = _expect_int(exp["slope"], f"{where}.exponents.slope", maximum=MAX_EXPONENT)
+            t = _expect_int(exp["offset"], f"{where}.exponents.offset", maximum=MAX_EXPONENT)
             return _wrap(where, lambda: DyadicSeries(AffineExponents(s, t)))
         if ekind == "list":
             _check_keys(exp, f"{where}.exponents", ("kind", "values"))
             vals = exp["values"]
             if not isinstance(vals, list):
                 raise ScenarioError(f"{where}.exponents.values: expected a list")
-            items = tuple(_expect_int(v, f"{where}.exponents.values[{i}]")
-                          for i, v in enumerate(vals))
+            items = tuple(_expect_int(v, f"{where}.exponents.values[{i}]",
+                                      maximum=MAX_EXPONENT) for i, v in enumerate(vals))
             return _wrap(where, lambda: DyadicSeries(ListExponents(items)))
         raise ScenarioError(f"{where}.exponents.kind: unknown kind {ekind!r}")
     if kind == "scale":
@@ -166,18 +179,13 @@ def parse_real(raw: object, where: str) -> ReferenceReal:
 def parse_generator(raw: object, where: str):
     obj = _expect_obj(raw, where)
     kind = obj.get("kind")
-    if kind == "affine_dyadic":
+    if kind in ("affine_dyadic", "alternating_dyadic"):
         _check_keys(obj, where, ("kind", "u", "v", "w"))
         u = parse_fraction(obj["u"], f"{where}.u")
         v = parse_fraction(obj["v"], f"{where}.v")
-        w = _expect_int(obj["w"], f"{where}.w", minimum=1)
-        return _wrap(where, lambda: AffineDyadic(u, v, w))
-    if kind == "alternating_dyadic":
-        _check_keys(obj, where, ("kind", "u", "v", "w"))
-        u = parse_fraction(obj["u"], f"{where}.u")
-        v = parse_fraction(obj["v"], f"{where}.v")
-        w = _expect_int(obj["w"], f"{where}.w", minimum=1)
-        return _wrap(where, lambda: AlternatingDyadic(u, v, w))
+        w = _expect_int(obj["w"], f"{where}.w", minimum=1, maximum=MAX_RATE)
+        gen = AffineDyadic if kind == "affine_dyadic" else AlternatingDyadic
+        return _wrap(where, lambda: gen(u, v, w))
     if kind == "table":
         _check_keys(obj, where, ("kind", "entries", "tail"))
         ent = obj["entries"]
@@ -222,7 +230,7 @@ def parse_approximation(raw: object, where: str) -> Approximation:
         mobj = _expect_obj(obj["modulus"], f"{where}.modulus")
         _check_keys(mobj, f"{where}.modulus", ("v", "w"))
         mv = parse_fraction(mobj["v"], f"{where}.modulus.v")
-        mw = _expect_int(mobj["w"], f"{where}.modulus.w", minimum=1)
+        mw = _expect_int(mobj["w"], f"{where}.modulus.w", minimum=1, maximum=MAX_RATE)
         modulus = _wrap(f"{where}.modulus", lambda: DecayBound(mv, mw))
     return Approximation(gen, kind, limit, modulus)
 
@@ -336,10 +344,10 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
     if obj.get("s2a_witness") is not None:
         s2a = parse_s2a_witness(obj["s2a_witness"], "scenario.s2a_witness")
 
-    depth = _expect_int(obj.get("depth", 12), "scenario.depth", minimum=0)
-    stage_budget = _expect_int(obj.get("stage_budget", 10000),
-                               "scenario.stage_budget", minimum=0)
-    guard = _expect_int(obj.get("guard", 8), "scenario.guard", minimum=0)
+    depth = _expect_int(obj.get("depth", 12), "scenario.depth", 0, MAX_DEPTH)
+    stage_budget = _expect_int(obj.get("stage_budget", 10000), "scenario.stage_budget",
+                               0, MAX_STAGE_BUDGET)
+    guard = _expect_int(obj.get("guard", 8), "scenario.guard", 0, MAX_GUARD)
 
     return Scenario(name, alpha, beta, beta_approx, witness, leftce, s2a,
                     depth, stage_budget, guard)
@@ -368,6 +376,6 @@ def load_scenario(path: str | Path) -> Scenario:
     _check_nesting(text)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ScenarioError(f"not valid JSON: {exc}") from None
     return parse_scenario(raw, default_name=path.stem)

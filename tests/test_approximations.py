@@ -19,7 +19,11 @@ from solred.approximations import (
     complement,
     prepend,
 )
+from solred.harness import verify_s2a_declared
 from solred.reals import AffineExponents, DyadicSeries, ExactRational
+from solred.scenario import load_scenario
+
+from conftest import corpus_path
 
 HALF_CLIMB = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE,
                            ExactRational(Q(1, 2)))
@@ -62,6 +66,64 @@ def test_prefix_max_running_maximum():
     assert [running_max(a).term(n) for n in range(3)] == [Q(1, 4), Q(1, 4), Q(3, 8)]
     b = table(["0", "1/2", "1/4", "3/4"], "3/4")
     assert [running_max(b).term(n) for n in range(4)] == [Q(0), Q(1, 2), Q(1, 2), Q(3, 4)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(terms=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64),
+                      min_size=1, max_size=8),
+       order=st.lists(st.integers(0, 12), max_size=12))
+def test_prefix_max_terms_in_any_order_equal_the_running_maximum(terms, order):
+    inner = Table(tuple(terms), terms[-1])
+    gen = PrefixMaxGen(inner)
+    for n in order:
+        assert gen.term(n) == max(inner.term(m) for m in range(n + 1))
+
+
+def test_prefix_max_cache_is_not_part_of_equality_or_hash():
+    inner = Table((Q(1, 4), Q(1, 8), Q(3, 8)), Q(1, 2))
+    fresh, used = PrefixMaxGen(inner), PrefixMaxGen(inner)
+    assert used.term(5) == Q(1, 2)
+    assert fresh == used and hash(fresh) == hash(used)
+    assert repr(fresh) == repr(used)
+
+
+class RaisesFrom:
+    """Inner generator whose term(n) raises for every n >= k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def term(self, n):
+        if n >= self.k:
+            raise ValueError(f"no term {n}")
+        return Q(n, 8)
+
+
+def test_prefix_max_keeps_raising_past_a_failed_inner_term():
+    gen = PrefixMaxGen(RaisesFrom(3))
+    assert gen.term(2) == Q(2, 8)
+    for n in (3, 4, 3, 9):
+        with pytest.raises(ValueError, match="no term 3"):
+            gen.term(n)
+    assert gen.term(1) == Q(1, 8)
+
+
+def test_s2a_check_evaluates_each_staircase_term_once(monkeypatch):
+    """mirror_staircase's alpha_n is a running maximum over a table: 601 + 601
+    Table.term calls at depth 600, where re-taking the maximum per term made 181,502."""
+    sc = load_scenario(corpus_path("mirror_staircase"))
+    calls = 0
+    real = Table.term
+
+    def counting(self, n):
+        nonlocal calls
+        calls += 1
+        return real(self, n)
+
+    monkeypatch.setattr(Table, "term", counting)
+    report = verify_s2a_declared(sc, depth=600)
+    assert report.exit_code() == 0
+    assert calls == 1202
 
 
 def test_prefix_max_fixes_monotone_input_and_sets_kind():

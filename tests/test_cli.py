@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from solred import cli
+from solred.scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET
 
 from conftest import corpus_path, nested_alpha_text
 
@@ -195,6 +196,32 @@ def test_negative_overrides_are_invalid_input(tmp_path, capsys, command, flag, e
                           *extra, flag, "-1", "--out", str(out))
     assert (code, text, err) == (3, "", f"{flag} must be >= 0\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,most,extra", [
+    ("construct", "--depth", MAX_DEPTH, []),
+    ("construct", "--stage-budget", MAX_STAGE_BUDGET, []),
+    ("verify", "--guard", MAX_GUARD, ["--mode", "s2a-check"]),
+    ("verify", "--depth", MAX_DEPTH, ["--mode", "prop1"]),
+    ("oracle", "--stage-budget", MAX_STAGE_BUDGET, ["--step", "1"]),
+])
+def test_overrides_above_their_bound_are_invalid_input(tmp_path, capsys, command, flag,
+                                                        most, extra):
+    out = tmp_path / "never.json"
+    code, text, err = run(capsys, command, str(corpus_path("mirror_geometric")),
+                          *extra, flag, str(most + 1), "--out", str(out))
+    assert (code, text, err) == (3, "", f"{flag} must be <= {most}\n")
+    assert not out.exists()
+
+
+def test_integer_literal_too_long_to_convert_is_invalid_input(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    text = corpus_path("linear_basic").read_text(encoding="utf-8")
+    bad.write_text(text.replace('"depth": 12', '"depth": ' + "9" * 5000), encoding="utf-8")
+    code, text, err = run(capsys, "verify", str(bad), "--mode", "s2a-check")
+    assert (code, text) == (3, "")
+    message, elapsed = err.splitlines()
+    assert message.startswith(f"{bad}: ") and TIMING.search(elapsed)
 
 
 def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):

@@ -18,6 +18,7 @@ from solred.reals import (
     Scale,
     certify_in_open_unit,
     enclose,
+    enclose_at_tick,
     left_cut_member,
 )
 
@@ -139,7 +140,7 @@ def reference_reals(draw, depth=2):
             slope = draw(st.integers(1, 4))
             offset = draw(st.integers(1, 6))
             return DyadicSeries(AffineExponents(slope, offset))
-        exps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+        exps = draw(st.lists(st.integers(1, 12), min_size=0, max_size=4, unique=True))
         return DyadicSeries(ListExponents(tuple(sorted(exps))))
     if choice == 2:
         factor = draw(st.fractions(min_value=Q(1, 64), max_value=1, max_denominator=64))
@@ -177,3 +178,148 @@ def test_left_cut_member_never_contradicts_exact_value(real, q, budget):
 @given(a=rationals_unit(), b=rationals_unit())
 def test_rational_arithmetic_is_exact(a, b):
     assert (a + b) - b == a
+
+
+# -- reference evaluators: the term-by-term Fraction sums that the integer
+# partial sums replaced, kept to pin every endpoint exactly.
+
+def reference_partial_state(series, k):
+    total = Q(0)
+    count = series.exponents.count()
+    n = k if count is None else min(k, count)
+    for j in range(n):
+        total += Q(1, 2 ** series.exponents.exponent(j))
+    if count is not None and n == count:
+        return total, Q(0)
+    if n == 0:
+        return Q(0), Q(1)
+    return total, Q(1, 2 ** series.exponents.exponent(n - 1))
+
+
+def reference_enclose(real, precision):
+    if isinstance(real, ExactRational):
+        return Interval(real.value, real.value)
+    if isinstance(real, DyadicSeries):
+        count = real.exponents.count()
+        total = Q(0)
+        k = 0
+        while True:
+            if count is not None and k == count:
+                return Interval(total, total)
+            exp = real.exponents.exponent(k)
+            total += Q(1, 2 ** exp)
+            k += 1
+            bound = Q(1, 2 ** exp)
+            if bound <= precision:
+                return Interval(total, total + bound)
+    if isinstance(real, Scale):
+        inner = reference_enclose(real.inner, precision / real.factor)
+        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+    if isinstance(real, Average):
+        left = reference_enclose(real.left, precision)
+        right = reference_enclose(real.right, precision)
+        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
+    inner = reference_enclose(real.inner, precision)
+    return Interval(1 - inner.hi, 1 - inner.lo)
+
+
+def reference_enclose_at_tick(real, tick):
+    if isinstance(real, ExactRational):
+        return Interval(real.value, real.value)
+    if isinstance(real, DyadicSeries):
+        total, bound = reference_partial_state(real, tick)
+        return Interval(total, total + bound)
+    if isinstance(real, Scale):
+        inner = reference_enclose_at_tick(real.inner, tick)
+        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+    if isinstance(real, Average):
+        left = reference_enclose_at_tick(real.left, tick)
+        right = reference_enclose_at_tick(real.right, tick)
+        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
+    inner = reference_enclose_at_tick(real.inner, tick)
+    return Interval(1 - inner.hi, 1 - inner.lo)
+
+
+def reference_left_cut_member(boxes, q, budget):
+    """The left-cut loop over precomputed reference boxes for ticks 1, 2, ..."""
+    for box in boxes[:budget]:
+        if q < box.lo:
+            return CutVerdict.IN_LEFT_CUT
+        if q >= box.hi:
+            return CutVerdict.NOT_IN_LEFT_CUT
+    return CutVerdict.UNKNOWN
+
+
+def reference_certify_in_open_unit(boxes):
+    for box in boxes:
+        if box.lo > 0 and box.hi < 1:
+            return True
+        if box.hi <= 0 or box.lo >= 1:
+            return False
+    return False
+
+
+def series_leaves(real):
+    if isinstance(real, DyadicSeries):
+        yield real
+    for child in ("inner", "left", "right"):
+        if hasattr(real, child):
+            yield from series_leaves(getattr(real, child))
+
+
+def precisions():
+    dyadic = st.integers(0, 40).map(lambda k: Q(1, 2 ** k))
+    return st.one_of(dyadic, st.fractions(min_value=Q(1, 2 ** 20), max_value=2,
+                                          max_denominator=2 ** 20).filter(lambda p: p > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(real=reference_reals(depth=3), precision=precisions(), tick=st.integers(0, 40))
+def test_enclosures_equal_the_fraction_reference(real, precision, tick):
+    assert enclose(real, precision) == reference_enclose(real, precision)
+    assert enclose_at_tick(real, tick) == reference_enclose_at_tick(real, tick)
+    for series in series_leaves(real):
+        assert series.partial_state(tick) == reference_partial_state(series, tick)
+
+
+@pytest.mark.parametrize("exps, precision, expected", [
+    ((), Q(1, 2), (Q(0), Q(0))),
+    ((1, 3), Q(1, 8), (Q(5, 8), Q(6, 8))),    # met exactly at the last listed term
+    ((1, 3), Q(1, 9), (Q(5, 8), Q(5, 8))),    # the list runs out: a point
+    ((1, 3), Q(1, 7), (Q(5, 8), Q(6, 8))),
+    ((2, 5, 6), Q(3), (Q(1, 4), Q(2, 4))),    # at least one term, even for a wide precision
+])
+def test_list_series_enclosure_edges(exps, precision, expected):
+    series = DyadicSeries(ListExponents(exps))
+    box = enclose(series, precision)
+    assert (box.lo, box.hi) == expected
+    assert box == reference_enclose(series, precision)
+    assert enclose(Scale(series, Q(1, 3)), precision / 3) == Interval(
+        expected[0] / 3, expected[1] / 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(real=reference_reals(), data=st.data())
+def test_cut_verdicts_equal_the_reference_at_every_budget(real, data):
+    boxes = [reference_enclose_at_tick(real, tick) for tick in range(1, 65)]
+    ends = [end for box in boxes[:12] for end in (box.lo, box.hi)]
+    q = data.draw(st.one_of(rationals_unit(), st.sampled_from(ends)))
+    for budget in range(65):
+        assert left_cut_member(real, q, budget) is reference_left_cut_member(boxes, q, budget)
+    assert certify_in_open_unit(real) is reference_certify_in_open_unit(boxes)
+
+
+def test_enclose_work_does_not_grow_with_the_terms_summed(monkeypatch):
+    """A width of 2**-10000 needs 5,000 terms of THIRD_SERIES; the parent read 5,000 exponents."""
+    calls = 0
+    real = AffineExponents.exponent
+
+    def counting(self, k):
+        nonlocal calls
+        calls += 1
+        return real(self, k)
+
+    monkeypatch.setattr(AffineExponents, "exponent", counting)
+    box = enclose(THIRD_SERIES, Q(1, 2 ** 10000))
+    assert calls <= 2
+    assert (box.lo, box.hi) == ((1 - Q(1, 4 ** 5000)) / 3, (1 - Q(1, 4 ** 5000)) / 3 + Q(1, 4 ** 5000))

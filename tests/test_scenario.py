@@ -9,7 +9,12 @@ import pytest
 from solred.approximations import Kind, check_modulus_prefix
 from solred.errors import InvalidScenario, ScenarioError
 from solred.scenario import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_GUARD,
     MAX_NESTING,
+    MAX_RATE,
+    MAX_STAGE_BUDGET,
     format_fraction,
     load_scenario,
     parse_fraction,
@@ -124,6 +129,43 @@ def test_depth_and_budget_must_be_nonnegative(base):
     bad["stage_budget"] = -5
     with pytest.raises(ScenarioError):
         parse(bad)
+
+
+AFFINE_ALPHA = {"kind": "dyadic_series",
+                "exponents": {"kind": "affine", "slope": 2, "offset": 2}}
+LIST_ALPHA = {"kind": "dyadic_series", "exponents": {"kind": "list", "values": [2, 3]}}
+ALTERNATING = {"kind": "alternating_dyadic", "u": "1/8", "v": "0", "w": 1}
+
+
+@pytest.mark.parametrize("path, most, swap", [
+    (("alpha", "exponents", "slope"), MAX_EXPONENT, ("alpha", AFFINE_ALPHA)),
+    (("alpha", "exponents", "offset"), MAX_EXPONENT, ("alpha", AFFINE_ALPHA)),
+    (("alpha", "exponents", "values", 1), MAX_EXPONENT, ("alpha", LIST_ALPHA)),
+    (("beta_approx", "generator", "w"), MAX_RATE, None),
+    (("beta_approx", "generator", "w"), MAX_RATE, ("beta_approx", "generator", ALTERNATING)),
+    (("beta_approx", "modulus", "w"), MAX_RATE, None),
+    (("depth",), MAX_DEPTH, None),
+    (("guard",), MAX_GUARD, None),
+    (("stage_budget",), MAX_STAGE_BUDGET, None),
+])
+def test_integers_that_reach_an_exponent_are_bounded(base, path, most, swap):
+    if swap is not None:
+        *keys, value = swap
+        owner = base
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = copy.deepcopy(value)
+    for value, ok in ((most, True), (most + 1, False)):
+        obj = copy.deepcopy(base)
+        owner = obj
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        if ok:
+            parse(obj)
+        else:
+            with pytest.raises(ScenarioError, match=f"must be <= {most}, got {most + 1}"):
+                parse(obj)
 
 
 @pytest.mark.parametrize("edge", ["0", "1", "5/4", "-1/2"])
