@@ -123,8 +123,6 @@ def _run_oracle(path: str, opts: dict) -> dict:
     if sc.solovay_witness is None:
         raise InvalidScenario("oracle needs a scenario with a solovay_witness")
     n = opts["step"]
-    if n < 1:
-        raise InvalidScenario("oracle steps start at n = 1 (step 0 is fixed)")
     budget = opts["stage_budget"] if opts["stage_budget"] is not None else sc.stage_budget
     w = sc.solovay_witness
     try:
@@ -247,8 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Least and greatest accepted value of each numeric option; anything outside is invalid input.
-_LEAST = {"jobs": 1, "depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0}
-_MOST = {"depth": MAX_DEPTH, "stage_budget": MAX_STAGE_BUDGET, "guard": MAX_GUARD}
+_LEAST = {"jobs": 1, "depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0,
+          "step": 1}
+_MOST = {"depth": MAX_DEPTH, "stage_budget": MAX_STAGE_BUDGET, "guard": MAX_GUARD,
+         "oracle_depth": MAX_DEPTH, "step": MAX_DEPTH}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,13 +1,20 @@
-"""Brute-force cross-check for the step search.
+"""Independent reference for the step search.
 
 Re-derives step hits with none of the incremental machinery the main
 search uses: every stage rebuilds the domain from scratch, every
-candidate index is tried in turn, and ladders are enumerated by plain
-recursive backtracking in the same canonical order (ascending ladder
-length, then lexicographic positions in the value-sorted domain).
-Branches are cut only where a requirement clause is already
-unsatisfiable; nothing is cached across stages or candidates.  The
-test suite holds these hits to exact equality with search_step.
+candidate index is tried in turn, and nothing is cached across stages
+or candidates.  Within one stage and index, the canonical ladder (least
+length ell, then least positions in the value-sorted domain) comes from
+an exact-length count per final f in the window: a ladder ending at f
+may use only the members clause (v) admits against f, ladders of every
+length from max(2, least hop count) up to one hop per member after 0
+exist, and the least of the finals' lex-first ladders at the least such
+length is accepted solely by check_requirement.
+
+The search walks distance classes backward from each final; this
+reference counts exact lengths forward, and the two share only
+check_requirement.  The test suite holds these hits to exact equality
+with search_step.
 """
 from __future__ import annotations
 
@@ -61,42 +68,87 @@ def _first_ladder(n: int, b: Fraction, c: Fraction, indices: list[int],
     cut = bisect_left(points, b)
     if cut < 3:
         return None
-    win_lo = b - gap_limit
-    if bisect_right(points, win_lo, 0, cut) >= cut:
-        return None  # no domain point inside the window
-    for ell in range(2, cut):
-        if ell * gap_limit <= win_lo:
-            continue  # ell hops below gap_limit cannot clear the window floor
-        tup = _extend([0], ell, n, b, c, indices, points, values,
-                      gap_limit, win_lo, cut)
-        if tup is not None:
-            return tup
-    return None
-
-
-def _extend(chosen: list[int], ell: int, n: int, b: Fraction, c: Fraction,
-            indices: list[int], points: list[Fraction], values: list[Fraction],
-            gap_limit: Fraction, win_lo: Fraction, cut: int
-            ) -> RequirementTuple | None:
-    depth = len(chosen) - 1
-    if depth == ell:
-        tup = RequirementTuple(
-            tuple(indices[t] for t in chosen),
-            tuple(points[t] for t in chosen),
-            tuple(values[t] for t in chosen),
-        )
-        if check_requirement(n, b, c, tup) is None:
-            return tup
+    finals = range(bisect_right(points, b - gap_limit, 0, cut), cut)
+    if not finals:
         return None
-    last = chosen[-1]
-    remaining = ell - depth - 1  # positions still to pick after this one
-    for p in range(last + 1, cut - remaining):
-        if points[p] - points[last] >= gap_limit:
-            break  # later positions only widen this hop
-        if points[p] + remaining * gap_limit <= win_lo:
-            continue  # even maximal hops from p leave the final below the window
-        found = _extend(chosen + [p], ell, n, b, c, indices, points, values,
-                        gap_limit, win_lo, cut)
-        if found is not None:
-            return found
-    return None
+    slack = Q(1, 2 ** (n + 2))
+    feasible = []  # (least ell, members, hops to f) per final that has a ladder
+    for f in finals:
+        chain = _members(f, points, values, c, gap_limit, slack)
+        if chain is None:
+            continue
+        hops = _hops_to_last(chain, points, gap_limit)
+        ell = max(2, hops[0])
+        # Splitting a hop at a member between its ends keeps both halves below
+        # gap_limit, so every length from ell up to one hop per member after 0
+        # exists.
+        if ell <= len(chain) - 1:
+            feasible.append((ell, chain, hops))
+    if not feasible:
+        return None
+    ell = min(e for e, _, _ in feasible)
+    best = min(_lex_first(chain, hops, ell) for e, chain, hops in feasible if e == ell)
+    tup = RequirementTuple(tuple(indices[t] for t in best),
+                           tuple(points[t] for t in best),
+                           tuple(values[t] for t in best))
+    return tup if check_requirement(n, b, c, tup) is None else None
+
+
+def _members(f: int, points: list[Fraction], values: list[Fraction], c: Fraction,
+             gap_limit: Fraction, slack: Fraction) -> list[int] | None:
+    """Positions a ladder ending at f may use, ascending and ending at f.
+
+    None when clause (v) rejects 0, or when two consecutive members lie
+    a gap limit or more apart, so that no ladder reaches f.  Positions
+    are read lazily and the scan stops at the first such gap.
+    """
+    def pair_ok(k: int) -> bool:
+        diff = values[f] - values[k]
+        return ZERO < diff < c * (points[f] - points[k] + slack)
+
+    if not pair_ok(0):
+        return None
+    chain = [0]
+    for k in range(1, f + 1):
+        if points[k] - points[chain[-1]] >= gap_limit:
+            return None  # every later member, f included, lies at least as far
+        if k == f or pair_ok(k):
+            chain.append(k)
+    return chain
+
+
+def _hops_to_last(chain: list[int], points: list[Fraction],
+                  gap_limit: Fraction) -> list[int]:
+    """Least number of hops below gap_limit from each member to the last one.
+
+    The hop count never increases with position, so from each member
+    the farthest member within one hop is the best next one; that
+    member only moves down as the pass walks backward.
+    """
+    hops = [0] * len(chain)
+    far = len(chain) - 1
+    for t in range(len(chain) - 2, -1, -1):
+        while points[chain[far]] - points[chain[t]] >= gap_limit:
+            far -= 1
+        hops[t] = hops[far] + 1
+    return hops
+
+
+def _lex_first(chain: list[int], hops: list[int], ell: int) -> list[int]:
+    """Lex-first ladder of exactly ell hops from chain[0] to chain[-1].
+
+    From member u the last member is reachable in exactly h hops iff
+    hops[u] <= h <= last - u.  If the current member t can finish in
+    left + 1 hops, the first u > t with hops[u] <= left lies within one
+    hop of t (the farthest member within one hop has hop count
+    hops[t] - 1) and no later than last - left (whose hop count is at
+    most left), so it can finish in exactly left hops, and no smaller
+    member can.
+    """
+    last = len(chain) - 1
+    ladder = [chain[0]]
+    t = 0
+    for left in range(ell - 1, -1, -1):
+        t = next(u for u in range(t + 1, last + 1) if hops[u] <= left)
+        ladder.append(chain[t])
+    return ladder

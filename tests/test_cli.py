@@ -204,6 +204,8 @@ def test_negative_overrides_are_invalid_input(tmp_path, capsys, command, flag, e
     ("verify", "--guard", MAX_GUARD, ["--mode", "s2a-check"]),
     ("verify", "--depth", MAX_DEPTH, ["--mode", "prop1"]),
     ("oracle", "--stage-budget", MAX_STAGE_BUDGET, ["--step", "1"]),
+    ("verify", "--oracle-depth", MAX_DEPTH, ["--mode", "construction"]),
+    ("oracle", "--step", MAX_DEPTH, []),
 ])
 def test_overrides_above_their_bound_are_invalid_input(tmp_path, capsys, command, flag,
                                                         most, extra):
@@ -212,6 +214,31 @@ def test_overrides_above_their_bound_are_invalid_input(tmp_path, capsys, command
                           *extra, flag, str(most + 1), "--out", str(out))
     assert (code, text, err) == (3, "", f"{flag} must be <= {most}\n")
     assert not out.exists()
+
+
+def test_step_below_one_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    code, text, err = run(capsys, "oracle", str(corpus_path("linear_basic")),
+                          "--step", "0", "--out", str(out))
+    assert (code, text, err) == (3, "", "--step must be >= 1\n")
+    assert not out.exists()
+
+
+def test_step_and_oracle_depth_accept_their_bounds(tmp_path, capsys):
+    path = str(corpus_path("linear_basic"))
+    for step, reached in ((1, True), (MAX_DEPTH, False)):
+        out = tmp_path / f"step{step}.json"
+        code, _, err = run(capsys, "oracle", path, "--step", str(step),
+                           "--stage-budget", "0", "--out", str(out))
+        assert code == 2
+        assert out.exists() == reached
+        assert (f"cannot reach step {step}:" in err) != reached
+    for oracle_depth, compared in ((0, 0), (MAX_DEPTH, 1)):
+        out = tmp_path / f"depth{oracle_depth}.json"
+        code, _, _ = run(capsys, "verify", path, "--mode", "construction", "--depth", "1",
+                         "--oracle-depth", str(oracle_depth), "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_bytes())["sections"]["oracle"]["compared_steps"] == compared
 
 
 def test_integer_literal_too_long_to_convert_is_invalid_input(tmp_path, capsys):
@@ -236,6 +263,24 @@ def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):
     bad = json.loads((out / "invalid_g_above.json").read_bytes())
     assert good["summary"]["overall"] == "pass"
     assert bad["summary"]["overall"] == "fail"
+
+
+def test_jobs_change_no_output_byte(tmp_path, capsys):
+    paths = [str(corpus_path(name)) for name in
+             ("linear_basic", "mirror_geometric", "invalid_g_above", "table_tail")]
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code, text, err = run(capsys, "verify", *paths, "--mode", "solovay-check",
+                              "--jobs", jobs, "--out", str(out))
+        payloads = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        untimed = [line for line in err.splitlines() if not TIMING.search(line)]
+        runs.append((code, text, untimed, payloads))
+    assert runs[0] == runs[1]
+    code, _, untimed, payloads = runs[0]
+    assert code == 3
+    assert sorted(payloads) == ["invalid_g_above.json", "linear_basic.json", "table_tail.json"]
+    assert len(untimed) == 1 and untimed[0].startswith(paths[1] + ": ")
 
 
 def test_multi_file_skips_output_for_invalid_member(tmp_path, capsys):

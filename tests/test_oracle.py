@@ -4,10 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from solred import oracle
 from solred.approximations import AffineDyadic, Approximation, Kind, prepend
 from solred.construction import build_s2a_from_solovay, check_requirement
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO, ExactRational
+from solred.scenario import load_scenario
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -16,6 +18,8 @@ from solred.witnesses import (
     StageSchedule,
     ValueRule,
 )
+
+from conftest import corpus_path
 
 
 def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
@@ -79,3 +83,28 @@ def test_oracle_matches_search_chain_on_identity_witness():
                              stage_cap=1000)
         assert (hit.stage, hit.index) == (rec.stage_found, rec.index)
         assert hit.tup == rec.tup
+
+
+def test_oracle_requirement_checks_are_pinned(monkeypatch):
+    """The oracle builds one canonical ladder per hit and checks only that.
+
+    Checking every ladder the backtracking enumerator reached cost 1,274
+    check_requirement calls for this one oracle call.
+    """
+    sc = load_scenario(corpus_path("invalid_small_c"))
+    w = sc.solovay_witness
+    _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
+                                      1, sc.stage_budget)
+    calls = 0
+    real = oracle.check_requirement
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "check_requirement", counting)
+    hit = oracle_min_hit(2, trace.steps[1].index, w, prepend(ZERO, sc.beta_approx),
+                         sc.stage_budget)
+    assert hit is not None
+    assert calls == 1

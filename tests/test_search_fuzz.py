@@ -3,22 +3,33 @@
 Small random staged witnesses (permuted enumeration prefixes, "never"
 stage overrides, value-table overrides, non-monotone and non-dyadic
 target values, constants on both sides of the true ratio) must give the
-incremental search_step and the naive oracle_min_hit the same hit, and a
-larger stage budget must never change a hit already found.  The integer
-keys the search compares target values by must order every value
-against every dyadic point exactly as the rationals do.
+incremental search_step and oracle_min_hit the same hit, and a larger
+stage budget must never change a hit already found.  At small budgets
+the oracle's stage shell is also run with the plain backtracking ladder
+enumerator kept below as a reference, and all three must agree.  The
+integer keys the search compares target values by must order every
+value against every dyadic point exactly as the rationals do.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from solred import oracle
 from solred.approximations import AffineDyadic, Approximation, Kind, Table, prepend
-from solred.construction import StepRecord, _DomainState, search_step
+from solred.construction import (
+    RequirementTuple,
+    StepRecord,
+    _DomainState,
+    check_requirement,
+    search_step,
+)
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO
 from solred.witnesses import (
@@ -76,15 +87,75 @@ targets = st.one_of(
 )
 
 
-# (n, least budget, greatest budget).  The oracle enumerates every ladder of a
-# failing search, so each step's budget stops short of the domain density where
-# that blows up; the least budget keeps most draws dense enough to hit.
+# (n, least budget, greatest budget).  The backtracking reference enumerates
+# every ladder of a failing search, so each step's budget stops short of the
+# domain density where that blows up; the least budget keeps most draws dense
+# enough to hit.
 steps = st.sampled_from([(1, 4, 12), (2, 10, 18), (3, 18, 26)]).flatmap(
     lambda nb: st.tuples(st.just(nb[0]), st.integers(nb[1], nb[2])))
+
+# The same for the search against oracle_min_hit alone, whose ladder reference
+# is polynomial: the caps only bound the oracle's per-stage domain rebuilds.
+# Step n's gap limit 2**-(n+1) needs about 2**(n+1) points below b_i, so the
+# least budget grows with n.
+deep_steps = st.sampled_from(
+    [(1, 4, 40), (2, 10, 60), (3, 18, 80), (4, 34, 100), (5, 66, 120)]).flatmap(
+    lambda nb: st.tuples(st.just(nb[0]), st.integers(nb[1], nb[2])))
+
+
+def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
+    """Drop-in for oracle._first_ladder: every ladder of every length, in order.
+
+    Ladders are enumerated by plain recursive backtracking in canonical
+    order (ascending length, then lexicographic positions), cutting a
+    branch only where a requirement clause is already unsatisfiable, and
+    the first one check_requirement accepts is returned.
+    """
+    cut = bisect_left(points, b)
+    if cut < 3:
+        return None
+    win_lo = b - gap_limit
+    if bisect_right(points, win_lo, 0, cut) >= cut:
+        return None  # no domain point inside the window
+
+    def extend(chosen, ell):
+        depth = len(chosen) - 1
+        if depth == ell:
+            tup = RequirementTuple(tuple(indices[t] for t in chosen),
+                                   tuple(points[t] for t in chosen),
+                                   tuple(values[t] for t in chosen))
+            return tup if check_requirement(n, b, c, tup) is None else None
+        last = chosen[-1]
+        remaining = ell - depth - 1  # positions still to pick after this one
+        for p in range(last + 1, cut - remaining):
+            if points[p] - points[last] >= gap_limit:
+                break  # later positions only widen this hop
+            if points[p] + remaining * gap_limit <= win_lo:
+                continue  # even maximal hops from p leave the final below the window
+            found = extend(chosen + [p], ell)
+            if found is not None:
+                return found
+        return None
+
+    for ell in range(2, cut):
+        if ell * gap_limit <= win_lo:
+            continue  # ell hops below gap_limit cannot clear the window floor
+        tup = extend([0], ell)
+        if tup is not None:
+            return tup
+    return None
 
 
 def _search(n, prev_index, w, b, budget):
     return search_step(n, StepRecord(n - 1, prev_index, ZERO, ZERO, None, 0), w, b, budget)
+
+
+def _found(rec):
+    return None if rec is None else (rec.stage_found, rec.index, rec.tup)
+
+
+def _hit(hit):
+    return None if hit is None else (hit.stage, hit.index, hit.tup)
 
 
 def _halving_witness(values=(), schedule=StageSchedule(0, 9)):
@@ -127,17 +198,28 @@ NUDGED = ((8, Q(7, 64)),)
 # inserts 3/16, the grid point just below b (its floor key), which must wake it.
 @example(w=_halving_witness(((4, ZERO),), StageSchedule(0, 9, ((9, 11),))),
          raw=_constant(Q(5, 24)), step=(1, 12), prev_index=0)
+# g(1/8) = 5/32 fails clause (v) against the finals 1/4 and 5/16 (3/16 never
+# arrives), so each of their member chains crosses a gap of exactly 1/4, the gap
+# limit, from 0 to 1/4; the hit is the three-hop (0, 1/8, 1/4, 3/8).
+@example(w=_halving_witness(((4, Q(5, 32)),), StageSchedule(0, 10, ((8, NEVER), (9, NEVER)))),
+         raw=_constant(Q(7, 16)), step=(1, 12), prev_index=0)
 @given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
     b = prepend(ZERO, raw)
-    rec = _search(n, prev_index, w, b, budget)
-    hit = oracle_min_hit(n, prev_index, w, b, budget)
-    if hit is None:
-        assert rec is None
-    else:
-        assert rec is not None
-        assert (rec.stage_found, rec.index, rec.tup) == (hit.stage, hit.index, hit.tup)
+    found = _found(_search(n, prev_index, w, b, budget))
+    assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+    with mock.patch.object(oracle, "_first_ladder", backtracking_first_ladder):
+        assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+
+
+@settings(FUZZ, max_examples=200)
+@given(w=staged_witnesses(), raw=targets, step=deep_steps, prev_index=st.integers(0, 3))
+def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
+    n, budget = step
+    b = prepend(ZERO, raw)
+    found = _found(_search(n, prev_index, w, b, budget))
+    assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
 
 
 @FUZZ
