@@ -55,7 +55,7 @@ class DecayBound:
             raise ValueError(f"decay exponent step must be >= 1: {self.w}")
 
     def at(self, n: int) -> Fraction:
-        return self.v * Q(1, 2 ** (self.w * n))
+        return self.v * Q(1, 1 << (self.w * n))
 
 
 def _check_unit(q: Fraction, what: str) -> None:
@@ -78,7 +78,7 @@ class AffineDyadic:
         _check_unit(self.u - self.v, "affine-dyadic first term")
 
     def term(self, n: int) -> Fraction:
-        return self.u - self.v * Q(1, 2 ** (self.w * n))
+        return self.u - self.v * Q(1, 1 << (self.w * n))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class AlternatingDyadic:
 
     def term(self, n: int) -> Fraction:
         sign = 1 if n % 2 == 0 else -1
-        return self.u + sign * self.v * Q(1, 2 ** (self.w * n))
+        return self.u + sign * self.v * Q(1, 1 << (self.w * n))
 
 
 @dataclass(frozen=True)

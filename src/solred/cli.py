@@ -10,8 +10,8 @@ Payloads are deterministic: byte-identical across reruns with equal
 inputs and overrides.  Timing goes to standard error only, marked
 non-deterministic, so it never contaminates an output file.  Exit codes:
 0 all checks hold / full success, 1 any certified failure, 2 any
-Unknown or budget exhaustion (and none failed), 3 invalid input.  With
-several scenario files the worst code wins, in the order 3, 1, 2, 0.
+Unknown or budget exhaustion (and none failed), 3 invalid input, 4 an
+internal error.  With several files the worst code wins: 4, 3, 1, 2, 0.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -43,8 +44,9 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
-_SEVERITY = {EXIT_INVALID: 3, EXIT_FAILS: 2, EXIT_INCONCLUSIVE: 1, EXIT_OK: 0}
+_SEVERITY = {EXIT_INTERNAL: 4, EXIT_INVALID: 3, EXIT_FAILS: 2, EXIT_INCONCLUSIVE: 1, EXIT_OK: 0}
 
 
 def worst_exit(codes) -> int:
@@ -172,6 +174,9 @@ def _run_one(command: str, path: str, opts: dict) -> dict:
     except (ScenarioError, InvalidScenario) as exc:
         result = {"code": EXIT_INVALID, "stdout": "",
                   "stderr": f"{path}: {exc}\n", "payload": None}
+    except Exception as exc:  # a fault in the program, never a verdict on the input
+        result = {"code": EXIT_INTERNAL, "stdout": "", "payload": None, "stderr":
+                  f"{path}: internal error: {type(exc).__name__}: {exc}\n{traceback.format_exc()}"}
     elapsed = time.perf_counter() - start
     result["stderr"] += f"{path}: {elapsed:.3f}s elapsed (non-deterministic)\n"
     return result

@@ -38,12 +38,13 @@ the finals is the canonical one.  The naive oracle re-derives the same
 hits with none of this machinery, and the test suite holds the two to
 exact equality.
 
-The search loop compares integers only.  Domain points and the gap
-limit are dyadic, so a search holds them at one scale 2**m, and reads
-each candidate's b_i, whose denominator can run to thousands of bits,
-once, as fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m).  No integer
-lies strictly between fl and ce, so for every integer x, b_i < x iff
-fl < x and b_i <= x iff ce <= x.  Clause (v) stays in rationals, and
+The search loop compares integers only.  Domain points and every
+step's gap limit are dyadic, so a construction holds them at one scale
+2**m, builds its domain and reads each b_i (whose denominator can run
+to thousands of bits) once, as fl = floor(b_i * 2**m) and ce =
+ceil(b_i * 2**m), and every step replays them.  No integer lies
+strictly between fl and ce, so for every integer x, b_i < x iff fl < x
+and b_i <= x iff ce <= x.  Clause (v) stays in rationals, and
 check_requirement accepts every hit.
 """
 from __future__ import annotations
@@ -132,20 +133,53 @@ class ConstructionTrace:
     exhausted: tuple[int, int] | None = None  # (failed step, stage budget)
 
 
+class _ConstructionLog:
+    """Domain arrivals and b_i keys at one scale 2**m, shared by every step.
+
+    Grows lazily as far as any step reaches.  At 2**m the gap limits up
+    to step n_max and all points j <= stage_budget or in the prefix are exact.
+    """
+
+    def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
+        self.g, self.b = g, b
+        self.m = max(n_max + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
+        self.stages: list[tuple[list, tuple]] = [([], ())]  # stage(s) for s = 0, 1, ...
+        self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
+
+    def keys(self, b: Fraction) -> tuple[int, int]:
+        """(floor, ceil) of b * 2**m."""
+        fl, rem = divmod(b.numerator << self.m, b.denominator)
+        return fl, fl + (rem != 0)
+
+    def stage(self, s: int) -> tuple[list[tuple[int, int, Fraction]], tuple]:
+        """((j, x, g(q_j)) released at stage s in pop order, (s, fl, ce, b_s))."""
+        g, pending = self.g, self.pending
+        while len(self.stages) <= s:
+            t = len(self.stages)
+            if (st := g.schedule.stage_of(t)) is not None:
+                heapq.heappush(pending, (st, t))
+            released = []
+            while pending and pending[0][0] <= t:
+                j = heapq.heappop(pending)[1]
+                x, ce = self.keys(q := g.enumeration.point(j))
+                if x != ce:
+                    raise ValueError(f"domain point {q} is not exact at scale 2**{self.m}")
+                released.append((j, x, g.value_at(j)))
+            bt = self.b.term(t)
+            self.stages.append((released, (t, *self.keys(bt), bt)))
+        return self.stages[s]
+
+
 class _DomainState:
     """Value-sorted view of the dovetailed domain at the current stage.
 
-    Points are the integers q * 2**m at the search's scale 2**m (a point
-    not exact there raises, never rounds), gap is the gap limit at that
-    scale, and a target b enters only through keys(b), its floor and
-    ceiling at the scale, so every test of b against a point is exact.
-
-    Tracks, incrementally: the sorted points with their enumeration
-    indices and g-values, the left endpoints of sorted gaps that are
-    too wide to cross (>= gap), and from those the largest point
-    reachable from 0 by small steps.  It also caches, per enumeration
-    index, whether the point passes clause (v) against the point 0,
-    which is fixed once 0 is in the domain.
+    Points are integers at the log's scale, and gap is the step's gap
+    limit there.  Tracks, incrementally: the sorted points with their
+    enumeration indices and g-values, the left endpoints of sorted gaps
+    that are too wide to cross (>= gap), and from those the largest
+    point reachable from 0 by small steps.  It also caches, per
+    enumeration index, whether the point passes clause (v) against the
+    point 0, which is fixed once 0 is in the domain.
     """
 
     def __init__(self, m: int, n: int):
@@ -156,17 +190,6 @@ class _DomainState:
         self.values: list[Fraction] = []
         self.blocked: list[int] = []  # left endpoints of gaps >= gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
-
-    def keys(self, b: Fraction) -> tuple[int, int]:
-        """(floor, ceil) of b * 2**m."""
-        fl, rem = divmod(b.numerator * self.scale, b.denominator)
-        return fl, fl + (rem != 0)
-
-    def scaled(self, q: Fraction) -> int:
-        fl, ce = self.keys(q)
-        if fl != ce:
-            raise ValueError(f"domain point {q} is not exact at scale {self.scale}")
-        return fl
 
     def insert(self, j: int, x: int, v: Fraction) -> None:
         pos = bisect_left(self.points, x)
@@ -268,12 +291,15 @@ def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
 
 
 def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
-                b: Approximation, stage_budget: int) -> StepRecord | None:
+                b: Approximation, stage_budget: int,
+                log: _ConstructionLog | None = None) -> StepRecord | None:
     """Deterministic dovetailed hunt for the step-n record; None on budget.
 
-    Stages run 1..stage_budget.  At stage s the domain holds exactly the
-    enumeration indices j <= s whose definition stage has arrived, and
-    the candidate target indices are prev.index < i <= s.  Candidates
+    Stages run 1..stage_budget, replayed from the construction log (or
+    from a log at the step's own scale when none is given).  At stage s
+    the domain holds exactly the enumeration indices j <= s whose
+    definition stage has arrived, and the candidate target indices are
+    prev.index < i <= s.  Candidates
     whose value provably admits no ladder at the current domain (the
     window misses every small-hop-reachable point, or fewer than three
     points sit below it) wait in heaps keyed by the bound that excludes
@@ -289,15 +315,8 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         raise ValueError("searchable steps start at n = 1")
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
-    g = witness.g
-    # The gap limit and every point j <= stage_budget or in the prefix are exact at 2**m.
-    m = max(n + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
-    state = _DomainState(m, n)
-
-    pending: list[tuple[int, int]] = []  # (definition stage, j), admitted but undefined
-    s0 = g.schedule.stage_of(0)
-    if s0 is not None:
-        heapq.heappush(pending, (s0, 0))
+    log = log or _ConstructionLog(witness.g, b, n, stage_budget)
+    state = _DomainState(log.m, n)
 
     ready: list[tuple[int, int, int, Fraction]] = []  # (i, fl, ce, b_i) inside both bounds
     wait_hi: list[tuple[int, tuple]] = []   # (fl, candidate): b_i at or above the reach bound
@@ -317,14 +336,10 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
             ready.append(cand)
 
     for s in range(1, stage_budget + 1):
-        sj = g.schedule.stage_of(s)
-        if sj is not None:
-            heapq.heappush(pending, (sj, s))
+        released, cand = log.stage(s)
         low: int | None = None  # least point inserted at this stage
-        while pending and pending[0][0] <= s:
-            _, j = heapq.heappop(pending)
-            x = state.scaled(g.enumeration.point(j))
-            state.insert(j, x, g.value_at(j))
+        for j, x, v in released:
+            state.insert(j, x, v)
             if low is None or x < low:
                 low = x
         if low is not None:
@@ -332,8 +347,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
             reach = state.reach_from_zero()
             ceil = reach + state.gap if reach is not None else None
         if s > prev.index:
-            bi = b.term(s)
-            route((s, *state.keys(bi), bi))
+            route(cand)
         while ceil is not None and wait_hi and wait_hi[0][0] < ceil:     # b_i < ceil
             route(heapq.heappop(wait_hi)[1])
         while floor is not None and wait_lo and -wait_lo[0][0] > floor:  # b_i > floor
@@ -401,8 +415,9 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
         raise InvalidScenario(
             f"g(0) is not defined within stage budget {stage_budget}")
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
+    log = _ConstructionLog(witness.g, b, depth, stage_budget)
     for n in range(1, depth + 1):
-        rec = search_step(n, steps[-1], witness, b, stage_budget)
+        rec = search_step(n, steps[-1], witness, b, stage_budget, log)
         if rec is None:
             trace = ConstructionTrace(tuple(steps), 1, (n, stage_budget))
             raise BudgetExhausted(

@@ -294,6 +294,30 @@ def test_multi_file_skips_output_for_invalid_member(tmp_path, capsys):
     assert not (out / "mirror_geometric.json").exists()
 
 
+def test_internal_error_exits_4_without_payload(tmp_path, capsys, monkeypatch):
+    """A fault in the program is neither a verdict nor invalid input."""
+    broken = str(corpus_path("table_tail"))
+    real = cli._RUNNERS["verify"]
+
+    def runner(path, opts):
+        if path == broken:
+            raise RuntimeError("lost a ladder")
+        return real(path, opts)
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+    out = tmp_path / "reports"
+    code, _, err = run(capsys, "verify", str(corpus_path("linear_basic")), broken,
+                       "--mode", "solovay-check", "--out", str(out))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert cli.worst_exit([cli.EXIT_INVALID, cli.EXIT_INTERNAL, cli.EXIT_FAILS]) == 4
+    assert [p.name for p in out.iterdir()] == ["linear_basic.json"]
+    assert json.loads((out / "linear_basic.json").read_bytes())["summary"]["overall"] == "pass"
+    errors = [line for line in err.splitlines() if "internal error" in line]
+    assert errors == [f"{broken}: internal error: RuntimeError: lost a ladder"]
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("elapsed (non-deterministic)")
+
+
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(

@@ -176,6 +176,38 @@ def test_prop1_image_work_is_pinned(monkeypatch):
     assert calls == 41
 
 
+def test_construction_reads_each_point_and_target_term_once(monkeypatch):
+    """One log serves every step, so each point and each b_i is evaluated once.
+
+    Rebuilding the domain at every step cost 18,439 value_at and 18,340
+    Approximation.term calls for the 9,214 stages of linear_basic.
+    """
+    calls = {"value_at": 0, "term": 0}
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(self, arg):
+            calls[name] += 1
+            return real(self, arg)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(StagedPartialFunction, "value_at")
+    counting(Approximation, "term")
+    sc = load_scenario(corpus_path("linear_basic"))
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
+                                      sc.beta, sc.depth, sc.stage_budget)
+    assert trace.steps[-1].stage_found == 9214
+    assert calls == {"value_at": 9216, "term": 9216}
+
+
+def test_affine_dyadic_term_is_exact_at_large_n():
+    u, v, w, n = Q(3, 4), Q(1, 3), 2, 5000
+    term = AffineDyadic(u, v, w).term(n)
+    assert term == u - v / 2 ** (w * n)
+    assert term.denominator == 3 * 2 ** (w * n)
+
+
 FROZEN_HITS = {
     "linear_basic": (
         [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14],

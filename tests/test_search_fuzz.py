@@ -6,9 +6,11 @@ target values, constants on both sides of the true ratio) must give the
 incremental search_step and oracle_min_hit the same hit, and a larger
 stage budget must never change a hit already found.  At small budgets
 the oracle's stage shell is also run with the plain backtracking ladder
-enumerator kept below as a reference, and all three must agree.  The
-integer keys the search compares target values by must order every
-value against every dyadic point exactly as the rationals do.
+enumerator kept below as a reference, and all three must agree.  A full
+construction, whose steps share one log at one scale, must give the
+steps of a chain of standalone searches.  The integer keys the search
+compares target values by must order every value against every dyadic
+point exactly as the rationals do.
 """
 from __future__ import annotations
 
@@ -26,12 +28,14 @@ from solred.approximations import AffineDyadic, Approximation, Kind, Table, prep
 from solred.construction import (
     RequirementTuple,
     StepRecord,
-    _DomainState,
+    _ConstructionLog,
+    build_s2a_from_solovay,
     check_requirement,
     search_step,
 )
+from solred.errors import BudgetExhausted
 from solred.oracle import oracle_min_hit
-from solred.reals import ZERO
+from solred.reals import ZERO, ExactRational
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -236,6 +240,47 @@ def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
         assert more.stage_found > budget
 
 
+@settings(FUZZ, max_examples=100)
+# Five steps hit and step 6 exhausts; the log's scale 2**9 is finer than every step's 2**7.
+@example(w=_halving_witness(schedule=StageSchedule(0, 0)),
+         raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE, None),
+         depth=8, budget=100)
+# g(1/8) = 1/16 passes clause (v) against g(0) = 1/64 at step 1 but not at step 2,
+# whose slack is half as wide.  A step that inherited step 1's verdict on 1/8 would
+# take the ladder to 1/8, which check_requirement rejects, over the hit (0, 3/32, 3/16)
+# at stage 17.
+@example(w=SolovayWitness(StagedPartialFunction(
+             DyadicEnumeration(), StageSchedule(0, 0),
+             ValueRule(Q(1, 2), ZERO, ((0, Q(1, 64)), (9, Q(1, 16))))), Q(1, 4)),
+         raw=Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE, None),
+         depth=2, budget=17)
+@given(w=staged_witnesses(), raw=targets, depth=st.integers(1, 9), budget=st.integers(12, 100))
+def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget):
+    """The construction's one log, at the depth's scale, changes no step.
+
+    Each standalone search_step builds its own log at its own step's scale,
+    which is coarser whenever depth + 1 exceeds the budget's bit length.
+    """
+    b = prepend(ZERO, raw)
+    chain = [StepRecord(0, 0, w.g.value_at(0), b.term(0), None, w.g.schedule.stage_of(0))]
+    exhausted = None
+    for n in range(1, depth + 1):
+        rec = search_step(n, chain[-1], w, b, budget)
+        if rec is None:
+            exhausted = (n, budget)
+            break
+        chain.append(rec)
+    try:
+        _, trace = build_s2a_from_solovay(w, raw, ExactRational(ZERO), ExactRational(ZERO),
+                                          depth, budget)
+    except BudgetExhausted as exc:
+        assert exhausted is not None and exc.step == exhausted[0]
+        trace = exc.partial
+    assert [_found(r) for r in trace.steps[1:]] == [_found(r) for r in chain[1:]]
+    assert trace.steps == tuple(chain)
+    assert trace.exhausted == exhausted
+
+
 unit_fractions = st.one_of(st.integers(1, 2 ** 300),
                            st.integers(0, 300).map(lambda k: 1 << k)).flatmap(
     lambda den: st.integers(0, den).map(lambda num: Q(num, den)))
@@ -246,15 +291,22 @@ unit_fractions = st.one_of(st.integers(1, 2 ** 300),
 def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
-    state = _DomainState(m, 0)
-    fl, ce = state.keys(b)
+    log = _ConstructionLog(StagedPartialFunction(), prepend(ZERO, _constant(b)), m - 1, 0)
+    assert log.m == m
+    fl, ce = log.keys(b)
     point = Q(x, 2 ** m)
     assert (b < point) == (fl < x)
     assert (b <= point) == (ce <= x)
     assert (b >= point) == (fl >= x)
     assert (b > point) == (ce > x)
-    if b * 2 ** m == near:
-        assert state.scaled(b) == fl == ce
-    else:
-        with pytest.raises(ValueError, match="not exact"):
-            state.scaled(b)
+    assert (fl == ce) == (b * 2 ** m == near)
+    assert log.stage(1)[1] == (1, fl, ce, b)
+
+
+def test_log_rejects_a_point_not_exact_at_its_scale():
+    """A point finer than the scale raises instead of rounding."""
+    log = _ConstructionLog(StagedPartialFunction(), _constant(Q(1, 2)), 0, 1)
+    assert log.m == 1
+    assert log.stage(1)[0] == [(0, 0, ZERO), (1, 1, Q(1, 4))]
+    with pytest.raises(ValueError, match="not exact"):
+        log.stage(2)  # q_2 = 1/4
