@@ -41,8 +41,8 @@ exact equality.
 The search loop compares integers only.  Domain points and every
 step's gap limit are dyadic, so a construction holds them at one scale
 2**m, builds its domain and reads each b_i (whose denominator can run
-to thousands of bits) once, as fl = floor(b_i * 2**m) and ce =
-ceil(b_i * 2**m), and every step replays them.  No integer lies
+to thousands of bits) once, as fl = floor(b_i * 2**m) and
+ce = ceil(b_i * 2**m), and every step replays them.  No integer lies
 strictly between fl and ce, so for every integer x, b_i < x iff fl < x
 and b_i <= x iff ce <= x.  Clause (v) stays in rationals, and
 check_requirement accepts every hit.
@@ -146,9 +146,9 @@ class _ConstructionLog:
         self.stages: list[tuple[list, tuple]] = [([], ())]  # stage(s) for s = 0, 1, ...
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
 
-    def keys(self, b: Fraction) -> tuple[int, int]:
-        """(floor, ceil) of b * 2**m."""
-        fl, rem = divmod(b.numerator << self.m, b.denominator)
+    def keys(self, q: Fraction) -> tuple[int, int]:
+        """(floor, ceil) of q * 2**m."""
+        fl, rem = divmod(q.numerator << self.m, q.denominator)
         return fl, fl + (rem != 0)
 
     def stage(self, s: int) -> tuple[list[tuple[int, int, Fraction]], tuple]:
@@ -295,16 +295,16 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
                 log: _ConstructionLog | None = None) -> StepRecord | None:
     """Deterministic dovetailed hunt for the step-n record; None on budget.
 
-    Stages run 1..stage_budget, replayed from the construction log (or
-    from a log at the step's own scale when none is given).  At stage s
-    the domain holds exactly the enumeration indices j <= s whose
-    definition stage has arrived, and the candidate target indices are
-    prev.index < i <= s.  Candidates
-    whose value provably admits no ladder at the current domain (the
-    window misses every small-hop-reachable point, or fewer than three
-    points sit below it) wait in heaps keyed by the bound that excludes
-    them; both bounds evolve monotonically, so each candidate is woken
-    at most twice and never re-examined spuriously.
+    Stages run 1..stage_budget, replayed from the log of domain points
+    and b_i keys that a construction builds once, at one scale (without
+    a log, the step builds one at its own scale).  At stage s the domain
+    holds exactly the enumeration indices j <= s whose definition stage
+    has arrived, and the candidate target indices are prev.index < i <= s.
+    Candidates whose value provably admits no ladder at the current
+    domain (the window misses every small-hop-reachable point, or fewer
+    than three points sit below it) wait in heaps keyed by the bound
+    that excludes them; both bounds evolve monotonically, so each
+    candidate is woken at most twice and never re-examined spuriously.
 
     A search's answer depends only on (n, b_i, c) and the domain points
     strictly below b_i, and the domain only grows.  So a candidate that
