@@ -193,7 +193,7 @@ def _out_path(out: str | None, paths: list[str], index: int) -> Path | None:
 def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
     paths: list[str] = args.scenario
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(_run_one, [command] * len(paths), paths,
                                     [opts] * len(paths)))
     else:

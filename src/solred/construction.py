@@ -57,7 +57,7 @@ from fractions import Fraction
 from .approximations import Approximation, Kind, Table, prepend, complement
 from .errors import BudgetExhausted, InvalidScenario
 from .reals import ReferenceReal
-from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction
+from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
 
@@ -379,14 +379,12 @@ class WitnessImage:
 
     def term(self, n: int) -> Fraction:
         q = self.base.term(n)
-        j = self.fn.enumeration.index_of(q)
-        if j is not None:
-            s = self.fn.schedule.stage_of(j)
-            if s is not None and s <= self.stage_budget:
-                return self.fn.value_at(j)
-        raise BudgetExhausted(
-            f"g stayed undefined at term {n} (point {q}) through stage budget "
-            f"{self.stage_budget}", step=n, stage_budget=self.stage_budget)
+        value = eval_staged(self.fn, q, self.stage_budget)
+        if value is None:
+            raise BudgetExhausted(
+                f"g stayed undefined at term {n} (point {q}) through stage budget "
+                f"{self.stage_budget}", step=n, stage_budget=self.stage_budget)
+        return value
 
 
 def witness_image(witness: SolovayWitness, b: Approximation,

@@ -36,9 +36,11 @@ from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
     canonical_point,
+    certify,
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
+    solovay_verdict,
 )
 
 Q = Fraction
@@ -330,11 +332,10 @@ def verify_mirror(scenario: Scenario, *, depth: int | None = None,
 
     violation = check_kind_prefix(a, depth)
     report.sections["leftce_prefix"] = {"n_max": depth, "violation_at": violation}
+    report.tally("holds" if violation is None else "fails")
     if violation is not None:
-        report.fails += 1
         report.sections["mirror"] = {"skipped": "left-c.e. prefix check failed"}
         return report
-    report.holds += 1
 
     m = mirror_s2a(a)
     checks = check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha,
@@ -351,10 +352,7 @@ def verify_mirror(scenario: Scenario, *, depth: int | None = None,
     comp_violation = check_kind_prefix(complement(a), depth)
     report.sections["rightce_prefix"] = {"n_max": depth,
                                          "violation_at": comp_violation}
-    if comp_violation is None:
-        report.holds += 1
-    else:
-        report.fails += 1
+    report.tally("holds" if comp_violation is None else "fails")
     return report
 
 
@@ -375,10 +373,7 @@ def verify_prop1(scenario: Scenario, *, depth: int | None = None,
 
     violation = check_kind_prefix(b, depth)
     report.sections["beta_kind_prefix"] = {"n_max": depth, "violation_at": violation}
-    if violation is not None:
-        report.fails += 1
-    else:
-        report.holds += 1
+    report.tally("holds" if violation is None else "fails")
 
     image = witness_image(w, b, stage_budget)
     b_terms: list[Fraction] = []
@@ -416,10 +411,7 @@ def verify_prop1(scenario: Scenario, *, depth: int | None = None,
         "definition_stage_stats": {"max_stage": max(stages, default=0),
                                    "total_stages": sum(stages)},
     }
-    if mono_violation is not None:
-        report.fails += 1
-    else:
-        report.holds += 1
+    report.tally("holds" if mono_violation is None else "fails")
 
     below_rows = []
     gap_rows = []
@@ -427,28 +419,15 @@ def verify_prop1(scenario: Scenario, *, depth: int | None = None,
         precision = Q(1, 2 ** (n + guard))
         a_box = enclose(scenario.alpha, precision)
         b_box = enclose(scenario.beta, precision)
-        if a_box.lo > mono[n]:
-            below = "holds"
-        elif mono[n] >= a_box.hi:
-            below = "fails"
-        else:
-            below = "unknown"
+        below = certify(mono[n], mono[n], a_box.lo, a_box.hi, True).value
         below_rows.append({"n": n, "verdict": below,
                            "a_n": format_fraction(mono[n]),
                            "alpha_enclosure": [format_fraction(a_box.lo),
                                                format_fraction(a_box.hi)]})
         report.tally(below)
 
-        lower_ok = a_box.lo - raw[n] > ZERO
-        upper_ok = a_box.hi - raw[n] < w.c * (b_box.lo - b_terms[n])
-        lower_broken = a_box.hi - raw[n] <= ZERO
-        upper_broken = a_box.lo - raw[n] >= w.c * (b_box.hi - b_terms[n])
-        if lower_ok and upper_ok:
-            gap = "holds"
-        elif lower_broken or upper_broken:
-            gap = "fails"
-        else:
-            gap = "unknown"
+        gap = solovay_verdict(a_box, b_box, raw[n], b_terms[n], w.c).value
+        gap = "fails" if gap.startswith("fails") else gap  # fails_lower, fails_upper
         gap_rows.append({"n": n, "verdict": gap,
                          "alpha_minus_g": [format_fraction(a_box.lo - raw[n]),
                                            format_fraction(a_box.hi - raw[n])],

@@ -54,9 +54,6 @@ class Interval:
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 class CutVerdict(enum.Enum):
     """Verdict of a budgeted left-cut membership query."""
@@ -169,11 +166,6 @@ class DyadicSeries(ReferenceReal):
         bits += num << bits < den  # the least bits >= 0 with 2**-bits <= precision
         j = self.exponents.first_at_least(bits)
         return self._box(j, True) if j == self.exponents.count() else self._box(j + 1, False)
-
-    def partial_state(self, k: int) -> tuple[Fraction, Fraction]:
-        """Partial sum of the first k terms and the exact tail bound used."""
-        box = self.after_terms(k)
-        return box.lo, box.hi - box.lo
 
 
 @dataclass(frozen=True)

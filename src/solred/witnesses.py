@@ -16,9 +16,10 @@ An approximation-pair witness (S2aWitness) is two computable
 approximations and a constant; the claimed relation between them is
 checked prefix-wise against reference reals via enclosures.
 
-All checkers are budgeted and three-valued: they certify a strict fact
-from interval endpoints, certify its negation, or answer Unknown.  More
-budget can only move Unknown to a certified verdict, never flip one.
+All checkers are budgeted and three-valued: each verdict comes from one
+kernel, ``certify``, which decides an inequality from interval endpoints
+as Holds, Fails or Unknown.  More budget can only move Unknown to a
+certified verdict, never flip one.
 """
 from __future__ import annotations
 
@@ -90,19 +91,10 @@ class DyadicEnumeration:
         return canonical_point(j)
 
     def index_of(self, q: Fraction) -> int | None:
-        if self.prefix:
-            hit = self._prefix_index.get(q)
-            if hit is not None:
-                return hit
-        j = canonical_index(q)
-        if j is None:
-            return None
-        if j < len(self.prefix):
-            # q is among the permuted points, so it was found above or
-            # it is not actually in the prefix set (impossible after
-            # validation); be defensive anyway.
-            return self._prefix_index.get(q)
-        return j
+        # The prefix permutes the first canonical points, so a point
+        # outside it has no canonical index below len(prefix).
+        hit = self._prefix_index.get(q)
+        return canonical_index(q) if hit is None else hit
 
 
 NEVER = None  # stage value meaning "never defined"
@@ -229,12 +221,53 @@ def enumerate_domain(g: StagedPartialFunction, stage: int) -> list[tuple[int, Fr
     return out
 
 
+class S2aVerdict(enum.Enum):
+    HOLDS = "holds"
+    FAILS = "fails"
+    UNKNOWN = "unknown"
+
+
+def certify(lhs_lo: Fraction, lhs_hi: Fraction, rhs_lo: Fraction, rhs_hi: Fraction,
+            strict: bool) -> S2aVerdict:
+    """Decide lhs < rhs (strict) or lhs <= rhs for lhs in [lhs_lo, lhs_hi]
+    and rhs in [rhs_lo, rhs_hi].
+
+    Holds when the inequality holds at every pair of points of the two
+    boxes, Fails when it holds at none, Unknown otherwise: interval
+    certification in the sense of R. E. Moore, *Interval Analysis*, 1966.
+    """
+    if (lhs_hi < rhs_lo) if strict else (lhs_hi <= rhs_lo):
+        return S2aVerdict.HOLDS
+    if (lhs_lo >= rhs_hi) if strict else (lhs_lo > rhs_hi):
+        return S2aVerdict.FAILS
+    return S2aVerdict.UNKNOWN
+
+
 class SolovayVerdict(enum.Enum):
     HOLDS = "holds"
     FAILS_LOWER = "fails_lower"    # g(q) >= alpha certified
     FAILS_UPPER = "fails_upper"    # alpha - g(q) >= c*(beta - q) certified
     G_UNDEFINED = "g_undefined"
     UNKNOWN = "unknown"
+
+
+def solovay_verdict(a_box: Interval, b_box: Interval, value: Fraction, q: Fraction,
+                    c: Fraction) -> SolovayVerdict:
+    """Decide 0 < alpha - value < c*(beta - q) from enclosures of alpha and beta.
+
+    A certified failure of the lower bound is reported before one of the
+    upper bound.
+    """
+    lo, hi = a_box.lo - value, a_box.hi - value
+    lower = certify(ZERO, ZERO, lo, hi, True)
+    upper = certify(lo, hi, c * (b_box.lo - q), c * (b_box.hi - q), True)
+    if lower is S2aVerdict.FAILS:
+        return SolovayVerdict.FAILS_LOWER
+    if upper is S2aVerdict.FAILS:
+        return SolovayVerdict.FAILS_UPPER
+    if lower is upper is S2aVerdict.HOLDS:
+        return SolovayVerdict.HOLDS
+    return SolovayVerdict.UNKNOWN
 
 
 def check_solovay_at(w: SolovayWitness, alpha: ReferenceReal, beta: ReferenceReal,
@@ -251,21 +284,7 @@ def check_solovay_at(w: SolovayWitness, alpha: ReferenceReal, beta: ReferenceRea
     if value is None:
         return SolovayVerdict.G_UNDEFINED
     precision = Q(1, 2 ** budget)
-    a = enclose(alpha, precision)
-    b = enclose(beta, precision)
-    if a.hi - value <= ZERO:
-        return SolovayVerdict.FAILS_LOWER
-    if a.lo - value >= w.c * (b.hi - q):
-        return SolovayVerdict.FAILS_UPPER
-    if a.lo - value > ZERO and a.hi - value < w.c * (b.lo - q):
-        return SolovayVerdict.HOLDS
-    return SolovayVerdict.UNKNOWN
-
-
-class S2aVerdict(enum.Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-    UNKNOWN = "unknown"
+    return solovay_verdict(enclose(alpha, precision), enclose(beta, precision), value, q, w.c)
 
 
 @dataclass(frozen=True)
@@ -295,6 +314,21 @@ def _abs_err_bounds(box: Interval, t: Fraction) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
+def _step_check(alpha: ReferenceReal, beta: ReferenceReal, a: Fraction, b: Fraction,
+                c: Fraction, n: int, guard: int, strict: bool) -> S2aStepCheck:
+    """The bound of check_strict_at, decided with <= when not strict."""
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
+    precision = Q(1, 2 ** (n + guard))
+    a_box = enclose(alpha, precision)
+    b_box = enclose(beta, precision)
+    a_lo, a_hi = _abs_err_bounds(a_box, a)
+    b_lo, b_hi = _abs_err_bounds(b_box, b)
+    slack = Q(1, 2 ** n)
+    verdict = certify(a_lo, a_hi, c * (b_lo + slack), c * (b_hi + slack), strict)
+    return S2aStepCheck(n, verdict, a_lo, a_hi, b_lo, b_hi, a_box.width, b_box.width)
+
+
 def check_s2a_prefix(w: S2aWitness, alpha: ReferenceReal, beta: ReferenceReal,
                      n_max: int, guard: int) -> list[S2aStepCheck]:
     """Check |alpha - a_n| <= c*(|beta - b_n| + 2**-n) for n = 0..n_max.
@@ -303,27 +337,9 @@ def check_s2a_prefix(w: S2aWitness, alpha: ReferenceReal, beta: ReferenceReal,
     bounds; Holds and Fails are certified strictly, everything else is
     Unknown.  Larger guard can only sharpen Unknown entries.
     """
-    if guard < 0:
-        raise ValueError("guard must be >= 0")
-    out: list[S2aStepCheck] = []
-    for n in range(n_max + 1):
-        precision = Q(1, 2 ** (n + guard))
-        a_box = enclose(alpha, precision)
-        b_box = enclose(beta, precision)
-        a_n = w.alpha_approx.term(n)
-        b_n = w.beta_approx.term(n)
-        a_lo, a_hi = _abs_err_bounds(a_box, a_n)
-        b_lo, b_hi = _abs_err_bounds(b_box, b_n)
-        slack = Q(1, 2 ** n)
-        if a_hi <= w.c * (b_lo + slack):
-            verdict = S2aVerdict.HOLDS
-        elif a_lo > w.c * (b_hi + slack):
-            verdict = S2aVerdict.FAILS
-        else:
-            verdict = S2aVerdict.UNKNOWN
-        out.append(S2aStepCheck(n, verdict, a_lo, a_hi, b_lo, b_hi,
-                                a_box.width, b_box.width))
-    return out
+    return [_step_check(alpha, beta, w.alpha_approx.term(n), w.beta_approx.term(n),
+                        w.c, n, guard, False)
+            for n in range(n_max + 1)]
 
 
 def check_strict_at(alpha: ReferenceReal, beta: ReferenceReal,
@@ -336,19 +352,4 @@ def check_strict_at(alpha: ReferenceReal, beta: ReferenceReal,
     certified upper error is strictly inside the bound, Fails only when
     the certified lower error already violates it.
     """
-    if guard < 0:
-        raise ValueError("guard must be >= 0")
-    precision = Q(1, 2 ** (n + guard))
-    a_box = enclose(alpha, precision)
-    b_box = enclose(beta, precision)
-    a_lo, a_hi = _abs_err_bounds(a_box, a)
-    b_lo, b_hi = _abs_err_bounds(b_box, b)
-    slack = Q(1, 2 ** n)
-    if a_hi < c * (b_lo + slack):
-        verdict = S2aVerdict.HOLDS
-    elif a_lo >= c * (b_hi + slack):
-        verdict = S2aVerdict.FAILS
-    else:
-        verdict = S2aVerdict.UNKNOWN
-    return S2aStepCheck(n, verdict, a_lo, a_hi, b_lo, b_hi,
-                        a_box.width, b_box.width)
+    return _step_check(alpha, beta, a, b, c, n, guard, True)

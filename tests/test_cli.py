@@ -283,6 +283,37 @@ def test_jobs_change_no_output_byte(tmp_path, capsys):
     assert len(untimed) == 1 and untimed[0].startswith(paths[1] + ": ")
 
 
+def test_jobs_pool_is_bounded_by_the_file_count(tmp_path, capsys, monkeypatch):
+    """A fork pool starts all its workers at the first submit, so --jobs
+    asks for no more workers than there are files."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    paths = [str(corpus_path(name)) for name in ("linear_basic", "invalid_g_above")]
+    payloads = []
+    for jobs in ("1", "1000"):
+        out = tmp_path / f"jobs{jobs}"
+        code, _, _ = run(capsys, "verify", *paths, "--mode", "solovay-check",
+                         "--jobs", jobs, "--out", str(out))
+        assert code == 1
+        payloads.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sizes == [2]
+    assert payloads[0] == payloads[1] and len(payloads[0]) == 2
+
+
 def test_multi_file_skips_output_for_invalid_member(tmp_path, capsys):
     out = tmp_path / "traces"
     code, _, _ = run(capsys, "construct",

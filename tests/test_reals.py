@@ -48,8 +48,9 @@ def test_interval_validation():
     assert box.width == Q(1, 4)
     assert box.contains(Q(1, 3))
     assert not box.contains(Q(3, 4))
-    assert Interval(Q(1, 2), Q(1, 2)).is_point()
-    assert not box.is_point()
+    point = Interval(Q(1, 2), Q(1, 2))
+    assert point.lo == point.hi
+    assert box.lo != box.hi
     with pytest.raises(ValueError):
         Interval(Q(1, 2), Q(1, 4))
 
@@ -73,21 +74,21 @@ def test_enclose_complement_of_point():
 def test_enclose_scale_and_average_are_exact():
     scale = Scale(ExactRational(Q(1, 3)), Q(1, 4))
     avg = Average(ExactRational(Q(1, 12)), ExactRational(Q(1, 4)))
-    assert enclose(scale, Q(1, 2 ** 20)).is_point()
-    assert enclose(scale, Q(1, 2 ** 20)).lo == Q(1, 12)
+    box = enclose(scale, Q(1, 2 ** 20))
+    assert box.lo == box.hi == Q(1, 12)
     assert enclose(avg, Q(1, 2 ** 20)).lo == Q(1, 6)
 
 
 def test_enclose_finite_exponent_list_becomes_exact():
     series = DyadicSeries(ListExponents((1, 3)))
     box = enclose(series, Q(1, 1024))
-    assert box.is_point() and box.lo == Q(5, 8)
+    assert box.lo == box.hi == Q(5, 8)
 
 
 def test_series_partial_sums_strictly_increase():
     prev = Q(-1)
     for k in range(1, 12):
-        partial, _ = THIRD_SERIES.partial_state(k)
+        partial = THIRD_SERIES.after_terms(k).lo
         assert partial > prev
         prev = partial
 
@@ -279,7 +280,8 @@ def test_enclosures_equal_the_fraction_reference(real, precision, tick):
     assert enclose(real, precision) == reference_enclose(real, precision)
     assert enclose_at_tick(real, tick) == reference_enclose_at_tick(real, tick)
     for series in series_leaves(real):
-        assert series.partial_state(tick) == reference_partial_state(series, tick)
+        box = series.after_terms(tick)
+        assert (box.lo, box.width) == reference_partial_state(series, tick)
 
 
 @pytest.mark.parametrize("exps, precision, expected", [

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import json
+import operator
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solred.approximations import Approximation, Kind, Table
 from solred.errors import InvalidScenario
-from solred.reals import ExactRational
+from solred.harness import verify_prop1
+from solred.reals import AffineExponents, DyadicSeries, ExactRational, Interval
+from solred.scenario import parse_scenario
 from solred.witnesses import (
     DyadicEnumeration,
     S2aVerdict,
@@ -20,12 +24,16 @@ from solred.witnesses import (
     ValueRule,
     canonical_index,
     canonical_point,
+    certify,
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
     enumerate_domain,
     eval_staged,
+    solovay_verdict,
 )
+
+from conftest import LEFTCE_WITNESS_NAMES, corpus_path
 
 
 def staged(slope=0, offset=0, stage_overrides=(), u=Q(1, 2), v=Q(0), value_overrides=()):
@@ -53,6 +61,24 @@ def test_canonical_index_off_enumeration():
 @given(j=st.integers(0, 1 << 14))
 def test_canonical_index_inverts_canonical_point(j):
     assert canonical_index(canonical_point(j)) == j
+
+
+@st.composite
+def permuted_enumerations(draw):
+    size = draw(st.integers(0, 40))
+    rest = draw(st.permutations(range(1, size))) if size > 1 else []
+    return DyadicEnumeration(tuple(canonical_point(j) for j in [0, *rest][:size]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(enum=permuted_enumerations(), past=st.integers(0, 1 << 12),
+       odd=st.integers(0, 1 << 8), level=st.integers(0, 8))
+def test_index_of_inverts_point_on_permuted_prefixes(enum, past, odd, level):
+    for j in [*range(len(enum.prefix) + 2), len(enum.prefix) + past]:
+        assert enum.index_of(enum.point(j)) == j
+    assert enum.index_of(Q(3 * odd + 1, 3 << level)) is None   # not dyadic
+    assert enum.index_of(Q(1)) is None
+    assert enum.index_of(Q(1) + Q(odd, 1 << level)) is None
 
 
 def test_enumeration_prefix_permutation():
@@ -169,3 +195,149 @@ def test_strict_certificate_implies_nonstrict_check(alpha, beta, a_term, b_term,
         w = S2aWitness(const_approx(a_term), const_approx(b_term), c)
         soft = check_s2a_prefix(w, ExactRational(alpha), ExactRational(beta), n, 8)
         assert soft[n].verdict is S2aVerdict.HOLDS
+
+
+# -- the one verdict kernel, and the five hand-written comparisons it
+# replaced, kept as references: each site must decide exactly as before.
+
+def old_solovay_at(a, b, value, q, c):
+    """check_solovay_at's comparisons on the enclosures a of alpha and b of beta."""
+    if a.hi - value <= 0:
+        return SolovayVerdict.FAILS_LOWER
+    if a.lo - value >= c * (b.hi - q):
+        return SolovayVerdict.FAILS_UPPER
+    if a.lo - value > 0 and a.hi - value < c * (b.lo - q):
+        return SolovayVerdict.HOLDS
+    return SolovayVerdict.UNKNOWN
+
+
+def old_s2a_prefix(a_lo, a_hi, b_lo, b_hi, c, slack):
+    """check_s2a_prefix's comparison on the certified error bounds."""
+    if a_hi <= c * (b_lo + slack):
+        return S2aVerdict.HOLDS
+    if a_lo > c * (b_hi + slack):
+        return S2aVerdict.FAILS
+    return S2aVerdict.UNKNOWN
+
+
+def old_strict_at(a_lo, a_hi, b_lo, b_hi, c, slack):
+    """check_strict_at's comparison on the certified error bounds."""
+    if a_hi < c * (b_lo + slack):
+        return S2aVerdict.HOLDS
+    if a_lo >= c * (b_hi + slack):
+        return S2aVerdict.FAILS
+    return S2aVerdict.UNKNOWN
+
+
+def old_below_alpha(a_n, a_lo, a_hi):
+    """verify_prop1's below_alpha row: a_n < alpha."""
+    if a_lo > a_n:
+        return "holds"
+    if a_n >= a_hi:
+        return "fails"
+    return "unknown"
+
+
+def old_gap_bound(diff_lo, diff_hi, bound_lo, bound_hi):
+    """verify_prop1's gap_bound row: 0 < alpha - g(b_n) < c*(beta - b_n),
+    with alpha - g(b_n) in [diff_lo, diff_hi] and the bound in [bound_lo, bound_hi]."""
+    lower_ok = diff_lo > 0
+    upper_ok = diff_hi < bound_lo
+    lower_broken = diff_hi <= 0
+    upper_broken = diff_lo >= bound_hi
+    if lower_ok and upper_ok:
+        return "holds"
+    if lower_broken or upper_broken:
+        return "fails"
+    return "unknown"
+
+
+GRID = st.builds(Q, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+POSITIVE = st.sampled_from([Q(1, 4), Q(1, 2), Q(1), Q(2)])
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def boxes(draw):
+    """A Fraction interval on a coarse grid, so shared endpoints are common."""
+    lo = draw(GRID)
+    return Interval(lo, lo if draw(st.booleans()) else max(lo, draw(GRID)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lhs=boxes(), rhs=boxes(), strict=st.booleans(),
+       inner=st.lists(st.tuples(UNIT, UNIT), max_size=4))
+@example(lhs=Interval(Q(1), Q(2)), rhs=Interval(Q(0), Q(1)), strict=False, inner=[])
+@example(lhs=Interval(Q(1), Q(1)), rhs=Interval(Q(1), Q(1)), strict=True, inner=[])
+@example(lhs=Interval(Q(1), Q(1)), rhs=Interval(Q(1), Q(1)), strict=False, inner=[])
+def test_certify_decides_every_point_of_the_boxes(lhs, rhs, strict, inner):
+    holds = operator.lt if strict else operator.le
+    pairs = [(x, y) for x in (lhs.lo, lhs.hi) for y in (rhs.lo, rhs.hi)]
+    pairs += [(lhs.lo + s * lhs.width, rhs.lo + t * rhs.width) for s, t in inner]
+    outcomes = {holds(x, y) for x, y in pairs}
+    verdict = certify(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
+    expected = {S2aVerdict.HOLDS: {True}, S2aVerdict.FAILS: {False},
+                S2aVerdict.UNKNOWN: {True, False}}[verdict]
+    assert outcomes == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=boxes(), b=boxes(), value=GRID, q=GRID, c=POSITIVE)
+@example(a=Interval(Q(0), Q(0)), b=Interval(Q(0), Q(0)), value=Q(0), q=Q(1), c=Q(1))
+@example(a=Interval(Q(1), Q(1)), b=Interval(Q(1), Q(1)), value=Q(0), q=Q(0), c=Q(1))
+def test_solovay_and_prop1_routes_equal_the_old_comparisons(a, b, value, q, c):
+    verdict = solovay_verdict(a, b, value, q, c)
+    assert verdict is old_solovay_at(a, b, value, q, c)
+    gap = "fails" if verdict.value.startswith("fails") else verdict.value
+    assert gap == old_gap_bound(a.lo - value, a.hi - value,
+                                c * (b.lo - q), c * (b.hi - q))
+    below = certify(value, value, a.lo, a.hi, True).value
+    assert below == old_below_alpha(value, a.lo, a.hi)
+
+
+def grid_reals():
+    exact = st.builds(ExactRational, st.builds(Q, st.integers(0, 8), st.just(8)))
+    series = st.builds(lambda slope, offset: DyadicSeries(AffineExponents(slope, offset)),
+                       st.integers(1, 3), st.integers(1, 4))
+    return st.one_of(exact, series)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=grid_reals(), beta=grid_reals(),
+       a=st.builds(Q, st.integers(0, 8), st.just(8)),
+       b=st.builds(Q, st.integers(0, 8), st.just(8)),
+       c=POSITIVE, n=st.integers(0, 4), guard=st.integers(0, 3))
+@example(alpha=ExactRational(Q(1, 2)), beta=ExactRational(Q(1, 4)), a=Q(0), b=Q(1, 4),
+         c=Q(1), n=1, guard=0)
+def test_step_checks_equal_the_old_comparisons(alpha, beta, a, b, c, n, guard):
+    w = S2aWitness(const_approx(a), const_approx(b), c)
+    soft = check_s2a_prefix(w, alpha, beta, n, guard)[n]
+    strict = check_strict_at(alpha, beta, a, b, c, n, guard)
+    for chk, old in ((soft, old_s2a_prefix), (strict, old_strict_at)):
+        assert chk.verdict is old(chk.alpha_err_lo, chk.alpha_err_hi,
+                                  chk.beta_err_lo, chk.beta_err_hi, c, Q(1, 2 ** n))
+
+
+def prop1_scenario(name, u, v, c):
+    """linear_basic (alpha = 1/16, beta = 1/8) with the value rule g(q) = u*q + v."""
+    raw = json.loads(corpus_path("linear_basic").read_text(encoding="utf-8"))
+    raw["name"] = name
+    raw["solovay_witness"].update(constant=c, value_rule={"u": u, "v": v})
+    return parse_scenario(raw, name)
+
+
+@pytest.mark.parametrize("scenario", [
+    *[parse_scenario(json.loads(corpus_path(name).read_text(encoding="utf-8")), name)
+      for name in [*LEFTCE_WITNESS_NAMES, "invalid_g_above"]],
+    prop1_scenario("g_equals_alpha", "0", "1/16", "1"),      # alpha - g(b_n) = 0
+    prop1_scenario("gap_at_bound", "1/2", "0", "1/2"),       # alpha - g(b_n) = c*(beta - b_n)
+    prop1_scenario("g_overshoots", "1", "0", "1"),
+], ids=lambda sc: sc.name)
+def test_prop1_rows_equal_the_old_comparisons(scenario):
+    sections = verify_prop1(scenario, depth=8).sections
+    for row in sections["below_alpha"]["steps"]:
+        lo, hi = map(Q, row["alpha_enclosure"])
+        assert row["verdict"] == old_below_alpha(Q(row["a_n"]), lo, hi)
+    for row in sections["gap_bound"]["steps"]:
+        bounds = map(Q, row["alpha_minus_g"] + row["c_times_beta_gap"])
+        assert row["verdict"] == old_gap_bound(*bounds)
