@@ -15,10 +15,13 @@ Generators:
 * ``PrefixMaxGen(inner)``         -- running maximum of inner
 * ``ComplementGen(inner)``        -- 1 - inner
 * ``WitnessImage(...)``           -- defined in the construction layer;
-  any object with a ``term(n)`` method slots in here
+  any object with ``term(n)`` and ``ratio(n)`` methods slots in here
 
-All terms are exact rationals in [0, 1]; generator constructors
-validate the range where it is decidable from the parameters.
+A generator provides term(n), an exact rational, and ratio(n), the same
+term as an unreduced integer pair (p, q) with q > 0, so that a caller
+which only needs floor(term(n) * 2**m) can skip the gcd of a Fraction.
+All terms lie in [0, 1]; generator constructors validate the range
+where it is decidable from the parameters.
 """
 from __future__ import annotations
 
@@ -78,7 +81,12 @@ class AffineDyadic:
         _check_unit(self.u - self.v, "affine-dyadic first term")
 
     def term(self, n: int) -> Fraction:
-        return self.u - self.v * Q(1, 1 << (self.w * n))
+        return Q(*self.ratio(n))
+
+    def ratio(self, n: int) -> tuple[int, int]:
+        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        k = self.w * n
+        return (un * vd << k) - vn * ud, ud * vd << k
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,13 @@ class AlternatingDyadic:
         _check_unit(self.u - self.v, "alternating-dyadic lower excursion")
 
     def term(self, n: int) -> Fraction:
+        return Q(*self.ratio(n))
+
+    def ratio(self, n: int) -> tuple[int, int]:
+        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        k = self.w * n
         sign = 1 if n % 2 == 0 else -1
-        return self.u + sign * self.v * Q(1, 1 << (self.w * n))
+        return (un * vd << k) + sign * vn * ud, ud * vd << k
 
 
 @dataclass(frozen=True)
@@ -119,6 +132,9 @@ class Table:
             return self.entries[n]
         return self.tail
 
+    def ratio(self, n: int) -> tuple[int, int]:
+        return self.term(n).as_integer_ratio()
+
 
 @dataclass(frozen=True)
 class PrependGen:
@@ -132,6 +148,11 @@ class PrependGen:
         if n == 0:
             return self.head
         return self.inner.term(n - 1)
+
+    def ratio(self, n: int) -> tuple[int, int]:
+        if n == 0:
+            return self.head.as_integer_ratio()
+        return self.inner.ratio(n - 1)
 
 
 @dataclass(frozen=True)
@@ -149,6 +170,9 @@ class PrefixMaxGen:
             maxima.append(t if not maxima or t > maxima[-1] else maxima[-1])
         return maxima[n]
 
+    def ratio(self, n: int) -> tuple[int, int]:
+        return self.term(n).as_integer_ratio()
+
 
 @dataclass(frozen=True)
 class ComplementGen:
@@ -156,6 +180,10 @@ class ComplementGen:
 
     def term(self, n: int) -> Fraction:
         return ONE - self.inner.term(n)
+
+    def ratio(self, n: int) -> tuple[int, int]:
+        p, q = self.inner.ratio(n)
+        return q - p, q
 
 
 @dataclass(frozen=True)
@@ -179,6 +207,19 @@ class Approximation:
         if not (ZERO <= value <= ONE):
             raise ValueError(f"approximation term {n} out of [0,1]: {value}")
         return value
+
+    def keys(self, n: int, m: int) -> tuple[int, int]:
+        """(floor, ceil) of term(n) * 2**m, from the generator's unreduced ratio.
+
+        Raises exactly when term(n) does, with the same message.
+        """
+        if n < 0:
+            raise ValueError("term index must be >= 0")
+        p, q = self.gen.ratio(n)
+        if not (0 <= p <= q):
+            raise ValueError(f"approximation term {n} out of [0,1]: {Q(p, q)}")
+        fl, rem = divmod(p << m, q)
+        return fl, fl + (rem != 0)
 
 
 def complement(a: Approximation) -> Approximation:

@@ -41,11 +41,15 @@ exact equality.
 The search loop compares integers only.  Domain points and every
 step's gap limit are dyadic, so a construction holds them at one scale
 2**m, builds its domain and reads each b_i (whose denominator can run
-to thousands of bits) once, as fl = floor(b_i * 2**m) and
-ce = ceil(b_i * 2**m), and every step replays them.  No integer lies
-strictly between fl and ce, so for every integer x, b_i < x iff fl < x
-and b_i <= x iff ce <= x.  Clause (v) stays in rationals, and
-check_requirement accepts every hit.
+to thousands of bits) once, as keys fl = floor(b_i * 2**m) and
+ce = ceil(b_i * 2**m) taken from an unreduced integer pair, and every
+step replays them.  No integer lies strictly between fl and ce, so for
+every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A
+g-value is read on demand, the first time a ladder search needs it,
+and the search pre-filters clause (v) by integer cross-multiplication.
+Fractions are built only for a returned ladder: its points, its
+g-values and b_i itself, and check_requirement, in exact rationals,
+accepts every hit.
 """
 from __future__ import annotations
 
@@ -137,7 +141,10 @@ class _ConstructionLog:
     """Domain arrivals and b_i keys at one scale 2**m, shared by every step.
 
     Grows lazily as far as any step reaches.  At 2**m the gap limits up
-    to step n_max and all points j <= stage_budget or in the prefix are exact.
+    to step n_max and all points j <= stage_budget or in the prefix are
+    exact.  Each b_i is read once, as keys from the unreduced integer
+    pair of its term, never as a Fraction; a g-value is read on first
+    use and cached by enumeration index.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
@@ -145,14 +152,17 @@ class _ConstructionLog:
         self.m = max(n_max + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
         self.stages: list[tuple[list, tuple]] = [([], ())]  # stage(s) for s = 0, 1, ...
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
+        self.values: dict[int, Fraction] = {}  # j -> g(q_j), filled on first read
 
-    def keys(self, q: Fraction) -> tuple[int, int]:
-        """(floor, ceil) of q * 2**m."""
-        fl, rem = divmod(q.numerator << self.m, q.denominator)
-        return fl, fl + (rem != 0)
+    def value(self, j: int) -> Fraction:
+        """g(q_j) of a released point."""
+        v = self.values.get(j)
+        if v is None:
+            v = self.values[j] = self.g.value_at(j)
+        return v
 
-    def stage(self, s: int) -> tuple[list[tuple[int, int, Fraction]], tuple]:
-        """((j, x, g(q_j)) released at stage s in pop order, (s, fl, ce, b_s))."""
+    def stage(self, s: int) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+        """((j, x) released at stage s in pop order, (s, fl, ce) of b_s)."""
         g, pending = self.g, self.pending
         while len(self.stages) <= s:
             t = len(self.stages)
@@ -161,12 +171,12 @@ class _ConstructionLog:
             released = []
             while pending and pending[0][0] <= t:
                 j = heapq.heappop(pending)[1]
-                x, ce = self.keys(q := g.enumeration.point(j))
-                if x != ce:
+                q = g.enumeration.point(j)
+                x, rem = divmod(q.numerator << self.m, q.denominator)
+                if rem:
                     raise ValueError(f"domain point {q} is not exact at scale 2**{self.m}")
-                released.append((j, x, g.value_at(j)))
-            bt = self.b.term(t)
-            self.stages.append((released, (t, *self.keys(bt), bt)))
+                released.append((j, x))
+            self.stages.append((released, (t, *self.b.keys(t, self.m))))
         return self.stages[s]
 
 
@@ -175,23 +185,22 @@ class _DomainState:
 
     Points are integers at the log's scale, and gap is the step's gap
     limit there.  Tracks, incrementally: the sorted points with their
-    enumeration indices and g-values, the left endpoints of sorted gaps
+    enumeration indices, the left endpoints of sorted gaps
     that are too wide to cross (>= gap), and from those the largest
     point reachable from 0 by small steps.  It also caches, per
     enumeration index, whether the point passes clause (v) against the
     point 0, which is fixed once 0 is in the domain.
     """
 
-    def __init__(self, m: int, n: int):
-        self.scale = 1 << m
-        self.gap = 1 << (m - n - 1)
+    def __init__(self, log: _ConstructionLog, n: int):
+        self.log = log
+        self.gap = 1 << (log.m - n - 1)
         self.points: list[int] = []
         self.indices: list[int] = []
-        self.values: list[Fraction] = []
         self.blocked: list[int] = []  # left endpoints of gaps >= gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
-    def insert(self, j: int, x: int, v: Fraction) -> None:
+    def insert(self, j: int, x: int) -> None:
         pos = bisect_left(self.points, x)
         left = self.points[pos - 1] if pos > 0 else None
         right = self.points[pos] if pos < len(self.points) else None
@@ -203,7 +212,6 @@ class _DomainState:
             insort(self.blocked, x)
         self.points.insert(pos, x)
         self.indices.insert(pos, j)
-        self.values.insert(pos, v)
 
     def reach_from_zero(self) -> int | None:
         """Largest point reachable from 0 with every hop < gap."""
@@ -214,16 +222,20 @@ class _DomainState:
         return self.points[-1]
 
 
-def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
-                      state: _DomainState) -> RequirementTuple | None:
-    """Canonically first requirement-satisfying ladder for this (stage, b).
+def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _DomainState
+                      ) -> tuple[Fraction, RequirementTuple] | None:
+    """(b_i, canonically first requirement-satisfying ladder) for this stage.
 
     The canonical ladder is the least by (ell, positions in the
     value-sorted domain).  It is found by a direct shortest-path search
     per final f in the window (clause (ii)), with no backtracking:
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
-      and requires pair_ok(f, 0); the latter is cached on the state;
+      and requires pair_ok(f, 0); the latter is cached on the state.
+      pair_ok is clause (v) cross-multiplied into integers: with
+      g_f - g_k = num / den, c = cn / cd and the slack 2**-(n+2) equal
+      to gap / 2 at the scale 2**m, it reads
+      0 < num and num * cd * 2**(m+1) < cn * den * (2 * (x_f - x_k) + gap);
     - over admissible points, the hop distance to f (hops < gap,
       clause (iv)) never increases with position, so each distance
       class is a run of positions.  Walking back from f, class h starts
@@ -234,21 +246,26 @@ def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
     - the lex-first shortest path is then 0, m_{h-1}, ..., m_1, f.  When
       0 reaches f in one hop, the ladder is (0, first admissible k, f),
       because clause (i) needs ell >= 2;
-    - the least (ell, positions) over the finals wins, and it is
-      accepted solely by check_requirement.
+    - the least (ell, positions) over the finals wins.  Only then are b_i
+      and the ladder built as Fractions, and the ladder is accepted
+      solely by check_requirement.
     """
     gap = state.gap
     pts = state.points
-    vals = state.values
+    idx = state.indices
+    log = state.log
     cut = bisect_left(pts, ce)  # universe: points x < b, that is x < ce
     if cut < 3 or pts[0] != 0:
         return None
-    slack = Q(1, 2 ** (n + 2))
     zero_ok = state.zero_ok
+    cn, cd = c.numerator, c.denominator
+    shift = log.m + 1
 
     def pair_ok(f: int, k: int) -> bool:
-        diff = vals[f] - vals[k]
-        return ZERO < diff < c * (Q(pts[f] - pts[k], state.scale) + slack)
+        gf, gk = log.value(idx[f]), log.value(idx[k])
+        num = gf.numerator * gk.denominator - gk.numerator * gf.denominator
+        return 0 < num and (num * cd << shift) < (
+            cn * gf.denominator * gk.denominator * (2 * (pts[f] - pts[k]) + gap))
 
     def first_member(f: int, lo: int, hi: int) -> int | None:
         return next((k for k in range(lo, hi) if pair_ok(f, k)), None)
@@ -274,7 +291,7 @@ def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
 
     best: list[int] | None = None
     for f in range(bisect_right(pts, fl - gap, 0, cut), cut):  # b - gap < x iff fl - gap < x
-        j = state.indices[f]
+        j = idx[f]
         if j not in zero_ok:
             zero_ok[j] = pair_ok(f, 0)
         if not zero_ok[j]:
@@ -284,10 +301,11 @@ def _lex_first_ladder(n: int, b: Fraction, fl: int, ce: int, c: Fraction,
             best = ladder
     if best is None:
         return None
-    tup = RequirementTuple(tuple(state.indices[t] for t in best),
-                           tuple(Q(pts[t], state.scale) for t in best),
-                           tuple(vals[t] for t in best))
-    return tup if check_requirement(n, b, c, tup) is None else None
+    b = log.b.term(i)
+    tup = RequirementTuple(tuple(idx[t] for t in best),
+                           tuple(Q(pts[t], 1 << log.m) for t in best),
+                           tuple(log.value(idx[t]) for t in best))
+    return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
 def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
@@ -297,9 +315,12 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
 
     Stages run 1..stage_budget, replayed from the log of domain points
     and b_i keys that a construction builds once, at one scale (without
-    a log, the step builds one at its own scale).  At stage s the domain
-    holds exactly the enumeration indices j <= s whose definition stage
-    has arrived, and the candidate target indices are prev.index < i <= s.
+    a log, the step builds one at its own scale).  Each b_i enters as its
+    integer keys, read from an unreduced integer pair; g-values are read
+    on demand by the ladder searches, and Fractions are built only for a
+    returned ladder.  At stage s the domain holds exactly the enumeration
+    indices j <= s whose definition stage has arrived, and the candidate
+    target indices are prev.index < i <= s.
     Candidates whose value provably admits no ladder at the current
     domain (the window misses every small-hop-reachable point, or fewer
     than three points sit below it) wait in heaps keyed by the bound
@@ -316,9 +337,9 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
     log = log or _ConstructionLog(witness.g, b, n, stage_budget)
-    state = _DomainState(log.m, n)
+    state = _DomainState(log, n)
 
-    ready: list[tuple[int, int, int, Fraction]] = []  # (i, fl, ce, b_i) inside both bounds
+    ready: list[tuple[int, int, int]] = []  # (i, fl, ce) inside both bounds
     wait_hi: list[tuple[int, tuple]] = []   # (fl, candidate): b_i at or above the reach bound
     wait_lo: list[tuple[int, tuple]] = []   # (-ce, candidate): b_i at or below the floor
     missed: set[int] = set()                # ready candidates whose last search failed
@@ -326,8 +347,8 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     floor: int | None = None   # third-smallest point; only decreases
     ceil: int | None = None    # reach + gap; only increases
 
-    def route(cand: tuple[int, int, int, Fraction]) -> None:
-        _, fl, ce, _ = cand
+    def route(cand: tuple[int, int, int]) -> None:
+        _, fl, ce = cand
         if ceil is None or fl >= ceil:        # b_i >= ceil
             heapq.heappush(wait_hi, (fl, cand))
         elif floor is None or ce <= floor:    # b_i <= floor
@@ -338,8 +359,8 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     for s in range(1, stage_budget + 1):
         released, cand = log.stage(s)
         low: int | None = None  # least point inserted at this stage
-        for j, x, v in released:
-            state.insert(j, x, v)
+        for j, x in released:
+            state.insert(j, x)
             if low is None or x < low:
                 low = x
         if low is not None:
@@ -354,11 +375,12 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
             route(heapq.heappop(wait_lo)[1])
         if ready:
             ready.sort()
-            for i, fl, ce, bi in ready:
+            for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                tup = _lex_first_ladder(n, bi, fl, ce, witness.c, state)
-                if tup is not None:
+                hit = _lex_first_ladder(n, i, fl, ce, witness.c, state)
+                if hit is not None:
+                    bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
                 missed.add(i)
     return None
@@ -385,6 +407,9 @@ class WitnessImage:
                 f"g stayed undefined at term {n} (point {q}) through stage budget "
                 f"{self.stage_budget}", step=n, stage_budget=self.stage_budget)
         return value
+
+    def ratio(self, n: int) -> tuple[int, int]:
+        return self.term(n).as_integer_ratio()
 
 
 def witness_image(witness: SolovayWitness, b: Approximation,

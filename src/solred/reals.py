@@ -22,6 +22,10 @@ exponents), so any number of terms costs a few integer operations and
 one Fraction per endpoint.  enclose (by width) and enclose_at_tick (by
 refinement round, the budget unit of the three-valued left-cut test)
 share one recursive walk and differ only in how a series picks its terms.
+
+Every comparison against an enclosure goes through one kernel, certify,
+which decides an inequality between two interval-valued sides as Holds,
+Fails or Unknown; the witness checkers use the same kernel.
 """
 from __future__ import annotations
 
@@ -61,6 +65,28 @@ class CutVerdict(enum.Enum):
     IN_LEFT_CUT = "in_left_cut"          # certified q < value
     NOT_IN_LEFT_CUT = "not_in_left_cut"  # certified q >= value
     UNKNOWN = "unknown"                  # budget exhausted undecided
+
+
+class S2aVerdict(enum.Enum):
+    HOLDS = "holds"
+    FAILS = "fails"
+    UNKNOWN = "unknown"
+
+
+def certify(lhs_lo: Fraction, lhs_hi: Fraction, rhs_lo: Fraction, rhs_hi: Fraction,
+            strict: bool) -> S2aVerdict:
+    """Decide lhs < rhs (strict) or lhs <= rhs for lhs in [lhs_lo, lhs_hi]
+    and rhs in [rhs_lo, rhs_hi].
+
+    Holds when the inequality holds at every pair of points of the two
+    boxes, Fails when it holds at none, Unknown otherwise: interval
+    certification in the sense of R. E. Moore, *Interval Analysis*, 1966.
+    """
+    if (lhs_hi < rhs_lo) if strict else (lhs_hi <= rhs_lo):
+        return S2aVerdict.HOLDS
+    if (lhs_lo >= rhs_hi) if strict else (lhs_lo > rhs_hi):
+        return S2aVerdict.FAILS
+    return S2aVerdict.UNKNOWN
 
 
 class ReferenceReal:
@@ -247,9 +273,10 @@ def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> CutVerdict
         raise ValueError("budget must be >= 0")
     for tick in range(1, budget + 1):
         box = enclose_at_tick(real, tick)
-        if q < box.lo:
+        verdict = certify(q, q, box.lo, box.hi, True)
+        if verdict is S2aVerdict.HOLDS:
             return CutVerdict.IN_LEFT_CUT
-        if q >= box.hi:
+        if verdict is S2aVerdict.FAILS:
             return CutVerdict.NOT_IN_LEFT_CUT
     return CutVerdict.UNKNOWN
 
@@ -258,8 +285,10 @@ def certify_in_open_unit(real: ReferenceReal, budget: int = 64) -> bool:
     """True when refinement certifies 0 < value < 1 within the budget."""
     for tick in range(1, budget + 1):
         box = enclose_at_tick(real, tick)
-        if box.lo > ZERO and box.hi < ONE:
+        lower = certify(ZERO, ZERO, box.lo, box.hi, True)  # 0 < value
+        upper = certify(box.lo, box.hi, ONE, ONE, True)    # value < 1
+        if lower is upper is S2aVerdict.HOLDS:
             return True
-        if box.hi <= ZERO or box.lo >= ONE:
+        if S2aVerdict.FAILS in (lower, upper):
             return False
     return False

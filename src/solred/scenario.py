@@ -219,7 +219,7 @@ def parse_approximation(raw: object, where: str) -> Approximation:
     _check_keys(obj, where, ("generator",), ("claim", "limit", "modulus"))
     gen = parse_generator(obj["generator"], f"{where}.generator")
     claim_raw = obj.get("claim", "general")
-    if claim_raw not in _CLAIMS:
+    if not isinstance(claim_raw, str) or claim_raw not in _CLAIMS:
         raise ScenarioError(f"{where}.claim: unknown claim {claim_raw!r}")
     kind = _CLAIMS[claim_raw]
     limit = None

@@ -17,9 +17,10 @@ approximations and a constant; the claimed relation between them is
 checked prefix-wise against reference reals via enclosures.
 
 All checkers are budgeted and three-valued: each verdict comes from one
-kernel, ``certify``, which decides an inequality from interval endpoints
-as Holds, Fails or Unknown.  More budget can only move Unknown to a
-certified verdict, never flip one.
+kernel, ``certify`` (defined in reals and re-exported here), which
+decides an inequality from interval endpoints as Holds, Fails or
+Unknown.  More budget can only move Unknown to a certified verdict,
+never flip one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from functools import cached_property
 
 from .approximations import Approximation
 from .errors import InvalidScenario
-from .reals import Interval, ReferenceReal, CutVerdict, enclose, left_cut_member
+from .reals import (CutVerdict, Interval, ReferenceReal, S2aVerdict, certify, enclose,
+                    left_cut_member)
 
 Q = Fraction
 
@@ -219,28 +221,6 @@ def enumerate_domain(g: StagedPartialFunction, stage: int) -> list[tuple[int, Fr
         if s is not None and s <= stage:
             out.append((j, g.enumeration.point(j), g.value_at(j)))
     return out
-
-
-class S2aVerdict(enum.Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-    UNKNOWN = "unknown"
-
-
-def certify(lhs_lo: Fraction, lhs_hi: Fraction, rhs_lo: Fraction, rhs_hi: Fraction,
-            strict: bool) -> S2aVerdict:
-    """Decide lhs < rhs (strict) or lhs <= rhs for lhs in [lhs_lo, lhs_hi]
-    and rhs in [rhs_lo, rhs_hi].
-
-    Holds when the inequality holds at every pair of points of the two
-    boxes, Fails when it holds at none, Unknown otherwise: interval
-    certification in the sense of R. E. Moore, *Interval Analysis*, 1966.
-    """
-    if (lhs_hi < rhs_lo) if strict else (lhs_hi <= rhs_lo):
-        return S2aVerdict.HOLDS
-    if (lhs_lo >= rhs_hi) if strict else (lhs_lo > rhs_hi):
-        return S2aVerdict.FAILS
-    return S2aVerdict.UNKNOWN
 
 
 class SolovayVerdict(enum.Enum):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -10,18 +11,23 @@ from solred.approximations import (
     AffineDyadic,
     AlternatingDyadic,
     Approximation,
+    ComplementGen,
     DecayBound,
     Kind,
     PrefixMaxGen,
+    PrependGen,
     Table,
     check_kind_prefix,
     check_modulus_prefix,
     complement,
     prepend,
 )
+from solred.construction import WitnessImage
+from solred.errors import BudgetExhausted
 from solred.harness import verify_s2a_declared
 from solred.reals import AffineExponents, DyadicSeries, ExactRational
 from solred.scenario import load_scenario
+from solred.witnesses import StagedPartialFunction
 
 from conftest import corpus_path
 
@@ -222,3 +228,69 @@ def test_prepend_preserves_shifted_terms_exactly(a, head, n):
 @given(a=finite_tables(), n=st.integers(0, 12))
 def test_complement_is_involutive(a, n):
     assert complement(complement(a)).term(n) == a.term(n)
+
+
+units = st.fractions(min_value=0, max_value=1, max_denominator=1 << 20)
+wide = st.fractions(min_value=-1, max_value=2, max_denominator=1 << 20)
+rates = st.integers(1, 3)
+
+
+def unchecked(cls, **fields):
+    """A generator built past its constructor's range checks, so terms can leave [0, 1]."""
+    gen = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(gen, name, value)
+    return gen
+
+
+@st.composite
+def alternating(draw):
+    u = draw(units)
+    v = draw(st.fractions(min_value=0, max_value=min(u, 1 - u), max_denominator=1 << 20))
+    return AlternatingDyadic(u, v, draw(rates))
+
+
+leaf_generators = st.one_of(
+    st.builds(lambda u, d, w: AffineDyadic(u, u - d, w), units, units, rates),
+    alternating(),
+    st.builds(lambda e, t: Table(tuple(e), t), st.lists(units, max_size=6), units),
+    st.builds(lambda u, v, w: unchecked(AffineDyadic, u=u, v=v, w=w), wide, wide, rates),
+    st.builds(lambda u, v, w: unchecked(AlternatingDyadic, u=u, v=v, w=w), wide, wide, rates),
+    st.builds(lambda e, t: unchecked(Table, entries=tuple(e), tail=t),
+              st.lists(wide, max_size=6), wide),
+)
+
+generators = st.recursive(leaf_generators, lambda inner: st.one_of(
+    st.builds(PrependGen, units, inner),
+    st.builds(ComplementGen, inner),
+    st.builds(PrefixMaxGen, inner),
+    # g(q) = q / 2 on every dyadic; a term off the enumeration raises BudgetExhausted
+    st.builds(lambda base: WitnessImage(StagedPartialFunction(), base, 0), inner),
+), max_leaves=4)
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except (ValueError, BudgetExhausted) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen=generators, n=st.one_of(st.integers(-2, 40), st.integers(0, 3000)),
+       m=st.integers(0, 80))
+def test_ratio_and_keys_agree_with_the_exact_term(gen, n, m):
+    """ratio is term as an integer pair; keys are floor and ceil of term * 2**m.
+
+    keys raises exactly when term does, with the same exception and message.
+    """
+    a = Approximation(gen)
+    term = outcome(lambda: a.term(n))
+    keys = outcome(lambda: a.keys(n, m))
+    if isinstance(term, tuple):
+        assert keys == term
+        return
+    assert keys == (math.floor(term * 2 ** m), math.ceil(term * 2 ** m))
+    p, q = gen.ratio(n)
+    assert q > 0
+    assert Q(p, q) == gen.term(n) == term

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from solred import cli
-from solred.scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET
+from solred.scenario import MAX_DEPTH, MAX_EXPONENT, MAX_GUARD, MAX_RATE, MAX_STAGE_BUDGET
 
-from conftest import corpus_path, nested_alpha_text
+from conftest import ALL_NAMES, corpus_path, nested_alpha_text
 
 TIMING = re.compile(r": \d+\.\d{3}s elapsed \(non-deterministic\)$", re.M)
 
@@ -359,3 +366,96 @@ def test_module_entry_point_smoke(tmp_path):
     assert proc.returncode == 0
     assert "elapsed (non-deterministic)" in proc.stderr
     assert json.loads(out.read_bytes())["summary"]["overall"] == "pass"
+
+
+# -- fuzzing main() over mutated corpus files ---------------------------------
+
+CORPUS_DOCS = {name: json.loads(corpus_path(name).read_text(encoding="utf-8"))
+               for name in ALL_NAMES}
+GENERATORS = [doc[key]["generator"] for doc in CORPUS_DOCS.values()
+              for key in ("beta_approx", "alpha_leftce_approx") if key in doc]
+# Legal integers at and just past each bound, and at the small end.
+NEAR_BOUNDS = sorted({v for bound in (MAX_RATE, MAX_EXPONENT, MAX_DEPTH, MAX_GUARD,
+                                      MAX_STAGE_BUDGET)
+                      for v in (bound - 1, bound, bound + 1)} | {-1, 0, 1, 2})
+
+
+def nodes(doc, path=()):
+    """(path, value) of every dict, list and leaf below doc, doc itself included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from nodes(child, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+MODES = {"solovay_witness": ["construction", "prop1", "solovay-check"],
+         "alpha_leftce_approx": ["mirror"], "s2a_witness": ["s2a-check"]}
+
+
+def mutate(draw, doc):
+    op = draw(st.sampled_from(["drop", "swap", "generator", "integer"]))
+    if op == "drop":
+        parents = [p for p, v in nodes(doc) if isinstance(v, dict) and v]
+        parent = at(doc, draw(st.sampled_from(parents)))
+        del parent[draw(st.sampled_from(sorted(parent)))]
+    elif op == "swap":
+        parents = [p for p, v in nodes(doc) if isinstance(v, dict) and len(v) > 1]
+        if parents:
+            parent = at(doc, draw(st.sampled_from(parents)))
+            a, b = draw(st.lists(st.sampled_from(sorted(parent)), min_size=2, max_size=2,
+                                 unique=True))
+            parent[a], parent[b] = parent[b], parent[a]
+    elif op == "generator":
+        sites = [p for p, v in nodes(doc) if p and p[-1] in ("generator", "inner")
+                 and isinstance(v, dict)]
+        if sites:
+            *head, last = draw(st.sampled_from(sites))
+            at(doc, head)[last] = copy.deepcopy(draw(st.sampled_from(GENERATORS)))
+    else:
+        ints = [p for p, v in nodes(doc) if type(v) is int]
+        if ints:
+            *head, last = draw(st.sampled_from(ints))
+            at(doc, head)[last] = draw(st.sampled_from(NEAR_BOUNDS))
+
+
+@st.composite
+def mutated_runs(draw):
+    """(scenario document, argv without the file): a corpus file after 0-2 mutations,
+    run by a command it supports, at small depth and stage budget."""
+    name = draw(st.sampled_from(ALL_NAMES))
+    doc = copy.deepcopy(CORPUS_DOCS[name])
+    for _ in range(draw(st.integers(0, 2))):
+        mutate(draw, doc)
+    depth, budget = str(draw(st.integers(0, 3))), str(draw(st.integers(0, 200)))
+    modes = [m for key, ms in MODES.items() if key in CORPUS_DOCS[name] for m in ms]
+    command = draw(st.sampled_from(["construct", "oracle", "verify", "verify"]))
+    if command == "construct":
+        return doc, ["construct", "--depth", depth, "--stage-budget", budget]
+    if command == "oracle":
+        return doc, ["oracle", "--step", str(draw(st.integers(1, 2))), "--stage-budget", budget]
+    return doc, ["verify", "--mode", draw(st.sampled_from(modes)), "--depth", depth,
+                 "--stage-budget", budget, "--guard", str(draw(st.integers(0, 8))),
+                 "--oracle-depth", str(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run=mutated_runs())
+def test_mutated_corpus_files_exit_honestly(run):
+    """Every exit code is 0-3, no traceback escapes, and exit 1 is a reported failure."""
+    doc, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            assert json.loads(out.read_bytes())["summary"]["fails"] > 0

@@ -177,28 +177,33 @@ def test_prop1_image_work_is_pinned(monkeypatch):
 
 
 def test_construction_reads_each_point_and_target_term_once(monkeypatch):
-    """One log serves every step, so each point and each b_i is evaluated once.
+    """One log serves every step, so each b_i is read once, and only as keys.
 
-    Rebuilding the domain at every step cost 18,439 value_at and 18,340
-    Approximation.term calls for the 9,214 stages of linear_basic.
+    The 9,214 key reads are b_1..b_9214 of the prepended target, one per
+    stage.  An exact term (Approximation.term) is read twice for step 0
+    and once per hit, and a g-value only when a ladder search reads its
+    point.  Rebuilding the domain at every step cost 18,439 value_at
+    and 18,340 Approximation.term calls; with one log but exact reads,
+    9,216 value_at and 9,216 Approximation.term calls.
     """
-    calls = {"value_at": 0, "term": 0}
+    calls = {"value_at": 0, "term": 0, "keys": 0}
 
     def counting(cls, name):
         real = getattr(cls, name)
 
-        def wrapper(self, arg):
+        def wrapper(self, *args):
             calls[name] += 1
-            return real(self, arg)
+            return real(self, *args)
         monkeypatch.setattr(cls, name, wrapper)
 
     counting(StagedPartialFunction, "value_at")
     counting(Approximation, "term")
+    counting(Approximation, "keys")
     sc = load_scenario(corpus_path("linear_basic"))
     _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
                                       sc.beta, sc.depth, sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == {"value_at": 9216, "term": 9216}
+    assert calls == {"value_at": 2048, "term": 14, "keys": 9214}
 
 
 def test_affine_dyadic_term_is_exact_at_large_n():

@@ -242,7 +242,11 @@ def reference_enclose_at_tick(real, tick):
 
 
 def reference_left_cut_member(boxes, q, budget):
-    """The left-cut loop over precomputed reference boxes for ticks 1, 2, ..."""
+    """The left-cut loop over precomputed reference boxes for ticks 1, 2, ...
+
+    It keeps the hand-written comparisons that left_cut_member made before
+    it went through the verdict kernel reals.certify.
+    """
     for box in boxes[:budget]:
         if q < box.lo:
             return CutVerdict.IN_LEFT_CUT
@@ -252,6 +256,7 @@ def reference_left_cut_member(boxes, q, budget):
 
 
 def reference_certify_in_open_unit(boxes):
+    """certify_in_open_unit's hand-written comparisons, before the verdict kernel."""
     for box in boxes:
         if box.lo > 0 and box.hi < 1:
             return True

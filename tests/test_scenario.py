@@ -257,6 +257,14 @@ def test_unknown_generator_and_real_kinds(base):
         parse(bad)
 
 
+@pytest.mark.parametrize("claim", ["right", {"kind": "left_ce"}, ["left_ce"], 1])
+def test_unknown_claims_are_rejected(base, claim):
+    """An object or a list where a claim string belongs is an error, not a crash."""
+    base["beta_approx"]["claim"] = claim
+    with pytest.raises(ScenarioError, match="unknown claim"):
+        parse(base)
+
+
 def test_modulus_keys_are_closed(base):
     base["beta_approx"]["modulus"] = {"v": "1/8", "w": 1, "speed": 9}
     with pytest.raises(ScenarioError, match="unknown key"):

@@ -207,6 +207,11 @@ NUDGED = ((8, Q(7, 64)),)
 # limit, from 0 to 1/4; the hit is the three-hop (0, 1/8, 1/4, 3/8).
 @example(w=_halving_witness(((4, Q(5, 32)),), StageSchedule(0, 10, ((8, NEVER), (9, NEVER)))),
          raw=_constant(Q(7, 16)), step=(1, 12), prev_index=0)
+# g(1/8) = 1/8 meets clause (v)'s upper bound exactly, against 0 (1/8 = c * (1/8 + 1/8))
+# and against 1/16 (3/32 = c * (1/16 + 1/8)): the final 1/8 is out, and the hit is
+# (0, 1/16, 3/16).
+@example(w=_halving_witness(((4, Q(1, 8)),)), raw=_constant(Q(1, 4)), step=(1, 12),
+         prev_index=0)
 @given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
@@ -291,22 +296,24 @@ unit_fractions = st.one_of(st.integers(1, 2 ** 300),
 def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
-    log = _ConstructionLog(StagedPartialFunction(), prepend(ZERO, _constant(b)), m - 1, 0)
+    target = prepend(ZERO, _constant(b))
+    log = _ConstructionLog(StagedPartialFunction(), target, m - 1, 0)
     assert log.m == m
-    fl, ce = log.keys(b)
+    fl, ce = target.keys(1, m)
     point = Q(x, 2 ** m)
     assert (b < point) == (fl < x)
     assert (b <= point) == (ce <= x)
     assert (b >= point) == (fl >= x)
     assert (b > point) == (ce > x)
     assert (fl == ce) == (b * 2 ** m == near)
-    assert log.stage(1)[1] == (1, fl, ce, b)
+    assert log.stage(1)[1] == (1, fl, ce)
+    assert target.term(1) == b
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
     """A point finer than the scale raises instead of rounding."""
     log = _ConstructionLog(StagedPartialFunction(), _constant(Q(1, 2)), 0, 1)
     assert log.m == 1
-    assert log.stage(1)[0] == [(0, 0, ZERO), (1, 1, Q(1, 4))]
+    assert [(j, x, log.value(j)) for j, x in log.stage(1)[0]] == [(0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
         log.stage(2)  # q_2 = 1/4
