@@ -28,28 +28,30 @@ a stage, candidate indices i ascending; within an index, ladders by
 ascending ell and then lexicographically by positions in the
 value-sorted domain (first position pinned to the point 0).
 
-The search is incremental.  The domain only grows, and a search's
-answer depends only on (n, b_i, c) and the domain points strictly
-below b_i, so a candidate that missed is searched again only at a
-stage that inserts a point below its b_i.  Within one search, each
-final in the window gets a direct shortest-path search over the
-members that clause (v) admits against it, and the least ladder over
-the finals is the canonical one.  The naive oracle re-derives the same
-hits with none of this machinery, and the test suite holds the two to
-exact equality.
+The search is incremental.  A construction keeps one domain and sweeps
+it forward once.  With c > 0, a ladder that meets step n's requirement
+for b_i meets step n-1's too, and every step-n candidate is a
+step-(n-1) candidate, so step n cannot hit before the stage where step
+n-1 did, and it resumes there.  Within a step the domain
+only grows, and a search's answer depends only on (n, b_i, c) and the
+domain points strictly below b_i, so a candidate that missed is
+searched again only at a stage that inserts a point below its b_i.
+Within one search, each final in the window gets a direct
+shortest-path search over the members that clause (v) admits against
+it, and the least ladder over the finals is the canonical one.  The
+naive oracle re-derives the same hits with none of this machinery, and
+the test suite holds the two to exact equality.
 
 The search loop compares integers only.  Domain points and every
-step's gap limit are dyadic, so a construction holds them at one scale
-2**m, builds its domain and reads each b_i (whose denominator can run
-to thousands of bits) once, as keys fl = floor(b_i * 2**m) and
-ce = ceil(b_i * 2**m) taken from an unreduced integer pair, and every
-step replays them.  No integer lies strictly between fl and ce, so for
-every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A
-g-value is read on demand, the first time a ladder search needs it,
+step's gap limit are dyadic, so the domain holds its points at one
+scale 2**m and reads each b_i (whose denominator can run to thousands
+of bits) once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m)
+taken from an unreduced integer pair.  No integer lies strictly between
+fl and ce, so for every integer x, b_i < x iff fl < x and b_i <= x iff
+ce <= x.  A g-value is read the first time a ladder search needs it,
 and the search pre-filters clause (v) by integer cross-multiplication.
-Fractions are built only for a returned ladder: its points, its
-g-values and b_i itself, and check_requirement, in exact rationals,
-accepts every hit.
+Fractions are built only for a returned ladder, and check_requirement,
+which cross-multiplies every clause into integers, accepts every hit.
 """
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .approximations import Approximation, Kind, Table, prepend, complement
 from .errors import BudgetExhausted, InvalidScenario
@@ -91,31 +94,36 @@ class RequirementTuple:
 def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -> int | None:
     """First violated clause (1..5) of the step-n requirement, else None.
 
-    Clauses are checked in the fixed order (i)..(v); every comparison
-    is exact rational arithmetic, so the answer is total and certain.
+    Clauses are checked in the fixed order (i)..(v), on integers: the
+    points, b and the slack 2**-(n+2) are numerators P_k, B and S over
+    their least common denominator d (the gap limit is then 2S), and
+    each g-difference g_last - g_k = num / den is cross-multiplied, so
+    clause (v) reads 0 < num and num * d * c_d < c_n * (P_last - P_k + S) * den.
+    Every comparison is exact, so the answer is total and certain.
     """
     if n < 0:
         raise ValueError("step number must be >= 0")
     ell = tup.ell
     if ell < 2:
         return 1
-    gap_limit = Q(1, 2 ** (n + 1))
-    last = tup.points[-1]
-    if not (b - gap_limit < last < b):
+    d = lcm(b.denominator, 1 << (n + 2), *(p.denominator for p in tup.points))
+    pts = [p.numerator * (d // p.denominator) for p in tup.points]
+    slack = d >> (n + 2)
+    gap_limit = 2 * slack
+    last = pts[-1]
+    bn = b.numerator * (d // b.denominator)
+    if not (bn - gap_limit < last < bn):
         return 2
-    if tup.points[0] != ZERO:
+    if pts[0] != 0 or any(x >= y for x, y in zip(pts, pts[1:])):
         return 3
-    for k in range(ell):
-        if tup.points[k] >= tup.points[k + 1]:
-            return 3
-    for k in range(ell):
-        if tup.points[k + 1] - tup.points[k] >= gap_limit:
-            return 4
-    value_slack = Q(1, 2 ** (n + 2))
+    if any(y - x >= gap_limit for x, y in zip(pts, pts[1:])):
+        return 4
+    cn, cd = c.numerator, c.denominator
     g_last = tup.values[-1]
-    for k in range(ell):
-        diff = g_last - tup.values[k]
-        if not (ZERO < diff < c * (last - tup.points[k] + value_slack)):
+    ln, ld = g_last.numerator, g_last.denominator
+    for x, g in zip(pts, tup.values[:-1]):
+        num = ln * g.denominator - g.numerator * ld
+        if not (0 < num and num * d * cd < cn * (last - x + slack) * ld * g.denominator):
             return 5
     return None
 
@@ -137,68 +145,65 @@ class ConstructionTrace:
     exhausted: tuple[int, int] | None = None  # (failed step, stage budget)
 
 
-class _ConstructionLog:
-    """Domain arrivals and b_i keys at one scale 2**m, shared by every step.
+class _Domain:
+    """The dovetailed domain of a construction, advanced stage by stage.
 
-    Grows lazily as far as any step reaches.  At 2**m the gap limits up
-    to step n_max and all points j <= stage_budget or in the prefix are
-    exact.  Each b_i is read once, as keys from the unreduced integer
-    pair of its term, never as a Fraction; a g-value is read on first
-    use and cached by enumeration index.
+    Points are integers at one scale 2**m, at which the gap limits up to
+    step n_max and all points j <= stage_budget or in the prefix are
+    exact.  Tracks, incrementally: the sorted points with their
+    enumeration indices, the keys (fl, ce) of each entered stage's b_s,
+    read once from the unreduced integer pair of its term, and g-values,
+    read on first use and cached by enumeration index.  For the current
+    step it also tracks the left endpoints of sorted gaps too wide to
+    cross (>= gap, the step's gap limit at the scale) and, per
+    enumeration index, whether the point passes clause (v) against the
+    point 0, which is fixed once 0 is in the domain.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
         self.g, self.b = g, b
         self.m = max(n_max + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
-        self.stages: list[tuple[list, tuple]] = [([], ())]  # stage(s) for s = 0, 1, ...
+        self.stage = 0
+        self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), filled on first read
+        self.points: list[int] = []
+        self.indices: list[int] = []
+        self.gap = 0
+        self.blocked: list[int] = []  # left endpoints of gaps >= gap
+        self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
     def value(self, j: int) -> Fraction:
-        """g(q_j) of a released point."""
+        """g(q_j) of an inserted point."""
         v = self.values.get(j)
         if v is None:
             v = self.values[j] = self.g.value_at(j)
         return v
 
-    def stage(self, s: int) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
-        """((j, x) released at stage s in pop order, (s, fl, ce) of b_s)."""
+    def start_step(self, n: int) -> None:
+        """Set step n's gap limit, with its blocked gaps, and forget zero_ok."""
+        self.gap = gap = 1 << (self.m - n - 1)
+        pts = self.points
+        self.blocked = [x for x, y in zip(pts, pts[1:]) if y - x >= gap]
+        self.zero_ok = {}
+
+    def advance(self) -> int | None:
+        """Enter the next stage; return the least point it inserts, if any."""
         g, pending = self.g, self.pending
-        while len(self.stages) <= s:
-            t = len(self.stages)
-            if (st := g.schedule.stage_of(t)) is not None:
-                heapq.heappush(pending, (st, t))
-            released = []
-            while pending and pending[0][0] <= t:
-                j = heapq.heappop(pending)[1]
-                q = g.enumeration.point(j)
-                x, rem = divmod(q.numerator << self.m, q.denominator)
-                if rem:
-                    raise ValueError(f"domain point {q} is not exact at scale 2**{self.m}")
-                released.append((j, x))
-            self.stages.append((released, (t, *self.b.keys(t, self.m))))
-        return self.stages[s]
-
-
-class _DomainState:
-    """Value-sorted view of the dovetailed domain at the current stage.
-
-    Points are integers at the log's scale, and gap is the step's gap
-    limit there.  Tracks, incrementally: the sorted points with their
-    enumeration indices, the left endpoints of sorted gaps
-    that are too wide to cross (>= gap), and from those the largest
-    point reachable from 0 by small steps.  It also caches, per
-    enumeration index, whether the point passes clause (v) against the
-    point 0, which is fixed once 0 is in the domain.
-    """
-
-    def __init__(self, log: _ConstructionLog, n: int):
-        self.log = log
-        self.gap = 1 << (log.m - n - 1)
-        self.points: list[int] = []
-        self.indices: list[int] = []
-        self.blocked: list[int] = []  # left endpoints of gaps >= gap
-        self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
+        t = self.stage = self.stage + 1
+        if (st := g.schedule.stage_of(t)) is not None:
+            heapq.heappush(pending, (st, t))
+        inserted = []
+        while pending and pending[0][0] <= t:
+            j = heapq.heappop(pending)[1]
+            q = g.enumeration.point(j)
+            x, rem = divmod(q.numerator << self.m, q.denominator)
+            if rem:
+                raise ValueError(f"domain point {q} is not exact at scale 2**{self.m}")
+            self.insert(j, x)
+            inserted.append(x)
+        self.keys.append(self.b.keys(t, self.m))
+        return min(inserted, default=None)
 
     def insert(self, j: int, x: int) -> None:
         pos = bisect_left(self.points, x)
@@ -213,16 +218,17 @@ class _DomainState:
         self.points.insert(pos, x)
         self.indices.insert(pos, j)
 
-    def reach_from_zero(self) -> int | None:
-        """Largest point reachable from 0 with every hop < gap."""
-        if not self.points or self.points[0] != 0:
-            return None
-        if self.blocked:
-            return self.blocked[0]
-        return self.points[-1]
+    def bounds(self) -> tuple[int | None, int | None]:
+        """(third-smallest point, largest point reachable from 0 with every
+        hop < gap, plus gap), each None while undefined."""
+        pts = self.points
+        floor = pts[2] if len(pts) >= 3 else None
+        if not pts or pts[0] != 0:
+            return floor, None
+        return floor, (self.blocked[0] if self.blocked else pts[-1]) + self.gap
 
 
-def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _DomainState
+def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
                       ) -> tuple[Fraction, RequirementTuple] | None:
     """(b_i, canonically first requirement-satisfying ladder) for this stage.
 
@@ -231,7 +237,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     per final f in the window (clause (ii)), with no backtracking:
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
-      and requires pair_ok(f, 0); the latter is cached on the state.
+      and requires pair_ok(f, 0); the latter is cached on the domain.
       pair_ok is clause (v) cross-multiplied into integers: with
       g_f - g_k = num / den, c = cn / cd and the slack 2**-(n+2) equal
       to gap / 2 at the scale 2**m, it reads
@@ -253,16 +259,15 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     gap = state.gap
     pts = state.points
     idx = state.indices
-    log = state.log
     cut = bisect_left(pts, ce)  # universe: points x < b, that is x < ce
     if cut < 3 or pts[0] != 0:
         return None
     zero_ok = state.zero_ok
     cn, cd = c.numerator, c.denominator
-    shift = log.m + 1
+    shift = state.m + 1
 
     def pair_ok(f: int, k: int) -> bool:
-        gf, gk = log.value(idx[f]), log.value(idx[k])
+        gf, gk = state.value(idx[f]), state.value(idx[k])
         num = gf.numerator * gk.denominator - gk.numerator * gf.denominator
         return 0 < num and (num * cd << shift) < (
             cn * gf.denominator * gk.denominator * (2 * (pts[f] - pts[k]) + gap))
@@ -301,51 +306,46 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
             best = ladder
     if best is None:
         return None
-    b = log.b.term(i)
+    b = state.b.term(i)
     tup = RequirementTuple(tuple(idx[t] for t in best),
-                           tuple(Q(pts[t], 1 << log.m) for t in best),
-                           tuple(log.value(idx[t]) for t in best))
+                           tuple(Q(pts[t], 1 << state.m) for t in best),
+                           tuple(state.value(idx[t]) for t in best))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
 def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
                 b: Approximation, stage_budget: int,
-                log: _ConstructionLog | None = None) -> StepRecord | None:
+                domain: _Domain | None = None) -> StepRecord | None:
     """Deterministic dovetailed hunt for the step-n record; None on budget.
 
-    Stages run 1..stage_budget, replayed from the log of domain points
-    and b_i keys that a construction builds once, at one scale (without
-    a log, the step builds one at its own scale).  Each b_i enters as its
-    integer keys, read from an unreduced integer pair; g-values are read
-    on demand by the ladder searches, and Fractions are built only for a
-    returned ladder.  At stage s the domain holds exactly the enumeration
-    indices j <= s whose definition stage has arrived, and the candidate
-    target indices are prev.index < i <= s.
+    At stage s the domain holds exactly the enumeration indices j <= s
+    whose definition stage has arrived, and the candidate target indices
+    are prev.index < i <= s.  The search resumes at the domain's stage
+    and advances it up to stage_budget: a construction passes the one
+    domain that step n-1 left at stage_found_{n-1}, where step n cannot
+    yet have hit (see the module docstring), and a standalone search
+    builds a fresh domain at stage 0, at its own scale.
     Candidates whose value provably admits no ladder at the current
     domain (the window misses every small-hop-reachable point, or fewer
     than three points sit below it) wait in heaps keyed by the bound
     that excludes them; both bounds evolve monotonically, so each
     candidate is woken at most twice and never re-examined spuriously.
-
-    A search's answer depends only on (n, b_i, c) and the domain points
-    strictly below b_i, and the domain only grows.  So a candidate that
-    missed is searched again only at a stage that inserts a point
-    below its b_i.
+    A candidate that missed is searched again only at a stage that
+    inserts a point below its b_i.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
-    log = log or _ConstructionLog(witness.g, b, n, stage_budget)
-    state = _DomainState(log, n)
+    domain = domain or _Domain(witness.g, b, n, stage_budget)
+    domain.start_step(n)
 
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce) inside both bounds
     wait_hi: list[tuple[int, tuple]] = []   # (fl, candidate): b_i at or above the reach bound
     wait_lo: list[tuple[int, tuple]] = []   # (-ce, candidate): b_i at or below the floor
     missed: set[int] = set()                # ready candidates whose last search failed
-
-    floor: int | None = None   # third-smallest point; only decreases
-    ceil: int | None = None    # reach + gap; only increases
+    # floor: third-smallest point, only decreases; ceil: reach + gap, only increases
+    floor, ceil = domain.bounds()
 
     def route(cand: tuple[int, int, int]) -> None:
         _, fl, ce = cand
@@ -356,19 +356,12 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         else:
             ready.append(cand)
 
-    for s in range(1, stage_budget + 1):
-        released, cand = log.stage(s)
-        low: int | None = None  # least point inserted at this stage
-        for j, x in released:
-            state.insert(j, x)
-            if low is None or x < low:
-                low = x
-        if low is not None:
-            floor = state.points[2] if len(state.points) >= 3 else None  # third smallest
-            reach = state.reach_from_zero()
-            ceil = reach + state.gap if reach is not None else None
-        if s > prev.index:
-            route(cand)
+    s = domain.stage
+    low: int | None = None  # least point inserted at stage s
+    arrived = range(prev.index + 1, s + 1)  # candidates entered since the last routing
+    while True:
+        for i in arrived:
+            route((i, *domain.keys[i]))
         while ceil is not None and wait_hi and wait_hi[0][0] < ceil:     # b_i < ceil
             route(heapq.heappop(wait_hi)[1])
         while floor is not None and wait_lo and -wait_lo[0][0] > floor:  # b_i > floor
@@ -378,12 +371,18 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                hit = _lex_first_ladder(n, i, fl, ce, witness.c, state)
+                hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
                 if hit is not None:
                     bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
                 missed.add(i)
-    return None
+        if s >= stage_budget:
+            return None
+        low = domain.advance()
+        s = domain.stage
+        if low is not None:
+            floor, ceil = domain.bounds()
+        arrived = (s,) if s > prev.index else ()
 
 
 @dataclass(frozen=True)
@@ -438,9 +437,9 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
         raise InvalidScenario(
             f"g(0) is not defined within stage budget {stage_budget}")
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
-    log = _ConstructionLog(witness.g, b, depth, stage_budget)
+    domain = _Domain(witness.g, b, depth, stage_budget)
     for n in range(1, depth + 1):
-        rec = search_step(n, steps[-1], witness, b, stage_budget, log)
+        rec = search_step(n, steps[-1], witness, b, stage_budget, domain)
         if rec is None:
             trace = ConstructionTrace(tuple(steps), 1, (n, stage_budget))
             raise BudgetExhausted(

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solred import construction
 from solred.approximations import (
@@ -111,6 +113,108 @@ def test_requirement_tuple_shape_validation():
         RequirementTuple((), (), ())
 
 
+def fraction_check_requirement(n, b, c, tup):
+    """Reference: check_requirement as it was, in Fraction arithmetic."""
+    if n < 0:
+        raise ValueError("step number must be >= 0")
+    ell = tup.ell
+    if ell < 2:
+        return 1
+    gap_limit = Q(1, 2 ** (n + 1))
+    last = tup.points[-1]
+    if not (b - gap_limit < last < b):
+        return 2
+    if tup.points[0] != ZERO:
+        return 3
+    for k in range(ell):
+        if tup.points[k] >= tup.points[k + 1]:
+            return 3
+    for k in range(ell):
+        if tup.points[k + 1] - tup.points[k] >= gap_limit:
+            return 4
+    value_slack = Q(1, 2 ** (n + 2))
+    g_last = tup.values[-1]
+    for k in range(ell):
+        diff = g_last - tup.values[k]
+        if not (ZERO < diff < c * (last - tup.points[k] + value_slack)):
+            return 5
+    return None
+
+
+denominators = st.sampled_from([1, 2, 3, 5, 7, 12, 64, 3 ** 5])
+inside = st.builds(lambda d, k: Q(k % d + 1, d + 1), denominators, st.integers(0, 10 ** 6))
+
+
+@st.composite
+def requirement_cases(draw, accepted=False):
+    """(n, b, c, tup) drawn as shares of step n's own bounds.
+
+    Each gap is a share of the gap limit 2**-(n+1), b lies a share of
+    it above the last point, and each g_last - g_k is a share of its
+    clause-(v) bound c * (last - q_k + 2**-(n+2)).  Every share is
+    strictly inside (0, 1), except that one case may put one share on an
+    end of its bound (0 or 1) or just outside, or move the first point
+    off 0.  With accepted, there is no such edit, ell >= 2 and c > 0, so
+    the tuple meets the step-n requirement.
+    """
+    n = draw(st.integers(0, 20))
+    gap_limit = Q(1, 2 ** (n + 1))
+    ell = draw(st.integers(2 if accepted else 0, 6))
+    gaps = [draw(inside) for _ in range(ell)]
+    lift = draw(inside)
+    cuts = [draw(inside) for _ in range(ell)]
+    start = ZERO
+    where = "nowhere" if accepted else draw(
+        st.sampled_from(["nowhere", "gap", "window", "value", "start"]))
+    edge = draw(st.sampled_from([Q(0), Q(1), Q(-1, 7), Q(8, 7)]))
+    if where == "gap" and ell:
+        gaps[draw(st.integers(0, ell - 1))] = edge
+    elif where == "window":
+        lift = edge
+    elif where == "value" and ell:
+        cuts[draw(st.integers(0, ell - 1))] = edge
+    elif where == "start":
+        start = gap_limit / 7
+    points = [start]
+    for gap in gaps:
+        points.append(points[-1] + gap * gap_limit)
+    b = points[-1] + lift * gap_limit
+    c = draw(st.builds(Q, st.integers(1, 9), denominators))
+    if not accepted:
+        c *= draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, -1]))
+    g_last = draw(st.builds(Q, st.integers(0, 50), denominators))
+    values = [g_last - c * (points[-1] - p + gap_limit / 2) * cut
+              for p, cut in zip(points, cuts)]
+    return n, b, c, RequirementTuple(tuple(range(ell + 1)), tuple(points), (*values, g_last))
+
+
+@settings(max_examples=1000, deadline=None)
+@example(case=(1, Q(3, 8), Q(1), halving_ladder(["0", "3/16", "3/8"])), other=1)  # last = b
+@example(case=(1, Q(5, 8), Q(1), halving_ladder(["0", "3/16", "3/8"])), other=1)  # last = b - 2**-2
+@example(case=(1, Q(1, 2), Q(1), halving_ladder(["0", "1/4", "3/8"])), other=1)  # a gap of 2**-2
+# g_last - g_0 = 0, and g_last - g_0 = c * (last - 0 + 2**-3)
+@example(case=(1, Q(1, 2), Q(1), ladder(["0", "3/16", "3/8"], ["1/2", "1/4", "1/2"])), other=0)
+@example(case=(1, Q(1, 2), Q(1), ladder(["0", "3/16", "3/8"], ["0", "1/4", "1/2"])), other=0)
+@given(case=requirement_cases(), other=st.integers(0, 20))
+def test_check_requirement_equals_the_fraction_reference(case, other):
+    n, b, c, tup = case
+    for step in (n, other):
+        assert check_requirement(step, b, c, tup) == fraction_check_requirement(step, b, c, tup)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=requirement_cases(accepted=True))
+def test_a_ladder_accepted_at_step_n_is_accepted_at_every_earlier_step(case):
+    """Each clause of step n implies the same clause of step n - 1 when c > 0.
+
+    The construction's single sweep rests on this: step n resumes at the
+    stage where step n - 1 hit.
+    """
+    n, b, c, tup = case
+    assert check_requirement(n, b, c, tup) is None
+    assert all(check_requirement(k, b, c, tup) is None for k in range(n))
+
+
 def test_search_step_first_hit_on_halving_witness():
     w = witness()
     b = prepend(ZERO, climb_to("1/2"))
@@ -149,9 +253,11 @@ def test_ladder_search_work_is_pinned(monkeypatch):
 
     Searching every ready candidate at every stage cost 78,870 searches on
     invalid_small_c, over five times the pinned count; each step of a valid
-    witness needs exactly one search.
+    witness needs exactly one search.  A step resumes at the stage where
+    the step before it hit, so the stages before that are not searched
+    again: re-running them cost 11,674 searches.
     """
-    assert count_searches(monkeypatch, "invalid_small_c") == (11674, 3)
+    assert count_searches(monkeypatch, "invalid_small_c") == (11635, 3)
     assert count_searches(monkeypatch, "linear_basic") == (12, None)
 
 
@@ -204,6 +310,28 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
                                       sc.beta, sc.depth, sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"value_at": 2048, "term": 14, "keys": 9214}
+
+
+def test_construction_inserts_each_point_once(monkeypatch):
+    """The steps share one domain, advanced stage by stage and never rewound.
+
+    At stage 9,214 it holds the points q_0..q_9214.  Replaying the
+    domain into every step cost 18,438 inserts.
+    """
+    calls = 0
+    real = construction._Domain.insert
+
+    def counting(self, j, x):
+        nonlocal calls
+        calls += 1
+        return real(self, j, x)
+
+    monkeypatch.setattr(construction._Domain, "insert", counting)
+    sc = load_scenario(corpus_path("linear_basic"))
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
+                                      sc.beta, sc.depth, sc.stage_budget)
+    assert trace.steps[-1].stage_found == 9214
+    assert calls == 9215
 
 
 def test_affine_dyadic_term_is_exact_at_large_n():

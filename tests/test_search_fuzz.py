@@ -7,8 +7,9 @@ incremental search_step and oracle_min_hit the same hit, and a larger
 stage budget must never change a hit already found.  At small budgets
 the oracle's stage shell is also run with the plain backtracking ladder
 enumerator kept below as a reference, and all three must agree.  A full
-construction, whose steps share one log at one scale, must give the
-steps of a chain of standalone searches.  The integer keys the search
+construction, whose steps share one domain at one scale, swept forward
+once, must give the steps of a chain of standalone searches, whose
+stages never decrease.  The integer keys the search
 compares target values by must order every value against every dyadic
 point exactly as the rationals do.
 """
@@ -28,7 +29,7 @@ from solred.approximations import AffineDyadic, Approximation, Kind, Table, prep
 from solred.construction import (
     RequirementTuple,
     StepRecord,
-    _ConstructionLog,
+    _Domain,
     build_s2a_from_solovay,
     check_requirement,
     search_step,
@@ -245,8 +246,35 @@ def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
         assert more.stage_found > budget
 
 
+def _standalone_chain(w, raw, depth, budget):
+    """(step records, (exhausted step, budget) or None) of searches that each
+    start from a fresh domain at stage 0."""
+    b = prepend(ZERO, raw)
+    chain = [StepRecord(0, 0, w.g.value_at(0), b.term(0), None, w.g.schedule.stage_of(0))]
+    for n in range(1, depth + 1):
+        rec = search_step(n, chain[-1], w, b, budget)
+        if rec is None:
+            return chain, (n, budget)
+        chain.append(rec)
+    return chain, None
+
+
+@settings(FUZZ, max_examples=200)
+@given(w=staged_witnesses(), raw=targets, depth=st.integers(2, 9), budget=st.integers(12, 100))
+def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
+    """stage_found never decreases along a chain of standalone searches.
+
+    A construction's steps share one domain, and step n resumes at the
+    stage where step n - 1 hit; the searches here each scan from stage 1,
+    so they would find an earlier hit if one existed.
+    """
+    chain, _ = _standalone_chain(w, raw, depth, budget)
+    stages = [rec.stage_found for rec in chain[1:]]
+    assert stages == sorted(stages)
+
+
 @settings(FUZZ, max_examples=100)
-# Five steps hit and step 6 exhausts; the log's scale 2**9 is finer than every step's 2**7.
+# Five steps hit and step 6 exhausts; the domain's scale 2**9 is finer than every step's 2**7.
 @example(w=_halving_witness(schedule=StageSchedule(0, 0)),
          raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE, None),
          depth=8, budget=100)
@@ -261,21 +289,13 @@ def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
          depth=2, budget=17)
 @given(w=staged_witnesses(), raw=targets, depth=st.integers(1, 9), budget=st.integers(12, 100))
 def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget):
-    """The construction's one log, at the depth's scale, changes no step.
+    """The construction's one domain, at the depth's scale, changes no step.
 
-    Each standalone search_step builds its own log at step n's scale, which
-    is coarser whenever depth + 1 exceeds both n + 1 and the budget's bit
-    length.
+    Each standalone search_step builds its own domain at step n's scale,
+    which is coarser whenever depth + 1 exceeds both n + 1 and the
+    budget's bit length, and scans it from stage 1.
     """
-    b = prepend(ZERO, raw)
-    chain = [StepRecord(0, 0, w.g.value_at(0), b.term(0), None, w.g.schedule.stage_of(0))]
-    exhausted = None
-    for n in range(1, depth + 1):
-        rec = search_step(n, chain[-1], w, b, budget)
-        if rec is None:
-            exhausted = (n, budget)
-            break
-        chain.append(rec)
+    chain, exhausted = _standalone_chain(w, raw, depth, budget)
     try:
         _, trace = build_s2a_from_solovay(w, raw, ExactRational(ZERO), ExactRational(ZERO),
                                           depth, budget)
@@ -297,8 +317,8 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
     target = prepend(ZERO, _constant(b))
-    log = _ConstructionLog(StagedPartialFunction(), target, m - 1, 0)
-    assert log.m == m
+    domain = _Domain(StagedPartialFunction(), target, m - 1, 0)
+    assert domain.m == m
     fl, ce = target.keys(1, m)
     point = Q(x, 2 ** m)
     assert (b < point) == (fl < x)
@@ -306,14 +326,19 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     assert (b >= point) == (fl >= x)
     assert (b > point) == (ce > x)
     assert (fl == ce) == (b * 2 ** m == near)
-    assert log.stage(1)[1] == (1, fl, ce)
+    domain.start_step(m - 1)
+    domain.advance()
+    assert domain.keys[1] == (fl, ce)
     assert target.term(1) == b
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
     """A point finer than the scale raises instead of rounding."""
-    log = _ConstructionLog(StagedPartialFunction(), _constant(Q(1, 2)), 0, 1)
-    assert log.m == 1
-    assert [(j, x, log.value(j)) for j, x in log.stage(1)[0]] == [(0, 0, ZERO), (1, 1, Q(1, 4))]
+    domain = _Domain(StagedPartialFunction(), _constant(Q(1, 2)), 0, 1)
+    assert domain.m == 1
+    domain.start_step(0)
+    assert domain.advance() == 0
+    assert [(j, x, domain.value(j)) for j, x in zip(domain.indices, domain.points)] == [
+        (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
-        log.stage(2)  # q_2 = 1/4
+        domain.advance()  # q_2 = 1/4
