@@ -9,9 +9,9 @@ the oracle's stage shell is also run with the plain backtracking ladder
 enumerator kept below as a reference, and all three must agree.  A full
 construction, whose steps share one domain at one scale, swept forward
 once, must give the steps of a chain of standalone searches, whose
-stages never decrease.  The integer keys the search
-compares target values by must order every value against every dyadic
-point exactly as the rationals do.
+stages never decrease.  The integer keys the search compares target
+values by must order every value against every dyadic point exactly as
+the rationals do.
 """
 from __future__ import annotations
 
