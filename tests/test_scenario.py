@@ -298,6 +298,284 @@ def test_nesting_bound_is_exact_and_ignores_brackets_in_strings(tmp_path):
         load_scenario(path)
 
 
+DROP = object()
+RATIONAL = {"kind": "rational", "value": "1/16"}
+AFFINE = {"kind": "affine_dyadic", "u": "1/8", "v": "1/8", "w": 1}
+
+# One row per case: (id, corpus file, dotted path, new value or DROP, exception class, message).
+# A row with no exception class parses to the same Scenario as the file without that key.
+MESSAGES = [
+    ("rational-unknown-key", "linear_basic", "alpha",
+     {"kind": "rational", "value": "1/16", "extra": 1},
+     ScenarioError, "scenario.alpha: unknown key(s) extra"),
+    ("rational-missing-key", "linear_basic", "alpha", {"kind": "rational"},
+     ScenarioError, "scenario.alpha: missing key(s) value"),
+    ("rational-wrong-type", "linear_basic", "alpha.value", 1,
+     ScenarioError, "scenario.alpha.value: expected a fraction string, got 1"),
+    ("rational-value-error", "linear_basic", "alpha.value", "3/2",
+     InvalidScenario, "scenario.alpha: exact rational out of [0,1]: 3/2"),
+    ("dyadic-series-unknown-key", "mirror_geometric", "alpha.scale", 1,
+     ScenarioError, "scenario.alpha: unknown key(s) scale"),
+    ("dyadic-series-missing-key", "mirror_geometric", "alpha", {"kind": "dyadic_series"},
+     ScenarioError, "scenario.alpha: missing key(s) exponents"),
+    ("dyadic-series-wrong-type", "mirror_geometric", "alpha.exponents", "2",
+     ScenarioError, "scenario.alpha.exponents: expected an object, got str"),
+    ("affine-unknown-key", "mirror_geometric", "alpha.exponents.step", 1,
+     ScenarioError, "scenario.alpha.exponents: unknown key(s) step"),
+    ("affine-missing-key", "mirror_geometric", "alpha.exponents.offset", DROP,
+     ScenarioError, "scenario.alpha.exponents: missing key(s) offset"),
+    ("affine-wrong-type", "mirror_geometric", "alpha.exponents.slope", "2",
+     ScenarioError, "scenario.alpha.exponents.slope: expected an integer, got '2'"),
+    ("affine-value-error", "mirror_geometric", "beta.exponents.slope", 0,
+     InvalidScenario, "scenario.beta: affine exponent family needs s >= 1 and t >= 1"),
+    ("list-unknown-key", "mirror_geometric", "alpha.exponents",
+     {"kind": "list", "values": [1, 3], "slope": 1},
+     ScenarioError, "scenario.alpha.exponents: unknown key(s) slope"),
+    ("list-missing-key", "mirror_geometric", "alpha.exponents", {"kind": "list"},
+     ScenarioError, "scenario.alpha.exponents: missing key(s) values"),
+    ("list-wrong-type", "mirror_geometric", "alpha.exponents", {"kind": "list", "values": "1"},
+     ScenarioError, "scenario.alpha.exponents.values: expected a list"),
+    ("list-wrong-item-type", "mirror_geometric", "alpha.exponents",
+     {"kind": "list", "values": [1, "3"]},
+     ScenarioError, "scenario.alpha.exponents.values[1]: expected an integer, got '3'"),
+    ("list-value-error", "mirror_geometric", "alpha.exponents", {"kind": "list", "values": [3, 1]},
+     InvalidScenario, "scenario.alpha: exponent list must be strictly increasing and positive"),
+    ("exponents-unknown-kind", "mirror_geometric", "alpha.exponents.kind", "geometric",
+     ScenarioError, "scenario.alpha.exponents.kind: unknown kind 'geometric'"),
+    ("exponents-list-kind", "mirror_geometric", "alpha.exponents.kind", ["affine"],
+     ScenarioError, "scenario.alpha.exponents.kind: unknown kind ['affine']"),
+    ("exponents-missing-kind", "mirror_geometric", "alpha.exponents.kind", DROP,
+     ScenarioError, "scenario.alpha.exponents.kind: unknown kind None"),
+    ("scale-unknown-key", "scaled_alpha", "alpha.offset", "0",
+     ScenarioError, "scenario.alpha: unknown key(s) offset"),
+    ("scale-missing-key", "scaled_alpha", "alpha.inner", DROP,
+     ScenarioError, "scenario.alpha: missing key(s) inner"),
+    ("scale-wrong-type", "scaled_alpha", "alpha.factor", 0.25,
+     ScenarioError, "scenario.alpha.factor: expected a fraction string, got 0.25"),
+    ("scale-value-error", "scaled_alpha", "alpha.factor", "0",
+     InvalidScenario, "scenario.alpha: scale factor must be in (0,1]: 0"),
+    ("average-unknown-key", "scaled_alpha", "beta.weight", "1/2",
+     ScenarioError, "scenario.beta: unknown key(s) weight"),
+    ("average-missing-key", "scaled_alpha", "beta.right", DROP,
+     ScenarioError, "scenario.beta: missing key(s) right"),
+    ("average-wrong-type", "scaled_alpha", "beta.left", [],
+     ScenarioError, "scenario.beta.left: expected an object, got list"),
+    ("complement-unknown-key", "linear_basic", "alpha",
+     {"kind": "complement", "inner": RATIONAL, "x": 1},
+     ScenarioError, "scenario.alpha: unknown key(s) x"),
+    ("complement-missing-key", "linear_basic", "alpha", {"kind": "complement"},
+     ScenarioError, "scenario.alpha: missing key(s) inner"),
+    ("complement-wrong-type", "linear_basic", "alpha", {"kind": "complement", "inner": "15/16"},
+     ScenarioError, "scenario.alpha.inner: expected an object, got str"),
+    ("complement-inner-value-error", "linear_basic", "alpha",
+     {"kind": "complement", "inner": {"kind": "rational", "value": "2"}},
+     InvalidScenario, "scenario.alpha.inner: exact rational out of [0,1]: 2"),
+    ("real-unknown-kind", "linear_basic", "beta.kind", "surreal",
+     ScenarioError, "scenario.beta.kind: unknown reference-real kind 'surreal'"),
+    ("real-list-kind", "linear_basic", "beta.kind", ["rational"],
+     ScenarioError, "scenario.beta.kind: unknown reference-real kind ['rational']"),
+    ("real-object-kind", "linear_basic", "beta.kind", {"rational": 1},
+     ScenarioError, "scenario.beta.kind: unknown reference-real kind {'rational': 1}"),
+    ("real-missing-kind", "linear_basic", "beta.kind", DROP,
+     ScenarioError, "scenario.beta.kind: unknown reference-real kind None"),
+    ("affine-dyadic-unknown-key", "linear_basic", "beta_approx.generator.x", 1,
+     ScenarioError, "scenario.beta_approx.generator: unknown key(s) x"),
+    ("affine-dyadic-missing-key", "linear_basic", "beta_approx.generator.w", DROP,
+     ScenarioError, "scenario.beta_approx.generator: missing key(s) w"),
+    ("affine-dyadic-wrong-type", "linear_basic", "beta_approx.generator.w", "1",
+     ScenarioError, "scenario.beta_approx.generator.w: expected an integer, got '1'"),
+    ("affine-dyadic-rate-below-one", "linear_basic", "beta_approx.generator.w", 0,
+     ScenarioError, "scenario.beta_approx.generator.w: must be >= 1, got 0"),
+    ("affine-dyadic-value-error", "linear_basic", "beta_approx.generator.v", "1/4",
+     InvalidScenario,
+     "scenario.beta_approx.generator: affine-dyadic first term out of [0,1]: -1/8"),
+    ("alternating-unknown-key", "oscillating", "beta_approx.generator.x", 1,
+     ScenarioError, "scenario.beta_approx.generator: unknown key(s) x"),
+    ("alternating-missing-key", "oscillating", "beta_approx.generator.u", DROP,
+     ScenarioError, "scenario.beta_approx.generator: missing key(s) u"),
+    ("alternating-wrong-type", "oscillating", "beta_approx.generator.v", 0,
+     ScenarioError, "scenario.beta_approx.generator.v: expected a fraction string, got 0"),
+    ("alternating-value-error", "oscillating", "beta_approx.generator.v", "-1/8",
+     InvalidScenario, "scenario.beta_approx.generator: oscillation amplitude must be >= 0"),
+    ("table-unknown-key", "table_tail", "beta_approx.generator.head", "0",
+     ScenarioError, "scenario.beta_approx.generator: unknown key(s) head"),
+    ("table-missing-key", "table_tail", "beta_approx.generator.tail", DROP,
+     ScenarioError, "scenario.beta_approx.generator: missing key(s) tail"),
+    ("table-wrong-type", "table_tail", "beta_approx.generator.entries", "0",
+     ScenarioError, "scenario.beta_approx.generator.entries: expected a list"),
+    ("table-wrong-item-type", "table_tail", "beta_approx.generator.entries", ["0", 5],
+     ScenarioError,
+     "scenario.beta_approx.generator.entries[1]: expected a fraction string, got 5"),
+    ("table-value-error", "table_tail", "beta_approx.generator.entries", ["0", "3/2"],
+     InvalidScenario, "scenario.beta_approx.generator: table entry 1 out of [0,1]: 3/2"),
+    ("prepend-unknown-key", "linear_basic", "beta_approx.generator",
+     {"kind": "prepend", "head": "0", "inner": AFFINE, "tail": "0"},
+     ScenarioError, "scenario.beta_approx.generator: unknown key(s) tail"),
+    ("prepend-missing-key", "linear_basic", "beta_approx.generator",
+     {"kind": "prepend", "inner": AFFINE},
+     ScenarioError, "scenario.beta_approx.generator: missing key(s) head"),
+    ("prepend-wrong-type", "linear_basic", "beta_approx.generator",
+     {"kind": "prepend", "head": 0, "inner": AFFINE},
+     ScenarioError, "scenario.beta_approx.generator.head: expected a fraction string, got 0"),
+    ("prepend-value-error", "linear_basic", "beta_approx.generator",
+     {"kind": "prepend", "head": "2", "inner": AFFINE},
+     InvalidScenario, "scenario.beta_approx.generator: prepended head out of [0,1]: 2"),
+    ("prepend-inner-value-error", "linear_basic", "beta_approx.generator",
+     {"kind": "prepend", "head": "0", "inner": {**AFFINE, "u": "2"}},
+     InvalidScenario, "scenario.beta_approx.generator.inner: affine-dyadic u out of [0,1]: 2"),
+    ("prefix-max-unknown-key", "mirror_staircase", "s2a_witness.alpha_approx.generator.head", "0",
+     ScenarioError, "scenario.s2a_witness.alpha_approx.generator: unknown key(s) head"),
+    ("prefix-max-missing-key", "mirror_staircase", "s2a_witness.alpha_approx.generator.inner",
+     DROP, ScenarioError, "scenario.s2a_witness.alpha_approx.generator: missing key(s) inner"),
+    ("prefix-max-wrong-type", "mirror_staircase", "s2a_witness.alpha_approx.generator.inner", [],
+     ScenarioError,
+     "scenario.s2a_witness.alpha_approx.generator.inner: expected an object, got list"),
+    ("complement-gen-unknown-key", "linear_basic", "beta_approx.generator",
+     {"kind": "complement", "inner": AFFINE, "x": 1},
+     ScenarioError, "scenario.beta_approx.generator: unknown key(s) x"),
+    ("complement-gen-missing-key", "linear_basic", "beta_approx.generator", {"kind": "complement"},
+     ScenarioError, "scenario.beta_approx.generator: missing key(s) inner"),
+    ("complement-gen-wrong-type", "linear_basic", "beta_approx.generator",
+     {"kind": "complement", "inner": "1/8"},
+     ScenarioError, "scenario.beta_approx.generator.inner: expected an object, got str"),
+    ("complement-gen-inner-value-error", "linear_basic", "beta_approx.generator",
+     {"kind": "complement", "inner": {"kind": "table", "entries": ["0", "1/16"], "tail": "9/8"}},
+     InvalidScenario, "scenario.beta_approx.generator.inner: table tail out of [0,1]: 9/8"),
+    ("generator-unknown-kind", "linear_basic", "beta_approx.generator.kind", "fibonacci",
+     ScenarioError, "scenario.beta_approx.generator.kind: unknown generator kind 'fibonacci'"),
+    ("generator-list-kind", "linear_basic", "beta_approx.generator.kind", ["table"],
+     ScenarioError, "scenario.beta_approx.generator.kind: unknown generator kind ['table']"),
+    ("generator-missing-kind", "linear_basic", "beta_approx.generator.kind", DROP,
+     ScenarioError, "scenario.beta_approx.generator.kind: unknown generator kind None"),
+    ("approximation-unknown-key", "linear_basic", "beta_approx.speed", 1,
+     ScenarioError, "scenario.beta_approx: unknown key(s) speed"),
+    ("approximation-missing-key", "linear_basic", "beta_approx.generator", DROP,
+     ScenarioError, "scenario.beta_approx: missing key(s) generator"),
+    ("approximation-wrong-type", "linear_basic", "beta_approx", "left_ce",
+     ScenarioError, "scenario.beta_approx: expected an object, got str"),
+    ("approximation-claim-wrong-type", "linear_basic", "beta_approx.claim", 1,
+     ScenarioError, "scenario.beta_approx.claim: unknown claim 1"),
+    ("approximation-limit-wrong-type", "linear_basic", "beta_approx.limit", 5,
+     ScenarioError, "scenario.beta_approx.limit: expected an object, got int"),
+    ("approximation-null-claim", "linear_basic", "beta_approx.claim", None,
+     ScenarioError, "scenario.beta_approx.claim: unknown claim None"),
+    ("approximation-null-limit", "linear_basic", "beta_approx.limit", None,
+     ScenarioError, "scenario.beta_approx: a declared limit is required"),
+    ("approximation-null-modulus", "linear_basic", "beta_approx.modulus", None, None, None),
+    ("modulus-unknown-key", "linear_basic", "beta_approx.modulus.speed", 9,
+     ScenarioError, "scenario.beta_approx.modulus: unknown key(s) speed"),
+    ("modulus-missing-key", "linear_basic", "beta_approx.modulus.v", DROP,
+     ScenarioError, "scenario.beta_approx.modulus: missing key(s) v"),
+    ("modulus-wrong-type", "linear_basic", "beta_approx.modulus", ["1/8", 1],
+     ScenarioError, "scenario.beta_approx.modulus: expected an object, got list"),
+    ("modulus-rate-wrong-type", "linear_basic", "beta_approx.modulus.w", True,
+     ScenarioError, "scenario.beta_approx.modulus.w: expected an integer, got True"),
+    ("modulus-value-error", "linear_basic", "beta_approx.modulus.v", "-1/8",
+     InvalidScenario, "scenario.beta_approx.modulus: decay coefficient must be >= 0: -1/8"),
+    ("leftce-approximation-wrong-type", "mirror_geometric", "alpha_leftce_approx.generator", 3,
+     ScenarioError, "scenario.alpha_leftce_approx.generator: expected an object, got int"),
+    ("solovay-unknown-key", "linear_basic", "solovay_witness.c", "1",
+     ScenarioError, "scenario.solovay_witness: unknown key(s) c"),
+    ("solovay-missing-key", "linear_basic", "solovay_witness.constant", DROP,
+     ScenarioError, "scenario.solovay_witness: missing key(s) constant"),
+    ("solovay-wrong-type", "linear_basic", "solovay_witness.constant", 1,
+     ScenarioError, "scenario.solovay_witness.constant: expected a fraction string, got 1"),
+    ("solovay-value-error", "linear_basic", "solovay_witness.constant", "0",
+     InvalidScenario, "scenario.solovay_witness: witness constant must be positive: 0"),
+    ("solovay-staged-function-value-error", "linear_basic",
+     "solovay_witness.stage_schedule.overrides",
+     [[0, "never"]], InvalidScenario,
+     "scenario.solovay_witness: q_0 = 0 must become defined at some finite stage"),
+    ("schedule-unknown-key", "linear_basic", "solovay_witness.stage_schedule.step", 1,
+     ScenarioError, "scenario.solovay_witness.stage_schedule: unknown key(s) step"),
+    ("schedule-missing-key", "linear_basic", "solovay_witness.stage_schedule.offset", DROP,
+     ScenarioError, "scenario.solovay_witness.stage_schedule: missing key(s) offset"),
+    ("schedule-wrong-type", "linear_basic", "solovay_witness.stage_schedule.slope", "0",
+     ScenarioError, "scenario.solovay_witness.stage_schedule.slope: expected an integer, got '0'"),
+    ("schedule-negative", "linear_basic", "solovay_witness.stage_schedule.offset", -1,
+     ScenarioError, "scenario.solovay_witness.stage_schedule.offset: must be >= 0, got -1"),
+    ("schedule-override-not-a-pair", "staged_delay", "solovay_witness.stage_schedule.overrides.1",
+     [17], ScenarioError,
+     "scenario.solovay_witness.stage_schedule.overrides[1]: expected [index, stage] pairs"),
+    ("schedule-override-wrong-index-type", "staged_delay",
+     "solovay_witness.stage_schedule.overrides.0",
+     ["8", 201], ScenarioError,
+     "scenario.solovay_witness.stage_schedule.overrides[0][0]: expected an integer, got '8'"),
+    ("schedule-override-prose-stage", "staged_delay", "solovay_witness.stage_schedule.overrides.0",
+     [8, "later"], ScenarioError,
+     "scenario.solovay_witness.stage_schedule.overrides[0][1]: expected an integer, got 'later'"),
+    ("value-rule-unknown-key", "linear_basic", "solovay_witness.value_rule.w", 1,
+     ScenarioError, "scenario.solovay_witness.value_rule: unknown key(s) w"),
+    ("value-rule-missing-key", "linear_basic", "solovay_witness.value_rule.u", DROP,
+     ScenarioError, "scenario.solovay_witness.value_rule: missing key(s) u"),
+    ("value-rule-wrong-type", "linear_basic", "solovay_witness.value_rule.v", 0,
+     ScenarioError, "scenario.solovay_witness.value_rule.v: expected a fraction string, got 0"),
+    ("value-rule-value-error", "linear_basic", "solovay_witness.value_rule.v", "1",
+     InvalidScenario,
+     "scenario.solovay_witness.value_rule: affine value rule escapes [0,1) at 0: v=1"),
+    ("value-rule-override-not-a-pair", "linear_basic", "solovay_witness.value_rule.overrides",
+     [[1, "1/2", 2]], ScenarioError,
+     "scenario.solovay_witness.value_rule.overrides[0]: expected [index, value] pairs"),
+    ("value-rule-override-wrong-value-type", "linear_basic",
+     "solovay_witness.value_rule.overrides",
+     [[1, 0.5]], ScenarioError,
+     "scenario.solovay_witness.value_rule.overrides[0][1]: expected a fraction string, got 0.5"),
+    ("value-rule-override-value-error", "linear_basic", "solovay_witness.value_rule.overrides",
+     [[1, "1"]],
+     InvalidScenario, "scenario.solovay_witness.value_rule: value override out of range"),
+    ("enumeration-unknown-key", "linear_basic", "solovay_witness.enumeration",
+     {"prefix": ["0"], "order": "canonical"},
+     ScenarioError, "scenario.solovay_witness.enumeration: unknown key(s) order"),
+    ("enumeration-missing-key", "linear_basic", "solovay_witness.enumeration", {},
+     ScenarioError, "scenario.solovay_witness.enumeration: missing key(s) prefix"),
+    ("enumeration-wrong-type", "linear_basic", "solovay_witness.enumeration", ["0"],
+     ScenarioError, "scenario.solovay_witness.enumeration: expected an object, got list"),
+    ("enumeration-prefix-wrong-type", "linear_basic", "solovay_witness.enumeration",
+     {"prefix": "0"},
+     ScenarioError, "scenario.solovay_witness.enumeration.prefix: expected a list"),
+    ("enumeration-prefix-item-wrong-type", "linear_basic", "solovay_witness.enumeration",
+     {"prefix": [0]}, ScenarioError,
+     "scenario.solovay_witness.enumeration.prefix[0]: expected a fraction string, got 0"),
+    ("enumeration-value-error", "linear_basic", "solovay_witness.enumeration",
+     {"prefix": ["1/2", "0"]}, InvalidScenario,
+     "scenario.solovay_witness.enumeration: enumeration prefix must keep 0 at index 0"),
+    ("enumeration-null", "linear_basic", "solovay_witness.enumeration", None, None, None),
+    ("s2a-unknown-key", "mirror_staircase", "s2a_witness.gamma_approx", {},
+     ScenarioError, "scenario.s2a_witness: unknown key(s) gamma_approx"),
+    ("s2a-missing-key", "mirror_staircase", "s2a_witness.constant", DROP,
+     ScenarioError, "scenario.s2a_witness: missing key(s) constant"),
+    ("s2a-wrong-type", "mirror_staircase", "s2a_witness.alpha_approx", "table",
+     ScenarioError, "scenario.s2a_witness.alpha_approx: expected an object, got str"),
+    ("s2a-value-error", "mirror_staircase", "s2a_witness.constant", "-1",
+     InvalidScenario, "scenario.s2a_witness: witness constant must be positive: -1"),
+]
+
+
+def mutated(name, path, value):
+    doc = json.loads(corpus_path(name).read_text())
+    *head, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    owner = doc
+    for key in head:
+        owner = owner[key]
+    if value is DROP:
+        owner.pop(last, None)
+    else:
+        owner[last] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize("name, path, value, error, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in MESSAGES])
+def test_every_rejection_has_its_exact_class_and_message(name, path, value, error, message):
+    if error is None:
+        assert parse(mutated(name, path, value)) == parse(mutated(name, path, DROP))
+        return
+    with pytest.raises(error) as info:
+        parse(mutated(name, path, value))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("q", [Q(0), Q(1, 3), Q(-7, 2), Q(5), Q(22, 7)])
 def test_fraction_roundtrip(q):
     assert parse_fraction(format_fraction(q), "roundtrip") == q
