@@ -28,6 +28,7 @@ from .approximations import prepend
 from .errors import BudgetExhausted, InvalidScenario, ScenarioError
 from .harness import (
     Report,
+    ladder_payload,
     trace_payload,
     verify_construction,
     verify_mirror,
@@ -37,8 +38,7 @@ from .harness import (
 )
 from .oracle import oracle_min_hit
 from .reals import ZERO
-from .scenario import (MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, format_fraction,
-                       load_scenario)
+from .scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, load_scenario
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -151,11 +151,7 @@ def _run_oracle(path: str, opts: dict) -> dict:
         payload["hit"] = {
             "stage": hit.stage,
             "i": hit.index,
-            "ladder": {
-                "indices": list(hit.tup.indices),
-                "points": [format_fraction(p) for p in hit.tup.points],
-                "values": [format_fraction(v) for v in hit.tup.values],
-            },
+            "ladder": ladder_payload(hit.tup),
         }
         text = (f"oracle     {sc.name}\nstep       {n}\n"
                 f"hit        stage {hit.stage}, i {hit.index}, "

@@ -24,6 +24,7 @@ from .approximations import (
 )
 from .construction import (
     ConstructionTrace,
+    RequirementTuple,
     StepRecord,
     build_s2a_from_solovay,
     mirror_s2a,
@@ -207,6 +208,15 @@ def _step_head(rec: StepRecord) -> dict:
     }
 
 
+def ladder_payload(tup: RequirementTuple) -> dict:
+    """A ladder as the trace and the oracle result write it."""
+    return {
+        "indices": list(tup.indices),
+        "points": [format_fraction(p) for p in tup.points],
+        "values": [format_fraction(v) for v in tup.values],
+    }
+
+
 def trace_payload(scenario: Scenario, trace: ConstructionTrace,
                   depth: int, stage_budget: int) -> dict:
     """Deterministic JSON payload for a construction trace."""
@@ -222,14 +232,8 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace,
         "exhausted": None,
     }
     for rec in steps:
-        row = {**_step_head(rec), "ladder": None}
-        if rec.tup is not None:
-            row["ladder"] = {
-                "indices": list(rec.tup.indices),
-                "points": [format_fraction(p) for p in rec.tup.points],
-                "values": [format_fraction(v) for v in rec.tup.values],
-            }
-        payload["steps"].append(row)
+        ladder = None if rec.tup is None else ladder_payload(rec.tup)
+        payload["steps"].append({**_step_head(rec), "ladder": ladder})
     if trace.exhausted is not None:
         payload["exhausted"] = {"step": trace.exhausted[0],
                                 "stage_budget": trace.exhausted[1]}

@@ -13,7 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from .approximations import (
     AffineDyadic,
@@ -116,8 +118,7 @@ def _expect_int(raw: object, where: str, minimum: int | None = None,
     return raw
 
 
-def _check_keys(obj: dict, where: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
+def _check_keys(obj: dict, where: str, required: Iterable[str], optional: Iterable[str]) -> None:
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {', '.join(unknown)}")
@@ -126,171 +127,137 @@ def _check_keys(obj: dict, where: str, required: tuple[str, ...],
         raise ScenarioError(f"{where}: missing key(s) {', '.join(missing)}")
 
 
-def _wrap(where: str, build):
-    """Run a dataclass constructor, turning its ValueError into InvalidScenario."""
+def _object(raw: object, where: str, build: Callable, required: tuple, optional: tuple) -> object:
+    """Check an object's keys, parse its (key, parser[, default]) fields in order, build it.
+
+    A parser of None marks "kind", which the caller has read.  A key that is
+    absent, or null where the default is None, takes the default.
+    """
+    obj = _expect_obj(raw, where)
+    _check_keys(obj, where, [key for key, _ in required], [key for key, *_ in optional])
+    # A plain loop: each comprehension is a frame of its own before Python
+    # 3.12, and nested reals and generators recurse through this function.
+    args = []
+    for key, parse in required:
+        if parse is not None:
+            args.append(parse(obj[key], f"{where}.{key}"))
+    for key, parse, default in optional:
+        value = obj.get(key)
+        absent = value is None and (default is None or key not in obj)
+        args.append(default if absent else parse(value, f"{where}.{key}"))
     try:
-        return build()
+        return build(*args)
     except ValueError as exc:
         raise InvalidScenario(f"{where}: {exc}") from None
 
 
+class _Record(NamedTuple):
+    """One object kind: the constructor and its fields, as ``_object`` takes them."""
+    build: Callable
+    required: tuple
+    optional: tuple = ()
+
+    def __call__(self, raw: object, where: str):
+        return _object(raw, where, *self)
+
+
+def _lookup(name: object, where: str, table: dict, noun: str):
+    if not isinstance(name, str) or name not in table:  # a list or object is unhashable
+        raise ScenarioError(f"{where}: unknown {noun} {name!r}")
+    return table[name]
+
+
+def _row(table: dict, raw: object, where: str, noun: str) -> _Record:
+    return _lookup(_expect_obj(raw, where).get("kind"), f"{where}.kind", table, noun)
+
+
 def parse_real(raw: object, where: str) -> ReferenceReal:
-    obj = _expect_obj(raw, where)
-    kind = obj.get("kind")
-    if kind == "rational":
-        _check_keys(obj, where, ("kind", "value"))
-        value = parse_fraction(obj["value"], f"{where}.value")
-        return _wrap(where, lambda: ExactRational(value))
-    if kind == "dyadic_series":
-        _check_keys(obj, where, ("kind", "exponents"))
-        exp = _expect_obj(obj["exponents"], f"{where}.exponents")
-        ekind = exp.get("kind")
-        if ekind == "affine":
-            _check_keys(exp, f"{where}.exponents", ("kind", "slope", "offset"))
-            s = _expect_int(exp["slope"], f"{where}.exponents.slope", maximum=MAX_EXPONENT)
-            t = _expect_int(exp["offset"], f"{where}.exponents.offset", maximum=MAX_EXPONENT)
-            return _wrap(where, lambda: DyadicSeries(AffineExponents(s, t)))
-        if ekind == "list":
-            _check_keys(exp, f"{where}.exponents", ("kind", "values"))
-            vals = exp["values"]
-            if not isinstance(vals, list):
-                raise ScenarioError(f"{where}.exponents.values: expected a list")
-            items = tuple(_expect_int(v, f"{where}.exponents.values[{i}]",
-                                      maximum=MAX_EXPONENT) for i, v in enumerate(vals))
-            return _wrap(where, lambda: DyadicSeries(ListExponents(items)))
-        raise ScenarioError(f"{where}.exponents.kind: unknown kind {ekind!r}")
-    if kind == "scale":
-        _check_keys(obj, where, ("kind", "factor", "inner"))
-        factor = parse_fraction(obj["factor"], f"{where}.factor")
-        inner = parse_real(obj["inner"], f"{where}.inner")
-        return _wrap(where, lambda: Scale(inner, factor))
-    if kind == "average":
-        _check_keys(obj, where, ("kind", "left", "right"))
-        left = parse_real(obj["left"], f"{where}.left")
-        right = parse_real(obj["right"], f"{where}.right")
-        return _wrap(where, lambda: Average(left, right))
-    if kind == "complement":
-        _check_keys(obj, where, ("kind", "inner"))
-        inner = parse_real(obj["inner"], f"{where}.inner")
-        return _wrap(where, lambda: Complement(inner))
-    raise ScenarioError(f"{where}.kind: unknown reference-real kind {kind!r}")
+    return _object(raw, where, *_row(_REALS, raw, where, "reference-real kind"))
 
 
 def parse_generator(raw: object, where: str):
-    obj = _expect_obj(raw, where)
-    kind = obj.get("kind")
-    if kind in ("affine_dyadic", "alternating_dyadic"):
-        _check_keys(obj, where, ("kind", "u", "v", "w"))
-        u = parse_fraction(obj["u"], f"{where}.u")
-        v = parse_fraction(obj["v"], f"{where}.v")
-        w = _expect_int(obj["w"], f"{where}.w", minimum=1, maximum=MAX_RATE)
-        gen = AffineDyadic if kind == "affine_dyadic" else AlternatingDyadic
-        return _wrap(where, lambda: gen(u, v, w))
-    if kind == "table":
-        _check_keys(obj, where, ("kind", "entries", "tail"))
-        ent = obj["entries"]
-        if not isinstance(ent, list):
-            raise ScenarioError(f"{where}.entries: expected a list")
-        entries = tuple(parse_fraction(e, f"{where}.entries[{i}]")
-                        for i, e in enumerate(ent))
-        tail = parse_fraction(obj["tail"], f"{where}.tail")
-        return _wrap(where, lambda: Table(entries, tail))
-    if kind == "prepend":
-        _check_keys(obj, where, ("kind", "head", "inner"))
-        head = parse_fraction(obj["head"], f"{where}.head")
-        inner = parse_generator(obj["inner"], f"{where}.inner")
-        return _wrap(where, lambda: PrependGen(head, inner))
-    if kind == "prefix_max":
-        _check_keys(obj, where, ("kind", "inner"))
-        inner = parse_generator(obj["inner"], f"{where}.inner")
-        return PrefixMaxGen(inner)
-    if kind == "complement":
-        _check_keys(obj, where, ("kind", "inner"))
-        inner = parse_generator(obj["inner"], f"{where}.inner")
-        return ComplementGen(inner)
-    raise ScenarioError(f"{where}.kind: unknown generator kind {kind!r}")
+    return _object(raw, where, *_row(_GENERATORS, raw, where, "generator kind"))
 
 
-_CLAIMS = {k.value: k for k in Kind}
+def _parse_exponents(raw: object, where: str):
+    return _object(raw, where, *_row(_EXPONENTS, raw, where, "kind"))
 
 
-def parse_approximation(raw: object, where: str) -> Approximation:
-    obj = _expect_obj(raw, where)
-    _check_keys(obj, where, ("generator",), ("claim", "limit", "modulus"))
-    gen = parse_generator(obj["generator"], f"{where}.generator")
-    claim_raw = obj.get("claim", "general")
-    if not isinstance(claim_raw, str) or claim_raw not in _CLAIMS:
-        raise ScenarioError(f"{where}.claim: unknown claim {claim_raw!r}")
-    kind = _CLAIMS[claim_raw]
-    limit = None
-    if obj.get("limit") is not None:
-        limit = parse_real(obj["limit"], f"{where}.limit")
-    modulus = None
-    if obj.get("modulus") is not None:
-        mobj = _expect_obj(obj["modulus"], f"{where}.modulus")
-        _check_keys(mobj, f"{where}.modulus", ("v", "w"))
-        mv = parse_fraction(mobj["v"], f"{where}.modulus.v")
-        mw = _expect_int(mobj["w"], f"{where}.modulus.w", minimum=1, maximum=MAX_RATE)
-        modulus = _wrap(f"{where}.modulus", lambda: DecayBound(mv, mw))
-    return Approximation(gen, kind, limit, modulus)
+def _list_of(item: Callable) -> Callable:
+    """A parser of a JSON list whose elements ``item`` parses, giving a tuple."""
+    def parse(raw: object, where: str) -> tuple:
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{where}: expected a list")
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(raw))
+    return parse
 
 
-def parse_solovay_witness(raw: object, where: str) -> SolovayWitness:
-    obj = _expect_obj(raw, where)
-    _check_keys(obj, where, ("constant", "stage_schedule", "value_rule"),
-                ("enumeration",))
-    constant = parse_fraction(obj["constant"], f"{where}.constant")
-
-    sch = _expect_obj(obj["stage_schedule"], f"{where}.stage_schedule")
-    _check_keys(sch, f"{where}.stage_schedule", ("slope", "offset"), ("overrides",))
-    slope = _expect_int(sch["slope"], f"{where}.stage_schedule.slope", minimum=0)
-    offset = _expect_int(sch["offset"], f"{where}.stage_schedule.offset", minimum=0)
-    sch_over = []
-    for i, pair in enumerate(sch.get("overrides", [])):
-        ctx = f"{where}.stage_schedule.overrides[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{ctx}: expected [index, stage] pairs")
-        j = _expect_int(pair[0], f"{ctx}[0]", minimum=0)
-        stage = None if pair[1] == "never" else _expect_int(pair[1], f"{ctx}[1]", minimum=0)
-        sch_over.append((j, stage))
-    schedule = _wrap(f"{where}.stage_schedule",
-                     lambda: StageSchedule(slope, offset, tuple(sch_over)))
-
-    vr = _expect_obj(obj["value_rule"], f"{where}.value_rule")
-    _check_keys(vr, f"{where}.value_rule", ("u", "v"), ("overrides",))
-    u = parse_fraction(vr["u"], f"{where}.value_rule.u")
-    v = parse_fraction(vr["v"], f"{where}.value_rule.v")
-    vr_over = []
-    for i, pair in enumerate(vr.get("overrides", [])):
-        ctx = f"{where}.value_rule.overrides[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{ctx}: expected [index, value] pairs")
-        j = _expect_int(pair[0], f"{ctx}[0]", minimum=0)
-        val = parse_fraction(pair[1], f"{ctx}[1]")
-        vr_over.append((j, val))
-    rule = _wrap(f"{where}.value_rule", lambda: ValueRule(u, v, tuple(vr_over)))
-
-    enumeration = DyadicEnumeration()
-    if obj.get("enumeration") is not None:
-        en = _expect_obj(obj["enumeration"], f"{where}.enumeration")
-        _check_keys(en, f"{where}.enumeration", ("prefix",))
-        if not isinstance(en["prefix"], list):
-            raise ScenarioError(f"{where}.enumeration.prefix: expected a list")
-        pref = tuple(parse_fraction(p, f"{where}.enumeration.prefix[{i}]")
-                     for i, p in enumerate(en["prefix"]))
-        enumeration = _wrap(f"{where}.enumeration", lambda: DyadicEnumeration(pref))
-
-    fn = _wrap(where, lambda: StagedPartialFunction(enumeration, schedule, rule))
-    return _wrap(where, lambda: SolovayWitness(fn, constant))
+def _pairs_of(name: str, second: Callable) -> Callable:
+    """A parser of a list of [index, <name>] pairs, the second parsed by ``second``."""
+    def pair(raw: object, where: str) -> tuple:
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ScenarioError(f"{where}: expected [index, {name}] pairs")
+        return _expect_int(raw[0], f"{where}[0]", minimum=0), second(raw[1], f"{where}[1]")
+    return _list_of(pair)
 
 
-def parse_s2a_witness(raw: object, where: str) -> S2aWitness:
-    obj = _expect_obj(raw, where)
-    _check_keys(obj, where, ("alpha_approx", "beta_approx", "constant"))
-    alpha_approx = parse_approximation(obj["alpha_approx"], f"{where}.alpha_approx")
-    beta_approx = parse_approximation(obj["beta_approx"], f"{where}.beta_approx")
-    constant = parse_fraction(obj["constant"], f"{where}.constant")
-    return _wrap(where, lambda: S2aWitness(alpha_approx, beta_approx, constant))
+def _parse_stage(raw: object, where: str) -> int | None:
+    return None if raw == "never" else _expect_int(raw, where, minimum=0)
+
+
+_KIND = ("kind", None)
+_EXPONENT = partial(_expect_int, maximum=MAX_EXPONENT)
+_RATE = partial(_expect_int, minimum=1, maximum=MAX_RATE)
+_NONNEGATIVE = partial(_expect_int, minimum=0)
+_CLAIM = partial(_lookup, table={k.value: k for k in Kind}, noun="claim")
+_DYADIC_TERMS = (_KIND, ("u", parse_fraction), ("v", parse_fraction), ("w", _RATE))
+
+# An exponent family is built by its series, so that its ValueError names the series.
+_EXPONENTS = {
+    "affine": _Record(lambda s, t: partial(AffineExponents, s, t),
+                      (_KIND, ("slope", _EXPONENT), ("offset", _EXPONENT))),
+    "list": _Record(lambda values: partial(ListExponents, values),
+                    (_KIND, ("values", _list_of(_EXPONENT)))),
+}
+_REALS = {
+    "rational": _Record(ExactRational, (_KIND, ("value", parse_fraction))),
+    "dyadic_series": _Record(lambda exponents: DyadicSeries(exponents()),
+                             (_KIND, ("exponents", _parse_exponents))),
+    "scale": _Record(lambda factor, inner: Scale(inner, factor),
+                     (_KIND, ("factor", parse_fraction), ("inner", parse_real))),
+    "average": _Record(Average, (_KIND, ("left", parse_real), ("right", parse_real))),
+    "complement": _Record(Complement, (_KIND, ("inner", parse_real))),
+}
+_GENERATORS = {
+    "affine_dyadic": _Record(AffineDyadic, _DYADIC_TERMS),
+    "alternating_dyadic": _Record(AlternatingDyadic, _DYADIC_TERMS),
+    "table": _Record(Table, (_KIND, ("entries", _list_of(parse_fraction)),
+                             ("tail", parse_fraction))),
+    "prepend": _Record(PrependGen, (_KIND, ("head", parse_fraction), ("inner", parse_generator))),
+    "prefix_max": _Record(PrefixMaxGen, (_KIND, ("inner", parse_generator))),
+    "complement": _Record(ComplementGen, (_KIND, ("inner", parse_generator))),
+}
+_MODULUS = _Record(DecayBound, (("v", parse_fraction), ("w", _RATE)))
+_APPROXIMATION = _Record(Approximation, (("generator", parse_generator),), (
+    ("claim", _CLAIM, Kind.GENERAL), ("limit", parse_real, None), ("modulus", _MODULUS, None)))
+_STAGE_SCHEDULE = _Record(StageSchedule, (("slope", _NONNEGATIVE), ("offset", _NONNEGATIVE)),
+                          (("overrides", _pairs_of("stage", _parse_stage), ()),))
+_VALUE_RULE = _Record(ValueRule, (("u", parse_fraction), ("v", parse_fraction)),
+                      (("overrides", _pairs_of("value", parse_fraction), ()),))
+_ENUMERATION = _Record(DyadicEnumeration, (("prefix", _list_of(parse_fraction)),))
+_SOLOVAY_WITNESS = _Record(
+    lambda constant, schedule, rule, enumeration: SolovayWitness(
+        StagedPartialFunction(enumeration or DyadicEnumeration(), schedule, rule), constant),
+    (("constant", parse_fraction), ("stage_schedule", _STAGE_SCHEDULE),
+     ("value_rule", _VALUE_RULE)),
+    (("enumeration", _ENUMERATION, None),))
+_S2A_WITNESS = _Record(S2aWitness, (("alpha_approx", _APPROXIMATION),
+                                    ("beta_approx", _APPROXIMATION), ("constant", parse_fraction)))
+
+
+def _optional(obj: dict, key: str, parse: Callable):
+    """A top-level object that may be absent or null."""
+    return None if obj.get(key) is None else parse(obj[key], f"scenario.{key}")
 
 
 def parse_scenario(raw: object, default_name: str) -> Scenario:
@@ -314,35 +281,24 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
     if not certify_in_open_unit(beta):
         raise InvalidScenario("scenario.beta: not certified inside (0,1)")
 
-    beta_approx = parse_approximation(obj["beta_approx"], "scenario.beta_approx")
+    beta_approx = _APPROXIMATION(obj["beta_approx"], "scenario.beta_approx")
     if beta_approx.limit is None:
         raise ScenarioError("scenario.beta_approx: a declared limit is required")
     if beta_approx.limit != beta:
         raise InvalidScenario(
             "scenario.beta_approx: declared limit must be structurally equal to beta")
 
-    witness = None
-    if obj.get("solovay_witness") is not None:
-        witness = parse_solovay_witness(obj["solovay_witness"],
-                                        "scenario.solovay_witness")
-
-    leftce = None
-    if obj.get("alpha_leftce_approx") is not None:
-        leftce = parse_approximation(obj["alpha_leftce_approx"],
-                                     "scenario.alpha_leftce_approx")
+    witness = _optional(obj, "solovay_witness", _SOLOVAY_WITNESS)
+    leftce = _optional(obj, "alpha_leftce_approx", _APPROXIMATION)
+    if leftce is not None:
         if leftce.kind is not Kind.LEFT_CE:
-            raise InvalidScenario(
-                "scenario.alpha_leftce_approx: claim must be left_ce")
+            raise InvalidScenario("scenario.alpha_leftce_approx: claim must be left_ce")
         if leftce.limit is None:
-            raise ScenarioError(
-                "scenario.alpha_leftce_approx: a declared limit is required")
+            raise ScenarioError("scenario.alpha_leftce_approx: a declared limit is required")
         if leftce.limit != alpha:
-            raise InvalidScenario(
-                "scenario.alpha_leftce_approx: declared limit must equal alpha")
+            raise InvalidScenario("scenario.alpha_leftce_approx: declared limit must equal alpha")
 
-    s2a = None
-    if obj.get("s2a_witness") is not None:
-        s2a = parse_s2a_witness(obj["s2a_witness"], "scenario.s2a_witness")
+    s2a = _optional(obj, "s2a_witness", _S2A_WITNESS)
 
     depth = _expect_int(obj.get("depth", 12), "scenario.depth", 0, MAX_DEPTH)
     stage_budget = _expect_int(obj.get("stage_budget", 10000), "scenario.stage_budget",

@@ -39,6 +39,15 @@ def nested_alpha_text(levels: int) -> str:
     return corpus_path("linear_basic").read_text(encoding="utf-8").replace(leaf, alpha, 1)
 
 
+def nested_generator_text(levels: int, kind: str) -> str:
+    """linear_basic with its beta generator wrapped in `kind` generators to `levels` JSON levels."""
+    wrappers = levels - 3  # the root object, beta_approx and the innermost generator
+    leaf = '{"kind": "affine_dyadic", "u": "1/8", "v": "1/8", "w": 1}'
+    head = '"head": "0", ' if kind == "prepend" else ""
+    chain = f'{{"kind": "{kind}", {head}"inner": ' * wrappers + leaf + "}" * wrappers
+    return corpus_path("linear_basic").read_text(encoding="utf-8").replace(leaf, chain, 1)
+
+
 @pytest.fixture(scope="session")
 def scenarios():
     return {name: load_scenario(corpus_path(name)) for name in ALL_NAMES}

@@ -394,12 +394,15 @@ def at(doc, path):
     return doc
 
 
+# One value of each JSON type: null, integer, boolean, string, list and object.
+RETYPED = [None, 7, True, "1/2", [], {}]
+
 MODES = {"solovay_witness": ["construction", "prop1", "solovay-check"],
          "alpha_leftce_approx": ["mirror"], "s2a_witness": ["s2a-check"]}
 
 
 def mutate(draw, doc):
-    op = draw(st.sampled_from(["drop", "swap", "generator", "integer"]))
+    op = draw(st.sampled_from(["drop", "swap", "generator", "integer", "retype"]))
     if op == "drop":
         parents = [p for p, v in nodes(doc) if isinstance(v, dict) and v]
         parent = at(doc, draw(st.sampled_from(parents)))
@@ -417,6 +420,11 @@ def mutate(draw, doc):
         if sites:
             *head, last = draw(st.sampled_from(sites))
             at(doc, head)[last] = copy.deepcopy(draw(st.sampled_from(GENERATORS)))
+    elif op == "retype":
+        *head, last = draw(st.sampled_from([p for p, _ in nodes(doc) if p]))
+        old = at(doc, head)[last]
+        new = draw(st.sampled_from([v for v in RETYPED if type(v) is not type(old)]))
+        at(doc, head)[last] = copy.deepcopy(new)
     else:
         ints = [p for p, v in nodes(doc) if type(v) is int]
         if ints:

@@ -3,9 +3,11 @@ from __future__ import annotations
 import copy
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from solred import cli, scenario
 from solred.approximations import Kind, check_modulus_prefix
 from solred.errors import InvalidScenario, ScenarioError
 from solred.scenario import (
@@ -28,6 +30,7 @@ from conftest import (
     VALID_WITNESS_NAMES,
     corpus_path,
     nested_alpha_text,
+    nested_generator_text,
 )
 
 
@@ -296,6 +299,50 @@ def test_nesting_bound_is_exact_and_ignores_brackets_in_strings(tmp_path):
     path.write_text(nested_alpha_text(MAX_NESTING + 1), encoding="utf-8")
     with pytest.raises(ScenarioError, match=f"nest deeper than {MAX_NESTING} levels"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("kind", ["prepend", "complement", "prefix_max"])
+def test_generator_chains_at_the_nesting_bound_load_and_construct(tmp_path, capsys, kind):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_generator_text(MAX_NESTING + 1, kind), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=f"nest deeper than {MAX_NESTING} levels"):
+        load_scenario(path)
+    path.write_text(nested_generator_text(MAX_NESTING, kind), encoding="utf-8")
+    load_scenario(path)
+    code = cli.main(["construct", str(path), "--depth", "2", "--out", str(tmp_path / "out.json")])
+    assert code in (0, 2), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", ["stage_schedule", "value_rule"])
+@pytest.mark.parametrize("value", [5, None, True, 1.5, {}, ""])
+def test_overrides_that_are_not_a_list_are_rejected(base, site, value):
+    base["solovay_witness"][site]["overrides"] = value
+    with pytest.raises(ScenarioError) as info:
+        parse(base)
+    assert str(info.value) == f"scenario.solovay_witness.{site}.overrides: expected a list"
+
+
+def test_schema_doc_names_every_kind_and_key():
+    """Walk the parser's tables and records; the schema doc must name each kind and key."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "scenario-schema.md").read_text()
+    tables = [t for t in vars(scenario).values() if isinstance(t, dict) and t
+              and all(isinstance(row, scenario._Record) for row in t.values())]
+    todo = [r for r in vars(scenario).values() if isinstance(r, scenario._Record)]
+    todo += [row for table in tables for row in table.values()]
+    kinds = {kind for table in tables for kind in table}
+    assert {"rational", "affine", "table"} <= kinds  # the walk found all three kind tables
+    keys = set()
+    while todo:
+        record = todo.pop()
+        for key, parser, *_ in record.required + record.optional:
+            keys.add(key)
+            if isinstance(parser, scenario._Record):
+                todo.append(parser)
+    assert {"modulus", "stage_schedule", "value_rule", "enumeration", "prefix"} <= keys
+    for kind in kinds:
+        assert f'"kind": "{kind}"' in doc, kind
+    for key in keys:
+        assert f'"{key}"' in doc or f"`{key}`" in doc, key
 
 
 DROP = object()
