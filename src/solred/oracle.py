@@ -3,32 +3,36 @@
 Re-derives step hits with none of the incremental machinery the main
 search uses: every stage rebuilds the domain from scratch, every
 candidate index is tried in turn, and nothing is cached across stages
-or candidates.  Within one stage and index, the canonical ladder (least
-length ell, then least positions in the value-sorted domain) comes from
-an exact-length count per final f in the window: a ladder ending at f
-may use only the members clause (v) admits against f, ladders of every
-length from max(2, least hop count) up to one hop per member after 0
-exist, and the least of the finals' lex-first ladders at the least such
-length is accepted solely by check_requirement.
+or candidates.  Each stage's points are integers P_k over one
+denominator d, the lcm of 2**(n+2) and their own denominators, so the
+slack is S = d >> (n+2) and the gap limit 2S, and b is located by
+cross-multiplied bisection.  Within one stage and index, the canonical
+ladder (least length ell, then least positions in the value-sorted
+domain) comes from an exact-length count per final f in the window: a
+ladder ending at f may use only the members clause (v) admits against
+f, decided per pair as 0 < num and num * d * c_d < c_n * (P_f - P_k +
+S) * d_f * d_k with num = n_f * d_k - n_k * d_f, so the g-values never
+share a denominator.  Ladders of every length from max(2, least hop
+count) up to one hop per member after 0 exist, and the least of the
+finals' lex-first ladders at the least such length, read back from the
+stage's Fraction entries, is accepted solely by check_requirement.
 
-The search walks distance classes backward from each final; this
-reference counts exact lengths forward, and the two share only
-check_requirement.  The test suite holds these hits to exact equality
-with search_step.
+The search walks distance classes backward from each final, keying b
+at one scale per construction; this reference counts exact lengths
+forward at a scale per stage.  The two share only check_requirement,
+RequirementTuple and enumerate_domain, and the test suite holds their
+hits to exact equality.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .approximations import Approximation
 from .construction import RequirementTuple, check_requirement
 from .witnesses import SolovayWitness, enumerate_domain
-
-Q = Fraction
-
-ZERO = Q(0)
 
 
 @dataclass(frozen=True)
@@ -45,36 +49,43 @@ def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
         raise ValueError("searchable steps start at n = 1")
     if stage_cap < 0:
         raise ValueError("stage cap must be >= 0")
-    gap_limit = Q(1, 2 ** (n + 1))
     for stage in range(1, stage_cap + 1):
-        entries = sorted(enumerate_domain(witness.g, stage), key=lambda e: e[1])
-        indices = [e[0] for e in entries]
-        points = [e[1] for e in entries]
-        values = [e[2] for e in entries]
-        if not points or points[0] != ZERO:
+        domain = enumerate_domain(witness.g, stage)
+        d = lcm(1 << (n + 2), *(p.denominator for _, p, _ in domain))
+        entries = sorted(domain, key=lambda e: e[1].numerator * (d // e[1].denominator))
+        points = [p.numerator * (d // p.denominator) for _, p, _ in entries]
+        if not points or points[0] != 0:
             continue
+        nums = [v.numerator for _, _, v in entries]
+        dens = [v.denominator for _, _, v in entries]
         for i in range(prev_index + 1, stage + 1):
-            b_val = b.term(i)
-            tup = _first_ladder(n, b_val, witness.c, indices, points, values,
-                                gap_limit)
+            tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, d)
             if tup is not None:
                 return OracleHit(stage, i, tup)
     return None
 
 
-def _first_ladder(n: int, b: Fraction, c: Fraction, indices: list[int],
-                  points: list[Fraction], values: list[Fraction],
-                  gap_limit: Fraction) -> RequirementTuple | None:
-    cut = bisect_left(points, b)
+def _first_ladder(n: int, b: Fraction, c: Fraction,
+                  entries: list[tuple[int, Fraction, Fraction]], points: list[int],
+                  nums: list[int], dens: list[int], d: int) -> RequirementTuple | None:
+    """Canonical ladder to b over one stage's value-sorted entries, or None.
+
+    points are the entries' points at scale d, and nums and dens their
+    g-values' numerators and denominators.
+    """
+    bn, bd = b.numerator, b.denominator
+    cut = bisect_left(points, bn * d, key=lambda x: x * bd)
     if cut < 3:
         return None
-    finals = range(bisect_right(points, b - gap_limit, 0, cut), cut)
+    slack = d >> (n + 2)
+    gap_limit = 2 * slack
+    finals = range(bisect_right(points, bn * d - gap_limit * bd, 0, cut,
+                                key=lambda x: x * bd), cut)
     if not finals:
         return None
-    slack = Q(1, 2 ** (n + 2))
     feasible = []  # (least ell, members, hops to f) per final that has a ladder
     for f in finals:
-        chain = _members(f, points, values, c, gap_limit, slack)
+        chain = _members(f, points, nums, dens, c.numerator, c.denominator, d, slack)
         if chain is None:
             continue
         hops = _hops_to_last(chain, points, gap_limit)
@@ -88,23 +99,26 @@ def _first_ladder(n: int, b: Fraction, c: Fraction, indices: list[int],
         return None
     ell = min(e for e, _, _ in feasible)
     best = min(_lex_first(chain, hops, ell) for e, chain, hops in feasible if e == ell)
-    tup = RequirementTuple(tuple(indices[t] for t in best),
-                           tuple(points[t] for t in best),
-                           tuple(values[t] for t in best))
+    tup = RequirementTuple(tuple(entries[t][0] for t in best),
+                           tuple(entries[t][1] for t in best),
+                           tuple(entries[t][2] for t in best))
     return tup if check_requirement(n, b, c, tup) is None else None
 
 
-def _members(f: int, points: list[Fraction], values: list[Fraction], c: Fraction,
-             gap_limit: Fraction, slack: Fraction) -> list[int] | None:
+def _members(f: int, points: list[int], nums: list[int], dens: list[int], cn: int, cd: int,
+             d: int, slack: int) -> list[int] | None:
     """Positions a ladder ending at f may use, ascending and ending at f.
 
     None when clause (v) rejects 0, or when two consecutive members lie
-    a gap limit or more apart, so that no ladder reaches f.  Positions
-    are read lazily and the scan stops at the first such gap.
+    a gap limit (2 * slack) or more apart, so that no ladder reaches f.
+    Positions are read lazily and the scan stops at the first such gap.
     """
+    gap_limit = 2 * slack
+    pf, nf, df = points[f], nums[f], dens[f]
+
     def pair_ok(k: int) -> bool:
-        diff = values[f] - values[k]
-        return ZERO < diff < c * (points[f] - points[k] + slack)
+        num = nf * dens[k] - nums[k] * df
+        return 0 < num and num * d * cd < cn * (pf - points[k] + slack) * df * dens[k]
 
     if not pair_ok(0):
         return None
@@ -117,8 +131,7 @@ def _members(f: int, points: list[Fraction], values: list[Fraction], c: Fraction
     return chain
 
 
-def _hops_to_last(chain: list[int], points: list[Fraction],
-                  gap_limit: Fraction) -> list[int]:
+def _hops_to_last(chain: list[int], points: list[int], gap_limit: int) -> list[int]:
     """Least number of hops below gap_limit from each member to the last one.
 
     The hop count never increases with position, so from each member

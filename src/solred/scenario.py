@@ -95,6 +95,9 @@ def parse_fraction(raw: object, where: str) -> Fraction:
         return Fraction(raw)
     except ZeroDivisionError:
         raise ScenarioError(f"{where}: zero denominator: {raw!r}") from None
+    except ValueError:  # a part longer than the interpreter converts
+        raise ScenarioError(f"{where}: fraction string too long to convert "
+                            f"({len(raw)} characters)") from None
 
 
 def format_fraction(q: Fraction) -> str:

@@ -258,6 +258,25 @@ def test_integer_literal_too_long_to_convert_is_invalid_input(tmp_path, capsys):
     assert message.startswith(f"{bad}: ") and TIMING.search(elapsed)
 
 
+def test_fraction_string_too_long_to_convert_is_invalid_input(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter converts integer strings of any length")
+    bad = tmp_path / "long.json"
+    text = corpus_path("linear_basic").read_text(encoding="utf-8")
+    constant = "1" * (limit + 700)
+    bad.write_text(text.replace('"constant": "1",', f'"constant": "{constant}",', 1),
+                   encoding="utf-8")
+    out = tmp_path / "trace.json"
+    code, text, err = run(capsys, "construct", str(bad), "--out", str(out))
+    assert (code, text) == (3, "")
+    assert not out.exists()
+    message, elapsed = err.splitlines()
+    assert message == (f"{bad}: scenario.solovay_witness.constant: fraction string too long "
+                       f"to convert ({limit + 700} characters)")
+    assert TIMING.search(elapsed)
+
+
 def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):
     out = tmp_path / "reports"
     code, _, _ = run(capsys, "verify",

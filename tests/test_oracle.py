@@ -108,3 +108,29 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
                          sc.stage_budget)
     assert hit is not None
     assert calls == 1
+
+
+def test_oracle_inner_loop_runs_on_integers(monkeypatch):
+    """Every point, g-value part, constant part and scale _members reads is an int.
+
+    Replays the first six steps of invalid_g_above, as construction mode does.
+    """
+    sc = load_scenario(corpus_path("invalid_g_above"))
+    w = sc.solovay_witness
+    _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
+                                      6, sc.stage_budget)
+    real = oracle._members
+    calls = 0
+
+    def checking(f, points, nums, dens, cn, cd, d, slack):
+        nonlocal calls
+        calls += 1
+        assert all(type(x) is int for x in (*points, *nums, *dens, cn, cd, d, slack))
+        return real(f, points, nums, dens, cn, cd, d, slack)
+
+    monkeypatch.setattr(oracle, "_members", checking)
+    b = prepend(ZERO, sc.beta_approx)
+    for rec in trace.steps[1:]:
+        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b, sc.stage_budget)
+        assert (hit.stage, hit.index, hit.tup) == (rec.stage_found, rec.index, rec.tup)
+    assert len(trace.steps) == 7 and calls > 0

@@ -6,12 +6,12 @@ target values, constants on both sides of the true ratio) must give the
 incremental search_step and oracle_min_hit the same hit, and a larger
 stage budget must never change a hit already found.  At small budgets
 the oracle's stage shell is also run with the plain backtracking ladder
-enumerator kept below as a reference, and all three must agree.  A full
-construction, whose steps share one domain at one scale, swept forward
-once, must give the steps of a chain of standalone searches, whose
-stages never decrease.  The integer keys the search compares target
-values by must order every value against every dyadic point exactly as
-the rationals do.
+enumerator kept below as a reference, fed Fractions rebuilt from the
+shell's integers, and all three must agree.  A full construction, whose
+steps share one domain at one scale, swept forward once, must give the
+steps of a chain of standalone searches, whose stages never decrease.
+The integer keys the search compares target values by must order every
+value against every dyadic point exactly as the rationals do.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ deep_steps = st.sampled_from(
 
 
 def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
-    """Drop-in for oracle._first_ladder: every ladder of every length, in order.
+    """Every ladder of every length, in order, over one stage's Fractions.
 
     Ladders are enumerated by plain recursive backtracking in canonical
     order (ascending length, then lexicographic positions), cutting a
@@ -149,6 +149,18 @@ def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
         if tup is not None:
             return tup
     return None
+
+
+def fraction_first_ladder(n, b, c, entries, points, nums, dens, d):
+    """oracle._first_ladder's signature over backtracking_first_ladder.
+
+    The reference's Fraction arguments are rebuilt from the oracle's
+    integers: points at scale d, g-values from their numerators and
+    denominators, and the gap limit 2 * (d >> (n + 2)) over d.
+    """
+    return backtracking_first_ladder(
+        n, b, c, [e[0] for e in entries], [Q(x, d) for x in points],
+        [Q(p, q) for p, q in zip(nums, dens)], Q(2 * (d >> (n + 2)), d))
 
 
 def _search(n, prev_index, w, b, budget):
@@ -219,7 +231,7 @@ def test_search_step_equals_oracle(w, raw, step, prev_index):
     b = prepend(ZERO, raw)
     found = _found(_search(n, prev_index, w, b, budget))
     assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
-    with mock.patch.object(oracle, "_first_ladder", backtracking_first_ladder):
+    with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
         assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
 
 
