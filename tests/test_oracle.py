@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
 
-from solred import oracle
+from solred import cli, oracle
 from solred.approximations import AffineDyadic, Approximation, Kind, prepend
 from solred.construction import build_s2a_from_solovay, check_requirement
 from solred.oracle import oracle_min_hit
@@ -134,3 +135,59 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
         hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b, sc.stage_budget)
         assert (hit.stage, hit.index, hit.tup) == (rec.stage_found, rec.index, rec.tup)
     assert len(trace.steps) == 7 and calls > 0
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (scenario, step, exit code, SHA-256 of stdout, SHA-256 of the payload or None)
+ORACLE_OUTPUTS = [
+    ("linear_basic", 3, 0, "49427a0885286a8f2a592189d4e8a0451cf51fd868ed874480ee8976d200c7bd",
+     "15af3d6745f080320c42b6a239059717369da67edfb960dd716507dc933f0667"),
+    ("identity_c2", 3, 0, "18ff4e9af0aa6e75f8802f1dd953f58c2efa99d46f87ec6c7406e3b0feb4b8c1",
+     "74a4308b4febf5e72a349af9f47e6b846182b49c36fdde62707e0b2f50675218"),
+    ("staged_delay", 3, 0, "fd6b5d4e0453a91125beb9e6feee0927cdca1ec58988e9a1ef2b98e905d5c60a",
+     "f3a4e2c675c07acd2085a6ec31dccf839319b94fa8de50642b87419ce4b15b0f"),
+    ("oscillating", 3, 0, "9bccf886808b357e5bd2e5ef85d3b3c8334ad40a4084b3c0824127551f5f8c22",
+     "0c8899b9291f0eaec55c212fa29bf54c25d539429c11d3b3fd32f5fc76e2b7e9"),
+    ("table_tail", 3, 0, "4701ed92b106efcc7847deafce350cd9ad33c2e6b7650250cc3513e2ed13e5ba",
+     "503dc8efc25329476de2973e10fcb2aeafd228628702c6659841d0c6df96c0ce"),
+    ("scaled_alpha", 3, 0, "47c311b0242840ea786b3846a16681a28e68d24667060e57aeaaec115c2f31a6",
+     "bcd4a1817eaf519f35b9e0f226e91d65332898a2441a8cdc55eab70f0fe79176"),
+    ("invalid_small_c", 3, 2, "3d97c20d5fcc722951d207768ef65f80363e2f620e3321c1dc2bc58d14b72b37",
+     "7873d85bc49badac0c56a35bf9a92e6d3b8b129c57ba0cbcec1d5d9ae0ccb27f"),
+    ("invalid_g_above", 3, 0, "f921378fc11f4cea01b120f0bfaeda399679f0440b30ed12a445c01621ca9d08",
+     "9c7996be0c77eff7908c45c823d9b698771a29c05f2da6f2613ee8b34496be71"),
+    ("mirror_geometric", 3, 3, EMPTY, None),
+    ("mirror_staircase", 3, 3, EMPTY, None),
+    ("linear_basic", 5, 0, "2837d50665d96781e5733a0a1d4f511a28435fb01ffb7c783b893c175ac24030",
+     "96b9c660fc95d44e9ed246faf73b7e1cb9ae79df096366f09ba5b90525fbd70c"),
+    ("identity_c2", 5, 0, "532add27ad70e4bfe6388a9fd626707f8e7c87ee012a086bed09fde3dc5791f6",
+     "da4733715029d7ef33ac116fa774fce1da9fc9b2af14ee661dd70a2c15aaabed"),
+    ("staged_delay", 5, 0, "fb5c81667d50d2c82508c232d1370a33d99ea72da1b6e8fbff2860f6a0ab7e69",
+     "f2f45613c8670e0fdded0ffd8b90c3aa7b1674faf1b17a56ba1e934b0f05dc5d"),
+    ("oscillating", 5, 0, "85da839a38515981bdce41236fa6899972a02bb2fa1de342e7c8b7fd762a2d1c",
+     "7521f2f8d08426307e95adc12d053e9d1a073cf8a4039561062e369d331ec731"),
+    ("table_tail", 5, 0, "f3b49c6aede8d2135f2a3265bee89c39a056943865a0ac946e0708b5a8e2c97c",
+     "51e422c82b7007b6737f37a32f90accb1332e832618a4488c8fb34d322b997da"),
+    ("scaled_alpha", 5, 0, "ef41f1f4022a51417417d89302d0ad5b7ecb4dc0dc7960ef236ece69448e17ba",
+     "e8274e2074daf2bf67864e2a9dda18b8c2437414ea9eed52c3f7740d8e6d5552"),
+    ("invalid_small_c", 5, 2, EMPTY, None),  # exhausted before step 5: no payload
+    ("invalid_g_above", 5, 0, "de0143cff8754e6df10aed135dd6196e79955e1585f4c3c41fa88c9ad24c8ec7",
+     "89861b3d2562f0fd2bd09b7023175d83a89cf2c5c7ce8b1ca1afa79536839b25"),
+    ("mirror_geometric", 5, 3, EMPTY, None),
+    ("mirror_staircase", 5, 3, EMPTY, None),
+    ("scaled_alpha", 6, 0, "3ad2bde1e4d84314da013b2a89e9bd06d5cc29f7738e3e35dab1081e653f2b59",
+     "044c7d0e1d98de7713d7bc8f6b92ba8d19ff73f3e681b1cb145969da7b223dce"),
+]
+
+
+@pytest.mark.parametrize("name, step, code, stdout_sha, payload_sha", ORACLE_OUTPUTS)
+def test_oracle_outputs_are_byte_stable(tmp_path, capsys, name, step, code, stdout_sha,
+                                        payload_sha):
+    """`solred oracle` keeps its exit code, stdout and payload bytes on the corpus."""
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", str(corpus_path(name)), "--step", str(step),
+                     "--out", str(out)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    payload = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert payload == payload_sha
