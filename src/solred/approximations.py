@@ -204,7 +204,7 @@ class Approximation:
         if n < 0:
             raise ValueError("term index must be >= 0")
         value = self.gen.term(n)
-        if not (ZERO <= value <= ONE):
+        if not (0 <= value.numerator <= value.denominator):
             raise ValueError(f"approximation term {n} out of [0,1]: {value}")
         return value
 

@@ -196,10 +196,7 @@ class _Domain:
         inserted = []
         while pending and pending[0][0] <= t:
             j = heapq.heappop(pending)[1]
-            q = g.enumeration.point(j)
-            x, rem = divmod(q.numerator << self.m, q.denominator)
-            if rem:
-                raise ValueError(f"domain point {q} is not exact at scale 2**{self.m}")
+            x = g.enumeration.scaled(j, self.m)
             self.insert(j, x)
             inserted.append(x)
         self.keys.append(self.b.keys(t, self.m))

@@ -3,19 +3,21 @@
 Re-derives step hits with none of the incremental machinery the main
 search uses: every stage rebuilds the domain from scratch, every
 candidate index is tried in turn, and nothing is cached across stages
-or candidates.  Each stage's points are integers P_k over one
-denominator d, the lcm of 2**(n+2) and their own denominators, so the
-slack is S = d >> (n+2) and the gap limit 2S, and b is located by
-cross-multiplied bisection.  Within one stage and index, the canonical
-ladder (least length ell, then least positions in the value-sorted
-domain) comes from an exact-length count per final f in the window: a
-ladder ending at f may use only the members clause (v) admits against
-f, decided per pair as 0 < num and num * d * c_d < c_n * (P_f - P_k +
-S) * d_f * d_k with num = n_f * d_k - n_k * d_f, so the g-values never
-share a denominator.  Ladders of every length from max(2, least hop
-count) up to one hop per member after 0 exist, and the least of the
-finals' lex-first ladders at the least such length, read back from the
-stage's Fraction entries, is accepted solely by check_requirement.
+or candidates.  Each stage's points are the integers P_k that
+enumerate_domain returns at one scale d = 2**m per stage, with
+m = max(n+2, stage.bit_length(), len(prefix).bit_length()), at which
+every point j <= stage is exact; the slack is S = d >> (n+2) and the
+gap limit 2S, and b is located by cross-multiplied bisection.  Within
+one stage and index, the canonical ladder (least length ell, then
+least positions in the value-sorted domain) comes from an
+exact-length count per final f in the window: a ladder ending at f may
+use only the members clause (v) admits against f, decided per pair as
+0 < num and num * d * c_d < c_n * (P_f - P_k + S) * d_f * d_k with
+num = n_f * d_k - n_k * d_f, so the g-values never share a
+denominator.  Ladders of every length from max(2, least hop count) up
+to one hop per member after 0 exist, and the least of the finals'
+lex-first ladders at the least such length, read back as Fractions
+P_k / d, is accepted solely by check_requirement.
 
 The search walks distance classes backward from each final, keying b
 at one scale per construction; this reference counts exact lengths
@@ -28,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .approximations import Approximation
 from .construction import RequirementTuple, check_requirement
@@ -49,24 +50,24 @@ def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
         raise ValueError("searchable steps start at n = 1")
     if stage_cap < 0:
         raise ValueError("stage cap must be >= 0")
+    prefix_len = len(witness.g.enumeration.prefix)
     for stage in range(1, stage_cap + 1):
-        domain = enumerate_domain(witness.g, stage)
-        d = lcm(1 << (n + 2), *(p.denominator for _, p, _ in domain))
-        entries = sorted(domain, key=lambda e: e[1].numerator * (d // e[1].denominator))
-        points = [p.numerator * (d // p.denominator) for _, p, _ in entries]
+        m = max(n + 2, stage.bit_length(), prefix_len.bit_length())
+        entries = sorted(enumerate_domain(witness.g, stage, m), key=lambda e: e[1])
+        points = [x for _, x, _ in entries]
         if not points or points[0] != 0:
             continue
         nums = [v.numerator for _, _, v in entries]
         dens = [v.denominator for _, _, v in entries]
         for i in range(prev_index + 1, stage + 1):
-            tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, d)
+            tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, 1 << m)
             if tup is not None:
                 return OracleHit(stage, i, tup)
     return None
 
 
 def _first_ladder(n: int, b: Fraction, c: Fraction,
-                  entries: list[tuple[int, Fraction, Fraction]], points: list[int],
+                  entries: list[tuple[int, int, Fraction]], points: list[int],
                   nums: list[int], dens: list[int], d: int) -> RequirementTuple | None:
     """Canonical ladder to b over one stage's value-sorted entries, or None.
 
@@ -100,7 +101,7 @@ def _first_ladder(n: int, b: Fraction, c: Fraction,
     ell = min(e for e, _, _ in feasible)
     best = min(_lex_first(chain, hops, ell) for e, chain, hops in feasible if e == ell)
     tup = RequirementTuple(tuple(entries[t][0] for t in best),
-                           tuple(entries[t][1] for t in best),
+                           tuple(Fraction(points[t], d) for t in best),
                            tuple(entries[t][2] for t in best))
     return tup if check_requirement(n, b, c, tup) is None else None
 

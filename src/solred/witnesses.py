@@ -12,6 +12,12 @@ function is given declaratively:
 * a value rule (affine in q, with finite table overrides) fixing
   g(q_j) once and for all -- values never change once defined.
 
+The enumeration gives each point as an integer pair, q_j = numerator /
+2**exponent, and the value rule turns it into g(q_j) as one unreduced
+integer pair.  The search and the oracle read points only as integers
+at a power-of-two scale; point(j) and canonical_point(j) are the
+Fraction views of the pair.
+
 An approximation-pair witness (S2aWitness) is two computable
 approximations and a constant; the claimed relation between them is
 checked prefix-wise against reference reals via enclosures.
@@ -40,15 +46,20 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def canonical_point(j: int) -> Fraction:
-    """j-th dyadic in the canonical order: 0, 1/2, 1/4, 3/4, 1/8, 3/8, ..."""
+def canonical_dyadic(j: int) -> tuple[int, int]:
+    """j-th canonical dyadic as (numerator, exponent), (0, 0) or with an odd numerator."""
     if j < 0:
         raise ValueError("enumeration index must be >= 0")
     if j == 0:
-        return ZERO
+        return 0, 0
     level = j.bit_length()
-    numerator = 2 * (j - (1 << (level - 1))) + 1
-    return Q(numerator, 1 << level)
+    return 2 * (j - (1 << (level - 1))) + 1, level
+
+
+def canonical_point(j: int) -> Fraction:
+    """j-th dyadic in the canonical order: 0, 1/2, 1/4, 3/4, 1/8, 3/8, ..."""
+    numerator, exponent = canonical_dyadic(j)
+    return Q(numerator, 1 << exponent)
 
 
 def canonical_index(q: Fraction) -> int | None:
@@ -87,10 +98,27 @@ class DyadicEnumeration:
     def _prefix_index(self) -> dict[Fraction, int]:
         return {q: j for j, q in enumerate(self.prefix)}
 
-    def point(self, j: int) -> Fraction:
+    @cached_property
+    def _prefix_dyadics(self) -> tuple[tuple[int, int], ...]:
+        return tuple((q.numerator, q.denominator.bit_length() - 1) for q in self.prefix)
+
+    def dyadic(self, j: int) -> tuple[int, int]:
+        """q_j as (numerator, exponent): q_j = numerator / 2**exponent."""
         if j < len(self.prefix):
-            return self.prefix[j]
-        return canonical_point(j)
+            return self._prefix_dyadics[j]
+        return canonical_dyadic(j)
+
+    def scaled(self, j: int, m: int) -> int:
+        """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""
+        numerator, exponent = self.dyadic(j)
+        if exponent > m:
+            raise ValueError(f"domain point {Q(numerator, 1 << exponent)} is not exact "
+                             f"at scale 2**{m}")
+        return numerator << (m - exponent)
+
+    def point(self, j: int) -> Fraction:
+        numerator, exponent = self.dyadic(j)
+        return Q(numerator, 1 << exponent)
 
     def index_of(self, q: Fraction) -> int | None:
         # The prefix permutes the first canonical points, so a point
@@ -152,11 +180,18 @@ class ValueRule:
     def _override_map(self) -> dict[int, Fraction]:
         return dict(self.overrides)
 
-    def value(self, j: int, q: Fraction) -> Fraction:
+    @cached_property
+    def _affine(self) -> tuple[int, int, int]:  # u and v over one denominator
+        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        return un * vd, vn * ud, ud * vd
+
+    def ratio(self, j: int, num: int, e: int) -> tuple[int, int]:
+        """g(q_j) for q_j = num / 2**e as an unreduced integer pair (p, q), q > 0."""
         hit = self._override_map.get(j)
         if hit is not None:
-            return hit
-        return self.u * q + self.v
+            return hit.numerator, hit.denominator
+        a, b, d = self._affine
+        return a * num + (b << e), d << e
 
 
 @dataclass(frozen=True)
@@ -170,7 +205,7 @@ class StagedPartialFunction:
             raise ValueError("q_0 = 0 must become defined at some finite stage")
 
     def value_at(self, j: int) -> Fraction:
-        return self.rule.value(j, self.enumeration.point(j))
+        return Q(*self.rule.ratio(j, *self.enumeration.dyadic(j)))
 
 
 @dataclass(frozen=True)
@@ -210,16 +245,19 @@ def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> Fraction |
     return g.value_at(j)
 
 
-def enumerate_domain(g: StagedPartialFunction, stage: int) -> list[tuple[int, Fraction, Fraction]]:
+def enumerate_domain(g: StagedPartialFunction, stage: int,
+                     m: int) -> list[tuple[int, int, Fraction]]:
     """Dovetailed finite domain at a stage: j <= stage with s_j <= stage.
 
-    Returns (index, point, value) triples in ascending index order.
+    Returns (index, q_j * 2**m, g(q_j)) triples in ascending index order:
+    each point is the integer at scale 2**m, and a point not exact at
+    that scale raises ValueError.
     """
-    out: list[tuple[int, Fraction, Fraction]] = []
+    out: list[tuple[int, int, Fraction]] = []
     for j in range(stage + 1):
         s = g.schedule.stage_of(j)
         if s is not None and s <= stage:
-            out.append((j, g.enumeration.point(j), g.value_at(j)))
+            out.append((j, g.enumeration.scaled(j, m), g.value_at(j)))
     return out
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from solred import witnesses
 from solred.construction import build_s2a_from_solovay
 from solred.scenario import load_scenario
+from solred.witnesses import DyadicEnumeration
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "solred" / "corpus"
 
@@ -46,6 +48,23 @@ def nested_generator_text(levels: int, kind: str) -> str:
     head = '"head": "0", ' if kind == "prepend" else ""
     chain = f'{{"kind": "{kind}", {head}"inner": ' * wrappers + leaf + "}" * wrappers
     return corpus_path("linear_basic").read_text(encoding="utf-8").replace(leaf, chain, 1)
+
+
+def count_fraction_points(monkeypatch) -> dict[str, int]:
+    """Count calls of the two Fraction views of a domain point from now on."""
+    calls = {"canonical_point": 0, "point": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(witnesses, "canonical_point")
+    counting(DyadicEnumeration, "point")
+    return calls
 
 
 @pytest.fixture(scope="session")

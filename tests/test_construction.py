@@ -38,7 +38,7 @@ from solred.witnesses import (
     check_strict_at,
 )
 
-from conftest import VALID_WITNESS_NAMES, corpus_path
+from conftest import VALID_WITNESS_NAMES, corpus_path, count_fraction_points
 
 
 def ladder(points, values):
@@ -310,6 +310,20 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
                                       sc.beta, sc.depth, sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"value_at": 2048, "term": 14, "keys": 9214}
+
+
+def test_construction_builds_no_fraction_point(monkeypatch):
+    """The domain takes each point as an integer at its scale from the dyadic pair.
+
+    Building a reduced Fraction per point and dividing it back cost 9,215
+    canonical_point calls on linear_basic.
+    """
+    calls = count_fraction_points(monkeypatch)
+    sc = load_scenario(corpus_path("linear_basic"))
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
+                                      sc.beta, sc.depth, sc.stage_budget)
+    assert trace.steps[-1].stage_found == 9214
+    assert calls == {"canonical_point": 0, "point": 0}
 
 
 def test_construction_inserts_each_point_once(monkeypatch):

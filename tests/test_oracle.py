@@ -20,7 +20,7 @@ from solred.witnesses import (
     ValueRule,
 )
 
-from conftest import corpus_path
+from conftest import corpus_path, count_fraction_points
 
 
 def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
@@ -115,7 +115,18 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     """Every point, g-value part, constant part and scale _members reads is an int.
 
     Replays the first six steps of invalid_g_above, as construction mode does.
+    enumerate_domain returns every point as an int, and neither the build nor
+    the replay builds a Fraction point.
     """
+    points = count_fraction_points(monkeypatch)
+    real_domain = oracle.enumerate_domain
+
+    def domain_checking(g, stage, m):
+        domain = real_domain(g, stage, m)
+        assert all(type(x) is int for _, x, _ in domain)
+        return domain
+
+    monkeypatch.setattr(oracle, "enumerate_domain", domain_checking)
     sc = load_scenario(corpus_path("invalid_g_above"))
     w = sc.solovay_witness
     _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
@@ -135,6 +146,7 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
         hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b, sc.stage_budget)
         assert (hit.stage, hit.index, hit.tup) == (rec.stage_found, rec.index, rec.tup)
     assert len(trace.steps) == 7 and calls > 0
+    assert points == {"canonical_point": 0, "point": 0}
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

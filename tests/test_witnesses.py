@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -22,6 +23,7 @@ from solred.witnesses import (
     StagedPartialFunction,
     StageSchedule,
     ValueRule,
+    canonical_dyadic,
     canonical_index,
     canonical_point,
     certify,
@@ -124,10 +126,68 @@ def test_eval_staged_is_monotone_in_stage(j, s1, s2):
 
 
 def test_enumerate_domain_examples():
-    assert enumerate_domain(HALVING, 0) == [(0, Q(0), Q(0))]
-    assert [j for j, _, _ in enumerate_domain(HALVING, 3)] == [0, 1, 2, 3]
+    assert enumerate_domain(HALVING, 0, 0) == [(0, 0, Q(0))]
+    assert enumerate_domain(HALVING, 3, 2) == [
+        (0, 0, Q(0)), (1, 2, Q(1, 4)), (2, 1, Q(1, 8)), (3, 3, Q(3, 8))]
     doubled = staged(slope=2)
-    assert [j for j, _, _ in enumerate_domain(doubled, 4)] == [0, 1, 2]
+    assert [(j, x) for j, x, _ in enumerate_domain(doubled, 4, 5)] == [(0, 0), (1, 16), (2, 8)]
+    with pytest.raises(ValueError, match=r"^domain point 1/4 is not exact at scale 2\*\*1$"):
+        enumerate_domain(HALVING, 3, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(enum=st.one_of(st.just(DyadicEnumeration()), permuted_enumerations()),
+       far=st.integers(0, 1 << 40), extra=st.integers(1, 70))
+def test_dyadic_pairs_are_the_points_in_integers(enum, far, extra):
+    for j in [*range(len(enum.prefix) + 2), far]:
+        num, e = enum.dyadic(j)
+        assert (num, e) == (0, 0) or num % 2 == 1
+        assert Q(num, 2 ** e) == enum.point(j)
+        if j >= len(enum.prefix):
+            assert (num, e) == canonical_dyadic(j)
+            assert enum.point(j) == canonical_point(j)
+        for m in (e, e + 1, e + extra):
+            assert enum.scaled(j, m) == enum.point(j) * 2 ** m
+        if e > 0:
+            message = f"domain point {enum.point(j)} is not exact at scale 2**{e - 1}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                enum.scaled(j, e - 1)
+
+
+def test_scaled_rejects_a_point_finer_than_the_scale():
+    assert DyadicEnumeration().scaled(5, 3) == 3
+    with pytest.raises(ValueError, match=r"^domain point 3/8 is not exact at scale 2\*\*2$"):
+        DyadicEnumeration().scaled(5, 2)
+    perm = DyadicEnumeration((Q(0), Q(1, 4), Q(1, 2), Q(3, 4)))
+    assert perm.dyadic(1) == (1, 2) and perm.scaled(1, 2) == 1
+    with pytest.raises(ValueError, match=r"^domain point 1/4 is not exact at scale 2\*\*1$"):
+        perm.scaled(1, 1)
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=1 << 20)
+
+
+@st.composite
+def value_rules(draw):
+    v = draw(unit_rationals.filter(lambda x: x < 1))
+    u = draw(st.fractions(min_value=-v, max_value=1 - v, max_denominator=1 << 20))
+    table = draw(st.dictionaries(st.integers(0, 60), unit_rationals.filter(lambda x: x < 1),
+                                 max_size=6))
+    return ValueRule(u, v, tuple(sorted(table.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(enum=st.one_of(st.just(DyadicEnumeration()), permuted_enumerations()),
+       rule=value_rules(), far=st.integers(0, 1 << 30))
+def test_value_at_is_the_affine_rule_or_its_override(enum, rule, far):
+    g = StagedPartialFunction(enum, StageSchedule(), rule)
+    table = dict(rule.overrides)
+    for j in {*range(len(enum.prefix) + 2), *table, far}:
+        p, q = rule.ratio(j, *enum.dyadic(j))
+        assert q > 0
+        want = table[j] if j in table else rule.u * enum.point(j) + rule.v
+        assert type(g.value_at(j)) is Q
+        assert g.value_at(j) == Q(p, q) == want
 
 
 def test_value_rule_range_validation():
