@@ -235,6 +235,28 @@ def test_search_step_equals_oracle(w, raw, step, prev_index):
         assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
 
 
+def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
+    """The hit candidate arrives with only 0 and 1/8 below its b_i = 1/4.
+
+    Point q_j arrives at stage j, so candidate 4 enters at stage 4, when 0
+    already reaches 1/4 in hops < 1/4 and b_i lies inside reach + gap,
+    but no ladder of three points fits below it.  Stages 5..7 insert
+    points above b_i; stage 8 inserts 1/16 below it, which must wake it,
+    and it hits with (0, 1/16, 1/8).
+    """
+    w = _halving_witness(schedule=StageSchedule(0, 0))
+    b = prepend(ZERO, _constant(Q(1, 4)))
+    domain = _Domain(w.g, b, 1, 12)
+    domain.start_step(1)
+    for _ in range(4):
+        domain.advance()
+    points = [Q(x, 2 ** domain.m) for x in domain.points]
+    assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
+    rec = _search(1, 3, w, b, 12)
+    assert (rec.stage_found, rec.index, rec.tup.points) == (8, 4, (0, Q(1, 16), Q(1, 8)))
+    assert _hit(oracle_min_hit(1, 3, w, b, 12)) == _found(rec)
+
+
 @settings(FUZZ, max_examples=200)
 @given(w=staged_witnesses(), raw=targets, step=deep_steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
