@@ -10,8 +10,9 @@ Payloads are deterministic: byte-identical across reruns with equal
 inputs and overrides.  Timing goes to standard error only, marked
 non-deterministic, so it never contaminates an output file.  Exit codes:
 0 all checks hold / full success, 1 any certified failure, 2 any
-Unknown or budget exhaustion (and none failed), 3 invalid input, 4 an
-internal error.  With several files the worst code wins: 4, 3, 1, 2, 0.
+Unknown or budget exhaustion (and none failed), 3 invalid input (a
+malformed command line too), 4 an internal error.  With several files
+the worst code wins: 4, 3, 1, 2, 0.
 """
 from __future__ import annotations
 
@@ -207,18 +208,25 @@ def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
     return worst_exit(codes)
 
 
-def _add_common(p: argparse.ArgumentParser, *, budget: bool = True) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are invalid input, exit 3."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     p.add_argument("--out", help="output file (one scenario) or directory (several)")
-    if budget:
-        p.add_argument("--stage-budget", type=int, dest="stage_budget",
-                       help="override the scenario's stage budget")
+    p.add_argument("--stage-budget", type=int, dest="stage_budget",
+                   help="override the scenario's stage budget")
     p.add_argument("--jobs", type=int, default=1,
                    help="run independent scenario files in parallel")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solred",
         description="Deterministic construction and verification of "
                     "reducibility witnesses between computably approximable reals.")

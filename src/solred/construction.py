@@ -56,7 +56,7 @@ which cross-multiplies every clause into integers, accepts every hit.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -154,10 +154,12 @@ class _Domain:
     enumeration indices, the keys (fl, ce) of each entered stage's b_s,
     read once from the unreduced integer pair of its term, and g-values,
     read on first use and cached by enumeration index.  For the current
-    step it also tracks the left endpoints of sorted gaps too wide to
-    cross (>= gap, the step's gap limit at the scale) and, per
-    enumeration index, whether the point passes clause (v) against the
-    point 0, which is fixed once 0 is in the domain.
+    step it also tracks the reach, the largest point that 0 reaches with
+    every hop < gap (the step's gap limit at the scale), None until 0 is
+    in the domain, and, per enumeration index, whether the point passes
+    clause (v) against the point 0, which is fixed once 0 is in the
+    domain.  Within a step points only arrive, so the reach only moves
+    up, and keeping it costs one forward walk over the points per step.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
@@ -170,7 +172,7 @@ class _Domain:
         self.points: list[int] = []
         self.indices: list[int] = []
         self.gap = 0
-        self.blocked: list[int] = []  # left endpoints of gaps >= gap
+        self.reach: int | None = None  # largest point 0 reaches with every hop < gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
     def value(self, j: int) -> Fraction:
@@ -181,11 +183,19 @@ class _Domain:
         return v
 
     def start_step(self, n: int) -> None:
-        """Set step n's gap limit, with its blocked gaps, and forget zero_ok."""
-        self.gap = gap = 1 << (self.m - n - 1)
-        pts = self.points
-        self.blocked = [x for x, y in zip(pts, pts[1:]) if y - x >= gap]
+        """Set step n's gap limit, walk its reach from 0, and forget zero_ok."""
+        self.gap = 1 << (self.m - n - 1)
+        self.reach = None
+        if self.points and self.points[0] == 0:
+            self._walk(0)
         self.zero_ok = {}
+
+    def _walk(self, pos: int) -> None:
+        """Set the reach to the last point reached from position pos by hops < gap."""
+        pts = self.points
+        while pos + 1 < len(pts) and pts[pos + 1] - pts[pos] < self.gap:
+            pos += 1
+        self.reach = pts[pos]
 
     def advance(self) -> int | None:
         """Enter the next stage; return the least point it inserts, if any."""
@@ -204,25 +214,15 @@ class _Domain:
 
     def insert(self, j: int, x: int) -> None:
         pos = bisect_left(self.points, x)
-        left = self.points[pos - 1] if pos > 0 else None
-        right = self.points[pos] if pos < len(self.points) else None
-        if left is not None and right is not None and right - left >= self.gap:
-            del self.blocked[bisect_left(self.blocked, left)]
-        if left is not None and x - left >= self.gap:
-            insort(self.blocked, left)
-        if right is not None and right - x >= self.gap:
-            insort(self.blocked, x)
         self.points.insert(pos, x)
         self.indices.insert(pos, j)
+        # x is the point just past the reach when it lands less than one gap past it
+        if x == 0 or (self.reach is not None and self.reach < x < self.reach + self.gap):
+            self._walk(pos)
 
-    def bounds(self) -> tuple[int | None, int | None]:
-        """(third-smallest point, largest point reachable from 0 with every
-        hop < gap, plus gap), each None while undefined."""
-        pts = self.points
-        floor = pts[2] if len(pts) >= 3 else None
-        if not pts or pts[0] != 0:
-            return floor, None
-        return floor, (self.blocked[0] if self.blocked else pts[-1]) + self.gap
+    def ceil(self) -> int | None:
+        """reach + gap: the window of a b_i at or above it holds no reached point."""
+        return None if self.reach is None else self.reach + self.gap
 
 
 def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
@@ -272,13 +272,11 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     def first_member(f: int, lo: int, hi: int) -> int | None:
         return next((k for k in range(lo, hi) if pair_ok(f, k)), None)
 
-    def ladder_to(f: int, max_ell: int | None) -> list[int] | None:
-        """Lex-first shortest ladder ending at f; None if none within max_ell."""
+    def ladder_to(f: int) -> list[int] | None:
+        """Lex-first shortest ladder ending at f; None if 0 cannot reach f."""
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
         top, hi = f, f
         while (lo := bisect_right(pts, pts[top] - gap, 0, hi)) > 0:
-            if max_ell is not None and len(chain) + 2 > max_ell:
-                return None
             top = first_member(f, lo, hi)
             if top is None:
                 return None  # empty distance class: 0 cannot reach f
@@ -298,7 +296,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
             zero_ok[j] = pair_ok(f, 0)
         if not zero_ok[j]:
             continue
-        ladder = ladder_to(f, len(best) - 1 if best is not None else None)
+        ladder = ladder_to(f)
         if ladder is not None and (best is None or (len(ladder), ladder) < (len(best), best)):
             best = ladder
     if best is None:
@@ -322,13 +320,14 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     domain that step n-1 left at stage_found_{n-1}, where step n cannot
     yet have hit (see the module docstring), and a standalone search
     builds a fresh domain at stage 0, at its own scale.
-    Candidates whose value provably admits no ladder at the current
-    domain (the window misses every small-hop-reachable point, or fewer
-    than three points sit below it) wait in heaps keyed by the bound
-    that excludes them; both bounds evolve monotonically, so each
-    candidate is woken at most twice and never re-examined spuriously.
-    A candidate that missed is searched again only at a stage that
-    inserts a point below its b_i.
+    A candidate whose b_i is at or above the domain's ceil (reach + gap)
+    provably admits no ladder yet, since its window holds no point that 0
+    reaches.  It waits in one heap keyed by fl, and the reach only
+    increases within a step, so it is woken at most once.  Every other
+    candidate is ready.  A ready candidate is searched when it becomes
+    ready, and after a miss only at a stage that inserts a point below its
+    b_i.  That includes a candidate with fewer than three points below
+    b_i, whose search stops at once.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -337,32 +336,23 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     domain = domain or _Domain(witness.g, b, n, stage_budget)
     domain.start_step(n)
 
-    ready: list[tuple[int, int, int]] = []  # (i, fl, ce) inside both bounds
-    wait_hi: list[tuple[int, tuple]] = []   # (fl, candidate): b_i at or above the reach bound
-    wait_lo: list[tuple[int, tuple]] = []   # (-ce, candidate): b_i at or below the floor
+    ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
+    wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
     missed: set[int] = set()                # ready candidates whose last search failed
-    # floor: third-smallest point, only decreases; ceil: reach + gap, only increases
-    floor, ceil = domain.bounds()
-
-    def route(cand: tuple[int, int, int]) -> None:
-        _, fl, ce = cand
-        if ceil is None or fl >= ceil:        # b_i >= ceil
-            heapq.heappush(wait_hi, (fl, cand))
-        elif floor is None or ce <= floor:    # b_i <= floor
-            heapq.heappush(wait_lo, (-ce, cand))
-        else:
-            ready.append(cand)
+    ceil = domain.ceil()                    # only increases
 
     s = domain.stage
     low: int | None = None  # least point inserted at stage s
     arrived = range(prev.index + 1, s + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
-            route((i, *domain.keys[i]))
-        while ceil is not None and wait_hi and wait_hi[0][0] < ceil:     # b_i < ceil
-            route(heapq.heappop(wait_hi)[1])
-        while floor is not None and wait_lo and -wait_lo[0][0] > floor:  # b_i > floor
-            route(heapq.heappop(wait_lo)[1])
+            cand = (i, *domain.keys[i])
+            if ceil is None or cand[1] >= ceil:  # b_i >= ceil
+                heapq.heappush(wait, (cand[1], cand))
+            else:
+                ready.append(cand)
+        while ceil is not None and wait and wait[0][0] < ceil:  # b_i < ceil
+            ready.append(heapq.heappop(wait)[1])
         if ready:
             ready.sort()
             for i, fl, ce in ready:
@@ -378,7 +368,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         low = domain.advance()
         s = domain.stage
         if low is not None:
-            floor, ceil = domain.bounds()
+            ceil = domain.ceil()
         arrived = (s,) if s > prev.index else ()
 
 

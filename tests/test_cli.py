@@ -223,6 +223,34 @@ def test_overrides_above_their_bound_are_invalid_input(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{path}", "--mode", "bogus"],
+    ["construct", "{path}", "--depth", "x"],
+    ["oracle", "{path}"],
+    ["construct", "{path}", "--no-such-flag"],
+    [],
+], ids=["unknown-mode", "non-integer-depth", "missing-step", "unknown-flag",
+        "no-subcommand"])
+def test_malformed_command_line_is_invalid_input(tmp_path, capsys, argv):
+    out = tmp_path / "never.json"
+    argv = [a.format(path=corpus_path("linear_basic")) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)] if argv else argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("usage: solred")
+    assert "solred" in captured.err and "error: " in captured.err
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: solred verify")
+
+
 def test_step_below_one_is_invalid_input(tmp_path, capsys):
     out = tmp_path / "never.json"
     code, text, err = run(capsys, "oracle", str(corpus_path("linear_basic")),

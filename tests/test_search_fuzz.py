@@ -11,7 +11,8 @@ shell's integers, and all three must agree.  A full construction, whose
 steps share one domain at one scale, swept forward once, must give the
 steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
-value against every dyadic point exactly as the rationals do.
+value against every dyadic point exactly as the rationals do, and the
+reach the domain keeps incrementally must equal a fresh walk from 0.
 """
 from __future__ import annotations
 
@@ -364,6 +365,35 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     domain.advance()
     assert domain.keys[1] == (fl, ce)
     assert target.term(1) == b
+
+
+def _walked_ceil(domain):
+    """reach + gap by a walk from 0 over the sorted points; None without the point 0."""
+    pts = sorted(domain.points)
+    if not pts or pts[0] != 0:
+        return None
+    k = 0
+    while k + 1 < len(pts) and pts[k + 1] - pts[k] < domain.gap:
+        k += 1
+    return pts[k] + domain.gap
+
+
+@settings(FUZZ, max_examples=200)
+@given(w=staged_witnesses(), depth=st.integers(1, 6), budget=st.integers(0, 60),
+       data=st.data())
+def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
+    """The incrementally kept reach equals a fresh walk after every stage and step.
+
+    Steps 1..depth start in order on one domain, as in a construction,
+    and each advances it by a drawn number of stages up to the budget.
+    """
+    domain = _Domain(w.g, prepend(ZERO, _constant(Q(1, 2))), depth, budget)
+    for n in range(1, depth + 1):
+        domain.start_step(n)
+        assert domain.ceil() == _walked_ceil(domain)
+        for _ in range(data.draw(st.integers(0, budget - domain.stage))):
+            domain.advance()
+            assert domain.ceil() == _walked_ceil(domain)
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
