@@ -231,17 +231,14 @@ def test_overrides_above_their_bound_are_invalid_input(tmp_path, capsys, command
     [],
 ], ids=["unknown-mode", "non-integer-depth", "missing-step", "unknown-flag",
         "no-subcommand"])
-def test_malformed_command_line_is_invalid_input(tmp_path, capsys, argv):
-    out = tmp_path / "never.json"
-    argv = [a.format(path=corpus_path("linear_basic")) for a in argv]
+def test_malformed_command_line_is_invalid_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--out", str(out)] if argv else argv)
+        cli.main([a.format(path=corpus_path("linear_basic")) for a in argv])
     captured = capsys.readouterr()
     assert exc.value.code == 3
     assert captured.out == ""
     assert captured.err.startswith("usage: solred")
-    assert "solred" in captured.err and "error: " in captured.err
-    assert not out.exists()
+    assert re.search(r"^solred( \w+)?: error: ", captured.err, re.M)
 
 
 def test_help_still_exits_0(capsys):
