@@ -225,13 +225,14 @@ class _Domain:
         return None if self.reach is None else self.reach + self.gap
 
 
-def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
+def _lex_first_ladder(n: int, i: int, fl: int, cut: int, c: Fraction, state: _Domain
                       ) -> tuple[Fraction, RequirementTuple] | None:
     """(b_i, canonically first requirement-satisfying ladder) for this stage.
 
-    The canonical ladder is the least by (ell, positions in the
-    value-sorted domain).  It is found by a direct shortest-path search
-    per final f in the window (clause (ii)), with no backtracking:
+    The universe is the cut >= 3 points below b_i, 0 among them.  The
+    canonical ladder is the least by (ell, positions in the value-sorted
+    domain).  It is found by a direct shortest-path search per final f
+    in the window (clause (ii)), with no backtracking:
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
       and requires pair_ok(f, 0); the latter is cached on the domain.
@@ -256,9 +257,6 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     gap = state.gap
     pts = state.points
     idx = state.indices
-    cut = bisect_left(pts, ce)  # universe: points x < b, that is x < ce
-    if cut < 3 or pts[0] != 0:
-        return None
     zero_ok = state.zero_ok
     cn, cd = c.numerator, c.denominator
     shift = state.m + 1
@@ -326,8 +324,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     increases within a step, so it is woken at most once.  Every other
     candidate is ready.  A ready candidate is searched when it becomes
     ready, and after a miss only at a stage that inserts a point below its
-    b_i.  That includes a candidate with fewer than three points below
-    b_i, whose search stops at once.
+    b_i; while fewer than three points lie below b_i, it misses unsearched.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -358,7 +355,11 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
+                cut = bisect_left(domain.points, ce)  # points x < b_i, that is x < ce
+                if cut < 3:  # a ladder needs three
+                    missed.add(i)
+                    continue
+                hit = _lex_first_ladder(n, i, fl, cut, witness.c, domain)
                 if hit is not None:
                     bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
