@@ -258,6 +258,26 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     assert _hit(oracle_min_hit(1, 3, w, b, 12)) == _found(rec)
 
 
+def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
+    """Target values 3/8, 1/2, 3/8, 3/8, ...: step 1 hits index 1 (b = 3/8).
+
+    Steps 2 and 3 hit indices 3 and 4, which share index 1's keys; the
+    least index with those keys lies at or below the previous hit, so each
+    step must still route and search the least of them above that hit.
+    Every step of the construction, whose steps share one domain, equals
+    both a standalone search and the oracle.
+    """
+    w = _halving_witness(schedule=StageSchedule(0, 0))
+    raw = _table((Q(3, 8), Q(1, 2), Q(3, 8)))
+    b = prepend(ZERO, raw)
+    _, trace = build_s2a_from_solovay(w, raw, ExactRational(ZERO), ExactRational(ZERO), 3, 40)
+    assert [(r.index, r.stage_found, r.b_value) for r in trace.steps[1:]] == [
+        (1, 4, Q(3, 8)), (3, 10, Q(3, 8)), (4, 21, Q(3, 8))]
+    for prev, rec in zip(trace.steps, trace.steps[1:]):
+        assert search_step(rec.n, prev, w, b, 40) == rec
+        assert _hit(oracle_min_hit(rec.n, prev.index, w, b, 40)) == _found(rec)
+
+
 @settings(FUZZ, max_examples=200)
 @given(w=staged_witnesses(), raw=targets, step=deep_steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
