@@ -32,10 +32,12 @@ The search is incremental.  A construction keeps one domain and sweeps
 it forward once.  With c > 0, a ladder that meets step n's requirement
 for b_i meets step n-1's too, and every step-n candidate is a
 step-(n-1) candidate, so step n cannot hit before the stage where step
-n-1 did, and it resumes there.  Within a step the domain
-only grows, and a search's answer depends only on (n, b_i, c) and the
-domain points strictly below b_i, so a candidate that missed is
-searched again only at a stage that inserts a point below its b_i.
+n-1 did, and it resumes there.  Within a step the domain only grows,
+and a search's answer depends only on (n, c), the domain points
+strictly below b_i and b_i's keys (fl, ce) below.  So a candidate that
+missed is searched again only at a stage that inserts a point below
+its b_i, and of equal-key candidates only the least index is routed,
+since candidates are searched in ascending i.
 Within one search, each final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
@@ -325,6 +327,9 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     candidate is ready.  A ready candidate is searched when it becomes
     ready, and after a miss only at a stage that inserts a point below its
     b_i; while fewer than three points lie below b_i, it misses unsearched.
+    A candidate whose keys (fl, ce) equal a lesser candidate's is never
+    routed: every search outcome depends on b_i only through its keys, and
+    the lesser one, searched first, hits at every stage the later one would.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -336,6 +341,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
     wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
     missed: set[int] = set()                # ready candidates whose last search failed
+    seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
     ceil = domain.ceil()                    # only increases
 
     s = domain.stage
@@ -343,7 +349,10 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
     arrived = range(prev.index + 1, s + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
-            cand = (i, *domain.keys[i])
+            if (keys := domain.keys[i]) in seen:
+                continue  # a lesser routed index shares every search outcome
+            seen.add(keys)
+            cand = (i, *keys)
             if ceil is None or cand[1] >= ceil:  # b_i >= ceil
                 heapq.heappush(wait, (cand[1], cand))
             else:

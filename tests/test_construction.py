@@ -38,7 +38,12 @@ from solred.witnesses import (
     check_strict_at,
 )
 
-from conftest import VALID_WITNESS_NAMES, corpus_path, count_fraction_points
+from conftest import (
+    INVALID_WITNESS_NAMES,
+    VALID_WITNESS_NAMES,
+    corpus_path,
+    count_fraction_points,
+)
 
 
 def ladder(points, values):
@@ -228,15 +233,20 @@ def test_search_step_first_hit_on_halving_witness():
     assert check_requirement(1, b.term(rec.index), w.c, rec.tup) is None
 
 
-def count_searches(monkeypatch, name):
-    """(ladder searches, exhausted step or None) of a full-depth construct."""
+def count_searches(monkeypatch, name, reads=None):
+    """(ladder searches, exhausted step or None) of a full-depth construct.
+
+    Given a list, each search appends (step, stage, keys of its b_i) to it.
+    """
     calls = 0
     real = construction._lex_first_ladder
 
-    def counting(*args):
+    def counting(n, i, fl, cut, c, state):
         nonlocal calls
         calls += 1
-        return real(*args)
+        if reads is not None:
+            reads.append((n, state.stage, state.keys[i]))
+        return real(n, i, fl, cut, c, state)
 
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
     sc = load_scenario(corpus_path(name))
@@ -252,13 +262,22 @@ def test_ladder_search_work_is_pinned(monkeypatch):
     """A candidate that missed is searched again only when a point lands below b_i.
 
     Searching every ready candidate at every stage cost 78,870 searches on
-    invalid_small_c, over five times the pinned count; each step of a valid
-    witness needs exactly one search.  A step resumes at the stage where
-    the step before it hit, so the stages before that are not searched
-    again: re-running them cost 11,674 searches.
+    invalid_small_c; each step of a valid witness needs exactly one
+    search.  A step resumes at the stage where the step before it hit, so
+    the stages before that are not searched again: re-running them cost
+    11,674 searches.  Of the candidates with equal keys (fl, ce) only the
+    least is routed: routing every one of them cost 11,635 searches.
     """
-    assert count_searches(monkeypatch, "invalid_small_c") == (11635, 3)
+    assert count_searches(monkeypatch, "invalid_small_c") == (245, 3)
     assert count_searches(monkeypatch, "linear_basic") == (12, None)
+
+
+@pytest.mark.parametrize("name", VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES)
+def test_no_two_searches_of_one_stage_read_the_same_keys(monkeypatch, name):
+    """Equal keys give equal search outcomes, so one stage of a step searches each once."""
+    reads = []
+    count_searches(monkeypatch, name, reads)
+    assert reads and len(set(reads)) == len(reads)
 
 
 def test_prop1_image_work_is_pinned(monkeypatch):
