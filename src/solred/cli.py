@@ -11,8 +11,9 @@ inputs and overrides.  Timing goes to standard error only, marked
 non-deterministic, so it never contaminates an output file.  Exit codes:
 0 all checks hold / full success, 1 any certified failure, 2 any
 Unknown or budget exhaustion (and none failed), 3 invalid input (a
-malformed command line too), 4 an internal error.  With several files
-the worst code wins: 4, 3, 1, 2, 0.
+malformed command line, or an --out that cannot be written or that
+several files would write, too), 4 an internal error.  With several
+files the worst code wins: 4, 3, 1, 2, 0.
 """
 from __future__ import annotations
 
@@ -179,32 +180,48 @@ def _run_one(command: str, path: str, opts: dict) -> dict:
     return result
 
 
-def _out_path(out: str | None, paths: list[str], index: int) -> Path | None:
+def _out_paths(out: str | None, paths: list[str]) -> list[Path | None]:
+    """Each scenario's payload file: out itself for one, out/<stem>.json for several."""
     if out is None:
-        return None
+        return [None] * len(paths)
     if len(paths) == 1:
-        return Path(out)
-    return Path(out) / (Path(paths[index]).stem + ".json")
+        return [Path(out)]
+    return [Path(out) / (Path(p).stem + ".json") for p in paths]
+
+
+def _cannot_write(target: str | Path, exc: OSError) -> int:
+    sys.stderr.write(f"{target}: cannot write: {exc.strerror or exc}\n")
+    return EXIT_INVALID
 
 
 def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
     paths: list[str] = args.scenario
+    targets = _out_paths(args.out, paths)
+    if args.out is not None and len(paths) > 1:
+        shared = next((t for t in targets if targets.count(t) > 1), None)
+        if shared is not None:  # files with one stem would overwrite each other's payload
+            sys.stderr.write(f"{shared}: more than one scenario file would write it\n")
+            return EXIT_INVALID
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     if args.jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(_run_one, [command] * len(paths), paths,
                                     [opts] * len(paths)))
     else:
         results = [_run_one(command, p, opts) for p in paths]
-    if args.out is not None and len(paths) > 1:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
     codes = []
-    for idx, res in enumerate(results):
+    for res, target in zip(results, targets):
         sys.stdout.write(res["stdout"])
         sys.stderr.write(res["stderr"])
-        target = _out_path(args.out, paths, idx)
-        if target is not None and res["payload"] is not None:
-            target.write_bytes(res["payload"])
         codes.append(res["code"])
+        if target is not None and res["payload"] is not None:
+            try:
+                target.write_bytes(res["payload"])
+            except OSError as exc:
+                codes.append(_cannot_write(target, exc))
     return worst_exit(codes)
 
 

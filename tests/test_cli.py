@@ -376,6 +376,38 @@ def test_multi_file_skips_output_for_invalid_member(tmp_path, capsys):
     assert not (out / "mirror_geometric.json").exists()
 
 
+@pytest.mark.parametrize("names,out", [
+    (("table_tail",), "no-such-dir/x.json"),
+    (("table_tail", "linear_basic"), "a-file"),
+    (("table_tail",), "."),
+], ids=["missing-dir", "file-as-dir", "dir-as-file"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, names, out):
+    """An --out that cannot be written exits 3 with one line, never a traceback."""
+    (tmp_path / "a-file").write_text("kept\n")
+    target = tmp_path / out
+    code, _, err = run(capsys, "construct", *(str(corpus_path(n)) for n in names),
+                       "--depth", "1", "--out", str(target))
+    assert code == 3
+    untimed = [line for line in err.splitlines() if not TIMING.search(line)]
+    assert len(untimed) == 1 and untimed[0].startswith(f"{target}: cannot write: ")
+    assert (tmp_path / "a-file").read_text() == "kept\n"
+
+
+def test_files_with_one_stem_are_rejected_before_any_run(tmp_path, capsys):
+    """Two files named linear_basic.json would both write OUT/linear_basic.json."""
+    copy_dir = tmp_path / "copy"
+    copy_dir.mkdir()
+    twin = copy_dir / "linear_basic.json"
+    twin.write_bytes(corpus_path("linear_basic").read_bytes())
+    out = tmp_path / "traces"
+    code, text, err = run(capsys, "construct", str(corpus_path("linear_basic")), str(twin),
+                          "--depth", "1", "--out", str(out))
+    assert code == 3
+    assert (text, err) == ("", f"{out / 'linear_basic.json'}: more than one scenario "
+                               "file would write it\n")
+    assert not out.exists()
+
+
 def test_internal_error_exits_4_without_payload(tmp_path, capsys, monkeypatch):
     """A fault in the program is neither a verdict nor invalid input."""
     broken = str(corpus_path("table_tail"))
