@@ -4,7 +4,7 @@ Three subcommands over scenario JSON files:
 
 * ``construct``: run the step construction and write the trace.
 * ``verify``: run one verification mode and write the report.
-* ``oracle``: run the naive minimal-hit search for a single step.
+* ``oracle``: run the independent minimal-hit search for a single step.
 
 Payloads are deterministic: byte-identical across reruns with equal
 inputs and overrides.  Timing goes to standard error only, marked
@@ -22,7 +22,6 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .construction import build_s2a_from_solovay
@@ -207,6 +206,8 @@ def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
         except OSError as exc:
             return _cannot_write(args.out, exc)
     if args.jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(_run_one, [command] * len(paths), paths,
                                     [opts] * len(paths)))
@@ -261,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--depth", type=int, help="override the scenario's step depth")
     v.add_argument("--guard", type=int, help="override the enclosure guard bits")
     v.add_argument("--oracle-depth", type=int, default=6, dest="oracle_depth",
-                   help="largest step cross-checked against the naive search "
+                   help="largest step cross-checked against the independent oracle "
                         "(construction mode)")
 
-    o = sub.add_parser("oracle", help="naive minimal-hit search for one step")
+    o = sub.add_parser("oracle", help="independent minimal-hit search for one step")
     _add_common(o)
     o.add_argument("--step", type=int, required=True, help="step number n >= 1")
     return parser

@@ -41,8 +41,8 @@ since candidates are searched in ascending i.
 Within one search, each final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
-naive oracle re-derives the same hits with none of this machinery, and
-the test suite holds the two to exact equality.
+oracle re-derives the same hits with none of this machinery, and the
+test suite holds the two to exact equality.
 
 The search loop compares integers only.  Domain points and every
 step's gap limit are dyadic, so the domain holds its points at one

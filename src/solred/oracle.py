@@ -1,10 +1,12 @@
 """Independent reference for the step search.
 
 Re-derives step hits with none of the incremental machinery the main
-search uses: every stage rebuilds the domain from scratch, every
-candidate index is tried in turn, and nothing is cached across stages
-or candidates.  Each stage's points are the integers P_k that
-enumerate_domain returns at one scale d = 2**m per stage, with
+search uses: every probed stage rebuilds the domain from scratch,
+every candidate index is tried in turn, and nothing is cached across
+stages or candidates.  The least hitting stage is found by galloping
+and bisecting over stages, which oracle_min_hit justifies.  Each
+stage's points are the integers P_k that enumerate_domain returns at
+one scale d = 2**m per stage, with
 m = max(n+2, stage.bit_length(), len(prefix).bit_length()), at which
 every point j <= stage is exact; the slack is S = d >> (n+2) and the
 gap limit 2S, and b is located by cross-multiplied bisection.  Within
@@ -45,24 +47,57 @@ class OracleHit:
 
 def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
                    b: Approximation, stage_cap: int) -> OracleHit | None:
-    """Minimal (stage, index, ladder) hit for step n, or None below the cap."""
+    """Minimal (stage, index, ladder) hit for step n, or None below the cap.
+
+    "Some candidate hits at stage s" is monotone in s: the domain at s
+    (j <= s with s_j <= s) only grows with s, and g(q_j) does not depend
+    on s; the candidates (prev_index, s] only grow; whether a ladder is
+    valid depends only on n, b_i, c and its own points; and
+    _first_ladder finds a ladder whenever one exists.  So the probes
+    gallop up from stage 1 (1, 2, 4, ..., then the cap) to the first
+    stage that hits, and bisect between it and the last stage that
+    missed.  The probe at the least hitting stage gives that stage, its
+    least hitting index and that index's canonical ladder: exactly the
+    hit of a scan of every stage from 1.
+    """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
     if stage_cap < 0:
         raise ValueError("stage cap must be >= 0")
+    miss, stage = 0, min(1, stage_cap)  # stage 0 has no candidate, so it always misses
+    while True:
+        if stage == miss:
+            return None
+        hit = _stage_hit(n, prev_index, witness, b, stage)
+        if hit is not None:
+            break
+        miss, stage = stage, min(2 * stage, stage_cap)
+    while stage - miss > 1:
+        mid = (miss + stage) // 2
+        probe = _stage_hit(n, prev_index, witness, b, mid)
+        if probe is None:
+            miss = mid
+        else:
+            stage, hit = mid, probe
+    return hit
+
+
+def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximation,
+               stage: int) -> OracleHit | None:
+    """Least hitting index in (prev_index, stage] and its ladder, over the
+    domain rebuilt from scratch at this stage alone, or None."""
     prefix_len = len(witness.g.enumeration.prefix)
-    for stage in range(1, stage_cap + 1):
-        m = max(n + 2, stage.bit_length(), prefix_len.bit_length())
-        entries = sorted(enumerate_domain(witness.g, stage, m), key=lambda e: e[1])
-        points = [x for _, x, _ in entries]
-        if not points or points[0] != 0:
-            continue
-        nums = [v.numerator for _, _, v in entries]
-        dens = [v.denominator for _, _, v in entries]
-        for i in range(prev_index + 1, stage + 1):
-            tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, 1 << m)
-            if tup is not None:
-                return OracleHit(stage, i, tup)
+    m = max(n + 2, stage.bit_length(), prefix_len.bit_length())
+    entries = sorted(enumerate_domain(witness.g, stage, m), key=lambda e: e[1])
+    points = [x for _, x, _ in entries]
+    if not points or points[0] != 0:
+        return None
+    nums = [v.numerator for _, _, v in entries]
+    dens = [v.denominator for _, _, v in entries]
+    for i in range(prev_index + 1, stage + 1):
+        tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, 1 << m)
+        if tup is not None:
+            return OracleHit(stage, i, tup)
     return None
 
 

@@ -67,6 +67,12 @@ def count_fraction_points(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def probe_bound(stage_cap: int) -> int:
+    """Most one-stage probes oracle_min_hit may make below a stage cap:
+    2 * ceil(log2(cap)) + 2, the gallop's and the bisection's."""
+    return 2 * (stage_cap - 1).bit_length() + 2 if stage_cap else 0
+
+
 @pytest.fixture(scope="session")
 def scenarios():
     return {name: load_scenario(corpus_path(name)) for name in ALL_NAMES}

@@ -2,7 +2,7 @@
 
 Each test pins one shipped guarantee: full-depth construction with the
 constant carried through unchanged, exact agreement between the
-incremental search and the naive oracle, decidable requirement checks,
+incremental search and the oracle, decidable requirement checks,
 left-c.e. closure with certified gaps, mirror pairs at constant one,
 honest failure reporting, byte-identical reruns, and sound enclosures.
 """

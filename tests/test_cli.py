@@ -352,7 +352,7 @@ def test_jobs_pool_is_bounded_by_the_file_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     paths = [str(corpus_path(name)) for name in ("linear_basic", "invalid_g_above")]
     payloads = []
     for jobs in ("1", "1000"):

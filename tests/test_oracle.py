@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from solred import cli, oracle
+from solred import cli, harness, oracle
 from solred.approximations import AffineDyadic, Approximation, Kind, prepend
 from solred.construction import build_s2a_from_solovay, check_requirement
 from solred.oracle import oracle_min_hit
@@ -20,7 +20,7 @@ from solred.witnesses import (
     ValueRule,
 )
 
-from conftest import corpus_path, count_fraction_points
+from conftest import INVALID_WITNESS_NAMES, corpus_path, count_fraction_points, probe_bound
 
 
 def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
@@ -109,6 +109,32 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
                          sc.stage_budget)
     assert hit is not None
     assert calls == 1
+
+
+def test_oracle_probe_count_is_pinned(monkeypatch):
+    """Construction mode's 8 oracle replays on the two invalid files rebuild 84 stages.
+
+    Each replay probes at most 2 * ceil(log2(stage budget)) + 2 stages,
+    one domain rebuild each.  Scanning every stage from 1 rebuilt 342.
+    """
+    rebuilds = []
+    real_domain, real_min_hit = oracle.enumerate_domain, oracle_min_hit
+
+    def domain(*args):
+        rebuilds[-1] += 1
+        return real_domain(*args)
+
+    def min_hit(n, prev_index, w, b, stage_cap):
+        rebuilds.append(0)
+        hit = real_min_hit(n, prev_index, w, b, stage_cap)
+        assert rebuilds[-1] <= probe_bound(stage_cap)
+        return hit
+
+    monkeypatch.setattr(oracle, "enumerate_domain", domain)
+    monkeypatch.setattr(harness, "oracle_min_hit", min_hit)
+    for name in INVALID_WITNESS_NAMES:
+        assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
+    assert (len(rebuilds), sum(rebuilds)) == (8, 84)
 
 
 def test_oracle_inner_loop_runs_on_integers(monkeypatch):

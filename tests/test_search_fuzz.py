@@ -13,6 +13,9 @@ steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
 value against every dyadic point exactly as the rationals do, and the
 reach the domain keeps incrementally must equal a fresh walk from 0.
+The oracle's galloping, bisecting stage search must return the hit of
+the linear stage shell kept below, built from the same one-stage probe,
+in at most 2 * ceil(log2(cap)) + 2 probes.
 """
 from __future__ import annotations
 
@@ -47,6 +50,8 @@ from solred.witnesses import (
     ValueRule,
     canonical_point,
 )
+
+from conftest import probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -101,11 +106,15 @@ steps = st.sampled_from([(1, 4, 12), (2, 10, 18), (3, 18, 26)]).flatmap(
     lambda nb: st.tuples(st.just(nb[0]), st.integers(nb[1], nb[2])))
 
 # The same for the search against oracle_min_hit alone, whose ladder reference
-# is polynomial: the caps only bound the oracle's per-stage domain rebuilds.
-# Step n's gap limit 2**-(n+1) needs about 2**(n+1) points below b_i, so the
-# least budget grows with n.
+# is polynomial and whose stage search bisects, so a budget costs it about
+# log2(budget) domain rebuilds.  Step n's ladders hop less than 2**-(n+1), and
+# the canonical enumeration brings in every point of denominator 2**(n+2) only
+# at about stage 2**(n+2).  So budgets run from about 2**(n+1), where most
+# draws exhaust, up to 2**(n+3) from step 5 on, where some of every step's
+# draws hit.
 deep_steps = st.sampled_from(
-    [(1, 4, 40), (2, 10, 60), (3, 18, 80), (4, 34, 100), (5, 66, 120)]).flatmap(
+    [(1, 4, 40), (2, 10, 60), (3, 18, 80), (4, 34, 100), (5, 66, 256), (6, 130, 512),
+     (7, 258, 1024)]).flatmap(
     lambda nb: st.tuples(st.just(nb[0]), st.integers(nb[1], nb[2])))
 
 
@@ -162,6 +171,29 @@ def fraction_first_ladder(n, b, c, entries, points, nums, dens, d):
     return backtracking_first_ladder(
         n, b, c, [e[0] for e in entries], [Q(x, d) for x in points],
         [Q(p, q) for p, q in zip(nums, dens)], Q(2 * (d >> (n + 2)), d))
+
+
+def linear_min_hit(n, prev_index, w, b, stage_cap):
+    """The stage shell oracle_min_hit replaced: probe every stage from 1 up,
+    in turn, and return the first hit."""
+    for stage in range(1, stage_cap + 1):
+        hit = oracle._stage_hit(n, prev_index, w, b, stage)
+        if hit is not None:
+            return hit
+    return None
+
+
+def probed_min_hit(n, prev_index, w, b, stage_cap):
+    """oracle_min_hit's result and the stages it probed, in order."""
+    probed = []
+    real = oracle._stage_hit
+
+    def probe(n, prev_index, w, b, stage):
+        probed.append(stage)
+        return real(n, prev_index, w, b, stage)
+
+    with mock.patch.object(oracle, "_stage_hit", probe):
+        return oracle_min_hit(n, prev_index, w, b, stage_cap), probed
 
 
 def _search(n, prev_index, w, b, budget):
@@ -285,6 +317,58 @@ def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
     b = prepend(ZERO, raw)
     found = _found(_search(n, prev_index, w, b, budget))
     assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+
+
+@FUZZ
+@given(w=staged_witnesses(), raw=targets, n=st.integers(1, 3), cap=st.integers(0, 40),
+       prev_index=st.integers(0, 3))
+def test_bisection_equals_the_linear_shell(w, raw, n, cap, prev_index):
+    b = prepend(ZERO, raw)
+    hit, probed = probed_min_hit(n, prev_index, w, b, cap)
+    assert hit == linear_min_hit(n, prev_index, w, b, cap)
+    assert len(probed) <= probe_bound(cap)
+
+
+def _early_witness():
+    """The halving witness with 1/8 and 1/16 enumerated second and third:
+    b = 1/4 hits at step 1 from stage 2 on, with (0, 1/16, 1/8)."""
+    order = [0, 4, 8, *(j for j in range(1, 16) if j not in (4, 8))]
+    g = StagedPartialFunction(DyadicEnumeration(tuple(canonical_point(j) for j in order)),
+                              StageSchedule(0, 0), ValueRule(Q(1, 2), ZERO))
+    return SolovayWitness(g, Q(1, 2))
+
+
+PINNED_CAPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64)
+HALVES = prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE, None))
+
+
+@pytest.mark.parametrize("cap", PINNED_CAPS)
+def test_bisection_equals_the_linear_shell_at_pinned_caps(cap):
+    """Least hitting stages and caps at 0, 1, 2, powers of two and their neighbours.
+
+    On the early witness the least hitting stage is max(2, prev_index + 1);
+    on the halving witness, with b_i = 1/2 for every i, it is
+    max(4, prev_index + 1).  Stages 2, 4, 8, 16 and 32 are gallop points,
+    so a hit there ends the gallop at the least hitting stage itself.
+    """
+    early, halving = _early_witness(), _halving_witness(schedule=StageSchedule(0, 0))
+    quarter = prepend(ZERO, _constant(Q(1, 4)))
+    cases = [(early, quarter, 1, 2), (early, quarter, 2, 3)]
+    cases += [(halving, HALVES, least - 1, least)
+              for least in (4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)]
+    for w, b, prev_index, least in cases:
+        hit, probed = probed_min_hit(1, prev_index, w, b, cap)
+        assert hit == linear_min_hit(1, prev_index, w, b, cap)
+        assert (None if hit is None else hit.stage) == (least if cap >= least else None)
+        assert len(probed) <= probe_bound(cap)
+
+
+def test_a_hit_on_a_gallop_point_bisects_only_below_it():
+    """The least hitting stage 8 ends the gallop 1, 2, 4, 8, and the
+    bisection probes only 6 and 7 between the miss at 4 and the hit."""
+    hit, probed = probed_min_hit(1, 7, _halving_witness(schedule=StageSchedule(0, 0)), HALVES, 100)
+    assert probed == [1, 2, 4, 8, 6, 7]
+    assert (hit.stage, hit.index) == (8, 8)
 
 
 @FUZZ
