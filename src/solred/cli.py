@@ -22,13 +22,14 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .construction import build_s2a_from_solovay
 from .approximations import prepend
 from .errors import BudgetExhausted, InvalidScenario, ScenarioError
 from .harness import (
-    Report,
+    ORACLE_DEPTH,
     ladder_payload,
     trace_payload,
     verify_construction,
@@ -39,7 +40,7 @@ from .harness import (
 )
 from .oracle import oracle_min_hit
 from .reals import ZERO
-from .scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, load_scenario
+from .scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -77,44 +78,44 @@ def _construct_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load(path: str, opts: dict) -> Scenario:
+    """The scenario at path with each --depth, --stage-budget and --guard given applied."""
+    overrides = {k: opts[k] for k in ("depth", "stage_budget", "guard") if opts.get(k) is not None}
+    return replace(load_scenario(path), **overrides)
+
+
 def _run_construct(path: str, opts: dict) -> dict:
-    sc = load_scenario(path)
-    depth = opts["depth"] if opts["depth"] is not None else sc.depth
-    budget = opts["stage_budget"] if opts["stage_budget"] is not None else sc.stage_budget
+    sc = _load(path, opts)
     if sc.solovay_witness is None:
         raise InvalidScenario("construct needs a scenario with a solovay_witness")
     code = EXIT_OK
     err = ""
     try:
         _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
-                                          sc.alpha, sc.beta, depth, budget)
+                                          sc.alpha, sc.beta, sc.depth, sc.stage_budget)
     except BudgetExhausted as exc:
         trace = exc.partial
         code = EXIT_INCONCLUSIVE
         err = f"{sc.name}: {exc}\n"
-    payload = trace_payload(sc, trace, depth, budget)
+    payload = trace_payload(sc, trace)
     return {"code": code, "stdout": _construct_text(payload), "stderr": err,
             "payload": _dump(payload)}
 
 
 def _run_verify(path: str, opts: dict) -> dict:
-    sc = load_scenario(path)
+    sc = _load(path, opts)
     mode = opts["mode"]
+    # Each mode by name, not from a dict: the perfbench tracer rebinds these module names.
     if mode == "construction":
-        report = verify_construction(sc, depth=opts["depth"],
-                                     stage_budget=opts["stage_budget"],
-                                     guard=opts["guard"],
-                                     oracle_depth=opts["oracle_depth"])
+        report = verify_construction(sc, oracle_depth=opts["oracle_depth"])
     elif mode == "mirror":
-        report = verify_mirror(sc, depth=opts["depth"], guard=opts["guard"])
+        report = verify_mirror(sc)
     elif mode == "prop1":
-        report = verify_prop1(sc, depth=opts["depth"],
-                              stage_budget=opts["stage_budget"],
-                              guard=opts["guard"])
+        report = verify_prop1(sc)
     elif mode == "s2a-check":
-        report = verify_s2a_declared(sc, depth=opts["depth"], guard=opts["guard"])
+        report = verify_s2a_declared(sc)
     elif mode == "solovay-check":
-        report = verify_solovay_grid(sc, stage_budget=opts["stage_budget"])
+        report = verify_solovay_grid(sc)
     else:
         raise InvalidScenario(f"unknown verify mode: {mode}")
     return {"code": report.exit_code(), "stdout": report.to_text(), "stderr": "",
@@ -122,11 +123,11 @@ def _run_verify(path: str, opts: dict) -> dict:
 
 
 def _run_oracle(path: str, opts: dict) -> dict:
-    sc = load_scenario(path)
+    sc = _load(path, opts)
     if sc.solovay_witness is None:
         raise InvalidScenario("oracle needs a scenario with a solovay_witness")
     n = opts["step"]
-    budget = opts["stage_budget"] if opts["stage_budget"] is not None else sc.stage_budget
+    budget = sc.stage_budget
     w = sc.solovay_witness
     try:
         _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "solovay-check"])
     v.add_argument("--depth", type=int, help="override the scenario's step depth")
     v.add_argument("--guard", type=int, help="override the enclosure guard bits")
-    v.add_argument("--oracle-depth", type=int, default=6, dest="oracle_depth",
+    v.add_argument("--oracle-depth", type=int, default=ORACLE_DEPTH, dest="oracle_depth",
                    help="largest step cross-checked against the independent oracle "
                         "(construction mode)")
 
@@ -286,15 +287,7 @@ def main(argv: list[str] | None = None) -> int:
             bound = f">= {least}" if value < least else f"<= {_MOST[name]}"
             sys.stderr.write(f"--{name.replace('_', '-')} must be {bound}\n")
             return EXIT_INVALID
-    opts = {
-        "depth": getattr(args, "depth", None),
-        "stage_budget": getattr(args, "stage_budget", None),
-        "guard": getattr(args, "guard", None),
-        "oracle_depth": getattr(args, "oracle_depth", 6),
-        "mode": getattr(args, "mode", None),
-        "step": getattr(args, "step", None),
-    }
-    return _execute(args.command, args, opts)
+    return _execute(args.command, args, vars(args))
 
 
 if __name__ == "__main__":

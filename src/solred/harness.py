@@ -50,6 +50,7 @@ ZERO = Q(0)
 
 GRID_LEVELS = 5        # spot-check grid: canonical points of index < 2**GRID_LEVELS
 GRID_BUDGET = 64       # enclosure/cut budget for grid checks
+ORACLE_DEPTH = 6       # construction mode: steps cross-checked against the oracle
 
 MIRROR_CITATION = {
     "claim": "the mirror direction does not reverse: the complement of a "
@@ -183,16 +184,16 @@ def _grid_points(scenario: Scenario) -> list[Fraction]:
             if left_cut_member(scenario.beta, q, GRID_BUDGET) is CutVerdict.IN_LEFT_CUT]
 
 
-def _witness_grid_section(report: Report, scenario: Scenario, stage: int) -> None:
+def _witness_grid_section(report: Report, scenario: Scenario) -> None:
     rows = []
     for q in _grid_points(scenario):
-        verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha,
-                                   scenario.beta, q, stage, GRID_BUDGET)
+        verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha, scenario.beta,
+                                   q, scenario.stage_budget, GRID_BUDGET)
         rows.append({"q": format_fraction(q), "verdict": verdict.value})
         report.tally(verdict.value)
     report.sections["witness_grid"] = {
         "inequality": "0 < alpha - g(q) < c*(beta - q)",
-        "stage": stage,
+        "stage": scenario.stage_budget,
         "enclosure_budget": GRID_BUDGET,
         "points": rows,
     }
@@ -217,15 +218,14 @@ def ladder_payload(tup: RequirementTuple) -> dict:
     }
 
 
-def trace_payload(scenario: Scenario, trace: ConstructionTrace,
-                  depth: int, stage_budget: int) -> dict:
+def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
     """Deterministic JSON payload for a construction trace."""
     steps = list(trace.steps)
     payload: dict = {
         "format_version": "1",
         "kind": "construction_trace",
         "scenario": scenario.name,
-        "parameters": {"depth": depth, "stage_budget": stage_budget},
+        "parameters": {"depth": scenario.depth, "stage_budget": scenario.stage_budget},
         "constant": format_fraction(scenario.solovay_witness.c),
         "beta_index_offset": trace.beta_index_offset,
         "steps": [],
@@ -246,21 +246,17 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace,
     return payload
 
 
-def verify_construction(scenario: Scenario, *, depth: int | None = None,
-                        stage_budget: int | None = None, guard: int | None = None,
-                        oracle_depth: int = 6) -> Report:
+def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH) -> Report:
     """Full pipeline check: witness grid, build, per-step strict bounds, oracle."""
     if scenario.solovay_witness is None:
         raise InvalidScenario("construction mode needs a solovay_witness")
-    depth = scenario.depth if depth is None else depth
-    stage_budget = scenario.stage_budget if stage_budget is None else stage_budget
-    guard = scenario.guard if guard is None else guard
+    depth, stage_budget, guard = scenario.depth, scenario.stage_budget, scenario.guard
     w = scenario.solovay_witness
     report = Report("construction", scenario.name,
                     {"depth": depth, "stage_budget": stage_budget, "guard": guard,
                      "oracle_depth": oracle_depth})
 
-    _witness_grid_section(report, scenario, stage_budget)
+    _witness_grid_section(report, scenario)
 
     exhausted_at = None
     try:
@@ -323,13 +319,11 @@ def verify_construction(scenario: Scenario, *, depth: int | None = None,
     return report
 
 
-def verify_mirror(scenario: Scenario, *, depth: int | None = None,
-                  guard: int | None = None) -> Report:
+def verify_mirror(scenario: Scenario) -> Report:
     """Mirror pipeline: kind checks on both sides plus the c = 1 pair bound."""
     if scenario.alpha_leftce_approx is None:
         raise InvalidScenario("mirror mode needs an alpha_leftce_approx")
-    depth = scenario.depth if depth is None else depth
-    guard = scenario.guard if guard is None else guard
+    depth, guard = scenario.depth, scenario.guard
     a = scenario.alpha_leftce_approx
     report = Report("mirror", scenario.name, {"depth": depth, "guard": guard})
     report.citations.append(MIRROR_CITATION)
@@ -360,16 +354,13 @@ def verify_mirror(scenario: Scenario, *, depth: int | None = None,
     return report
 
 
-def verify_prop1(scenario: Scenario, *, depth: int | None = None,
-                 stage_budget: int | None = None, guard: int | None = None) -> Report:
+def verify_prop1(scenario: Scenario) -> Report:
     """Downward-closure check: monotone image below alpha with the gap bound."""
     if scenario.solovay_witness is None:
         raise InvalidScenario("prop1 mode needs a solovay_witness")
     if scenario.beta_approx.kind is not Kind.LEFT_CE:
         raise InvalidScenario("prop1 mode needs a left_ce beta_approx")
-    depth = scenario.depth if depth is None else depth
-    stage_budget = scenario.stage_budget if stage_budget is None else stage_budget
-    guard = scenario.guard if guard is None else guard
+    depth, stage_budget, guard = scenario.depth, scenario.stage_budget, scenario.guard
     w = scenario.solovay_witness
     b = scenario.beta_approx
     report = Report("prop1", scenario.name,
@@ -449,13 +440,11 @@ def verify_prop1(scenario: Scenario, *, depth: int | None = None,
     return report
 
 
-def verify_s2a_declared(scenario: Scenario, *, depth: int | None = None,
-                        guard: int | None = None) -> Report:
+def verify_s2a_declared(scenario: Scenario) -> Report:
     """Check a declared approximation pair against alpha and beta."""
     if scenario.s2a_witness is None:
         raise InvalidScenario("s2a-check mode needs an s2a_witness")
-    depth = scenario.depth if depth is None else depth
-    guard = scenario.guard if guard is None else guard
+    depth, guard = scenario.depth, scenario.guard
     m = scenario.s2a_witness
     report = Report("s2a-check", scenario.name, {"depth": depth, "guard": guard})
     checks = check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard)
@@ -469,11 +458,10 @@ def verify_s2a_declared(scenario: Scenario, *, depth: int | None = None,
     return report
 
 
-def verify_solovay_grid(scenario: Scenario, *, stage_budget: int | None = None) -> Report:
+def verify_solovay_grid(scenario: Scenario) -> Report:
     """Grid-only spot check of the Solovay condition."""
     if scenario.solovay_witness is None:
         raise InvalidScenario("solovay-check mode needs a solovay_witness")
-    stage_budget = scenario.stage_budget if stage_budget is None else stage_budget
-    report = Report("solovay-check", scenario.name, {"stage_budget": stage_budget})
-    _witness_grid_section(report, scenario, stage_budget)
+    report = Report("solovay-check", scenario.name, {"stage_budget": scenario.stage_budget})
+    _witness_grid_section(report, scenario)
     return report

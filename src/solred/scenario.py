@@ -78,12 +78,12 @@ class Scenario:
     alpha: ReferenceReal
     beta: ReferenceReal
     beta_approx: Approximation
-    solovay_witness: SolovayWitness | None = None
-    alpha_leftce_approx: Approximation | None = None
-    s2a_witness: S2aWitness | None = None
-    depth: int = 12
-    stage_budget: int = 10000
-    guard: int = 8
+    solovay_witness: SolovayWitness | None
+    alpha_leftce_approx: Approximation | None
+    s2a_witness: S2aWitness | None
+    depth: int
+    stage_budget: int
+    guard: int
 
 
 def parse_fraction(raw: object, where: str) -> Fraction:

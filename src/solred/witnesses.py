@@ -91,7 +91,7 @@ class DyadicEnumeration:
         if self.prefix[0] != ZERO:
             raise ValueError("enumeration prefix must keep 0 at index 0")
         expected = {canonical_point(j) for j in range(len(self.prefix))}
-        if set(self.prefix) != expected or len(set(self.prefix)) != len(self.prefix):
+        if set(self.prefix) != expected:  # the canonical points are distinct
             raise ValueError("prefix must permute the first canonical points")
 
     @cached_property

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as Q
 
 from solred import cli
@@ -158,7 +159,7 @@ def test_leftce_closure_stays_below_alpha_with_certified_gap(scenarios):
     for name in LEFTCE_WITNESS_NAMES:
         sc = scenarios[name]
         w = sc.solovay_witness
-        image = verify_prop1(sc, depth=depth).sections["image"]
+        image = verify_prop1(replace(sc, depth=depth)).sections["image"]
         closure = [Q(row["a_n"]) for row in image["terms"]]
         assert len(closure) == depth + 1, name
         assert closure == sorted(closure), name
@@ -204,7 +205,7 @@ def test_mirror_pairs_hold_with_constant_one(scenarios):
 
 def test_mirror_reports_carry_labeled_citation(scenarios):
     for name in MIRROR_NAMES:
-        report = verify_mirror(scenarios[name], depth=None, guard=None)
+        report = verify_mirror(scenarios[name])
         assert report.exit_code() == 0, name
         assert report.citations, name
         assert {c["status"] for c in report.citations} == {"not machine-checkable"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -127,7 +128,7 @@ def test_s2a_check_evaluates_each_staircase_term_once(monkeypatch):
         return real(self, n)
 
     monkeypatch.setattr(Table, "term", counting)
-    report = verify_s2a_declared(sc, depth=600)
+    report = verify_s2a_declared(replace(sc, depth=600))
     assert report.exit_code() == 0
     assert calls == 1202
 

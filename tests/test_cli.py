@@ -8,14 +8,26 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from solred import cli
-from solred.scenario import MAX_DEPTH, MAX_EXPONENT, MAX_GUARD, MAX_RATE, MAX_STAGE_BUDGET
+from solred import cli, harness
+from solred.approximations import prepend
+from solred.construction import build_s2a_from_solovay
+from solred.oracle import oracle_min_hit
+from solred.reals import ZERO
+from solred.scenario import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_GUARD,
+    MAX_RATE,
+    MAX_STAGE_BUDGET,
+    load_scenario,
+)
 
 from conftest import ALL_NAMES, corpus_path, nested_alpha_text
 
@@ -129,6 +141,60 @@ def test_verify_construction_mode_with_overrides(tmp_path, capsys):
     assert payload["parameters"]["depth"] == 4
     assert payload["sections"]["oracle"]["compared_steps"] == 2
     assert payload["summary"]["overall"] == "pass"
+
+
+_VERIFY_MODES = {"construction": harness.verify_construction, "mirror": harness.verify_mirror,
+                 "prop1": harness.verify_prop1, "s2a-check": harness.verify_s2a_declared,
+                 "solovay-check": harness.verify_solovay_grid}
+
+
+def _library_payload(argv: list[str], sc) -> dict:
+    """The payload the library gives for the command in argv run on scenario sc."""
+    if argv[0] == "verify":
+        return _VERIFY_MODES[argv[2]](sc).payload()
+    w = sc.solovay_witness
+    if argv[0] == "construct":
+        _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
+                                          sc.depth, sc.stage_budget)
+        return harness.trace_payload(sc, trace)
+    step = int(argv[2])
+    _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
+                                      step - 1, sc.stage_budget)
+    prev = trace.steps[-1].index
+    hit = oracle_min_hit(step, prev, w, prepend(ZERO, sc.beta_approx), sc.stage_budget)
+    return {"format_version": "1", "kind": "oracle_result", "scenario": sc.name,
+            "parameters": {"step": step, "stage_budget": sc.stage_budget, "prev_index": prev},
+            "hit": {"stage": hit.stage, "i": hit.index, "ladder": harness.ladder_payload(hit.tup)}}
+
+
+_OVERRIDES = {"depth": 3, "stage_budget": 700, "guard": 3}
+_ALL_FLAGS = tuple(_OVERRIDES)
+
+
+@pytest.mark.parametrize("argv, name, flags", [
+    pytest.param(argv, name, flags, id=" ".join(argv)) for argv, name, flags in [
+        (["construct"], "linear_basic", ("depth", "stage_budget")),
+        (["oracle", "--step", "2"], "linear_basic", ("stage_budget",)),
+        (["verify", "--mode", "construction"], "linear_basic", _ALL_FLAGS),
+        (["verify", "--mode", "mirror"], "mirror_geometric", _ALL_FLAGS),
+        (["verify", "--mode", "prop1"], "linear_basic", _ALL_FLAGS),
+        (["verify", "--mode", "s2a-check"], "mirror_staircase", _ALL_FLAGS),
+        (["verify", "--mode", "solovay-check"], "table_tail", _ALL_FLAGS),
+    ]])
+def test_overrides_run_the_library_on_the_replaced_scenario(tmp_path, capsys, argv, name,
+                                                            flags):
+    path = corpus_path(name)
+    sc = load_scenario(path)
+    assert all(getattr(sc, k) != v for k, v in _OVERRIDES.items())
+    for given in (flags, ()):
+        out = tmp_path / f"{len(given)}.json"
+        options = [a for k in given for a in (f"--{k.replace('_', '-')}", str(_OVERRIDES[k]))]
+        assert run(capsys, argv[0], str(path), *argv[1:], *options, "--out", str(out))[0] == 0
+        applied = replace(sc, **{k: _OVERRIDES[k] for k in given})
+        assert out.read_bytes() == cli._dump(_library_payload(argv, applied))
+        parameters = json.loads(out.read_bytes())["parameters"]
+        for k in set(_OVERRIDES) & set(parameters):
+            assert parameters[k] == (_OVERRIDES[k] if k in given else getattr(sc, k)), k
 
 
 def test_verify_flags_a_witness_that_overshoots(tmp_path, capsys):

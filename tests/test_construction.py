@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -295,7 +296,7 @@ def test_prop1_image_work_is_pinned(monkeypatch):
         return real(self, n)
 
     monkeypatch.setattr(construction.WitnessImage, "term", counting)
-    report = verify_prop1(load_scenario(corpus_path("linear_basic")), depth=40)
+    report = verify_prop1(replace(load_scenario(corpus_path("linear_basic")), depth=40))
     assert report.sections["image"]["evaluated_terms"] == 41
     assert report.sections["image"]["monotone_violation_at"] is None
     assert calls == 41

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -92,6 +93,8 @@ def test_enumeration_prefix_permutation():
         DyadicEnumeration((Q(1, 2), Q(0)))
     with pytest.raises(ValueError):
         DyadicEnumeration((Q(0), Q(1, 8)))
+    with pytest.raises(ValueError):
+        DyadicEnumeration((Q(0), Q(1, 2), Q(1, 2)))
 
 
 def test_eval_staged_immediate_and_delayed():
@@ -394,7 +397,7 @@ def prop1_scenario(name, u, v, c):
     prop1_scenario("g_overshoots", "1", "0", "1"),
 ], ids=lambda sc: sc.name)
 def test_prop1_rows_equal_the_old_comparisons(scenario):
-    sections = verify_prop1(scenario, depth=8).sections
+    sections = verify_prop1(replace(scenario, depth=8)).sections
     for row in sections["below_alpha"]["steps"]:
         lo, hi = map(Q, row["alpha_enclosure"])
         assert row["verdict"] == old_below_alpha(Q(row["a_n"]), lo, hi)
