@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .reals import Complement as ComplementReal
 from .reals import ReferenceReal, enclose
@@ -61,6 +62,12 @@ class DecayBound:
         return self.v * Q(1, 1 << (self.w * n))
 
 
+def over_one_denominator(u: Fraction, v: Fraction) -> tuple[int, int, int]:
+    """(U, V, D) with u = U / D and v = V / D, D the product of the denominators."""
+    (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
+    return un * vd, vn * ud, ud * vd
+
+
 def _check_unit(q: Fraction, what: str) -> None:
     if not (ZERO <= q <= ONE):
         raise ValueError(f"{what} out of [0,1]: {q}")
@@ -83,10 +90,14 @@ class AffineDyadic:
     def term(self, n: int) -> Fraction:
         return Q(*self.ratio(n))
 
+    @cached_property
+    def _pair(self) -> tuple[int, int, int]:
+        return over_one_denominator(self.u, self.v)
+
     def ratio(self, n: int) -> tuple[int, int]:
-        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        u, v, d = self._pair
         k = self.w * n
-        return (un * vd << k) - vn * ud, ud * vd << k
+        return (u << k) - v, d << k
 
 
 @dataclass(frozen=True)
@@ -108,11 +119,14 @@ class AlternatingDyadic:
     def term(self, n: int) -> Fraction:
         return Q(*self.ratio(n))
 
+    @cached_property
+    def _pair(self) -> tuple[int, int, int]:
+        return over_one_denominator(self.u, self.v)
+
     def ratio(self, n: int) -> tuple[int, int]:
-        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        u, v, d = self._pair
         k = self.w * n
-        sign = 1 if n % 2 == 0 else -1
-        return (un * vd << k) + sign * vn * ud, ud * vd << k
+        return (u << k) + (v if n % 2 == 0 else -v), d << k
 
 
 @dataclass(frozen=True)

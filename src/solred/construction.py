@@ -29,10 +29,13 @@ ascending ell and then lexicographically by positions in the
 value-sorted domain (first position pinned to the point 0).
 
 The search is incremental.  A construction keeps one domain and sweeps
-it forward once.  With c > 0, a ladder that meets step n's requirement
-for b_i meets step n-1's too, and every step-n candidate is a
-step-(n-1) candidate, so step n cannot hit before the stage where step
-n-1 did, and it resumes there.  Within a step the domain only grows,
+it forward once.  Only the part of the domain that 0 reaches in hops
+below the gap limit is kept sorted, since every ladder a search can
+find lies in it; the points above it wait in a heap.  With c > 0, a
+ladder that meets step n's requirement for b_i meets step n-1's too,
+and every step-n candidate is a step-(n-1) candidate, so step n cannot
+hit before the stage where step n-1 did, and it resumes there.  Within
+a step the domain only grows,
 and a search's answer depends only on (n, c), the domain points
 strictly below b_i and b_i's keys (fl, ce) below.  So a candidate that
 missed is searched again only at a stage that inserts a point below
@@ -152,16 +155,30 @@ class _Domain:
 
     Points are integers at one scale 2**m, at which the gap limits up to
     step n_max and all points j <= stage_budget or in the prefix are
-    exact.  Tracks, incrementally: the sorted points with their
-    enumeration indices, the keys (fl, ce) of each entered stage's b_s,
-    read once from the unreduced integer pair of its term, and g-values,
-    read on first use and cached by enumeration index.  For the current
-    step it also tracks the reach, the largest point that 0 reaches with
-    every hop < gap (the step's gap limit at the scale), None until 0 is
-    in the domain, and, per enumeration index, whether the point passes
-    clause (v) against the point 0, which is fixed once 0 is in the
-    domain.  Within a step points only arrive, so the reach only moves
-    up, and keeping it costs one forward walk over the points per step.
+    exact.  Tracks, incrementally: the keys (fl, ce) of each entered
+    stage's b_s, read once from the unreduced integer pair of its term,
+    and g-values, read on first use and cached by enumeration index.
+    For the current step it tracks the reach, the largest point that 0
+    reaches with every hop < gap (the step's gap limit at the scale),
+    None until 0 is in the domain, and, per enumeration index, whether
+    the point passes clause (v) against the point 0, which is fixed once
+    0 is in the domain.  Within a step points only arrive, so the reach
+    only moves up.
+
+    The domain is split at the reach.  The reached part, the points at
+    or below the reach, is kept sorted in points with their enumeration
+    indices in indices; every point above the reach waits in the
+    min-heap ahead as (x, j).  No point lies in (reach, reach + gap), and
+    every search reads only points below some b_i < reach + gap, so the
+    reached part is all a search sees, and its positions are those of the
+    whole value-sorted domain.  A point that lands below the reach is
+    bisected in; any other is pushed onto ahead, and the reach then pulls
+    the least points off ahead while they lie within one hop.  So most
+    stages append or push a point and shift no list.
+    A new step's smaller gap can shrink the reach, so start_step moves the
+    reached part back ahead and pulls again from 0.  Stage t inserts q_t
+    at once when its definition stage has arrived; only a point defined
+    later waits in the pending heap.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
@@ -171,8 +188,9 @@ class _Domain:
         self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), filled on first read
-        self.points: list[int] = []
-        self.indices: list[int] = []
+        self.points: list[int] = []   # the reached part, sorted: points at or below the reach
+        self.indices: list[int] = []  # the enumeration index of each reached point
+        self.ahead: list[tuple[int, int]] = []  # min-heap of (x, j): points above the reach
         self.gap = 0
         self.reach: int | None = None  # largest point 0 reaches with every hop < gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
@@ -185,42 +203,52 @@ class _Domain:
         return v
 
     def start_step(self, n: int) -> None:
-        """Set step n's gap limit, walk its reach from 0, and forget zero_ok."""
+        """Set step n's gap limit, pull its reached part from 0, and forget zero_ok."""
         self.gap = 1 << (self.m - n - 1)
+        # every reached point lies below every point ahead, so this list is sorted: a heap
+        self.ahead = list(zip(self.points, self.indices)) + sorted(self.ahead)
+        self.points, self.indices = [], []
         self.reach = None
-        if self.points and self.points[0] == 0:
-            self._walk(0)
+        self._pull()
         self.zero_ok = {}
 
-    def _walk(self, pos: int) -> None:
-        """Set the reach to the last point reached from position pos by hops < gap."""
-        pts = self.points
-        while pos + 1 < len(pts) and pts[pos + 1] - pts[pos] < self.gap:
-            pos += 1
-        self.reach = pts[pos]
+    def _pull(self) -> None:
+        """Move the least points ahead into the reached part while 0 reaches them."""
+        ahead, reach = self.ahead, self.reach
+        while ahead and (ahead[0][0] == 0 if reach is None else ahead[0][0] < reach + self.gap):
+            reach, j = heapq.heappop(ahead)
+            self.points.append(reach)
+            self.indices.append(j)
+        self.reach = reach
 
     def advance(self) -> int | None:
         """Enter the next stage; return the least point it inserts, if any."""
-        g, pending = self.g, self.pending
+        g, pending, m = self.g, self.pending, self.m
         t = self.stage = self.stage + 1
+        low = None
         if (st := g.schedule.stage_of(t)) is not None:
-            heapq.heappush(pending, (st, t))
-        inserted = []
+            if st <= t:  # defined already: no wait on the pending heap
+                low = g.enumeration.scaled(t, m)
+                self.insert(t, low)
+            else:
+                heapq.heappush(pending, (st, t))
         while pending and pending[0][0] <= t:
             j = heapq.heappop(pending)[1]
-            x = g.enumeration.scaled(j, self.m)
+            x = g.enumeration.scaled(j, m)
             self.insert(j, x)
-            inserted.append(x)
-        self.keys.append(self.b.keys(t, self.m))
-        return min(inserted, default=None)
+            if low is None or x < low:
+                low = x
+        self.keys.append(self.b.keys(t, m))
+        return low
 
     def insert(self, j: int, x: int) -> None:
-        pos = bisect_left(self.points, x)
-        self.points.insert(pos, x)
-        self.indices.insert(pos, j)
-        # x is the point just past the reach when it lands less than one gap past it
-        if x == 0 or (self.reach is not None and self.reach < x < self.reach + self.gap):
-            self._walk(pos)
+        if self.reach is not None and x < self.reach:
+            pos = bisect_left(self.points, x)
+            self.points.insert(pos, x)
+            self.indices.insert(pos, j)
+        else:
+            heapq.heappush(self.ahead, (x, j))
+            self._pull()
 
     def ceil(self) -> int | None:
         """reach + gap: the window of a b_i at or above it holds no reached point."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .approximations import Approximation
+from .approximations import Approximation, over_one_denominator
 from .errors import InvalidScenario
 from .reals import (CutVerdict, Interval, ReferenceReal, S2aVerdict, certify, enclose,
                     left_cut_member)
@@ -181,9 +181,8 @@ class ValueRule:
         return dict(self.overrides)
 
     @cached_property
-    def _affine(self) -> tuple[int, int, int]:  # u and v over one denominator
-        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
-        return un * vd, vn * ud, ud * vd
+    def _affine(self) -> tuple[int, int, int]:
+        return over_one_denominator(self.u, self.v)
 
     def ratio(self, j: int, num: int, e: int) -> tuple[int, int]:
         """g(q_j) for q_j = num / 2**e as an unreduced integer pair (p, q), q > 0."""

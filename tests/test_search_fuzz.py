@@ -12,7 +12,8 @@ steps share one domain at one scale, swept forward once, must give the
 steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
 value against every dyadic point exactly as the rationals do, and the
-reach the domain keeps incrementally must equal a fresh walk from 0.
+reach the domain keeps incrementally must equal a fresh walk from 0,
+with exactly the points at or below it kept sorted.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
 in at most 2 * ceil(log2(cap)) + 2 probes.
@@ -283,7 +284,7 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     domain.start_step(1)
     for _ in range(4):
         domain.advance()
-    points = [Q(x, 2 ** domain.m) for x in domain.points]
+    points = [Q(x, 2 ** domain.m) for x, _ in _all_points(domain)]
     assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
     rec = _search(1, 3, w, b, 12)
     assert (rec.stage_found, rec.index, rec.tup.points) == (8, 4, (0, Q(1, 16), Q(1, 8)))
@@ -471,9 +472,14 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     assert target.term(1) == b
 
 
+def _all_points(domain):
+    """Every inserted (x, j), sorted: the reached part and the points ahead."""
+    return sorted([*zip(domain.points, domain.indices), *domain.ahead])
+
+
 def _walked_ceil(domain):
-    """reach + gap by a walk from 0 over the sorted points; None without the point 0."""
-    pts = sorted(domain.points)
+    """reach + gap by a walk from 0 over every point; None without the point 0."""
+    pts = [x for x, _ in _all_points(domain)]
     if not pts or pts[0] != 0:
         return None
     k = 0
@@ -495,9 +501,30 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     for n in range(1, depth + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
+        _assert_split_at_the_reach(w, domain)
         for _ in range(data.draw(st.integers(0, budget - domain.stage))):
             domain.advance()
             assert domain.ceil() == _walked_ceil(domain)
+            _assert_split_at_the_reach(w, domain)
+
+
+def _assert_split_at_the_reach(w, domain):
+    """The reached part is sorted and holds, with their indices, exactly the
+    points at or below the reach (none while the reach is None); every other
+    point is ahead, at least reach + gap; together they hold each point of
+    the stage's domain (j <= stage, defined by then) once."""
+    s = domain.stage
+    expected = sorted((w.g.enumeration.scaled(j, domain.m), j) for j in range(s + 1)
+                      if (st := w.g.schedule.stage_of(j)) is not None and st <= s)
+    if s == 0:
+        expected = []  # stage 0 inserts nothing; q_0 arrives when stage 1 is entered
+    reached = list(zip(domain.points, domain.indices))
+    assert sorted(reached + domain.ahead) == expected
+    if domain.reach is None:
+        assert reached == []
+        return
+    assert reached == [p for p in expected if p[0] <= domain.reach]
+    assert all(x >= domain.reach + domain.gap for x, _ in domain.ahead)
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
@@ -506,7 +533,7 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
     assert domain.m == 1
     domain.start_step(0)
     assert domain.advance() == 0
-    assert [(j, x, domain.value(j)) for j, x in zip(domain.indices, domain.points)] == [
+    assert [(j, x, domain.value(j)) for x, j in _all_points(domain)] == [
         (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
         domain.advance()  # q_2 = 1/4
