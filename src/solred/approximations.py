@@ -1,10 +1,8 @@
 """Computable approximations: rational sequences with convergence claims.
 
 An Approximation pairs a declarative term generator with a kind claim
-(general / left-c.e. / right-c.e.) and, optionally, the reference real
-the sequence is declared to converge to.  Kind claims are metadata:
-they are checked on finite prefixes by check_kind_prefix, never
-assumed.
+(general / left-c.e. / right-c.e.).  Kind claims are metadata: they are
+checked on finite prefixes by check_kind_prefix, never assumed.
 
 Generators:
 
@@ -30,9 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .reals import Complement as ComplementReal
-from .reals import ReferenceReal, enclose
-
 Q = Fraction
 
 ZERO = Q(0)
@@ -43,23 +38,6 @@ class Kind(enum.Enum):
     GENERAL = "general"
     LEFT_CE = "left_ce"      # claimed nondecreasing
     RIGHT_CE = "right_ce"    # claimed nonincreasing
-
-
-@dataclass(frozen=True)
-class DecayBound:
-    """Declared convergence speed: bound(n) = v * 2**(-w*n)."""
-
-    v: Fraction
-    w: int
-
-    def __post_init__(self) -> None:
-        if self.v < ZERO:
-            raise ValueError(f"decay coefficient must be >= 0: {self.v}")
-        if self.w < 1:
-            raise ValueError(f"decay exponent step must be >= 1: {self.w}")
-
-    def at(self, n: int) -> Fraction:
-        return self.v * Q(1, 1 << (self.w * n))
 
 
 def over_one_denominator(u: Fraction, v: Fraction) -> tuple[int, int, int]:
@@ -202,17 +180,10 @@ class ComplementGen:
 
 @dataclass(frozen=True)
 class Approximation:
-    """A term generator plus a kind claim and optional declared metadata.
-
-    limit and modulus are declarations, never trusted: the limit is
-    exercised against enclosures by check_modulus_prefix and by the
-    witness checks downstream, the kind by check_kind_prefix.
-    """
+    """A term generator plus a kind claim, checked by check_kind_prefix."""
 
     gen: object
     kind: Kind = Kind.GENERAL
-    limit: ReferenceReal | None = None
-    modulus: DecayBound | None = None
 
     def term(self, n: int) -> Fraction:
         if n < 0:
@@ -237,21 +208,18 @@ class Approximation:
 
 
 def complement(a: Approximation) -> Approximation:
-    """Termwise 1 - a; flips a monotonicity claim, mirrors the limit."""
+    """Termwise 1 - a; flips a monotonicity claim."""
     if a.kind is Kind.LEFT_CE:
         kind = Kind.RIGHT_CE
     elif a.kind is Kind.RIGHT_CE:
         kind = Kind.LEFT_CE
     else:
         kind = Kind.GENERAL
-    limit = ComplementReal(a.limit) if a.limit is not None else None
-    # |(1 - t) - (1 - L)| = |t - L|, so a declared decay bound carries over
-    return Approximation(gen=ComplementGen(a.gen), kind=kind, limit=limit,
-                         modulus=a.modulus)
+    return Approximation(ComplementGen(a.gen), kind)
 
 
 def prepend(head: Fraction, a: Approximation) -> Approximation:
-    """Shift the sequence right and start it at head; limit unchanged.
+    """Shift the sequence right and start it at head.
 
     The kind claim survives only when the head is consistent with it,
     otherwise the result is claimed general.
@@ -262,27 +230,7 @@ def prepend(head: Fraction, a: Approximation) -> Approximation:
         kind = Kind.GENERAL
     elif kind is Kind.RIGHT_CE and head < first:
         kind = Kind.GENERAL
-    return Approximation(gen=PrependGen(head, a.gen), kind=kind, limit=a.limit)
-
-
-def check_modulus_prefix(a: Approximation, n_max: int) -> int | None:
-    """First index n in 0..n_max where the declared decay bound breaks.
-
-    Compares |term(n) - mid(enclose(limit, 2**-(n+10)))| against the
-    declared bound; the midpoint sits within half that enclosure width
-    of the true limit, so declared bounds should leave that much room.
-    Requires both a declared limit and a declared modulus.
-    """
-    if a.limit is None or a.modulus is None:
-        raise ValueError("modulus check needs a declared limit and modulus")
-    if n_max < 0:
-        raise ValueError("prefix length must be >= 0")
-    for n in range(n_max + 1):
-        box = enclose(a.limit, Q(1, 2 ** (n + 10)))
-        mid = (box.lo + box.hi) / 2
-        if abs(a.term(n) - mid) > a.modulus.at(n):
-            return n
-    return None
+    return Approximation(PrependGen(head, a.gen), kind)
 
 
 def check_kind_prefix(a: Approximation, n_max: int) -> int | None:

@@ -92,7 +92,7 @@ def _run_construct(path: str, opts: dict) -> dict:
     err = ""
     try:
         _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
-                                          sc.alpha, sc.beta, sc.depth, sc.stage_budget)
+                                          sc.depth, sc.stage_budget)
     except BudgetExhausted as exc:
         trace = exc.partial
         code = EXIT_INCONCLUSIVE
@@ -130,8 +130,7 @@ def _run_oracle(path: str, opts: dict) -> dict:
     budget = sc.stage_budget
     w = sc.solovay_witness
     try:
-        _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
-                                          n - 1, budget)
+        _, trace = build_s2a_from_solovay(w, sc.beta_approx, n - 1, budget)
     except BudgetExhausted as exc:
         return {"code": EXIT_INCONCLUSIVE, "stdout": "",
                 "stderr": f"{sc.name}: cannot reach step {n}: {exc}\n",

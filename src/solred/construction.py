@@ -68,7 +68,6 @@ from math import lcm
 
 from .approximations import Approximation, Kind, Table, prepend, complement
 from .errors import BudgetExhausted, InvalidScenario
-from .reals import ReferenceReal
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
@@ -438,14 +437,13 @@ class WitnessImage:
 
 def witness_image(witness: SolovayWitness, b: Approximation,
                   stage_budget: int) -> Approximation:
-    """Raw image sequence n -> g(b_n), kind-claim general, limit unknown."""
+    """Raw image sequence n -> g(b_n), kind-claim general."""
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
-    return Approximation(WitnessImage(witness.g, b.gen, stage_budget), Kind.GENERAL, None)
+    return Approximation(WitnessImage(witness.g, b.gen, stage_budget), Kind.GENERAL)
 
 
 def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
-                           alpha: ReferenceReal, beta: ReferenceReal,
                            depth: int, stage_budget: int
                            ) -> tuple[S2aWitness, ConstructionTrace]:
     """Run steps 0..depth and package the approximation-pair witness.
@@ -475,8 +473,8 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
     alpha_terms = tuple(r.value for r in steps)
     beta_terms = tuple(r.b_value for r in steps)
     out = S2aWitness(
-        alpha_approx=Approximation(Table(alpha_terms, alpha_terms[-1]), Kind.GENERAL, alpha),
-        beta_approx=Approximation(Table(beta_terms, beta_terms[-1]), Kind.GENERAL, beta),
+        alpha_approx=Approximation(Table(alpha_terms, alpha_terms[-1]), Kind.GENERAL),
+        beta_approx=Approximation(Table(beta_terms, beta_terms[-1]), Kind.GENERAL),
         c=witness.c,
     )
     return out, trace

@@ -260,8 +260,7 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
 
     exhausted_at = None
     try:
-        _, trace = build_s2a_from_solovay(w, scenario.beta_approx, scenario.alpha,
-                                          scenario.beta, depth, stage_budget)
+        _, trace = build_s2a_from_solovay(w, scenario.beta_approx, depth, stage_budget)
     except BudgetExhausted as exc:
         trace = exc.partial
         exhausted_at = exc.step

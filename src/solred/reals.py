@@ -282,13 +282,6 @@ def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> CutVerdict
 
 
 def certify_in_open_unit(real: ReferenceReal, budget: int = 64) -> bool:
-    """True when refinement certifies 0 < value < 1 within the budget."""
-    for tick in range(1, budget + 1):
-        box = enclose_at_tick(real, tick)
-        lower = certify(ZERO, ZERO, box.lo, box.hi, True)  # 0 < value
-        upper = certify(box.lo, box.hi, ONE, ONE, True)    # value < 1
-        if lower is upper is S2aVerdict.HOLDS:
-            return True
-        if S2aVerdict.FAILS in (lower, upper):
-            return False
-    return False
+    """True when refinement certifies 0 < value and 0 < 1 - value within the budget."""
+    return all(left_cut_member(r, ZERO, budget) is CutVerdict.IN_LEFT_CUT
+               for r in (real, Complement(real)))

@@ -22,7 +22,6 @@ from .approximations import (
     AlternatingDyadic,
     Approximation,
     ComplementGen,
-    DecayBound,
     Kind,
     PrefixMaxGen,
     PrependGen,
@@ -240,9 +239,21 @@ _GENERATORS = {
     "prefix_max": _Record(PrefixMaxGen, (_KIND, ("inner", parse_generator))),
     "complement": _Record(ComplementGen, (_KIND, ("inner", parse_generator))),
 }
-_MODULUS = _Record(DecayBound, (("v", parse_fraction), ("w", _RATE)))
-_APPROXIMATION = _Record(Approximation, (("generator", parse_generator),), (
-    ("claim", _CLAIM, Kind.GENERAL), ("limit", parse_real, None), ("modulus", _MODULUS, None)))
+
+
+def _check_decay(v: Fraction, w: int) -> None:
+    """A declared modulus |limit - term(n)| <= v * 2**(-w*n) is range-checked, then dropped."""
+    if v < 0:
+        raise ValueError(f"decay coefficient must be >= 0: {v}")
+
+
+# An approximation parses to the pair (Approximation, its declared limit or None):
+# parse_scenario compares the limit with alpha or beta, and nothing keeps it.
+_MODULUS = _Record(_check_decay, (("v", parse_fraction), ("w", _RATE)))
+_APPROXIMATION = _Record(lambda gen, kind, limit, _: (Approximation(gen, kind), limit),
+                         (("generator", parse_generator),),
+                         (("claim", _CLAIM, Kind.GENERAL), ("limit", parse_real, None),
+                          ("modulus", _MODULUS, None)))
 _STAGE_SCHEDULE = _Record(StageSchedule, (("slope", _NONNEGATIVE), ("offset", _NONNEGATIVE)),
                           (("overrides", _pairs_of("stage", _parse_stage), ()),))
 _VALUE_RULE = _Record(ValueRule, (("u", parse_fraction), ("v", parse_fraction)),
@@ -254,8 +265,9 @@ _SOLOVAY_WITNESS = _Record(
     (("constant", parse_fraction), ("stage_schedule", _STAGE_SCHEDULE),
      ("value_rule", _VALUE_RULE)),
     (("enumeration", _ENUMERATION, None),))
-_S2A_WITNESS = _Record(S2aWitness, (("alpha_approx", _APPROXIMATION),
-                                    ("beta_approx", _APPROXIMATION), ("constant", parse_fraction)))
+_S2A_WITNESS = _Record(lambda alpha, beta, c: S2aWitness(alpha[0], beta[0], c),
+                       (("alpha_approx", _APPROXIMATION), ("beta_approx", _APPROXIMATION),
+                        ("constant", parse_fraction)))
 
 
 def _optional(obj: dict, key: str, parse: Callable):
@@ -284,21 +296,21 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
     if not certify_in_open_unit(beta):
         raise InvalidScenario("scenario.beta: not certified inside (0,1)")
 
-    beta_approx = _APPROXIMATION(obj["beta_approx"], "scenario.beta_approx")
-    if beta_approx.limit is None:
+    beta_approx, beta_limit = _APPROXIMATION(obj["beta_approx"], "scenario.beta_approx")
+    if beta_limit is None:
         raise ScenarioError("scenario.beta_approx: a declared limit is required")
-    if beta_approx.limit != beta:
+    if beta_limit != beta:
         raise InvalidScenario(
             "scenario.beta_approx: declared limit must be structurally equal to beta")
 
     witness = _optional(obj, "solovay_witness", _SOLOVAY_WITNESS)
-    leftce = _optional(obj, "alpha_leftce_approx", _APPROXIMATION)
+    leftce, alpha_limit = _optional(obj, "alpha_leftce_approx", _APPROXIMATION) or (None, None)
     if leftce is not None:
         if leftce.kind is not Kind.LEFT_CE:
             raise InvalidScenario("scenario.alpha_leftce_approx: claim must be left_ce")
-        if leftce.limit is None:
+        if alpha_limit is None:
             raise ScenarioError("scenario.alpha_leftce_approx: a declared limit is required")
-        if leftce.limit != alpha:
+        if alpha_limit != alpha:
             raise InvalidScenario("scenario.alpha_leftce_approx: declared limit must equal alpha")
 
     s2a = _optional(obj, "s2a_witness", _S2A_WITNESS)

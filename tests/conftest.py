@@ -89,7 +89,6 @@ def built(scenarios):
         sc = scenarios[name]
         t0 = time.monotonic()
         wit, trace = build_s2a_from_solovay(
-            sc.solovay_witness, sc.beta_approx, sc.alpha, sc.beta,
-            depth=sc.depth, stage_budget=sc.stage_budget)
+            sc.solovay_witness, sc.beta_approx, depth=sc.depth, stage_budget=sc.stage_budget)
         out[name] = (wit, trace, time.monotonic() - t0)
     return out

@@ -176,29 +176,27 @@ def _leftce_pool(scenarios):
     pool = []
     for name in ALL_NAMES:
         sc = scenarios[name]
-        candidates = [("beta_approx", sc.beta_approx),
-                      ("alpha_leftce_approx", sc.alpha_leftce_approx)]
+        candidates = [("beta_approx", sc.beta_approx, sc.beta),
+                      ("alpha_leftce_approx", sc.alpha_leftce_approx, sc.alpha)]
         if sc.s2a_witness is not None:
-            candidates.append(("s2a.alpha_approx", sc.s2a_witness.alpha_approx))
-            candidates.append(("s2a.beta_approx", sc.s2a_witness.beta_approx))
-        for label, approx in candidates:
+            candidates.append(("s2a.alpha_approx", sc.s2a_witness.alpha_approx, sc.alpha))
+            candidates.append(("s2a.beta_approx", sc.s2a_witness.beta_approx, sc.beta))
+        for label, approx, limit in candidates:
             if approx is not None and approx.kind is Kind.LEFT_CE:
-                pool.append((f"{name}:{label}", approx))
+                pool.append((f"{name}:{label}", approx, limit))
     return pool
 
 
 def test_mirror_pairs_hold_with_constant_one(scenarios):
     pool = _leftce_pool(scenarios)
     assert len(pool) == 12
-    for label, approx in pool:
-        assert approx.limit is not None, label
+    for label, approx, limit in pool:
         m = mirror_s2a(approx)
         assert m.c == Q(1), label
         assert m.alpha_approx.kind is Kind.RIGHT_CE
         assert check_kind_prefix(m.alpha_approx, 30) is None, label
         assert check_kind_prefix(m.beta_approx, 30) is None, label
-        checks = check_s2a_prefix(m, Complement(approx.limit), approx.limit,
-                                  30, 8)
+        checks = check_s2a_prefix(m, Complement(limit), limit, 30, 8)
         assert len(checks) == 31
         assert all(chk.verdict is S2aVerdict.HOLDS for chk in checks), label
 

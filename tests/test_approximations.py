@@ -13,31 +13,27 @@ from solred.approximations import (
     AlternatingDyadic,
     Approximation,
     ComplementGen,
-    DecayBound,
     Kind,
     PrefixMaxGen,
     PrependGen,
     Table,
     check_kind_prefix,
-    check_modulus_prefix,
     complement,
     prepend,
 )
 from solred.construction import WitnessImage
 from solred.errors import BudgetExhausted
 from solred.harness import verify_s2a_declared
-from solred.reals import AffineExponents, DyadicSeries, ExactRational
 from solred.scenario import load_scenario
 from solred.witnesses import StagedPartialFunction
 
 from conftest import corpus_path
 
-HALF_CLIMB = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE,
-                           ExactRational(Q(1, 2)))
+HALF_CLIMB = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE)
 
 
-def table(terms, tail, kind=Kind.GENERAL, limit=None):
-    return Approximation(Table(tuple(Q(t) for t in terms), Q(tail)), kind, limit)
+def table(terms, tail, kind=Kind.GENERAL):
+    return Approximation(Table(tuple(Q(t) for t in terms), Q(tail)), kind)
 
 
 def running_max(a):
@@ -53,7 +49,7 @@ def test_evaluate_basic_generators():
 
 
 def test_alternating_generator_terms():
-    osc = Approximation(AlternatingDyadic(Q(1, 8), Q(1, 8), 1), Kind.GENERAL, None)
+    osc = Approximation(AlternatingDyadic(Q(1, 8), Q(1, 8), 1), Kind.GENERAL)
     assert [osc.term(n) for n in range(4)] == [Q(1, 4), Q(1, 16), Q(5, 32), Q(7, 64)]
 
 
@@ -64,8 +60,6 @@ def test_generators_reject_terms_outside_unit_interval():
         AffineDyadic(Q(5, 4), Q(0), 1)
     with pytest.raises(ValueError):
         AlternatingDyadic(Q(1, 8), Q(1, 4), 1)
-    with pytest.raises(ValueError):
-        DecayBound(Q(-1), 1)
 
 
 def test_prefix_max_running_maximum():
@@ -141,8 +135,7 @@ def test_prefix_max_fixes_monotone_input_and_sets_kind():
 
 
 def test_complement_terms_and_kind_flip():
-    a = table(["0", "1/2", "1/4"], "1/4", kind=Kind.LEFT_CE,
-              limit=ExactRational(Q(1, 4)))
+    a = table(["0", "1/2", "1/4"], "1/4", kind=Kind.LEFT_CE)
     comp = complement(a)
     assert [comp.term(n) for n in range(3)] == [Q(1), Q(1, 2), Q(3, 4)]
     assert comp.kind is Kind.RIGHT_CE
@@ -174,27 +167,6 @@ def test_check_kind_prefix_examples():
 def test_check_kind_prefix_ignores_general_claims():
     wobble = table(["1/2", "0", "3/4"], "0")
     assert check_kind_prefix(wobble, 2) is None
-
-
-def test_modulus_check_on_declared_limits():
-    a = Approximation(AffineDyadic(Q(1, 8), Q(1, 8), 1), Kind.LEFT_CE,
-                      ExactRational(Q(1, 8)), DecayBound(Q(1, 8), 1))
-    assert check_modulus_prefix(a, 20) is None
-    tight = Approximation(AffineDyadic(Q(1, 8), Q(1, 8), 1), Kind.LEFT_CE,
-                          ExactRational(Q(1, 8)), DecayBound(Q(1, 16), 1))
-    assert check_modulus_prefix(tight, 20) == 0
-
-
-def test_modulus_check_with_series_limit():
-    # A series limit is only known through an off-center enclosure, so a
-    # declared bound must leave room for the midpoint offset.
-    third = DyadicSeries(AffineExponents(2, 2))
-    slack = Approximation(AffineDyadic(Q(1, 3), Q(1, 12), 2), Kind.LEFT_CE,
-                          third, DecayBound(Q(1, 8), 1))
-    assert check_modulus_prefix(slack, 15) is None
-    tight = Approximation(AffineDyadic(Q(1, 3), Q(1, 12), 2), Kind.LEFT_CE,
-                          third, DecayBound(Q(1, 12), 2))
-    assert check_modulus_prefix(tight, 15) == 0
 
 
 @st.composite

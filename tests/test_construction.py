@@ -68,8 +68,7 @@ def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
 def climb_to(beta_str):
     """Left-c.e. approximation beta - beta * 2**-n toward a rational target."""
     beta = Q(beta_str)
-    return Approximation(AffineDyadic(beta, beta, 1), Kind.LEFT_CE,
-                         ExactRational(beta))
+    return Approximation(AffineDyadic(beta, beta, 1), Kind.LEFT_CE)
 
 
 QUARTER = ExactRational(Q(1, 4))
@@ -224,8 +223,7 @@ def test_a_ladder_accepted_at_step_n_is_accepted_at_every_earlier_step(case):
 def test_search_step_first_hit_on_halving_witness():
     w = witness()
     b = prepend(ZERO, climb_to("1/2"))
-    _, trace = build_s2a_from_solovay(w, climb_to("1/2"), QUARTER, HALF,
-                                      depth=0, stage_budget=100)
+    _, trace = build_s2a_from_solovay(w, climb_to("1/2"), depth=0, stage_budget=100)
     rec = search_step(1, trace.steps[0], w, b, stage_budget=100)
     assert rec is not None
     assert (rec.stage_found, rec.index) == (4, 3)
@@ -252,8 +250,8 @@ def count_searches(monkeypatch, name, reads=None):
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
     sc = load_scenario(corpus_path(name))
     try:
-        build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
-                               sc.beta, sc.depth, sc.stage_budget)
+        build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                               sc.stage_budget)
     except BudgetExhausted as exc:
         return calls, exc.step
     return calls, None
@@ -326,8 +324,8 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     counting(Approximation, "term")
     counting(Approximation, "keys")
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
-                                      sc.beta, sc.depth, sc.stage_budget)
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                      sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"value_at": 2048, "term": 14, "keys": 9214}
 
@@ -340,8 +338,8 @@ def test_construction_builds_no_fraction_point(monkeypatch):
     """
     calls = count_fraction_points(monkeypatch)
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
-                                      sc.beta, sc.depth, sc.stage_budget)
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                      sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"canonical_point": 0, "point": 0}
 
@@ -366,8 +364,8 @@ def test_construction_inserts_each_point_once(monkeypatch):
 
     monkeypatch.setattr(construction._Domain, "insert", counting)
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.alpha,
-                                      sc.beta, sc.depth, sc.stage_budget)
+    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                      sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert (calls, shifted) == (9215, 8)
 
@@ -482,8 +480,7 @@ def test_constructed_tail_converges_toward_alpha(built, scenarios):
 def test_zero_budget_exhausts_with_partial_trace():
     w = witness()
     with pytest.raises(BudgetExhausted) as exc_info:
-        build_s2a_from_solovay(w, climb_to("1/2"), QUARTER, HALF,
-                               depth=3, stage_budget=0)
+        build_s2a_from_solovay(w, climb_to("1/2"), depth=3, stage_budget=0)
     exc = exc_info.value
     assert exc.step == 1
     steps = exc.partial.steps
@@ -494,16 +491,14 @@ def test_zero_budget_exhausts_with_partial_trace():
 def test_g_zero_undefined_within_budget_is_invalid():
     w = witness(offset=50)
     with pytest.raises(InvalidScenario):
-        build_s2a_from_solovay(w, climb_to("1/2"), QUARTER, HALF,
-                               depth=2, stage_budget=10)
+        build_s2a_from_solovay(w, climb_to("1/2"), depth=2, stage_budget=10)
 
 
 @pytest.mark.parametrize("slope,first_stage", [(0, 4), (2, 8), (3, 12)])
 def test_slow_schedules_delay_hits_without_breaking_them(slope, first_stage):
     w = witness(slope=slope)
     b_raw = climb_to("1/2")
-    _, trace = build_s2a_from_solovay(w, b_raw, QUARTER, HALF,
-                                      depth=3, stage_budget=500)
+    _, trace = build_s2a_from_solovay(w, b_raw, depth=3, stage_budget=500)
     assert trace.steps[1].stage_found == first_stage
     b = prepend(ZERO, b_raw)
     for rec in trace.steps[1:]:
@@ -529,8 +524,7 @@ def test_witness_image_and_leftce_closed_form():
 
 def test_witness_image_exhausts_at_never_defined_point():
     w = witness(overrides=[(1, NEVER)])
-    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE,
-                            ExactRational(Q(1, 2)))
+    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE)
     image = witness_image(w, at_half, stage_budget=100)
     assert image.term(0) == Q(1, 8)
     with pytest.raises(BudgetExhausted):
@@ -539,16 +533,14 @@ def test_witness_image_exhausts_at_never_defined_point():
 
 def test_witness_image_exhausts_past_budget():
     w = witness(overrides=[(1, 500)])
-    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE,
-                            ExactRational(Q(1, 2)))
+    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE)
     assert witness_image(w, at_half, 500).term(1) == Q(1, 4)
     with pytest.raises(BudgetExhausted):
         witness_image(w, at_half, 499).term(1)
 
 
 def test_mirror_s2a_pairs_complement_with_original():
-    stair = Approximation(Table((Q(0), Q(1, 2)), Q(3, 4)), Kind.LEFT_CE,
-                          ExactRational(Q(3, 4)))
+    stair = Approximation(Table((Q(0), Q(1, 2)), Q(3, 4)), Kind.LEFT_CE)
     m = mirror_s2a(stair)
     assert m.c == Q(1)
     assert [m.alpha_approx.term(n) for n in range(3)] == [Q(1), Q(1, 2), Q(1, 4)]
@@ -556,7 +548,7 @@ def test_mirror_s2a_pairs_complement_with_original():
 
 
 def test_mirror_s2a_rejects_unclaimed_input():
-    wobble = Approximation(Table((Q(1, 2),), Q(1, 4)), Kind.GENERAL, None)
+    wobble = Approximation(Table((Q(1, 2),), Q(1, 4)), Kind.GENERAL)
     with pytest.raises(InvalidScenario):
         mirror_s2a(wobble)
 

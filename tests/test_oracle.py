@@ -9,7 +9,7 @@ from solred import cli, harness, oracle
 from solred.approximations import AffineDyadic, Approximation, Kind, prepend
 from solred.construction import build_s2a_from_solovay, check_requirement
 from solred.oracle import oracle_min_hit
-from solred.reals import ZERO, ExactRational
+from solred.reals import ZERO
 from solred.scenario import load_scenario
 from solred.witnesses import (
     NEVER,
@@ -32,8 +32,7 @@ def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
 
 
 def half_approx():
-    return prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1),
-                                       Kind.LEFT_CE, ExactRational(Q(1, 2))))
+    return prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
 
 
 def test_zero_cap_finds_nothing():
@@ -73,11 +72,8 @@ def test_prev_index_pushes_candidates_forward():
 
 def test_oracle_matches_search_chain_on_identity_witness():
     w = witness(u="1", c="2")
-    raw = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE,
-                        ExactRational(Q(1, 2)))
-    half = ExactRational(Q(1, 2))
-    _, trace = build_s2a_from_solovay(w, raw, half, half,
-                                      depth=4, stage_budget=1000)
+    raw = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE)
+    _, trace = build_s2a_from_solovay(w, raw, depth=4, stage_budget=1000)
     b = prepend(ZERO, raw)
     for rec in trace.steps[1:]:
         hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b,
@@ -94,8 +90,7 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
     """
     sc = load_scenario(corpus_path("invalid_small_c"))
     w = sc.solovay_witness
-    _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
-                                      1, sc.stage_budget)
+    _, trace = build_s2a_from_solovay(w, sc.beta_approx, 1, sc.stage_budget)
     calls = 0
     real = oracle.check_requirement
 
@@ -155,8 +150,7 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_domain", domain_checking)
     sc = load_scenario(corpus_path("invalid_g_above"))
     w = sc.solovay_witness
-    _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.alpha, sc.beta,
-                                      6, sc.stage_budget)
+    _, trace = build_s2a_from_solovay(w, sc.beta_approx, 6, sc.stage_budget)
     real = oracle._members
     calls = 0
 

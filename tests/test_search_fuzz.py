@@ -41,7 +41,7 @@ from solred.construction import (
 )
 from solred.errors import BudgetExhausted
 from solred.oracle import oracle_min_hit
-from solred.reals import ZERO, ExactRational
+from solred.reals import ZERO
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -86,7 +86,7 @@ def staged_witnesses(draw):
 
 
 def _table(terms):
-    return Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL, None)
+    return Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL)
 
 
 targets = st.one_of(
@@ -94,8 +94,8 @@ targets = st.one_of(
     # Values off the dyadic grid, whose floor and ceiling keys differ.
     st.lists(st.integers(6, 45).map(lambda k: Q(k, 48)), min_size=1, max_size=30).map(_table),
     st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
-        lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE, None)),
-    st.just(Approximation(AffineDyadic(Q(1, 3), Q(1, 3), 1), Kind.LEFT_CE, None)),
+        lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE)),
+    st.just(Approximation(AffineDyadic(Q(1, 3), Q(1, 3), 1), Kind.LEFT_CE)),
 )
 
 
@@ -303,7 +303,7 @@ def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
     w = _halving_witness(schedule=StageSchedule(0, 0))
     raw = _table((Q(3, 8), Q(1, 2), Q(3, 8)))
     b = prepend(ZERO, raw)
-    _, trace = build_s2a_from_solovay(w, raw, ExactRational(ZERO), ExactRational(ZERO), 3, 40)
+    _, trace = build_s2a_from_solovay(w, raw, 3, 40)
     assert [(r.index, r.stage_found, r.b_value) for r in trace.steps[1:]] == [
         (1, 4, Q(3, 8)), (3, 10, Q(3, 8)), (4, 21, Q(3, 8))]
     for prev, rec in zip(trace.steps, trace.steps[1:]):
@@ -340,7 +340,7 @@ def _early_witness():
 
 
 PINNED_CAPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64)
-HALVES = prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE, None))
+HALVES = prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
 
 
 @pytest.mark.parametrize("cap", PINNED_CAPS)
@@ -416,7 +416,7 @@ def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
 @settings(FUZZ, max_examples=100)
 # Five steps hit and step 6 exhausts; the domain's scale 2**9 is finer than every step's 2**7.
 @example(w=_halving_witness(schedule=StageSchedule(0, 0)),
-         raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE, None),
+         raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE),
          depth=8, budget=100)
 # g(1/8) = 1/16 passes clause (v) against g(0) = 1/64 at step 1 but not at step 2,
 # whose slack is half as wide.  A step that inherited step 1's verdict on 1/8 would
@@ -425,7 +425,7 @@ def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
 @example(w=SolovayWitness(StagedPartialFunction(
              DyadicEnumeration(), StageSchedule(0, 0),
              ValueRule(Q(1, 2), ZERO, ((0, Q(1, 64)), (9, Q(1, 16))))), Q(1, 4)),
-         raw=Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE, None),
+         raw=Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE),
          depth=2, budget=17)
 @given(w=staged_witnesses(), raw=targets, depth=st.integers(1, 9), budget=st.integers(12, 100))
 def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget):
@@ -437,8 +437,7 @@ def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget
     """
     chain, exhausted = _standalone_chain(w, raw, depth, budget)
     try:
-        _, trace = build_s2a_from_solovay(w, raw, ExactRational(ZERO), ExactRational(ZERO),
-                                          depth, budget)
+        _, trace = build_s2a_from_solovay(w, raw, depth, budget)
     except BudgetExhausted as exc:
         assert exhausted is not None and exc.step == exhausted[0]
         trace = exc.partial

@@ -226,7 +226,7 @@ def test_check_solovay_at_pending_and_precondition():
 
 
 def const_approx(value):
-    return Approximation(Table((), Q(value)), Kind.GENERAL, None)
+    return Approximation(Table((), Q(value)), Kind.GENERAL)
 
 
 def test_check_s2a_prefix_holds_and_fails():
