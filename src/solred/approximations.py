@@ -218,21 +218,6 @@ def complement(a: Approximation) -> Approximation:
     return Approximation(ComplementGen(a.gen), kind)
 
 
-def prepend(head: Fraction, a: Approximation) -> Approximation:
-    """Shift the sequence right and start it at head.
-
-    The kind claim survives only when the head is consistent with it,
-    otherwise the result is claimed general.
-    """
-    first = a.term(0)
-    kind = a.kind
-    if kind is Kind.LEFT_CE and head > first:
-        kind = Kind.GENERAL
-    elif kind is Kind.RIGHT_CE and head < first:
-        kind = Kind.GENERAL
-    return Approximation(PrependGen(head, a.gen), kind)
-
-
 def check_kind_prefix(a: Approximation, n_max: int) -> int | None:
     """First index n in 1..n_max where the kind claim breaks, else None.
 

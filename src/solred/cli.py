@@ -26,7 +26,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .construction import build_s2a_from_solovay
-from .approximations import prepend
 from .errors import BudgetExhausted, InvalidScenario, ScenarioError
 from .harness import (
     ORACLE_DEPTH,
@@ -39,7 +38,6 @@ from .harness import (
     verify_solovay_grid,
 )
 from .oracle import oracle_min_hit
-from .reals import ZERO
 from .scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, Scenario, load_scenario
 
 EXIT_OK = 0
@@ -136,8 +134,7 @@ def _run_oracle(path: str, opts: dict) -> dict:
                 "stderr": f"{sc.name}: cannot reach step {n}: {exc}\n",
                 "payload": None}
     prev_index = trace.steps[-1].index
-    b_pre = prepend(ZERO, sc.beta_approx)
-    hit = oracle_min_hit(n, prev_index, w, b_pre, budget)
+    hit = oracle_min_hit(n, prev_index, w, trace.target, budget)
     payload: dict = {
         "format_version": "1",
         "kind": "oracle_result",
@@ -150,12 +147,12 @@ def _run_oracle(path: str, opts: dict) -> dict:
         code = EXIT_INCONCLUSIVE
     else:
         payload["hit"] = {
-            "stage": hit.stage,
+            "stage": hit.stage_found,
             "i": hit.index,
             "ladder": ladder_payload(hit.tup),
         }
         text = (f"oracle     {sc.name}\nstep       {n}\n"
-                f"hit        stage {hit.stage}, i {hit.index}, "
+                f"hit        stage {hit.stage_found}, i {hit.index}, "
                 f"ladder length {hit.tup.ell}\n")
         code = EXIT_OK
     return {"code": code, "stdout": text, "stderr": "", "payload": _dump(payload)}

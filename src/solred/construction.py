@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .approximations import Approximation, Kind, Table, prepend, complement
+from .approximations import Approximation, Kind, PrependGen, Table, complement
 from .errors import BudgetExhausted, InvalidScenario
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
@@ -135,7 +135,7 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
 @dataclass(frozen=True)
 class StepRecord:
     n: int
-    index: int                    # i_n into the prepended target approximation
+    index: int                    # i_n into trace.target
     value: Fraction               # a_n
     b_value: Fraction             # b_{i_n}
     tup: RequirementTuple | None  # None only for step 0
@@ -145,7 +145,7 @@ class StepRecord:
 @dataclass(frozen=True)
 class ConstructionTrace:
     steps: tuple[StepRecord, ...]
-    beta_index_offset: int = 1    # the prepended 0 shifts indices by one
+    target: Approximation         # 0, then beta_approx: the sequence i_n indexes
     exhausted: tuple[int, int] | None = None  # (failed step, stage budget)
 
 
@@ -335,14 +335,14 @@ def _lex_first_ladder(n: int, i: int, fl: int, cut: int, c: Fraction, state: _Do
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
-def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
+def search_step(n: int, prev_index: int, witness: SolovayWitness,
                 b: Approximation, stage_budget: int,
                 domain: _Domain | None = None) -> StepRecord | None:
     """Deterministic dovetailed hunt for the step-n record; None on budget.
 
     At stage s the domain holds exactly the enumeration indices j <= s
     whose definition stage has arrived, and the candidate target indices
-    are prev.index < i <= s.  The search resumes at the domain's stage
+    are prev_index < i <= s.  The search resumes at the domain's stage
     and advances it up to stage_budget: a construction passes the one
     domain that step n-1 left at stage_found_{n-1}, where step n cannot
     yet have hit (see the module docstring), and a standalone search
@@ -373,7 +373,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
 
     s = domain.stage
     low: int | None = None  # least point inserted at stage s
-    arrived = range(prev.index + 1, s + 1)  # candidates entered since the last routing
+    arrived = range(prev_index + 1, s + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
             if (keys := domain.keys[i]) in seen:
@@ -406,7 +406,7 @@ def search_step(n: int, prev: StepRecord, witness: SolovayWitness,
         s = domain.stage
         if low is not None:
             ceil = domain.ceil()
-        arrived = (s,) if s > prev.index else ()
+        arrived = (s,) if s > prev_index else ()
 
 
 @dataclass(frozen=True)
@@ -428,7 +428,7 @@ class WitnessImage:
         if value is None:
             raise BudgetExhausted(
                 f"g stayed undefined at term {n} (point {q}) through stage budget "
-                f"{self.stage_budget}", step=n, stage_budget=self.stage_budget)
+                f"{self.stage_budget}")
         return value
 
     def ratio(self, n: int) -> tuple[int, int]:
@@ -448,13 +448,14 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
                            ) -> tuple[S2aWitness, ConstructionTrace]:
     """Run steps 0..depth and package the approximation-pair witness.
 
-    The output constant is the input constant, untouched.  A step that
-    exhausts the stage budget raises BudgetExhausted carrying the trace
-    of every completed step.
+    The output constant is the input constant, untouched.  The trace
+    carries the target, 0 and then beta_approx, that every i_n indexes.
+    A step that exhausts the stage budget raises BudgetExhausted carrying
+    the trace of every completed step.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    b = prepend(ZERO, beta_approx)
+    b = Approximation(PrependGen(ZERO, beta_approx.gen))
     s0 = witness.g.schedule.stage_of(0)
     if s0 is None or s0 > stage_budget:
         raise InvalidScenario(
@@ -462,14 +463,14 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
     domain = _Domain(witness.g, b, depth, stage_budget)
     for n in range(1, depth + 1):
-        rec = search_step(n, steps[-1], witness, b, stage_budget, domain)
+        rec = search_step(n, steps[-1].index, witness, b, stage_budget, domain)
         if rec is None:
-            trace = ConstructionTrace(tuple(steps), 1, (n, stage_budget))
+            trace = ConstructionTrace(tuple(steps), b, (n, stage_budget))
             raise BudgetExhausted(
                 f"step {n} found no admissible ladder within stage budget "
-                f"{stage_budget}", step=n, stage_budget=stage_budget, partial=trace)
+                f"{stage_budget}", partial=trace)
         steps.append(rec)
-    trace = ConstructionTrace(tuple(steps), 1, None)
+    trace = ConstructionTrace(tuple(steps), b)
     alpha_terms = tuple(r.value for r in steps)
     beta_terms = tuple(r.b_value for r in steps)
     out = S2aWitness(

@@ -19,13 +19,10 @@ class BudgetExhausted(RuntimeError):
     """A stage budget ran out before the operation could finish.
 
     ``partial`` carries whatever was completed (e.g. a construction
-    trace covering the finished steps); ``step`` and ``stage_budget``
-    locate the failure.
+    trace covering the finished steps); for a construction,
+    ``partial.exhausted`` locates the failure.
     """
 
-    def __init__(self, message: str, *, step: int | None = None,
-                 stage_budget: int | None = None, partial=None):
+    def __init__(self, message: str, *, partial=None):
         super().__init__(message)
-        self.step = step
-        self.stage_budget = stage_budget
         self.partial = partial

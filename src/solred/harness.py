@@ -20,7 +20,6 @@ from .approximations import (
     Table,
     check_kind_prefix,
     complement,
-    prepend,
 )
 from .construction import (
     ConstructionTrace,
@@ -45,8 +44,6 @@ from .witnesses import (
 )
 
 Q = Fraction
-
-ZERO = Q(0)
 
 GRID_LEVELS = 5        # spot-check grid: canonical points of index < 2**GRID_LEVELS
 GRID_BUDGET = 64       # enclosure/cut budget for grid checks
@@ -227,7 +224,9 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
         "scenario": scenario.name,
         "parameters": {"depth": scenario.depth, "stage_budget": scenario.stage_budget},
         "constant": format_fraction(scenario.solovay_witness.c),
-        "beta_index_offset": trace.beta_index_offset,
+        # i_n indexes trace.target, 0 then beta_approx, so beta_approx's index
+        # is always i_n - 1; format 1 keeps the field for its readers
+        "beta_index_offset": 1,
         "steps": [],
         "exhausted": None,
     }
@@ -263,7 +262,7 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
         _, trace = build_s2a_from_solovay(w, scenario.beta_approx, depth, stage_budget)
     except BudgetExhausted as exc:
         trace = exc.partial
-        exhausted_at = exc.step
+        exhausted_at = trace.exhausted[0]
         report.exhausted = True
     steps = list(trace.steps)
     stages = [rec.stage_found for rec in steps]
@@ -296,19 +295,17 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
         "equal": True,
     }
 
-    b_pre = prepend(ZERO, scenario.beta_approx)
     oracle_rows = []
     for n in range(1, min(oracle_depth, len(steps) - 1) + 1):
         rec = steps[n]
-        hit = oracle_min_hit(n, steps[n - 1].index, w, b_pre, stage_budget)
-        agrees = (hit is not None and hit.stage == rec.stage_found
-                  and hit.index == rec.index and hit.tup == rec.tup)
+        hit = oracle_min_hit(n, steps[n - 1].index, w, trace.target, stage_budget)
+        agrees = hit == rec
         row = {"n": n, "agrees": agrees,
                "search": {"stage": rec.stage_found, "i": rec.index}}
         if hit is None:
             row["oracle"] = None
         elif not agrees:
-            row["oracle"] = {"stage": hit.stage, "i": hit.index}
+            row["oracle"] = {"stage": hit.stage_found, "i": hit.index}
         oracle_rows.append(row)
         report.tally("holds" if agrees else "fails")
     report.sections["oracle"] = {

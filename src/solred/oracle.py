@@ -24,30 +24,22 @@ P_k / d, is accepted solely by check_requirement.
 The search walks distance classes backward from each final, keying b
 at one scale per construction; this reference counts exact lengths
 forward at a scale per stage.  The two share only check_requirement,
-RequirementTuple and enumerate_domain, and the test suite holds their
-hits to exact equality.
+RequirementTuple, enumerate_domain and the StepRecord both answer with,
+and the test suite holds their records to equality.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .approximations import Approximation
-from .construction import RequirementTuple, check_requirement
+from .construction import RequirementTuple, StepRecord, check_requirement
 from .witnesses import SolovayWitness, enumerate_domain
 
 
-@dataclass(frozen=True)
-class OracleHit:
-    stage: int
-    index: int
-    tup: RequirementTuple
-
-
 def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
-                   b: Approximation, stage_cap: int) -> OracleHit | None:
-    """Minimal (stage, index, ladder) hit for step n, or None below the cap.
+                   b: Approximation, stage_cap: int) -> StepRecord | None:
+    """The step-n record at the least hitting stage up to the cap, or None.
 
     "Some candidate hits at stage s" is monotone in s: the domain at s
     (j <= s with s_j <= s) only grows with s, and g(q_j) does not depend
@@ -83,9 +75,9 @@ def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
 
 
 def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximation,
-               stage: int) -> OracleHit | None:
-    """Least hitting index in (prev_index, stage] and its ladder, over the
-    domain rebuilt from scratch at this stage alone, or None."""
+               stage: int) -> StepRecord | None:
+    """The record of the least hitting index in (prev_index, stage], over
+    the domain rebuilt from scratch at this stage alone, or None."""
     prefix_len = len(witness.g.enumeration.prefix)
     m = max(n + 2, stage.bit_length(), prefix_len.bit_length())
     entries = sorted(enumerate_domain(witness.g, stage, m), key=lambda e: e[1])
@@ -95,9 +87,10 @@ def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximatio
     nums = [v.numerator for _, _, v in entries]
     dens = [v.denominator for _, _, v in entries]
     for i in range(prev_index + 1, stage + 1):
-        tup = _first_ladder(n, b.term(i), witness.c, entries, points, nums, dens, 1 << m)
+        bi = b.term(i)
+        tup = _first_ladder(n, bi, witness.c, entries, points, nums, dens, 1 << m)
         if tup is not None:
-            return OracleHit(stage, i, tup)
+            return StepRecord(n, i, tup.values[-1], bi, tup, stage)
     return None
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from solred import witnesses
+from solred.approximations import Approximation, PrependGen
 from solred.construction import build_s2a_from_solovay
+from solred.reals import ZERO
 from solred.scenario import load_scenario
 from solred.witnesses import DyadicEnumeration
 
@@ -28,6 +30,11 @@ ALL_NAMES = VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES + MIRROR_NAMES
 
 def corpus_path(name: str) -> Path:
     return CORPUS / f"{name}.json"
+
+
+def prepended(raw: Approximation) -> Approximation:
+    """0, then raw: the target a construction on raw builds, which i_n indexes."""
+    return Approximation(PrependGen(ZERO, raw.gen))
 
 
 def nested_alpha_text(levels: int) -> str:

@@ -19,7 +19,6 @@ from solred.approximations import (
     Table,
     check_kind_prefix,
     complement,
-    prepend,
 )
 from solred.construction import WitnessImage
 from solred.errors import BudgetExhausted
@@ -44,8 +43,8 @@ def test_evaluate_basic_generators():
     constant = table([], "1/2")
     assert constant.term(7) == Q(1, 2)
     assert HALF_CLIMB.term(2) == Q(3, 8)
-    assert prepend(Q(0), HALF_CLIMB).term(0) == Q(0)
-    assert prepend(Q(0), HALF_CLIMB).term(3) == Q(3, 8)
+    assert Approximation(PrependGen(Q(0), HALF_CLIMB.gen)).term(0) == Q(0)
+    assert Approximation(PrependGen(Q(0), HALF_CLIMB.gen)).term(3) == Q(3, 8)
 
 
 def test_alternating_generator_terms():
@@ -152,8 +151,8 @@ def test_complement_of_general_stays_general():
 
 def test_prepend_shifts_indices():
     a = table(["1/2"], "1/2")
-    assert prepend(Q(1, 4), a).term(0) == Q(1, 4)
-    assert prepend(Q(1, 4), a).term(1) == Q(1, 2)
+    assert Approximation(PrependGen(Q(1, 4), a.gen)).term(0) == Q(1, 4)
+    assert Approximation(PrependGen(Q(1, 4), a.gen)).term(1) == Q(1, 2)
 
 
 def test_check_kind_prefix_examples():
@@ -194,7 +193,7 @@ def test_complement_of_prefix_max_is_nonincreasing(a, n):
        head=st.fractions(min_value=0, max_value=1, max_denominator=64),
        n=st.integers(1, 12))
 def test_prepend_preserves_shifted_terms_exactly(a, head, n):
-    assert prepend(head, a).term(n) == a.term(n - 1)
+    assert Approximation(PrependGen(head, a.gen)).term(n) == a.term(n - 1)
 
 
 @settings(max_examples=120, deadline=None)

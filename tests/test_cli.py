@@ -16,10 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solred import cli, harness
-from solred.approximations import prepend
 from solred.construction import build_s2a_from_solovay
 from solred.oracle import oracle_min_hit
-from solred.reals import ZERO
 from solred.scenario import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -159,10 +157,11 @@ def _library_payload(argv: list[str], sc) -> dict:
     step = int(argv[2])
     _, trace = build_s2a_from_solovay(w, sc.beta_approx, step - 1, sc.stage_budget)
     prev = trace.steps[-1].index
-    hit = oracle_min_hit(step, prev, w, prepend(ZERO, sc.beta_approx), sc.stage_budget)
+    hit = oracle_min_hit(step, prev, w, trace.target, sc.stage_budget)
     return {"format_version": "1", "kind": "oracle_result", "scenario": sc.name,
             "parameters": {"step": step, "stage_budget": sc.stage_budget, "prev_index": prev},
-            "hit": {"stage": hit.stage, "i": hit.index, "ladder": harness.ladder_payload(hit.tup)}}
+            "hit": {"stage": hit.stage_found, "i": hit.index,
+                    "ladder": harness.ladder_payload(hit.tup)}}
 
 
 _OVERRIDES = {"depth": 3, "stage_budget": 700, "guard": 3}

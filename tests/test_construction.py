@@ -13,7 +13,6 @@ from solred.approximations import (
     Approximation,
     Kind,
     Table,
-    prepend,
 )
 from solred.construction import (
     RequirementTuple,
@@ -44,6 +43,7 @@ from conftest import (
     VALID_WITNESS_NAMES,
     corpus_path,
     count_fraction_points,
+    prepended,
 )
 
 
@@ -222,9 +222,8 @@ def test_a_ladder_accepted_at_step_n_is_accepted_at_every_earlier_step(case):
 
 def test_search_step_first_hit_on_halving_witness():
     w = witness()
-    b = prepend(ZERO, climb_to("1/2"))
-    _, trace = build_s2a_from_solovay(w, climb_to("1/2"), depth=0, stage_budget=100)
-    rec = search_step(1, trace.steps[0], w, b, stage_budget=100)
+    b = prepended(climb_to("1/2"))
+    rec = search_step(1, 0, w, b, stage_budget=100)
     assert rec is not None
     assert (rec.stage_found, rec.index) == (4, 3)
     assert rec.tup.points == (Q(0), Q(1, 8), Q(1, 4))
@@ -253,7 +252,7 @@ def count_searches(monkeypatch, name, reads=None):
         build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                sc.stage_budget)
     except BudgetExhausted as exc:
-        return calls, exc.step
+        return calls, exc.partial.exhausted[0]
     return calls, None
 
 
@@ -304,7 +303,7 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     """One log serves every step, so each b_i is read once, and only as keys.
 
     The 9,214 key reads are b_1..b_9214 of the prepended target, one per
-    stage.  An exact term (Approximation.term) is read twice for step 0
+    stage.  An exact term (Approximation.term) is read once for step 0
     and once per hit, and a g-value only when a ladder search reads its
     point.  Rebuilding the domain at every step cost 18,439 value_at
     and 18,340 Approximation.term calls; with one log but exact reads,
@@ -327,7 +326,7 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                       sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == {"value_at": 2048, "term": 14, "keys": 9214}
+    assert calls == {"value_at": 2048, "term": 13, "keys": 9214}
 
 
 def test_construction_builds_no_fraction_point(monkeypatch):
@@ -482,7 +481,6 @@ def test_zero_budget_exhausts_with_partial_trace():
     with pytest.raises(BudgetExhausted) as exc_info:
         build_s2a_from_solovay(w, climb_to("1/2"), depth=3, stage_budget=0)
     exc = exc_info.value
-    assert exc.step == 1
     steps = exc.partial.steps
     assert len(steps) == 1 and steps[0].n == 0
     assert exc.partial.exhausted == (1, 0)
@@ -500,13 +498,11 @@ def test_slow_schedules_delay_hits_without_breaking_them(slope, first_stage):
     b_raw = climb_to("1/2")
     _, trace = build_s2a_from_solovay(w, b_raw, depth=3, stage_budget=500)
     assert trace.steps[1].stage_found == first_stage
-    b = prepend(ZERO, b_raw)
     for rec in trace.steps[1:]:
         assert check_requirement(rec.n, rec.b_value, w.c, rec.tup) is None
-        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b,
+        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, trace.target,
                              stage_cap=rec.stage_found)
-        assert (hit.stage, hit.index, hit.tup) == (rec.stage_found, rec.index,
-                                                   rec.tup)
+        assert hit == rec
         cert = check_strict_at(QUARTER, HALF, rec.value, rec.b_value, w.c,
                                rec.n, guard=8)
         assert cert.verdict is S2aVerdict.HOLDS

@@ -6,10 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from solred import cli, harness, oracle
-from solred.approximations import AffineDyadic, Approximation, Kind, prepend
+from solred.approximations import AffineDyadic, Approximation, Kind
 from solred.construction import build_s2a_from_solovay, check_requirement
 from solred.oracle import oracle_min_hit
-from solred.reals import ZERO
 from solred.scenario import load_scenario
 from solred.witnesses import (
     NEVER,
@@ -20,7 +19,13 @@ from solred.witnesses import (
     ValueRule,
 )
 
-from conftest import INVALID_WITNESS_NAMES, corpus_path, count_fraction_points, probe_bound
+from conftest import (
+    INVALID_WITNESS_NAMES,
+    corpus_path,
+    count_fraction_points,
+    prepended,
+    probe_bound,
+)
 
 
 def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
@@ -32,7 +37,7 @@ def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
 
 
 def half_approx():
-    return prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
+    return prepended(Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
 
 
 def test_zero_cap_finds_nothing():
@@ -56,7 +61,7 @@ def test_cap_boundary_is_inclusive():
     b = half_approx()
     hit = oracle_min_hit(1, 0, w, b, stage_cap=4)
     assert hit is not None
-    assert (hit.stage, hit.index) == (4, 3)
+    assert (hit.stage_found, hit.index) == (4, 3)
     assert hit.tup.points == (Q(0), Q(1, 8), Q(1, 4))
     assert oracle_min_hit(1, 0, w, b, stage_cap=3) is None
 
@@ -74,12 +79,10 @@ def test_oracle_matches_search_chain_on_identity_witness():
     w = witness(u="1", c="2")
     raw = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE)
     _, trace = build_s2a_from_solovay(w, raw, depth=4, stage_budget=1000)
-    b = prepend(ZERO, raw)
     for rec in trace.steps[1:]:
-        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b,
+        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, trace.target,
                              stage_cap=1000)
-        assert (hit.stage, hit.index) == (rec.stage_found, rec.index)
-        assert hit.tup == rec.tup
+        assert hit == rec
 
 
 def test_oracle_requirement_checks_are_pinned(monkeypatch):
@@ -100,8 +103,7 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(oracle, "check_requirement", counting)
-    hit = oracle_min_hit(2, trace.steps[1].index, w, prepend(ZERO, sc.beta_approx),
-                         sc.stage_budget)
+    hit = oracle_min_hit(2, trace.steps[1].index, w, trace.target, sc.stage_budget)
     assert hit is not None
     assert calls == 1
 
@@ -161,10 +163,9 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
         return real(f, points, nums, dens, cn, cd, d, slack)
 
     monkeypatch.setattr(oracle, "_members", checking)
-    b = prepend(ZERO, sc.beta_approx)
     for rec in trace.steps[1:]:
-        hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, b, sc.stage_budget)
-        assert (hit.stage, hit.index, hit.tup) == (rec.stage_found, rec.index, rec.tup)
+        assert oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, trace.target,
+                              sc.stage_budget) == rec
     assert len(trace.steps) == 7 and calls > 0
     assert points == {"canonical_point": 0, "point": 0}
 

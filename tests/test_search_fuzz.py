@@ -3,8 +3,8 @@
 Small random staged witnesses (permuted enumeration prefixes, "never"
 stage overrides, value-table overrides, non-monotone and non-dyadic
 target values, constants on both sides of the true ratio) must give the
-incremental search_step and oracle_min_hit the same hit, and a larger
-stage budget must never change a hit already found.  At small budgets
+incremental search_step and oracle_min_hit the same step record, and a
+larger stage budget must never change a hit already found.  At small budgets
 the oracle's stage shell is also run with the plain backtracking ladder
 enumerator kept below as a reference, fed Fractions rebuilt from the
 shell's integers, and all three must agree.  A full construction, whose
@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from solred import oracle
-from solred.approximations import AffineDyadic, Approximation, Kind, Table, prepend
+from solred.approximations import AffineDyadic, Approximation, Kind, Table
 from solred.construction import (
     RequirementTuple,
     StepRecord,
@@ -52,7 +52,7 @@ from solred.witnesses import (
     canonical_point,
 )
 
-from conftest import probe_bound
+from conftest import prepended, probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -197,18 +197,6 @@ def probed_min_hit(n, prev_index, w, b, stage_cap):
         return oracle_min_hit(n, prev_index, w, b, stage_cap), probed
 
 
-def _search(n, prev_index, w, b, budget):
-    return search_step(n, StepRecord(n - 1, prev_index, ZERO, ZERO, None, 0), w, b, budget)
-
-
-def _found(rec):
-    return None if rec is None else (rec.stage_found, rec.index, rec.tup)
-
-
-def _hit(hit):
-    return None if hit is None else (hit.stage, hit.index, hit.tup)
-
-
 def _halving_witness(values=(), schedule=StageSchedule(0, 9)):
     """g = q/2 with value-table overrides; by default every point up to j = 9
     arrives at stage 9."""
@@ -262,11 +250,11 @@ NUDGED = ((8, Q(7, 64)),)
 @given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
-    b = prepend(ZERO, raw)
-    found = _found(_search(n, prev_index, w, b, budget))
-    assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+    b = prepended(raw)
+    rec = search_step(n, prev_index, w, b, budget)
+    assert oracle_min_hit(n, prev_index, w, b, budget) == rec
     with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
-        assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+        assert oracle_min_hit(n, prev_index, w, b, budget) == rec
 
 
 def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
@@ -279,16 +267,16 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     and it hits with (0, 1/16, 1/8).
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
-    b = prepend(ZERO, _constant(Q(1, 4)))
+    b = prepended(_constant(Q(1, 4)))
     domain = _Domain(w.g, b, 1, 12)
     domain.start_step(1)
     for _ in range(4):
         domain.advance()
     points = [Q(x, 2 ** domain.m) for x, _ in _all_points(domain)]
     assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
-    rec = _search(1, 3, w, b, 12)
+    rec = search_step(1, 3, w, b, 12)
     assert (rec.stage_found, rec.index, rec.tup.points) == (8, 4, (0, Q(1, 16), Q(1, 8)))
-    assert _hit(oracle_min_hit(1, 3, w, b, 12)) == _found(rec)
+    assert oracle_min_hit(1, 3, w, b, 12) == rec
 
 
 def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
@@ -301,30 +289,27 @@ def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
     both a standalone search and the oracle.
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
-    raw = _table((Q(3, 8), Q(1, 2), Q(3, 8)))
-    b = prepend(ZERO, raw)
-    _, trace = build_s2a_from_solovay(w, raw, 3, 40)
+    _, trace = build_s2a_from_solovay(w, _table((Q(3, 8), Q(1, 2), Q(3, 8))), 3, 40)
     assert [(r.index, r.stage_found, r.b_value) for r in trace.steps[1:]] == [
         (1, 4, Q(3, 8)), (3, 10, Q(3, 8)), (4, 21, Q(3, 8))]
     for prev, rec in zip(trace.steps, trace.steps[1:]):
-        assert search_step(rec.n, prev, w, b, 40) == rec
-        assert _hit(oracle_min_hit(rec.n, prev.index, w, b, 40)) == _found(rec)
+        assert search_step(rec.n, prev.index, w, trace.target, 40) == rec
+        assert oracle_min_hit(rec.n, prev.index, w, trace.target, 40) == rec
 
 
 @settings(FUZZ, max_examples=200)
 @given(w=staged_witnesses(), raw=targets, step=deep_steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
     n, budget = step
-    b = prepend(ZERO, raw)
-    found = _found(_search(n, prev_index, w, b, budget))
-    assert _hit(oracle_min_hit(n, prev_index, w, b, budget)) == found
+    b = prepended(raw)
+    assert oracle_min_hit(n, prev_index, w, b, budget) == search_step(n, prev_index, w, b, budget)
 
 
 @FUZZ
 @given(w=staged_witnesses(), raw=targets, n=st.integers(1, 3), cap=st.integers(0, 40),
        prev_index=st.integers(0, 3))
 def test_bisection_equals_the_linear_shell(w, raw, n, cap, prev_index):
-    b = prepend(ZERO, raw)
+    b = prepended(raw)
     hit, probed = probed_min_hit(n, prev_index, w, b, cap)
     assert hit == linear_min_hit(n, prev_index, w, b, cap)
     assert len(probed) <= probe_bound(cap)
@@ -340,7 +325,7 @@ def _early_witness():
 
 
 PINNED_CAPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64)
-HALVES = prepend(ZERO, Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
+HALVES = prepended(Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE))
 
 
 @pytest.mark.parametrize("cap", PINNED_CAPS)
@@ -353,14 +338,14 @@ def test_bisection_equals_the_linear_shell_at_pinned_caps(cap):
     so a hit there ends the gallop at the least hitting stage itself.
     """
     early, halving = _early_witness(), _halving_witness(schedule=StageSchedule(0, 0))
-    quarter = prepend(ZERO, _constant(Q(1, 4)))
+    quarter = prepended(_constant(Q(1, 4)))
     cases = [(early, quarter, 1, 2), (early, quarter, 2, 3)]
     cases += [(halving, HALVES, least - 1, least)
               for least in (4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)]
     for w, b, prev_index, least in cases:
         hit, probed = probed_min_hit(1, prev_index, w, b, cap)
         assert hit == linear_min_hit(1, prev_index, w, b, cap)
-        assert (None if hit is None else hit.stage) == (least if cap >= least else None)
+        assert (None if hit is None else hit.stage_found) == (least if cap >= least else None)
         assert len(probed) <= probe_bound(cap)
 
 
@@ -369,7 +354,7 @@ def test_a_hit_on_a_gallop_point_bisects_only_below_it():
     bisection probes only 6 and 7 between the miss at 4 and the hit."""
     hit, probed = probed_min_hit(1, 7, _halving_witness(schedule=StageSchedule(0, 0)), HALVES, 100)
     assert probed == [1, 2, 4, 8, 6, 7]
-    assert (hit.stage, hit.index) == (8, 8)
+    assert (hit.stage_found, hit.index) == (8, 8)
 
 
 @FUZZ
@@ -377,9 +362,9 @@ def test_a_hit_on_a_gallop_point_bisects_only_below_it():
        extra=st.integers(1, 40))
 def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
     n, budget = step
-    b = prepend(ZERO, raw)
-    rec = _search(n, prev_index, w, b, budget)
-    more = _search(n, prev_index, w, b, budget + extra)
+    b = prepended(raw)
+    rec = search_step(n, prev_index, w, b, budget)
+    more = search_step(n, prev_index, w, b, budget + extra)
     if rec is not None:
         assert more == rec
     elif more is not None:
@@ -389,10 +374,10 @@ def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
 def _standalone_chain(w, raw, depth, budget):
     """(step records, (exhausted step, budget) or None) of searches that each
     start from a fresh domain at stage 0."""
-    b = prepend(ZERO, raw)
+    b = prepended(raw)
     chain = [StepRecord(0, 0, w.g.value_at(0), b.term(0), None, w.g.schedule.stage_of(0))]
     for n in range(1, depth + 1):
-        rec = search_step(n, chain[-1], w, b, budget)
+        rec = search_step(n, chain[-1].index, w, b, budget)
         if rec is None:
             return chain, (n, budget)
         chain.append(rec)
@@ -439,7 +424,6 @@ def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget
     try:
         _, trace = build_s2a_from_solovay(w, raw, depth, budget)
     except BudgetExhausted as exc:
-        assert exhausted is not None and exc.step == exhausted[0]
         trace = exc.partial
     assert trace.steps == tuple(chain)  # stage_found, index, tup, a_n and b_i of every step
     assert trace.exhausted == exhausted
@@ -455,7 +439,7 @@ unit_fractions = st.one_of(st.integers(1, 2 ** 300),
 def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
-    target = prepend(ZERO, _constant(b))
+    target = prepended(_constant(b))
     domain = _Domain(StagedPartialFunction(), target, m - 1, 0)
     assert domain.m == m
     fl, ce = target.keys(1, m)
@@ -496,7 +480,7 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     Steps 1..depth start in order on one domain, as in a construction,
     and each advances it by a drawn number of stages up to the budget.
     """
-    domain = _Domain(w.g, prepend(ZERO, _constant(Q(1, 2))), depth, budget)
+    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), depth, budget)
     for n in range(1, depth + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
