@@ -12,8 +12,8 @@ Generators:
 * ``PrependGen(head, inner)``     -- head, then inner shifted by one
 * ``PrefixMaxGen(inner)``         -- running maximum of inner
 * ``ComplementGen(inner)``        -- 1 - inner
-* ``WitnessImage(...)``           -- defined in the construction layer;
-  any object with ``term(n)`` and ``ratio(n)`` methods slots in here
+
+Any object with ``term(n)`` and ``ratio(n)`` methods slots in here.
 
 A generator provides term(n), an exact rational, and ratio(n), the same
 term as an unreduced integer pair (p, q) with q > 0, so that a caller

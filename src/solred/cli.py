@@ -25,8 +25,8 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .construction import build_s2a_from_solovay
-from .errors import BudgetExhausted, InvalidScenario, ScenarioError
+from .construction import ConstructionTrace, build_s2a_from_solovay
+from .errors import InvalidScenario, ScenarioError
 from .harness import (
     ORACLE_DEPTH,
     ladder_payload,
@@ -76,6 +76,11 @@ def _construct_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _exhausted_text(trace: ConstructionTrace) -> str:
+    step, budget = trace.exhausted
+    return f"step {step} found no admissible ladder within stage budget {budget}"
+
+
 def _load(path: str, opts: dict) -> Scenario:
     """The scenario at path with each --depth, --stage-budget and --guard given applied."""
     overrides = {k: opts[k] for k in ("depth", "stage_budget", "guard") if opts.get(k) is not None}
@@ -86,16 +91,13 @@ def _run_construct(path: str, opts: dict) -> dict:
     sc = _load(path, opts)
     if sc.solovay_witness is None:
         raise InvalidScenario("construct needs a scenario with a solovay_witness")
-    code = EXIT_OK
-    err = ""
-    try:
-        _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
-                                          sc.depth, sc.stage_budget)
-    except BudgetExhausted as exc:
-        trace = exc.partial
-        code = EXIT_INCONCLUSIVE
-        err = f"{sc.name}: {exc}\n"
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
+                                   sc.depth, sc.stage_budget)
     payload = trace_payload(sc, trace)
+    if trace.exhausted is None:
+        code, err = EXIT_OK, ""
+    else:
+        code, err = EXIT_INCONCLUSIVE, f"{sc.name}: {_exhausted_text(trace)}\n"
     return {"code": code, "stdout": _construct_text(payload), "stderr": err,
             "payload": _dump(payload)}
 
@@ -127,11 +129,10 @@ def _run_oracle(path: str, opts: dict) -> dict:
     n = opts["step"]
     budget = sc.stage_budget
     w = sc.solovay_witness
-    try:
-        _, trace = build_s2a_from_solovay(w, sc.beta_approx, n - 1, budget)
-    except BudgetExhausted as exc:
+    trace = build_s2a_from_solovay(w, sc.beta_approx, n - 1, budget)
+    if trace.exhausted is not None:
         return {"code": EXIT_INCONCLUSIVE, "stdout": "",
-                "stderr": f"{sc.name}: cannot reach step {n}: {exc}\n",
+                "stderr": f"{sc.name}: cannot reach step {n}: {_exhausted_text(trace)}\n",
                 "payload": None}
     prev_index = trace.steps[-1].index
     hit = oracle_min_hit(n, prev_index, w, trace.target, budget)

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .approximations import Approximation, Kind, PrependGen, Table, complement
-from .errors import BudgetExhausted, InvalidScenario
+from .approximations import Approximation, Kind, PrependGen, complement
+from .errors import InvalidScenario
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
@@ -152,11 +152,12 @@ class ConstructionTrace:
 class _Domain:
     """The dovetailed domain of a construction, advanced stage by stage.
 
-    Points are integers at one scale 2**m, at which the gap limits up to
-    step n_max and all points j <= stage_budget or in the prefix are
-    exact.  Tracks, incrementally: the keys (fl, ce) of each entered
-    stage's b_s, read once from the unreduced integer pair of its term,
-    and g-values, read on first use and cached by enumeration index.
+    Points are integers at one scale 2**m, the least at which all points
+    j <= stage_budget and all points of the prefix are exact, and so is
+    the gap limit of every step that search_step starts (see there).
+    Tracks, incrementally: the keys (fl, ce) of each entered stage's b_s,
+    read once from the unreduced integer pair of its term, and g-values,
+    read on first use and cached by enumeration index.
     For the current step it tracks the reach, the largest point that 0
     reaches with every hop < gap (the step's gap limit at the scale),
     None until 0 is in the domain, and, per enumeration index, whether
@@ -180,9 +181,9 @@ class _Domain:
     later waits in the pending heap.
     """
 
-    def __init__(self, g: StagedPartialFunction, b: Approximation, n_max: int, stage_budget: int):
+    def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
         self.g, self.b = g, b
-        self.m = max(n_max + 1, stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
+        self.m = max(stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
         self.stage = 0
         self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
@@ -346,7 +347,13 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     and advances it up to stage_budget: a construction passes the one
     domain that step n-1 left at stage_found_{n-1}, where step n cannot
     yet have hit (see the module docstring), and a standalone search
-    builds a fresh domain at stage 0, at its own scale.
+    builds a fresh domain at stage 0.
+    A step n with n + 1 >= m, the domain's scale, returns None at once,
+    before start_step: every point that can enter by the budget is exact
+    at 2**-m, so at that scale a hop between distinct points is a
+    positive integer.  Clauses (i) and (iii) need at least one such hop,
+    and clause (iv) needs every hop below 2**(m-n-1) <= 1, so no such step
+    ever hits.  Every step that starts has an integer gap limit >= 2.
     A candidate whose b_i is at or above the domain's ceil (reach + gap)
     provably admits no ladder yet, since its window holds no point that 0
     reaches.  It waits in one heap keyed by fl, and the reach only
@@ -362,7 +369,9 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
         raise ValueError("searchable steps start at n = 1")
     if stage_budget < 0:
         raise ValueError("stage budget must be >= 0")
-    domain = domain or _Domain(witness.g, b, n, stage_budget)
+    domain = domain or _Domain(witness.g, b, stage_budget)
+    if n + 1 >= domain.m:
+        return None  # no hop between points exact at 2**-m is below 2**-(n+1)
     domain.start_step(n)
 
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
@@ -411,47 +420,30 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
 
 @dataclass(frozen=True)
 class WitnessImage:
-    """Approximation generator: term(n) = g(base.term(n)) under a stage budget.
+    """The image n -> g(base.term(n)) under a stage budget.
 
-    Evaluation raises BudgetExhausted when the requested point never
-    enters the enumeration or its definition stage lies past the
-    budget; nothing is silently substituted.
+    term(n) is None while g is undefined at base.term(n) through the
+    budget: the point never enters the enumeration, or its definition
+    stage lies past the budget.  Nothing is silently substituted.
     """
 
     fn: StagedPartialFunction
     base: object
     stage_budget: int
 
-    def term(self, n: int) -> Fraction:
-        q = self.base.term(n)
-        value = eval_staged(self.fn, q, self.stage_budget)
-        if value is None:
-            raise BudgetExhausted(
-                f"g stayed undefined at term {n} (point {q}) through stage budget "
-                f"{self.stage_budget}")
-        return value
-
-    def ratio(self, n: int) -> tuple[int, int]:
-        return self.term(n).as_integer_ratio()
-
-
-def witness_image(witness: SolovayWitness, b: Approximation,
-                  stage_budget: int) -> Approximation:
-    """Raw image sequence n -> g(b_n), kind-claim general."""
-    if stage_budget < 0:
-        raise ValueError("stage budget must be >= 0")
-    return Approximation(WitnessImage(witness.g, b.gen, stage_budget), Kind.GENERAL)
+    def term(self, n: int) -> Fraction | None:
+        return eval_staged(self.fn, self.base.term(n), self.stage_budget)
 
 
 def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
-                           depth: int, stage_budget: int
-                           ) -> tuple[S2aWitness, ConstructionTrace]:
-    """Run steps 0..depth and package the approximation-pair witness.
+                           depth: int, stage_budget: int) -> ConstructionTrace:
+    """Run steps 0..depth and return their trace.
 
-    The output constant is the input constant, untouched.  The trace
-    carries the target, 0 and then beta_approx, that every i_n indexes.
-    A step that exhausts the stage budget raises BudgetExhausted carrying
-    the trace of every completed step.
+    The steps' values a_n and targets b_{i_n} are the approximation-pair
+    witness, and its constant is the input constant, untouched.  The
+    trace carries the target, 0 and then beta_approx, that every i_n
+    indexes.  A step that exhausts the stage budget ends the trace, and
+    the trace's exhausted field names that step and the budget.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -461,24 +453,13 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
         raise InvalidScenario(
             f"g(0) is not defined within stage budget {stage_budget}")
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
-    domain = _Domain(witness.g, b, depth, stage_budget)
+    domain = _Domain(witness.g, b, stage_budget)
     for n in range(1, depth + 1):
         rec = search_step(n, steps[-1].index, witness, b, stage_budget, domain)
         if rec is None:
-            trace = ConstructionTrace(tuple(steps), b, (n, stage_budget))
-            raise BudgetExhausted(
-                f"step {n} found no admissible ladder within stage budget "
-                f"{stage_budget}", partial=trace)
+            return ConstructionTrace(tuple(steps), b, (n, stage_budget))
         steps.append(rec)
-    trace = ConstructionTrace(tuple(steps), b)
-    alpha_terms = tuple(r.value for r in steps)
-    beta_terms = tuple(r.b_value for r in steps)
-    out = S2aWitness(
-        alpha_approx=Approximation(Table(alpha_terms, alpha_terms[-1]), Kind.GENERAL),
-        beta_approx=Approximation(Table(beta_terms, beta_terms[-1]), Kind.GENERAL),
-        c=witness.c,
-    )
-    return out, trace
+    return ConstructionTrace(tuple(steps), b)
 
 
 def mirror_s2a(a: Approximation) -> S2aWitness:

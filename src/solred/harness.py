@@ -25,11 +25,11 @@ from .construction import (
     ConstructionTrace,
     RequirementTuple,
     StepRecord,
+    WitnessImage,
     build_s2a_from_solovay,
     mirror_s2a,
-    witness_image,
 )
-from .errors import BudgetExhausted, InvalidScenario
+from .errors import InvalidScenario
 from .oracle import oracle_min_hit
 from .reals import Complement, CutVerdict, enclose, left_cut_member
 from .scenario import Scenario, format_fraction
@@ -257,11 +257,9 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
 
     _witness_grid_section(report, scenario)
 
+    trace = build_s2a_from_solovay(w, scenario.beta_approx, depth, stage_budget)
     exhausted_at = None
-    try:
-        _, trace = build_s2a_from_solovay(w, scenario.beta_approx, depth, stage_budget)
-    except BudgetExhausted as exc:
-        trace = exc.partial
+    if trace.exhausted is not None:
         exhausted_at = trace.exhausted[0]
         report.exhausted = True
     steps = list(trace.steps)
@@ -366,16 +364,15 @@ def verify_prop1(scenario: Scenario) -> Report:
     report.sections["beta_kind_prefix"] = {"n_max": depth, "violation_at": violation}
     report.tally("holds" if violation is None else "fails")
 
-    image = witness_image(w, b, stage_budget)
+    image = WitnessImage(w.g, b.gen, stage_budget)
     b_terms: list[Fraction] = []
     raw: list[Fraction] = []
     stages: list[int] = []
     exhausted_at = None
     for n in range(depth + 1):
         b_n = b.term(n)
-        try:
-            a_n = image.term(n)
-        except BudgetExhausted:
+        a_n = image.term(n)
+        if a_n is None:
             exhausted_at = n
             report.exhausted = True
             break

@@ -89,13 +89,14 @@ def scenarios():
 def built(scenarios):
     """Full-depth construction for every valid witness scenario, built once.
 
-    Maps name -> (witness, trace, wall_seconds).
+    Maps name -> trace; each build must finish within 60 s of wall time.
     """
     out = {}
     for name in VALID_WITNESS_NAMES:
         sc = scenarios[name]
         t0 = time.monotonic()
-        wit, trace = build_s2a_from_solovay(
+        out[name] = build_s2a_from_solovay(
             sc.solovay_witness, sc.beta_approx, depth=sc.depth, stage_budget=sc.stage_budget)
-        out[name] = (wit, trace, time.monotonic() - t0)
+        wall = time.monotonic() - t0
+        assert wall < 60.0, (name, wall)
     return out

@@ -22,7 +22,7 @@ from solred.construction import (
     check_requirement,
     mirror_s2a,
 )
-from solred.harness import verify_mirror, verify_prop1
+from solred.harness import trace_payload, verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import (
     AffineExponents,
@@ -34,6 +34,7 @@ from solred.reals import (
     Scale,
     enclose,
 )
+from solred.scenario import format_fraction
 from solred.witnesses import S2aVerdict, check_s2a_prefix, check_strict_at
 
 from conftest import (
@@ -49,23 +50,22 @@ from conftest import (
 def test_same_constant_full_depth_holds_within_budget(built, scenarios):
     assert len(VALID_WITNESS_NAMES) >= 6
     for name in VALID_WITNESS_NAMES:
-        wit, trace, wall = built[name]
-        sc = scenarios[name]
+        trace, sc = built[name], scenarios[name]
+        c = sc.solovay_witness.c
         assert sc.depth == 12 and sc.stage_budget == 10000
         assert trace.exhausted is None
         assert len(trace.steps) == 13
         assert all(s.stage_found <= sc.stage_budget for s in trace.steps)
         for rec in trace.steps[1:]:
             cert = check_strict_at(sc.alpha, sc.beta, rec.value, rec.b_value,
-                                   wit.c, rec.n, guard=8)
+                                   c, rec.n, guard=8)
             assert cert.verdict is S2aVerdict.HOLDS, (name, rec.n)
-        assert wit.c == sc.solovay_witness.c, name
-        assert wall < 60.0, (name, wall)
+        assert trace_payload(sc, trace)["witness"]["constant"] == format_fraction(c), name
 
 
 def test_search_and_oracle_agree_exactly_through_step_six(built, scenarios):
     for name in VALID_WITNESS_NAMES:
-        _, trace, _ = built[name]
+        trace = built[name]
         sc = scenarios[name]
         for n in range(1, 7):
             hit = oracle_min_hit(n, trace.steps[n - 1].index,

@@ -152,10 +152,10 @@ def _library_payload(argv: list[str], sc) -> dict:
         return _VERIFY_MODES[argv[2]](sc).payload()
     w = sc.solovay_witness
     if argv[0] == "construct":
-        _, trace = build_s2a_from_solovay(w, sc.beta_approx, sc.depth, sc.stage_budget)
+        trace = build_s2a_from_solovay(w, sc.beta_approx, sc.depth, sc.stage_budget)
         return harness.trace_payload(sc, trace)
     step = int(argv[2])
-    _, trace = build_s2a_from_solovay(w, sc.beta_approx, step - 1, sc.stage_budget)
+    trace = build_s2a_from_solovay(w, sc.beta_approx, step - 1, sc.stage_budget)
     prev = trace.steps[-1].index
     hit = oracle_min_hit(step, prev, w, trace.target, sc.stage_budget)
     return {"format_version": "1", "kind": "oracle_result", "scenario": sc.name,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -16,17 +17,17 @@ from solred.approximations import (
 )
 from solred.construction import (
     RequirementTuple,
+    WitnessImage,
     build_s2a_from_solovay,
     check_requirement,
     mirror_s2a,
     search_step,
-    witness_image,
 )
-from solred.errors import BudgetExhausted, InvalidScenario
-from solred.harness import verify_prop1
+from solred.errors import InvalidScenario
+from solred.harness import trace_payload, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO, ExactRational, enclose
-from solred.scenario import load_scenario
+from solred.scenario import format_fraction, load_scenario
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -248,12 +249,9 @@ def count_searches(monkeypatch, name, reads=None):
 
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
     sc = load_scenario(corpus_path(name))
-    try:
-        build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
-                               sc.stage_budget)
-    except BudgetExhausted as exc:
-        return calls, exc.partial.exhausted[0]
-    return calls, None
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                   sc.stage_budget)
+    return calls, None if trace.exhausted is None else trace.exhausted[0]
 
 
 def test_ladder_search_work_is_pinned(monkeypatch):
@@ -323,8 +321,8 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     counting(Approximation, "term")
     counting(Approximation, "keys")
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
-                                      sc.stage_budget)
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                   sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"value_at": 2048, "term": 13, "keys": 9214}
 
@@ -337,8 +335,8 @@ def test_construction_builds_no_fraction_point(monkeypatch):
     """
     calls = count_fraction_points(monkeypatch)
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
-                                      sc.stage_budget)
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                   sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert calls == {"canonical_point": 0, "point": 0}
 
@@ -363,8 +361,8 @@ def test_construction_inserts_each_point_once(monkeypatch):
 
     monkeypatch.setattr(construction._Domain, "insert", counting)
     sc = load_scenario(corpus_path("linear_basic"))
-    _, trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
-                                      sc.stage_budget)
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                   sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
     assert (calls, shifted) == (9215, 8)
 
@@ -401,18 +399,18 @@ FROZEN_HITS = {
 @pytest.mark.parametrize("name", VALID_WITNESS_NAMES)
 def test_full_depth_hits_are_frozen(built, name):
     """Stage/index pairs pinned after confirming them against the oracle."""
-    _, trace, _ = built[name]
+    trace = built[name]
     indices, stages = FROZEN_HITS[name]
     assert [s.index for s in trace.steps] == indices
     assert [s.stage_found for s in trace.steps] == stages
 
 
 def test_first_ladders_are_canonical(built):
-    _, trace, _ = built["linear_basic"]
+    trace = built["linear_basic"]
     step1 = trace.steps[1]
     assert step1.tup.points == (Q(0), Q(1, 32), Q(1, 16))
     assert step1.value == Q(1, 32)
-    _, trace, _ = built["table_tail"]
+    trace = built["table_tail"]
     step1 = trace.steps[1]
     assert step1.tup.points == (Q(0), Q(1, 16), Q(1, 8))
     assert step1.value == Q(1, 16)
@@ -420,7 +418,7 @@ def test_first_ladders_are_canonical(built):
 
 def test_step_zero_is_g_at_zero(built, scenarios):
     for name in VALID_WITNESS_NAMES:
-        _, trace, _ = built[name]
+        trace = built[name]
         first = trace.steps[0]
         assert (first.n, first.index, first.stage_found) == (0, 0, 0)
         assert first.value == scenarios[name].solovay_witness.g.value_at(0)
@@ -430,39 +428,37 @@ def test_step_zero_is_g_at_zero(built, scenarios):
 
 def test_indices_strictly_increase(built):
     for name in VALID_WITNESS_NAMES:
-        _, trace, _ = built[name]
+        trace = built[name]
         idx = [s.index for s in trace.steps]
         assert all(a < b for a, b in zip(idx, idx[1:]))
 
 
-def test_every_recorded_step_satisfies_its_requirement(built):
+def test_every_recorded_step_satisfies_its_requirement(built, scenarios):
     for name in VALID_WITNESS_NAMES:
-        wit, trace, _ = built[name]
+        trace, c = built[name], scenarios[name].solovay_witness.c
         for rec in trace.steps[1:]:
-            assert check_requirement(rec.n, rec.b_value, wit.c, rec.tup) is None
+            assert check_requirement(rec.n, rec.b_value, c, rec.tup) is None
             assert rec.value == rec.tup.values[-1]
 
 
 def test_output_constant_equals_input_constant(built, scenarios):
     for name in VALID_WITNESS_NAMES:
-        wit, _, _ = built[name]
-        assert wit.c == scenarios[name].solovay_witness.c
+        sc = scenarios[name]
+        witness = trace_payload(sc, built[name])["witness"]
+        assert witness["constant"] == format_fraction(sc.solovay_witness.c)
 
 
-def test_witness_tables_replay_the_trace(built):
-    wit, trace, _ = built["linear_basic"]
-    for rec in trace.steps:
-        assert wit.alpha_approx.term(rec.n) == rec.value
-        assert wit.beta_approx.term(rec.n) == rec.b_value
-    depth = trace.steps[-1].n
-    assert wit.alpha_approx.term(depth + 5) == trace.steps[-1].value
+def test_witness_tables_replay_the_trace(built, scenarios):
+    trace = built["linear_basic"]
+    witness = trace_payload(scenarios["linear_basic"], trace)["witness"]
+    assert witness["alpha_terms"] == [format_fraction(rec.value) for rec in trace.steps]
+    assert witness["beta_terms"] == [format_fraction(rec.b_value) for rec in trace.steps]
 
 
 def test_constructed_tail_converges_toward_alpha(built, scenarios):
     """Late terms must sit within the promised distance of the target."""
     for name in VALID_WITNESS_NAMES:
-        wit, trace, _ = built[name]
-        sc = scenarios[name]
+        trace, sc = built[name], scenarios[name]
         depth = len(trace.steps) - 1
         half = depth // 2
         a_box = enclose(sc.alpha, Q(1, 2 ** 40))
@@ -473,17 +469,35 @@ def test_constructed_tail_converges_toward_alpha(built, scenarios):
         worst_beta = max(
             max(abs(b_box.lo - s.b_value), abs(b_box.hi - s.b_value))
             for s in trace.steps)
-        assert worst_alpha < wit.c * (worst_beta + Q(1, 2 ** half))
+        assert worst_alpha < sc.solovay_witness.c * (worst_beta + Q(1, 2 ** half))
 
 
 def test_zero_budget_exhausts_with_partial_trace():
     w = witness()
-    with pytest.raises(BudgetExhausted) as exc_info:
-        build_s2a_from_solovay(w, climb_to("1/2"), depth=3, stage_budget=0)
-    exc = exc_info.value
-    steps = exc.partial.steps
-    assert len(steps) == 1 and steps[0].n == 0
-    assert exc.partial.exhausted == (1, 0)
+    trace = build_s2a_from_solovay(w, climb_to("1/2"), depth=3, stage_budget=0)
+    assert len(trace.steps) == 1 and trace.steps[0].n == 0
+    assert trace.exhausted == (1, 0)
+
+
+def test_a_depth_past_the_budgets_scale_allocates_nothing_for_it():
+    """The domain's scale comes from the stage budget, never from the depth.
+
+    linear_basic at stage budget 4096 exhausts at step 11 at any depth, and
+    every step from 12 on returns at once.  Scaling the domain by depth 4096
+    made every point and key a 4097-bit integer: the build peaked at 8.59 MB
+    traced.  At the budget's scale 2**13 it peaks at 1.19 MB (CPython 3.11).
+    """
+    sc = load_scenario(corpus_path("linear_basic"))
+    args = (sc.solovay_witness, sc.beta_approx)
+    tracemalloc.start()
+    try:
+        deep = build_s2a_from_solovay(*args, depth=4096, stage_budget=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert (len(deep.steps), deep.exhausted) == (11, (11, 4096))
+    assert deep == build_s2a_from_solovay(*args, depth=40, stage_budget=4096)
 
 
 def test_g_zero_undefined_within_budget_is_invalid():
@@ -496,7 +510,7 @@ def test_g_zero_undefined_within_budget_is_invalid():
 def test_slow_schedules_delay_hits_without_breaking_them(slope, first_stage):
     w = witness(slope=slope)
     b_raw = climb_to("1/2")
-    _, trace = build_s2a_from_solovay(w, b_raw, depth=3, stage_budget=500)
+    trace = build_s2a_from_solovay(w, b_raw, depth=3, stage_budget=500)
     assert trace.steps[1].stage_found == first_stage
     for rec in trace.steps[1:]:
         assert check_requirement(rec.n, rec.b_value, w.c, rec.tup) is None
@@ -511,28 +525,25 @@ def test_slow_schedules_delay_hits_without_breaking_them(slope, first_stage):
 def test_witness_image_and_leftce_closed_form():
     w = witness()
     b = climb_to("1/2")
-    image = witness_image(w, b, stage_budget=100)
+    image = WitnessImage(w.g, b.gen, stage_budget=100)
     terms = [image.term(n) for n in range(20)]
     running = [max(terms[:n + 1]) for n in range(20)]
     assert terms == running == [Q(1, 4) - Q(1, 2 ** (n + 2)) for n in range(20)]
-    assert image.kind is Kind.GENERAL
 
 
 def test_witness_image_exhausts_at_never_defined_point():
     w = witness(overrides=[(1, NEVER)])
-    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE)
-    image = witness_image(w, at_half, stage_budget=100)
+    at_half = Table((Q(1, 4),), Q(1, 2))
+    image = WitnessImage(w.g, at_half, stage_budget=100)
     assert image.term(0) == Q(1, 8)
-    with pytest.raises(BudgetExhausted):
-        image.term(1)
+    assert image.term(1) is None
 
 
 def test_witness_image_exhausts_past_budget():
     w = witness(overrides=[(1, 500)])
-    at_half = Approximation(Table((Q(1, 4),), Q(1, 2)), Kind.LEFT_CE)
-    assert witness_image(w, at_half, 500).term(1) == Q(1, 4)
-    with pytest.raises(BudgetExhausted):
-        witness_image(w, at_half, 499).term(1)
+    at_half = Table((Q(1, 4),), Q(1, 2))
+    assert WitnessImage(w.g, at_half, 500).term(1) == Q(1, 4)
+    assert WitnessImage(w.g, at_half, 499).term(1) is None
 
 
 def test_mirror_s2a_pairs_complement_with_original():
@@ -551,9 +562,8 @@ def test_mirror_s2a_rejects_unclaimed_input():
 
 def test_strict_certificates_hold_for_every_built_step(built, scenarios):
     for name in VALID_WITNESS_NAMES:
-        wit, trace, _ = built[name]
-        sc = scenarios[name]
+        trace, sc = built[name], scenarios[name]
         for rec in trace.steps:
             check = check_strict_at(sc.alpha, sc.beta, rec.value, rec.b_value,
-                                    wit.c, rec.n, guard=sc.guard)
+                                    sc.solovay_witness.c, rec.n, guard=sc.guard)
             assert check.verdict is S2aVerdict.HOLDS, (name, rec.n)

@@ -78,7 +78,7 @@ def test_prev_index_pushes_candidates_forward():
 def test_oracle_matches_search_chain_on_identity_witness():
     w = witness(u="1", c="2")
     raw = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE)
-    _, trace = build_s2a_from_solovay(w, raw, depth=4, stage_budget=1000)
+    trace = build_s2a_from_solovay(w, raw, depth=4, stage_budget=1000)
     for rec in trace.steps[1:]:
         hit = oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, trace.target,
                              stage_cap=1000)
@@ -93,7 +93,7 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
     """
     sc = load_scenario(corpus_path("invalid_small_c"))
     w = sc.solovay_witness
-    _, trace = build_s2a_from_solovay(w, sc.beta_approx, 1, sc.stage_budget)
+    trace = build_s2a_from_solovay(w, sc.beta_approx, 1, sc.stage_budget)
     calls = 0
     real = oracle.check_requirement
 
@@ -152,7 +152,7 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_domain", domain_checking)
     sc = load_scenario(corpus_path("invalid_g_above"))
     w = sc.solovay_witness
-    _, trace = build_s2a_from_solovay(w, sc.beta_approx, 6, sc.stage_budget)
+    trace = build_s2a_from_solovay(w, sc.beta_approx, 6, sc.stage_budget)
     real = oracle._members
     calls = 0
 

@@ -39,7 +39,6 @@ from solred.construction import (
     check_requirement,
     search_step,
 )
-from solred.errors import BudgetExhausted
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO
 from solred.witnesses import (
@@ -268,7 +267,7 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = prepended(_constant(Q(1, 4)))
-    domain = _Domain(w.g, b, 1, 12)
+    domain = _Domain(w.g, b, 12)
     domain.start_step(1)
     for _ in range(4):
         domain.advance()
@@ -289,7 +288,7 @@ def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
     both a standalone search and the oracle.
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
-    _, trace = build_s2a_from_solovay(w, _table((Q(3, 8), Q(1, 2), Q(3, 8))), 3, 40)
+    trace = build_s2a_from_solovay(w, _table((Q(3, 8), Q(1, 2), Q(3, 8))), 3, 40)
     assert [(r.index, r.stage_found, r.b_value) for r in trace.steps[1:]] == [
         (1, 4, Q(3, 8)), (3, 10, Q(3, 8)), (4, 21, Q(3, 8))]
     for prev, rec in zip(trace.steps, trace.steps[1:]):
@@ -399,7 +398,8 @@ def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
 
 
 @settings(FUZZ, max_examples=100)
-# Five steps hit and step 6 exhausts; the domain's scale 2**9 is finer than every step's 2**7.
+# Five steps hit.  Step 6 exhausts at once: at budget 100 every point is exact at
+# 2**-7, and no hop between two of them is below step 6's gap limit 2**-7.
 @example(w=_halving_witness(schedule=StageSchedule(0, 0)),
          raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE),
          depth=8, budget=100)
@@ -414,19 +414,32 @@ def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
          depth=2, budget=17)
 @given(w=staged_witnesses(), raw=targets, depth=st.integers(1, 9), budget=st.integers(12, 100))
 def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget):
-    """The construction's one domain, at the depth's scale, changes no step.
+    """The construction's one domain, swept forward once, changes no step.
 
-    Each standalone search_step builds its own domain at step n's scale,
-    which is coarser whenever depth + 1 exceeds both n + 1 and the
-    budget's bit length, and scans it from stage 1.
+    Each standalone search_step builds its own domain and scans it from
+    stage 1.
     """
     chain, exhausted = _standalone_chain(w, raw, depth, budget)
-    try:
-        _, trace = build_s2a_from_solovay(w, raw, depth, budget)
-    except BudgetExhausted as exc:
-        trace = exc.partial
+    trace = build_s2a_from_solovay(w, raw, depth, budget)
     assert trace.steps == tuple(chain)  # stage_found, index, tup, a_n and b_i of every step
     assert trace.exhausted == exhausted
+
+
+@settings(FUZZ, max_examples=200)
+@given(w=staged_witnesses(), raw=targets, budget=st.integers(0, 100), past=st.integers(0, 3))
+def test_a_step_no_hop_can_meet_exhausts_before_any_stage(w, raw, budget, past):
+    """Step n >= m - 1, m the budget's scale, returns None with the domain at stage 0.
+
+    Every point that can enter by the budget is exact at 2**-m, so no hop
+    between two of them is below the gap limit 2**-(n+1); the oracle, which
+    scans the stages, finds no hit either.
+    """
+    b = prepended(raw)
+    domain = _Domain(w.g, b, budget)
+    n = max(1, domain.m - 1 + past)
+    assert search_step(n, 0, w, b, budget, domain) is None
+    assert domain.stage == 0
+    assert oracle_min_hit(n, 0, w, b, budget) is None
 
 
 unit_fractions = st.one_of(st.integers(1, 2 ** 300),
@@ -440,7 +453,7 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
     target = prepended(_constant(b))
-    domain = _Domain(StagedPartialFunction(), target, m - 1, 0)
+    domain = _Domain(StagedPartialFunction(), target, 1 << (m - 1))
     assert domain.m == m
     fl, ce = target.keys(1, m)
     point = Q(x, 2 ** m)
@@ -479,9 +492,10 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
 
     Steps 1..depth start in order on one domain, as in a construction,
     and each advances it by a drawn number of stages up to the budget.
+    Only the steps n <= m - 2 that a search starts are started.
     """
-    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), depth, budget)
-    for n in range(1, depth + 1):
+    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
+    for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
         _assert_split_at_the_reach(w, domain)
@@ -512,7 +526,7 @@ def _assert_split_at_the_reach(w, domain):
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
     """A point finer than the scale raises instead of rounding."""
-    domain = _Domain(StagedPartialFunction(), _constant(Q(1, 2)), 0, 1)
+    domain = _Domain(StagedPartialFunction(), _constant(Q(1, 2)), 1)
     assert domain.m == 1
     domain.start_step(0)
     assert domain.advance() == 0
