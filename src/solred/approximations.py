@@ -2,7 +2,9 @@
 
 An Approximation pairs a declarative term generator with a kind claim
 (general / left-c.e. / right-c.e.).  Kind claims are metadata: they are
-checked on finite prefixes by check_kind_prefix, never assumed.
+checked on finite prefixes by check_kind_prefix, never assumed, and a
+claim derived from a checked one (a running maximum, a complement) is
+not checked again.
 
 Generators:
 
@@ -205,17 +207,6 @@ class Approximation:
             raise ValueError(f"approximation term {n} out of [0,1]: {Q(p, q)}")
         fl, rem = divmod(p << m, q)
         return fl, fl + (rem != 0)
-
-
-def complement(a: Approximation) -> Approximation:
-    """Termwise 1 - a; flips a monotonicity claim."""
-    if a.kind is Kind.LEFT_CE:
-        kind = Kind.RIGHT_CE
-    elif a.kind is Kind.RIGHT_CE:
-        kind = Kind.LEFT_CE
-    else:
-        kind = Kind.GENERAL
-    return Approximation(ComplementGen(a.gen), kind)
 
 
 def check_kind_prefix(a: Approximation, n_max: int) -> int | None:

@@ -78,6 +78,8 @@ def _construct_text(payload: dict) -> str:
 
 def _exhausted_text(trace: ConstructionTrace) -> str:
     step, budget = trace.exhausted
+    if step == 0:
+        return f"g(0) is not defined within stage budget {budget}"
     return f"step {step} found no admissible ladder within stage budget {budget}"
 
 

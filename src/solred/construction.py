@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .approximations import Approximation, Kind, PrependGen, complement
+from .approximations import Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
@@ -443,15 +443,15 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
     witness, and its constant is the input constant, untouched.  The
     trace carries the target, 0 and then beta_approx, that every i_n
     indexes.  A step that exhausts the stage budget ends the trace, and
-    the trace's exhausted field names that step and the budget.
+    the trace's exhausted field names that step and the budget; step 0
+    exhausts, with no steps, when g(0) is defined after the budget.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     b = Approximation(PrependGen(ZERO, beta_approx.gen))
-    s0 = witness.g.schedule.stage_of(0)
-    if s0 is None or s0 > stage_budget:
-        raise InvalidScenario(
-            f"g(0) is not defined within stage budget {stage_budget}")
+    s0 = witness.g.schedule.stage_of(0)  # never None: StagedPartialFunction checks it
+    if s0 > stage_budget:
+        return ConstructionTrace((), b, (0, stage_budget))
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
     domain = _Domain(witness.g, b, stage_budget)
     for n in range(1, depth + 1):
@@ -465,10 +465,12 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
 def mirror_s2a(a: Approximation) -> S2aWitness:
     """Pair a nondecreasing approximation with its complement, constant 1.
 
-    The complement approximates one minus the original limit from
-    above; the termwise distance identity makes the pair a witness with
-    constant exactly 1.
+    The complement 1 - a_n rises exactly where a_n falls, so a's
+    left-c.e. claim makes it a right-c.e. claim: it approximates one
+    minus the original limit from above.  The termwise distance identity
+    makes the pair a witness with constant exactly 1.
     """
     if a.kind is not Kind.LEFT_CE:
         raise InvalidScenario("mirror input must carry a left-c.e. kind claim")
-    return S2aWitness(alpha_approx=complement(a), beta_approx=a, c=ONE)
+    return S2aWitness(alpha_approx=Approximation(ComplementGen(a.gen), Kind.RIGHT_CE),
+                      beta_approx=a, c=ONE)

@@ -24,8 +24,8 @@ P_k / d, is accepted solely by check_requirement.
 The search walks distance classes backward from each final, keying b
 at one scale per construction; this reference counts exact lengths
 forward at a scale per stage.  The two share only check_requirement,
-RequirementTuple, enumerate_domain and the StepRecord both answer with,
-and the test suite holds their records to equality.
+RequirementTuple and the StepRecord both answer with, and the test
+suite holds their records to equality.
 """
 from __future__ import annotations
 

@@ -18,7 +18,6 @@ from solred.approximations import (
     PrependGen,
     Table,
     check_kind_prefix,
-    complement,
 )
 from solred.harness import verify_s2a_declared
 from solred.scenario import load_scenario
@@ -130,20 +129,19 @@ def test_prefix_max_fixes_monotone_input_and_sets_kind():
         assert out.term(n) == HALF_CLIMB.term(n)
 
 
+def complemented(a, kind=Kind.GENERAL):
+    return Approximation(ComplementGen(a.gen), kind)
+
+
 def test_complement_terms_and_kind_flip():
     a = table(["0", "1/2", "1/4"], "1/4", kind=Kind.LEFT_CE)
-    comp = complement(a)
+    comp = complemented(a)
     assert [comp.term(n) for n in range(3)] == [Q(1), Q(1, 2), Q(3, 4)]
-    assert comp.kind is Kind.RIGHT_CE
-    assert complement(comp).kind is Kind.LEFT_CE
+    assert complemented(table(["1/3"], "1/3")).term(5) == Q(2, 3)
     for n in range(6):
-        assert complement(comp).term(n) == a.term(n)
-
-
-def test_complement_of_general_stays_general():
-    a = table(["1/3"], "1/3")
-    assert complement(a).kind is Kind.GENERAL
-    assert complement(a).term(5) == Q(2, 3)
+        assert complemented(comp).term(n) == a.term(n)
+    stair = table(["0", "1/4", "1/4", "1/2"], "1/2", kind=Kind.LEFT_CE)
+    assert check_kind_prefix(complemented(stair, Kind.RIGHT_CE), 5) is None
 
 
 def test_prepend_shifts_indices():
@@ -157,7 +155,11 @@ def test_check_kind_prefix_examples():
     assert check_kind_prefix(good, 3) is None
     bad = table(["0", "1/2", "1/4"], "1/4", kind=Kind.LEFT_CE)
     assert check_kind_prefix(bad, 2) == 2
-    assert check_kind_prefix(complement(good), 3) is None
+    assert check_kind_prefix(complemented(good, Kind.RIGHT_CE), 3) is None
+    # the plateau at n = 2 is no violation; the rise at n = 3 is
+    rising = table(["1", "3/4", "3/4", "7/8"], "7/8", kind=Kind.RIGHT_CE)
+    assert check_kind_prefix(rising, 2) is None
+    assert check_kind_prefix(rising, 3) == 3
 
 
 def test_check_kind_prefix_ignores_general_claims():
@@ -182,7 +184,7 @@ def test_prefix_max_output_is_always_nondecreasing(a, n):
 @settings(max_examples=120, deadline=None)
 @given(a=finite_tables(), n=st.integers(0, 12))
 def test_complement_of_prefix_max_is_nonincreasing(a, n):
-    assert check_kind_prefix(complement(running_max(a)), n) is None
+    assert check_kind_prefix(complemented(running_max(a), Kind.RIGHT_CE), n) is None
 
 
 @settings(max_examples=120, deadline=None)
@@ -196,7 +198,7 @@ def test_prepend_preserves_shifted_terms_exactly(a, head, n):
 @settings(max_examples=120, deadline=None)
 @given(a=finite_tables(), n=st.integers(0, 12))
 def test_complement_is_involutive(a, n):
-    assert complement(complement(a)).term(n) == a.term(n)
+    assert complemented(complemented(a)).term(n) == a.term(n)
 
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=1 << 20)

@@ -224,6 +224,29 @@ def test_oracle_step_hit(tmp_path, capsys):
     assert "hit        stage 16, i 5" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct"],
+    ["verify", "--mode", "construction"],
+    ["verify", "--mode", "prop1"],
+    ["oracle", "--step", "1"],
+])
+def test_g_zero_defined_after_the_budget_is_inconclusive(tmp_path, capsys, argv):
+    """Running out of stages before g(0) is defined exhausts step 0: exit 2, not 3."""
+    doc = json.loads(corpus_path("linear_basic").read_text(encoding="utf-8"))
+    doc["solovay_witness"]["stage_schedule"]["overrides"] = [[0, 7]]
+    late, out = tmp_path / "late.json", tmp_path / "out.json"
+    late.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, *argv, str(late), "--stage-budget", "5", "--out", str(out))
+    assert code == 2, err
+    if argv[0] == "construct":
+        payload = json.loads(out.read_bytes())
+        assert payload["steps"] == []
+        assert payload["exhausted"] == {"step": 0, "stage_budget": 5}
+    if argv[0] != "verify":
+        assert "g(0) is not defined within stage budget 5" in err
+    assert run(capsys, *argv, str(late), "--stage-budget", "7")[0] != 3  # valid input
+
+
 def test_oracle_rejects_step_zero_and_mirrors(capsys):
     assert run(capsys, "oracle", str(corpus_path("linear_basic")),
                "--step", "0")[0] == 3

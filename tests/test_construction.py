@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solred import construction
+from solred import construction, harness
 from solred.approximations import (
     AffineDyadic,
     Approximation,
@@ -24,7 +24,7 @@ from solred.construction import (
     search_step,
 )
 from solred.errors import InvalidScenario
-from solred.harness import trace_payload, verify_prop1
+from solred.harness import trace_payload, verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO, ExactRational, enclose
 from solred.scenario import format_fraction, load_scenario
@@ -277,7 +277,7 @@ def test_no_two_searches_of_one_stage_read_the_same_keys(monkeypatch, name):
 
 
 def test_prop1_image_work_is_pinned(monkeypatch):
-    """prop1 evaluates each image term once and kind-checks the terms it built.
+    """prop1 evaluates each image term once; its running maximum needs no kind check.
 
     Re-deriving the running maximum term by term cost 41 + 861 image
     evaluations at depth 40.
@@ -295,6 +295,27 @@ def test_prop1_image_work_is_pinned(monkeypatch):
     assert report.sections["image"]["evaluated_terms"] == 41
     assert report.sections["image"]["monotone_violation_at"] is None
     assert calls == 41
+
+
+@pytest.mark.parametrize("verify,name", [(verify_prop1, "linear_basic"),
+                                          (verify_mirror, "mirror_geometric")])
+def test_each_report_checks_one_kind_claim(monkeypatch, verify, name):
+    """prop1 checks beta_approx's claim and mirror the left-c.e. claim, once each.
+
+    A running maximum never decreases, and 1 - a_n rises exactly where
+    a_n falls, so neither mode re-checks the sequence it derives.
+    """
+    calls = []
+    real = harness.check_kind_prefix
+
+    def counting(a, n_max):
+        calls.append(a.kind)
+        return real(a, n_max)
+
+    monkeypatch.setattr(harness, "check_kind_prefix", counting)
+    report = verify(replace(load_scenario(corpus_path(name)), depth=40))
+    assert report.exit_code() == 0
+    assert calls == [Kind.LEFT_CE]
 
 
 def test_construction_reads_each_point_and_target_term_once(monkeypatch):
@@ -500,10 +521,11 @@ def test_a_depth_past_the_budgets_scale_allocates_nothing_for_it():
     assert deep == build_s2a_from_solovay(*args, depth=40, stage_budget=4096)
 
 
-def test_g_zero_undefined_within_budget_is_invalid():
+def test_g_zero_undefined_within_budget_exhausts_at_step_zero():
     w = witness(offset=50)
-    with pytest.raises(InvalidScenario):
-        build_s2a_from_solovay(w, climb_to("1/2"), depth=2, stage_budget=10)
+    trace = build_s2a_from_solovay(w, climb_to("1/2"), depth=2, stage_budget=10)
+    assert trace.steps == ()
+    assert trace.exhausted == (0, 10)
 
 
 @pytest.mark.parametrize("slope,first_stage", [(0, 4), (2, 8), (3, 12)])
