@@ -15,13 +15,17 @@ Generators:
 * ``PrefixMaxGen(inner)``         -- running maximum of inner
 * ``ComplementGen(inner)``        -- 1 - inner
 
-Any object with ``term(n)`` and ``ratio(n)`` methods slots in here.
+Any object with ``term(n)`` and ``keys(n, m)`` methods slots in here.
 
-A generator provides term(n), an exact rational, and ratio(n), the same
-term as an unreduced integer pair (p, q) with q > 0, so that a caller
-which only needs floor(term(n) * 2**m) can skip the gcd of a Fraction.
-All terms lie in [0, 1]; generator constructors validate the range
-where it is decidable from the parameters.
+A generator provides term(n), an exact rational, and keys(n, m), the
+floor and ceiling of term(n) * 2**m, for a caller that compares terms
+only with integers at the scale 2**m.  The dyadic generators give keys
+in closed form: with u = U / D, v = V / D, once w*n - m >= bits(V) they
+follow from divmod(U * 2**m, D) and the sign of V alone, at a cost that
+does not grow with n or w (see _Dyadic.keys).  PrependGen and
+ComplementGen map their inner keys; the rest take keys from term.  All
+terms lie in [0, 1]; generator constructors validate the range where it
+is decidable from the parameters.
 """
 from __future__ import annotations
 
@@ -53,60 +57,86 @@ def _check_unit(q: Fraction, what: str) -> None:
         raise ValueError(f"{what} out of [0,1]: {q}")
 
 
+def _fraction_keys(q: Fraction, m: int) -> tuple[int, int]:
+    """(floor, ceil) of q * 2**m."""
+    fl, r = divmod(q.numerator << m, q.denominator)
+    return fl, fl + (r != 0)
+
+
 @dataclass(frozen=True)
-class AffineDyadic:
-    """term(n) = u - v * 2**(-w*n); all terms lie between u-v and u."""
+class _Dyadic:
+    """Fields and keys of the dyadic generators: with u = U / D, v = V / D and
+    k = w*n, term(n) = u - V' / (D * 2**k), where V' = signs[n % 2] * V."""
 
     u: Fraction
     v: Fraction
     w: int
+    signs = (1, 1)  # a class constant, not a field
 
     def __post_init__(self) -> None:
         if self.w < 1:
             raise ValueError("decay rate w must be >= 1")
+
+    @cached_property
+    def _pair(self) -> tuple[int, int, int, int]:
+        """(U, V, D, the bit length of |V|)."""
+        u, v, d = over_one_denominator(self.u, self.v)
+        return u, v, d, abs(v).bit_length()
+
+    def keys(self, n: int, m: int) -> tuple[int, int]:
+        """(floor, ceil) of term(n) * 2**m, on integers of O(m + bits(U, V, D)) bits.
+
+        term(n) * 2**m = fl + (r - e) / D, with fl, r = divmod(U * 2**m, D)
+        and e = V' / 2**(k-m).  Once k - m is at least the bit length of
+        |V|, |e| < 1, and since 0 <= r < D the sign of V' alone decides:
+        V' = 0 gives (fl, fl + (r != 0)); V' < 0 puts r - e in (r, r + 1),
+        within (0, D), so (fl, fl + 1); V' > 0 puts r - e in (r - 1, r),
+        within (0, D) when r > 0, so (fl, fl + 1), and within (-1, 0) when
+        r = 0, so (fl - 1, fl).  Below that threshold k < m + bits(V), so
+        the exact division stays that small.
+        """
+        u, v, d, v_bits = self._pair
+        v *= self.signs[n % 2]
+        k = self.w * n
+        if k - m < v_bits:
+            fl, r = divmod(((u << k) - v) << m, d << k)
+            return fl, fl + (r != 0)
+        fl, r = divmod(u << m, d)
+        if v > 0 and r == 0:
+            return fl - 1, fl
+        return fl, fl + (v != 0 or r != 0)
+
+
+class AffineDyadic(_Dyadic):
+    """term(n) = u - v * 2**(-w*n); all terms lie between u-v and u."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         _check_unit(self.u, "affine-dyadic u")
         _check_unit(self.u - self.v, "affine-dyadic first term")
 
     def term(self, n: int) -> Fraction:
-        return Q(*self.ratio(n))
-
-    @cached_property
-    def _pair(self) -> tuple[int, int, int]:
-        return over_one_denominator(self.u, self.v)
-
-    def ratio(self, n: int) -> tuple[int, int]:
-        u, v, d = self._pair
+        u, v, d, _ = self._pair
         k = self.w * n
-        return (u << k) - v, d << k
+        return Q((u << k) - v, d << k)
 
 
-@dataclass(frozen=True)
-class AlternatingDyadic:
+class AlternatingDyadic(_Dyadic):
     """term(n) = u + (-1)**n * v * 2**(-w*n); oscillates around u."""
 
-    u: Fraction
-    v: Fraction
-    w: int
+    signs = (-1, 1)
 
     def __post_init__(self) -> None:
-        if self.w < 1:
-            raise ValueError("decay rate w must be >= 1")
+        super().__post_init__()
         if self.v < ZERO:
             raise ValueError("oscillation amplitude must be >= 0")
         _check_unit(self.u + self.v, "alternating-dyadic upper excursion")
         _check_unit(self.u - self.v, "alternating-dyadic lower excursion")
 
     def term(self, n: int) -> Fraction:
-        return Q(*self.ratio(n))
-
-    @cached_property
-    def _pair(self) -> tuple[int, int, int]:
-        return over_one_denominator(self.u, self.v)
-
-    def ratio(self, n: int) -> tuple[int, int]:
-        u, v, d = self._pair
+        u, v, d, _ = self._pair
         k = self.w * n
-        return (u << k) + (v if n % 2 == 0 else -v), d << k
+        return Q((u << k) + (v if n % 2 == 0 else -v), d << k)
 
 
 @dataclass(frozen=True)
@@ -126,8 +156,8 @@ class Table:
             return self.entries[n]
         return self.tail
 
-    def ratio(self, n: int) -> tuple[int, int]:
-        return self.term(n).as_integer_ratio()
+    def keys(self, n: int, m: int) -> tuple[int, int]:
+        return _fraction_keys(self.term(n), m)
 
 
 @dataclass(frozen=True)
@@ -143,10 +173,10 @@ class PrependGen:
             return self.head
         return self.inner.term(n - 1)
 
-    def ratio(self, n: int) -> tuple[int, int]:
+    def keys(self, n: int, m: int) -> tuple[int, int]:
         if n == 0:
-            return self.head.as_integer_ratio()
-        return self.inner.ratio(n - 1)
+            return _fraction_keys(self.head, m)
+        return self.inner.keys(n - 1, m)
 
 
 @dataclass(frozen=True)
@@ -164,8 +194,8 @@ class PrefixMaxGen:
             maxima.append(t if not maxima or t > maxima[-1] else maxima[-1])
         return maxima[n]
 
-    def ratio(self, n: int) -> tuple[int, int]:
-        return self.term(n).as_integer_ratio()
+    def keys(self, n: int, m: int) -> tuple[int, int]:
+        return _fraction_keys(self.term(n), m)
 
 
 @dataclass(frozen=True)
@@ -175,9 +205,9 @@ class ComplementGen:
     def term(self, n: int) -> Fraction:
         return ONE - self.inner.term(n)
 
-    def ratio(self, n: int) -> tuple[int, int]:
-        p, q = self.inner.ratio(n)
-        return q - p, q
+    def keys(self, n: int, m: int) -> tuple[int, int]:
+        fl, ce = self.inner.keys(n, m)
+        return (1 << m) - ce, (1 << m) - fl
 
 
 @dataclass(frozen=True)
@@ -196,17 +226,18 @@ class Approximation:
         return value
 
     def keys(self, n: int, m: int) -> tuple[int, int]:
-        """(floor, ceil) of term(n) * 2**m, from the generator's unreduced ratio.
+        """(floor, ceil) of term(n) * 2**m, from the generator's keys.
 
-        Raises exactly when term(n) does, with the same message.
+        Raises exactly when term(n) does, with the same message: fl >= 0
+        and ce <= 2**m hold exactly when 0 <= term(n) <= 1, and only the
+        error path builds the exact term.
         """
         if n < 0:
             raise ValueError("term index must be >= 0")
-        p, q = self.gen.ratio(n)
-        if not (0 <= p <= q):
-            raise ValueError(f"approximation term {n} out of [0,1]: {Q(p, q)}")
-        fl, rem = divmod(p << m, q)
-        return fl, fl + (rem != 0)
+        fl, ce = self.gen.keys(n, m)
+        if fl < 0 or ce > 1 << m:
+            raise ValueError(f"approximation term {n} out of [0,1]: {self.gen.term(n)}")
+        return fl, ce
 
 
 def check_kind_prefix(a: Approximation, n_max: int) -> int | None:

@@ -47,16 +47,20 @@ it, and the least ladder over the finals is the canonical one.  The
 oracle re-derives the same hits with none of this machinery, and the
 test suite holds the two to exact equality.
 
-The search loop compares integers only.  Domain points and every
-step's gap limit are dyadic, so the domain holds its points at one
-scale 2**m and reads each b_i (whose denominator can run to thousands
-of bits) once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m)
-taken from an unreduced integer pair.  No integer lies strictly between
-fl and ce, so for every integer x, b_i < x iff fl < x and b_i <= x iff
-ce <= x.  A g-value is read the first time a ladder search needs it,
-and the search pre-filters clause (v) by integer cross-multiplication.
-Fractions are built only for a returned ladder, and check_requirement,
-which cross-multiplies every clause into integers, accepts every hit.
+The search loop compares integers only, and a stage costs the same
+at every stage number and decay rate.  Domain points and every step's
+gap limit are dyadic, so the domain holds its points at one scale 2**m
+and reads each b_i (whose denominator can run to thousands of bits)
+once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m), which
+the target's generator computes on integers of about m bits (see
+approximations).  No integer lies strictly between fl and ce, so for
+every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A g-value
+is read the first time a ladder search needs it, as the value rule's
+unreduced integer pair, and the search pre-filters clause (v) by
+cross-multiplying those pairs.  Fractions are built only for the members
+of a returned ladder, one g-value per point shared by every step's
+ladder, and check_requirement, which cross-multiplies every clause into
+integers, accepts every hit.
 """
 from __future__ import annotations
 
@@ -156,8 +160,10 @@ class _Domain:
     j <= stage_budget and all points of the prefix are exact, and so is
     the gap limit of every step that search_step starts (see there).
     Tracks, incrementally: the keys (fl, ce) of each entered stage's b_s,
-    read once from the unreduced integer pair of its term, and g-values,
-    read on first use and cached by enumeration index.
+    read once from the target's generator, and g-values, cached by
+    enumeration index: as an unreduced integer pair (pairs) on a ladder
+    search's first read, and as one Fraction (values) once the point is a
+    member of a returned ladder.
     For the current step it tracks the reach, the largest point that 0
     reaches with every hop < gap (the step's gap limit at the scale),
     None until 0 is in the domain, and, per enumeration index, whether
@@ -187,7 +193,8 @@ class _Domain:
         self.stage = 0
         self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
-        self.values: dict[int, Fraction] = {}  # j -> g(q_j), filled on first read
+        self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
+        self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
         self.points: list[int] = []   # the reached part, sorted: points at or below the reach
         self.indices: list[int] = []  # the enumeration index of each reached point
         self.ahead: list[tuple[int, int]] = []  # min-heap of (x, j): points above the reach
@@ -195,11 +202,19 @@ class _Domain:
         self.reach: int | None = None  # largest point 0 reaches with every hop < gap
         self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
 
+    def pair(self, j: int) -> tuple[int, int]:
+        """g(q_j) of an inserted point as an unreduced integer pair (p, q), q > 0."""
+        p = self.pairs.get(j)
+        if p is None:
+            g = self.g
+            p = self.pairs[j] = g.rule.ratio(j, *g.enumeration.dyadic(j))
+        return p
+
     def value(self, j: int) -> Fraction:
-        """g(q_j) of an inserted point."""
+        """g(q_j) of an inserted point as one Fraction, shared by every ladder."""
         v = self.values.get(j)
         if v is None:
-            v = self.values[j] = self.g.value_at(j)
+            v = self.values[j] = Q(*self.pair(j))
         return v
 
     def start_step(self, n: int) -> None:
@@ -288,14 +303,14 @@ def _lex_first_ladder(n: int, i: int, fl: int, cut: int, c: Fraction, state: _Do
     pts = state.points
     idx = state.indices
     zero_ok = state.zero_ok
+    pair = state.pair
     cn, cd = c.numerator, c.denominator
     shift = state.m + 1
 
     def pair_ok(f: int, k: int) -> bool:
-        gf, gk = state.value(idx[f]), state.value(idx[k])
-        num = gf.numerator * gk.denominator - gk.numerator * gf.denominator
-        return 0 < num and (num * cd << shift) < (
-            cn * gf.denominator * gk.denominator * (2 * (pts[f] - pts[k]) + gap))
+        (pf, qf), (pk, qk) = pair(idx[f]), pair(idx[k])
+        num = pf * qk - pk * qf
+        return 0 < num and (num * cd << shift) < cn * qf * qk * (2 * (pts[f] - pts[k]) + gap)
 
     def first_member(f: int, lo: int, hi: int) -> int | None:
         return next((k for k in range(lo, hi) if pair_ok(f, k)), None)

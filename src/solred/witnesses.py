@@ -110,6 +110,9 @@ class DyadicEnumeration:
 
     def scaled(self, j: int, m: int) -> int:
         """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""
+        level = j.bit_length()
+        if 0 < level <= m and j >= len(self.prefix):  # canonical_dyadic(j), inline
+            return (2 * j + 1 - (1 << level)) << (m - level)
         numerator, exponent = self.dyadic(j)
         if exponent > m:
             raise ValueError(f"domain point {Q(numerator, 1 << exponent)} is not exact "

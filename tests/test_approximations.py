@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -18,6 +19,7 @@ from solred.approximations import (
     PrependGen,
     Table,
     check_kind_prefix,
+    over_one_denominator,
 )
 from solred.harness import verify_s2a_declared
 from solred.scenario import load_scenario
@@ -248,8 +250,8 @@ def outcome(thunk):
 @settings(max_examples=300, deadline=None)
 @given(gen=generators, n=st.one_of(st.integers(-2, 40), st.integers(0, 3000)),
        m=st.integers(0, 80))
-def test_ratio_and_keys_agree_with_the_exact_term(gen, n, m):
-    """ratio is term as an integer pair; keys are floor and ceil of term * 2**m.
+def test_keys_agree_with_the_exact_term(gen, n, m):
+    """keys are floor and ceil of term * 2**m.
 
     keys raises exactly when term does, with the same exception and message.
     """
@@ -260,17 +262,66 @@ def test_ratio_and_keys_agree_with_the_exact_term(gen, n, m):
         assert keys == term
         return
     assert keys == (math.floor(term * 2 ** m), math.ceil(term * 2 ** m))
-    p, q = gen.ratio(n)
-    assert q > 0
-    assert Q(p, q) == gen.term(n) == term
 
 
-def test_dyadic_ratios_split_u_and_v_once(monkeypatch):
-    """ratio(n) is u and v over the product of their denominators, shifted
-    by w * n and unreduced.  The integer split of u and v is cached per
-    generator.  Over the six valid corpus builds, as_integer_ratio ran
-    102,181 times when every ratio split u and v again, and 9,237 times
-    with the split cached."""
+def exact_keys(term, m):
+    scaled = term * 2 ** m
+    return math.floor(scaled), math.ceil(scaled)
+
+
+# Dyadic u with U * 2**m divisible by D, so the closed form's remainder r can be 0.
+dyadics = st.builds(lambda a, e: Q(a, 2 ** e), st.integers(-8, 16), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=st.one_of(dyadics, wide), v=st.one_of(dyadics, wide), sign=st.sampled_from((-1, 1)),
+       w=st.integers(1, 256), m=st.integers(0, 40), head=units, data=st.data())
+def test_dyadic_keys_match_exact_floor_and_ceil(u, v, sign, w, m, head, data):
+    """The dyadic generators' keys, bare and wrapped, against exact Fractions.
+
+    n is drawn up to 10,000, or within a few indices of the closed form's
+    threshold w*n - m >= bits(V), so both the exact division and the
+    closed form with each sign of v are compared.
+    """
+    v = sign * abs(v)
+    edge = (m + abs(over_one_denominator(u, v)[1]).bit_length()) // w
+    n = data.draw(st.one_of(st.integers(0, 10_000), st.integers(max(0, edge - 2), edge + 2)))
+    for cls in (AffineDyadic, AlternatingDyadic):
+        gen = unchecked(cls, u=u, v=v, w=w)
+        term = gen.term(n)
+        assert gen.keys(n, m) == exact_keys(term, m)
+        assert ComplementGen(gen).keys(n, m) == exact_keys(1 - term, m)
+        prepended = PrependGen(head, gen)
+        assert prepended.keys(n + 1, m) == exact_keys(term, m)
+        assert prepended.keys(0, m) == exact_keys(head, m)
+
+
+@pytest.mark.parametrize("cls,expected", [(AffineDyadic, (8191, 8192)),  # just below 1/2
+                                          (AlternatingDyadic, (8192, 8193))])  # just above
+def test_a_late_dyadic_key_read_allocates_no_late_term(cls, expected):
+    """keys(100000, 14) at w = 256 stays within 64 KB, traced.
+
+    Dividing b_n = (U * 2**k - V) / (D * 2**k) back to scale 2**14 built a
+    shift of k = 25,600,000 bits there, about 3.2 MB.
+    """
+    a = Approximation(cls(Q(1, 2), Q(1, 4), 256))
+    tracemalloc.start()
+    try:
+        keys = a.keys(100_000, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert keys == expected
+
+
+def test_dyadic_keys_split_u_and_v_once(monkeypatch):
+    """keys(n, m) read u and v over the product of their denominators.  The
+    integer split of u and v is cached per generator.  Over the six valid
+    corpus builds, as_integer_ratio ran 102,181 times when every read split
+    u and v again, 9,237 times with the split cached, and 22 times since
+    Table and PrependGen keys read the Fraction's own numerator and
+    denominator."""
     calls = 0
     real = Q.as_integer_ratio
 
@@ -280,9 +331,9 @@ def test_dyadic_ratios_split_u_and_v_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Q, "as_integer_ratio", counting)
-    affine = AffineDyadic(Q(3, 4), Q(1, 3), 2)  # 9/12 - 4/12 * 4**-n
-    alternating = AlternatingDyadic(Q(1, 2), Q(1, 4), 1)  # 4/8 +- 2/8 * 2**-n
+    affine = AffineDyadic(Q(3, 4), Q(1, 3), 2)  # 9/12 - 4/12 * 4**-n: 5/12, 2/3
+    alternating = AlternatingDyadic(Q(1, 2), Q(1, 4), 1)  # 1/2 +- 1/4 * 2**-n: 3/4, 3/8, 15/32
     for _ in range(50):
-        assert [affine.ratio(n) for n in (0, 1)] == [(5, 12), (32, 48)]
-        assert [alternating.ratio(n) for n in (0, 1, 3)] == [(6, 8), (6, 16), (30, 64)]
+        assert [affine.keys(n, 4) for n in (0, 1)] == [(6, 7), (10, 11)]
+        assert [alternating.keys(n, 4) for n in (0, 1, 3)] == [(12, 12), (6, 6), (7, 8)]
     assert calls == 4

@@ -323,29 +323,72 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
 
     The 9,214 key reads are b_1..b_9214 of the prepended target, one per
     stage.  An exact term (Approximation.term) is read once for step 0
-    and once per hit, and a g-value only when a ladder search reads its
-    point.  Rebuilding the domain at every step cost 18,439 value_at
-    and 18,340 Approximation.term calls; with one log but exact reads,
-    9,216 value_at and 9,216 Approximation.term calls.
+    and once per hit.  A g-value is read as one integer pair (ValueRule.ratio)
+    only when a ladder search reads its point, 2,047 points, and as an exact
+    value (value_at) only for g(0) at step 0, whose pair is read once more.
+    Rebuilding the domain at every step cost 18,439 value_at and 18,340
+    Approximation.term calls; with one log but exact reads, 9,216 value_at
+    and 9,216 Approximation.term calls; with exact g-values in the search,
+    2,048 value_at calls.
     """
-    calls = {"value_at": 0, "term": 0, "keys": 0}
+    calls = {"value_at": 0, "ratio": 0, "term": 0, "keys": 0}
+    read = []
 
     def counting(cls, name):
         real = getattr(cls, name)
 
         def wrapper(self, *args):
             calls[name] += 1
+            if name == "ratio":
+                read.append(args[0])
             return real(self, *args)
         monkeypatch.setattr(cls, name, wrapper)
 
     counting(StagedPartialFunction, "value_at")
+    counting(ValueRule, "ratio")
     counting(Approximation, "term")
     counting(Approximation, "keys")
     sc = load_scenario(corpus_path("linear_basic"))
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                    sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == {"value_at": 2048, "term": 13, "keys": 9214}
+    assert calls == {"value_at": 1, "ratio": 2048, "term": 13, "keys": 9214}
+    assert read[0] == 0 and len(set(read[1:])) == len(read) - 1  # once per point
+
+
+@pytest.mark.parametrize("name,members,read", [("linear_basic", 2047, 2047),
+                                                ("invalid_small_c", 4, 38)])
+def test_ladder_search_builds_fractions_only_for_returned_ladders(monkeypatch, name,
+                                                                  members, read):
+    """The search compares g-values as integer pairs; a Fraction is built
+    only for a member of a returned ladder, once per point, and every
+    step's ladder shares it.  On invalid_small_c the searches read 38
+    g-values and its two ladders hold 4 points; exact g-values in the
+    search built a Fraction for all 38.
+    """
+    built = 0
+    real = construction.Q
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(construction, "Q", counting)
+    sc = load_scenario(corpus_path(name))
+    w, b = sc.solovay_witness, prepended(sc.beta_approx)
+    domain = construction._Domain(w.g, b, sc.stage_budget)
+    steps, index = [], 0
+    while (rec := search_step(len(steps) + 1, index, w, b, sc.stage_budget, domain)):
+        steps.append(rec)
+        index = rec.index
+    ladders = {j for rec in steps for j in rec.tup.indices}
+    assert (len(ladders), len(domain.pairs)) == (members, read)
+    assert set(domain.values) == ladders
+    for rec in steps:
+        assert all(v is domain.values[j] for j, v in zip(rec.tup.indices, rec.tup.values))
+    # the other Fractions are the ladders' points, one per member of each ladder
+    assert built == len(ladders) + sum(len(rec.tup.points) for rec in steps)
 
 
 def test_construction_builds_no_fraction_point(monkeypatch):
