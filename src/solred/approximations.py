@@ -23,9 +23,10 @@ only with integers at the scale 2**m.  The dyadic generators give keys
 in closed form: with u = U / D, v = V / D, once w*n - m >= bits(V) they
 follow from divmod(U * 2**m, D) and the sign of V alone, at a cost that
 does not grow with n or w (see _Dyadic.keys).  PrependGen and
-ComplementGen map their inner keys; the rest take keys from term.  All
-terms lie in [0, 1]; generator constructors validate the range where it
-is decidable from the parameters.
+ComplementGen map their inner keys, PrefixMaxGen takes their running
+maximum, and Table takes keys from term.  All terms lie in [0, 1];
+generator constructors validate the range where it is decidable from
+the parameters.
 """
 from __future__ import annotations
 
@@ -181,11 +182,13 @@ class PrependGen:
 
 @dataclass(frozen=True)
 class PrefixMaxGen:
-    """Running maximum of inner; term(n) extends the maxima already computed."""
+    """Running maximum of inner; term(n) and keys(n, m) extend the maxima already computed."""
 
     inner: object
-    # maxima[m] = max(inner.term(0..m)); not part of equality, hash or repr
+    # maxima[n] = max(inner.term(0..n)); key_maxima[m][n] = the running maximum
+    # of inner.keys(0..n, m); neither is part of equality, hash or repr
     maxima: list = field(default_factory=list, compare=False, repr=False)
+    key_maxima: dict = field(default_factory=dict, compare=False, repr=False)
 
     def term(self, n: int) -> Fraction:
         maxima = self.maxima
@@ -195,7 +198,15 @@ class PrefixMaxGen:
         return maxima[n]
 
     def keys(self, n: int, m: int) -> tuple[int, int]:
-        return _fraction_keys(self.term(n), m)
+        """Floor and ceiling are monotone, so the keys of the running maximum
+        are the running maxima of the inner keys: no exact term is formed."""
+        maxima = self.key_maxima.setdefault(m, [])
+        while len(maxima) <= n:
+            fl, ce = self.inner.keys(len(maxima), m)
+            if maxima:
+                fl, ce = max(fl, maxima[-1][0]), max(ce, maxima[-1][1])
+            maxima.append((fl, ce))
+        return maxima[n]
 
 
 @dataclass(frozen=True)

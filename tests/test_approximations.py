@@ -18,6 +18,7 @@ from solred.approximations import (
     PrefixMaxGen,
     PrependGen,
     Table,
+    _fraction_keys,
     check_kind_prefix,
     over_one_denominator,
 )
@@ -81,6 +82,7 @@ def test_prefix_max_cache_is_not_part_of_equality_or_hash():
     inner = Table((Q(1, 4), Q(1, 8), Q(3, 8)), Q(1, 2))
     fresh, used = PrefixMaxGen(inner), PrefixMaxGen(inner)
     assert used.term(5) == Q(1, 2)
+    assert used.keys(5, 3) == (4, 4)
     assert fresh == used and hash(fresh) == hash(used)
     assert repr(fresh) == repr(used)
 
@@ -262,6 +264,33 @@ def test_keys_agree_with_the_exact_term(gen, n, m):
         assert keys == term
         return
     assert keys == (math.floor(term * 2 ** m), math.ceil(term * 2 ** m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inner=leaf_generators, reads=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 24)),
+                                             min_size=1, max_size=12))
+def test_prefix_max_keys_are_the_keys_of_the_running_maximum(inner, reads):
+    """Reads at interleaved scales and out of order on one instance."""
+    gen = PrefixMaxGen(inner)
+    for n, m in reads:
+        assert gen.keys(n, m) == _fraction_keys(gen.term(n), m)
+
+
+def test_late_prefix_max_keys_hold_no_exact_maxima():
+    """keys(4000, 14) of the w = 256 running maximum stays within 1 MB, traced.
+
+    Flooring exact maxima held all 4,001 terms, about 256 * 4000**2 / 2
+    bits (256 MB), and took 8.7 s in a construction at stage budget 4,000.
+    """
+    gen = PrefixMaxGen(AffineDyadic(Q(1, 2), Q(1, 4), 256))
+    tracemalloc.start()
+    try:
+        keys = gen.keys(4000, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert keys == (8191, 8192) and gen.maxima == []
 
 
 def exact_keys(term, m):

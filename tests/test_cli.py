@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -629,3 +630,90 @@ def test_mutated_corpus_files_exit_honestly(run):
         assert "Traceback" not in stderr.getvalue()
         if code == 1:
             assert json.loads(out.read_bytes())["summary"]["fails"] > 0
+
+
+def stdlib_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("ascii")
+
+
+def payload_runs(name: str) -> list[list[str]]:
+    """Every command and verify mode the corpus file accepts, the checkers also at depth 600."""
+    doc = CORPUS_DOCS[name]
+    modes = [m for key, ms in MODES.items() if key in doc for m in ms
+             if m != "prop1" or doc["beta_approx"]["claim"] == "left_ce"]
+    runs = [["verify", "--mode", m] for m in modes]
+    runs += [["verify", "--mode", m, "--depth", "600"] for m in modes
+             if m in ("prop1", "mirror", "s2a-check")]
+    if "solovay_witness" in doc:
+        runs += [["construct"], ["oracle", "--step", "3"]]
+    return runs
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_writer_matches_json_dumps_on_every_corpus_payload(tmp_path, capsys, monkeypatch, name):
+    """Each payload the CLI writes for a corpus file is json.dumps(indent=2)'s bytes."""
+    written = []
+    real = cli._dump
+
+    def checked(payload):
+        data = real(payload)
+        assert data == stdlib_bytes(payload)
+        written.append(data)
+        return data
+
+    monkeypatch.setattr(cli, "_dump", checked)
+    out = tmp_path / "payload.json"
+    for argv in payload_runs(name):
+        out.unlink(missing_ok=True)
+        code, _, err = run(capsys, argv[0], str(corpus_path(name)), *argv[1:], "--out", str(out))
+        assert code in (0, 1, 2), (argv, err)
+        if out.exists():
+            assert out.read_bytes() == written[-1]
+        else:  # the oracle finds no hit on invalid_small_c within its budget
+            assert (name, argv[0], code) == ("invalid_small_c", "oracle", 2)
+
+
+text_with_escapes = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t \ud800'),
+                                      st.characters(exclude_categories=())))
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 300), 1 << 64) | text_with_escapes,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(text_with_escapes, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=json_trees)
+def test_writer_matches_json_dumps_on_random_trees(tree):
+    """None, bools, large ints, any text (escapes, lone surrogates), tuples, empty containers."""
+    assert cli._dump(tree) == stdlib_bytes(tree)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    0.5, Q(1, 3), Text("1/3"), Count(3), {1: "one"}, {None: 0}, {True: 0}, {"a": {2.0}},
+    [1, [2, object()]],
+], ids=repr)
+def test_writer_rejects_what_a_payload_never_holds(value):
+    """A float, a Fraction, a non-str key or a subclass of str or int raises
+    TypeError, where json.dumps would write some of them."""
+    with pytest.raises(TypeError):
+        cli._dump({"rows": [value]})
+
+
+def test_an_unwritable_payload_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    real = harness.trace_payload
+    monkeypatch.setattr(cli, "trace_payload", lambda sc, trace: {**real(sc, trace), "c": Q(1, 2)})
+    out = tmp_path / "trace.json"
+    code, _, err = run(capsys, "construct", str(corpus_path("linear_basic")), "--depth", "1",
+                       "--out", str(out))
+    assert code == cli.EXIT_INTERNAL
+    assert "internal error: TypeError: Object of type Fraction is not JSON serializable" in err
+    assert not out.exists()
