@@ -266,16 +266,9 @@ def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _cannot_write(args.out, exc)
-    if args.jobs > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            results = list(pool.map(_run_one, [command] * len(paths), paths,
-                                    [opts] * len(paths)))
-    else:
-        results = [_run_one(command, p, opts) for p in paths]
     codes = []
-    for res, target in zip(results, targets):
+    for path, target in zip(paths, targets):  # each file's output, before the next file runs
+        res = _run_one(command, path, opts)
         sys.stdout.write(res["stdout"])
         sys.stderr.write(res["stderr"])
         codes.append(res["code"])
@@ -300,8 +293,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (one scenario) or directory (several)")
     p.add_argument("--stage-budget", type=int, dest="stage_budget",
                    help="override the scenario's stage budget")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run independent scenario files in parallel")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Least and greatest accepted value of each numeric option; anything outside is invalid input.
-_LEAST = {"jobs": 1, "depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0,
-          "step": 1}
+_LEAST = {"depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0, "step": 1}
 _MOST = {"depth": MAX_DEPTH, "stage_budget": MAX_STAGE_BUDGET, "guard": MAX_GUARD,
          "oracle_depth": MAX_DEPTH, "step": MAX_DEPTH}
 

@@ -25,7 +25,7 @@ from .construction import (
 )
 from .errors import InvalidScenario
 from .oracle import oracle_min_hit
-from .reals import Complement, CutVerdict, enclose, left_cut_member
+from .reals import Complement, enclose
 from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
@@ -169,17 +169,13 @@ def _step_check_row(chk: S2aStepCheck, c: Fraction) -> dict:
     }
 
 
-def _grid_points(scenario: Scenario) -> list[Fraction]:
-    pts = sorted(canonical_point(j) for j in range(2 ** GRID_LEVELS))
-    return [q for q in pts
-            if left_cut_member(scenario.beta, q, GRID_BUDGET) is CutVerdict.IN_LEFT_CUT]
-
-
 def _witness_grid_section(report: Report, scenario: Scenario) -> None:
     rows = []
-    for q in _grid_points(scenario):
+    for q in sorted(canonical_point(j) for j in range(2 ** GRID_LEVELS)):
         verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha, scenario.beta,
                                    q, scenario.stage_budget, GRID_BUDGET)
+        if verdict is None:  # q is not certified below beta
+            continue
         rows.append({"q": format_fraction(q), "verdict": verdict.value})
         report.tally(verdict.value)
     report.sections["witness_grid"] = {

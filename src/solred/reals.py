@@ -59,14 +59,6 @@ class Interval:
         return self.lo <= q <= self.hi
 
 
-class CutVerdict(enum.Enum):
-    """Verdict of a budgeted left-cut membership query."""
-
-    IN_LEFT_CUT = "in_left_cut"          # certified q < value
-    NOT_IN_LEFT_CUT = "not_in_left_cut"  # certified q >= value
-    UNKNOWN = "unknown"                  # budget exhausted undecided
-
-
 class S2aVerdict(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
@@ -260,28 +252,26 @@ def enclose_at_tick(real: ReferenceReal, tick: int) -> Interval:
     return _refine(real, lambda series, _: series.after_terms(tick))
 
 
-def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> CutVerdict:
+def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> S2aVerdict:
     """Budgeted test of q < value.
 
-    IN_LEFT_CUT is certified when some enclosure has q < lo;
-    NOT_IN_LEFT_CUT when q >= hi (which covers the exact-rational tie
-    q == value, since a point interval has hi == value).  Verdicts are
-    monotone in budget: once certified, more budget never flips the
-    answer, because enclosures are nested.
+    HOLDS is certified when some enclosure has q < lo; FAILS when
+    q >= hi (which covers the exact-rational tie q == value, since a
+    point interval has hi == value); UNKNOWN when the budget runs out
+    undecided.  Verdicts are monotone in budget: once certified, more
+    budget never flips the answer, because enclosures are nested.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     for tick in range(1, budget + 1):
         box = enclose_at_tick(real, tick)
         verdict = certify(q, q, box.lo, box.hi, True)
-        if verdict is S2aVerdict.HOLDS:
-            return CutVerdict.IN_LEFT_CUT
-        if verdict is S2aVerdict.FAILS:
-            return CutVerdict.NOT_IN_LEFT_CUT
-    return CutVerdict.UNKNOWN
+        if verdict is not S2aVerdict.UNKNOWN:
+            return verdict
+    return S2aVerdict.UNKNOWN
 
 
 def certify_in_open_unit(real: ReferenceReal, budget: int = 64) -> bool:
     """True when refinement certifies 0 < value and 0 < 1 - value within the budget."""
-    return all(left_cut_member(r, ZERO, budget) is CutVerdict.IN_LEFT_CUT
+    return all(left_cut_member(r, ZERO, budget) is S2aVerdict.HOLDS
                for r in (real, Complement(real)))

@@ -36,9 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .approximations import Approximation, over_one_denominator
-from .errors import InvalidScenario
-from .reals import (CutVerdict, Interval, ReferenceReal, S2aVerdict, certify, enclose,
-                    left_cut_member)
+from .reals import Interval, ReferenceReal, S2aVerdict, certify, enclose, left_cut_member
 
 Q = Fraction
 
@@ -291,15 +289,15 @@ def solovay_verdict(a_box: Interval, b_box: Interval, value: Fraction, q: Fracti
 
 
 def check_solovay_at(w: SolovayWitness, alpha: ReferenceReal, beta: ReferenceReal,
-                     q: Fraction, stage: int, budget: int) -> SolovayVerdict:
+                     q: Fraction, stage: int, budget: int) -> SolovayVerdict | None:
     """Spot-check the Solovay condition 0 < alpha - g(q) < c*(beta - q).
 
-    The caller must have certified q < beta; this is re-checked and a
-    violation raises InvalidScenario.  Enclosures of alpha and beta at
-    width <= 2**-budget drive the three-valued verdict.
+    None when refinement within the budget does not certify q < beta:
+    the condition claims nothing there.  Otherwise enclosures of alpha
+    and beta at width <= 2**-budget drive the three-valued verdict.
     """
-    if left_cut_member(beta, q, budget) is not CutVerdict.IN_LEFT_CUT:
-        raise InvalidScenario(f"point {q} is not certified below the target real")
+    if left_cut_member(beta, q, budget) is not S2aVerdict.HOLDS:
+        return None
     value = eval_staged(w.g, q, stage)
     if value is None:
         return SolovayVerdict.G_UNDEFINED

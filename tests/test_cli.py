@@ -269,11 +269,17 @@ def test_oracle_budget_cases(tmp_path, capsys):
     assert "cannot reach step 2" in err
 
 
-def test_jobs_must_be_positive(capsys):
-    code, _, err = run(capsys, "verify", str(corpus_path("linear_basic")),
-                       "--mode", "solovay-check", "--jobs", "0")
-    assert code == 3
-    assert "--jobs" in err
+def test_jobs_is_a_usage_error(tmp_path, capsys):
+    """Files run one after another: --jobs is not an option."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(corpus_path("linear_basic")), "--mode", "solovay-check",
+                  "--jobs", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    assert "solred: error: unrecognized arguments: --jobs 2" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,extra", [
@@ -389,12 +395,12 @@ def test_fraction_string_too_long_to_convert_is_invalid_input(tmp_path, capsys):
     assert TIMING.search(elapsed)
 
 
-def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):
+def test_multi_file_worst_exit_and_out_dir(tmp_path, capsys):
     out = tmp_path / "reports"
     code, _, _ = run(capsys, "verify",
                      str(corpus_path("linear_basic")),
                      str(corpus_path("invalid_g_above")),
-                     "--mode", "solovay-check", "--jobs", "3",
+                     "--mode", "solovay-check",
                      "--out", str(out))
     assert code == 1
     good = json.loads((out / "linear_basic.json").read_bytes())
@@ -403,53 +409,33 @@ def test_parallel_multi_file_worst_exit_and_out_dir(tmp_path, capsys):
     assert bad["summary"]["overall"] == "fail"
 
 
-def test_jobs_change_no_output_byte(tmp_path, capsys):
+def test_multi_file_writes_every_valid_file_and_one_error_line(tmp_path, capsys):
     paths = [str(corpus_path(name)) for name in
              ("linear_basic", "mirror_geometric", "invalid_g_above", "table_tail")]
-    runs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        code, text, err = run(capsys, "verify", *paths, "--mode", "solovay-check",
-                              "--jobs", jobs, "--out", str(out))
-        payloads = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        untimed = [line for line in err.splitlines() if not TIMING.search(line)]
-        runs.append((code, text, untimed, payloads))
-    assert runs[0] == runs[1]
-    code, _, untimed, payloads = runs[0]
+    out = tmp_path / "reports"
+    code, _, err = run(capsys, "verify", *paths, "--mode", "solovay-check", "--out", str(out))
     assert code == 3
-    assert sorted(payloads) == ["invalid_g_above.json", "linear_basic.json", "table_tail.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "invalid_g_above.json", "linear_basic.json", "table_tail.json"]
+    untimed = [line for line in err.splitlines() if not TIMING.search(line)]
     assert len(untimed) == 1 and untimed[0].startswith(paths[1] + ": ")
 
 
-def test_jobs_pool_is_bounded_by_the_file_count(tmp_path, capsys, monkeypatch):
-    """A fork pool starts all its workers at the first submit, so --jobs
-    asks for no more workers than there are files."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+def test_each_payload_is_written_before_the_next_file_runs(tmp_path, capsys, monkeypatch):
+    """No file's output waits for the files after it."""
     paths = [str(corpus_path(name)) for name in ("linear_basic", "invalid_g_above")]
-    payloads = []
-    for jobs in ("1", "1000"):
-        out = tmp_path / f"jobs{jobs}"
-        code, _, _ = run(capsys, "verify", *paths, "--mode", "solovay-check",
-                         "--jobs", jobs, "--out", str(out))
-        assert code == 1
-        payloads.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sizes == [2]
-    assert payloads[0] == payloads[1] and len(payloads[0]) == 2
+    out = tmp_path / "reports"
+    seen = []
+    real = cli._run_one
+
+    def run_one(command, path, opts):
+        seen.append(sorted(p.name for p in out.iterdir()))
+        return real(command, path, opts)
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    code, _, _ = run(capsys, "verify", *paths, "--mode", "solovay-check", "--out", str(out))
+    assert code == 1
+    assert seen == [[], ["linear_basic.json"]]
 
 
 def test_multi_file_skips_output_for_invalid_member(tmp_path, capsys):
@@ -564,6 +550,12 @@ MODES = {"solovay_witness": ["construction", "prop1", "solovay-check"],
          "alpha_leftce_approx": ["mirror"], "s2a_witness": ["s2a-check"]}
 
 
+def accepted_modes(doc) -> list[str]:
+    """The verify modes a corpus document accepts: prop1 needs a left_ce beta claim."""
+    return [m for key, ms in MODES.items() if key in doc for m in ms
+            if m != "prop1" or doc["beta_approx"]["claim"] == "left_ce"]
+
+
 def mutate(draw, doc):
     op = draw(st.sampled_from(["drop", "swap", "generator", "integer", "retype"]))
     if op == "drop":
@@ -604,7 +596,7 @@ def mutated_runs(draw):
     for _ in range(draw(st.integers(0, 2))):
         mutate(draw, doc)
     depth, budget = str(draw(st.integers(0, 3))), str(draw(st.integers(0, 200)))
-    modes = [m for key, ms in MODES.items() if key in CORPUS_DOCS[name] for m in ms]
+    modes = accepted_modes(CORPUS_DOCS[name])
     command = draw(st.sampled_from(["construct", "oracle", "verify", "verify"]))
     if command == "construct":
         return doc, ["construct", "--depth", depth, "--stage-budget", budget]
@@ -639,8 +631,7 @@ def stdlib_bytes(payload) -> bytes:
 def payload_runs(name: str) -> list[list[str]]:
     """Every command and verify mode the corpus file accepts, the checkers also at depth 600."""
     doc = CORPUS_DOCS[name]
-    modes = [m for key, ms in MODES.items() if key in doc for m in ms
-             if m != "prop1" or doc["beta_approx"]["claim"] == "left_ce"]
+    modes = accepted_modes(doc)
     runs = [["verify", "--mode", m] for m in modes]
     runs += [["verify", "--mode", m, "--depth", "600"] for m in modes
              if m in ("prop1", "mirror", "s2a-check")]
@@ -697,9 +688,16 @@ class Count(int):
     pass
 
 
+class Opaque:
+    """A value of no JSON type, with a repr that gives its test case a stable id."""
+
+    def __repr__(self):
+        return "Opaque()"
+
+
 @pytest.mark.parametrize("value", [
     0.5, Q(1, 3), Text("1/3"), Count(3), {1: "one"}, {None: 0}, {True: 0}, {"a": {2.0}},
-    [1, [2, object()]],
+    [1, [2, Opaque()]],
 ], ids=repr)
 def test_writer_rejects_what_a_payload_never_holds(value):
     """A float, a Fraction, a non-str key or a subclass of str or int raises

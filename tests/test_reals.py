@@ -10,11 +10,11 @@ from solred.reals import (
     AffineExponents,
     Average,
     Complement,
-    CutVerdict,
     DyadicSeries,
     ExactRational,
     Interval,
     ListExponents,
+    S2aVerdict,
     Scale,
     certify_in_open_unit,
     enclose,
@@ -95,24 +95,24 @@ def test_series_partial_sums_strictly_increase():
 
 def test_left_cut_member_rational_cases():
     third = ExactRational(Q(1, 3))
-    assert left_cut_member(third, Q(1, 2), 10) is CutVerdict.NOT_IN_LEFT_CUT
-    assert left_cut_member(third, Q(1, 3), 10) is CutVerdict.NOT_IN_LEFT_CUT
-    assert left_cut_member(third, Q(1, 4), 10) is CutVerdict.IN_LEFT_CUT
+    assert left_cut_member(third, Q(1, 2), 10) is S2aVerdict.FAILS
+    assert left_cut_member(third, Q(1, 3), 10) is S2aVerdict.FAILS
+    assert left_cut_member(third, Q(1, 4), 10) is S2aVerdict.HOLDS
 
 
 def test_left_cut_member_series_straddle_is_unknown():
-    assert left_cut_member(THIRD_SERIES, Q(1, 3), 5) is CutVerdict.UNKNOWN
-    assert left_cut_member(THIRD_SERIES, Q(21, 64), 5) is CutVerdict.IN_LEFT_CUT
-    assert left_cut_member(THIRD_SERIES, Q(3, 8), 5) is CutVerdict.NOT_IN_LEFT_CUT
+    assert left_cut_member(THIRD_SERIES, Q(1, 3), 5) is S2aVerdict.UNKNOWN
+    assert left_cut_member(THIRD_SERIES, Q(21, 64), 5) is S2aVerdict.HOLDS
+    assert left_cut_member(THIRD_SERIES, Q(3, 8), 5) is S2aVerdict.FAILS
 
 
 def test_left_cut_member_certainty_is_monotone_in_budget():
     for q in (Q(21, 64), Q(3, 8), Q(1, 3)):
         verdicts = [left_cut_member(THIRD_SERIES, q, b) for b in range(1, 40, 3)]
-        settled = [v for v in verdicts if v is not CutVerdict.UNKNOWN]
+        settled = [v for v in verdicts if v is not S2aVerdict.UNKNOWN]
         assert len(set(settled)) <= 1
         for early, late in zip(verdicts, verdicts[1:]):
-            if early is not CutVerdict.UNKNOWN:
+            if early is not S2aVerdict.UNKNOWN:
                 assert late is early
 
 
@@ -169,9 +169,9 @@ def test_enclosures_contain_exact_value_and_nest(real, k):
 def test_left_cut_member_never_contradicts_exact_value(real, q, budget):
     value = exact_value(real)
     verdict = left_cut_member(real, q, budget)
-    if verdict is CutVerdict.IN_LEFT_CUT:
+    if verdict is S2aVerdict.HOLDS:
         assert q < value
-    elif verdict is CutVerdict.NOT_IN_LEFT_CUT:
+    elif verdict is S2aVerdict.FAILS:
         assert q >= value
 
 
@@ -249,10 +249,10 @@ def reference_left_cut_member(boxes, q, budget):
     """
     for box in boxes[:budget]:
         if q < box.lo:
-            return CutVerdict.IN_LEFT_CUT
+            return S2aVerdict.HOLDS
         if q >= box.hi:
-            return CutVerdict.NOT_IN_LEFT_CUT
-    return CutVerdict.UNKNOWN
+            return S2aVerdict.FAILS
+    return S2aVerdict.UNKNOWN
 
 
 def reference_certify_in_open_unit(boxes):

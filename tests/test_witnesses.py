@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solred.approximations import Approximation, Kind, Table
-from solred.errors import InvalidScenario
 from solred.harness import verify_prop1
 from solred.reals import AffineExponents, DyadicSeries, ExactRational, Interval
 from solred.scenario import parse_scenario
@@ -221,8 +220,8 @@ def test_check_solovay_at_pending_and_precondition():
     lazy = SolovayWitness(staged(stage_overrides=[(2, 99)]), Q(1))
     assert check_solovay_at(lazy, alpha, beta, Q(1, 4), 0, 10) is SolovayVerdict.G_UNDEFINED
     w = SolovayWitness(HALVING, Q(1))
-    with pytest.raises(InvalidScenario):
-        check_solovay_at(w, alpha, beta, Q(3, 4), 0, 10)
+    assert check_solovay_at(w, alpha, beta, Q(3, 4), 0, 10) is None
+    assert check_solovay_at(w, alpha, beta, Q(1, 2), 0, 10) is None  # q == beta
 
 
 def const_approx(value):
