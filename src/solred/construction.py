@@ -29,19 +29,24 @@ ascending ell and then lexicographically by positions in the
 value-sorted domain (first position pinned to the point 0).
 
 The search is incremental.  A construction keeps one domain and sweeps
-it forward once.  Only the part of the domain that 0 reaches in hops
-below the gap limit is kept sorted, since every ladder a search can
-find lies in it; the points above it wait in a heap.  With c > 0, a
-ladder that meets step n's requirement for b_i meets step n-1's too,
-and every step-n candidate is a step-(n-1) candidate, so step n cannot
-hit before the stage where step n-1 did, and it resumes there.  Within
-a step the domain only grows,
-and a search's answer depends only on (n, c), the domain points
+it forward once.  The domain is a bytearray of occupancy bytes, one
+slot per dyadic at a resolution that doubles as stages are entered, so
+value order is slot order: the reach of 0 in hops below the gap limit
+(every ladder a search can find lies below it), each distance class of
+the ladder walk and each window of finals is found by a C-level find
+over those bytes.  A final that fails clause (v) against 0 can end no
+ladder for the rest of the step, so it is cleared from the step's live
+copy of the bytes and walked once.  With c > 0, a ladder that meets
+step n's requirement for b_i meets step n-1's too, and every step-n
+candidate is a step-(n-1) candidate, so step n cannot hit before the
+stage where step n-1 did, and it resumes there.  Within a step the
+domain only grows, and a search's answer depends only on (n, c), the
+domain points
 strictly below b_i and b_i's keys (fl, ce) below.  So a candidate that
 missed is searched again only at a stage that inserts a point below
 its b_i, and of equal-key candidates only the least index is routed,
 since candidates are searched in ascending i.
-Within one search, each final in the window gets a direct
+Within one search, each live final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
 oracle re-derives the same hits with none of this machinery, and the
@@ -49,12 +54,14 @@ test suite holds the two to exact equality.
 
 The search loop compares integers only, and a stage costs the same
 at every stage number and decay rate.  Domain points and every step's
-gap limit are dyadic, so the domain holds its points at one scale 2**m
-and reads each b_i (whose denominator can run to thousands of bits)
-once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m), which
-the target's generator computes on integers of about m bits (see
+gap limit are dyadic, so the search compares at one scale 2**m (the
+domain's slots, at a resolution 2**r <= 2**m, convert to it exactly by
+a shift), and reads each b_i (whose denominator can run to thousands of
+bits) once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m),
+which the target's generator computes on integers of about m bits (see
 approximations).  No integer lies strictly between fl and ce, so for
-every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A g-value
+every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x; a slot x
+at resolution 2**r lies below b_i iff x < ceil(ce / 2**(m-r)).  A g-value
 is read the first time a ladder search needs it, as the value rule's
 unreduced integer pair, and the search pre-filters clause (v) by
 cross-multiplying those pairs.  Fractions are built only for the members
@@ -65,7 +72,6 @@ integers, accepts every hit.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -156,51 +162,57 @@ class ConstructionTrace:
 class _Domain:
     """The dovetailed domain of a construction, advanced stage by stage.
 
-    Points are integers at one scale 2**m, the least at which all points
-    j <= stage_budget and all points of the prefix are exact, and so is
-    the gap limit of every step that search_step starts (see there).
-    Tracks, incrementally: the keys (fl, ce) of each entered stage's b_s,
-    read once from the target's generator, and g-values, cached by
-    enumeration index: as an unreduced integer pair (pairs) on a ladder
-    search's first read, and as one Fraction (values) once the point is a
-    member of a returned ladder.
-    For the current step it tracks the reach, the largest point that 0
-    reaches with every hop < gap (the step's gap limit at the scale),
-    None until 0 is in the domain, and, per enumeration index, whether
-    the point passes clause (v) against the point 0, which is fixed once
-    0 is in the domain.  Within a step points only arrive, so the reach
-    only moves up.
+    Keys, gap limits and the least point a stage inserts are integers at
+    one scale 2**m, the least at which all points j <= stage_budget and
+    all points of the prefix are exact, and so is the gap limit of every
+    step that search_step starts (see there).  Tracks, incrementally: the
+    keys (fl, ce) of each entered stage's b_s, read once from the target's
+    generator, and g-values, cached by enumeration index: as an unreduced
+    integer pair (pairs) on a ladder search's first read, and as one
+    Fraction (values) once the point is a member of a returned ladder.
 
-    The domain is split at the reach.  The reached part, the points at
-    or below the reach, is kept sorted in points with their enumeration
-    indices in indices; every point above the reach waits in the
-    min-heap ahead as (x, j).  No point lies in (reach, reach + gap), and
-    every search reads only points below some b_i < reach + gap, so the
-    reached part is all a search sees, and its positions are those of the
-    whole value-sorted domain.  A point that lands below the reach is
-    bisected in; any other is pushed onto ahead, and the reach then pulls
-    the least points off ahead while they lie within one hop.  So most
-    stages append or push a point and shift no list.
-    A new step's smaller gap can shrink the reach, so start_step moves the
-    reached part back ahead and pulls again from 0.  Stage t inserts q_t
-    at once when its definition stage has arrived; only a point defined
-    later waits in the pending heap.
+    The points themselves are occupancy bytes at a resolution 2**r that
+    doubles as stages are entered: r = max(bit_length(stage),
+    bit_length(len(prefix))), capped at m, so every point j <= stage is
+    exact at it and memory follows the stages entered, not 2**m.  occ[x]
+    is 1 iff x / 2**r is a point, and index[x] is its enumeration index.
+    Value order is slot order, so every scan of the domain is a C-level
+    bytearray find.  A point with r = m that is finer than 2**-m raises.
+    At the resolution a step's gap limit is hop = gap >> (m - r), exact
+    while r >= n + 1 (and 0 below, where no two points are within a gap).
+
+    For the current step it tracks the reach, the largest point (a slot)
+    that 0 reaches with every hop < gap, None until 0 is in the domain.
+    A chain of hops ends at the first run of hop - 1 empty slots, so the
+    reach is found by one find of that run.  Within a step points
+    only arrive, so the reach only moves up, and it moves only when a
+    point lands less than one hop past it.
+    live is occ less the finals known to fail clause (v) against 0 in this
+    step: _lex_first_ladder clears a final from it at the first failure,
+    and zero_ok holds the enumeration indices of the finals that passed.
+    pair_ok(f, 0) depends only on n, c and the points 0 and f, so a final
+    that fails it ends no ladder for the rest of the step (see there).
+    start_step resets live to occ, every insert marks its point live, and
+    each doubling carries live over with occ.  Stage t inserts q_t at once
+    when its definition stage has arrived; only a point defined later
+    waits in the pending heap.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
         self.g, self.b = g, b
         self.m = max(stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
+        self.r = len(g.enumeration.prefix).bit_length()  # <= m; grows with the stage
         self.stage = 0
         self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
         self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
-        self.points: list[int] = []   # the reached part, sorted: points at or below the reach
-        self.indices: list[int] = []  # the enumeration index of each reached point
-        self.ahead: list[tuple[int, int]] = []  # min-heap of (x, j): points above the reach
-        self.gap = 0
-        self.reach: int | None = None  # largest point 0 reaches with every hop < gap
-        self.zero_ok: dict[int, bool] = {}  # enumeration index -> pair_ok(f, 0)
+        self.occ = bytearray(1 << self.r)   # occ[x] = 1 iff x / 2**r is a point
+        self.index = [0] * (1 << self.r)    # index[x]: the enumeration index of point x
+        self.live = bytearray(1 << self.r)  # occ less this step's finals that fail zero_ok
+        self.gap = self.hop = 0  # the step's gap limit at scale 2**m and in slots
+        self.reach: int | None = None  # largest point (a slot) 0 reaches with every hop < gap
+        self.zero_ok: set[int] = set()  # enumeration indices j with pair_ok(q_j, 0) this step
 
     def pair(self, j: int) -> tuple[int, int]:
         """g(q_j) of an inserted point as an unreduced integer pair (p, q), q > 0."""
@@ -218,136 +230,161 @@ class _Domain:
         return v
 
     def start_step(self, n: int) -> None:
-        """Set step n's gap limit, pull its reached part from 0, and forget zero_ok."""
+        """Set step n's gap limit, walk its reach from 0, and reset live and zero_ok."""
         self.gap = 1 << (self.m - n - 1)
-        # every reached point lies below every point ahead, so this list is sorted: a heap
-        self.ahead = list(zip(self.points, self.indices)) + sorted(self.ahead)
-        self.points, self.indices = [], []
-        self.reach = None
-        self._pull()
-        self.zero_ok = {}
+        self.hop = self.gap >> (self.m - self.r)
+        self.live = self.occ.copy()
+        self.zero_ok = set()
+        self.reach = self._reach_from(0) if self.occ[0] else None
 
-    def _pull(self) -> None:
-        """Move the least points ahead into the reached part while 0 reaches them."""
-        ahead, reach = self.ahead, self.reach
-        while ahead and (ahead[0][0] == 0 if reach is None else ahead[0][0] < reach + self.gap):
-            reach, j = heapq.heappop(ahead)
-            self.points.append(reach)
-            self.indices.append(j)
-        self.reach = reach
+    def _reach_from(self, x: int) -> int:
+        """The largest point that the point x reaches with every hop < gap."""
+        k = self.occ.find(bytes(max(self.hop - 1, 0)), x + 1)
+        return k - 1 if k >= 0 else self.occ.rfind(1)
+
+    def _double(self) -> None:
+        """Raise the resolution by one bit: the point x becomes 2x."""
+        size = 2 * len(self.occ)
+        occ, live, index = bytearray(size), bytearray(size), [0] * size
+        occ[::2], live[::2], index[::2] = self.occ, self.live, self.index
+        self.occ, self.live, self.index = occ, live, index
+        self.r += 1
+        self.hop = self.gap >> (self.m - self.r)
+        if self.reach is not None:
+            self.reach *= 2
 
     def advance(self) -> int | None:
-        """Enter the next stage; return the least point it inserts, if any."""
-        g, pending, m = self.g, self.pending, self.m
+        """Enter the next stage; return the least point it inserts (scale 2**m), if any."""
+        g, pending = self.g, self.pending
         t = self.stage = self.stage + 1
+        if self.r < min(t.bit_length(), self.m):  # q_t needs one more bit
+            self._double()
+        r = self.r
         low = None
         if (st := g.schedule.stage_of(t)) is not None:
             if st <= t:  # defined already: no wait on the pending heap
-                low = g.enumeration.scaled(t, m)
+                low = g.enumeration.scaled(t, r)
                 self.insert(t, low)
             else:
                 heapq.heappush(pending, (st, t))
         while pending and pending[0][0] <= t:
             j = heapq.heappop(pending)[1]
-            x = g.enumeration.scaled(j, m)
+            x = g.enumeration.scaled(j, r)
             self.insert(j, x)
             if low is None or x < low:
                 low = x
-        self.keys.append(self.b.keys(t, m))
-        return low
+        self.keys.append(self.b.keys(t, self.m))
+        return None if low is None else low << (self.m - r)
 
     def insert(self, j: int, x: int) -> None:
-        if self.reach is not None and x < self.reach:
-            pos = bisect_left(self.points, x)
-            self.points.insert(pos, x)
-            self.indices.insert(pos, j)
-        else:
-            heapq.heappush(self.ahead, (x, j))
-            self._pull()
+        """Insert q_j, the slot x at the resolution, and move the reach if x extends it."""
+        self.occ[x] = self.live[x] = 1
+        self.index[x] = j
+        reach = self.reach
+        if x == 0 if reach is None else reach < x < reach + self.hop:
+            self.reach = self._reach_from(0 if reach is None else reach)
+
+    def below(self, key: int) -> int:
+        """The slot bound of a key at scale 2**m: slot x < it iff x * 2**(m - r) < key."""
+        return max(0, -(-key >> (self.m - self.r)))
 
     def ceil(self) -> int | None:
-        """reach + gap: the window of a b_i at or above it holds no reached point."""
-        return None if self.reach is None else self.reach + self.gap
+        """reach + gap at scale 2**m: the window of a b_i at or above it holds no reached point."""
+        return None if self.reach is None else (self.reach << (self.m - self.r)) + self.gap
 
 
-def _lex_first_ladder(n: int, i: int, fl: int, cut: int, c: Fraction, state: _Domain
+def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
                       ) -> tuple[Fraction, RequirementTuple] | None:
     """(b_i, canonically first requirement-satisfying ladder) for this stage.
 
-    The universe is the cut >= 3 points below b_i, 0 among them.  The
-    canonical ladder is the least by (ell, positions in the value-sorted
-    domain).  It is found by a direct shortest-path search per final f
-    in the window (clause (ii)), with no backtracking:
+    The universe is the points below b_i, 0 and at least two more among
+    them.  The canonical ladder is the least by (ell, positions in the
+    value-sorted domain), and since value order is slot order at the
+    domain's resolution, it is the least by (ell, slots).  It is found
+    by a direct shortest-path search per final f in the window (clause
+    (ii)), with no backtracking:
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
-      and requires pair_ok(f, 0); the latter is cached on the domain.
-      pair_ok is clause (v) cross-multiplied into integers: with
-      g_f - g_k = num / den, c = cn / cd and the slack 2**-(n+2) equal
-      to gap / 2 at the scale 2**m, it reads
+      and requires pair_ok(f, 0).  pair_ok is clause (v) cross-multiplied
+      into integers at the scale 2**m: with g_f - g_k = num / den, c =
+      cn / cd and the slack 2**-(n+2) equal to gap / 2, it reads
       0 < num and num * cd * 2**(m+1) < cn * den * (2 * (x_f - x_k) + gap);
+    - pair_ok(f, 0) reads only n (through gap), c, and the points f and 0
+      with their g-values, all fixed for the rest of the step, and every
+      ladder ending at f has 0 as its first point.  So a final that fails
+      it ends no ladder for the rest of the step: it is cleared from the
+      domain's live bytes, and the finals are found by scanning those;
     - over admissible points, the hop distance to f (hops < gap,
-      clause (iv)) never increases with position, so each distance
-      class is a run of positions.  Walking back from f, class h starts
-      at the first position within one hop of the least member m_{h-1}
-      of class h-1 (m_0 = f), and m_h is its first admissible position;
-      the walk stops when 0 is within one hop, or fails on an empty
-      class;
+      clause (iv)) never increases with value, so each distance class is
+      a run of slots.  Walking back from f, class h starts at the first
+      slot within one hop of the least member m_{h-1} of class h-1
+      (m_0 = f), and m_h is its first admissible point; the walk stops
+      when 0 is within one hop, or fails on an empty class;
     - the lex-first shortest path is then 0, m_{h-1}, ..., m_1, f.  When
       0 reaches f in one hop, the ladder is (0, first admissible k, f),
       because clause (i) needs ell >= 2;
-    - the least (ell, positions) over the finals wins.  Only then are b_i
+    - the least (ell, slots) over the finals wins.  Only then are b_i
       and the ladder built as Fractions, and the ladder is accepted
       solely by check_requirement.
+
+    search_step calls it only with a hop of at least 2 slots: below
+    that, no point but 0 lies below a ready b_i.
     """
-    gap = state.gap
-    pts = state.points
-    idx = state.indices
+    gap, hop, d = state.gap, state.hop, state.m - state.r
+    occ, live, index = state.occ, state.live, state.index
     zero_ok = state.zero_ok
     pair = state.pair
     cn, cd = c.numerator, c.denominator
     shift = state.m + 1
 
     def pair_ok(f: int, k: int) -> bool:
-        (pf, qf), (pk, qk) = pair(idx[f]), pair(idx[k])
+        (pf, qf), (pk, qk) = pair(index[f]), pair(index[k])
         num = pf * qk - pk * qf
-        return 0 < num and (num * cd << shift) < cn * qf * qk * (2 * (pts[f] - pts[k]) + gap)
+        return 0 < num and (num * cd << shift) < cn * qf * qk * (((f - k) << (d + 1)) + gap)
 
-    def first_member(f: int, lo: int, hi: int) -> int | None:
-        return next((k for k in range(lo, hi) if pair_ok(f, k)), None)
+    def first_member(f: int, lo: int, hi: int) -> int:
+        """The least point k in [lo, hi) with pair_ok(f, k); -1 if none."""
+        k = occ.find(1, lo, hi)
+        while k >= 0 and not pair_ok(f, k):
+            k = occ.find(1, k + 1, hi)
+        return k
 
     def ladder_to(f: int) -> list[int] | None:
         """Lex-first shortest ladder ending at f; None if 0 cannot reach f."""
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
         top, hi = f, f
-        while (lo := bisect_right(pts, pts[top] - gap, 0, hi)) > 0:
+        while (lo := top - hop + 1) > 0:
             top = first_member(f, lo, hi)
-            if top is None:
+            if top < 0:
                 return None  # empty distance class: 0 cannot reach f
             chain.append(top)
             hi = lo
         if not chain:  # 0 reaches f in one hop, but clause (i) needs ell >= 2
             k = first_member(f, 1, f)
-            if k is None:
+            if k < 0:
                 return None
             chain = [k]
         return [0] + chain[::-1] + [f]
 
     best: list[int] | None = None
-    for f in range(bisect_right(pts, fl - gap, 0, cut), cut):  # b - gap < x iff fl - gap < x
-        j = idx[f]
+    f = max(0, (fl >> d) - hop + 1) - 1  # b - gap < x iff fl - gap < x
+    hi = state.below(ce)                  # x < b iff x < ce
+    while (f := live.find(1, f + 1, hi)) >= 0:
+        j = index[f]
         if j not in zero_ok:
-            zero_ok[j] = pair_ok(f, 0)
-        if not zero_ok[j]:
-            continue
+            if not pair_ok(f, 0):
+                live[f] = 0  # ends no ladder for the rest of the step
+                continue
+            zero_ok.add(j)
         ladder = ladder_to(f)
         if ladder is not None and (best is None or (len(ladder), ladder) < (len(best), best)):
             best = ladder
     if best is None:
         return None
     b = state.b.term(i)
-    tup = RequirementTuple(tuple(idx[t] for t in best),
-                           tuple(Q(pts[t], 1 << state.m) for t in best),
-                           tuple(state.value(idx[t]) for t in best))
+    tup = RequirementTuple(tuple(index[t] for t in best),
+                           tuple(Q(t, 1 << state.r) for t in best),
+                           tuple(state.value(index[t]) for t in best))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
@@ -369,13 +406,16 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     positive integer.  Clauses (i) and (iii) need at least one such hop,
     and clause (iv) needs every hop below 2**(m-n-1) <= 1, so no such step
     ever hits.  Every step that starts has an integer gap limit >= 2.
+    Every comparison with a key is at the scale 2**m, and the domain's
+    slots are converted at that boundary (see _Domain.below).
     A candidate whose b_i is at or above the domain's ceil (reach + gap)
     provably admits no ladder yet, since its window holds no point that 0
     reaches.  It waits in one heap keyed by fl, and the reach only
     increases within a step, so it is woken at most once.  Every other
     candidate is ready.  A ready candidate is searched when it becomes
     ready, and after a miss only at a stage that inserts a point below its
-    b_i; while fewer than three points lie below b_i, it misses unsearched.
+    b_i; while fewer than three points lie below b_i (two finds over the
+    occupancy bytes tell), it misses unsearched.
     A candidate whose keys (fl, ce) equal a lesser candidate's is never
     routed: every search outcome depends on b_i only through its keys, and
     the lesser one, searched first, hits at every stage the later one would.
@@ -415,11 +455,11 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                cut = bisect_left(domain.points, ce)  # points x < b_i, that is x < ce
-                if cut < 3:  # a ladder needs three
-                    missed.add(i)
+                occ, hi = domain.occ, domain.below(ce)  # slots x < hi: the points below b_i
+                if (k := occ.find(1, 1, hi)) < 0 or occ.find(1, k + 1, hi) < 0:
+                    missed.add(i)  # a ladder needs three points: 0 and two more
                     continue
-                hit = _lex_first_ladder(n, i, fl, cut, witness.c, domain)
+                hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
                 if hit is not None:
                     bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)

@@ -240,12 +240,12 @@ def count_searches(monkeypatch, name, reads=None):
     calls = 0
     real = construction._lex_first_ladder
 
-    def counting(n, i, fl, cut, c, state):
+    def counting(n, i, fl, ce, c, state):
         nonlocal calls
         calls += 1
         if reads is not None:
             reads.append((n, state.stage, state.keys[i]))
-        return real(n, i, fl, cut, c, state)
+        return real(n, i, fl, ce, c, state)
 
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
     sc = load_scenario(corpus_path(name))
@@ -266,6 +266,45 @@ def test_ladder_search_work_is_pinned(monkeypatch):
     """
     assert count_searches(monkeypatch, "invalid_small_c") == (245, 3)
     assert count_searches(monkeypatch, "linear_basic") == (12, None)
+
+
+@pytest.mark.parametrize("budget,searches,finals", [(400, 245, 53), (8192, 9084, 603)])
+def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):
+    """A final that fails clause (v) against 0 is walked once per step.
+
+    invalid_small_c exhausts at step 3.  Looking zero_ok up for every final
+    in the window, its searches walked 3,315 finals at budget 400 and
+    1,945,656 at 8,192, of which 24 passed.  A final that fails is cleared
+    from the step's live bytes, so later searches of the step scan past it.
+    Each final walked is looked up in zero_ok once.
+    """
+    walked = calls = 0
+
+    class CountingSet(set):
+        def __contains__(self, j):
+            nonlocal walked
+            walked += 1
+            return super().__contains__(j)
+
+    real_start = construction._Domain.start_step
+
+    def start_step(self, n):
+        real_start(self, n)
+        self.zero_ok = CountingSet()
+
+    real_search = construction._lex_first_ladder
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_search(*args)
+
+    monkeypatch.setattr(construction._Domain, "start_step", start_step)
+    monkeypatch.setattr(construction, "_lex_first_ladder", counting)
+    sc = load_scenario(corpus_path("invalid_small_c"))
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, 3, budget)
+    assert trace.exhausted == (3, budget)
+    assert (calls, walked) == (searches, finals)
 
 
 @pytest.mark.parametrize("name", VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES)
@@ -409,18 +448,15 @@ def test_construction_inserts_each_point_once(monkeypatch):
     """The steps share one domain, advanced stage by stage and never rewound.
 
     At stage 9,214 it holds the points q_0..q_9214.  Replaying the
-    domain into every step cost 18,438 inserts.  Only a point that lands
-    below the reach is bisected into the sorted reached part, shifting
-    it: 8 of the 9,215.  When the whole domain was kept sorted, every
-    insert shifted two lists.
+    domain into every step cost 18,438 inserts.  An insert sets one
+    occupancy byte and shifts no list.
     """
-    calls = shifted = 0
+    calls = 0
     real = construction._Domain.insert
 
     def counting(self, j, x):
-        nonlocal calls, shifted
+        nonlocal calls
         calls += 1
-        shifted += self.reach is not None and x < self.reach
         return real(self, j, x)
 
     monkeypatch.setattr(construction._Domain, "insert", counting)
@@ -428,7 +464,7 @@ def test_construction_inserts_each_point_once(monkeypatch):
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                    sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert (calls, shifted) == (9215, 8)
+    assert calls == 9215
 
 
 def test_affine_dyadic_term_is_exact_at_large_n():

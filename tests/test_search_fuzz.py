@@ -13,7 +13,7 @@ steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
 value against every dyadic point exactly as the rationals do, and the
 reach the domain keeps incrementally must equal a fresh walk from 0,
-with exactly the points at or below it kept sorted.
+with the occupancy holding each point of the stage once.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
 in at most 2 * ceil(log2(cap)) + 2 probes.
@@ -469,8 +469,9 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
 
 
 def _all_points(domain):
-    """Every inserted (x, j), sorted: the reached part and the points ahead."""
-    return sorted([*zip(domain.points, domain.indices), *domain.ahead])
+    """Every inserted (x, j), sorted, read off the occupancy, x at the scale 2**m."""
+    d = domain.m - domain.r
+    return [(x << d, domain.index[x]) for x, on in enumerate(domain.occ) if on]
 
 
 def _walked_ceil(domain):
@@ -498,30 +499,59 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
-        _assert_split_at_the_reach(w, domain)
+        _assert_occupancy_holds_the_domain(w, domain)
         for _ in range(data.draw(st.integers(0, budget - domain.stage))):
             domain.advance()
             assert domain.ceil() == _walked_ceil(domain)
-            _assert_split_at_the_reach(w, domain)
+            _assert_occupancy_holds_the_domain(w, domain)
 
 
-def _assert_split_at_the_reach(w, domain):
-    """The reached part is sorted and holds, with their indices, exactly the
-    points at or below the reach (none while the reach is None); every other
-    point is ahead, at least reach + gap; together they hold each point of
-    the stage's domain (j <= stage, defined by then) once."""
+def _assert_occupancy_holds_the_domain(w, domain):
+    """The occupancy holds each point j <= stage defined by then exactly once,
+    with its index, at the resolution 2**r that the stage needs (capped at
+    the scale m); with no search run in the step, every point is live."""
     s = domain.stage
     expected = sorted((w.g.enumeration.scaled(j, domain.m), j) for j in range(s + 1)
                       if (st := w.g.schedule.stage_of(j)) is not None and st <= s)
     if s == 0:
         expected = []  # stage 0 inserts nothing; q_0 arrives when stage 1 is entered
-    reached = list(zip(domain.points, domain.indices))
-    assert sorted(reached + domain.ahead) == expected
-    if domain.reach is None:
-        assert reached == []
-        return
-    assert reached == [p for p in expected if p[0] <= domain.reach]
-    assert all(x >= domain.reach + domain.gap for x, _ in domain.ahead)
+    assert _all_points(domain) == expected
+    assert domain.occ.count(1) == len(expected) and set(domain.occ) <= {0, 1}
+    r = min(domain.m, max(s.bit_length(), len(w.g.enumeration.prefix).bit_length()))
+    assert domain.r == r and len(domain.occ) == len(domain.index) == 1 << r
+    assert domain.live == domain.occ
+
+
+@settings(FUZZ, max_examples=100)
+@given(w=staged_witnesses(), k=st.integers(0, 300))
+def test_occupancy_follows_the_stages_entered_not_the_budget(w, k):
+    """At budget 2**63 the scale is 2**64, but k stages need only 2**r slots.
+
+    r = max(bit_length(k), bit_length(len(prefix))), so the occupancy and
+    the live bytes hold at most 2 * max(k, len(prefix), 1) bytes each.
+    """
+    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), 1 << 63)
+    assert domain.m == 64
+    domain.start_step(1)
+    for _ in range(k):
+        domain.advance()
+    assert len(domain.occ) + len(domain.live) <= 4 * max(k, len(w.g.enumeration.prefix), 1)
+    assert domain.ceil() == _walked_ceil(domain)
+    _assert_occupancy_holds_the_domain(w, domain)
+
+
+@pytest.mark.parametrize("n,prev_index", [(1, 0), (2, 3)])
+def test_an_early_hit_at_a_huge_budget_equals_the_oracle(n, prev_index):
+    """A standalone search at budget 2**40 hits within a few stages, on a
+    domain whose occupancy is sized by those stages."""
+    w = _halving_witness(schedule=StageSchedule(0, 0))
+    b = prepended(_constant(Q(3, 8)))
+    budget = 1 << 40
+    domain = _Domain(w.g, b, budget)
+    rec = search_step(n, prev_index, w, b, budget, domain)
+    assert rec is not None and rec.stage_found < 64
+    assert len(domain.occ) <= 2 * rec.stage_found
+    assert oracle_min_hit(n, prev_index, w, b, budget) == rec
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
