@@ -30,8 +30,9 @@ value-sorted domain (first position pinned to the point 0).
 
 The search is incremental.  A construction keeps one domain and sweeps
 it forward once.  The domain is a bytearray of occupancy bytes, one
-slot per dyadic at a resolution that doubles as stages are entered, so
-value order is slot order: the reach of 0 in hops below the gap limit
+slot per dyadic at the scale 2**m that the stage budget fixes, so a
+slot is its point's integer at that scale and value order is slot
+order: the reach of 0 in hops below the gap limit
 (every ladder a search can find lies below it), each distance class of
 the ladder walk and each window of finals is found by a C-level find
 over those bytes.  A final that fails clause (v) against 0 can end no
@@ -54,14 +55,12 @@ test suite holds the two to exact equality.
 
 The search loop compares integers only, and a stage costs the same
 at every stage number and decay rate.  Domain points and every step's
-gap limit are dyadic, so the search compares at one scale 2**m (the
-domain's slots, at a resolution 2**r <= 2**m, convert to it exactly by
-a shift), and reads each b_i (whose denominator can run to thousands of
-bits) once, as keys fl = floor(b_i * 2**m) and ce = ceil(b_i * 2**m),
-which the target's generator computes on integers of about m bits (see
-approximations).  No integer lies strictly between fl and ce, so for
-every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x; a slot x
-at resolution 2**r lies below b_i iff x < ceil(ce / 2**(m-r)).  A g-value
+gap limit are dyadic, so the search compares at one scale 2**m, the
+domain's slots, and reads each b_i (whose denominator can run to
+thousands of bits) once, as keys fl = floor(b_i * 2**m) and
+ce = ceil(b_i * 2**m), which the target's generator computes on
+integers of about m bits (see approximations).  No integer lies strictly between fl and ce, so for
+every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A g-value
 is read the first time a ladder search needs it, as the value rule's
 unreduced integer pair, and the search pre-filters clause (v) by
 cross-multiplying those pairs.  Fractions are built only for the members
@@ -78,6 +77,7 @@ from math import lcm
 
 from .approximations import Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
+from .scenario import MAX_STAGE_BUDGET
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
@@ -162,56 +162,54 @@ class ConstructionTrace:
 class _Domain:
     """The dovetailed domain of a construction, advanced stage by stage.
 
-    Keys, gap limits and the least point a stage inserts are integers at
-    one scale 2**m, the least at which all points j <= stage_budget and
-    all points of the prefix are exact, and so is the gap limit of every
-    step that search_step starts (see there).  Tracks, incrementally: the
-    keys (fl, ce) of each entered stage's b_s, read once from the target's
-    generator, and g-values, cached by enumeration index: as an unreduced
-    integer pair (pairs) on a ladder search's first read, and as one
-    Fraction (values) once the point is a member of a returned ladder.
+    Points, keys and gap limits are integers at one scale 2**m, the
+    least at which all points j <= stage_budget and all points of the
+    prefix are exact, and at which the gap limit of every step that
+    search_step starts is exact too (see there).  Tracks, incrementally:
+    the keys (fl, ce) of each entered stage's b_s, read once from the
+    target's generator, and g-values, cached by enumeration index: as an
+    unreduced integer pair (pairs) on a ladder search's first read, and as
+    one Fraction (values) once the point is a member of a returned ladder.
 
-    The points themselves are occupancy bytes at a resolution 2**r that
-    doubles as stages are entered: r = max(bit_length(stage),
-    bit_length(len(prefix))), capped at m, so every point j <= stage is
-    exact at it and memory follows the stages entered, not 2**m.  occ[x]
-    is 1 iff x / 2**r is a point, and index[x] is its enumeration index.
-    Value order is slot order, so every scan of the domain is a C-level
-    bytearray find.  A point with r = m that is finer than 2**-m raises.
-    At the resolution a step's gap limit is hop = gap >> (m - r), exact
-    while r >= n + 1 (and 0 below, where no two points are within a gap).
+    The points themselves are occupancy bytes, one slot per integer
+    x < 2**m: occ[x] is 1 iff x / 2**m is a point, and index[x] is its
+    enumeration index.  Value order is slot order, so every scan of the
+    domain is a C-level bytearray find.  The budget is at most
+    MAX_STAGE_BUDGET, so m <= 17 unless the prefix is longer, and the
+    domain holds two bytearrays and one list of 2**m entries.  A point
+    finer than 2**-m raises.
 
-    For the current step it tracks the reach, the largest point (a slot)
-    that 0 reaches with every hop < gap, None until 0 is in the domain.
-    A chain of hops ends at the first run of hop - 1 empty slots, so the
-    reach is found by one find of that run.  Within a step points
-    only arrive, so the reach only moves up, and it moves only when a
-    point lands less than one hop past it.
+    For the current step it tracks the reach, the largest point that 0
+    reaches with every hop < gap, None until 0 is in the domain.  A chain
+    of hops ends at the first run of gap - 1 empty slots, so the reach is
+    found by one find of that run.  Within a step points only arrive, so
+    the reach only moves up, and it moves only when a point lands less
+    than one gap past it.
     live is occ less the finals known to fail clause (v) against 0 in this
     step: _lex_first_ladder clears a final from it at the first failure,
     and zero_ok holds the enumeration indices of the finals that passed.
     pair_ok(f, 0) depends only on n, c and the points 0 and f, so a final
     that fails it ends no ladder for the rest of the step (see there).
-    start_step resets live to occ, every insert marks its point live, and
-    each doubling carries live over with occ.  Stage t inserts q_t at once
-    when its definition stage has arrived; only a point defined later
-    waits in the pending heap.
+    start_step resets live to occ, and every insert marks its point live.
+    Stage t inserts q_t at once when its definition stage has arrived;
+    only a point defined later waits in the pending heap.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
+        if not 0 <= stage_budget <= MAX_STAGE_BUDGET:
+            raise ValueError(f"stage budget must be in 0..{MAX_STAGE_BUDGET}")
         self.g, self.b = g, b
         self.m = max(stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
-        self.r = len(g.enumeration.prefix).bit_length()  # <= m; grows with the stage
         self.stage = 0
         self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
         self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
-        self.occ = bytearray(1 << self.r)   # occ[x] = 1 iff x / 2**r is a point
-        self.index = [0] * (1 << self.r)    # index[x]: the enumeration index of point x
-        self.live = bytearray(1 << self.r)  # occ less this step's finals that fail zero_ok
-        self.gap = self.hop = 0  # the step's gap limit at scale 2**m and in slots
-        self.reach: int | None = None  # largest point (a slot) 0 reaches with every hop < gap
+        self.occ = bytearray(1 << self.m)   # occ[x] = 1 iff x / 2**m is a point
+        self.index = [0] * (1 << self.m)    # index[x]: the enumeration index of point x
+        self.live = bytearray(1 << self.m)  # occ less this step's finals that fail zero_ok
+        self.gap = 0  # the step's gap limit
+        self.reach: int | None = None  # largest point 0 reaches with every hop < gap
         self.zero_ok: set[int] = set()  # enumeration indices j with pair_ok(q_j, 0) this step
 
     def pair(self, j: int) -> tuple[int, int]:
@@ -232,65 +230,46 @@ class _Domain:
     def start_step(self, n: int) -> None:
         """Set step n's gap limit, walk its reach from 0, and reset live and zero_ok."""
         self.gap = 1 << (self.m - n - 1)
-        self.hop = self.gap >> (self.m - self.r)
         self.live = self.occ.copy()
         self.zero_ok = set()
         self.reach = self._reach_from(0) if self.occ[0] else None
 
     def _reach_from(self, x: int) -> int:
         """The largest point that the point x reaches with every hop < gap."""
-        k = self.occ.find(bytes(max(self.hop - 1, 0)), x + 1)
+        k = self.occ.find(bytes(max(self.gap - 1, 0)), x + 1)
         return k - 1 if k >= 0 else self.occ.rfind(1)
 
-    def _double(self) -> None:
-        """Raise the resolution by one bit: the point x becomes 2x."""
-        size = 2 * len(self.occ)
-        occ, live, index = bytearray(size), bytearray(size), [0] * size
-        occ[::2], live[::2], index[::2] = self.occ, self.live, self.index
-        self.occ, self.live, self.index = occ, live, index
-        self.r += 1
-        self.hop = self.gap >> (self.m - self.r)
-        if self.reach is not None:
-            self.reach *= 2
-
     def advance(self) -> int | None:
-        """Enter the next stage; return the least point it inserts (scale 2**m), if any."""
-        g, pending = self.g, self.pending
+        """Enter the next stage; return the least point it inserts, if any."""
+        g, pending, m = self.g, self.pending, self.m
         t = self.stage = self.stage + 1
-        if self.r < min(t.bit_length(), self.m):  # q_t needs one more bit
-            self._double()
-        r = self.r
         low = None
         if (st := g.schedule.stage_of(t)) is not None:
             if st <= t:  # defined already: no wait on the pending heap
-                low = g.enumeration.scaled(t, r)
+                low = g.enumeration.scaled(t, m)
                 self.insert(t, low)
             else:
                 heapq.heappush(pending, (st, t))
         while pending and pending[0][0] <= t:
             j = heapq.heappop(pending)[1]
-            x = g.enumeration.scaled(j, r)
+            x = g.enumeration.scaled(j, m)
             self.insert(j, x)
             if low is None or x < low:
                 low = x
-        self.keys.append(self.b.keys(t, self.m))
-        return None if low is None else low << (self.m - r)
+        self.keys.append(self.b.keys(t, m))
+        return low
 
     def insert(self, j: int, x: int) -> None:
-        """Insert q_j, the slot x at the resolution, and move the reach if x extends it."""
+        """Insert q_j, the slot x, and move the reach if x extends it."""
         self.occ[x] = self.live[x] = 1
         self.index[x] = j
         reach = self.reach
-        if x == 0 if reach is None else reach < x < reach + self.hop:
+        if x == 0 if reach is None else reach < x < reach + self.gap:
             self.reach = self._reach_from(0 if reach is None else reach)
 
-    def below(self, key: int) -> int:
-        """The slot bound of a key at scale 2**m: slot x < it iff x * 2**(m - r) < key."""
-        return max(0, -(-key >> (self.m - self.r)))
-
     def ceil(self) -> int | None:
-        """reach + gap at scale 2**m: the window of a b_i at or above it holds no reached point."""
-        return None if self.reach is None else (self.reach << (self.m - self.r)) + self.gap
+        """reach + gap: the window of a b_i at or above it holds no reached point."""
+        return None if self.reach is None else self.reach + self.gap
 
 
 def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
@@ -299,15 +278,14 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
 
     The universe is the points below b_i, 0 and at least two more among
     them.  The canonical ladder is the least by (ell, positions in the
-    value-sorted domain), and since value order is slot order at the
-    domain's resolution, it is the least by (ell, slots).  It is found
-    by a direct shortest-path search per final f in the window (clause
-    (ii)), with no backtracking:
+    value-sorted domain), and since value order is slot order, it is the
+    least by (ell, slots).  It is found by a direct shortest-path search
+    per final f in the window (clause (ii)), with no backtracking:
 
     - clause (v) admits as members only the k < f with pair_ok(f, k),
       and requires pair_ok(f, 0).  pair_ok is clause (v) cross-multiplied
-      into integers at the scale 2**m: with g_f - g_k = num / den, c =
-      cn / cd and the slack 2**-(n+2) equal to gap / 2, it reads
+      into integers at the domain's scale 2**m: with g_f - g_k = num / den,
+      c = cn / cd and the slack 2**-(n+2) equal to gap / 2, it reads
       0 < num and num * cd * 2**(m+1) < cn * den * (2 * (x_f - x_k) + gap);
     - pair_ok(f, 0) reads only n (through gap), c, and the points f and 0
       with their g-values, all fixed for the rest of the step, and every
@@ -327,10 +305,10 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
       and the ladder built as Fractions, and the ladder is accepted
       solely by check_requirement.
 
-    search_step calls it only with a hop of at least 2 slots: below
+    search_step calls it only with a gap limit of at least 2: below
     that, no point but 0 lies below a ready b_i.
     """
-    gap, hop, d = state.gap, state.hop, state.m - state.r
+    gap = state.gap
     occ, live, index = state.occ, state.live, state.index
     zero_ok = state.zero_ok
     pair = state.pair
@@ -340,7 +318,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     def pair_ok(f: int, k: int) -> bool:
         (pf, qf), (pk, qk) = pair(index[f]), pair(index[k])
         num = pf * qk - pk * qf
-        return 0 < num and (num * cd << shift) < cn * qf * qk * (((f - k) << (d + 1)) + gap)
+        return 0 < num and (num * cd << shift) < cn * qf * qk * (((f - k) << 1) + gap)
 
     def first_member(f: int, lo: int, hi: int) -> int:
         """The least point k in [lo, hi) with pair_ok(f, k); -1 if none."""
@@ -353,7 +331,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
         """Lex-first shortest ladder ending at f; None if 0 cannot reach f."""
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
         top, hi = f, f
-        while (lo := top - hop + 1) > 0:
+        while (lo := top - gap + 1) > 0:
             top = first_member(f, lo, hi)
             if top < 0:
                 return None  # empty distance class: 0 cannot reach f
@@ -367,9 +345,8 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
         return [0] + chain[::-1] + [f]
 
     best: list[int] | None = None
-    f = max(0, (fl >> d) - hop + 1) - 1  # b - gap < x iff fl - gap < x
-    hi = state.below(ce)                  # x < b iff x < ce
-    while (f := live.find(1, f + 1, hi)) >= 0:
+    f = max(0, fl - gap + 1) - 1  # b - gap < x iff fl - gap < x
+    while (f := live.find(1, f + 1, ce)) >= 0:  # x < b iff x < ce
         j = index[f]
         if j not in zero_ok:
             if not pair_ok(f, 0):
@@ -383,7 +360,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
         return None
     b = state.b.term(i)
     tup = RequirementTuple(tuple(index[t] for t in best),
-                           tuple(Q(t, 1 << state.r) for t in best),
+                           tuple(Q(t, 1 << state.m) for t in best),
                            tuple(state.value(index[t]) for t in best))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
@@ -406,8 +383,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     positive integer.  Clauses (i) and (iii) need at least one such hop,
     and clause (iv) needs every hop below 2**(m-n-1) <= 1, so no such step
     ever hits.  Every step that starts has an integer gap limit >= 2.
-    Every comparison with a key is at the scale 2**m, and the domain's
-    slots are converted at that boundary (see _Domain.below).
+    Every comparison with a key is at the scale 2**m, the domain's slots.
     A candidate whose b_i is at or above the domain's ceil (reach + gap)
     provably admits no ladder yet, since its window holds no point that 0
     reaches.  It waits in one heap keyed by fl, and the reach only
@@ -422,8 +398,6 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
-    if stage_budget < 0:
-        raise ValueError("stage budget must be >= 0")
     domain = domain or _Domain(witness.g, b, stage_budget)
     if n + 1 >= domain.m:
         return None  # no hop between points exact at 2**-m is below 2**-(n+1)
@@ -434,6 +408,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     missed: set[int] = set()                # ready candidates whose last search failed
     seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
     ceil = domain.ceil()                    # only increases
+    occ = domain.occ                        # its slots x < ce are the points below b_i
 
     s = domain.stage
     low: int | None = None  # least point inserted at stage s
@@ -455,8 +430,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                occ, hi = domain.occ, domain.below(ce)  # slots x < hi: the points below b_i
-                if (k := occ.find(1, 1, hi)) < 0 or occ.find(1, k + 1, hi) < 0:
+                if (k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0:
                     missed.add(i)  # a ladder needs three points: 0 and two more
                     continue
                 hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)

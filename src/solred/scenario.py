@@ -66,7 +66,7 @@ MAX_DEPTH = 2 ** 16
 MAX_GUARD = 2 ** 16
 MAX_STAGE_BUDGET = 2 ** 16
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # A whole JSON string (brackets inside it do not nest), or one bracket.
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
@@ -88,7 +88,7 @@ class Scenario:
 def parse_fraction(raw: object, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise ScenarioError(f"{where}: expected a fraction string, got {raw!r}")
-    if not _FRACTION_RE.match(raw):
+    if not _FRACTION_RE.fullmatch(raw):
         raise ScenarioError(f"{where}: not an exact \"p/q\" fraction string: {raw!r}")
     try:
         return Fraction(raw)

@@ -96,7 +96,8 @@ def test_floats_never_pass_for_fractions(base):
         parse(base)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "+1/2", "0.5", "1/2/3", " 1/2", "1/0"])
+@pytest.mark.parametrize("bad", ["1.5", "+1/2", "0.5", "1/2/3", " 1/2", "1/0", "1/2\n",
+                                 "\u0661/\u0662"])
 def test_fraction_strings_are_strict(base, bad):
     base["alpha"] = {"kind": "rational", "value": bad}
     with pytest.raises(ScenarioError):

@@ -21,6 +21,7 @@ in at most 2 * ceil(log2(cap)) + 2 probes.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as Q
 from unittest import mock
@@ -41,6 +42,7 @@ from solred.construction import (
 )
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO
+from solred.scenario import MAX_STAGE_BUDGET
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -453,8 +455,6 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     near = math.floor(b * 2 ** m)
     x = data.draw(st.one_of(st.integers(0, 2 ** m), st.integers(near - 2, near + 2)))
     target = prepended(_constant(b))
-    domain = _Domain(StagedPartialFunction(), target, 1 << (m - 1))
-    assert domain.m == m
     fl, ce = target.keys(1, m)
     point = Q(x, 2 ** m)
     assert (b < point) == (fl < x)
@@ -462,16 +462,18 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     assert (b >= point) == (fl >= x)
     assert (b > point) == (ce > x)
     assert (fl == ce) == (b * 2 ** m == near)
-    domain.start_step(m - 1)
-    domain.advance()
-    assert domain.keys[1] == (fl, ce)
     assert target.term(1) == b
+    if 1 << (m - 1) <= MAX_STAGE_BUDGET:  # a larger budget builds no domain
+        domain = _Domain(StagedPartialFunction(), target, 1 << (m - 1))
+        assert domain.m == m
+        domain.start_step(m - 1)
+        domain.advance()
+        assert domain.keys[1] == (fl, ce)
 
 
 def _all_points(domain):
     """Every inserted (x, j), sorted, read off the occupancy, x at the scale 2**m."""
-    d = domain.m - domain.r
-    return [(x << d, domain.index[x]) for x, on in enumerate(domain.occ) if on]
+    return [(x, domain.index[x]) for x, on in enumerate(domain.occ) if on]
 
 
 def _walked_ceil(domain):
@@ -508,8 +510,8 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
 
 def _assert_occupancy_holds_the_domain(w, domain):
     """The occupancy holds each point j <= stage defined by then exactly once,
-    with its index, at the resolution 2**r that the stage needs (capped at
-    the scale m); with no search run in the step, every point is live."""
+    with its index, one slot per integer below 2**m; with no search run in
+    the step, every point is live."""
     s = domain.stage
     expected = sorted((w.g.enumeration.scaled(j, domain.m), j) for j in range(s + 1)
                       if (st := w.g.schedule.stage_of(j)) is not None and st <= s)
@@ -517,40 +519,36 @@ def _assert_occupancy_holds_the_domain(w, domain):
         expected = []  # stage 0 inserts nothing; q_0 arrives when stage 1 is entered
     assert _all_points(domain) == expected
     assert domain.occ.count(1) == len(expected) and set(domain.occ) <= {0, 1}
-    r = min(domain.m, max(s.bit_length(), len(w.g.enumeration.prefix).bit_length()))
-    assert domain.r == r and len(domain.occ) == len(domain.index) == 1 << r
+    assert len(domain.occ) == len(domain.index) == 1 << domain.m
     assert domain.live == domain.occ
 
 
-@settings(FUZZ, max_examples=100)
-@given(w=staged_witnesses(), k=st.integers(0, 300))
-def test_occupancy_follows_the_stages_entered_not_the_budget(w, k):
-    """At budget 2**63 the scale is 2**64, but k stages need only 2**r slots.
-
-    r = max(bit_length(k), bit_length(len(prefix))), so the occupancy and
-    the live bytes hold at most 2 * max(k, len(prefix), 1) bytes each.
-    """
-    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), 1 << 63)
-    assert domain.m == 64
-    domain.start_step(1)
-    for _ in range(k):
-        domain.advance()
-    assert len(domain.occ) + len(domain.live) <= 4 * max(k, len(w.g.enumeration.prefix), 1)
-    assert domain.ceil() == _walked_ceil(domain)
-    _assert_occupancy_holds_the_domain(w, domain)
+@pytest.mark.parametrize("budget", [MAX_STAGE_BUDGET + 1, 1 << 63])
+def test_a_budget_past_the_largest_raises_before_allocating(budget):
+    """No mode passes a budget above MAX_STAGE_BUDGET, so a domain refuses
+    one before it sizes its 2**m slots, and so does a standalone search."""
+    w = _halving_witness(schedule=StageSchedule(0, 0))
+    b = prepended(_constant(Q(3, 8)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="stage budget"):
+            _Domain(w.g, b, budget)
+        with pytest.raises(ValueError, match="stage budget"):
+            search_step(1, 0, w, b, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n,prev_index", [(1, 0), (2, 3)])
 def test_an_early_hit_at_a_huge_budget_equals_the_oracle(n, prev_index):
-    """A standalone search at budget 2**40 hits within a few stages, on a
-    domain whose occupancy is sized by those stages."""
+    """A standalone search at the largest budget hits within a few stages."""
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = prepended(_constant(Q(3, 8)))
-    budget = 1 << 40
-    domain = _Domain(w.g, b, budget)
-    rec = search_step(n, prev_index, w, b, budget, domain)
+    budget = MAX_STAGE_BUDGET
+    rec = search_step(n, prev_index, w, b, budget)
     assert rec is not None and rec.stage_found < 64
-    assert len(domain.occ) <= 2 * rec.stage_found
     assert oracle_min_hit(n, prev_index, w, b, budget) == rec
 
 
