@@ -1,31 +1,55 @@
 """Independent reference for the step search.
 
 Re-derives step hits with none of the incremental machinery the main
-search uses: every probed stage rebuilds the domain from scratch,
-every candidate index is tried in turn, and nothing is cached across
-stages or candidates.  The least hitting stage is found by galloping
-and bisecting over stages, which oracle_min_hit justifies.  Each
-stage's points are the integers P_k that enumerate_domain returns at
+search uses: every probed stage rebuilds the domain from scratch, and
+nothing is cached across stages.  The least hitting stage is found by
+galloping and bisecting over stages, which oracle_min_hit justifies.
+Each stage's points are the integers P_k that enumerate_domain returns at
 one scale d = 2**m per stage, with
 m = max(n+2, stage.bit_length(), len(prefix).bit_length()), at which
-every point j <= stage is exact; the slack is S = d >> (n+2) and the
-gap limit 2S, and b is located by cross-multiplied bisection.  Within
-one stage and index, the canonical ladder (least length ell, then
-least positions in the value-sorted domain) comes from an
-exact-length count per final f in the window: a ladder ending at f may
-use only the members clause (v) admits against f, decided per pair as
+every point j <= stage is exact, and its g-values are the value rule's
+unreduced integer pairs n_k / d_k; the slack is S = d >> (n+2) and the
+gap limit 2S.
+
+Every candidate index i in (prev_index, stage] is located in the stage
+by two positions, computed from its exact term b_i with
+fl = floor(b_i * d) and ce = ceil(b_i * d): cut, the number of points
+below b_i, and lo, the first point above b_i - 2S.  The points are
+integers, so P_k < b_i * d iff P_k < ce and P_k > b_i * d - 2S iff
+P_k > fl - 2S, and both positions are bisections.  The canonical ladder
+for those positions (least length ell, then least positions in the
+value-sorted domain) comes from an exact-length count per final f in
+the window [lo, cut): a ladder ending at f may use only the members
+clause (v) admits against f, decided per pair as
 0 < num and num * d * c_d < c_n * (P_f - P_k + S) * d_f * d_k with
-num = n_f * d_k - n_k * d_f, so the g-values never share a
-denominator.  Ladders of every length from max(2, least hop count) up
-to one hop per member after 0 exist, and the least of the finals'
-lex-first ladders at the least such length, read back as Fractions
-P_k / d, is accepted solely by check_requirement.
+num = n_f * d_k - n_k * d_f, so the g-values never share a denominator.
+Ladders of every length from max(2, least hop count) up to one hop per
+member after 0 exist, and the least of the finals' lex-first ladders at
+the least such length, with Fractions built for its members alone, is
+accepted for candidate i solely by check_requirement on b_i.
+
+Candidates at one position share a ladder.  The ladder search for one
+candidate reads b_i in three places only: cut bounds the points it may
+use and asks for three of them; [lo, cut) is its range of finals; and
+check_requirement's clause (ii), b_i - 2S < P_f < b_i, holds for every
+final in [lo, cut) by the definition of the two positions.  Each
+final's members, hop counts and lex-first ladder depend only on n, c
+and the stage's points and g-values, and check_requirement's other
+clauses read b_i only through a common denominator that scales both
+sides of each comparison alike.  So two candidates with the same
+(cut, lo) have the same canonical ladder and the same verdict on it.
+_first_ladder therefore takes the two positions in place of b_i, and
+_stage_hit builds each position's ladder once, in a memo that lives for
+that one stage: nothing is cached across stages.  Each candidate's
+ladder is still accepted solely by check_requirement on its own b_i.
 
 The search walks distance classes backward from each final, keying b
-at one scale per construction; this reference counts exact lengths
-forward at a scale per stage.  The two share only check_requirement,
-RequirementTuple and the StepRecord both answer with, and the test
-suite holds their records to equality.
+at one scale per construction, and of candidates with equal keys it
+routes only the least; this reference counts exact lengths forward at a
+scale per stage, and shares a ladder between candidates by their
+positions in the one stage it rebuilt.  The two share only
+check_requirement, RequirementTuple and the StepRecord both answer
+with, and the test suite holds their records to equality.
 """
 from __future__ import annotations
 
@@ -45,7 +69,7 @@ def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
     (j <= s with s_j <= s) only grows with s, and g(q_j) does not depend
     on s; the candidates (prev_index, s] only grow; whether a ladder is
     valid depends only on n, b_i, c and its own points; and
-    _first_ladder finds a ladder whenever one exists.  So the probes
+    _stage_hit finds a candidate's ladder whenever one exists.  So the probes
     gallop up from stage 1 (1, 2, 4, ..., then the cap) to the first
     stage that hits, and bisect between it and the last stage that
     missed.  The probe at the least hitting stage gives that stage, its
@@ -84,36 +108,41 @@ def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximatio
     points = [x for _, x, _ in entries]
     if not points or points[0] != 0:
         return None
-    nums = [v.numerator for _, _, v in entries]
-    dens = [v.denominator for _, _, v in entries]
+    nums = [p for _, _, (p, _) in entries]
+    dens = [q for _, _, (_, q) in entries]
+    d = 1 << m
+    gap_limit = 2 * (d >> (n + 2))
+    ladders: dict[tuple[int, int], RequirementTuple | None] = {}  # (cut, lo) -> ladder
     for i in range(prev_index + 1, stage + 1):
         bi = b.term(i)
-        tup = _first_ladder(n, bi, witness.c, entries, points, nums, dens, 1 << m)
-        if tup is not None:
+        fl, r = divmod(bi.numerator * d, bi.denominator)
+        cut = bisect_left(points, fl + (r != 0))
+        lo = bisect_right(points, fl - gap_limit, 0, cut)
+        if (cut, lo) not in ladders:
+            ladders[cut, lo] = _first_ladder(n, witness.c, cut, lo, entries, points,
+                                             nums, dens, d)
+        tup = ladders[cut, lo]
+        if tup is not None and check_requirement(n, bi, witness.c, tup) is None:
             return StepRecord(n, i, tup.values[-1], bi, tup, stage)
     return None
 
 
-def _first_ladder(n: int, b: Fraction, c: Fraction,
-                  entries: list[tuple[int, int, Fraction]], points: list[int],
+def _first_ladder(n: int, c: Fraction, cut: int, lo: int,
+                  entries: list[tuple[int, int, tuple[int, int]]], points: list[int],
                   nums: list[int], dens: list[int], d: int) -> RequirementTuple | None:
-    """Canonical ladder to b over one stage's value-sorted entries, or None.
+    """Canonical ladder over one stage's value-sorted entries, from points
+    below position cut to a final in [lo, cut), or None.
 
     points are the entries' points at scale d, and nums and dens their
-    g-values' numerators and denominators.
+    g-values' numerators and denominators.  The ladder is not checked
+    against any b_i: its caller accepts it per candidate.
     """
-    bn, bd = b.numerator, b.denominator
-    cut = bisect_left(points, bn * d, key=lambda x: x * bd)
-    if cut < 3:
+    if cut < 3 or lo >= cut:
         return None
     slack = d >> (n + 2)
     gap_limit = 2 * slack
-    finals = range(bisect_right(points, bn * d - gap_limit * bd, 0, cut,
-                                key=lambda x: x * bd), cut)
-    if not finals:
-        return None
     feasible = []  # (least ell, members, hops to f) per final that has a ladder
-    for f in finals:
+    for f in range(lo, cut):
         chain = _members(f, points, nums, dens, c.numerator, c.denominator, d, slack)
         if chain is None:
             continue
@@ -128,10 +157,9 @@ def _first_ladder(n: int, b: Fraction, c: Fraction,
         return None
     ell = min(e for e, _, _ in feasible)
     best = min(_lex_first(chain, hops, ell) for e, chain, hops in feasible if e == ell)
-    tup = RequirementTuple(tuple(entries[t][0] for t in best),
-                           tuple(Fraction(points[t], d) for t in best),
-                           tuple(entries[t][2] for t in best))
-    return tup if check_requirement(n, b, c, tup) is None else None
+    return RequirementTuple(tuple(entries[t][0] for t in best),
+                            tuple(Fraction(points[t], d) for t in best),
+                            tuple(Fraction(nums[t], dens[t]) for t in best))
 
 
 def _members(f: int, points: list[int], nums: list[int], dens: list[int], cn: int, cd: int,

@@ -54,6 +54,14 @@ def canonical_dyadic(j: int) -> tuple[int, int]:
     return 2 * (j - (1 << (level - 1))) + 1, level
 
 
+def _at_scale(numerator: int, exponent: int, m: int) -> int:
+    """numerator / 2**exponent * 2**m; raises ValueError when not exact at that scale."""
+    if exponent > m:
+        raise ValueError(f"domain point {Q(numerator, 1 << exponent)} is not exact "
+                         f"at scale 2**{m}")
+    return numerator << (m - exponent)
+
+
 def canonical_point(j: int) -> Fraction:
     """j-th dyadic in the canonical order: 0, 1/2, 1/4, 3/4, 1/8, 3/8, ..."""
     numerator, exponent = canonical_dyadic(j)
@@ -111,11 +119,7 @@ class DyadicEnumeration:
         level = j.bit_length()
         if 0 < level <= m and j >= len(self.prefix):  # canonical_dyadic(j), inline
             return (2 * j + 1 - (1 << level)) << (m - level)
-        numerator, exponent = self.dyadic(j)
-        if exponent > m:
-            raise ValueError(f"domain point {Q(numerator, 1 << exponent)} is not exact "
-                             f"at scale 2**{m}")
-        return numerator << (m - exponent)
+        return _at_scale(*self.dyadic(j), m)
 
     def point(self, j: int) -> Fraction:
         numerator, exponent = self.dyadic(j)
@@ -246,18 +250,21 @@ def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> Fraction |
 
 
 def enumerate_domain(g: StagedPartialFunction, stage: int,
-                     m: int) -> list[tuple[int, int, Fraction]]:
+                     m: int) -> list[tuple[int, int, tuple[int, int]]]:
     """Dovetailed finite domain at a stage: j <= stage with s_j <= stage.
 
-    Returns (index, q_j * 2**m, g(q_j)) triples in ascending index order:
+    Returns (index, q_j * 2**m, (p, q)) triples in ascending index order:
     each point is the integer at scale 2**m, and a point not exact at
-    that scale raises ValueError.
+    that scale raises ValueError; g(q_j) = p / q is the value rule's
+    unreduced integer pair, q > 0.  Each point's dyadic pair is read
+    once, for both.
     """
-    out: list[tuple[int, int, Fraction]] = []
+    out: list[tuple[int, int, tuple[int, int]]] = []
     for j in range(stage + 1):
         s = g.schedule.stage_of(j)
         if s is not None and s <= stage:
-            out.append((j, g.enumeration.scaled(j, m), g.value_at(j)))
+            num, e = g.enumeration.dyadic(j)
+            out.append((j, _at_scale(num, e, m), g.rule.ratio(j, num, e)))
     return out
 
 

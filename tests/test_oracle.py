@@ -134,19 +134,42 @@ def test_oracle_probe_count_is_pinned(monkeypatch):
     assert (len(rebuilds), sum(rebuilds)) == (8, 84)
 
 
+def test_oracle_ladder_work_is_pinned(monkeypatch):
+    """The same 8 replays build one ladder per (cut, lo) position in each stage.
+
+    Over the 84 rebuilt stages they make 92 _first_ladder and 70 _members
+    calls.  A ladder search per candidate made 1,226 and 1,240.
+    """
+    calls = {"enumerate_domain": 0, "_first_ladder": 0, "_members": 0}
+
+    def counting(name):
+        real = getattr(oracle, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    for name in INVALID_WITNESS_NAMES:
+        assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
+    assert calls == {"enumerate_domain": 84, "_first_ladder": 92, "_members": 70}
+
+
 def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     """Every point, g-value part, constant part and scale _members reads is an int.
 
     Replays the first six steps of invalid_g_above, as construction mode does.
-    enumerate_domain returns every point as an int, and neither the build nor
-    the replay builds a Fraction point.
+    enumerate_domain returns every point and both parts of every g-value as
+    ints, and neither the build nor the replay builds a Fraction point.
     """
     points = count_fraction_points(monkeypatch)
     real_domain = oracle.enumerate_domain
 
     def domain_checking(g, stage, m):
         domain = real_domain(g, stage, m)
-        assert all(type(x) is int for _, x, _ in domain)
+        assert all(type(v) is int for _, x, (p, q) in domain for v in (x, p, q))
         return domain
 
     monkeypatch.setattr(oracle, "enumerate_domain", domain_checking)

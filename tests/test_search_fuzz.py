@@ -16,7 +16,10 @@ reach the domain keeps incrementally must equal a fresh walk from 0,
 with the occupancy holding each point of the stage once.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
-in at most 2 * ceil(log2(cap)) + 2 probes.
+in at most 2 * ceil(log2(cap)) + 2 probes.  That probe, which builds one
+ladder per (cut, lo) position of the candidates in its stage, must return
+the hit of the memo-free probe kept below, which searches every candidate
+on its own.
 """
 from __future__ import annotations
 
@@ -51,6 +54,7 @@ from solred.witnesses import (
     StageSchedule,
     ValueRule,
     canonical_point,
+    enumerate_domain,
 )
 
 from conftest import prepended, probe_bound
@@ -163,16 +167,49 @@ def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
     return None
 
 
-def fraction_first_ladder(n, b, c, entries, points, nums, dens, d):
+def fraction_first_ladder(n, c, cut, lo, entries, points, nums, dens, d):
     """oracle._first_ladder's signature over backtracking_first_ladder.
 
     The reference's Fraction arguments are rebuilt from the oracle's
     integers: points at scale d, g-values from their numerators and
-    denominators, and the gap limit 2 * (d >> (n + 2)) over d.
+    denominators, and the gap limit 2 * (d >> (n + 2)) over d.  Its
+    target value b is the midpoint of the values that give the positions,
+    whose b * d lies above points[cut - 1], at most at points[cut], at
+    least at points[lo - 1] + gap and below points[lo] + gap; the ladder
+    search reads b only through the positions (see oracle).
     """
+    if lo >= cut:
+        return None  # no final
+    gap = 2 * (d >> (n + 2))
+    low = max(points[cut - 1], points[lo - 1] + gap if lo else 0)
+    high = min([points[lo] + gap, *points[cut:cut + 1]])
     return backtracking_first_ladder(
-        n, b, c, [e[0] for e in entries], [Q(x, d) for x in points],
-        [Q(p, q) for p, q in zip(nums, dens)], Q(2 * (d >> (n + 2)), d))
+        n, Q(low + high, 2 * d), c, [e[0] for e in entries], [Q(x, d) for x in points],
+        [Q(p, q) for p, q in zip(nums, dens)], Q(gap, d))
+
+
+def memo_free_stage_hit(n, prev_index, w, b, stage):
+    """The one-stage probe oracle._stage_hit replaced: each candidate's
+    positions bisected by its exact term, and each candidate given its own
+    ladder search, with no (cut, lo) memo."""
+    m = max(n + 2, stage.bit_length(), len(w.g.enumeration.prefix).bit_length())
+    entries = sorted(enumerate_domain(w.g, stage, m), key=lambda e: e[1])
+    points = [x for _, x, _ in entries]
+    if not points or points[0] != 0:
+        return None
+    nums = [p for _, _, (p, _) in entries]
+    dens = [q for _, _, (_, q) in entries]
+    d = 1 << m
+    gap_limit = 2 * (d >> (n + 2))
+    for i in range(prev_index + 1, stage + 1):
+        bi = b.term(i)
+        bn, bd = bi.numerator, bi.denominator
+        cut = bisect_left(points, bn * d, key=lambda x: x * bd)
+        lo = bisect_right(points, bn * d - gap_limit * bd, 0, cut, key=lambda x: x * bd)
+        tup = oracle._first_ladder(n, w.c, cut, lo, entries, points, nums, dens, d)
+        if tup is not None and check_requirement(n, bi, w.c, tup) is None:
+            return StepRecord(n, i, tup.values[-1], bi, tup, stage)
+    return None
 
 
 def linear_min_hit(n, prev_index, w, b, stage_cap):
@@ -256,6 +293,43 @@ def test_search_step_equals_oracle(w, raw, step, prev_index):
     assert oracle_min_hit(n, prev_index, w, b, budget) == rec
     with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
         assert oracle_min_hit(n, prev_index, w, b, budget) == rec
+
+
+# g(1/4) = g(3/16) = 0: see the test below.
+ZEROED = _halving_witness(((2, ZERO), (9, ZERO)))
+
+
+@FUZZ
+@example(w=ZEROED, raw=_table((Q(3, 8), Q(5, 16))), n=1, stage=9, prev_index=0)
+@given(w=staged_witnesses(), raw=targets, n=st.integers(1, 3), stage=st.integers(0, 40),
+       prev_index=st.integers(0, 3))
+def test_stage_probe_equals_the_memo_free_probe(w, raw, n, stage, prev_index):
+    b = prepended(raw)
+    assert oracle._stage_hit(n, prev_index, w, b, stage) == memo_free_stage_hit(
+        n, prev_index, w, b, stage)
+
+
+def test_candidates_at_one_cut_with_different_windows_get_their_own_ladders():
+    """At stage 9, b_1 = 3/8 and b_2 = 5/16 both lie above 1/4, the fifth point.
+
+    Their windows (b - 1/4, b) differ: b_1's holds the finals 3/16 and 1/4,
+    whose g-values 0 fail clause (v) against 0, and b_2's also holds 1/8,
+    which hits with (0, 1/16, 1/8).  A ladder shared by cut alone would give
+    b_2 the miss of b_1.
+    """
+    w = ZEROED
+    b = prepended(_table((Q(3, 8), Q(5, 16))))
+    points = sorted(w.g.enumeration.point(j) for j in range(10))
+    gap = Q(1, 4)
+    positions = [(bisect_left(points, bi), bisect_right(points, bi - gap))
+                 for bi in (b.term(1), b.term(2))]
+    assert positions == [(5, 3), (5, 2)]
+    rec = oracle._stage_hit(1, 0, w, b, 9)
+    assert (rec.stage_found, rec.index, rec.tup.points) == (9, 2, (0, Q(1, 16), Q(1, 8)))
+    assert memo_free_stage_hit(1, 0, w, b, 9) == rec
+    assert oracle_min_hit(1, 0, w, b, 12) == rec == search_step(1, 0, w, b, 12)
+    with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
+        assert oracle._stage_hit(1, 0, w, b, 9) == rec
 
 
 def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():

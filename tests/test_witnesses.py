@@ -128,9 +128,12 @@ def test_eval_staged_is_monotone_in_stage(j, s1, s2):
 
 
 def test_enumerate_domain_examples():
-    assert enumerate_domain(HALVING, 0, 0) == [(0, 0, Q(0))]
-    assert enumerate_domain(HALVING, 3, 2) == [
-        (0, 0, Q(0)), (1, 2, Q(1, 4)), (2, 1, Q(1, 8)), (3, 3, Q(3, 8))]
+    """g-values come as the value rule's unreduced integer pairs: g = q/2 puts
+    q_j = num / 2**e at (num, 2 * 2**e)."""
+    assert enumerate_domain(HALVING, 0, 0) == [(0, 0, (0, 2))]
+    domain = enumerate_domain(HALVING, 3, 2)
+    assert domain == [(0, 0, (0, 2)), (1, 2, (1, 4)), (2, 1, (1, 8)), (3, 3, (3, 8))]
+    assert [Q(*pair) for _, _, pair in domain] == [HALVING.value_at(j) for j in range(4)]
     doubled = staged(slope=2)
     assert [(j, x) for j, x, _ in enumerate_domain(doubled, 4, 5)] == [(0, 0), (1, 16), (2, 8)]
     with pytest.raises(ValueError, match=r"^domain point 1/4 is not exact at scale 2\*\*1$"):
