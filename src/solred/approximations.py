@@ -15,11 +15,15 @@ Generators:
 * ``PrefixMaxGen(inner)``         -- running maximum of inner
 * ``ComplementGen(inner)``        -- 1 - inner
 
-Any object with ``term(n)`` and ``keys(n, m)`` methods slots in here.
+Any object with ``term(n)``, ``keys(n, m)`` and ``settle(m)`` methods
+slots in here.
 
-A generator provides term(n), an exact rational, and keys(n, m), the
+A generator provides term(n), an exact rational; keys(n, m), the
 floor and ceiling of term(n) * 2**m, for a caller that compares terms
-only with integers at the scale 2**m.  The dyadic generators give keys
+only with integers at the scale 2**m; and settle(m), an index n0 past
+which the keys repeat by parity: keys(n, m) == keys(n - 2, m) for every
+n >= n0 + 2, so a caller reads keys(n, m) only up to n0 + 1 (each
+generator proves its bound in its settle).  The dyadic generators give keys
 in closed form: with u = U / D, v = V / D, once w*n - m >= bits(V) they
 follow from divmod(U * 2**m, D) and the sign of V alone, at a cost that
 does not grow with n or w (see _Dyadic.keys).  PrependGen and
@@ -107,6 +111,15 @@ class _Dyadic:
             return fl - 1, fl
         return fl, fl + (v != 0 or r != 0)
 
+    def settle(self, m: int) -> int:
+        """n0 = ceil((m + bits(V)) / w): keys(n, m) == keys(n - 2, m) for n >= n0 + 2.
+
+        For n >= n0, w*n - m >= bits(V), so keys takes its closed form,
+        which reads n only through the sign of V' = signs[n % 2] * V.  So
+        n and n - 2 >= n0, of one parity, have equal keys.
+        """
+        return -(-(m + self._pair[3]) // self.w)
+
 
 class AffineDyadic(_Dyadic):
     """term(n) = u - v * 2**(-w*n); all terms lie between u-v and u."""
@@ -160,6 +173,10 @@ class Table:
     def keys(self, n: int, m: int) -> tuple[int, int]:
         return _fraction_keys(self.term(n), m)
 
+    def settle(self, m: int) -> int:
+        """len(entries): from there on every term is the tail."""
+        return len(self.entries)
+
 
 @dataclass(frozen=True)
 class PrependGen:
@@ -178,6 +195,11 @@ class PrependGen:
         if n == 0:
             return _fraction_keys(self.head, m)
         return self.inner.keys(n - 1, m)
+
+    def settle(self, m: int) -> int:
+        """The inner n0 plus 1: for n >= n0 + 3, keys(n, m) and keys(n - 2, m)
+        are the inner keys at n - 1 and n - 3 >= n0, of one parity."""
+        return self.inner.settle(m) + 1
 
 
 @dataclass(frozen=True)
@@ -208,6 +230,13 @@ class PrefixMaxGen:
             maxima.append((fl, ce))
         return maxima[n]
 
+    def settle(self, m: int) -> int:
+        """The inner n0 plus 1: from n0 on the inner keys take two values, one
+        per parity, and from n0 + 1 on both are in the running maximum, so
+        it is constant.  The inner n0 alone is too early: keys(n0 + 2, m)
+        may take in the odd value that keys(n0, m) has not seen."""
+        return self.inner.settle(m) + 1
+
 
 @dataclass(frozen=True)
 class ComplementGen:
@@ -219,6 +248,10 @@ class ComplementGen:
     def keys(self, n: int, m: int) -> tuple[int, int]:
         fl, ce = self.inner.keys(n, m)
         return (1 << m) - ce, (1 << m) - fl
+
+    def settle(self, m: int) -> int:
+        """The inner n0: keys(n, m) is a function of the inner keys(n, m) alone."""
+        return self.inner.settle(m)
 
 
 @dataclass(frozen=True)
@@ -249,6 +282,10 @@ class Approximation:
         if fl < 0 or ce > 1 << m:
             raise ValueError(f"approximation term {n} out of [0,1]: {self.gen.term(n)}")
         return fl, ce
+
+    def settle(self, m: int) -> int:
+        """The generator's n0: keys(n, m) == keys(n - 2, m) for every n >= n0 + 2."""
+        return self.gen.settle(m)
 
 
 def check_kind_prefix(a: Approximation, n_max: int) -> int | None:

@@ -46,18 +46,27 @@ domain points
 strictly below b_i and b_i's keys (fl, ce) below.  So a candidate that
 missed is searched again only at a stage that inserts a point below
 its b_i, and of equal-key candidates only the least index is routed,
-since candidates are searched in ascending i.
+since candidates are searched in ascending i.  Past the target's settle
+index n0 the keys repeat by parity (see approximations), so no
+candidate past max(n0, i_{n-1} + 1) + 1 is routed, and b's keys are
+read only up to index n0 + 1.
 Within one search, each live final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
 oracle re-derives the same hits with none of this machinery, and the
 test suite holds the two to exact equality.
 
-The search loop compares integers only, and a stage costs the same
-at every stage number and decay rate.  Domain points and every step's
+The search's work grows with its events, not with its stages.  An event
+is a stage where a candidate becomes ready, or where a point lands below
+a candidate that missed.  Between events the stages are quiet: the
+search enters a stretch of them as one run, which inserts the affine
+points of each canonical level with one slice write, and it walks stage
+by stage only where events are (see search_step).
+
+The search loop compares integers only.  Domain points and every step's
 gap limit are dyadic, so the search compares at one scale 2**m, the
-domain's slots, and reads each b_i (whose denominator can run to
-thousands of bits) once, as keys fl = floor(b_i * 2**m) and
+domain's slots, and reads each b_i it routes (whose denominator can run
+to thousands of bits) once, as keys fl = floor(b_i * 2**m) and
 ce = ceil(b_i * 2**m), which the target's generator computes on
 integers of about m bits (see approximations).  No integer lies strictly between fl and ce, so for
 every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A g-value
@@ -71,9 +80,10 @@ integers, accepts every hit.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .approximations import Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
@@ -160,14 +170,16 @@ class ConstructionTrace:
 
 
 class _Domain:
-    """The dovetailed domain of a construction, advanced stage by stage.
+    """The dovetailed domain of a construction, entered in runs of stages.
 
     Points, keys and gap limits are integers at one scale 2**m, the
     least at which all points j <= stage_budget and all points of the
     prefix are exact, and at which the gap limit of every step that
     search_step starts is exact too (see there).  Tracks, incrementally:
-    the keys (fl, ce) of each entered stage's b_s, read once from the
-    target's generator, and g-values, cached by enumeration index: as an
+    the keys (fl, ce) of b_i, read from the target's generator once per
+    index and only up to n0 + 1, where n0 = max(1, b.settle(m)): past it
+    the keys repeat by parity, so keys(i) returns a later index's keys
+    from n0 or n0 + 1; and g-values, cached by enumeration index: as an
     unreduced integer pair (pairs) on a ladder search's first read, and as
     one Fraction (values) once the point is a member of a returned ladder.
 
@@ -190,9 +202,18 @@ class _Domain:
     and zero_ok holds the enumeration indices of the finals that passed.
     pair_ok(f, 0) depends only on n, c and the points 0 and f, so a final
     that fails it ends no ladder for the rest of the step (see there).
-    start_step resets live to occ, and every insert marks its point live.
-    Stage t inserts q_t at once when its definition stage has arrived;
-    only a point defined later waits in the pending heap.
+    start_step resets live to occ, and enter marks each point it inserts live.
+
+    enter(e) enters the stages stage+1..e at once: it inserts each q_j
+    whose entry stage max(1, j, s_j) lies in that range (stage 0 inserts
+    nothing), and undo() takes the last enter back.  On the affine
+    schedule the entry stage is nondecreasing in j: max(1, j, offset) for
+    slope 0 and max(1, slope*j + offset) for slope >= 1.  So the affine
+    points of one run are one interval of j, and on each canonical level
+    an interval of j is an arithmetic progression of slots, one
+    extended-slice write.  q_0, the prefix (whose slots are not
+    canonical) and the overrides are entered one at a time from a list
+    sorted by entry stage, built once.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
@@ -200,17 +221,43 @@ class _Domain:
             raise ValueError(f"stage budget must be in 0..{MAX_STAGE_BUDGET}")
         self.g, self.b = g, b
         self.m = max(stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
+        self.n0 = max(1, b.settle(self.m))  # keys(i) == keys(i - 2) for i >= n0 + 2
         self.stage = 0
-        self.keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_s; stage 0 has no candidate
-        self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
+        self._keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_i; index 0 is no candidate
         self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
         self.occ = bytearray(1 << self.m)   # occ[x] = 1 iff x / 2**m is a point
         self.index = [0] * (1 << self.m)    # index[x]: the enumeration index of point x
         self.live = bytearray(1 << self.m)  # occ less this step's finals that fail zero_ok
         self.gap = 0  # the step's gap limit
+        self._hole = b""  # gap - 1 empty slots: a chain of hops ends at the first such run
         self.reach: int | None = None  # largest point 0 reaches with every hop < gap
         self.zero_ok: set[int] = set()  # enumeration indices j with pair_ok(q_j, 0) this step
+        sched = g.schedule
+        self._slope, self._offset = sched.slope, sched.offset
+        self._first = max(1, sched.offset)  # no affine point enters before this stage
+        # q_j for j >= j0 and off the overrides is affine; the rest go one at a time
+        self._j0 = max(1, len(g.enumeration.prefix))
+        overrides = sorted({j for j, _ in sched.overrides if j >= self._j0})
+        self._overrides = [*overrides, inf]  # the overridden js from j0 on, then a sentinel
+        single = sorted((max(1, j, st), j) for j in (*range(self._j0), *overrides)
+                        if (st := sched.stage_of(j)) is not None)
+        self._single_stages = [st for st, _ in single]
+        self._single = [j for _, j in single]
+        self._entered: list[tuple[int, int, int]] = []  # (first slot, count, slot step)
+        # of each group of points the last enter inserted
+        self._affine_top = -1  # the greatest j whose affine entry stage has arrived
+        self._before = (0, None, -1)  # stage, reach and _affine_top before the last enter
+
+    def keys(self, i: int) -> tuple[int, int]:
+        """(fl, ce) of b_i, i >= 1: each index up to n0 + 1 read once, in order."""
+        n0 = self.n0
+        if i > n0 + 1:
+            i = n0 + (i - n0) % 2
+        keys = self._keys
+        while len(keys) <= i:
+            keys.append(self.b.keys(len(keys), self.m))
+        return keys[i]
 
     def pair(self, j: int) -> tuple[int, int]:
         """g(q_j) of an inserted point as an unreduced integer pair (p, q), q > 0."""
@@ -230,42 +277,90 @@ class _Domain:
     def start_step(self, n: int) -> None:
         """Set step n's gap limit, walk its reach from 0, and reset live and zero_ok."""
         self.gap = 1 << (self.m - n - 1)
+        self._hole = bytes(self.gap - 1)
         self.live = self.occ.copy()
         self.zero_ok = set()
         self.reach = self._reach_from(0) if self.occ[0] else None
 
     def _reach_from(self, x: int) -> int:
         """The largest point that the point x reaches with every hop < gap."""
-        k = self.occ.find(bytes(max(self.gap - 1, 0)), x + 1)
+        k = self.occ.find(self._hole, x + 1)
         return k - 1 if k >= 0 else self.occ.rfind(1)
 
-    def advance(self) -> int | None:
-        """Enter the next stage; return the least point it inserts, if any."""
-        g, pending, m = self.g, self.pending, self.m
-        t = self.stage = self.stage + 1
-        low = None
-        if (st := g.schedule.stage_of(t)) is not None:
-            if st <= t:  # defined already: no wait on the pending heap
-                low = g.enumeration.scaled(t, m)
-                self.insert(t, low)
-            else:
-                heapq.heappush(pending, (st, t))
-        while pending and pending[0][0] <= t:
-            j = heapq.heappop(pending)[1]
-            x = g.enumeration.scaled(j, m)
-            self.insert(j, x)
-            if low is None or x < low:
-                low = x
-        self.keys.append(self.b.keys(t, m))
+    def enter(self, e: int) -> int | None:
+        """Enter the stages stage+1..e; return the least point they insert, if any."""
+        t, a = self.stage, self._affine_top + 1
+        self._before = (t, self.reach, a - 1)
+        self.stage = e
+        m, occ, live, index = self.m, self.occ, self.live, self.index
+        scaled = self.g.enumeration.scaled  # raises for a point not exact at 2**-m
+        entered = self._entered = []
+        low = high = None
+        stages = self._single_stages
+        if stages and stages[-1] > t:
+            k = bisect_right(stages, t)
+            for j in self._single[k:bisect_right(stages, e, k)]:
+                x = scaled(j, m)
+                occ[x] = live[x] = 1
+                index[x] = j
+                entered.append((x, 1, 0))
+                if low is None or x < low:
+                    low = x
+                if high is None or x > high:
+                    high = x
+        # the greatest affine j whose entry stage max(1, j, s_j) is at most e
+        z = -1 if e < self._first else e if self._slope == 0 else (e - self._offset) // self._slope
+        if z >= a:
+            self._affine_top = z
+            if a < self._j0:
+                a = self._j0
+            overrides = self._overrides
+            k = bisect_left(overrides, a)
+            while a <= z:  # one group per canonical level, split at the overrides
+                if overrides[k] == a:
+                    a, k = a + 1, k + 1
+                    continue
+                level = a.bit_length()
+                top = min(z, (1 << level) - 1, overrides[k] - 1)
+                x = scaled(a, m)
+                if top == a:
+                    occ[x] = live[x] = 1
+                    index[x] = a
+                    entered.append((x, 1, 0))
+                    last = x
+                else:  # q_a..q_top, on level L 2**(m-L+1) slots apart
+                    step = 2 << (m - level)
+                    last = x + (top - a) * step
+                    sl = slice(x, last + 1, step)
+                    occ[sl] = live[sl] = b"\1" * (top - a + 1)
+                    index[sl] = range(a, top + 1)
+                    entered.append((x, top - a + 1, step))
+                if low is None or x < low:
+                    low = x
+                if high is None or last > high:
+                    high = last
+                a = top + 1
+        if low is None:
+            return None
+        reach = self.reach
+        if reach is None:
+            if occ[0]:
+                self.reach = self._reach_from(0)
+        elif low < reach + self.gap and high > reach:  # a point may extend the reach
+            self.reach = self._reach_from(reach)
         return low
 
-    def insert(self, j: int, x: int) -> None:
-        """Insert q_j, the slot x, and move the reach if x extends it."""
-        self.occ[x] = self.live[x] = 1
-        self.index[x] = j
-        reach = self.reach
-        if x == 0 if reach is None else reach < x < reach + self.gap:
-            self.reach = self._reach_from(0 if reach is None else reach)
+    def undo(self) -> None:
+        """Take the last enter back: occ, live, stage and reach as they were."""
+        occ, live = self.occ, self.live
+        for x, count, step in self._entered:
+            if count == 1:
+                occ[x] = live[x] = 0
+            else:
+                sl = slice(x, x + (count - 1) * step + 1, step)
+                occ[sl] = live[sl] = bytes(count)
+        self._entered = []
+        self.stage, self.reach, self._affine_top = self._before
 
     def ceil(self) -> int | None:
         """reach + gap: the window of a b_i at or above it holds no reached point."""
@@ -373,7 +468,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     At stage s the domain holds exactly the enumeration indices j <= s
     whose definition stage has arrived, and the candidate target indices
     are prev_index < i <= s.  The search resumes at the domain's stage
-    and advances it up to stage_budget: a construction passes the one
+    and enters stages up to stage_budget: a construction passes the one
     domain that step n-1 left at stage_found_{n-1}, where step n cannot
     yet have hit (see the module docstring), and a standalone search
     builds a fresh domain at stage 0.
@@ -395,6 +490,33 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     A candidate whose keys (fl, ce) equal a lesser candidate's is never
     routed: every search outcome depends on b_i only through its keys, and
     the lesser one, searched first, hits at every stage the later one would.
+    So no candidate past last = max(n0, prev_index + 1) + 1 is routed, n0
+    the domain's settle index: for i > last >= n0 + 1, keys(i) == keys(i - 2),
+    and stepping down by 2 reaches last - 1 or last, both at least
+    max(n0, prev_index + 1), so above prev_index, with the same keys on
+    the way (each step down starts at n0 + 2 or above).  Those are
+    candidates that arrive before i.  Routing and key reads stop at last.
+
+    After it searches stage s, the search enters the stages after it in
+    runs (s, e].  A run of one stage is kept, routed and searched as
+    above.  A longer run commits when it is quiet: with ceil and low (the
+    least point it inserts) taken after the whole run, no waiting fl lies
+    below ceil; low is at or above the ce of every ready candidate (each
+    has missed by then); and every arrival in (s, min(e, last)] whose keys
+    are new has fl at or above ceil.  Within the run ceil only grows with
+    the points entered and low only falls, so a run quiet at e is quiet at
+    every stage in it: a walk stage by stage would search, wake or ready
+    no candidate there, and would only send each arrival to the wait heap,
+    which is all the commit does.  A run that is not quiet is undone.  So
+    stage_found, the ladder and every search are those of a walk stage by
+    stage, and the run lengths set only the cost: one stage after a stage
+    that readied or searched a candidate and after the resume stage, else
+    two; doubled after each commit; halved after each undo, and bisecting
+    toward the undone run's end, at or before which some stage is not
+    quiet, until the next single stage.  The arrivals' keys are read in
+    ascending i, and only once the first two conditions hold; an arrival
+    that is ready ends the check.  So a key that leaves [0, 1] raises at
+    the stage where a walk stage by stage reads it.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -406,16 +528,21 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
     wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
     missed: set[int] = set()                # ready candidates whose last search failed
+    top_ce = 0                              # the greatest ce of a ready candidate
     seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
     ceil = domain.ceil()                    # only increases
     occ = domain.occ                        # its slots x < ce are the points below b_i
+    last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
 
     s = domain.stage
     low: int | None = None  # least point inserted at stage s
-    arrived = range(prev_index + 1, s + 1)  # candidates entered since the last routing
+    arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
+    # busy: whether stage s readied or searched a candidate.  A step resumes
+    # where the step before it hit, so its first stage counts as busy.
+    busy = True
     while True:
         for i in arrived:
-            if (keys := domain.keys[i]) in seen:
+            if (keys := domain.keys(i)) in seen:
                 continue  # a lesser routed index shares every search outcome
             seen.add(keys)
             cand = (i, *keys)
@@ -423,13 +550,20 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
                 heapq.heappush(wait, (cand[1], cand))
             else:
                 ready.append(cand)
+                busy = True
+                if cand[2] > top_ce:
+                    top_ce = cand[2]
         while ceil is not None and wait and wait[0][0] < ceil:  # b_i < ceil
-            ready.append(heapq.heappop(wait)[1])
+            ready.append(cand := heapq.heappop(wait)[1])
+            busy = True
+            if cand[2] > top_ce:
+                top_ce = cand[2]
         if ready:
             ready.sort()
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
+                busy = True
                 if (k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0:
                     missed.add(i)  # a ladder needs three points: 0 and two more
                     continue
@@ -438,13 +572,36 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
                     bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
                 missed.add(i)
-        if s >= stage_budget:
-            return None
-        low = domain.advance()
-        s = domain.stage
-        if low is not None:
+        run, busy = (1 if busy else 2), False
+        bound = None  # the end of the last undone run: some stage up to it is not quiet
+        while True:  # enter runs of quiet stages, up to one stage to route and search
+            if s >= stage_budget:
+                return None
+            e = min(s + run, stage_budget)
+            low = domain.enter(e)
             ceil = domain.ceil()
-        arrived = (s,) if s > prev_index else ()
+            if e == s + 1:  # routed and searched stage by stage, quiet or not
+                arrived = (e,) if prev_index < e <= last else ()
+                break
+            arrived = range(max(s, prev_index) + 1, min(e, last) + 1)
+            if (ceil is None or not wait or wait[0][0] >= ceil) and (low is None or low >= top_ce):
+                fresh: dict[tuple[int, int], int] = {}  # keys -> the least arrival with them
+                for i in arrived:
+                    if (keys := domain.keys(i)) in seen or keys in fresh:
+                        continue
+                    if ceil is not None and keys[0] < ceil:
+                        break  # it is ready at e
+                    fresh[keys] = i
+                else:  # quiet: commit the run
+                    seen.update(fresh)
+                    for keys, i in fresh.items():
+                        heapq.heappush(wait, (keys[0], (i, *keys)))
+                    s = e
+                    run = 2 * run if bound is None else max(1, (bound - s) // 2)
+                    continue
+            domain.undo()
+            bound, run = e, (e - s) // 2
+        s = e
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from solred import witnesses
-from solred.approximations import Approximation, PrependGen
+from solred.approximations import Approximation, PrependGen, _fraction_keys
 from solred.construction import build_s2a_from_solovay
 from solred.reals import ZERO
 from solred.scenario import load_scenario
@@ -35,6 +35,29 @@ def corpus_path(name: str) -> Path:
 def prepended(raw: Approximation) -> Approximation:
     """0, then raw: the target a construction on raw builds, which i_n indexes."""
     return Approximation(PrependGen(ZERO, raw.gen))
+
+
+class TwoTail:
+    """A generator with terms head[0], head[1], ..., then even, odd, even,
+    odd, ... from index n0 = len(head): its two tail keys first appear at
+    n0 and n0 + 1, where no library generator's settle index is exact."""
+
+    def __init__(self, head, even, odd):
+        self.head, self.even, self.odd = tuple(head), even, odd
+
+    def __repr__(self):
+        return f"TwoTail({self.head!r}, {self.even!r}, {self.odd!r})"
+
+    def term(self, n):
+        if n < len(self.head):
+            return self.head[n]
+        return self.even if (n - len(self.head)) % 2 == 0 else self.odd
+
+    def keys(self, n, m):
+        return _fraction_keys(self.term(n), m)
+
+    def settle(self, m):
+        return len(self.head)
 
 
 def nested_alpha_text(levels: int) -> str:

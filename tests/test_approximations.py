@@ -25,7 +25,7 @@ from solred.approximations import (
 from solred.harness import verify_s2a_declared
 from solred.scenario import load_scenario
 
-from conftest import corpus_path
+from conftest import TwoTail, corpus_path
 
 HALF_CLIMB = Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE)
 
@@ -235,11 +235,17 @@ leaf_generators = st.one_of(
               st.lists(wide, max_size=6), wide),
 )
 
-generators = st.recursive(leaf_generators, lambda inner: st.one_of(
-    st.builds(PrependGen, units, inner),
-    st.builds(ComplementGen, inner),
-    st.builds(PrefixMaxGen, inner),
-), max_leaves=4)
+
+def wrapped(leaves):
+    """The leaves, and the leaves under prepends, complements and running maxima."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(PrependGen, units, inner),
+        st.builds(ComplementGen, inner),
+        st.builds(PrefixMaxGen, inner),
+    ), max_leaves=4)
+
+
+generators = wrapped(leaf_generators)
 
 
 def outcome(thunk):
@@ -264,6 +270,44 @@ def test_keys_agree_with_the_exact_term(gen, n, m):
         assert keys == term
         return
     assert keys == (math.floor(term * 2 ** m), math.ceil(term * 2 ** m))
+
+
+@st.composite
+def dyadic_alternating(draw):
+    """u dyadic, so the closed form's remainder is 0 and the two tail keys differ."""
+    u = Q(draw(st.integers(0, 64)), 64)
+    v = draw(st.fractions(min_value=0, max_value=min(u, 1 - u), max_denominator=1 << 20))
+    return AlternatingDyadic(u, v, draw(rates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen=wrapped(st.one_of(leaf_generators, dyadic_alternating(),
+                             st.builds(TwoTail, st.lists(units, max_size=3), units, units))),
+       m=st.integers(0, 80), far=st.integers(1990, 2010))
+def test_keys_repeat_by_parity_from_the_settle_index(gen, m, far):
+    """keys(n, m) == keys(n0 + (n - n0) % 2, m) for every n >= n0 = settle(m),
+    checked at n0..n0 + 8 and about 2,000 indices past n0.
+
+    The library's dyadic generators reach their extreme terms before n0, so
+    a running maximum over them is constant from n0 on; a running maximum
+    over a TwoTail whose odd tail term is its greatest changes at n0 + 1.
+    """
+    n0 = gen.settle(m)
+    assert Approximation(gen).settle(m) == n0 >= 0
+    for n in (*range(n0, n0 + 9), n0 + far):
+        assert gen.keys(n, m) == gen.keys(n0 + (n - n0) % 2, m), n
+
+
+def test_the_oscillating_tail_keys_alternate():
+    """u = 1/8 is dyadic: past n0 the keys at scale 2**14 alternate between
+    just above 1/8 (even n, V' < 0) and just below it (odd n, V' > 0)."""
+    gen = AlternatingDyadic(Q(1, 8), Q(1, 8), 1)
+    n0 = gen.settle(14)
+    assert n0 == 14 + 4  # V = 8 over D = 64 has 4 bits
+    assert [gen.keys(n, 14) for n in range(n0, n0 + 4)] == [(2048, 2049), (2047, 2048)] * 2
+    assert PrependGen(Q(0), gen).settle(14) == PrefixMaxGen(gen).settle(14) == n0 + 1
+    assert ComplementGen(gen).settle(14) == n0
+    assert Table((Q(1, 2),) * 3, Q(1, 4)).settle(14) == 3
 
 
 @settings(max_examples=150, deadline=None)

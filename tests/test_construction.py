@@ -244,7 +244,7 @@ def count_searches(monkeypatch, name, reads=None):
         nonlocal calls
         calls += 1
         if reads is not None:
-            reads.append((n, state.stage, state.keys[i]))
+            reads.append((n, state.stage, state.keys(i)))
         return real(n, i, fl, ce, c, state)
 
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
@@ -360,8 +360,11 @@ def test_each_report_checks_one_kind_claim(monkeypatch, verify, name):
 def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     """One log serves every step, so each b_i is read once, and only as keys.
 
-    The 9,214 key reads are b_1..b_9214 of the prepended target, one per
-    stage.  An exact term (Approximation.term) is read once for step 0
+    The 20 key reads are b_1..b_20 of the prepended target: its settle index
+    at the scale 2**14 is n0 = 19 (the inner generator's 18, plus 1), and
+    every later index repeats the keys of n0 or n0 + 1.  Reading every
+    stage's keys cost 9,214 reads, b_1..b_9214.  An exact term
+    (Approximation.term) is read once for step 0
     and once per hit.  A g-value is read as one integer pair (ValueRule.ratio)
     only when a ladder search reads its point, 2,047 points, and as an exact
     value (value_at) only for g(0) at step 0, whose pair is read once more.
@@ -372,6 +375,7 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     """
     calls = {"value_at": 0, "ratio": 0, "term": 0, "keys": 0}
     read = []
+    keys_read = []
 
     def counting(cls, name):
         real = getattr(cls, name)
@@ -380,6 +384,8 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
             calls[name] += 1
             if name == "ratio":
                 read.append(args[0])
+            if name == "keys":
+                keys_read.append(args[0])
             return real(self, *args)
         monkeypatch.setattr(cls, name, wrapper)
 
@@ -391,7 +397,9 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                    sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == {"value_at": 1, "ratio": 2048, "term": 13, "keys": 9214}
+    assert trace.target.settle(14) == 19
+    assert calls == {"value_at": 1, "ratio": 2048, "term": 13, "keys": 20}
+    assert keys_read == list(range(1, 21))
     assert read[0] == 0 and len(set(read[1:])) == len(read) - 1  # once per point
 
 
@@ -445,26 +453,39 @@ def test_construction_builds_no_fraction_point(monkeypatch):
 
 
 def test_construction_inserts_each_point_once(monkeypatch):
-    """The steps share one domain, advanced stage by stage and never rewound.
+    """The steps share one domain, entered in runs of stages and never rewound
+    past a committed run.
 
-    At stage 9,214 it holds the points q_0..q_9214.  Replaying the
-    domain into every step cost 18,438 inserts.  An insert sets one
-    occupancy byte and shifts no list.
+    At stage 9,214 it holds the points q_0..q_9214, each once.  Entering
+    the domain stage by stage cost 9,214 stage entries; by runs, 171
+    enter calls, of which 61 are undone (a run that was not quiet).
+    Replaying the domain into every step cost 18,438 inserts.
     """
-    calls = 0
-    real = construction._Domain.insert
+    calls = {"enter": 0, "undo": 0}
+    domains = set()
 
-    def counting(self, j, x):
-        nonlocal calls
-        calls += 1
-        return real(self, j, x)
+    def counting(name):
+        real = getattr(construction._Domain, name)
 
-    monkeypatch.setattr(construction._Domain, "insert", counting)
+        def wrapper(self, *args):
+            calls[name] += 1
+            domains.add(self)
+            return real(self, *args)
+        monkeypatch.setattr(construction._Domain, name, wrapper)
+
+    counting("enter")
+    counting("undo")
     sc = load_scenario(corpus_path("linear_basic"))
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                    sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == 9215
+    assert calls == {"enter": 171, "undo": 61}
+    (domain,) = domains
+    assert domain.stage == 9214
+    enumeration = sc.solovay_witness.g.enumeration
+    slots = [enumeration.scaled(j, domain.m) for j in range(9215)]
+    assert domain.occ.count(1) == 9215 and all(domain.occ[x] for x in slots)
+    assert [domain.index[x] for x in slots] == list(range(9215))
 
 
 def test_affine_dyadic_term_is_exact_at_large_n():

@@ -13,7 +13,9 @@ steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
 value against every dyadic point exactly as the rationals do, and the
 reach the domain keeps incrementally must equal a fresh walk from 0,
-with the occupancy holding each point of the stage once.
+with the occupancy holding each point of the stage once.  A run of
+stages entered at once must leave the domain as the stage-by-stage
+reference kept below does, and undoing it must restore every byte.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
 in at most 2 * ceil(log2(cap)) + 2 probes.  That probe, which builds one
@@ -23,6 +25,8 @@ on its own.
 """
 from __future__ import annotations
 
+import copy
+import heapq
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
@@ -34,7 +38,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from solred import oracle
-from solred.approximations import AffineDyadic, Approximation, Kind, Table
+from solred.approximations import (
+    AffineDyadic,
+    AlternatingDyadic,
+    Approximation,
+    ComplementGen,
+    Kind,
+    PrefixMaxGen,
+    Table,
+)
 from solred.construction import (
     RequirementTuple,
     StepRecord,
@@ -57,7 +69,7 @@ from solred.witnesses import (
     enumerate_domain,
 )
 
-from conftest import prepended, probe_bound
+from conftest import TwoTail, prepended, probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -101,6 +113,17 @@ targets = st.one_of(
     st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
         lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE)),
     st.just(Approximation(AffineDyadic(Q(1, 3), Q(1, 3), 1), Kind.LEFT_CE)),
+    # Keys that repeat by parity past the settle index: with dyadic u the two
+    # tail keys differ, so the search must route both parities.
+    st.tuples(st.sampled_from([Q(1, 4), Q(3, 8), Q(1, 2), Q(1, 3)]),
+              st.sampled_from([Q(1, 8), Q(1, 4)]), st.integers(1, 2)).map(
+        lambda uvw: Approximation(AlternatingDyadic(*uvw))),
+    st.sampled_from([AlternatingDyadic(Q(1, 4), Q(1, 8), 1),
+                     AlternatingDyadic(Q(3, 8), Q(1, 4), 1),
+                     Table((Q(1, 2), Q(1, 8), Q(3, 8)), Q(5, 16))]).map(
+        lambda inner: Approximation(PrefixMaxGen(inner))),
+    st.sampled_from([Q(1, 4), Q(1, 2)]).map(
+        lambda u: Approximation(ComplementGen(AffineDyadic(u, u, 1)))),
 )
 
 
@@ -345,8 +368,7 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     b = prepended(_constant(Q(1, 4)))
     domain = _Domain(w.g, b, 12)
     domain.start_step(1)
-    for _ in range(4):
-        domain.advance()
+    domain.enter(4)
     points = [Q(x, 2 ** domain.m) for x, _ in _all_points(domain)]
     assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
     rec = search_step(1, 3, w, b, 12)
@@ -370,6 +392,22 @@ def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
     for prev, rec in zip(trace.steps, trace.steps[1:]):
         assert search_step(rec.n, prev.index, w, trace.target, 40) == rec
         assert oracle_min_hit(rec.n, prev.index, w, trace.target, 40) == rec
+
+
+@pytest.mark.parametrize("prev_index,index", [(0, 3), (5, 7)])
+def test_the_odd_tail_candidate_past_the_settle_index_is_routed(prev_index, index):
+    """b_i = 0 for i < 2 and from 2 on alternates 0, 1/4: n0 = 2.
+
+    Only b_i = 1/4 can hit, first at stage 8 with (0, 1/16, 1/8).  Its least
+    candidate is the odd-tail index past max(n0, prev_index + 1), the last
+    one the search routes: 3 after step 0 and 7 after index 5.  A routing
+    bound one index lower leaves it unrouted, and the step exhausts.
+    """
+    w = _halving_witness(schedule=StageSchedule(0, 0))
+    b = Approximation(TwoTail((ZERO, ZERO), ZERO, Q(1, 4)))
+    rec = search_step(1, prev_index, w, b, 40)
+    assert (rec.index, rec.stage_found, rec.tup.points) == (index, 8, (0, Q(1, 16), Q(1, 8)))
+    assert oracle_min_hit(1, prev_index, w, b, 40) == rec
 
 
 @settings(FUZZ, max_examples=200)
@@ -541,8 +579,8 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
         domain = _Domain(StagedPartialFunction(), target, 1 << (m - 1))
         assert domain.m == m
         domain.start_step(m - 1)
-        domain.advance()
-        assert domain.keys[1] == (fl, ce)
+        domain.enter(1)
+        assert domain.keys(1) == (fl, ce)
 
 
 def _all_points(domain):
@@ -565,19 +603,21 @@ def _walked_ceil(domain):
 @given(w=staged_witnesses(), depth=st.integers(1, 6), budget=st.integers(0, 60),
        data=st.data())
 def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
-    """The incrementally kept reach equals a fresh walk after every stage and step.
+    """The incrementally kept reach equals a fresh walk after every run and step.
 
     Steps 1..depth start in order on one domain, as in a construction,
-    and each advances it by a drawn number of stages up to the budget.
-    Only the steps n <= m - 2 that a search starts are started.
+    and each enters a drawn number of runs of drawn lengths up to the
+    budget.  Only the steps n <= m - 2 that a search starts are started.
     """
     domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
     for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
         _assert_occupancy_holds_the_domain(w, domain)
-        for _ in range(data.draw(st.integers(0, budget - domain.stage))):
-            domain.advance()
+        for _ in range(data.draw(st.integers(0, 4))):
+            if domain.stage == budget:
+                break
+            domain.enter(data.draw(st.integers(domain.stage + 1, budget)))
             assert domain.ceil() == _walked_ceil(domain)
             _assert_occupancy_holds_the_domain(w, domain)
 
@@ -595,6 +635,95 @@ def _assert_occupancy_holds_the_domain(w, domain):
     assert domain.occ.count(1) == len(expected) and set(domain.occ) <= {0, 1}
     assert len(domain.occ) == len(domain.index) == 1 << domain.m
     assert domain.live == domain.occ
+
+
+class StageByStage:
+    """The domain's points entered one stage at a time, the reference for runs.
+
+    Stage t inserts q_t at once when its definition stage has arrived; a
+    point defined later waits in a pending heap until that stage.  Every
+    insert moves the reach when it lands less than one gap past it.
+    """
+
+    def __init__(self, g, m, gap):
+        self.g, self.m, self.gap = g, m, gap
+        self.stage = 0
+        self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
+        self.occ, self.live = bytearray(1 << m), bytearray(1 << m)
+        self.index = [0] * (1 << m)
+        self.reach = None
+
+    def advance(self):
+        """Enter the next stage; return the least point it inserts, if any."""
+        g, pending, m = self.g, self.pending, self.m
+        t = self.stage = self.stage + 1
+        low = None
+        if (st := g.schedule.stage_of(t)) is not None:
+            if st <= t:
+                low = g.enumeration.scaled(t, m)
+                self.insert(t, low)
+            else:
+                heapq.heappush(pending, (st, t))
+        while pending and pending[0][0] <= t:
+            j = heapq.heappop(pending)[1]
+            x = g.enumeration.scaled(j, m)
+            self.insert(j, x)
+            if low is None or x < low:
+                low = x
+        return low
+
+    def insert(self, j, x):
+        self.occ[x] = self.live[x] = 1
+        self.index[x] = j
+        reach = self.reach
+        if x == 0 if reach is None else reach < x < reach + self.gap:
+            start = 0 if reach is None else reach
+            k = self.occ.find(bytes(self.gap - 1), start + 1)
+            self.reach = k - 1 if k >= 0 else self.occ.rfind(1)
+
+    def copy(self):
+        other = copy.copy(self)
+        other.occ, other.live = bytearray(self.occ), bytearray(self.live)
+        other.index, other.pending = self.index[:], self.pending[:]
+        return other
+
+
+def _domain_state(d):
+    """occ and live bytes, stage, reach, and (slot, index) at each occupied slot."""
+    return (bytes(d.occ), bytes(d.live), d.stage, d.reach,
+            [(x, d.index[x]) for x, on in enumerate(d.occ) if on])
+
+
+@settings(FUZZ, max_examples=300)
+@given(w=staged_witnesses(), budget=st.integers(2, 80), data=st.data())
+def test_a_run_equals_its_stages(w, budget, data):
+    """enter(e) leaves the domain as entering stage+1..e one at a time does,
+    and undo restores every byte of occ and live, the stage and the reach.
+
+    Runs of drawn lengths and undos come in a drawn order, with a live
+    point cleared now and then, as a ladder search clears a final.
+    """
+    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
+    domain.start_step(data.draw(st.integers(0, domain.m - 1)))
+    ref = StageByStage(w.g, domain.m, domain.gap)
+    before = None
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["enter", "enter", "undo", "clear"]))
+        if op == "enter" and domain.stage < budget:
+            before = (_domain_state(domain), ref.copy())
+            e = data.draw(st.integers(domain.stage + 1, budget))
+            lows = [ref.advance() for _ in range(e - ref.stage)]
+            low = min((x for x in lows if x is not None), default=None)
+            assert domain.enter(e) == low
+        elif op == "undo" and before is not None:
+            domain.undo()
+            assert _domain_state(domain) == before[0]
+            ref, before = before[1], None
+        elif op == "clear" and (points := [x for x, on in enumerate(domain.live) if on]):
+            x = data.draw(st.sampled_from(points))
+            domain.live[x] = ref.live[x] = 0
+            before = None  # undo takes back only the last enter
+        assert _domain_state(domain) == _domain_state(ref)
 
 
 @pytest.mark.parametrize("budget", [MAX_STAGE_BUDGET + 1, 1 << 63])
@@ -631,8 +760,8 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
     domain = _Domain(StagedPartialFunction(), _constant(Q(1, 2)), 1)
     assert domain.m == 1
     domain.start_step(0)
-    assert domain.advance() == 0
+    assert domain.enter(1) == 0
     assert [(j, x, domain.value(j)) for x, j in _all_points(domain)] == [
         (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
-        domain.advance()  # q_2 = 1/4
+        domain.enter(2)  # q_2 = 1/4
