@@ -56,12 +56,11 @@ it, and the least ladder over the finals is the canonical one.  The
 oracle re-derives the same hits with none of this machinery, and the
 test suite holds the two to exact equality.
 
-The search's work grows with its events, not with its stages.  An event
-is a stage where a candidate becomes ready, or where a point lands below
-a candidate that missed.  Between events the stages are quiet: the
-search enters a stretch of them as one run, which inserts the affine
-points of each canonical level with one slice write, and it walks stage
-by stage only where events are (see search_step).
+The search's work grows with its events, not with its stages: the
+stages at which a walk stage by stage would route, wake or search a
+candidate.  The search computes the next one directly (see search_step),
+enters the quiet stages before it with one write per canonical level and
+walks it alone, so each stage is entered once.
 
 The search loop compares integers only.  Domain points and every step's
 gap limit are dyadic, so the search compares at one scale 2**m, the
@@ -81,6 +80,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
@@ -170,7 +170,7 @@ class ConstructionTrace:
 
 
 class _Domain:
-    """The dovetailed domain of a construction, entered in runs of stages.
+    """The dovetailed domain of a construction, entered up to each event stage.
 
     Points, keys and gap limits are integers at one scale 2**m, the
     least at which all points j <= stage_budget and all points of the
@@ -204,16 +204,16 @@ class _Domain:
     that fails it ends no ladder for the rest of the step (see there).
     start_step resets live to occ, and enter marks each point it inserts live.
 
-    enter(e) enters the stages stage+1..e at once: it inserts each q_j
-    whose entry stage max(1, j, s_j) lies in that range (stage 0 inserts
-    nothing), and undo() takes the last enter back.  On the affine
-    schedule the entry stage is nondecreasing in j: max(1, j, offset) for
-    slope 0 and max(1, slope*j + offset) for slope >= 1.  So the affine
-    points of one run are one interval of j, and on each canonical level
-    an interval of j is an arithmetic progression of slots, one
-    extended-slice write.  q_0, the prefix (whose slots are not
-    canonical) and the overrides are entered one at a time from a list
-    sorted by entry stage, built once.
+    enter(e) enters the stages stage+1..e: each q_j whose entry stage
+    max(1, j, s_j) lies in that range (stage 0 inserts nothing).  On the
+    affine schedule the entry stage is nondecreasing in j (max(1, j,
+    offset) for slope 0, max(1, slope*j + offset) for slope >= 1), so the
+    affine js entered by a stage t are those up to _top(t), and on each
+    canonical level an interval of j is an arithmetic progression of
+    slots, one extended-slice write.  q_0, the prefix (not canonical) and
+    the overrides are single points, sorted by entry stage once.  The same
+    groups of points answer, without entering them, the search's
+    look-aheads first_below and first_reach.
     """
 
     def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
@@ -244,10 +244,6 @@ class _Domain:
                         if (st := sched.stage_of(j)) is not None)
         self._single_stages = [st for st, _ in single]
         self._single = [j for _, j in single]
-        self._entered: list[tuple[int, int, int]] = []  # (first slot, count, slot step)
-        # of each group of points the last enter inserted
-        self._affine_top = -1  # the greatest j whose affine entry stage has arrived
-        self._before = (0, None, -1)  # stage, reach and _affine_top before the last enter
 
     def keys(self, i: int) -> tuple[int, int]:
         """(fl, ce) of b_i, i >= 1: each index up to n0 + 1 read once, in order."""
@@ -287,59 +283,54 @@ class _Domain:
         k = self.occ.find(self._hole, x + 1)
         return k - 1 if k >= 0 else self.occ.rfind(1)
 
-    def enter(self, e: int) -> int | None:
-        """Enter the stages stage+1..e; return the least point they insert, if any."""
-        t, a = self.stage, self._affine_top + 1
-        self._before = (t, self.reach, a - 1)
-        self.stage = e
-        m, occ, live, index = self.m, self.occ, self.live, self.index
-        scaled = self.g.enumeration.scaled  # raises for a point not exact at 2**-m
-        entered = self._entered = []
-        low = high = None
+    def _top(self, t: int) -> int:
+        """The greatest j whose affine entry stage is at most t, or -1."""
+        if t < self._first:
+            return -1
+        return t if self._slope == 0 else (t - self._offset) // self._slope
+
+    def _groups(self, t: int, e: int) -> Iterator[tuple[int, int, int, int]]:
+        """(first slot, count, slot step, first j) of each group of the points
+        that enter at the stages t+1..e: a single point, or affine points
+        j..j+count-1 on one canonical level.  A group's first point has its
+        least slot and its least entry stage."""
+        m, scaled = self.m, self.g.enumeration.scaled  # raises for a point not exact at 2**-m
         stages = self._single_stages
         if stages and stages[-1] > t:
             k = bisect_right(stages, t)
             for j in self._single[k:bisect_right(stages, e, k)]:
-                x = scaled(j, m)
+                yield scaled(j, m), 1, 1, j
+        a, z = max(self._top(t) + 1, self._j0), self._top(e)
+        overrides = self._overrides
+        k = bisect_left(overrides, a)
+        while a <= z:  # one group per canonical level, split at the overrides
+            if overrides[k] == a:
+                a, k = a + 1, k + 1
+                continue
+            level = a.bit_length()
+            top = min(z, (1 << level) - 1, overrides[k] - 1)
+            yield scaled(a, m), top - a + 1, 2 << (m - level), a  # on level L, 2**(m-L+1) apart
+            a = top + 1
+
+    def enter(self, e: int) -> int | None:
+        """Enter the stages stage+1..e; return the least point they insert, if any."""
+        occ, live, index = self.occ, self.live, self.index
+        low = high = None
+        for x, count, step, j in self._groups(self.stage, e):
+            if count == 1:
+                last = x
                 occ[x] = live[x] = 1
                 index[x] = j
-                entered.append((x, 1, 0))
-                if low is None or x < low:
-                    low = x
-                if high is None or x > high:
-                    high = x
-        # the greatest affine j whose entry stage max(1, j, s_j) is at most e
-        z = -1 if e < self._first else e if self._slope == 0 else (e - self._offset) // self._slope
-        if z >= a:
-            self._affine_top = z
-            if a < self._j0:
-                a = self._j0
-            overrides = self._overrides
-            k = bisect_left(overrides, a)
-            while a <= z:  # one group per canonical level, split at the overrides
-                if overrides[k] == a:
-                    a, k = a + 1, k + 1
-                    continue
-                level = a.bit_length()
-                top = min(z, (1 << level) - 1, overrides[k] - 1)
-                x = scaled(a, m)
-                if top == a:
-                    occ[x] = live[x] = 1
-                    index[x] = a
-                    entered.append((x, 1, 0))
-                    last = x
-                else:  # q_a..q_top, on level L 2**(m-L+1) slots apart
-                    step = 2 << (m - level)
-                    last = x + (top - a) * step
-                    sl = slice(x, last + 1, step)
-                    occ[sl] = live[sl] = b"\1" * (top - a + 1)
-                    index[sl] = range(a, top + 1)
-                    entered.append((x, top - a + 1, step))
-                if low is None or x < low:
-                    low = x
-                if high is None or last > high:
-                    high = last
-                a = top + 1
+            else:
+                last = x + (count - 1) * step
+                sl = slice(x, last + 1, step)
+                occ[sl] = live[sl] = b"\1" * count
+                index[sl] = range(j, j + count)
+            if low is None or x < low:
+                low = x
+            if high is None or last > high:
+                high = last
+        self.stage = e
         if low is None:
             return None
         reach = self.reach
@@ -350,17 +341,44 @@ class _Domain:
             self.reach = self._reach_from(reach)
         return low
 
-    def undo(self) -> None:
-        """Take the last enter back: occ, live, stage and reach as they were."""
-        occ, live = self.occ, self.live
-        for x, count, step in self._entered:
-            if count == 1:
-                occ[x] = live[x] = 0
+    def first_below(self, x: int, hi: int) -> int:
+        """min(hi, the first stage after this one that inserts a point below the slot x).
+
+        A group's first point has its least slot and entry stage, so one
+        point per group decides: one per canonical level and override split,
+        and each single point.
+        """
+        stage_of = self.g.schedule.stage_of
+        return min((max(1, j, stage_of(j)) for x0, _, _, j in self._groups(self.stage, hi - 1)
+                    if x0 < x), default=hi)
+
+    def first_reach(self, fl: int, hi: int) -> int:
+        """min(hi, the first stage after this one at which fl < reach + gap).
+
+        Needs reach + gap <= fl.  The reach only grows with the stage, and
+        it is at least fl - gap + 1 iff (reach, fl) holds no run of gap - 1
+        empty slots; so the stage is bisected, each probe writing the points
+        that enter by it into a copy of those slots.  It enters nothing.
+        """
+        lo, start, stage_of = self.stage, self.reach + 1, self.g.schedule.stage_of
+        groups = []  # (first slot in the copy, slot step, first j, count, its entry stage)
+        for x, count, step, j in self._groups(lo, hi - 1):  # of the points in (reach, fl)
+            k0, k1 = max(0, (start - x + step - 1) // step), min(count - 1, (fl - 1 - x) // step)
+            if k0 <= k1:
+                j += k0
+                groups.append((x + k0 * step - start, step, j, k1 - k0 + 1, max(1, j, stage_of(j))))
+        while hi - lo > 1:
+            t = (lo + hi) // 2
+            window, z = self.occ[start:fl], self._top(t)  # z: the last affine j entered by t
+            for y, step, j, count, first in groups:
+                if first <= t:
+                    count = min(count, z - j + 1) if count > 1 else 1
+                    window[y:y + (count - 1) * step + 1:step] = b"\1" * count
+            if window.find(self._hole) < 0:
+                hi = t
             else:
-                sl = slice(x, x + (count - 1) * step + 1, step)
-                occ[sl] = live[sl] = bytes(count)
-        self._entered = []
-        self.stage, self.reach, self._affine_top = self._before
+                lo = t
+        return hi
 
     def ceil(self) -> int | None:
         """reach + gap: the window of a b_i at or above it holds no reached point."""
@@ -485,8 +503,10 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     increases within a step, so it is woken at most once.  Every other
     candidate is ready.  A ready candidate is searched when it becomes
     ready, and after a miss only at a stage that inserts a point below its
-    b_i; while fewer than three points lie below b_i (two finds over the
-    occupancy bytes tell), it misses unsearched.
+    b_i.  It misses unsearched while fewer than three points lie below b_i
+    (two finds over the occupancy bytes tell), and while its window
+    (b_i - gap, b_i) holds no live final (one find over the live bytes),
+    since then the search would find no final to end a ladder at.
     A candidate whose keys (fl, ce) equal a lesser candidate's is never
     routed: every search outcome depends on b_i only through its keys, and
     the lesser one, searched first, hits at every stage the later one would.
@@ -497,26 +517,21 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     the way (each step down starts at n0 + 2 or above).  Those are
     candidates that arrive before i.  Routing and key reads stop at last.
 
-    After it searches stage s, the search enters the stages after it in
-    runs (s, e].  A run of one stage is kept, routed and searched as
-    above.  A longer run commits when it is quiet: with ceil and low (the
-    least point it inserts) taken after the whole run, no waiting fl lies
-    below ceil; low is at or above the ce of every ready candidate (each
-    has missed by then); and every arrival in (s, min(e, last)] whose keys
-    are new has fl at or above ceil.  Within the run ceil only grows with
-    the points entered and low only falls, so a run quiet at e is quiet at
-    every stage in it: a walk stage by stage would search, wake or ready
-    no candidate there, and would only send each arrival to the wait heap,
-    which is all the commit does.  A run that is not quiet is undone.  So
+    After it walks stage s, the search enters s+1..e-1 with one enter and
+    walks the next event stage e alone.  e is the least of:
+    - s + 1 while s < last: it brings candidate s + 1;
+    - the first stage that inserts a point below top_ce, the greatest ce
+      of a ready candidate: each has missed by then and is searched again
+      only at a stage that inserts a point below its ce.  top_ce is at
+      least 1, so q_0 (slot 0) counts while it is missing, when no
+      candidate is ready and the reach is undefined;
+    - the first stage at which the least waiting fl is below ceil: the
+      reach only grows, and that candidate wakes first;
+    - the stage budget.
+    At every stage before e no candidate arrives, wakes or is searched, so
     stage_found, the ladder and every search are those of a walk stage by
-    stage, and the run lengths set only the cost: one stage after a stage
-    that readied or searched a candidate and after the resume stage, else
-    two; doubled after each commit; halved after each undo, and bisecting
-    toward the undone run's end, at or before which some stage is not
-    quiet, until the next single stage.  The arrivals' keys are read in
-    ascending i, and only once the first two conditions hold; an arrival
-    that is ready ends the check.  So a key that leaves [0, 1] raises at
-    the stage where a walk stage by stage reads it.
+    stage.  Keys are read only in routing, in ascending i, so a key that
+    leaves [0, 1] raises at the stage where that walk reads it.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -528,18 +543,16 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
     wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
     missed: set[int] = set()                # ready candidates whose last search failed
-    top_ce = 0                              # the greatest ce of a ready candidate
+    top_ce = 1                              # the greatest ce of a ready candidate, at least 1
     seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
     ceil = domain.ceil()                    # only increases
     occ = domain.occ                        # its slots x < ce are the points below b_i
+    live, gap = domain.live, domain.gap
     last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
 
     s = domain.stage
     low: int | None = None  # least point inserted at stage s
     arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
-    # busy: whether stage s readied or searched a candidate.  A step resumes
-    # where the step before it hit, so its first stage counts as busy.
-    busy = True
     while True:
         for i in arrived:
             if (keys := domain.keys(i)) in seen:
@@ -550,57 +563,34 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
                 heapq.heappush(wait, (cand[1], cand))
             else:
                 ready.append(cand)
-                busy = True
-                if cand[2] > top_ce:
-                    top_ce = cand[2]
+                top_ce = max(top_ce, cand[2])
         while ceil is not None and wait and wait[0][0] < ceil:  # b_i < ceil
             ready.append(cand := heapq.heappop(wait)[1])
-            busy = True
-            if cand[2] > top_ce:
-                top_ce = cand[2]
+            top_ce = max(top_ce, cand[2])
         if ready:
             ready.sort()
             for i, fl, ce in ready:
                 if i in missed and (low is None or ce <= low):
                     continue  # nothing new below b_i (low >= b_i) since its last miss
-                busy = True
-                if (k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0:
-                    missed.add(i)  # a ladder needs three points: 0 and two more
+                if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
+                        or live.find(1, max(0, fl - gap + 1), ce) < 0):
+                    missed.add(i)  # a ladder needs 0, two more points and a live final
                     continue
                 hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
                 if hit is not None:
                     bi, tup = hit
                     return StepRecord(n, i, tup.values[-1], bi, tup, s)
                 missed.add(i)
-        run, busy = (1 if busy else 2), False
-        bound = None  # the end of the last undone run: some stage up to it is not quiet
-        while True:  # enter runs of quiet stages, up to one stage to route and search
-            if s >= stage_budget:
-                return None
-            e = min(s + run, stage_budget)
-            low = domain.enter(e)
-            ceil = domain.ceil()
-            if e == s + 1:  # routed and searched stage by stage, quiet or not
-                arrived = (e,) if prev_index < e <= last else ()
-                break
-            arrived = range(max(s, prev_index) + 1, min(e, last) + 1)
-            if (ceil is None or not wait or wait[0][0] >= ceil) and (low is None or low >= top_ce):
-                fresh: dict[tuple[int, int], int] = {}  # keys -> the least arrival with them
-                for i in arrived:
-                    if (keys := domain.keys(i)) in seen or keys in fresh:
-                        continue
-                    if ceil is not None and keys[0] < ceil:
-                        break  # it is ready at e
-                    fresh[keys] = i
-                else:  # quiet: commit the run
-                    seen.update(fresh)
-                    for keys, i in fresh.items():
-                        heapq.heappush(wait, (keys[0], (i, *keys)))
-                    s = e
-                    run = 2 * run if bound is None else max(1, (bound - s) // 2)
-                    continue
-            domain.undo()
-            bound, run = e, (e - s) // 2
+        if s >= stage_budget:
+            return None
+        e = s + 1 if s < last else domain.first_below(top_ce, stage_budget)
+        if ceil is not None and wait and e > s + 1:
+            e = domain.first_reach(wait[0][0], e)
+        if e > s + 1:
+            domain.enter(e - 1)  # the quiet stages before e
+        low = domain.enter(e)
+        ceil = domain.ceil()
+        arrived = (e,) if prev_index < e <= last else ()
         s = e
 
 

@@ -15,7 +15,9 @@ value against every dyadic point exactly as the rationals do, and the
 reach the domain keeps incrementally must equal a fresh walk from 0,
 with the occupancy holding each point of the stage once.  A run of
 stages entered at once must leave the domain as the stage-by-stage
-reference kept below does, and undoing it must restore every byte.
+reference kept below does, and the search's two look-aheads, the first
+stage that inserts a point below a slot and the first stage at which the
+reach gets to a slot, must name the stages at which that reference does.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
 in at most 2 * ceil(log2(cap)) + 2 probes.  That probe, which builds one
@@ -25,11 +27,11 @@ on its own.
 """
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -681,12 +683,6 @@ class StageByStage:
             k = self.occ.find(bytes(self.gap - 1), start + 1)
             self.reach = k - 1 if k >= 0 else self.occ.rfind(1)
 
-    def copy(self):
-        other = copy.copy(self)
-        other.occ, other.live = bytearray(self.occ), bytearray(self.live)
-        other.index, other.pending = self.index[:], self.pending[:]
-        return other
-
 
 def _domain_state(d):
     """occ and live bytes, stage, reach, and (slot, index) at each occupied slot."""
@@ -697,33 +693,91 @@ def _domain_state(d):
 @settings(FUZZ, max_examples=300)
 @given(w=staged_witnesses(), budget=st.integers(2, 80), data=st.data())
 def test_a_run_equals_its_stages(w, budget, data):
-    """enter(e) leaves the domain as entering stage+1..e one at a time does,
-    and undo restores every byte of occ and live, the stage and the reach.
+    """enter(e) leaves the domain as entering stage+1..e one at a time does.
 
-    Runs of drawn lengths and undos come in a drawn order, with a live
-    point cleared now and then, as a ladder search clears a final.
+    Runs of drawn lengths come with a live point cleared now and then, as
+    a ladder search clears a final.
     """
     domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
     domain.start_step(data.draw(st.integers(0, domain.m - 1)))
     ref = StageByStage(w.g, domain.m, domain.gap)
-    before = None
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(["enter", "enter", "undo", "clear"]))
+        op = data.draw(st.sampled_from(["enter", "enter", "clear"]))
         if op == "enter" and domain.stage < budget:
-            before = (_domain_state(domain), ref.copy())
             e = data.draw(st.integers(domain.stage + 1, budget))
             lows = [ref.advance() for _ in range(e - ref.stage)]
             low = min((x for x in lows if x is not None), default=None)
             assert domain.enter(e) == low
-        elif op == "undo" and before is not None:
-            domain.undo()
-            assert _domain_state(domain) == before[0]
-            ref, before = before[1], None
         elif op == "clear" and (points := [x for x, on in enumerate(domain.live) if on]):
             x = data.draw(st.sampled_from(points))
             domain.live[x] = ref.live[x] = 0
-            before = None  # undo takes back only the last enter
         assert _domain_state(domain) == _domain_state(ref)
+
+
+def _entered_at(w, slope, budget, data, least_stage=0):
+    """A domain of w's points with the schedule's slope replaced, in a drawn
+    step with a gap limit of at least 2, entered to a drawn stage below the
+    budget, with its stage-by-stage reference at the same stage."""
+    g = replace(w.g, schedule=replace(w.g.schedule, slope=slope))
+    domain = _Domain(g, prepended(_constant(Q(1, 2))), budget)
+    domain.start_step(data.draw(st.integers(0, domain.m - 2)))
+    ref = StageByStage(g, domain.m, domain.gap)
+    stage = data.draw(st.integers(min(least_stage, budget - 1), budget - 1))
+    if stage:
+        domain.enter(stage)
+    for _ in range(stage):
+        ref.advance()
+    return domain, ref
+
+
+@settings(FUZZ, max_examples=300)
+@given(w=staged_witnesses(), slope=st.integers(0, 3), budget=st.integers(4, 80),
+       data=st.data())
+def test_first_below_names_the_first_stage_that_inserts_below_a_slot(w, slope, budget, data):
+    """first_below(x, hi) is hi or, if earlier, the first stage after the
+    domain's at which the stage-by-stage reference inserts a point below
+    the slot x.  The overrides, "never" among them, and the prefix enter
+    one point at a time, the affine points by levels."""
+    domain, ref = _entered_at(w, slope, budget, data)
+    x = data.draw(st.integers(0, 1 << domain.m))
+    hi = data.draw(st.integers(domain.stage + 1, budget))
+    expected = hi
+    for t in range(domain.stage + 1, hi):
+        if (low := ref.advance()) is not None and low < x:
+            expected = t
+            break
+    state = _domain_state(domain)
+    assert domain.first_below(x, hi) == expected
+    assert _domain_state(domain) == state
+
+
+@settings(FUZZ, max_examples=300)
+@given(w=staged_witnesses(), slope=st.integers(0, 3), budget=st.integers(4, 80),
+       data=st.data())
+def test_first_reach_names_the_first_stage_the_reach_gets_to_a_slot(w, slope, budget, data):
+    """first_reach(r + gap - 1, hi) is hi or, if earlier, the first stage
+    after the domain's at which the stage-by-stage reference's reach is at
+    least r, for any r past the reach: the stage at which a waiting
+    candidate with fl = r + gap - 1 wakes.  r is drawn at times from the
+    reaches the reference passes through, where the hole that ends the
+    chain just reaches slot fl - 1.  Its probes enter nothing."""
+    domain, ref = _entered_at(w, slope, budget, data, max(1, w.g.schedule.stage_of(0)))
+    top = (1 << domain.m) - domain.gap + 1  # fl <= 2**m
+    if domain.reach is None or domain.reach >= top:
+        return  # q_0 is not in by the budget, or no key lies a gap past the reach
+    hi = data.draw(st.integers(domain.stage + 1, budget))
+    stages = range(domain.stage + 1, hi)
+    reaches = []  # the reference's reach at each stage in stages
+    for _ in stages:
+        ref.advance()
+        reaches.append(ref.reach)
+    passed = sorted({x for x in reaches if domain.reach < x <= top})
+    r = data.draw(st.integers(domain.reach + 1, top)
+                  | (st.sampled_from(passed) if passed else st.nothing()))
+    expected = next((t for t, x in zip(stages, reaches) if x >= r), hi)
+    state = _domain_state(domain)
+    assert domain.first_reach(r + domain.gap - 1, hi) == expected
+    assert _domain_state(domain) == state
 
 
 @pytest.mark.parametrize("budget", [MAX_STAGE_BUDGET + 1, 1 << 63])
