@@ -58,9 +58,9 @@ test suite holds the two to exact equality.
 
 The search's work grows with its events, not with its stages: the
 stages at which a walk stage by stage would route, wake or search a
-candidate.  The search computes the next one directly (see search_step),
-enters the quiet stages before it with one write per canonical level and
-walks it alone, so each stage is entered once.
+candidate.  The search computes the next one directly (see search_step)
+and enters it together with the quiet stages before it, in one enter
+with one write per canonical level, so each stage is entered once.
 
 The search loop compares integers only.  Domain points and every step's
 gap limit are dyadic, so the search compares at one scale 2**m, the
@@ -199,7 +199,8 @@ class _Domain:
     than one gap past it.
     live is occ less the finals known to fail clause (v) against 0 in this
     step: _lex_first_ladder clears a final from it at the first failure,
-    and zero_ok holds the enumeration indices of the finals that passed.
+    and tests a final that passed again, on two cached pairs, whenever a
+    later search of the step walks it.
     pair_ok(f, 0) depends only on n, c and the points 0 and f, so a final
     that fails it ends no ladder for the rest of the step (see there).
     start_step resets live to occ, and enter marks each point it inserts live.
@@ -228,11 +229,10 @@ class _Domain:
         self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
         self.occ = bytearray(1 << self.m)   # occ[x] = 1 iff x / 2**m is a point
         self.index = [0] * (1 << self.m)    # index[x]: the enumeration index of point x
-        self.live = bytearray(1 << self.m)  # occ less this step's finals that fail zero_ok
+        self.live = bytearray(1 << self.m)  # occ less this step's finals that fail against 0
         self.gap = 0  # the step's gap limit
         self._hole = b""  # gap - 1 empty slots: a chain of hops ends at the first such run
         self.reach: int | None = None  # largest point 0 reaches with every hop < gap
-        self.zero_ok: set[int] = set()  # enumeration indices j with pair_ok(q_j, 0) this step
         sched = g.schedule
         self._slope, self._offset = sched.slope, sched.offset
         self._first = max(1, sched.offset)  # no affine point enters before this stage
@@ -271,11 +271,10 @@ class _Domain:
         return v
 
     def start_step(self, n: int) -> None:
-        """Set step n's gap limit, walk its reach from 0, and reset live and zero_ok."""
+        """Set step n's gap limit, walk its reach from 0, and reset live."""
         self.gap = 1 << (self.m - n - 1)
         self._hole = bytes(self.gap - 1)
         self.live = self.occ.copy()
-        self.zero_ok = set()
         self.reach = self._reach_from(0) if self.occ[0] else None
 
     def _reach_from(self, x: int) -> int:
@@ -423,7 +422,6 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     """
     gap = state.gap
     occ, live, index = state.occ, state.live, state.index
-    zero_ok = state.zero_ok
     pair = state.pair
     cn, cd = c.numerator, c.denominator
     shift = state.m + 1
@@ -460,12 +458,9 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     best: list[int] | None = None
     f = max(0, fl - gap + 1) - 1  # b - gap < x iff fl - gap < x
     while (f := live.find(1, f + 1, ce)) >= 0:  # x < b iff x < ce
-        j = index[f]
-        if j not in zero_ok:
-            if not pair_ok(f, 0):
-                live[f] = 0  # ends no ladder for the rest of the step
-                continue
-            zero_ok.add(j)
+        if not pair_ok(f, 0):
+            live[f] = 0  # ends no ladder for the rest of the step
+            continue
         ladder = ladder_to(f)
         if ladder is not None and (best is None or (len(ladder), ladder) < (len(best), best)):
             best = ladder
@@ -517,8 +512,8 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     the way (each step down starts at n0 + 2 or above).  Those are
     candidates that arrive before i.  Routing and key reads stop at last.
 
-    After it walks stage s, the search enters s+1..e-1 with one enter and
-    walks the next event stage e alone.  e is the least of:
+    After it walks stage s, the search enters s+1..e with one enter and
+    walks the next event stage e.  e is the least of:
     - s + 1 while s < last: it brings candidate s + 1;
     - the first stage that inserts a point below top_ce, the greatest ce
       of a ready candidate: each has missed by then and is searched again
@@ -532,6 +527,14 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     stage_found, the ladder and every search are those of a walk stage by
     stage.  Keys are read only in routing, in ascending i, so a key that
     leaves [0, 1] raises at the stage where that walk reads it.
+    That one enter returns low, the least point inserted in s+1..e, where
+    a walk stage by stage would test a missed candidate against the least
+    point of stage e alone; the two agree.  When e > s + 1, e is at most
+    the first stage that inserts a point below top_ce, so the quiet
+    stages s+1..e-1 insert none: low is below a missed candidate's
+    ce <= top_ce only if stage e inserted it.  When stage e inserts
+    nothing, low is None or at least top_ce, and every missed candidate
+    is skipped either way.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -551,7 +554,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
 
     s = domain.stage
-    low: int | None = None  # least point inserted at stage s
+    low: int | None = None  # least point inserted since the last walked stage
     arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
@@ -586,8 +589,6 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
         e = s + 1 if s < last else domain.first_below(top_ce, stage_budget)
         if ceil is not None and wait and e > s + 1:
             e = domain.first_reach(wait[0][0], e)
-        if e > s + 1:
-            domain.enter(e - 1)  # the quiet stages before e
         low = domain.enter(e)
         ceil = domain.ceil()
         arrived = (e,) if prev_index < e <= last else ()

@@ -5,16 +5,19 @@ is a deterministic JSON-ready dict (exact fraction strings, fixed key
 order, no timestamps) plus an aligned-text rendering for humans.  Every
 recorded verdict is Holds / Fails / Unknown with the inequality and the
 enclosure widths that produced it; budget exhaustion is reported, never
-hidden.  Claims that no finite computation can decide (the
+hidden.  A section and the verdicts it reports are recorded together, in
+one Report.add call, so the summary's counts are the sections' verdicts.
+Claims that no finite computation can decide (the
 non-reducibility half of the mirror construction) appear as labeled
 citations, never as verdicts.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approximations import Kind, check_kind_prefix
+from .approximations import Approximation, Kind, check_kind_prefix
 from .construction import (
     ConstructionTrace,
     RequirementTuple,
@@ -71,13 +74,16 @@ class Report:
     unknown: int = 0
     exhausted: bool = False
 
-    def tally(self, verdict_value: str) -> None:
-        if verdict_value == "holds":
-            self.holds += 1
-        elif verdict_value in ("fails", "fails_lower", "fails_upper"):
-            self.fails += 1
-        else:
-            self.unknown += 1
+    def add(self, name: str, body: dict, verdicts: Iterable[str] = ()) -> None:
+        """Record a section and tally each verdict it reports."""
+        self.sections[name] = body
+        for v in verdicts:
+            if v == "holds":
+                self.holds += 1
+            elif v.startswith("fails"):  # fails, fails_lower, fails_upper
+                self.fails += 1
+            else:
+                self.unknown += 1
 
     def exit_code(self) -> int:
         if self.fails:
@@ -169,21 +175,34 @@ def _step_check_row(chk: S2aStepCheck, c: Fraction) -> dict:
     }
 
 
-def _witness_grid_section(report: Report, scenario: Scenario) -> None:
+def _add_step_checks(report: Report, name: str, head: dict,
+                     checks: list[S2aStepCheck], c: Fraction) -> None:
+    """Record a section of per-step checks under head, one row per check."""
+    rows = [_step_check_row(chk, c) for chk in checks]
+    report.add(name, {**head, "steps": rows}, [row["verdict"] for row in rows])
+
+
+def _add_kind_claim(report: Report, name: str, a: Approximation, depth: int) -> int | None:
+    """Record the check of a's kind claim through depth; return its violation."""
+    violation = check_kind_prefix(a, depth)
+    report.add(name, {"n_max": depth, "violation_at": violation},
+               ["holds" if violation is None else "fails"])
+    return violation
+
+
+def _add_witness_grid(report: Report, scenario: Scenario) -> None:
     rows = []
     for q in sorted(canonical_point(j) for j in range(2 ** GRID_LEVELS)):
         verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha, scenario.beta,
                                    q, scenario.stage_budget, GRID_BUDGET)
-        if verdict is None:  # q is not certified below beta
-            continue
-        rows.append({"q": format_fraction(q), "verdict": verdict.value})
-        report.tally(verdict.value)
-    report.sections["witness_grid"] = {
+        if verdict is not None:  # else q is not certified below beta
+            rows.append({"q": format_fraction(q), "verdict": verdict.value})
+    report.add("witness_grid", {
         "inequality": "0 < alpha - g(q) < c*(beta - q)",
         "stage": scenario.stage_budget,
         "enclosure_budget": GRID_BUDGET,
         "points": rows,
-    }
+    }, [row["verdict"] for row in rows])
 
 
 def _step_head(rec: StepRecord) -> dict:
@@ -207,7 +226,7 @@ def ladder_payload(tup: RequirementTuple) -> dict:
 
 def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
     """Deterministic JSON payload for a construction trace."""
-    steps = list(trace.steps)
+    steps = trace.steps
     payload: dict = {
         "format_version": "1",
         "kind": "construction_trace",
@@ -217,12 +236,11 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
         # i_n indexes trace.target, 0 then beta_approx, so beta_approx's index
         # is always i_n - 1; format 1 keeps the field for its readers
         "beta_index_offset": 1,
-        "steps": [],
+        "steps": [{**_step_head(rec),
+                   "ladder": None if rec.tup is None else ladder_payload(rec.tup)}
+                  for rec in steps],
         "exhausted": None,
     }
-    for rec in steps:
-        ladder = None if rec.tup is None else ladder_payload(rec.tup)
-        payload["steps"].append({**_step_head(rec), "ladder": ladder})
     if trace.exhausted is not None:
         payload["exhausted"] = {"step": trace.exhausted[0],
                                 "stage_budget": trace.exhausted[1]}
@@ -245,61 +263,46 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
                     {"depth": depth, "stage_budget": stage_budget, "guard": guard,
                      "oracle_depth": oracle_depth})
 
-    _witness_grid_section(report, scenario)
+    _add_witness_grid(report, scenario)
 
     trace = build_s2a_from_solovay(w, scenario.beta_approx, depth, stage_budget)
-    exhausted_at = None
-    if trace.exhausted is not None:
-        exhausted_at = trace.exhausted[0]
-        report.exhausted = True
-    steps = list(trace.steps)
+    steps = trace.steps
+    report.exhausted = trace.exhausted is not None
     stages = [rec.stage_found for rec in steps]
-    report.sections["construction"] = {
+    report.add("construction", {
         "requested_depth": depth,
         "completed_steps": len(steps) - 1 if steps else None,
-        "exhausted_at_step": exhausted_at,
+        "exhausted_at_step": None if trace.exhausted is None else trace.exhausted[0],
         "steps": [{**_step_head(rec),
                    "ladder_len": None if rec.tup is None else rec.tup.ell}
                   for rec in steps],
         "stage_stats": {"max_stage": max(stages, default=0),
                         "total_stages": sum(stages)},
-    }
-
-    cert_rows = []
-    for rec in steps:
-        chk = check_strict_at(scenario.alpha, scenario.beta, rec.value,
-                              rec.b_value, w.c, rec.n, guard)
-        cert_rows.append(_step_check_row(chk, w.c))
-        report.tally(chk.verdict.value)
-    report.sections["step_certificates"] = {
+    })
+    _add_step_checks(report, "step_certificates", {
         "inequality": "|alpha - a_n| < c*(|beta - b_{i_n}| + 2^-n) (strict)",
         "enclosure_width": "2^-(n+guard)",
-        "steps": cert_rows,
-    }
-
-    report.sections["same_constant"] = {
+    }, [check_strict_at(scenario.alpha, scenario.beta, rec.value, rec.b_value, w.c, rec.n, guard)
+        for rec in steps], w.c)
+    report.add("same_constant", {
         "input": format_fraction(w.c),
         "output": format_fraction(w.c),
         "equal": True,
-    }
+    })
 
-    oracle_rows = []
+    rows = []
     for n in range(1, min(oracle_depth, len(steps) - 1) + 1):
         rec = steps[n]
         hit = oracle_min_hit(n, steps[n - 1].index, w, trace.target, stage_budget)
         agrees = hit == rec
-        row = {"n": n, "agrees": agrees,
-               "search": {"stage": rec.stage_found, "i": rec.index}}
+        row = {"n": n, "agrees": agrees, "search": {"stage": rec.stage_found, "i": rec.index}}
         if hit is None:
             row["oracle"] = None
         elif not agrees:
             row["oracle"] = {"stage": hit.stage_found, "i": hit.index}
-        oracle_rows.append(row)
-        report.tally("holds" if agrees else "fails")
-    report.sections["oracle"] = {
-        "compared_steps": len(oracle_rows),
-        "comparisons": oracle_rows,
-    }
+        rows.append(row)
+    report.add("oracle", {"compared_steps": len(rows), "comparisons": rows},
+               ["holds" if row["agrees"] else "fails" for row in rows])
     return report
 
 
@@ -312,28 +315,17 @@ def verify_mirror(scenario: Scenario) -> Report:
     report = Report("mirror", scenario.name, {"depth": depth, "guard": guard})
     report.citations.append(MIRROR_CITATION)
 
-    violation = check_kind_prefix(a, depth)
-    report.sections["leftce_prefix"] = {"n_max": depth, "violation_at": violation}
-    report.tally("holds" if violation is None else "fails")
-    if violation is not None:
-        report.sections["mirror"] = {"skipped": "left-c.e. prefix check failed"}
+    if _add_kind_claim(report, "leftce_prefix", a, depth) is not None:
+        report.add("mirror", {"skipped": "left-c.e. prefix check failed"})
         return report
 
     m = mirror_s2a(a)
-    checks = check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha,
-                              depth, guard)
-    rows = [_step_check_row(chk, m.c) for chk in checks]
-    for chk in checks:
-        report.tally(chk.verdict.value)
-    report.sections["mirror"] = {
+    _add_step_checks(report, "mirror", {
         "constant": format_fraction(m.c),
         "inequality": "|(1-alpha) - (1-a_n)| <= 1*(|alpha - a_n| + 2^-n)",
-        "steps": rows,
-    }
-
+    }, check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha, depth, guard), m.c)
     # 1 - a_n rises exactly where a_n falls, and leftce_prefix found no fall
-    report.sections["rightce_prefix"] = {"n_max": depth, "violation_at": None}
-    report.tally("holds")
+    report.add("rightce_prefix", {"n_max": depth, "violation_at": None}, ["holds"])
     return report
 
 
@@ -349,70 +341,45 @@ def verify_prop1(scenario: Scenario) -> Report:
     report = Report("prop1", scenario.name,
                     {"depth": depth, "stage_budget": stage_budget, "guard": guard})
 
-    violation = check_kind_prefix(b, depth)
-    report.sections["beta_kind_prefix"] = {"n_max": depth, "violation_at": violation}
-    report.tally("holds" if violation is None else "fails")
+    _add_kind_claim(report, "beta_kind_prefix", b, depth)
 
     image = WitnessImage(w.g, b.gen, stage_budget)
-    b_terms: list[Fraction] = []
-    raw: list[Fraction] = []
-    mono: list[Fraction] = []  # running maximum of raw
-    stages: list[int] = []
-    exhausted_at = None
+    terms, below, gaps, stages = [], [], [], []
+    exhausted_at = a_n = None  # a_n: the running maximum of g(b_n)
     for n in range(depth + 1):
-        b_n = b.term(n)
-        a_n = image.term(n)
-        if a_n is None:
+        b_n, g_n = b.term(n), image.term(n)
+        if g_n is None:
             exhausted_at = n
             report.exhausted = True
             break
-        b_terms.append(b_n)
-        raw.append(a_n)
-        mono.append(max(mono[-1], a_n) if mono else a_n)
-        j = w.g.enumeration.index_of(b_n)
-        stages.append(w.g.schedule.stage_of(j))
-    report.sections["image"] = {
-        "evaluated_terms": len(raw),
-        "exhausted_at_term": exhausted_at,
-        "monotone_violation_at": None,  # a running maximum never decreases
-        "terms": [{"n": n, "b_n": format_fraction(b_terms[n]),
-                   "g_of_b_n": format_fraction(raw[n]),
-                   "a_n": format_fraction(mono[n])}
-                  for n in range(len(raw))],
-        "definition_stage_stats": {"max_stage": max(stages, default=0),
-                                   "total_stages": sum(stages)},
-    }
-    report.tally("holds")
-
-    below_rows = []
-    gap_rows = []
-    for n in range(len(raw)):
+        a_n = g_n if a_n is None else max(a_n, g_n)
+        stages.append(w.g.schedule.stage_of(w.g.enumeration.index_of(b_n)))
+        terms.append({"n": n, "b_n": format_fraction(b_n), "g_of_b_n": format_fraction(g_n),
+                      "a_n": format_fraction(a_n)})
         precision = Q(1, 2 ** (n + guard))
         a_box = enclose(scenario.alpha, precision)
         b_box = enclose(scenario.beta, precision)
-        below = certify(mono[n], mono[n], a_box.lo, a_box.hi, True).value
-        below_rows.append({"n": n, "verdict": below,
-                           "a_n": format_fraction(mono[n]),
-                           "alpha_enclosure": [format_fraction(a_box.lo),
-                                               format_fraction(a_box.hi)]})
-        report.tally(below)
-
-        gap = solovay_verdict(a_box, b_box, raw[n], b_terms[n], w.c).value
-        gap = "fails" if gap.startswith("fails") else gap  # fails_lower, fails_upper
-        gap_rows.append({"n": n, "verdict": gap,
-                         "alpha_minus_g": [format_fraction(a_box.lo - raw[n]),
-                                           format_fraction(a_box.hi - raw[n])],
-                         "c_times_beta_gap": [format_fraction(w.c * (b_box.lo - b_terms[n])),
-                                              format_fraction(w.c * (b_box.hi - b_terms[n]))]})
-        report.tally(gap)
-    report.sections["below_alpha"] = {
-        "inequality": "a_n < alpha (strict)",
-        "steps": below_rows,
-    }
-    report.sections["gap_bound"] = {
-        "inequality": "0 < alpha - g(b_n) < c*(beta - b_n)",
-        "steps": gap_rows,
-    }
+        below.append({"n": n, "verdict": certify(a_n, a_n, a_box.lo, a_box.hi, True).value,
+                      "a_n": format_fraction(a_n),
+                      "alpha_enclosure": [format_fraction(a_box.lo), format_fraction(a_box.hi)]})
+        gap = solovay_verdict(a_box, b_box, g_n, b_n, w.c).value
+        gaps.append({"n": n, "verdict": "fails" if gap.startswith("fails") else gap,
+                     "alpha_minus_g": [format_fraction(a_box.lo - g_n),
+                                       format_fraction(a_box.hi - g_n)],
+                     "c_times_beta_gap": [format_fraction(w.c * (b_box.lo - b_n)),
+                                          format_fraction(w.c * (b_box.hi - b_n))]})
+    report.add("image", {
+        "evaluated_terms": len(terms),
+        "exhausted_at_term": exhausted_at,
+        "monotone_violation_at": None,  # a running maximum never decreases
+        "terms": terms,
+        "definition_stage_stats": {"max_stage": max(stages, default=0),
+                                   "total_stages": sum(stages)},
+    }, ["holds"])
+    report.add("below_alpha", {"inequality": "a_n < alpha (strict)", "steps": below},
+               [row["verdict"] for row in below])
+    report.add("gap_bound", {"inequality": "0 < alpha - g(b_n) < c*(beta - b_n)", "steps": gaps},
+               [row["verdict"] for row in gaps])
     return report
 
 
@@ -423,14 +390,10 @@ def verify_s2a_declared(scenario: Scenario) -> Report:
     depth, guard = scenario.depth, scenario.guard
     m = scenario.s2a_witness
     report = Report("s2a-check", scenario.name, {"depth": depth, "guard": guard})
-    checks = check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard)
-    for chk in checks:
-        report.tally(chk.verdict.value)
-    report.sections["s2a"] = {
+    _add_step_checks(report, "s2a", {
         "constant": format_fraction(m.c),
         "inequality": "|alpha - a_n| <= c*(|beta - b_n| + 2^-n)",
-        "steps": [_step_check_row(chk, m.c) for chk in checks],
-    }
+    }, check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard), m.c)
     return report
 
 
@@ -439,5 +402,5 @@ def verify_solovay_grid(scenario: Scenario) -> Report:
     if scenario.solovay_witness is None:
         raise InvalidScenario("solovay-check mode needs a solovay_witness")
     report = Report("solovay-check", scenario.name, {"stage_budget": scenario.stage_budget})
-    _witness_grid_section(report, scenario)
+    _add_witness_grid(report, scenario)
     return report

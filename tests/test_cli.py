@@ -130,6 +130,23 @@ def test_verify_modes_pass_on_healthy_scenarios(tmp_path, capsys, mode, scenario
     assert "summary   holds=" in text
 
 
+def test_mirror_stops_at_a_falling_leftce_prefix(tmp_path, capsys):
+    """A left-c.e. claim that fails ends mirror mode: no pair bound, no right-c.e. section."""
+    doc = json.loads(corpus_path("mirror_staircase").read_text(encoding="utf-8"))
+    doc["alpha_leftce_approx"]["generator"]["entries"][2] = "1/8"  # 1/4, then 1/8: a fall
+    falling, out = tmp_path / "falling.json", tmp_path / "report.json"
+    falling.write_text(json.dumps(doc), encoding="utf-8")
+    code, text, _ = run(capsys, "verify", str(falling), "--mode", "mirror", "--out", str(out))
+    assert code == 1
+    payload = json.loads(out.read_bytes())
+    assert payload["sections"] == {
+        "leftce_prefix": {"n_max": 12, "violation_at": 2},
+        "mirror": {"skipped": "left-c.e. prefix check failed"},
+    }
+    assert payload["summary"]["holds"] == 0 and payload["summary"]["fails"] == 1
+    assert "summary   holds=0 fails=1 " in text
+
+
 def test_verify_construction_mode_with_overrides(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", str(corpus_path("linear_basic")),
@@ -662,6 +679,66 @@ def test_writer_matches_json_dumps_on_every_corpus_payload(tmp_path, capsys, mon
             assert out.read_bytes() == written[-1]
         else:  # the oracle finds no hit on invalid_small_c within its budget
             assert (name, argv[0], code) == ("invalid_small_c", "oracle", 2)
+
+
+VERDICTS = {"holds": "holds", "fails": "fails", "fails_lower": "fails", "fails_upper": "fails",
+            "unknown": "unknown", "g_undefined": "unknown"}
+
+
+def recount(sections: dict) -> dict[str, int]:
+    """holds, fails and unknown counted afresh from a report's sections."""
+    counts = {"holds": 0, "fails": 0, "unknown": 0}
+    for name, body in sections.items():
+        if "violation_at" in body:  # a kind claim, checked or derived
+            verdicts = ["holds" if body["violation_at"] is None else "fails"]
+        elif name == "image":  # a running maximum never decreases
+            verdicts = ["holds"]
+        elif name == "oracle":
+            verdicts = ["holds" if row["agrees"] else "fails" for row in body["comparisons"]]
+        else:
+            verdicts = [row["verdict"] for row in body.get("steps", body.get("points", []))
+                        if "verdict" in row]
+        for v in verdicts:
+            counts[VERDICTS[v]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name,mode", [
+    *((name, mode) for name in ALL_NAMES for mode in accepted_modes(CORPUS_DOCS[name])),
+    ("late", "prop1"), ("late", "construction"),
+])
+def test_summary_counts_are_the_sections_verdicts(tmp_path, capsys, name, mode):
+    """Every verdict a section reports is counted in the summary, and nothing else is.
+
+    late is linear_basic with g(0) defined at stage 7, run at stage budget 5:
+    prop1's image and the construction both stop at their first term.
+    """
+    path, extra = corpus_path(name), []
+    if name == "late":
+        doc = copy.deepcopy(CORPUS_DOCS["linear_basic"])
+        doc["solovay_witness"]["stage_schedule"]["overrides"] = [[0, 7]]
+        path, extra = tmp_path / "late.json", ["--stage-budget", "5"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", str(path), "--mode", mode, *extra, "--out", str(out))
+    assert code in (0, 1, 2), err
+    payload = json.loads(out.read_bytes())
+    summary = payload["summary"]
+    assert recount(payload["sections"]) == {k: summary[k] for k in ("holds", "fails", "unknown")}
+    assert summary["holds"] + summary["fails"] + summary["unknown"] > 0
+
+
+def test_an_oracle_disagreement_is_a_counted_failure(tmp_path, capsys, monkeypatch):
+    """No corpus step disagrees with the oracle, so one that does is made here."""
+    monkeypatch.setattr(harness, "oracle_min_hit", lambda *args: None)
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", str(corpus_path("linear_basic")),
+                       "--mode", "construction", "--out", str(out))
+    assert code == 1, err
+    payload = json.loads(out.read_bytes())
+    rows = payload["sections"]["oracle"]["comparisons"]
+    assert len(rows) == 6 and not any(row["agrees"] for row in rows)
+    assert recount(payload["sections"])["fails"] == payload["summary"]["fails"] == 6
 
 
 text_with_escapes = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t \ud800'),

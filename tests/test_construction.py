@@ -274,27 +274,30 @@ def test_ladder_search_work_is_pinned(monkeypatch):
 def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):
     """A final that fails clause (v) against 0 is walked once per step.
 
-    invalid_small_c exhausts at step 3.  Looking zero_ok up for every final
-    in the window, its searches walked 3,315 finals at budget 400 and
+    invalid_small_c exhausts at step 3.  Testing every final in the
+    window against 0, its searches walked 3,315 finals at budget 400 and
     1,945,656 at 8,192, of which 24 passed.  A final that fails is cleared
     from the step's live bytes, so later searches of the step scan past it.
-    Each final walked is looked up in zero_ok once.  The searches whose
-    window holds no live final, which walk none, are skipped: with them
-    the runs made 245 and 9,084 searches.
+    Each final walked is one find of the live bytes that lands on it, and
+    each search adds one more: search_step's pre-check, which finds a live
+    final in the window before every search.  The searches whose window
+    holds no live final, which walk none, are skipped: with them the runs
+    made 245 and 9,084 searches.
     """
-    walked = calls = 0
+    found = calls = 0
 
-    class CountingSet(set):
-        def __contains__(self, j):
-            nonlocal walked
-            walked += 1
-            return super().__contains__(j)
+    class CountingLive(bytearray):
+        def find(self, *args):
+            nonlocal found
+            k = super().find(*args)
+            found += k >= 0
+            return k
 
     real_start = construction._Domain.start_step
 
     def start_step(self, n):
         real_start(self, n)
-        self.zero_ok = CountingSet()
+        self.live = CountingLive(self.live)
 
     real_search = construction._lex_first_ladder
 
@@ -308,7 +311,7 @@ def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):
     sc = load_scenario(corpus_path("invalid_small_c"))
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, 3, budget)
     assert trace.exhausted == (3, budget)
-    assert (calls, walked) == (searches, finals)
+    assert (calls, found - calls) == (searches, finals)
 
 
 @pytest.mark.parametrize("name", VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES)
@@ -461,10 +464,10 @@ def test_construction_inserts_each_point_once(monkeypatch):
 
     At stage 9,214 it holds the points q_0..q_9214, each once.  Entering
     the domain stage by stage cost 9,214 stage entries; by runs that were
-    undone when not quiet, 171 enter calls, 61 of them undone.  Each
-    enter runs from the domain's stage to a later one: to an event stage,
-    or to the stage before it.  Replaying the domain into every step cost
-    18,438 inserts.
+    undone when not quiet, 171 enter calls, 61 of them undone; by one run
+    up to the stage before each event stage and one more for that stage,
+    38 enter calls.  Each enter runs from the domain's stage to the next
+    event stage.  Replaying the domain into every step cost 18,438 inserts.
     """
     entered = []  # (stage before, stage after) of each enter
     domains = set()
@@ -482,7 +485,7 @@ def test_construction_inserts_each_point_once(monkeypatch):
     assert trace.steps[-1].stage_found == 9214
     assert [t for t, _ in entered] == [0] + [e for _, e in entered[:-1]]
     assert all(t < e for t, e in entered) and sum(e - t for t, e in entered) == 9214
-    assert len(entered) == 38
+    assert len(entered) == 29
     (domain,) = domains
     assert domain.stage == 9214
     enumeration = sc.solovay_witness.g.enumeration
