@@ -63,7 +63,9 @@ _SCALAR = {str: encode_basestring_ascii, int: int.__repr__,
 def _write(value, head: str, nl: str, out: list[str]) -> None:
     """Append value's text to out, head (its separator and key) joined onto
     its first chunk; nl is a newline and the indent of value's own line.
-    Each dict entry or list element is one chunk, a scalar joined onto its key."""
+    Each dict entry or list element is one chunk, a scalar joined onto its
+    key, except that a list whose items all have the one exact type str or
+    int is one chunk, written in one join."""
     scalar = _SCALAR.get(type(value))
     if scalar is not None:
         out.append(head + scalar(value))
@@ -89,6 +91,11 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
             out.append(head + "[]")
             return
         inner = nl + "  "
+        types = set(map(type, value))
+        if types == {str} or types == {int}:
+            out.append(head + "[" + inner + ("," + inner).join(map(_SCALAR[types.pop()], value))
+                       + nl + "]")
+            return
         sep = head + "[" + inner
         for item in value:
             scalar = _SCALAR.get(type(item))
@@ -108,9 +115,11 @@ def _dump(payload: dict) -> bytes:
     With an indent, json.dumps always runs its pure-Python encoder; this
     keeps its format (two-space indent, "," and ": ", {} and [] when
     empty, strings through json's own C encoder) at about twice its
-    speed.  A payload holds only dicts with str keys, lists, str, int,
-    bool and None: exact rationals are already strings.  Anything else,
-    a float, a Fraction or a subclass of str or int, raises TypeError.
+    speed.  A list of items of the one exact type str or int, such as a
+    ladder's indices, points and values, is written in one join.  A
+    payload holds only dicts with str keys, lists, str, int, bool and
+    None: exact rationals are already strings.  Anything else, a float,
+    a Fraction or a subclass of str or int, raises TypeError.
     """
     out: list[str] = []
     _write(payload, "", "\n", out)

@@ -71,10 +71,11 @@ integers of about m bits (see approximations).  No integer lies strictly between
 every integer x, b_i < x iff fl < x and b_i <= x iff ce <= x.  A g-value
 is read the first time a ladder search needs it, as the value rule's
 unreduced integer pair, and the search pre-filters clause (v) by
-cross-multiplying those pairs.  Fractions are built only for the members
-of a returned ladder, one g-value per point shared by every step's
-ladder, and check_requirement, which cross-multiplies every clause into
-integers, accepts every hit.
+cross-multiplying those pairs.  A returned ladder stays in integers too:
+its RequirementTuple holds the slots, reduced to the ladder's least
+exact scale, and the cached pairs, and check_requirement, which
+cross-multiplies every clause into integers, accepts every hit.  The one
+Fraction a step builds is its output a_n.
 """
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from .approximations import Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
@@ -98,17 +99,35 @@ ONE = Q(1)
 
 @dataclass(frozen=True)
 class RequirementTuple:
-    """A candidate ladder: enumeration indices, their points, g-values."""
+    """A candidate ladder in integers: enumeration indices, points, g-values.
+
+    Point k is points[k] / scale, at the ladder's least exact scale: the
+    constructor divides scale and every point by their greatest common
+    divisor, so for the dyadic points of a built ladder, given at any
+    scale 2**m, the common trailing zero bits are stripped.  g-value k is
+    p / q for values[k] = (p, q), q > 0: the value rule's unreduced pair.
+    The search builds its ladders at one scale per domain and the oracle
+    at one scale per stage, and both read each pair through
+    rule.ratio(j, *dyadic(j)), so equal indices give equal pairs, and
+    with the canonical scale the two build equal tuples for one ladder.
+    """
 
     indices: tuple[int, ...]
-    points: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    points: tuple[int, ...]
+    scale: int
+    values: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if not (len(self.indices) == len(self.points) == len(self.values)):
             raise ValueError("ladder components must have equal length")
         if len(self.indices) == 0:
             raise ValueError("ladder must be nonempty")
+        if self.scale < 1 or any(q < 1 for _, q in self.values):
+            raise ValueError("the scale and every g-value denominator must be positive")
+        k = gcd(self.scale, *self.points)
+        if k > 1:
+            object.__setattr__(self, "points", tuple(x // k for x in self.points))
+            object.__setattr__(self, "scale", self.scale // k)
 
     @property
     def ell(self) -> int:
@@ -120,9 +139,10 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
 
     Clauses are checked in the fixed order (i)..(v), on integers: the
     points, b and the slack 2**-(n+2) are numerators P_k, B and S over
-    their least common denominator d (the gap limit is then 2S), and
-    each g-difference g_last - g_k = num / den is cross-multiplied, so
-    clause (v) reads 0 < num and num * d * c_d < c_n * (P_last - P_k + S) * den.
+    d = lcm(b's denominator, 2**(n+2), the ladder's scale) (the gap limit
+    is then 2S), and each g-difference g_last - g_k = num / den is
+    cross-multiplied from the two pairs, so clause (v) reads 0 < num and
+    num * d * c_d < c_n * (P_last - P_k + S) * den.
     Every comparison is exact, so the answer is total and certain.
     """
     if n < 0:
@@ -130,8 +150,9 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
     ell = tup.ell
     if ell < 2:
         return 1
-    d = lcm(b.denominator, 1 << (n + 2), *(p.denominator for p in tup.points))
-    pts = [p.numerator * (d // p.denominator) for p in tup.points]
+    d = lcm(b.denominator, 1 << (n + 2), tup.scale)
+    k = d // tup.scale
+    pts = [x * k for x in tup.points]
     slack = d >> (n + 2)
     gap_limit = 2 * slack
     last = pts[-1]
@@ -143,11 +164,10 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
     if any(y - x >= gap_limit for x, y in zip(pts, pts[1:])):
         return 4
     cn, cd = c.numerator, c.denominator
-    g_last = tup.values[-1]
-    ln, ld = g_last.numerator, g_last.denominator
-    for x, g in zip(pts, tup.values[:-1]):
-        num = ln * g.denominator - g.numerator * ld
-        if not (0 < num and num * d * cd < cn * (last - x + slack) * ld * g.denominator):
+    ln, ld = tup.values[-1]
+    for x, (p, q) in zip(pts, tup.values[:-1]):
+        num = ln * q - p * ld
+        if not (0 < num and num * d * cd < cn * (last - x + slack) * ld * q):
             return 5
     return None
 
@@ -179,9 +199,9 @@ class _Domain:
     the keys (fl, ce) of b_i, read from the target's generator once per
     index and only up to n0 + 1, where n0 = max(1, b.settle(m)): past it
     the keys repeat by parity, so keys(i) returns a later index's keys
-    from n0 or n0 + 1; and g-values, cached by enumeration index: as an
-    unreduced integer pair (pairs) on a ladder search's first read, and as
-    one Fraction (values) once the point is a member of a returned ladder.
+    from n0 or n0 + 1; and g-values, cached by enumeration index as an
+    unreduced integer pair (pairs) on a ladder search's first read, which
+    a returned ladder's RequirementTuple holds as they are.
 
     The points themselves are occupancy bytes, one slot per integer
     x < 2**m: occ[x] is 1 iff x / 2**m is a point, and index[x] is its
@@ -226,7 +246,6 @@ class _Domain:
         self.stage = 0
         self._keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_i; index 0 is no candidate
         self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
-        self.values: dict[int, Fraction] = {}  # j -> g(q_j), for members of returned ladders
         self.occ = bytearray(1 << self.m)   # occ[x] = 1 iff x / 2**m is a point
         self.index = [0] * (1 << self.m)    # index[x]: the enumeration index of point x
         self.live = bytearray(1 << self.m)  # occ less this step's finals that fail against 0
@@ -263,13 +282,6 @@ class _Domain:
             p = self.pairs[j] = g.rule.ratio(j, *g.enumeration.dyadic(j))
         return p
 
-    def value(self, j: int) -> Fraction:
-        """g(q_j) of an inserted point as one Fraction, shared by every ladder."""
-        v = self.values.get(j)
-        if v is None:
-            v = self.values[j] = Q(*self.pair(j))
-        return v
-
     def start_step(self, n: int) -> None:
         """Set step n's gap limit, walk its reach from 0, and reset live."""
         self.gap = 1 << (self.m - n - 1)
@@ -293,12 +305,21 @@ class _Domain:
         that enter at the stages t+1..e: a single point, or affine points
         j..j+count-1 on one canonical level.  A group's first point has its
         least slot and its least entry stage."""
-        m, scaled = self.m, self.g.enumeration.scaled  # raises for a point not exact at 2**-m
+        yield from self._singles(t, e)
+        yield from self._affine(t, e)
+
+    def _singles(self, t: int, e: int) -> Iterator[tuple[int, int, int, int]]:
+        """The single-point groups of _groups, in ascending entry stage."""
         stages = self._single_stages
         if stages and stages[-1] > t:
+            m, scaled = self.m, self.g.enumeration.scaled
             k = bisect_right(stages, t)
             for j in self._single[k:bisect_right(stages, e, k)]:
                 yield scaled(j, m), 1, 1, j
+
+    def _affine(self, t: int, e: int) -> Iterator[tuple[int, int, int, int]]:
+        """The affine groups of _groups, in ascending j, so in ascending entry stage."""
+        m, scaled = self.m, self.g.enumeration.scaled  # raises for a point not exact at 2**-m
         a, z = max(self._top(t) + 1, self._j0), self._top(e)
         overrides = self._overrides
         k = bisect_left(overrides, a)
@@ -343,13 +364,19 @@ class _Domain:
     def first_below(self, x: int, hi: int) -> int:
         """min(hi, the first stage after this one that inserts a point below the slot x).
 
-        A group's first point has its least slot and entry stage, so one
-        point per group decides: one per canonical level and override split,
-        and each single point.
+        A group's first point has its least slot and entry stage, and the
+        single points and the affine groups each come in ascending entry
+        stage.  So the first group of each kind whose first slot lies below
+        x names that kind's first such stage, and the affine groups are
+        read only up to the stage the single points named.
         """
         stage_of = self.g.schedule.stage_of
-        return min((max(1, j, stage_of(j)) for x0, _, _, j in self._groups(self.stage, hi - 1)
-                    if x0 < x), default=hi)
+        for groups in (self._singles, self._affine):
+            for x0, _, _, j in groups(self.stage, hi - 1):
+                if x0 < x:
+                    hi = max(1, j, stage_of(j))
+                    break
+        return hi
 
     def first_reach(self, fl: int, hi: int) -> int:
         """min(hi, the first stage after this one at which fl < reach + gap).
@@ -413,9 +440,10 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     - the lex-first shortest path is then 0, m_{h-1}, ..., m_1, f.  When
       0 reaches f in one hop, the ladder is (0, first admissible k, f),
       because clause (i) needs ell >= 2;
-    - the least (ell, slots) over the finals wins.  Only then are b_i
-      and the ladder built as Fractions, and the ladder is accepted
-      solely by check_requirement.
+    - the least (ell, slots) over the finals wins.  Only then is b_i
+      read as a Fraction; the ladder's RequirementTuple holds its slots
+      at the domain's scale 2**m and its cached pairs, with no Fraction
+      per member, and it is accepted solely by check_requirement.
 
     search_step calls it only with a gap limit of at least 2: below
     that, no point but 0 lies below a ready b_i.
@@ -467,9 +495,8 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     if best is None:
         return None
     b = state.b.term(i)
-    tup = RequirementTuple(tuple(index[t] for t in best),
-                           tuple(Q(t, 1 << state.m) for t in best),
-                           tuple(state.value(index[t]) for t in best))
+    js = [index[t] for t in best]
+    tup = RequirementTuple(tuple(js), tuple(best), 1 << state.m, tuple(map(pair, js)))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
@@ -582,7 +609,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
                 hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
                 if hit is not None:
                     bi, tup = hit
-                    return StepRecord(n, i, tup.values[-1], bi, tup, s)
+                    return StepRecord(n, i, Q(*tup.values[-1]), bi, tup, s)
                 missed.add(i)
         if s >= stage_budget:
             return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .approximations import Approximation, Kind, check_kind_prefix
 from .construction import (
@@ -215,12 +216,20 @@ def _step_head(rec: StepRecord) -> dict:
     }
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
+    k = gcd(p, q)
+    return str(p // k) if k == q else f"{p // k}/{q // k}"
+
+
 def ladder_payload(tup: RequirementTuple) -> dict:
-    """A ladder as the trace and the oracle result write it."""
+    """A ladder as the trace and the oracle result write it: each point
+    and g-value as the text of its reduced fraction."""
+    scale = tup.scale
     return {
         "indices": list(tup.indices),
-        "points": [format_fraction(p) for p in tup.points],
-        "values": [format_fraction(v) for v in tup.values],
+        "points": [_ratio_text(x, scale) for x in tup.points],
+        "values": [_ratio_text(p, q) for p, q in tup.values],
     }
 
 

@@ -25,8 +25,11 @@ clause (v) admits against f, decided per pair as
 num = n_f * d_k - n_k * d_f, so the g-values never share a denominator.
 Ladders of every length from max(2, least hop count) up to one hop per
 member after 0 exist, and the least of the finals' lex-first ladders at
-the least such length, with Fractions built for its members alone, is
-accepted for candidate i solely by check_requirement on b_i.
+the least such length, a RequirementTuple of the stage's integers with
+no Fraction per member, is accepted for candidate i solely by
+check_requirement on b_i.  Its scale is reduced to the least exact one,
+so it equals the search's tuple for the same ladder, built at the
+domain's scale.
 
 Candidates at one position share a ladder.  The ladder search for one
 candidate reads b_i in three places only: cut bounds the points it may
@@ -123,7 +126,7 @@ def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximatio
                                              nums, dens, d)
         tup = ladders[cut, lo]
         if tup is not None and check_requirement(n, bi, witness.c, tup) is None:
-            return StepRecord(n, i, tup.values[-1], bi, tup, stage)
+            return StepRecord(n, i, Fraction(*tup.values[-1]), bi, tup, stage)
     return None
 
 
@@ -157,9 +160,8 @@ def _first_ladder(n: int, c: Fraction, cut: int, lo: int,
         return None
     ell = min(e for e, _, _ in feasible)
     best = min(_lex_first(chain, hops, ell) for e, chain, hops in feasible if e == ell)
-    return RequirementTuple(tuple(entries[t][0] for t in best),
-                            tuple(Fraction(points[t], d) for t in best),
-                            tuple(Fraction(nums[t], dens[t]) for t in best))
+    return RequirementTuple(tuple(entries[t][0] for t in best), tuple(points[t] for t in best),
+                            d, tuple(entries[t][2] for t in best))
 
 
 def _members(f: int, points: list[int], nums: list[int], dens: list[int], cn: int, cd: int,

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import time
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from solred import witnesses
 from solred.approximations import Approximation, PrependGen, _fraction_keys
-from solred.construction import build_s2a_from_solovay
+from solred.construction import RequirementTuple, build_s2a_from_solovay
 from solred.reals import ZERO
 from solred.scenario import load_scenario
 from solred.witnesses import DyadicEnumeration
@@ -58,6 +60,27 @@ class TwoTail:
 
     def settle(self, m):
         return len(self.head)
+
+
+def integer_ladder(indices, points, values) -> RequirementTuple:
+    """The RequirementTuple of a ladder given in Fractions.
+
+    The points go over their least common denominator, and each g-value
+    becomes its (numerator, denominator) pair; a g-value already given as
+    an integer pair, such as the value rule's unreduced one, is kept.
+    """
+    points = [Fraction(p) for p in points]
+    scale = lcm(*(p.denominator for p in points))
+    return RequirementTuple(tuple(indices),
+                            tuple(p.numerator * (scale // p.denominator) for p in points),
+                            scale, tuple(map(_value_pair, values)))
+
+
+def _value_pair(v) -> tuple[int, int]:
+    if type(v) is tuple:
+        return v
+    v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def nested_alpha_text(levels: int) -> str:

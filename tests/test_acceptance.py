@@ -17,11 +17,7 @@ from fractions import Fraction as Q
 
 from solred import cli
 from solred.approximations import Kind, check_kind_prefix
-from solred.construction import (
-    RequirementTuple,
-    check_requirement,
-    mirror_s2a,
-)
+from solred.construction import check_requirement, mirror_s2a
 from solred.harness import trace_payload, verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import (
@@ -44,6 +40,7 @@ from conftest import (
     MIRROR_NAMES,
     VALID_WITNESS_NAMES,
     corpus_path,
+    integer_ladder,
 )
 
 
@@ -73,9 +70,9 @@ def test_search_and_oracle_agree_exactly_through_step_six(built, scenarios):
             assert hit == trace.steps[n], (name, n)
 
 
-def _independent_requirement_verdict(n, b, c, tup):
-    """Plain clause-by-clause restatement, kept free of search machinery."""
-    points, values = tup.points, tup.values
+def _independent_requirement_verdict(n, b, c, points, values):
+    """Plain clause-by-clause restatement on Fraction points and g-values,
+    kept free of search machinery."""
     ell = len(points) - 1
     if ell < 2:
         return 1
@@ -97,22 +94,19 @@ def _independent_requirement_verdict(n, b, c, tup):
 
 
 def _seed_cases():
-    satisfied = RequirementTuple((0, 1, 2), (Q(0), Q(3, 16), Q(3, 8)),
-                                 (Q(0), Q(3, 32), Q(3, 16)))
-    short = RequirementTuple((0, 1), (Q(0), Q(3, 8)), (Q(0), Q(3, 16)))
-    shifted = RequirementTuple((0, 1, 2), (Q(1, 16), Q(3, 16), Q(3, 8)),
-                               (Q(1, 32), Q(3, 32), Q(3, 16)))
-    gapped = RequirementTuple((0, 1, 2), (Q(0), Q(1, 4), Q(3, 8)),
-                              (Q(0), Q(1, 8), Q(3, 16)))
-    flat = RequirementTuple((0, 1, 2), (Q(0), Q(3, 16), Q(3, 8)),
-                            (Q(0), Q(3, 16), Q(3, 16)))
+    """(n, b, c, points, values) cases, each ladder in Fractions."""
+    satisfied = (Q(0), Q(3, 16), Q(3, 8)), (Q(0), Q(3, 32), Q(3, 16))
+    short = (Q(0), Q(3, 8)), (Q(0), Q(3, 16))
+    shifted = (Q(1, 16), Q(3, 16), Q(3, 8)), (Q(1, 32), Q(3, 32), Q(3, 16))
+    gapped = (Q(0), Q(1, 4), Q(3, 8)), (Q(0), Q(1, 8), Q(3, 16))
+    flat = (Q(0), Q(3, 16), Q(3, 8)), (Q(0), Q(3, 16), Q(3, 16))
     return [
-        (1, Q(1, 2), Q(1), satisfied),
-        (1, Q(3, 8), Q(1), satisfied),
-        (1, Q(1, 2), Q(1), short),
-        (1, Q(1, 2), Q(1), shifted),
-        (1, Q(1, 2), Q(1), gapped),
-        (1, Q(1, 2), Q(1), flat),
+        (1, Q(1, 2), Q(1), *satisfied),
+        (1, Q(3, 8), Q(1), *satisfied),
+        (1, Q(1, 2), Q(1), *short),
+        (1, Q(1, 2), Q(1), *shifted),
+        (1, Q(1, 2), Q(1), *gapped),
+        (1, Q(1, 2), Q(1), *flat),
     ]
 
 
@@ -134,16 +128,16 @@ def test_requirement_verdicts_match_independent_reevaluation():
             values = tuple(p / 2 for p in points)
         else:
             values = tuple(Q(rng.randrange(128), 128) for _ in range(length))
-        tup = RequirementTuple(tuple(range(length)), points, values)
         cases.append((rng.randint(1, 4), Q(rng.randrange(1, 128), 128),
-                      rng.choice(constants), tup))
+                      rng.choice(constants), points, values))
 
     assert random_cases >= 1000
     seen = set()
-    for n, b, c, tup in cases:
-        got = check_requirement(n, b, c, tup)
+    for n, b, c, points, values in cases:
+        got = check_requirement(n, b, c, integer_ladder(range(len(points)), points, values))
         assert got is None or got in (1, 2, 3, 4, 5)
-        assert got == _independent_requirement_verdict(n, b, c, tup), (n, b, c, tup)
+        assert got == _independent_requirement_verdict(n, b, c, points, values), (
+            n, b, c, points, values)
         seen.add(got)
     assert seen == {None, 1, 2, 3, 4, 5}
 

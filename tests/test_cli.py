@@ -9,11 +9,12 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from solred import cli, harness
@@ -751,9 +752,17 @@ json_trees = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
+@example(tree=[True, False, True])
+@example(tree=[1, True, 0, False])
+@example(tree=["a", 1, "b", 2])
+@example(tree={"ints": [-(1 << 200), 0, 7], "texts": ["\u00e9\n", '"', "1/3"], "rows": [[1], [2]]})
 @given(tree=json_trees)
 def test_writer_matches_json_dumps_on_random_trees(tree):
-    """None, bools, large ints, any text (escapes, lone surrogates), tuples, empty containers."""
+    """None, bools, large ints, any text (escapes, lone surrogates), tuples, empty containers.
+
+    A list of items all of the one exact type str or int is written in one
+    join, every other list item by item: lists of bools or of a mix of
+    types must take the second path."""
     assert cli._dump(tree) == stdlib_bytes(tree)
 
 
@@ -765,6 +774,10 @@ class Count(int):
     pass
 
 
+class Level(IntEnum):
+    LOW = 1
+
+
 class Opaque:
     """A value of no JSON type, with a repr that gives its test case a stable id."""
 
@@ -774,11 +787,13 @@ class Opaque:
 
 @pytest.mark.parametrize("value", [
     0.5, Q(1, 3), Text("1/3"), Count(3), {1: "one"}, {None: 0}, {True: 0}, {"a": {2.0}},
-    [1, [2, Opaque()]],
+    [1, [2, Opaque()]], [Level.LOW, Level.LOW], [Text("a"), Text("b")], ["a", Text("b")],
+    [1, Count(2)],
 ], ids=repr)
 def test_writer_rejects_what_a_payload_never_holds(value):
     """A float, a Fraction, a non-str key or a subclass of str or int raises
-    TypeError, where json.dumps would write some of them."""
+    TypeError, where json.dumps would write some of them; so does a list of
+    such subclasses, which is never written in one join."""
     with pytest.raises(TypeError):
         cli._dump({"rows": [value]})
 

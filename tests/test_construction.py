@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -44,18 +45,23 @@ from conftest import (
     VALID_WITNESS_NAMES,
     corpus_path,
     count_fraction_points,
+    integer_ladder,
     prepended,
 )
 
 
-def ladder(points, values):
+def halving(points):
+    """Fraction points and their halves, the halving rule's g-values."""
     pts = tuple(Q(p) for p in points)
-    vals = tuple(Q(v) for v in values)
-    return RequirementTuple(tuple(range(len(pts))), pts, vals)
+    return pts, tuple(p / 2 for p in pts)
+
+
+def ladder(points, values):
+    return integer_ladder(range(len(points)), points, values)
 
 
 def halving_ladder(points):
-    return ladder(points, [Q(p) / 2 for p in points])
+    return ladder(*halving(points))
 
 
 def witness(u="1/2", c="1", slope=0, offset=0, overrides=()):
@@ -114,35 +120,76 @@ def test_check_requirement_value_clause():
 
 def test_requirement_tuple_shape_validation():
     with pytest.raises(ValueError):
-        RequirementTuple((0,), (Q(0), Q(1, 4)), (Q(0),))
+        RequirementTuple((0,), (0, 1), 4, ((0, 1),))
     with pytest.raises(ValueError):
-        RequirementTuple((), (), ())
+        RequirementTuple((), (), 1, ())
+    with pytest.raises(ValueError):
+        RequirementTuple((0,), (0,), 0, ((0, 1),))
+    with pytest.raises(ValueError):
+        RequirementTuple((0,), (0,), 1, ((1, -2),))
 
 
-def fraction_check_requirement(n, b, c, tup):
-    """Reference: check_requirement as it was, in Fraction arithmetic."""
+# (point, g-value numerator, g-value denominator) of one ladder member
+members = st.lists(st.tuples(st.integers(-(1 << 24), 1 << 24), st.integers(-(1 << 40), 1 << 40),
+                             st.integers(1, 1 << 40)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@example(m=4, k=3, raw=[(0, 0, 1), (2, 1, 8), (4, 3, 16)])
+@example(m=0, k=1, raw=[(0, 0, 1)])
+@given(m=st.integers(0, 30), k=st.integers(1, 40), raw=members)
+def test_tuples_at_scale_m_and_m_plus_k_compare_equal(m, k, raw):
+    """The search and the oracle give one ladder at different scales 2**m;
+    both tuples hold it at its least exact scale, so they are equal."""
+    indices, values = tuple(range(len(raw))), tuple((p, q) for _, p, q in raw)
+    points = tuple(x for x, _, _ in raw)
+    coarse = RequirementTuple(indices, points, 1 << m, values)
+    fine = RequirementTuple(indices, tuple(x << k for x in points), 1 << (m + k), values)
+    assert coarse == fine and hash(coarse) == hash(fine)
+    assert math.gcd(coarse.scale, *coarse.points) == 1
+    assert [Q(x, coarse.scale) for x in coarse.points] == [Q(x, 1 << m) for x in points]
+
+
+@settings(max_examples=300, deadline=None)
+@example(m=3, raw=[(0, 0, 5), (4, 6, 3), (-2, -6, 4), (7, -7, 1), (8, 1 << 40, 1)])
+@given(m=st.integers(0, 30), raw=members)
+def test_ladder_payload_writes_str_of_each_fraction(m, raw):
+    """Points over 2**m and unreduced g-value pairs, 0, integers and negative
+    numerators among them, are written as str(Fraction) writes them."""
+    tup = RequirementTuple(tuple(range(len(raw))), tuple(x for x, _, _ in raw), 1 << m,
+                           tuple((p, q) for _, p, q in raw))
+    assert harness.ladder_payload(tup) == {
+        "indices": list(range(len(raw))),
+        "points": [str(Q(x, 1 << m)) for x, _, _ in raw],
+        "values": [str(Q(p, q)) for _, p, q in raw],
+    }
+
+
+def fraction_check_requirement(n, b, c, points, values):
+    """Reference: check_requirement as it was, in Fraction arithmetic, on
+    the ladder's Fraction points and g-values."""
     if n < 0:
         raise ValueError("step number must be >= 0")
-    ell = tup.ell
+    ell = len(points) - 1
     if ell < 2:
         return 1
     gap_limit = Q(1, 2 ** (n + 1))
-    last = tup.points[-1]
+    last = points[-1]
     if not (b - gap_limit < last < b):
         return 2
-    if tup.points[0] != ZERO:
+    if points[0] != ZERO:
         return 3
     for k in range(ell):
-        if tup.points[k] >= tup.points[k + 1]:
+        if points[k] >= points[k + 1]:
             return 3
     for k in range(ell):
-        if tup.points[k + 1] - tup.points[k] >= gap_limit:
+        if points[k + 1] - points[k] >= gap_limit:
             return 4
     value_slack = Q(1, 2 ** (n + 2))
-    g_last = tup.values[-1]
+    g_last = values[-1]
     for k in range(ell):
-        diff = g_last - tup.values[k]
-        if not (ZERO < diff < c * (last - tup.points[k] + value_slack)):
+        diff = g_last - values[k]
+        if not (ZERO < diff < c * (last - points[k] + value_slack)):
             return 5
     return None
 
@@ -153,7 +200,7 @@ inside = st.builds(lambda d, k: Q(k % d + 1, d + 1), denominators, st.integers(0
 
 @st.composite
 def requirement_cases(draw, accepted=False):
-    """(n, b, c, tup) drawn as shares of step n's own bounds.
+    """(n, b, c, points, values) drawn as shares of step n's own bounds.
 
     Each gap is a share of the gap limit 2**-(n+1), b lies a share of
     it above the last point, and each g_last - g_k is a share of its
@@ -161,7 +208,8 @@ def requirement_cases(draw, accepted=False):
     strictly inside (0, 1), except that one case may put one share on an
     end of its bound (0 or 1) or just outside, or move the first point
     off 0.  With accepted, there is no such edit, ell >= 2 and c > 0, so
-    the tuple meets the step-n requirement.
+    the ladder meets the step-n requirement.  Points and g-values are
+    Fractions, not all dyadic.
     """
     n = draw(st.integers(0, 20))
     gap_limit = Q(1, 2 ** (n + 1))
@@ -191,21 +239,26 @@ def requirement_cases(draw, accepted=False):
     g_last = draw(st.builds(Q, st.integers(0, 50), denominators))
     values = [g_last - c * (points[-1] - p + gap_limit / 2) * cut
               for p, cut in zip(points, cuts)]
-    return n, b, c, RequirementTuple(tuple(range(ell + 1)), tuple(points), (*values, g_last))
+    return n, b, c, tuple(points), (*values, g_last)
 
 
 @settings(max_examples=1000, deadline=None)
-@example(case=(1, Q(3, 8), Q(1), halving_ladder(["0", "3/16", "3/8"])), other=1)  # last = b
-@example(case=(1, Q(5, 8), Q(1), halving_ladder(["0", "3/16", "3/8"])), other=1)  # last = b - 2**-2
-@example(case=(1, Q(1, 2), Q(1), halving_ladder(["0", "1/4", "3/8"])), other=1)  # a gap of 2**-2
+@example(case=(1, Q(3, 8), Q(1), *halving(["0", "3/16", "3/8"])), other=1)  # last = b
+@example(case=(1, Q(5, 8), Q(1), *halving(["0", "3/16", "3/8"])), other=1)  # last = b - 2**-2
+@example(case=(1, Q(1, 2), Q(1), *halving(["0", "1/4", "3/8"])), other=1)  # a gap of 2**-2
 # g_last - g_0 = 0, and g_last - g_0 = c * (last - 0 + 2**-3)
-@example(case=(1, Q(1, 2), Q(1), ladder(["0", "3/16", "3/8"], ["1/2", "1/4", "1/2"])), other=0)
-@example(case=(1, Q(1, 2), Q(1), ladder(["0", "3/16", "3/8"], ["0", "1/4", "1/2"])), other=0)
+@example(case=(1, Q(1, 2), Q(1), (Q(0), Q(3, 16), Q(3, 8)), (Q(1, 2), Q(1, 4), Q(1, 2))),
+         other=0)
+@example(case=(1, Q(1, 2), Q(1), (Q(0), Q(3, 16), Q(3, 8)), (Q(0), Q(1, 4), Q(1, 2))), other=0)
 @given(case=requirement_cases(), other=st.integers(0, 20))
 def test_check_requirement_equals_the_fraction_reference(case, other):
-    n, b, c, tup = case
+    """check_requirement on the integer tuple against the reference on the
+    drawn Fractions themselves."""
+    n, b, c, points, values = case
+    tup = ladder(points, values)
     for step in (n, other):
-        assert check_requirement(step, b, c, tup) == fraction_check_requirement(step, b, c, tup)
+        assert (check_requirement(step, b, c, tup)
+                == fraction_check_requirement(step, b, c, points, values))
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,7 +269,8 @@ def test_a_ladder_accepted_at_step_n_is_accepted_at_every_earlier_step(case):
     The construction's single sweep rests on this: step n resumes at the
     stage where step n - 1 hit.
     """
-    n, b, c, tup = case
+    n, b, c, points, values = case
+    tup = ladder(points, values)
     assert check_requirement(n, b, c, tup) is None
     assert all(check_requirement(k, b, c, tup) is None for k in range(n))
 
@@ -227,8 +281,8 @@ def test_search_step_first_hit_on_halving_witness():
     rec = search_step(1, 0, w, b, stage_budget=100)
     assert rec is not None
     assert (rec.stage_found, rec.index) == (4, 3)
-    assert rec.tup.points == (Q(0), Q(1, 8), Q(1, 4))
-    assert rec.value == rec.tup.values[-1] == Q(1, 8)
+    assert (rec.tup.points, rec.tup.scale) == ((0, 1, 2), 8)  # 0, 1/8, 1/4
+    assert rec.value == Q(*rec.tup.values[-1]) == Q(1, 8)
     assert check_requirement(1, b.term(rec.index), w.c, rec.tup) is None
 
 
@@ -414,11 +468,12 @@ def test_construction_reads_each_point_and_target_term_once(monkeypatch):
                                                 ("invalid_small_c", 4, 38)])
 def test_ladder_search_builds_fractions_only_for_returned_ladders(monkeypatch, name,
                                                                   members, read):
-    """The search compares g-values as integer pairs; a Fraction is built
-    only for a member of a returned ladder, once per point, and every
-    step's ladder shares it.  On invalid_small_c the searches read 38
+    """The search compares g-values as integer pairs, and a returned
+    ladder holds the cached pair of each member, so the one Fraction a
+    step builds is its a_n.  On invalid_small_c the searches read 38
     g-values and its two ladders hold 4 points; exact g-values in the
-    search built a Fraction for all 38.
+    search built a Fraction for all 38, and Fraction members built one
+    per point and one per member of each ladder.
     """
     built = 0
     real = construction.Q
@@ -438,11 +493,9 @@ def test_ladder_search_builds_fractions_only_for_returned_ladders(monkeypatch, n
         index = rec.index
     ladders = {j for rec in steps for j in rec.tup.indices}
     assert (len(ladders), len(domain.pairs)) == (members, read)
-    assert set(domain.values) == ladders
     for rec in steps:
-        assert all(v is domain.values[j] for j, v in zip(rec.tup.indices, rec.tup.values))
-    # the other Fractions are the ladders' points, one per member of each ladder
-    assert built == len(ladders) + sum(len(rec.tup.points) for rec in steps)
+        assert all(v is domain.pairs[j] for j, v in zip(rec.tup.indices, rec.tup.values))
+    assert built == len(steps)  # a_n, and no Fraction per member
 
 
 def test_construction_builds_no_fraction_point(monkeypatch):
@@ -535,11 +588,11 @@ def test_full_depth_hits_are_frozen(built, name):
 def test_first_ladders_are_canonical(built):
     trace = built["linear_basic"]
     step1 = trace.steps[1]
-    assert step1.tup.points == (Q(0), Q(1, 32), Q(1, 16))
+    assert (step1.tup.points, step1.tup.scale) == ((0, 1, 2), 32)  # 0, 1/32, 1/16
     assert step1.value == Q(1, 32)
     trace = built["table_tail"]
     step1 = trace.steps[1]
-    assert step1.tup.points == (Q(0), Q(1, 16), Q(1, 8))
+    assert (step1.tup.points, step1.tup.scale) == ((0, 1, 2), 16)  # 0, 1/16, 1/8
     assert step1.value == Q(1, 16)
 
 
@@ -565,7 +618,7 @@ def test_every_recorded_step_satisfies_its_requirement(built, scenarios):
         trace, c = built[name], scenarios[name].solovay_witness.c
         for rec in trace.steps[1:]:
             assert check_requirement(rec.n, rec.b_value, c, rec.tup) is None
-            assert rec.value == rec.tup.values[-1]
+            assert rec.value == Q(*rec.tup.values[-1])
 
 
 def test_output_constant_equals_input_constant(built, scenarios):

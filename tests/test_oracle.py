@@ -62,7 +62,7 @@ def test_cap_boundary_is_inclusive():
     hit = oracle_min_hit(1, 0, w, b, stage_cap=4)
     assert hit is not None
     assert (hit.stage_found, hit.index) == (4, 3)
-    assert hit.tup.points == (Q(0), Q(1, 8), Q(1, 4))
+    assert (hit.tup.points, hit.tup.scale) == ((0, 1, 2), 8)  # 0, 1/8, 1/4
     assert oracle_min_hit(1, 0, w, b, stage_cap=3) is None
 
 

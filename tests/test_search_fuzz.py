@@ -6,8 +6,8 @@ target values, constants on both sides of the true ratio) must give the
 incremental search_step and oracle_min_hit the same step record, and a
 larger stage budget must never change a hit already found.  At small budgets
 the oracle's stage shell is also run with the plain backtracking ladder
-enumerator kept below as a reference, fed Fractions rebuilt from the
-shell's integers, and all three must agree.  A full construction, whose
+enumerator kept below as a reference, fed Fraction points rebuilt from
+the shell's integers, and all three must agree.  A full construction, whose
 steps share one domain at one scale, swept forward once, must give the
 steps of a chain of standalone searches, whose stages never decrease.
 The integer keys the search compares target values by must order every
@@ -50,7 +50,6 @@ from solred.approximations import (
     Table,
 )
 from solred.construction import (
-    RequirementTuple,
     StepRecord,
     _Domain,
     build_s2a_from_solovay,
@@ -71,7 +70,7 @@ from solred.witnesses import (
     enumerate_domain,
 )
 
-from conftest import TwoTail, prepended, probe_bound
+from conftest import TwoTail, integer_ladder, prepended, probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -150,12 +149,13 @@ deep_steps = st.sampled_from(
 
 
 def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
-    """Every ladder of every length, in order, over one stage's Fractions.
+    """Every ladder of every length, in order, over one stage's Fraction points.
 
     Ladders are enumerated by plain recursive backtracking in canonical
     order (ascending length, then lexicographic positions), cutting a
     branch only where a requirement clause is already unsatisfiable, and
-    the first one check_requirement accepts is returned.
+    the first one check_requirement accepts is returned.  The g-values are
+    Fractions or integer pairs, which the ladder holds as they are.
     """
     cut = bisect_left(points, b)
     if cut < 3:
@@ -167,9 +167,8 @@ def backtracking_first_ladder(n, b, c, indices, points, values, gap_limit):
     def extend(chosen, ell):
         depth = len(chosen) - 1
         if depth == ell:
-            tup = RequirementTuple(tuple(indices[t] for t in chosen),
-                                   tuple(points[t] for t in chosen),
-                                   tuple(values[t] for t in chosen))
+            tup = integer_ladder([indices[t] for t in chosen], [points[t] for t in chosen],
+                                 [values[t] for t in chosen])
             return tup if check_requirement(n, b, c, tup) is None else None
         last = chosen[-1]
         remaining = ell - depth - 1  # positions still to pick after this one
@@ -196,8 +195,8 @@ def fraction_first_ladder(n, c, cut, lo, entries, points, nums, dens, d):
     """oracle._first_ladder's signature over backtracking_first_ladder.
 
     The reference's Fraction arguments are rebuilt from the oracle's
-    integers: points at scale d, g-values from their numerators and
-    denominators, and the gap limit 2 * (d >> (n + 2)) over d.  Its
+    integers: points at scale d and the gap limit 2 * (d >> (n + 2)) over
+    d; the g-values stay the value rule's integer pairs.  Its
     target value b is the midpoint of the values that give the positions,
     whose b * d lies above points[cut - 1], at most at points[cut], at
     least at points[lo - 1] + gap and below points[lo] + gap; the ladder
@@ -210,7 +209,7 @@ def fraction_first_ladder(n, c, cut, lo, entries, points, nums, dens, d):
     high = min([points[lo] + gap, *points[cut:cut + 1]])
     return backtracking_first_ladder(
         n, Q(low + high, 2 * d), c, [e[0] for e in entries], [Q(x, d) for x in points],
-        [Q(p, q) for p, q in zip(nums, dens)], Q(gap, d))
+        [e[2] for e in entries], Q(gap, d))
 
 
 def memo_free_stage_hit(n, prev_index, w, b, stage):
@@ -233,7 +232,7 @@ def memo_free_stage_hit(n, prev_index, w, b, stage):
         lo = bisect_right(points, bn * d - gap_limit * bd, 0, cut, key=lambda x: x * bd)
         tup = oracle._first_ladder(n, w.c, cut, lo, entries, points, nums, dens, d)
         if tup is not None and check_requirement(n, bi, w.c, tup) is None:
-            return StepRecord(n, i, tup.values[-1], bi, tup, stage)
+            return StepRecord(n, i, Q(*tup.values[-1]), bi, tup, stage)
     return None
 
 
@@ -350,7 +349,7 @@ def test_candidates_at_one_cut_with_different_windows_get_their_own_ladders():
                  for bi in (b.term(1), b.term(2))]
     assert positions == [(5, 3), (5, 2)]
     rec = oracle._stage_hit(1, 0, w, b, 9)
-    assert (rec.stage_found, rec.index, rec.tup.points) == (9, 2, (0, Q(1, 16), Q(1, 8)))
+    assert (rec.stage_found, rec.index, rec.tup.points, rec.tup.scale) == (9, 2, (0, 1, 2), 16)
     assert memo_free_stage_hit(1, 0, w, b, 9) == rec
     assert oracle_min_hit(1, 0, w, b, 12) == rec == search_step(1, 0, w, b, 12)
     with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
@@ -374,7 +373,7 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     points = [Q(x, 2 ** domain.m) for x, _ in _all_points(domain)]
     assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
     rec = search_step(1, 3, w, b, 12)
-    assert (rec.stage_found, rec.index, rec.tup.points) == (8, 4, (0, Q(1, 16), Q(1, 8)))
+    assert (rec.stage_found, rec.index, rec.tup.points, rec.tup.scale) == (8, 4, (0, 1, 2), 16)
     assert oracle_min_hit(1, 3, w, b, 12) == rec
 
 
@@ -408,7 +407,7 @@ def test_the_odd_tail_candidate_past_the_settle_index_is_routed(prev_index, inde
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = Approximation(TwoTail((ZERO, ZERO), ZERO, Q(1, 4)))
     rec = search_step(1, prev_index, w, b, 40)
-    assert (rec.index, rec.stage_found, rec.tup.points) == (index, 8, (0, Q(1, 16), Q(1, 8)))
+    assert (rec.index, rec.stage_found, rec.tup.points, rec.tup.scale) == (index, 8, (0, 1, 2), 16)
     assert oracle_min_hit(1, prev_index, w, b, 40) == rec
 
 
@@ -815,7 +814,7 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
     assert domain.m == 1
     domain.start_step(0)
     assert domain.enter(1) == 0
-    assert [(j, x, domain.value(j)) for x, j in _all_points(domain)] == [
+    assert [(j, x, Q(*domain.pair(j))) for x, j in _all_points(domain)] == [
         (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
         domain.enter(2)  # q_2 = 1/4
