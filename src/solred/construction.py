@@ -86,15 +86,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .approximations import Approximation, ComplementGen, Kind, PrependGen
+from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
 from .scenario import MAX_STAGE_BUDGET
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
-
-ZERO = Q(0)
-ONE = Q(1)
 
 
 @dataclass(frozen=True)
@@ -626,7 +623,8 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
 class WitnessImage:
     """The image n -> g(base.term(n)) under a stage budget.
 
-    term(n) is None while g is undefined at base.term(n) through the
+    term(n) is (b_n, s, g(b_n)), b_n = base.term(n) read once and s its
+    definition stage, or None while g is undefined at b_n through the
     budget: the point never enters the enumeration, or its definition
     stage lies past the budget.  Nothing is silently substituted.
     """
@@ -635,8 +633,9 @@ class WitnessImage:
     base: object
     stage_budget: int
 
-    def term(self, n: int) -> Fraction | None:
-        return eval_staged(self.fn, self.base.term(n), self.stage_budget)
+    def term(self, n: int) -> tuple[Fraction, int, Fraction] | None:
+        hit = eval_staged(self.fn, q := self.base.term(n), self.stage_budget)
+        return None if hit is None else (q, *hit)
 
 
 def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,

@@ -29,7 +29,7 @@ from .construction import (
 )
 from .errors import InvalidScenario
 from .oracle import oracle_min_hit
-from .reals import Complement, enclose
+from .reals import Complement, Interval, enclose
 from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
@@ -38,10 +38,9 @@ from .witnesses import (
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
+    solovay_sides,
     solovay_verdict,
 )
-
-Q = Fraction
 
 GRID_LEVELS = 5        # spot-check grid: canonical points of index < 2**GRID_LEVELS
 GRID_BUDGET = 64       # enclosure/cut budget for grid checks
@@ -164,22 +163,32 @@ def _section_lines(body: object, indent: str = "  ") -> list[str]:
     return out
 
 
-def _step_check_row(chk: S2aStepCheck, c: Fraction) -> dict:
-    slack = Q(1, 2 ** chk.n)
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
+    k = gcd(p, q)
+    return str(p // k) if k == q else f"{p // k}/{q // k}"
+
+
+def _box_text(box: Interval) -> list[str]:
+    return [_ratio_text(box.lo, box.d), _ratio_text(box.hi, box.d)]
+
+
+def _step_check_row(chk: S2aStepCheck) -> dict:
     return {
         "n": chk.n,
         "verdict": chk.verdict.value,
-        "alpha_err": [format_fraction(chk.alpha_err_lo), format_fraction(chk.alpha_err_hi)],
-        "beta_err": [format_fraction(chk.beta_err_lo), format_fraction(chk.beta_err_hi)],
-        "bound_if_beta_err_lo": format_fraction(c * (chk.beta_err_lo + slack)),
-        "enclosure_widths": [format_fraction(chk.alpha_width), format_fraction(chk.beta_width)],
+        "alpha_err": _box_text(chk.alpha_err),
+        "beta_err": _box_text(chk.beta_err),
+        "bound_if_beta_err_lo": _ratio_text(*chk.bound),
+        "enclosure_widths": [_ratio_text(box.hi - box.lo, box.d)
+                             for box in (chk.alpha_box, chk.beta_box)],
     }
 
 
 def _add_step_checks(report: Report, name: str, head: dict,
-                     checks: list[S2aStepCheck], c: Fraction) -> None:
+                     checks: list[S2aStepCheck]) -> None:
     """Record a section of per-step checks under head, one row per check."""
-    rows = [_step_check_row(chk, c) for chk in checks]
+    rows = [_step_check_row(chk) for chk in checks]
     report.add(name, {**head, "steps": rows}, [row["verdict"] for row in rows])
 
 
@@ -214,12 +223,6 @@ def _step_head(rec: StepRecord) -> dict:
         "a": format_fraction(rec.value),
         "b_i": format_fraction(rec.b_value),
     }
-
-
-def _ratio_text(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
-    k = gcd(p, q)
-    return str(p // k) if k == q else f"{p // k}/{q // k}"
 
 
 def ladder_payload(tup: RequirementTuple) -> dict:
@@ -292,7 +295,7 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
         "inequality": "|alpha - a_n| < c*(|beta - b_{i_n}| + 2^-n) (strict)",
         "enclosure_width": "2^-(n+guard)",
     }, [check_strict_at(scenario.alpha, scenario.beta, rec.value, rec.b_value, w.c, rec.n, guard)
-        for rec in steps], w.c)
+        for rec in steps])
     report.add("same_constant", {
         "input": format_fraction(w.c),
         "output": format_fraction(w.c),
@@ -332,10 +335,23 @@ def verify_mirror(scenario: Scenario) -> Report:
     _add_step_checks(report, "mirror", {
         "constant": format_fraction(m.c),
         "inequality": "|(1-alpha) - (1-a_n)| <= 1*(|alpha - a_n| + 2^-n)",
-    }, check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha, depth, guard), m.c)
+    }, check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha, depth, guard))
     # 1 - a_n rises exactly where a_n falls, and leftce_prefix found no fall
     report.add("rightce_prefix", {"n_max": depth, "violation_at": None}, ["holds"])
     return report
+
+
+def _prop1_rows(n: int, a_box: Interval, b_box: Interval, a_n: Fraction, b_n: Fraction,
+                g_n: Fraction, c: Fraction) -> tuple[dict, dict]:
+    """Term n's below_alpha and gap_bound rows, from enclosures of alpha and beta."""
+    lo, hi, d = a_box
+    p, q = a_n.numerator * d, a_n.denominator
+    below = {"n": n, "verdict": certify(p, p, lo * q, hi * q, True).value,
+             "a_n": format_fraction(a_n), "alpha_enclosure": _box_text(a_box)}
+    diff, gap = solovay_sides(a_box, b_box, g_n, b_n, c)
+    verdict = solovay_verdict(diff, gap).value
+    return below, {"n": n, "verdict": "fails" if verdict.startswith("fails") else verdict,
+                   "alpha_minus_g": _box_text(diff), "c_times_beta_gap": _box_text(gap)}
 
 
 def verify_prop1(scenario: Scenario) -> Report:
@@ -352,31 +368,22 @@ def verify_prop1(scenario: Scenario) -> Report:
 
     _add_kind_claim(report, "beta_kind_prefix", b, depth)
 
-    image = WitnessImage(w.g, b.gen, stage_budget)
-    terms, below, gaps, stages = [], [], [], []
+    image = WitnessImage(w.g, b, stage_budget)
+    terms, rows, stages = [], [], []
     exhausted_at = a_n = None  # a_n: the running maximum of g(b_n)
     for n in range(depth + 1):
-        b_n, g_n = b.term(n), image.term(n)
-        if g_n is None:
+        hit = image.term(n)
+        if hit is None:
             exhausted_at = n
             report.exhausted = True
             break
+        b_n, stage, g_n = hit
         a_n = g_n if a_n is None else max(a_n, g_n)
-        stages.append(w.g.schedule.stage_of(w.g.enumeration.index_of(b_n)))
+        stages.append(stage)
         terms.append({"n": n, "b_n": format_fraction(b_n), "g_of_b_n": format_fraction(g_n),
                       "a_n": format_fraction(a_n)})
-        precision = Q(1, 2 ** (n + guard))
-        a_box = enclose(scenario.alpha, precision)
-        b_box = enclose(scenario.beta, precision)
-        below.append({"n": n, "verdict": certify(a_n, a_n, a_box.lo, a_box.hi, True).value,
-                      "a_n": format_fraction(a_n),
-                      "alpha_enclosure": [format_fraction(a_box.lo), format_fraction(a_box.hi)]})
-        gap = solovay_verdict(a_box, b_box, g_n, b_n, w.c).value
-        gaps.append({"n": n, "verdict": "fails" if gap.startswith("fails") else gap,
-                     "alpha_minus_g": [format_fraction(a_box.lo - g_n),
-                                       format_fraction(a_box.hi - g_n)],
-                     "c_times_beta_gap": [format_fraction(w.c * (b_box.lo - b_n)),
-                                          format_fraction(w.c * (b_box.hi - b_n))]})
+        rows.append(_prop1_rows(n, enclose(scenario.alpha, n + guard),
+                                enclose(scenario.beta, n + guard), a_n, b_n, g_n, w.c))
     report.add("image", {
         "evaluated_terms": len(terms),
         "exhausted_at_term": exhausted_at,
@@ -385,10 +392,10 @@ def verify_prop1(scenario: Scenario) -> Report:
         "definition_stage_stats": {"max_stage": max(stages, default=0),
                                    "total_stages": sum(stages)},
     }, ["holds"])
-    report.add("below_alpha", {"inequality": "a_n < alpha (strict)", "steps": below},
-               [row["verdict"] for row in below])
-    report.add("gap_bound", {"inequality": "0 < alpha - g(b_n) < c*(beta - b_n)", "steps": gaps},
-               [row["verdict"] for row in gaps])
+    for k, name, inequality in ((0, "below_alpha", "a_n < alpha (strict)"),
+                                (1, "gap_bound", "0 < alpha - g(b_n) < c*(beta - b_n)")):
+        steps = [pair[k] for pair in rows]
+        report.add(name, {"inequality": inequality, "steps": steps}, [r["verdict"] for r in steps])
     return report
 
 
@@ -402,7 +409,7 @@ def verify_s2a_declared(scenario: Scenario) -> Report:
     _add_step_checks(report, "s2a", {
         "constant": format_fraction(m.c),
         "inequality": "|alpha - a_n| <= c*(|beta - b_n| + 2^-n)",
-    }, check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard), m.c)
+    }, check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard))
     return report
 
 

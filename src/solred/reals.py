@@ -1,11 +1,11 @@
-"""Exact rational numerics: intervals, reference reals, enclosures.
+"""Exact rational numerics: reference reals and their integer enclosures.
 
 A ReferenceReal is a small closed-form expression denoting a real in
 [0, 1].  Every constructor keeps enough structure to produce, on
-demand, a rational-endpoint interval that provably contains the value
-(an *enclosure*).  Enclosures are the only way the rest of the package
-ever looks at a reference real, so every downstream certification is a
-finite exact-arithmetic fact about interval endpoints.
+demand, an interval that provably contains the value (an *enclosure*),
+as integer endpoints over one denominator.  Enclosures are the only way
+the rest of the package ever looks at a reference real, so every
+downstream certification is a finite integer fact about them.
 
 Supported constructors:
 
@@ -18,14 +18,17 @@ Supported constructors:
 * ``Complement(inner)``         -- 1 - inner
 
 A series is enclosed from an integer partial sum (closed-form for affine
-exponents), so any number of terms costs a few integer operations and
-one Fraction per endpoint.  enclose (by width) and enclose_at_tick (by
-refinement round, the budget unit of the three-valued left-cut test)
-share one recursive walk and differ only in how a series picks its terms.
+exponents), N and N + 1 over 2**e, so any number of terms costs a few
+integer operations.  A Scale multiplies by its factor's numerator and
+denominator, an Average cross-multiplies, a Complement takes d - hi and
+d - lo.  enclose (by width) and enclose_at_tick (by refinement round,
+the budget unit of the three-valued left-cut test) share one recursive
+walk and differ only in how a series picks its terms.
 
 Every comparison against an enclosure goes through one kernel, certify,
-which decides an inequality between two interval-valued sides as Holds,
-Fails or Unknown; the witness checkers use the same kernel.
+which decides an inequality between two interval-valued sides, each
+cross-multiplied to integers, as Holds, Fails or Unknown; the witness
+checkers use the same kernel.
 """
 from __future__ import annotations
 
@@ -33,30 +36,18 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-Q = Fraction
-
-ZERO = Q(0)
-ONE = Q(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval with exact rational endpoints, lo <= hi."""
+class Interval(NamedTuple):
+    """The closed interval [lo / d, hi / d]: integers lo <= hi over one d > 0."""
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
+    lo: int
+    hi: int
+    d: int
 
 
 class S2aVerdict(enum.Enum):
@@ -65,10 +56,9 @@ class S2aVerdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def certify(lhs_lo: Fraction, lhs_hi: Fraction, rhs_lo: Fraction, rhs_hi: Fraction,
-            strict: bool) -> S2aVerdict:
+def certify(lhs_lo: int, lhs_hi: int, rhs_lo: int, rhs_hi: int, strict: bool) -> S2aVerdict:
     """Decide lhs < rhs (strict) or lhs <= rhs for lhs in [lhs_lo, lhs_hi]
-    and rhs in [rhs_lo, rhs_hi].
+    and rhs in [rhs_lo, rhs_hi], integers over one common denominator.
 
     Holds when the inequality holds at every pair of points of the two
     boxes, Fails when it holds at none, Unknown otherwise: interval
@@ -164,24 +154,22 @@ class DyadicSeries(ReferenceReal):
 
     def _box(self, k: int, exhausted: bool) -> Interval:
         total = self.exponents.numerator(k)
-        scale = 1 << (self.exponents.exponent(k - 1) if k else 0)
-        lo = Q(total, scale)
-        return Interval(lo, lo if exhausted else Q(total + 1, scale))
+        return Interval(total, total + (not exhausted),
+                        1 << (self.exponents.exponent(k - 1) if k else 0))
 
     def after_terms(self, k: int) -> Interval:
         """Enclosure after the first k terms."""
         count = self.exponents.count()
         return self._box(k, False) if count is None or k < count else self._box(count, True)
 
-    def within(self, precision: Fraction) -> Interval:
-        """Enclosure after the fewest terms (at least one) with tail bound <= precision.
+    def within(self, num: int, den: int) -> Interval:
+        """Enclosure after the fewest terms (at least one) with tail bound <= num / den > 0.
 
         Only running out of listed terms gives a point: a bound met exactly
         at the last listed term still gives [S, S + 2**-e_last].
         """
-        num, den = precision.numerator, precision.denominator
         bits = max(0, den.bit_length() - num.bit_length())
-        bits += num << bits < den  # the least bits >= 0 with 2**-bits <= precision
+        bits += num << bits < den  # the least bits >= 0 with 2**-bits <= num / den
         j = self.exponents.first_at_least(bits)
         return self._box(j, True) if j == self.exponents.count() else self._box(j + 1, False)
 
@@ -207,38 +195,40 @@ class Complement(ReferenceReal):
     inner: ReferenceReal
 
 
-def _refine(real: ReferenceReal, leaf, factor: Fraction = ONE) -> Interval:
-    """Enclosure of real with each series leaf enclosed by leaf(series, factor).
+def _refine(real: ReferenceReal, leaf, fn: int = 1, fd: int = 1) -> Interval:
+    """Enclosure of real with each series leaf enclosed by leaf(series, fn, fd).
 
-    factor is the product of the Scale factors above the leaf.
+    fn / fd is the product of the Scale factors above the leaf.
     """
-    if isinstance(real, ExactRational):
-        return Interval(real.value, real.value)
     if isinstance(real, DyadicSeries):
-        return leaf(real, factor)
+        return leaf(real, fn, fd)
+    if isinstance(real, ExactRational):
+        return Interval(real.value.numerator, real.value.numerator, real.value.denominator)
     if isinstance(real, Scale):
-        inner = _refine(real.inner, leaf, factor * real.factor)
-        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+        p, q = real.factor.as_integer_ratio()
+        lo, hi, d = _refine(real.inner, leaf, fn * p, fd * q)
+        return Interval(lo * p, hi * p, d * q)
     if isinstance(real, Average):
-        left = _refine(real.left, leaf, factor)
-        right = _refine(real.right, leaf, factor)
-        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
+        l_lo, l_hi, ld = _refine(real.left, leaf, fn, fd)
+        r_lo, r_hi, rd = _refine(real.right, leaf, fn, fd)
+        return Interval(l_lo * rd + r_lo * ld, l_hi * rd + r_hi * ld, 2 * ld * rd)
     if isinstance(real, Complement):
-        inner = _refine(real.inner, leaf, factor)
-        return Interval(ONE - inner.hi, ONE - inner.lo)
+        lo, hi, d = _refine(real.inner, leaf, fn, fd)
+        return Interval(d - hi, d - lo, d)
     raise TypeError(f"not a ReferenceReal: {real!r}")
 
 
-def enclose(real: ReferenceReal, precision: Fraction) -> Interval:
-    """Rational-endpoint interval containing the value, width <= precision.
+def enclose(real: ReferenceReal, bits: int) -> Interval:
+    """Integer enclosure of the value, of width <= 2**-bits, bits >= 0.
 
     Each series leaf sums the fewest terms whose tail bound is within the
-    precision left after the Scale factors above it.  Shrinking precision
-    gives nested-or-equal intervals, since a series only ever adds terms.
+    precision left after the Scale factors above it, 2**-bits / factor.
+    Raising bits gives nested-or-equal intervals, since a series only
+    ever adds terms.
     """
-    if precision <= ZERO:
-        raise ValueError("precision must be positive")
-    return _refine(real, lambda series, factor: series.within(precision / factor))
+    if bits < 0:
+        raise ValueError("bits must be >= 0")
+    return _refine(real, lambda series, fn, fd: series.within(fd, fn << bits))
 
 
 def enclose_at_tick(real: ReferenceReal, tick: int) -> Interval:
@@ -249,7 +239,7 @@ def enclose_at_tick(real: ReferenceReal, tick: int) -> Interval:
     """
     if tick < 0:
         raise ValueError("tick must be >= 0")
-    return _refine(real, lambda series, _: series.after_terms(tick))
+    return _refine(real, lambda series, fn, fd: series.after_terms(tick))
 
 
 def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> S2aVerdict:
@@ -263,9 +253,10 @@ def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> S2aVerdict
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    p, d = q.numerator, q.denominator
     for tick in range(1, budget + 1):
-        box = enclose_at_tick(real, tick)
-        verdict = certify(q, q, box.lo, box.hi, True)
+        lo, hi, scale = enclose_at_tick(real, tick)
+        verdict = certify(p * scale, p * scale, lo * d, hi * d, True)
         if verdict is not S2aVerdict.UNKNOWN:
             return verdict
     return S2aVerdict.UNKNOWN

@@ -25,8 +25,9 @@ checked prefix-wise against reference reals via enclosures.
 All checkers are budgeted and three-valued: each verdict comes from one
 kernel, ``certify`` (defined in reals and re-exported here), which
 decides an inequality from interval endpoints as Holds, Fails or
-Unknown.  More budget can only move Unknown to a certified verdict,
-never flip one.
+Unknown, on integers: each side of an inequality over one denominator,
+cross-multiplied.  More budget can only move Unknown to a certified
+verdict, never flip one.
 """
 from __future__ import annotations
 
@@ -34,14 +35,12 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
-from .approximations import Approximation, over_one_denominator
+from .approximations import ONE, ZERO, Approximation, over_one_denominator
 from .reals import Interval, ReferenceReal, S2aVerdict, certify, enclose, left_cut_member
 
 Q = Fraction
-
-ZERO = Q(0)
-ONE = Q(1)
 
 
 def canonical_dyadic(j: int) -> tuple[int, int]:
@@ -233,12 +232,11 @@ class S2aWitness:
             raise ValueError(f"witness constant must be positive: {self.c}")
 
 
-def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> Fraction | None:
-    """Value of g at q as of the given stage; None while still pending.
+def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> tuple[int, Fraction] | None:
+    """(s_j, g(q)) as of the given stage, for q = q_j; None while still pending.
 
-    Defined exactly when q = q_j for some j whose definition stage has
-    arrived.  Monotone in stage, and the value never changes once
-    defined.
+    Defined exactly when q = q_j for some j whose definition stage s_j has
+    arrived.  Monotone in stage, and the value never changes once defined.
     """
     j = g.enumeration.index_of(q)
     if j is None:
@@ -246,7 +244,7 @@ def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> Fraction |
     s = g.schedule.stage_of(j)
     if s is None or s > stage:
         return None
-    return g.value_at(j)
+    return s, g.value_at(j)
 
 
 def enumerate_domain(g: StagedPartialFunction, stage: int,
@@ -276,16 +274,23 @@ class SolovayVerdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def solovay_verdict(a_box: Interval, b_box: Interval, value: Fraction, q: Fraction,
-                    c: Fraction) -> SolovayVerdict:
-    """Decide 0 < alpha - value < c*(beta - q) from enclosures of alpha and beta.
+def solovay_sides(a_box: Interval, b_box: Interval, value: Fraction, q: Fraction,
+                  c: Fraction) -> tuple[Interval, Interval]:
+    """alpha - value and c*(beta - q) as integer boxes, from enclosures of alpha and beta."""
+    (a_lo, a_hi, ad), (b_lo, b_hi, bd), (cn, cd) = a_box, b_box, c.as_integer_ratio()
+    (v, vd), (q, qd) = value.as_integer_ratio(), q.as_integer_ratio()
+    return (Interval(a_lo * vd - v * ad, a_hi * vd - v * ad, ad * vd),
+            Interval(cn * (b_lo * qd - q * bd), cn * (b_hi * qd - q * bd), cd * bd * qd))
+
+
+def solovay_verdict(diff: Interval, gap: Interval) -> SolovayVerdict:
+    """Decide 0 < alpha - g(q) < c*(beta - q) from integer boxes of its two sides.
 
     A certified failure of the lower bound is reported before one of the
     upper bound.
     """
-    lo, hi = a_box.lo - value, a_box.hi - value
-    lower = certify(ZERO, ZERO, lo, hi, True)
-    upper = certify(lo, hi, c * (b_box.lo - q), c * (b_box.hi - q), True)
+    lower = certify(0, 0, diff.lo, diff.hi, True)
+    upper = certify(diff.lo * gap.d, diff.hi * gap.d, gap.lo * diff.d, gap.hi * diff.d, True)
     if lower is S2aVerdict.FAILS:
         return SolovayVerdict.FAILS_LOWER
     if upper is S2aVerdict.FAILS:
@@ -305,38 +310,37 @@ def check_solovay_at(w: SolovayWitness, alpha: ReferenceReal, beta: ReferenceRea
     """
     if left_cut_member(beta, q, budget) is not S2aVerdict.HOLDS:
         return None
-    value = eval_staged(w.g, q, stage)
-    if value is None:
+    hit = eval_staged(w.g, q, stage)
+    if hit is None:
         return SolovayVerdict.G_UNDEFINED
-    precision = Q(1, 2 ** budget)
-    return solovay_verdict(enclose(alpha, precision), enclose(beta, precision), value, q, w.c)
+    return solovay_verdict(*solovay_sides(enclose(alpha, budget), enclose(beta, budget),
+                                          hit[1], q, w.c))
 
 
-@dataclass(frozen=True)
-class S2aStepCheck:
-    """Per-index outcome of an approximation-pair prefix check.
+class S2aStepCheck(NamedTuple):
+    """Per-index outcome of an approximation-pair prefix check, in integers.
 
-    Error bounds are taken over the whole enclosure, so alpha_err_hi is
-    a certified upper bound on |alpha - a_n| and beta_err_lo a certified
-    lower bound on |beta - b_n| (and symmetrically).
+    alpha_err = (lo, hi, d) bounds |alpha - a_n| over the whole enclosure
+    alpha_box, lo / d <= |alpha - a_n| <= hi / d, and beta_err bounds
+    |beta - b_n| over beta_box; bound = (p, q) is c*(beta_err lo + 2**-n).
     """
 
     n: int
     verdict: S2aVerdict
-    alpha_err_lo: Fraction
-    alpha_err_hi: Fraction
-    beta_err_lo: Fraction
-    beta_err_hi: Fraction
-    alpha_width: Fraction
-    beta_width: Fraction
+    alpha_err: Interval
+    beta_err: Interval
+    bound: tuple[int, int]
+    alpha_box: Interval
+    beta_box: Interval
 
 
-def _abs_err_bounds(box: Interval, t: Fraction) -> tuple[Fraction, Fraction]:
-    lo_d = abs(box.lo - t)
-    hi_d = abs(box.hi - t)
-    upper = max(lo_d, hi_d)
-    lower = ZERO if box.contains(t) else min(lo_d, hi_d)
-    return lower, upper
+def _abs_err_bounds(box: Interval, t: Fraction) -> Interval:
+    """|x - t| over x in the box, with lower bound 0 when t lies in it."""
+    (lo, hi, d), (p, q) = box, t.as_integer_ratio()
+    lo, hi, d = lo * q - p * d, hi * q - p * d, d * q  # x - t at the ends
+    if lo >= 0:
+        return Interval(lo, hi, d)
+    return Interval(-hi, -lo, d) if hi <= 0 else Interval(0, max(-lo, hi), d)
 
 
 def _step_check(alpha: ReferenceReal, beta: ReferenceReal, a: Fraction, b: Fraction,
@@ -344,14 +348,13 @@ def _step_check(alpha: ReferenceReal, beta: ReferenceReal, a: Fraction, b: Fract
     """The bound of check_strict_at, decided with <= when not strict."""
     if guard < 0:
         raise ValueError("guard must be >= 0")
-    precision = Q(1, 2 ** (n + guard))
-    a_box = enclose(alpha, precision)
-    b_box = enclose(beta, precision)
-    a_lo, a_hi = _abs_err_bounds(a_box, a)
-    b_lo, b_hi = _abs_err_bounds(b_box, b)
-    slack = Q(1, 2 ** n)
-    verdict = certify(a_lo, a_hi, c * (b_lo + slack), c * (b_hi + slack), strict)
-    return S2aStepCheck(n, verdict, a_lo, a_hi, b_lo, b_hi, a_box.width, b_box.width)
+    a_box, b_box = enclose(alpha, n + guard), enclose(beta, n + guard)
+    a_err, b_err = _abs_err_bounds(a_box, a), _abs_err_bounds(b_box, b)
+    (a_lo, a_hi, ad), (b_lo, b_hi, bd), (cn, cd) = a_err, b_err, c.as_integer_ratio()
+    # c*(|beta - b| + 2**-n) = cn * (|beta - b| * 2**n + bd) / (cd * bd * 2**n)
+    r_lo, r_hi, rd = cn * ((b_lo << n) + bd), cn * ((b_hi << n) + bd), (cd * bd) << n
+    verdict = certify(a_lo * rd, a_hi * rd, r_lo * ad, r_hi * ad, strict)
+    return S2aStepCheck(n, verdict, a_err, b_err, (r_lo, rd), a_box, b_box)
 
 
 def check_s2a_prefix(w: S2aWitness, alpha: ReferenceReal, beta: ReferenceReal,

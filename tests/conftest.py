@@ -34,6 +34,11 @@ def corpus_path(name: str) -> Path:
     return CORPUS / f"{name}.json"
 
 
+def box_fractions(box) -> tuple[Fraction, Fraction]:
+    """An integer enclosure (lo, hi, d) as its two Fraction endpoints."""
+    return Fraction(box.lo, box.d), Fraction(box.hi, box.d)
+
+
 def prepended(raw: Approximation) -> Approximation:
     """0, then raw: the target a construction on raw builds, which i_n indexes."""
     return Approximation(PrependGen(ZERO, raw.gen))

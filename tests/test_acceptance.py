@@ -39,6 +39,7 @@ from conftest import (
     LEFTCE_WITNESS_NAMES,
     MIRROR_NAMES,
     VALID_WITNESS_NAMES,
+    box_fractions,
     corpus_path,
     integer_ladder,
 )
@@ -154,10 +155,10 @@ def test_leftce_closure_stays_below_alpha_with_certified_gap(scenarios):
         for n in range(depth + 1):
             a_n = closure[n]
             b_n = sc.beta_approx.term(n)
-            alpha_box = enclose(sc.alpha, Q(1, 2 ** (n + sc.guard)))
-            beta_box = enclose(sc.beta, Q(1, 2 ** (n + sc.guard)))
-            assert a_n < alpha_box.lo, (name, n)
-            assert alpha_box.hi - a_n < w.c * (beta_box.lo - b_n), (name, n)
+            alpha_lo, alpha_hi = box_fractions(enclose(sc.alpha, n + sc.guard))
+            beta_lo, _ = box_fractions(enclose(sc.beta, n + sc.guard))
+            assert a_n < alpha_lo, (name, n)
+            assert alpha_hi - a_n < w.c * (beta_lo - b_n), (name, n)
 
 
 def _leftce_pool(scenarios):
@@ -301,7 +302,7 @@ def _closed_form(real):
 
 def test_enclosures_contain_value_and_nest_across_precisions():
     rng = random.Random(8161991)
-    ladder = [Q(1, 2 ** k) for k in (3, 8, 14, 23, 40)]
+    ladder = (3, 8, 14, 23, 40)
     calls = 0
     top_level = Counter()
     for _ in range(2000):
@@ -309,14 +310,14 @@ def test_enclosures_contain_value_and_nest_across_precisions():
         top_level[type(real).__name__] += 1
         value = _closed_form(real)
         boxes = []
-        for precision in ladder:
-            box = enclose(real, precision)
+        for bits in ladder:
+            lo, hi = box_fractions(enclose(real, bits))
             calls += 1
-            assert box.lo <= value <= box.hi, real
-            assert box.width <= precision, real
-            boxes.append(box)
+            assert lo <= value <= hi, real
+            assert hi - lo <= Q(1, 2 ** bits), real
+            boxes.append((lo, hi))
         for coarse, fine in itertools.combinations(boxes, 2):
-            assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, real
+            assert coarse[0] <= fine[0] and fine[1] <= coarse[1], real
     assert calls == 10000
     assert set(top_level) >= {"ExactRational", "DyadicSeries", "Scale",
                               "Average", "Complement"}

@@ -43,6 +43,7 @@ from solred.witnesses import (
 from conftest import (
     INVALID_WITNESS_NAMES,
     VALID_WITNESS_NAMES,
+    box_fractions,
     corpus_path,
     count_fraction_points,
     integer_ladder,
@@ -641,13 +642,13 @@ def test_constructed_tail_converges_toward_alpha(built, scenarios):
         trace, sc = built[name], scenarios[name]
         depth = len(trace.steps) - 1
         half = depth // 2
-        a_box = enclose(sc.alpha, Q(1, 2 ** 40))
-        b_box = enclose(sc.beta, Q(1, 2 ** 40))
+        a_lo, a_hi = box_fractions(enclose(sc.alpha, 40))
+        b_lo, b_hi = box_fractions(enclose(sc.beta, 40))
         worst_alpha = max(
-            max(abs(a_box.lo - s.value), abs(a_box.hi - s.value))
+            max(abs(a_lo - s.value), abs(a_hi - s.value))
             for s in trace.steps[half:])
         worst_beta = max(
-            max(abs(b_box.lo - s.b_value), abs(b_box.hi - s.b_value))
+            max(abs(b_lo - s.b_value), abs(b_hi - s.b_value))
             for s in trace.steps)
         assert worst_alpha < sc.solovay_witness.c * (worst_beta + Q(1, 2 ** half))
 
@@ -707,7 +708,10 @@ def test_witness_image_and_leftce_closed_form():
     w = witness()
     b = climb_to("1/2")
     image = WitnessImage(w.g, b.gen, stage_budget=100)
-    terms = [image.term(n) for n in range(20)]
+    hits = [image.term(n) for n in range(20)]
+    assert [q for q, _, _ in hits] == [b.term(n) for n in range(20)]
+    assert [s for _, s, _ in hits] == [0] * 20  # every point is defined at stage 0
+    terms = [g for _, _, g in hits]
     running = [max(terms[:n + 1]) for n in range(20)]
     assert terms == running == [Q(1, 4) - Q(1, 2 ** (n + 2)) for n in range(20)]
 
@@ -716,14 +720,14 @@ def test_witness_image_exhausts_at_never_defined_point():
     w = witness(overrides=[(1, NEVER)])
     at_half = Table((Q(1, 4),), Q(1, 2))
     image = WitnessImage(w.g, at_half, stage_budget=100)
-    assert image.term(0) == Q(1, 8)
+    assert image.term(0) == (Q(1, 4), 0, Q(1, 8))
     assert image.term(1) is None
 
 
 def test_witness_image_exhausts_past_budget():
     w = witness(overrides=[(1, 500)])
     at_half = Table((Q(1, 4),), Q(1, 2))
-    assert WitnessImage(w.g, at_half, 500).term(1) == Q(1, 4)
+    assert WitnessImage(w.g, at_half, 500).term(1) == (Q(1, 2), 500, Q(1, 4))
     assert WitnessImage(w.g, at_half, 499).term(1) is None
 
 

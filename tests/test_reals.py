@@ -22,6 +22,8 @@ from solred.reals import (
     left_cut_member,
 )
 
+from conftest import box_fractions
+
 THIRD_SERIES = DyadicSeries(AffineExponents(2, 2))
 
 
@@ -44,51 +46,59 @@ def exact_value(real) -> Q:
 
 
 def test_interval_validation():
-    box = Interval(Q(1, 4), Q(1, 2))
-    assert box.width == Q(1, 4)
-    assert box.contains(Q(1, 3))
-    assert not box.contains(Q(3, 4))
-    point = Interval(Q(1, 2), Q(1, 2))
+    """An enclosure is integer endpoints over one denominator, lo <= hi, d > 0."""
+    box = Interval(1, 2, 4)
+    lo, hi = box_fractions(box)
+    assert (box.hi - box.lo, box.d) == (1, 4) and hi - lo == Q(1, 4)
+    assert lo <= Q(1, 3) <= hi
+    assert not lo <= Q(3, 4) <= hi
+    point = Interval(2, 2, 4)
     assert point.lo == point.hi
     assert box.lo != box.hi
+    # Complement and Scale reorder and rescale the ends; the walk keeps them ordered
+    for real in (Complement(THIRD_SERIES), Scale(Complement(THIRD_SERIES), Q(2, 3)),
+                 Average(THIRD_SERIES, Complement(THIRD_SERIES))):
+        for bits in range(12):
+            box = enclose(real, bits)
+            assert box.lo <= box.hi and box.d > 0, (real, bits)
     with pytest.raises(ValueError):
-        Interval(Q(1, 2), Q(1, 4))
+        enclose(THIRD_SERIES, -1)
 
 
 def test_enclose_exact_rational_is_point():
-    box = enclose(ExactRational(Q(1, 2)), Q(1, 8))
-    assert (box.lo, box.hi) == (Q(1, 2), Q(1, 2))
+    box = enclose(ExactRational(Q(1, 2)), 3)
+    assert box_fractions(box) == (Q(1, 2), Q(1, 2))
 
 
 def test_enclose_geometric_series_tail_bound():
-    box = enclose(THIRD_SERIES, Q(1, 64))
-    assert (box.lo, box.hi) == (Q(21, 64), Q(22, 64))
-    assert box.contains(Q(1, 3))
+    box = enclose(THIRD_SERIES, 6)
+    assert box_fractions(box) == (Q(21, 64), Q(22, 64))
+    assert box.lo * 3 <= box.d <= box.hi * 3  # contains 1/3
 
 
 def test_enclose_complement_of_point():
-    box = enclose(Complement(ExactRational(Q(1, 4))), Q(1, 16))
-    assert (box.lo, box.hi) == (Q(3, 4), Q(3, 4))
+    box = enclose(Complement(ExactRational(Q(1, 4))), 4)
+    assert box_fractions(box) == (Q(3, 4), Q(3, 4))
 
 
 def test_enclose_scale_and_average_are_exact():
     scale = Scale(ExactRational(Q(1, 3)), Q(1, 4))
     avg = Average(ExactRational(Q(1, 12)), ExactRational(Q(1, 4)))
-    box = enclose(scale, Q(1, 2 ** 20))
-    assert box.lo == box.hi == Q(1, 12)
-    assert enclose(avg, Q(1, 2 ** 20)).lo == Q(1, 6)
+    lo, hi = box_fractions(enclose(scale, 20))
+    assert lo == hi == Q(1, 12)
+    assert box_fractions(enclose(avg, 20))[0] == Q(1, 6)
 
 
 def test_enclose_finite_exponent_list_becomes_exact():
     series = DyadicSeries(ListExponents((1, 3)))
-    box = enclose(series, Q(1, 1024))
-    assert box.lo == box.hi == Q(5, 8)
+    lo, hi = box_fractions(enclose(series, 10))
+    assert lo == hi == Q(5, 8)
 
 
 def test_series_partial_sums_strictly_increase():
     prev = Q(-1)
     for k in range(1, 12):
-        partial = THIRD_SERIES.after_terms(k).lo
+        partial = box_fractions(THIRD_SERIES.after_terms(k))[0]
         assert partial > prev
         prev = partial
 
@@ -156,12 +166,12 @@ def reference_reals(draw, depth=2):
 @given(real=reference_reals(), k=st.integers(1, 30))
 def test_enclosures_contain_exact_value_and_nest(real, k):
     value = exact_value(real)
-    coarse = enclose(real, Q(1, 2 ** k))
-    fine = enclose(real, Q(1, 2 ** (k + 7)))
-    for box, precision in ((coarse, Q(1, 2 ** k)), (fine, Q(1, 2 ** (k + 7)))):
-        assert box.contains(value)
-        assert box.width <= precision
-    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+    coarse = box_fractions(enclose(real, k))
+    fine = box_fractions(enclose(real, k + 7))
+    for (lo, hi), precision in ((coarse, Q(1, 2 ** k)), (fine, Q(1, 2 ** (k + 7)))):
+        assert lo <= value <= hi
+        assert hi - lo <= precision
+    assert coarse[0] <= fine[0] and fine[1] <= coarse[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,7 +192,8 @@ def test_rational_arithmetic_is_exact(a, b):
 
 
 # -- reference evaluators: the term-by-term Fraction sums that the integer
-# partial sums replaced, kept to pin every endpoint exactly.
+# partial sums replaced, kept to pin every endpoint exactly.  Each gives an
+# enclosure as its two Fraction endpoints (lo, hi).
 
 def reference_partial_state(series, k):
     total = Q(0)
@@ -199,46 +210,46 @@ def reference_partial_state(series, k):
 
 def reference_enclose(real, precision):
     if isinstance(real, ExactRational):
-        return Interval(real.value, real.value)
+        return real.value, real.value
     if isinstance(real, DyadicSeries):
         count = real.exponents.count()
         total = Q(0)
         k = 0
         while True:
             if count is not None and k == count:
-                return Interval(total, total)
+                return total, total
             exp = real.exponents.exponent(k)
             total += Q(1, 2 ** exp)
             k += 1
             bound = Q(1, 2 ** exp)
             if bound <= precision:
-                return Interval(total, total + bound)
+                return total, total + bound
     if isinstance(real, Scale):
-        inner = reference_enclose(real.inner, precision / real.factor)
-        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+        lo, hi = reference_enclose(real.inner, precision / real.factor)
+        return lo * real.factor, hi * real.factor
     if isinstance(real, Average):
-        left = reference_enclose(real.left, precision)
-        right = reference_enclose(real.right, precision)
-        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
-    inner = reference_enclose(real.inner, precision)
-    return Interval(1 - inner.hi, 1 - inner.lo)
+        l_lo, l_hi = reference_enclose(real.left, precision)
+        r_lo, r_hi = reference_enclose(real.right, precision)
+        return (l_lo + r_lo) / 2, (l_hi + r_hi) / 2
+    lo, hi = reference_enclose(real.inner, precision)
+    return 1 - hi, 1 - lo
 
 
 def reference_enclose_at_tick(real, tick):
     if isinstance(real, ExactRational):
-        return Interval(real.value, real.value)
+        return real.value, real.value
     if isinstance(real, DyadicSeries):
         total, bound = reference_partial_state(real, tick)
-        return Interval(total, total + bound)
+        return total, total + bound
     if isinstance(real, Scale):
-        inner = reference_enclose_at_tick(real.inner, tick)
-        return Interval(inner.lo * real.factor, inner.hi * real.factor)
+        lo, hi = reference_enclose_at_tick(real.inner, tick)
+        return lo * real.factor, hi * real.factor
     if isinstance(real, Average):
-        left = reference_enclose_at_tick(real.left, tick)
-        right = reference_enclose_at_tick(real.right, tick)
-        return Interval((left.lo + right.lo) / 2, (left.hi + right.hi) / 2)
-    inner = reference_enclose_at_tick(real.inner, tick)
-    return Interval(1 - inner.hi, 1 - inner.lo)
+        l_lo, l_hi = reference_enclose_at_tick(real.left, tick)
+        r_lo, r_hi = reference_enclose_at_tick(real.right, tick)
+        return (l_lo + r_lo) / 2, (l_hi + r_hi) / 2
+    lo, hi = reference_enclose_at_tick(real.inner, tick)
+    return 1 - hi, 1 - lo
 
 
 def reference_left_cut_member(boxes, q, budget):
@@ -247,20 +258,20 @@ def reference_left_cut_member(boxes, q, budget):
     It keeps the hand-written comparisons that left_cut_member made before
     it went through the verdict kernel reals.certify.
     """
-    for box in boxes[:budget]:
-        if q < box.lo:
+    for lo, hi in boxes[:budget]:
+        if q < lo:
             return S2aVerdict.HOLDS
-        if q >= box.hi:
+        if q >= hi:
             return S2aVerdict.FAILS
     return S2aVerdict.UNKNOWN
 
 
 def reference_certify_in_open_unit(boxes):
     """certify_in_open_unit's hand-written comparisons, before the verdict kernel."""
-    for box in boxes:
-        if box.lo > 0 and box.hi < 1:
+    for lo, hi in boxes:
+        if lo > 0 and hi < 1:
             return True
-        if box.hi <= 0 or box.lo >= 1:
+        if hi <= 0 or lo >= 1:
             return False
     return False
 
@@ -280,13 +291,18 @@ def precisions():
 
 
 @settings(max_examples=300, deadline=None)
-@given(real=reference_reals(depth=3), precision=precisions(), tick=st.integers(0, 40))
-def test_enclosures_equal_the_fraction_reference(real, precision, tick):
-    assert enclose(real, precision) == reference_enclose(real, precision)
-    assert enclose_at_tick(real, tick) == reference_enclose_at_tick(real, tick)
+@given(real=reference_reals(depth=3), bits=st.integers(0, 40), precision=precisions(),
+       tick=st.integers(0, 40))
+def test_enclosures_equal_the_fraction_reference(real, bits, precision, tick):
+    """The integer boxes equal the Fraction reference in value: the walk at
+    width 2**-bits, each series leaf at any rational precision."""
+    assert box_fractions(enclose(real, bits)) == reference_enclose(real, Q(1, 2 ** bits))
+    assert box_fractions(enclose_at_tick(real, tick)) == reference_enclose_at_tick(real, tick)
     for series in series_leaves(real):
-        box = series.after_terms(tick)
-        assert (box.lo, box.width) == reference_partial_state(series, tick)
+        lo, hi = box_fractions(series.after_terms(tick))
+        assert (lo, hi - lo) == reference_partial_state(series, tick)
+        within = series.within(precision.numerator, precision.denominator)
+        assert box_fractions(within) == reference_enclose(series, precision)
 
 
 @pytest.mark.parametrize("exps, precision, expected", [
@@ -298,18 +314,24 @@ def test_enclosures_equal_the_fraction_reference(real, precision, tick):
 ])
 def test_list_series_enclosure_edges(exps, precision, expected):
     series = DyadicSeries(ListExponents(exps))
-    box = enclose(series, precision)
-    assert (box.lo, box.hi) == expected
-    assert box == reference_enclose(series, precision)
-    assert enclose(Scale(series, Q(1, 3)), precision / 3) == Interval(
-        expected[0] / 3, expected[1] / 3)
+    box = series.within(precision.numerator, precision.denominator)
+    assert box_fractions(box) == expected
+    assert box_fractions(box) == reference_enclose(series, precision)
+    # the same leaf under a Scale that leaves it that precision,
+    # 2**-bits / factor, with the least bits that keeps factor <= 1
+    bits = 0
+    while Q(1, 2 ** bits) > precision:
+        bits += 1
+    factor = Q(1, 2 ** bits) / precision
+    assert box_fractions(enclose(Scale(series, factor), bits)) == (
+        expected[0] * factor, expected[1] * factor)
 
 
 @settings(max_examples=100, deadline=None)
 @given(real=reference_reals(), data=st.data())
 def test_cut_verdicts_equal_the_reference_at_every_budget(real, data):
     boxes = [reference_enclose_at_tick(real, tick) for tick in range(1, 65)]
-    ends = [end for box in boxes[:12] for end in (box.lo, box.hi)]
+    ends = [end for box in boxes[:12] for end in box]
     q = data.draw(st.one_of(rationals_unit(), st.sampled_from(ends)))
     for budget in range(65):
         assert left_cut_member(real, q, budget) is reference_left_cut_member(boxes, q, budget)
@@ -327,6 +349,6 @@ def test_enclose_work_does_not_grow_with_the_terms_summed(monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(AffineExponents, "exponent", counting)
-    box = enclose(THIRD_SERIES, Q(1, 2 ** 10000))
+    box = enclose(THIRD_SERIES, 10000)
     assert calls <= 2
-    assert (box.lo, box.hi) == ((1 - Q(1, 4 ** 5000)) / 3, (1 - Q(1, 4 ** 5000)) / 3 + Q(1, 4 ** 5000))
+    assert box_fractions(box) == ((1 - Q(1, 4 ** 5000)) / 3, (1 - Q(1, 4 ** 5000)) / 3 + Q(1, 4 ** 5000))

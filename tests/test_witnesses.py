@@ -11,8 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solred.approximations import Approximation, Kind, Table
-from solred.harness import verify_prop1
-from solred.reals import AffineExponents, DyadicSeries, ExactRational, Interval
+from solred.harness import _prop1_rows, _step_check_row, verify_prop1
+from solred.reals import (
+    AffineExponents,
+    DyadicSeries,
+    ExactRational,
+    Interval,
+    ListExponents,
+    enclose,
+)
 from solred.scenario import parse_scenario
 from solred.witnesses import (
     DyadicEnumeration,
@@ -32,10 +39,12 @@ from solred.witnesses import (
     check_strict_at,
     enumerate_domain,
     eval_staged,
+    solovay_sides,
     solovay_verdict,
 )
 
-from conftest import LEFTCE_WITNESS_NAMES, corpus_path
+from conftest import LEFTCE_WITNESS_NAMES, box_fractions, corpus_path
+from test_reals import reference_enclose, reference_reals
 
 
 def staged(slope=0, offset=0, stage_overrides=(), u=Q(1, 2), v=Q(0), value_overrides=()):
@@ -97,11 +106,11 @@ def test_enumeration_prefix_permutation():
 
 
 def test_eval_staged_immediate_and_delayed():
-    assert eval_staged(HALVING, Q(1, 4), 0) == Q(1, 8)
+    assert eval_staged(HALVING, Q(1, 4), 0) == (0, Q(1, 8))
     delayed = staged(stage_overrides=[(5, 100)])
     q5 = canonical_point(5)
     assert eval_staged(delayed, q5, 50) is None
-    assert eval_staged(delayed, q5, 100) == q5 / 2
+    assert eval_staged(delayed, q5, 100) == (100, q5 / 2)
     assert eval_staged(HALVING, Q(1, 3), 7) is None
 
 
@@ -265,13 +274,14 @@ def test_strict_certificate_implies_nonstrict_check(alpha, beta, a_term, b_term,
 # -- the one verdict kernel, and the five hand-written comparisons it
 # replaced, kept as references: each site must decide exactly as before.
 
-def old_solovay_at(a, b, value, q, c):
-    """check_solovay_at's comparisons on the enclosures a of alpha and b of beta."""
-    if a.hi - value <= 0:
+def old_solovay_at(a_lo, a_hi, b_lo, b_hi, value, q, c):
+    """check_solovay_at's comparisons on the enclosures [a_lo, a_hi] of alpha
+    and [b_lo, b_hi] of beta."""
+    if a_hi - value <= 0:
         return SolovayVerdict.FAILS_LOWER
-    if a.lo - value >= c * (b.hi - q):
+    if a_lo - value >= c * (b_hi - q):
         return SolovayVerdict.FAILS_UPPER
-    if a.lo - value > 0 and a.hi - value < c * (b.lo - q):
+    if a_lo - value > 0 and a_hi - value < c * (b_lo - q):
         return SolovayVerdict.HOLDS
     return SolovayVerdict.UNKNOWN
 
@@ -324,21 +334,24 @@ UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
 
 @st.composite
 def boxes(draw):
-    """A Fraction interval on a coarse grid, so shared endpoints are common."""
+    """An integer interval over denominator 4 on a coarse grid, so shared
+    endpoints are common."""
     lo = draw(GRID)
-    return Interval(lo, lo if draw(st.booleans()) else max(lo, draw(GRID)))
+    hi = lo if draw(st.booleans()) else max(lo, draw(GRID))
+    return Interval(int(lo * 4), int(hi * 4), 4)
 
 
 @settings(max_examples=500, deadline=None)
 @given(lhs=boxes(), rhs=boxes(), strict=st.booleans(),
        inner=st.lists(st.tuples(UNIT, UNIT), max_size=4))
-@example(lhs=Interval(Q(1), Q(2)), rhs=Interval(Q(0), Q(1)), strict=False, inner=[])
-@example(lhs=Interval(Q(1), Q(1)), rhs=Interval(Q(1), Q(1)), strict=True, inner=[])
-@example(lhs=Interval(Q(1), Q(1)), rhs=Interval(Q(1), Q(1)), strict=False, inner=[])
+@example(lhs=Interval(4, 8, 4), rhs=Interval(0, 4, 4), strict=False, inner=[])
+@example(lhs=Interval(4, 4, 4), rhs=Interval(4, 4, 4), strict=True, inner=[])
+@example(lhs=Interval(4, 4, 4), rhs=Interval(4, 4, 4), strict=False, inner=[])
 def test_certify_decides_every_point_of_the_boxes(lhs, rhs, strict, inner):
     holds = operator.lt if strict else operator.le
     pairs = [(x, y) for x in (lhs.lo, lhs.hi) for y in (rhs.lo, rhs.hi)]
-    pairs += [(lhs.lo + s * lhs.width, rhs.lo + t * rhs.width) for s, t in inner]
+    pairs += [(lhs.lo + s * (lhs.hi - lhs.lo), rhs.lo + t * (rhs.hi - rhs.lo))
+              for s, t in inner]
     outcomes = {holds(x, y) for x, y in pairs}
     verdict = certify(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
     expected = {S2aVerdict.HOLDS: {True}, S2aVerdict.FAILS: {False},
@@ -348,16 +361,19 @@ def test_certify_decides_every_point_of_the_boxes(lhs, rhs, strict, inner):
 
 @settings(max_examples=500, deadline=None)
 @given(a=boxes(), b=boxes(), value=GRID, q=GRID, c=POSITIVE)
-@example(a=Interval(Q(0), Q(0)), b=Interval(Q(0), Q(0)), value=Q(0), q=Q(1), c=Q(1))
-@example(a=Interval(Q(1), Q(1)), b=Interval(Q(1), Q(1)), value=Q(0), q=Q(0), c=Q(1))
+@example(a=Interval(0, 0, 4), b=Interval(0, 0, 4), value=Q(0), q=Q(1), c=Q(1))
+@example(a=Interval(4, 4, 4), b=Interval(4, 4, 4), value=Q(0), q=Q(0), c=Q(1))
 def test_solovay_and_prop1_routes_equal_the_old_comparisons(a, b, value, q, c):
-    verdict = solovay_verdict(a, b, value, q, c)
-    assert verdict is old_solovay_at(a, b, value, q, c)
-    gap = "fails" if verdict.value.startswith("fails") else verdict.value
-    assert gap == old_gap_bound(a.lo - value, a.hi - value,
-                                c * (b.lo - q), c * (b.hi - q))
-    below = certify(value, value, a.lo, a.hi, True).value
-    assert below == old_below_alpha(value, a.lo, a.hi)
+    (a_lo, a_hi), (b_lo, b_hi) = box_fractions(a), box_fractions(b)
+    diff, gap = solovay_sides(a, b, value, q, c)
+    assert box_fractions(diff) == (a_lo - value, a_hi - value)
+    assert box_fractions(gap) == (c * (b_lo - q), c * (b_hi - q))
+    verdict = solovay_verdict(diff, gap)
+    assert verdict is old_solovay_at(a_lo, a_hi, b_lo, b_hi, value, q, c)
+    below, gap_row = _prop1_rows(0, a, b, value, q, value, c)
+    assert gap_row["verdict"] == old_gap_bound(a_lo - value, a_hi - value,
+                                               c * (b_lo - q), c * (b_hi - q))
+    assert below["verdict"] == old_below_alpha(value, a_lo, a_hi)
 
 
 def grid_reals():
@@ -379,8 +395,84 @@ def test_step_checks_equal_the_old_comparisons(alpha, beta, a, b, c, n, guard):
     soft = check_s2a_prefix(w, alpha, beta, n, guard)[n]
     strict = check_strict_at(alpha, beta, a, b, c, n, guard)
     for chk, old in ((soft, old_s2a_prefix), (strict, old_strict_at)):
-        assert chk.verdict is old(chk.alpha_err_lo, chk.alpha_err_hi,
-                                  chk.beta_err_lo, chk.beta_err_hi, c, Q(1, 2 ** n))
+        assert chk.verdict is old(*box_fractions(chk.alpha_err), *box_fractions(chk.beta_err),
+                                  c, Q(1, 2 ** n))
+
+
+# -- the Fraction row formulas that the integer rows replaced, kept as the
+# reference: every row the checkers write must equal them string for string.
+
+def reference_abs_err_bounds(lo, hi, t):
+    """|x - t| over x in [lo, hi]: (lower, upper), lower 0 when t lies inside."""
+    lo_d, hi_d = abs(lo - t), abs(hi - t)
+    return (Q(0) if lo <= t <= hi else min(lo_d, hi_d)), max(lo_d, hi_d)
+
+
+def reference_step_row(alpha, beta, a, b, c, n, guard, strict):
+    """A step check's row as the Fraction checker and _step_check_row wrote it."""
+    precision = Q(1, 2 ** (n + guard))
+    alpha_box, beta_box = reference_enclose(alpha, precision), reference_enclose(beta, precision)
+    a_lo, a_hi = reference_abs_err_bounds(*alpha_box, a)
+    b_lo, b_hi = reference_abs_err_bounds(*beta_box, b)
+    slack = Q(1, 2 ** n)
+    verdict = (old_strict_at if strict else old_s2a_prefix)(a_lo, a_hi, b_lo, b_hi, c, slack)
+    return {
+        "n": n,
+        "verdict": verdict.value,
+        "alpha_err": [str(a_lo), str(a_hi)],
+        "beta_err": [str(b_lo), str(b_hi)],
+        "bound_if_beta_err_lo": str(c * (b_lo + slack)),
+        "enclosure_widths": [str(alpha_box[1] - alpha_box[0]), str(beta_box[1] - beta_box[0])],
+    }
+
+
+def reference_prop1_rows(alpha, beta, a_n, b_n, g_n, c, n, guard):
+    """prop1's below_alpha and gap_bound rows as the Fraction harness wrote them."""
+    precision = Q(1, 2 ** (n + guard))
+    (a_lo, a_hi), (b_lo, b_hi) = reference_enclose(alpha, precision), reference_enclose(beta, precision)
+    diff = [a_lo - g_n, a_hi - g_n]
+    gap = [c * (b_lo - b_n), c * (b_hi - b_n)]
+    below = {"n": n, "verdict": old_below_alpha(a_n, a_lo, a_hi), "a_n": str(a_n),
+             "alpha_enclosure": [str(a_lo), str(a_hi)]}
+    return below, {"n": n, "verdict": old_gap_bound(*diff, *gap),
+                   "alpha_minus_g": [str(x) for x in diff],
+                   "c_times_beta_gap": [str(x) for x in gap]}
+
+
+TERMS = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 12)
+THIRD = DyadicSeries(AffineExponents(2, 2))  # 1/3, whose enclosures straddle it
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=reference_reals(), beta=reference_reals(), a=TERMS, b=TERMS, g=TERMS,
+       c=st.fractions(min_value=Q(1, 16), max_value=8, max_denominator=16),
+       n=st.integers(0, 12), guard=st.integers(0, 10), strict=st.booleans())
+# a term inside its box: alpha's lower error is 0
+@example(alpha=THIRD, beta=THIRD, a=Q(1, 3), b=Q(0), g=Q(0), c=Q(1), n=2, guard=3, strict=True)
+# a point enclosure: the listed series runs out
+@example(alpha=DyadicSeries(ListExponents((1, 3))), beta=DyadicSeries(ListExponents(())),
+         a=Q(1, 2), b=Q(0), g=Q(5, 8), c=Q(1), n=4, guard=8, strict=False)
+# alpha - g < 0 at both ends
+@example(alpha=ExactRational(Q(1, 16)), beta=ExactRational(Q(1, 8)), a=Q(1, 4), b=Q(1, 8),
+         g=Q(1, 2), c=Q(1), n=3, guard=8, strict=True)
+# the bound met exactly: |alpha - a| = c*(|beta - b| + 2**-n) and alpha - g = c*(beta - b)
+@example(alpha=ExactRational(Q(1, 2)), beta=ExactRational(Q(1, 4)), a=Q(0), b=Q(1, 4),
+         g=Q(1, 4), c=Q(1), n=1, guard=0, strict=False)
+@example(alpha=ExactRational(Q(1, 2)), beta=ExactRational(Q(1, 4)), a=Q(0), b=Q(0),
+         g=Q(1, 4), c=Q(1), n=2, guard=0, strict=True)
+def test_rows_equal_the_fraction_reference(alpha, beta, a, b, g, c, n, guard, strict):
+    """The integer rows equal the Fraction formulas they replaced, string
+    for string and in key order."""
+    if strict:
+        chk = check_strict_at(alpha, beta, a, b, c, n, guard)
+    else:
+        chk = check_s2a_prefix(S2aWitness(const_approx(a), const_approx(b), c),
+                               alpha, beta, n, guard)[n]
+    want = reference_step_row(alpha, beta, a, b, c, n, guard, strict)
+    assert list(_step_check_row(chk).items()) == list(want.items())
+    rows = _prop1_rows(n, enclose(alpha, n + guard), enclose(beta, n + guard), a, b, g, c)
+    for row, want in zip(rows, reference_prop1_rows(alpha, beta, a, b, g, c, n, guard)):
+        assert list(row.items()) == list(want.items())
 
 
 def prop1_scenario(name, u, v, c):
