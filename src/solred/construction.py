@@ -208,12 +208,12 @@ class _Domain:
     domain holds two bytearrays and one list of 2**m entries.  A point
     finer than 2**-m raises.
 
-    For the current step it tracks the reach, the largest point that 0
-    reaches with every hop < gap, None until 0 is in the domain.  A chain
-    of hops ends at the first run of gap - 1 empty slots, so the reach is
-    found by one find of that run.  Within a step points only arrive, so
-    the reach only moves up, and it moves only when a point lands less
-    than one gap past it.
+    For the current step it tracks the reach, the largest point that the
+    slot 0 reaches with every hop < gap (search_step enters q_0 first).  A
+    chain of hops ends at the first run of gap - 1 empty slots, so the
+    reach is found by one find of that run.  Within a step points only
+    arrive, so the reach only moves up, and it moves only when a point
+    lands less than one gap past it.
     live is occ less the finals known to fail clause (v) against 0 in this
     step: _lex_first_ladder clears a final from it at the first failure,
     and tests a final that passed again, on two cached pairs, whenever a
@@ -248,7 +248,7 @@ class _Domain:
         self.live = bytearray(1 << self.m)  # occ less this step's finals that fail against 0
         self.gap = 0  # the step's gap limit
         self._hole = b""  # gap - 1 empty slots: a chain of hops ends at the first such run
-        self.reach: int | None = None  # largest point 0 reaches with every hop < gap
+        self.reach = 0  # largest point 0 reaches with every hop < gap
         sched = g.schedule
         self._slope, self._offset = sched.slope, sched.offset
         self._first = max(1, sched.offset)  # no affine point enters before this stage
@@ -284,7 +284,7 @@ class _Domain:
         self.gap = 1 << (self.m - n - 1)
         self._hole = bytes(self.gap - 1)
         self.live = self.occ.copy()
-        self.reach = self._reach_from(0) if self.occ[0] else None
+        self.reach = self._reach_from(0)
 
     def _reach_from(self, x: int) -> int:
         """The largest point that the point x reaches with every hop < gap."""
@@ -329,10 +329,10 @@ class _Domain:
             yield scaled(a, m), top - a + 1, 2 << (m - level), a  # on level L, 2**(m-L+1) apart
             a = top + 1
 
-    def enter(self, e: int) -> int | None:
-        """Enter the stages stage+1..e; return the least point they insert, if any."""
+    def enter(self, e: int) -> int:
+        """Enter the stages stage+1..e; return the least point they insert, or 2**m."""
         occ, live, index = self.occ, self.live, self.index
-        low = high = None
+        low, high = len(occ), -1
         for x, count, step, j in self._groups(self.stage, e):
             if count == 1:
                 last = x
@@ -343,18 +343,13 @@ class _Domain:
                 sl = slice(x, last + 1, step)
                 occ[sl] = live[sl] = b"\1" * count
                 index[sl] = range(j, j + count)
-            if low is None or x < low:
+            if x < low:
                 low = x
-            if high is None or last > high:
+            if last > high:
                 high = last
         self.stage = e
-        if low is None:
-            return None
         reach = self.reach
-        if reach is None:
-            if occ[0]:
-                self.reach = self._reach_from(0)
-        elif low < reach + self.gap and high > reach:  # a point may extend the reach
+        if low < reach + self.gap and high > reach:  # a point may extend the reach
             self.reach = self._reach_from(reach)
         return low
 
@@ -403,9 +398,9 @@ class _Domain:
                 lo = t
         return hi
 
-    def ceil(self) -> int | None:
+    def ceil(self) -> int:
         """reach + gap: the window of a b_i at or above it holds no reached point."""
-        return None if self.reach is None else self.reach + self.gap
+        return self.reach + self.gap
 
 
 def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
@@ -515,6 +510,9 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     positive integer.  Clauses (i) and (iii) need at least one such hop,
     and clause (iv) needs every hop below 2**(m-n-1) <= 1, so no such step
     ever hits.  Every step that starts has an integer gap limit >= 2.
+    Every ladder starts at the point 0, so before start_step a search
+    enters the domain to max(1, s_0), where q_0 enters, or returns None at
+    once if the budget stops short of it.
     Every comparison with a key is at the scale 2**m, the domain's slots.
     A candidate whose b_i is at or above the domain's ceil (reach + gap)
     provably admits no ladder yet, since its window holds no point that 0
@@ -541,9 +539,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     - s + 1 while s < last: it brings candidate s + 1;
     - the first stage that inserts a point below top_ce, the greatest ce
       of a ready candidate: each has missed by then and is searched again
-      only at a stage that inserts a point below its ce.  top_ce is at
-      least 1, so q_0 (slot 0) counts while it is missing, when no
-      candidate is ready and the reach is undefined;
+      only at a stage that inserts a point below its ce;
     - the first stage at which the least waiting fl is below ceil: the
       reach only grows, and that candidate wakes first;
     - the stage budget.
@@ -557,20 +553,23 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     the first stage that inserts a point below top_ce, so the quiet
     stages s+1..e-1 insert none: low is below a missed candidate's
     ce <= top_ce only if stage e inserted it.  When stage e inserts
-    nothing, low is None or at least top_ce, and every missed candidate
+    nothing, low is 2**m or at least top_ce, and every missed candidate
     is skipped either way.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
     domain = domain or _Domain(witness.g, b, stage_budget)
-    if n + 1 >= domain.m:
-        return None  # no hop between points exact at 2**-m is below 2**-(n+1)
+    s0 = max(1, witness.g.schedule.stage_of(0))  # the stage where the point 0 enters
+    if n + 1 >= domain.m or s0 > stage_budget:
+        return None  # no hop between points exact at 2**-m is below 2**-(n+1), or no point 0
+    if domain.stage < s0:
+        domain.enter(s0)
     domain.start_step(n)
 
     ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
     wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
     missed: set[int] = set()                # ready candidates whose last search failed
-    top_ce = 1                              # the greatest ce of a ready candidate, at least 1
+    top_ce = 0                              # the greatest ce of a ready candidate
     seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
     ceil = domain.ceil()                    # only increases
     occ = domain.occ                        # its slots x < ce are the points below b_i
@@ -578,7 +577,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
 
     s = domain.stage
-    low: int | None = None  # least point inserted since the last walked stage
+    low = 0  # least point inserted since the last walked stage
     arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
@@ -586,18 +585,18 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
                 continue  # a lesser routed index shares every search outcome
             seen.add(keys)
             cand = (i, *keys)
-            if ceil is None or cand[1] >= ceil:  # b_i >= ceil
+            if cand[1] >= ceil:  # b_i >= ceil
                 heapq.heappush(wait, (cand[1], cand))
             else:
                 ready.append(cand)
                 top_ce = max(top_ce, cand[2])
-        while ceil is not None and wait and wait[0][0] < ceil:  # b_i < ceil
+        while wait and wait[0][0] < ceil:  # b_i < ceil
             ready.append(cand := heapq.heappop(wait)[1])
             top_ce = max(top_ce, cand[2])
         if ready:
             ready.sort()
             for i, fl, ce in ready:
-                if i in missed and (low is None or ce <= low):
+                if i in missed and ce <= low:
                     continue  # nothing new below b_i (low >= b_i) since its last miss
                 if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
                         or live.find(1, max(0, fl - gap + 1), ce) < 0):
@@ -611,7 +610,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
         if s >= stage_budget:
             return None
         e = s + 1 if s < last else domain.first_below(top_ce, stage_budget)
-        if ceil is not None and wait and e > s + 1:
+        if wait and e > s + 1:
             e = domain.first_reach(wait[0][0], e)
         low = domain.enter(e)
         ceil = domain.ceil()

@@ -33,7 +33,6 @@ from .reals import Complement, Interval, enclose
 from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
-    canonical_point,
     certify,
     check_s2a_prefix,
     check_solovay_at,
@@ -42,7 +41,7 @@ from .witnesses import (
     solovay_verdict,
 )
 
-GRID_LEVELS = 5        # spot-check grid: canonical points of index < 2**GRID_LEVELS
+GRID_LEVELS = 5        # spot-check grid: the points k / 2**GRID_LEVELS, k < 2**GRID_LEVELS
 GRID_BUDGET = 64       # enclosure/cut budget for grid checks
 ORACLE_DEPTH = 6       # construction mode: steps cross-checked against the oracle
 
@@ -202,7 +201,7 @@ def _add_kind_claim(report: Report, name: str, a: Approximation, depth: int) -> 
 
 def _add_witness_grid(report: Report, scenario: Scenario) -> None:
     rows = []
-    for q in sorted(canonical_point(j) for j in range(2 ** GRID_LEVELS)):
+    for q in (Fraction(k, 2 ** GRID_LEVELS) for k in range(2 ** GRID_LEVELS)):
         verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha, scenario.beta,
                                    q, scenario.stage_budget, GRID_BUDGET)
         if verdict is not None:  # else q is not certified below beta

@@ -522,6 +522,11 @@ def test_construction_inserts_each_point_once(monkeypatch):
     up to the stage before each event stage and one more for that stage,
     38 enter calls.  Each enter runs from the domain's stage to the next
     event stage.  Replaying the domain into every step cost 18,438 inserts.
+
+    With g(0) defined at stage s0 = 7, step 1 enters stages 1..7 in one
+    enter, since no ladder exists without the point 0: walking them with
+    the point 0 missing cost 29 enter calls.  Steps 1.. are those of
+    linear_basic itself.
     """
     entered = []  # (stage before, stage after) of each enter
     domains = set()
@@ -532,20 +537,28 @@ def test_construction_inserts_each_point_once(monkeypatch):
         domains.add(self)
         return real(self, e)
 
-    monkeypatch.setattr(construction._Domain, "enter", counting)
     sc = load_scenario(corpus_path("linear_basic"))
-    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
-                                   sc.stage_budget)
-    assert trace.steps[-1].stage_found == 9214
-    assert [t for t, _ in entered] == [0] + [e for _, e in entered[:-1]]
-    assert all(t < e for t, e in entered) and sum(e - t for t, e in entered) == 9214
-    assert len(entered) == 29
-    (domain,) = domains
-    assert domain.stage == 9214
-    enumeration = sc.solovay_witness.g.enumeration
-    slots = [enumeration.scaled(j, domain.m) for j in range(9215)]
-    assert domain.occ.count(1) == 9215 and all(domain.occ[x] for x in slots)
-    assert [domain.index[x] for x in slots] == list(range(9215))
+    w = sc.solovay_witness
+    shipped = build_s2a_from_solovay(w, sc.beta_approx, sc.depth, sc.stage_budget)
+    monkeypatch.setattr(construction._Domain, "enter", counting)
+    for s0, enters in ((0, 29), (7, 23)):
+        entered.clear()
+        domains.clear()
+        g = replace(w.g, schedule=replace(w.g.schedule, overrides=((0, s0),)))
+        trace = build_s2a_from_solovay(replace(w, g=g), sc.beta_approx, sc.depth,
+                                       sc.stage_budget)
+        assert trace.steps[0].stage_found == s0 and trace.steps[1:] == shipped.steps[1:]
+        assert [r.stage_found for r in trace.steps] == [s0, *FROZEN_HITS["linear_basic"][1][1:]]
+        assert trace.steps[-1].stage_found == 9214
+        assert [t for t, _ in entered] == [0] + [e for _, e in entered[:-1]]
+        assert all(t < e for t, e in entered) and sum(e - t for t, e in entered) == 9214
+        assert len(entered) == enters
+        (domain,) = domains
+        assert domain.stage == 9214
+        enumeration = g.enumeration
+        slots = [enumeration.scaled(j, domain.m) for j in range(9215)]
+        assert domain.occ.count(1) == 9215 and all(domain.occ[x] for x in slots)
+        assert [domain.index[x] for x in slots] == list(range(9215))
 
 
 def test_affine_dyadic_term_is_exact_at_large_n():

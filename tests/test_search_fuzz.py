@@ -590,10 +590,9 @@ def _all_points(domain):
 
 
 def _walked_ceil(domain):
-    """reach + gap by a walk from 0 over every point; None without the point 0."""
+    """reach + gap by a walk from the point 0 over every point."""
     pts = [x for x, _ in _all_points(domain)]
-    if not pts or pts[0] != 0:
-        return None
+    assert pts[0] == 0
     k = 0
     while k + 1 < len(pts) and pts[k + 1] - pts[k] < domain.gap:
         k += 1
@@ -608,9 +607,14 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
 
     Steps 1..depth start in order on one domain, as in a construction,
     and each enters a drawn number of runs of drawn lengths up to the
-    budget.  Only the steps n <= m - 2 that a search starts are started.
+    budget.  Only the steps n <= m - 2 that a search starts are started,
+    and only once the domain holds the point 0: as search_step does, the
+    stage where q_0 enters is entered before step 1 starts.
     """
     domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
+    if (s0 := max(1, w.g.schedule.stage_of(0))) > budget:
+        return  # search_step returns None before it starts a step
+    domain.enter(s0)
     for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
         assert domain.ceil() == _walked_ceil(domain)
@@ -643,7 +647,9 @@ class StageByStage:
 
     Stage t inserts q_t at once when its definition stage has arrived; a
     point defined later waits in a pending heap until that stage.  Every
-    insert moves the reach when it lands less than one gap past it.
+    insert moves the reach when it lands less than one gap past it.  The
+    reach is walked from the slot 0, as the domain's is, so it is 0 until
+    a point lands within one gap of it, with or without q_0.
     """
 
     def __init__(self, g, m, gap):
@@ -652,7 +658,7 @@ class StageByStage:
         self.pending = [(g.schedule.stage_of(0), 0)]  # (definition stage, j), undefined yet
         self.occ, self.live = bytearray(1 << m), bytearray(1 << m)
         self.index = [0] * (1 << m)
-        self.reach = None
+        self.reach = 0
 
     def advance(self):
         """Enter the next stage; return the least point it inserts, if any."""
@@ -677,9 +683,8 @@ class StageByStage:
         self.occ[x] = self.live[x] = 1
         self.index[x] = j
         reach = self.reach
-        if x == 0 if reach is None else reach < x < reach + self.gap:
-            start = 0 if reach is None else reach
-            k = self.occ.find(bytes(self.gap - 1), start + 1)
+        if reach < x < reach + self.gap:
+            k = self.occ.find(bytes(self.gap - 1), reach + 1)
             self.reach = k - 1 if k >= 0 else self.occ.rfind(1)
 
 
@@ -692,7 +697,8 @@ def _domain_state(d):
 @settings(FUZZ, max_examples=300)
 @given(w=staged_witnesses(), budget=st.integers(2, 80), data=st.data())
 def test_a_run_equals_its_stages(w, budget, data):
-    """enter(e) leaves the domain as entering stage+1..e one at a time does.
+    """enter(e) leaves the domain as entering stage+1..e one at a time does,
+    and returns the least point inserted, or 2**m for an empty run.
 
     Runs of drawn lengths come with a live point cleared now and then, as
     a ladder search clears a final.
@@ -705,7 +711,7 @@ def test_a_run_equals_its_stages(w, budget, data):
         if op == "enter" and domain.stage < budget:
             e = data.draw(st.integers(domain.stage + 1, budget))
             lows = [ref.advance() for _ in range(e - ref.stage)]
-            low = min((x for x in lows if x is not None), default=None)
+            low = min((x for x in lows if x is not None), default=1 << domain.m)
             assert domain.enter(e) == low
         elif op == "clear" and (points := [x for x, on in enumerate(domain.live) if on]):
             x = data.draw(st.sampled_from(points))
@@ -762,7 +768,7 @@ def test_first_reach_names_the_first_stage_the_reach_gets_to_a_slot(w, slope, bu
     chain just reaches slot fl - 1.  Its probes enter nothing."""
     domain, ref = _entered_at(w, slope, budget, data, max(1, w.g.schedule.stage_of(0)))
     top = (1 << domain.m) - domain.gap + 1  # fl <= 2**m
-    if domain.reach is None or domain.reach >= top:
+    if not domain.occ[0] or domain.reach >= top:
         return  # q_0 is not in by the budget, or no key lies a gap past the reach
     hi = data.draw(st.integers(domain.stage + 1, budget))
     stages = range(domain.stage + 1, hi)
