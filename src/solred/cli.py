@@ -20,6 +20,7 @@ files the worst code wins: 4, 3, 1, 2, 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -302,6 +303,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override the scenario's stage budget")
 
 
+@functools.cache  # one parser per process, however many times main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="solred",

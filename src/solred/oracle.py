@@ -12,24 +12,24 @@ unreduced integer pairs n_k / d_k; the slack is S = d >> (n+2) and the
 gap limit 2S.
 
 Every candidate index i in (prev_index, stage] is located in the stage
-by two positions, computed from its exact term b_i with
-fl = floor(b_i * d) and ce = ceil(b_i * d): cut, the number of points
-below b_i, and lo, the first point above b_i - 2S.  The points are
-integers, so P_k < b_i * d iff P_k < ce and P_k > b_i * d - 2S iff
-P_k > fl - 2S, and both positions are bisections.  The canonical ladder
-for those positions (least length ell, then least positions in the
-value-sorted domain) comes from an exact-length count per final f in
-the window [lo, cut): a ladder ending at f may use only the members
-clause (v) admits against f, decided per pair as
-0 < num and num * d * c_d < c_n * (P_f - P_k + S) * d_f * d_k with
-num = n_f * d_k - n_k * d_f, so the g-values never share a denominator.
-Ladders of every length from max(2, least hop count) up to one hop per
-member after 0 exist, and the least of the finals' lex-first ladders at
-the least such length, a RequirementTuple of the stage's integers with
-no Fraction per member, is accepted for candidate i solely by
-check_requirement on b_i.  Its scale is reduced to the least exact one,
-so it equals the search's tuple for the same ladder, built at the
-domain's scale.
+by two positions, computed from its keys fl = floor(b_i * d) and
+ce = ceil(b_i * d), which Approximation.keys gives without building b_i
+as a Fraction: cut, the number of points below b_i, and lo, the first
+point above b_i - 2S.  The points are integers, so P_k < b_i * d iff
+P_k < ce and P_k > b_i * d - 2S iff P_k > fl - 2S, and both positions
+are bisections.  The canonical ladder for those positions (least length
+ell, then least positions in the value-sorted domain) comes from an
+exact-length count per final f in the window [lo, cut): a ladder ending
+at f may use only the members clause (v) admits against f, decided per
+pair as 0 < num and num * d * c_d < c_n * (P_f - P_k + S) * d_f * d_k
+with num = n_f * d_k - n_k * d_f, so the g-values never share a
+denominator.  Ladders of every length from max(2, least hop count) up
+to one hop per member after 0 exist, and the least of the finals'
+lex-first ladders at the least such length, a RequirementTuple of the
+stage's integers with no Fraction per member, is accepted for candidate
+i solely by check_requirement on b_i, the one place b_i is read
+exactly.  Its scale is reduced to the least exact one, so it equals the
+search's tuple for the same ladder, built at the domain's scale.
 
 Candidates at one position share a ladder.  The ladder search for one
 candidate reads b_i in three places only: cut bounds the points it may
@@ -42,22 +42,27 @@ clauses read b_i only through a common denominator that scales both
 sides of each comparison alike.  So two candidates with the same
 (cut, lo) have the same canonical ladder and the same verdict on it.
 _first_ladder therefore takes the two positions in place of b_i, and
-_stage_hit builds each position's ladder once, in a memo that lives for
-that one stage: nothing is cached across stages.  Each candidate's
-ladder is still accepted solely by check_requirement on its own b_i.
+_stage_hit tries only the least index at each position: a later index
+there would get the ladder and the verdict the least one got, a miss,
+so it goes with neither a ladder search nor a check.  The set of tried
+positions lives for that one stage: nothing is cached across stages.
 
-The search walks distance classes backward from each final, keying b
-at one scale per construction, and of candidates with equal keys it
-routes only the least; this reference counts exact lengths forward at a
-scale per stage, and shares a ladder between candidates by their
-positions in the one stage it rebuilt.  The two share only
+The oracle shares with the search only Approximation.keys, which
+test_keys_agree_with_the_exact_term holds to the exact term, and
 check_requirement, RequirementTuple and the StepRecord both answer
-with, and the test suite holds their records to equality.
+with; the test suite holds their records to equality.  Its stage
+shell, its exact-length ladder count, its bisection over stages and its
+per-probe rebuild stay its own: enumerate_domain rebuilds each probed
+stage from the witness's schedule and value rule, one canonical level
+at a time, where the search keeps one domain at one scale per
+construction, walks distance classes backward from each final and
+routes only the least of candidates with equal keys.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from .approximations import Approximation
 from .construction import RequirementTuple, StepRecord, check_requirement
@@ -107,7 +112,7 @@ def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximatio
     the domain rebuilt from scratch at this stage alone, or None."""
     prefix_len = len(witness.g.enumeration.prefix)
     m = max(n + 2, stage.bit_length(), prefix_len.bit_length())
-    entries = sorted(enumerate_domain(witness.g, stage, m), key=lambda e: e[1])
+    entries = sorted(enumerate_domain(witness.g, stage, m), key=itemgetter(1))
     points = [x for _, x, _ in entries]
     if not points or points[0] != 0:
         return None
@@ -115,18 +120,19 @@ def _stage_hit(n: int, prev_index: int, witness: SolovayWitness, b: Approximatio
     dens = [q for _, _, (_, q) in entries]
     d = 1 << m
     gap_limit = 2 * (d >> (n + 2))
-    ladders: dict[tuple[int, int], RequirementTuple | None] = {}  # (cut, lo) -> ladder
+    tried: set[tuple[int, int]] = set()  # (cut, lo) positions of lesser indices
     for i in range(prev_index + 1, stage + 1):
-        bi = b.term(i)
-        fl, r = divmod(bi.numerator * d, bi.denominator)
-        cut = bisect_left(points, fl + (r != 0))
+        fl, ce = b.keys(i, m)
+        cut = bisect_left(points, ce)
         lo = bisect_right(points, fl - gap_limit, 0, cut)
-        if (cut, lo) not in ladders:
-            ladders[cut, lo] = _first_ladder(n, witness.c, cut, lo, entries, points,
-                                             nums, dens, d)
-        tup = ladders[cut, lo]
-        if tup is not None and check_requirement(n, bi, witness.c, tup) is None:
-            return StepRecord(n, i, Fraction(*tup.values[-1]), bi, tup, stage)
+        if (cut, lo) in tried:
+            continue  # the lesser index's ladder and verdict, which missed
+        tried.add((cut, lo))
+        tup = _first_ladder(n, witness.c, cut, lo, entries, points, nums, dens, d)
+        if tup is not None:
+            bi = b.term(i)
+            if check_requirement(n, bi, witness.c, tup) is None:
+                return StepRecord(n, i, Fraction(*tup.values[-1]), bi, tup, stage)
     return None
 
 

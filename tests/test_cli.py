@@ -352,6 +352,24 @@ def test_malformed_command_line_is_invalid_input(capsys, argv):
     assert re.search(r"^solred( \w+)?: error: ", captured.err, re.M)
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """main parses with one parser per process, and no call's options reach the next."""
+    assert cli.build_parser() is cli.build_parser()
+    path = str(corpus_path("linear_basic"))
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    assert run(capsys, "construct", path, "--depth", "3", "--out", str(trace))[0] == 0
+    assert [row["i"] for row in json.loads(trace.read_bytes())["steps"]] == [0, 3, 4, 5]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", path, "--mode", "bogus"])
+    assert exc.value.code == 3
+    assert "error: argument --mode" in capsys.readouterr().err
+    assert run(capsys, "verify", path, "--mode", "construction", "--out", str(report))[0] == 0
+    payload = json.loads(report.read_bytes())
+    assert payload["parameters"] == {"depth": 12, "stage_budget": 10000, "guard": 8,
+                                     "oracle_depth": 6}
+    assert payload["summary"]["overall"] == "pass"
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "-h"])

@@ -157,6 +157,40 @@ def test_oracle_ladder_work_is_pinned(monkeypatch):
     assert calls == {"enumerate_domain": 84, "_first_ladder": 92, "_members": 70}
 
 
+def test_oracle_exact_term_reads_are_pinned(monkeypatch):
+    """The same 8 replays locate each candidate by its keys and read b_i exactly
+    only for a ladder check_requirement tests: 1,226 key reads and 20 term reads.
+
+    Reading every candidate's exact term made 1,226 term reads.
+    """
+    calls = {"term": 0, "keys": 0}
+    replaying = False
+    real_min_hit = oracle_min_hit
+
+    def counting(name):
+        real = getattr(Approximation, name)
+
+        def counted(self, *args):
+            calls[name] += replaying
+            return real(self, *args)
+        return counted
+
+    def min_hit(*args):
+        nonlocal replaying
+        replaying = True
+        try:
+            return real_min_hit(*args)
+        finally:
+            replaying = False
+
+    for name in calls:
+        monkeypatch.setattr(Approximation, name, counting(name))
+    monkeypatch.setattr(harness, "oracle_min_hit", min_hit)
+    for name in INVALID_WITNESS_NAMES:
+        assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
+    assert calls == {"term": 20, "keys": 1226}
+
+
 def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     """Every point, g-value part, constant part and scale _members reads is an int.
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solred.approximations import Approximation, Kind, Table
@@ -22,6 +22,7 @@ from solred.reals import (
 )
 from solred.scenario import parse_scenario
 from solred.witnesses import (
+    NEVER,
     DyadicEnumeration,
     S2aVerdict,
     S2aWitness,
@@ -30,6 +31,7 @@ from solred.witnesses import (
     StagedPartialFunction,
     StageSchedule,
     ValueRule,
+    _at_scale,
     canonical_dyadic,
     canonical_index,
     canonical_point,
@@ -147,6 +149,46 @@ def test_enumerate_domain_examples():
     assert [(j, x) for j, x, _ in enumerate_domain(doubled, 4, 5)] == [(0, 0), (1, 16), (2, 8)]
     with pytest.raises(ValueError, match=r"^domain point 1/4 is not exact at scale 2\*\*1$"):
         enumerate_domain(HALVING, 3, 1)
+
+
+def reference_domain(g, stage, m):
+    """enumerate_domain one index at a time, through stage_of, dyadic, _at_scale and ratio."""
+    out = []
+    for j in range(stage + 1):
+        s = g.schedule.stage_of(j)
+        if s is not None and s <= stage:
+            num, e = g.enumeration.dyadic(j)
+            out.append((j, _at_scale(num, e, m), g.rule.ratio(j, num, e)))
+    return out
+
+
+twelfths = st.integers(0, 11).map(lambda k: Q(k, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(enum=permuted_enumerations(), slope=st.integers(0, 3), offset=st.integers(0, 40),
+       stages=st.dictionaries(st.integers(0, 80), st.one_of(st.just(NEVER), st.integers(0, 80)),
+                              max_size=8),
+       values=st.dictionaries(st.integers(0, 80), twelfths, max_size=6),
+       v=twelfths, u_share=st.integers(0, 12), stage=st.integers(0, 300),
+       extra=st.integers(-3, 3))
+def test_enumerate_domain_equals_the_per_index_reference(enum, slope, offset, stages, values,
+                                                         v, u_share, stage, extra):
+    """Prefix permutations, both schedule overrides (never among them) and value
+    overrides (at j = 0 too): the triples of the per-index reference, or, at a
+    scale too coarse for some point, the same ValueError."""
+    assume(stages.get(0, 0) is not NEVER)
+    schedule = StageSchedule(slope, offset, tuple(sorted(stages.items())))
+    rule = ValueRule((1 - v) * Q(u_share, 12), v, tuple(sorted(values.items())))
+    g = StagedPartialFunction(enum, schedule, rule)
+    m = max(0, max(stage.bit_length(), len(enum.prefix).bit_length()) + extra)
+    try:
+        want = reference_domain(g, stage, m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            enumerate_domain(g, stage, m)
+    else:
+        assert enumerate_domain(g, stage, m) == want
 
 
 @settings(max_examples=200, deadline=None)
