@@ -35,9 +35,10 @@ the parameters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+from .records import Record
 
 Q = Fraction
 
@@ -68,19 +69,17 @@ def _fraction_keys(q: Fraction, m: int) -> tuple[int, int]:
     return fl, fl + (r != 0)
 
 
-@dataclass(frozen=True)
-class _Dyadic:
+class _Dyadic(Record):
     """Fields and keys of the dyadic generators: with u = U / D, v = V / D and
     k = w*n, term(n) = u - V' / (D * 2**k), where V' = signs[n % 2] * V."""
 
-    u: Fraction
-    v: Fraction
-    w: int
+    _fields = ("u", "v", "w")
     signs = (1, 1)  # a class constant, not a field
 
-    def __post_init__(self) -> None:
-        if self.w < 1:
+    def __init__(self, u: Fraction, v: Fraction, w: int) -> None:
+        if w < 1:
             raise ValueError("decay rate w must be >= 1")
+        super().__init__(u, v, w)
 
     @cached_property
     def _pair(self) -> tuple[int, int, int, int]:
@@ -124,8 +123,8 @@ class _Dyadic:
 class AffineDyadic(_Dyadic):
     """term(n) = u - v * 2**(-w*n); all terms lie between u-v and u."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, u: Fraction, v: Fraction, w: int) -> None:
+        super().__init__(u, v, w)
         _check_unit(self.u, "affine-dyadic u")
         _check_unit(self.u - self.v, "affine-dyadic first term")
 
@@ -140,8 +139,8 @@ class AlternatingDyadic(_Dyadic):
 
     signs = (-1, 1)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, u: Fraction, v: Fraction, w: int) -> None:
+        super().__init__(u, v, w)
         if self.v < ZERO:
             raise ValueError("oscillation amplitude must be >= 0")
         _check_unit(self.u + self.v, "alternating-dyadic upper excursion")
@@ -153,17 +152,16 @@ class AlternatingDyadic(_Dyadic):
         return Q((u << k) + (v if n % 2 == 0 else -v), d << k)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """Explicit finite prefix followed by a constant tail."""
 
-    entries: tuple[Fraction, ...]
-    tail: Fraction
+    __slots__ = _fields = ("entries", "tail")
 
-    def __post_init__(self) -> None:
-        for i, e in enumerate(self.entries):
+    def __init__(self, entries: tuple[Fraction, ...], tail: Fraction) -> None:
+        for i, e in enumerate(entries):
             _check_unit(e, f"table entry {i}")
-        _check_unit(self.tail, "table tail")
+        _check_unit(tail, "table tail")
+        super().__init__(entries, tail)
 
     def term(self, n: int) -> Fraction:
         if n < len(self.entries):
@@ -178,13 +176,12 @@ class Table:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PrependGen:
-    head: Fraction
-    inner: object
+class PrependGen(Record):
+    __slots__ = _fields = ("head", "inner")
 
-    def __post_init__(self) -> None:
-        _check_unit(self.head, "prepended head")
+    def __init__(self, head: Fraction, inner: object) -> None:
+        _check_unit(head, "prepended head")
+        super().__init__(head, inner)
 
     def term(self, n: int) -> Fraction:
         if n == 0:
@@ -202,15 +199,19 @@ class PrependGen:
         return self.inner.settle(m) + 1
 
 
-@dataclass(frozen=True)
-class PrefixMaxGen:
+class PrefixMaxGen(Record):
     """Running maximum of inner; term(n) and keys(n, m) extend the maxima already computed."""
 
-    inner: object
-    # maxima[n] = max(inner.term(0..n)); key_maxima[m][n] = the running maximum
-    # of inner.keys(0..n, m); neither is part of equality, hash or repr
-    maxima: list = field(default_factory=list, compare=False, repr=False)
-    key_maxima: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("inner", "maxima", "key_maxima")
+    _fields = ("inner",)
+
+    def __init__(self, inner: object, maxima: list | None = None,
+                 key_maxima: dict | None = None) -> None:
+        super().__init__(inner)
+        # maxima[n] = max(inner.term(0..n)); key_maxima[m][n] = the running maximum
+        # of inner.keys(0..n, m); not fields, so not part of equality, hash or repr
+        object.__setattr__(self, "maxima", [] if maxima is None else maxima)
+        object.__setattr__(self, "key_maxima", {} if key_maxima is None else key_maxima)
 
     def term(self, n: int) -> Fraction:
         maxima = self.maxima
@@ -238,9 +239,11 @@ class PrefixMaxGen:
         return self.inner.settle(m) + 1
 
 
-@dataclass(frozen=True)
-class ComplementGen:
-    inner: object
+class ComplementGen(Record):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: object) -> None:
+        super().__init__(inner)
 
     def term(self, n: int) -> Fraction:
         return ONE - self.inner.term(n)
@@ -254,12 +257,13 @@ class ComplementGen:
         return self.inner.settle(m)
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(Record):
     """A term generator plus a kind claim, checked by check_kind_prefix."""
 
-    gen: object
-    kind: Kind = Kind.GENERAL
+    __slots__ = _fields = ("gen", "kind")
+
+    def __init__(self, gen: object, kind: Kind = Kind.GENERAL) -> None:
+        super().__init__(gen, kind)
 
     def term(self, n: int) -> Fraction:
         if n < 0:

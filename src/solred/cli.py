@@ -23,8 +23,6 @@ import argparse
 import functools
 import sys
 import time
-import traceback
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -157,7 +155,7 @@ def _exhausted_text(trace: ConstructionTrace) -> str:
 def _load(path: str, opts: dict) -> Scenario:
     """The scenario at path with each --depth, --stage-budget and --guard given applied."""
     overrides = {k: opts[k] for k in ("depth", "stage_budget", "guard") if opts.get(k) is not None}
-    return replace(load_scenario(path), **overrides)
+    return load_scenario(path).replace(**overrides)
 
 
 def _run_construct(path: str, opts: dict) -> dict:
@@ -241,6 +239,7 @@ def _run_one(command: str, path: str, opts: dict) -> dict:
         result = {"code": EXIT_INVALID, "stdout": "",
                   "stderr": f"{path}: {exc}\n", "payload": None}
     except Exception as exc:  # a fault in the program, never a verdict on the input
+        import traceback  # only here: exit 4 is the one user, and the import costs every run
         result = {"code": EXIT_INTERNAL, "stdout": "", "payload": None, "stderr":
                   f"{path}: internal error: {type(exc).__name__}: {exc}\n{traceback.format_exc()}"}
     elapsed = time.perf_counter() - start

@@ -82,20 +82,19 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
+from .records import Record
 from .scenario import MAX_STAGE_BUDGET
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class RequirementTuple:
+class RequirementTuple(Record):
     """A candidate ladder in integers: enumeration indices, points, g-values.
 
     Point k is points[k] / scale, at the ladder's least exact scale: the
@@ -109,22 +108,20 @@ class RequirementTuple:
     with the canonical scale the two build equal tuples for one ladder.
     """
 
-    indices: tuple[int, ...]
-    points: tuple[int, ...]
-    scale: int
-    values: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("indices", "points", "scale", "values")
 
-    def __post_init__(self) -> None:
-        if not (len(self.indices) == len(self.points) == len(self.values)):
+    def __init__(self, indices: tuple[int, ...], points: tuple[int, ...], scale: int,
+                 values: tuple[tuple[int, int], ...]) -> None:
+        if not (len(indices) == len(points) == len(values)):
             raise ValueError("ladder components must have equal length")
-        if len(self.indices) == 0:
+        if len(indices) == 0:
             raise ValueError("ladder must be nonempty")
-        if self.scale < 1 or any(q < 1 for _, q in self.values):
+        if scale < 1 or any(q < 1 for _, q in values):
             raise ValueError("the scale and every g-value denominator must be positive")
-        k = gcd(self.scale, *self.points)
+        k = gcd(scale, *points)
         if k > 1:
-            object.__setattr__(self, "points", tuple(x // k for x in self.points))
-            object.__setattr__(self, "scale", self.scale // k)
+            points, scale = tuple(x // k for x in points), scale // k
+        super().__init__(indices, points, scale, values)
 
     @property
     def ell(self) -> int:
@@ -169,21 +166,26 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
     return None
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    n: int
-    index: int                    # i_n into trace.target
-    value: Fraction               # a_n
-    b_value: Fraction             # b_{i_n}
-    tup: RequirementTuple | None  # None only for step 0
-    stage_found: int
+class StepRecord(Record):
+    """Step n: i_n into trace.target, a_n, b_{i_n}, the ladder (None only for
+    step 0) and the stage it was found at."""
+
+    __slots__ = _fields = ("n", "index", "value", "b_value", "tup", "stage_found")
+
+    def __init__(self, n: int, index: int, value: Fraction, b_value: Fraction,
+                 tup: RequirementTuple | None, stage_found: int) -> None:
+        super().__init__(n, index, value, b_value, tup, stage_found)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    steps: tuple[StepRecord, ...]
-    target: Approximation         # 0, then beta_approx: the sequence i_n indexes
-    exhausted: tuple[int, int] | None = None  # (failed step, stage budget)
+class ConstructionTrace(Record):
+    """The steps, the target they index (0, then beta_approx) and, when the
+    stage budget ran out, (the failed step, the stage budget)."""
+
+    __slots__ = _fields = ("steps", "target", "exhausted")
+
+    def __init__(self, steps: tuple[StepRecord, ...], target: Approximation,
+                 exhausted: tuple[int, int] | None = None) -> None:
+        super().__init__(steps, target, exhausted)
 
 
 class _Domain:
@@ -618,8 +620,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
         s = e
 
 
-@dataclass(frozen=True)
-class WitnessImage:
+class WitnessImage(Record):
     """The image n -> g(base.term(n)) under a stage budget.
 
     term(n) is (b_n, s, g(b_n)), b_n = base.term(n) read once and s its
@@ -628,9 +629,10 @@ class WitnessImage:
     stage lies past the budget.  Nothing is silently substituted.
     """
 
-    fn: StagedPartialFunction
-    base: object
-    stage_budget: int
+    __slots__ = _fields = ("fn", "base", "stage_budget")
+
+    def __init__(self, fn: StagedPartialFunction, base: object, stage_budget: int) -> None:
+        super().__init__(fn, base, stage_budget)
 
     def term(self, n: int) -> tuple[Fraction, int, Fraction] | None:
         hit = eval_staged(self.fn, q := self.base.term(n), self.stage_budget)

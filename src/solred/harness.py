@@ -14,7 +14,6 @@ citations, never as verdicts.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -61,17 +60,19 @@ MIRROR_CITATION = {
 }
 
 
-@dataclass
 class Report:
-    mode: str
-    scenario: str
-    parameters: dict
-    sections: dict = field(default_factory=dict)
-    citations: list = field(default_factory=list)
-    holds: int = 0
-    fails: int = 0
-    unknown: int = 0
-    exhausted: bool = False
+    """One mode's run on one scenario: its sections, citations and verdict counts."""
+
+    __slots__ = ("mode", "scenario", "parameters", "sections", "citations",
+                 "holds", "fails", "unknown", "exhausted")
+
+    def __init__(self, mode: str, scenario: str, parameters: dict, sections: dict | None = None,
+                 citations: list | None = None, holds: int = 0, fails: int = 0,
+                 unknown: int = 0, exhausted: bool = False) -> None:
+        self.mode, self.scenario, self.parameters = mode, scenario, parameters
+        self.sections = {} if sections is None else sections
+        self.citations = [] if citations is None else citations
+        self.holds, self.fails, self.unknown, self.exhausted = holds, fails, unknown, exhausted
 
     def add(self, name: str, body: dict, verdicts: Iterable[str] = ()) -> None:
         """Record a section and tally each verdict it reports."""

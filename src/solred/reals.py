@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+from .records import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,31 +72,30 @@ def certify(lhs_lo: int, lhs_hi: int, rhs_lo: int, rhs_hi: int, strict: bool) ->
     return S2aVerdict.UNKNOWN
 
 
-class ReferenceReal:
+class ReferenceReal(Record):
     """Base class for closed-form reals in [0, 1]; see module docstring."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ExactRational(ReferenceReal):
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        if not (ZERO <= self.value <= ONE):
-            raise ValueError(f"exact rational out of [0,1]: {self.value}")
+    def __init__(self, value: Fraction) -> None:
+        if not (ZERO <= value <= ONE):
+            raise ValueError(f"exact rational out of [0,1]: {value}")
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class AffineExponents:
+class AffineExponents(Record):
     """e_k = s*k + t with integer s >= 1, t >= 1 (strictly increasing)."""
 
-    s: int
-    t: int
+    __slots__ = _fields = ("s", "t")
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
+    def __init__(self, s: int, t: int) -> None:
+        if s < 1 or t < 1:
             raise ValueError("affine exponent family needs s >= 1 and t >= 1")
+        super().__init__(s, t)
 
     def exponent(self, k: int) -> int:
         return self.s * k + self.t
@@ -112,18 +112,18 @@ class AffineExponents:
         return max(0, -((self.t - bits) // self.s))
 
 
-@dataclass(frozen=True)
-class ListExponents:
+class ListExponents(Record):
     """Explicit finite strictly increasing positive exponent list."""
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[int, ...]) -> None:
         prev = 0
-        for e in self.values:
+        for e in values:
             if e <= prev:
                 raise ValueError("exponent list must be strictly increasing and positive")
             prev = e
+        super().__init__(values)
 
     def exponent(self, k: int) -> int:
         return self.values[k]
@@ -140,7 +140,6 @@ class ListExponents:
         return bisect_left(self.values, bits)
 
 
-@dataclass(frozen=True)
 class DyadicSeries(ReferenceReal):
     """Sum of 2**-e_k over the exponents.
 
@@ -150,7 +149,10 @@ class DyadicSeries(ReferenceReal):
     [N, N + 1] / 2**e_{k-1}, or the point N / 2**e_{k-1} once a list runs out.
     """
 
-    exponents: AffineExponents | ListExponents
+    __slots__ = _fields = ("exponents",)
+
+    def __init__(self, exponents: AffineExponents | ListExponents) -> None:
+        super().__init__(exponents)
 
     def _box(self, k: int, exhausted: bool) -> Interval:
         total = self.exponents.numerator(k)
@@ -174,25 +176,27 @@ class DyadicSeries(ReferenceReal):
         return self._box(j, True) if j == self.exponents.count() else self._box(j + 1, False)
 
 
-@dataclass(frozen=True)
 class Scale(ReferenceReal):
-    inner: ReferenceReal
-    factor: Fraction
+    __slots__ = _fields = ("inner", "factor")
 
-    def __post_init__(self) -> None:
-        if not (ZERO < self.factor <= ONE):
-            raise ValueError(f"scale factor must be in (0,1]: {self.factor}")
+    def __init__(self, inner: ReferenceReal, factor: Fraction) -> None:
+        if not (ZERO < factor <= ONE):
+            raise ValueError(f"scale factor must be in (0,1]: {factor}")
+        super().__init__(inner, factor)
 
 
-@dataclass(frozen=True)
 class Average(ReferenceReal):
-    left: ReferenceReal
-    right: ReferenceReal
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: ReferenceReal, right: ReferenceReal) -> None:
+        super().__init__(left, right)
 
 
-@dataclass(frozen=True)
 class Complement(ReferenceReal):
-    inner: ReferenceReal
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: ReferenceReal) -> None:
+        super().__init__(inner)
 
 
 def _refine(real: ReferenceReal, leaf, fn: int = 1, fd: int = 1) -> Interval:

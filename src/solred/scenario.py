@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -39,6 +38,7 @@ from .reals import (
     Scale,
     certify_in_open_unit,
 )
+from .records import Record
 from .witnesses import (
     DyadicEnumeration,
     S2aWitness,
@@ -71,18 +71,16 @@ _FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    alpha: ReferenceReal
-    beta: ReferenceReal
-    beta_approx: Approximation
-    solovay_witness: SolovayWitness | None
-    alpha_leftce_approx: Approximation | None
-    s2a_witness: S2aWitness | None
-    depth: int
-    stage_budget: int
-    guard: int
+class Scenario(Record):
+    __slots__ = _fields = ("name", "alpha", "beta", "beta_approx", "solovay_witness",
+                           "alpha_leftce_approx", "s2a_witness", "depth", "stage_budget", "guard")
+
+    def __init__(self, name: str, alpha: ReferenceReal, beta: ReferenceReal,
+                 beta_approx: Approximation, solovay_witness: SolovayWitness | None,
+                 alpha_leftce_approx: Approximation | None, s2a_witness: S2aWitness | None,
+                 depth: int, stage_budget: int, guard: int) -> None:
+        super().__init__(name, alpha, beta, beta_approx, solovay_witness,
+                         alpha_leftce_approx, s2a_witness, depth, stage_budget, guard)
 
 
 def parse_fraction(raw: object, where: str) -> Fraction:

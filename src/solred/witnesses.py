@@ -32,13 +32,13 @@ verdict, never flip one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .approximations import ONE, ZERO, Approximation, over_one_denominator
 from .reals import Interval, ReferenceReal, S2aVerdict, certify, enclose, left_cut_member
+from .records import Record
 
 Q = Fraction
 
@@ -80,24 +80,23 @@ def canonical_index(q: Fraction) -> int | None:
     return (1 << (level - 1)) + (q.numerator - 1) // 2
 
 
-@dataclass(frozen=True)
-class DyadicEnumeration:
+class DyadicEnumeration(Record):
     """Canonical dyadic order, optionally permuted on a finite prefix.
 
     ``prefix`` must be a permutation of the first len(prefix) canonical
     points and must keep 0 at index 0, so q_0 = 0 always holds.
     """
 
-    prefix: tuple[Fraction, ...] = ()
+    _fields = ("prefix",)
 
-    def __post_init__(self) -> None:
-        if not self.prefix:
-            return
-        if self.prefix[0] != ZERO:
-            raise ValueError("enumeration prefix must keep 0 at index 0")
-        expected = {canonical_point(j) for j in range(len(self.prefix))}
-        if set(self.prefix) != expected:  # the canonical points are distinct
-            raise ValueError("prefix must permute the first canonical points")
+    def __init__(self, prefix: tuple[Fraction, ...] = ()) -> None:
+        if prefix:
+            if prefix[0] != ZERO:
+                raise ValueError("enumeration prefix must keep 0 at index 0")
+            expected = {canonical_point(j) for j in range(len(prefix))}
+            if set(prefix) != expected:  # the canonical points are distinct
+                raise ValueError("prefix must permute the first canonical points")
+        super().__init__(prefix)
 
     @cached_property
     def _prefix_index(self) -> dict[Fraction, int]:
@@ -134,20 +133,19 @@ class DyadicEnumeration:
 NEVER = None  # stage value meaning "never defined"
 
 
-@dataclass(frozen=True)
-class StageSchedule:
+class StageSchedule(Record):
     """s_j = slope*j + offset with finite overrides; None means never."""
 
-    slope: int = 0
-    offset: int = 0
-    overrides: tuple[tuple[int, int | None], ...] = ()
+    _fields = ("slope", "offset", "overrides")
 
-    def __post_init__(self) -> None:
-        if self.slope < 0 or self.offset < 0:
+    def __init__(self, slope: int = 0, offset: int = 0,
+                 overrides: tuple[tuple[int, int | None], ...] = ()) -> None:
+        if slope < 0 or offset < 0:
             raise ValueError("stage schedule parameters must be >= 0")
-        for j, s in self.overrides:
+        for j, s in overrides:
             if j < 0 or (s is not None and s < 0):
                 raise ValueError("stage override out of range")
+        super().__init__(slope, offset, overrides)
 
     @cached_property
     def _override_map(self) -> dict[int, int | None]:
@@ -159,26 +157,25 @@ class StageSchedule:
         return self.slope * j + self.offset
 
 
-@dataclass(frozen=True)
-class ValueRule:
+class ValueRule(Record):
     """g(q_j) = u*q_j + v, with finite index-keyed table overrides.
 
     The affine part is validated to map [0,1) into [0,1):
     0 <= v < 1 and 0 <= u + v <= 1.
     """
 
-    u: Fraction = Q(1, 2)
-    v: Fraction = ZERO
-    overrides: tuple[tuple[int, Fraction], ...] = ()
+    _fields = ("u", "v", "overrides")
 
-    def __post_init__(self) -> None:
-        if not (ZERO <= self.v < ONE):
-            raise ValueError(f"affine value rule escapes [0,1) at 0: v={self.v}")
-        if not (ZERO <= self.u + self.v <= ONE):
-            raise ValueError(f"affine value rule escapes [0,1): u+v={self.u + self.v}")
-        for j, val in self.overrides:
+    def __init__(self, u: Fraction = Q(1, 2), v: Fraction = ZERO,
+                 overrides: tuple[tuple[int, Fraction], ...] = ()) -> None:
+        if not (ZERO <= v < ONE):
+            raise ValueError(f"affine value rule escapes [0,1) at 0: v={v}")
+        if not (ZERO <= u + v <= ONE):
+            raise ValueError(f"affine value rule escapes [0,1): u+v={u + v}")
+        for j, val in overrides:
             if j < 0 or not (ZERO <= val < ONE):
                 raise ValueError("value override out of range")
+        super().__init__(u, v, overrides)
 
     @cached_property
     def _override_map(self) -> dict[int, Fraction]:
@@ -202,39 +199,37 @@ class ValueRule:
         return a * num + b, q
 
 
-@dataclass(frozen=True)
-class StagedPartialFunction:
-    enumeration: DyadicEnumeration = field(default_factory=DyadicEnumeration)
-    schedule: StageSchedule = field(default_factory=StageSchedule)
-    rule: ValueRule = field(default_factory=ValueRule)
+class StagedPartialFunction(Record):
+    __slots__ = _fields = ("enumeration", "schedule", "rule")
 
-    def __post_init__(self) -> None:
-        if self.schedule.stage_of(0) is None:
+    # The default parts are records, immutable, so one instance of each serves every call.
+    def __init__(self, enumeration: DyadicEnumeration = DyadicEnumeration(),
+                 schedule: StageSchedule = StageSchedule(), rule: ValueRule = ValueRule()) -> None:
+        if schedule.stage_of(0) is None:
             raise ValueError("q_0 = 0 must become defined at some finite stage")
+        super().__init__(enumeration, schedule, rule)
 
     def value_at(self, j: int) -> Fraction:
         return Q(*self.rule.ratio(j, *self.enumeration.dyadic(j)))
 
 
-@dataclass(frozen=True)
-class SolovayWitness:
-    g: StagedPartialFunction
-    c: Fraction
+class SolovayWitness(Record):
+    __slots__ = _fields = ("g", "c")
 
-    def __post_init__(self) -> None:
-        if self.c <= ZERO:
-            raise ValueError(f"witness constant must be positive: {self.c}")
+    def __init__(self, g: StagedPartialFunction, c: Fraction) -> None:
+        if c <= ZERO:
+            raise ValueError(f"witness constant must be positive: {c}")
+        super().__init__(g, c)
 
 
-@dataclass(frozen=True)
-class S2aWitness:
-    alpha_approx: Approximation
-    beta_approx: Approximation
-    c: Fraction
+class S2aWitness(Record):
+    __slots__ = _fields = ("alpha_approx", "beta_approx", "c")
 
-    def __post_init__(self) -> None:
-        if self.c <= ZERO:
-            raise ValueError(f"witness constant must be positive: {self.c}")
+    def __init__(self, alpha_approx: Approximation, beta_approx: Approximation,
+                 c: Fraction) -> None:
+        if c <= ZERO:
+            raise ValueError(f"witness constant must be positive: {c}")
+        super().__init__(alpha_approx, beta_approx, c)
 
 
 def eval_staged(g: StagedPartialFunction, q: Fraction, stage: int) -> tuple[int, Fraction] | None:

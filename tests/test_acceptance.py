@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Q
 
 from solred import cli
@@ -148,7 +147,7 @@ def test_leftce_closure_stays_below_alpha_with_certified_gap(scenarios):
     for name in LEFTCE_WITNESS_NAMES:
         sc = scenarios[name]
         w = sc.solovay_witness
-        image = verify_prop1(replace(sc, depth=depth)).sections["image"]
+        image = verify_prop1(sc.replace(depth=depth)).sections["image"]
         closure = [Q(row["a_n"]) for row in image["terms"]]
         assert len(closure) == depth + 1, name
         assert closure == sorted(closure), name

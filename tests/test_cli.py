@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction as Q
 from pathlib import Path
@@ -206,7 +205,7 @@ def test_overrides_run_the_library_on_the_replaced_scenario(tmp_path, capsys, ar
         out = tmp_path / f"{len(given)}.json"
         options = [a for k in given for a in (f"--{k.replace('_', '-')}", str(_OVERRIDES[k]))]
         assert run(capsys, argv[0], str(path), *argv[1:], *options, "--out", str(out))[0] == 0
-        applied = replace(sc, **{k: _OVERRIDES[k] for k in given})
+        applied = sc.replace(**{k: _OVERRIDES[k] for k in given})
         assert out.read_bytes() == cli._dump(_library_payload(argv, applied))
         parameters = json.loads(out.read_bytes())["parameters"]
         for k in set(_OVERRIDES) & set(parameters):
@@ -824,4 +823,5 @@ def test_an_unwritable_payload_is_an_internal_error(tmp_path, capsys, monkeypatc
                        "--out", str(out))
     assert code == cli.EXIT_INTERNAL
     assert "internal error: TypeError: Object of type Fraction is not JSON serializable" in err
+    assert "\nTraceback (most recent call last):\n" in err
     assert not out.exists()

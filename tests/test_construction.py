@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -392,7 +391,7 @@ def test_prop1_image_work_is_pinned(monkeypatch):
         return real(self, n)
 
     monkeypatch.setattr(construction.WitnessImage, "term", counting)
-    report = verify_prop1(replace(load_scenario(corpus_path("linear_basic")), depth=40))
+    report = verify_prop1(load_scenario(corpus_path("linear_basic")).replace(depth=40))
     assert report.sections["image"]["evaluated_terms"] == 41
     assert report.sections["image"]["monotone_violation_at"] is None
     assert calls == 41
@@ -414,7 +413,7 @@ def test_each_report_checks_one_kind_claim(monkeypatch, verify, name):
         return real(a, n_max)
 
     monkeypatch.setattr(harness, "check_kind_prefix", counting)
-    report = verify(replace(load_scenario(corpus_path(name)), depth=40))
+    report = verify(load_scenario(corpus_path(name)).replace(depth=40))
     assert report.exit_code() == 0
     assert calls == [Kind.LEFT_CE]
 
@@ -544,8 +543,8 @@ def test_construction_inserts_each_point_once(monkeypatch):
     for s0, enters in ((0, 29), (7, 23)):
         entered.clear()
         domains.clear()
-        g = replace(w.g, schedule=replace(w.g.schedule, overrides=((0, s0),)))
-        trace = build_s2a_from_solovay(replace(w, g=g), sc.beta_approx, sc.depth,
+        g = w.g.replace(schedule=w.g.schedule.replace(overrides=((0, s0),)))
+        trace = build_s2a_from_solovay(w.replace(g=g), sc.beta_approx, sc.depth,
                                        sc.stage_budget)
         assert trace.steps[0].stage_found == s0 and trace.steps[1:] == shipped.steps[1:]
         assert [r.stage_found for r in trace.steps] == [s0, *FROZEN_HITS["linear_basic"][1][1:]]

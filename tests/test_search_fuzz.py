@@ -31,7 +31,6 @@ import heapq
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -723,7 +722,7 @@ def _entered_at(w, slope, budget, data, least_stage=0):
     """A domain of w's points with the schedule's slope replaced, in a drawn
     step with a gap limit of at least 2, entered to a drawn stage below the
     budget, with its stage-by-stage reference at the same stage."""
-    g = replace(w.g, schedule=replace(w.g.schedule, slope=slope))
+    g = w.g.replace(schedule=w.g.schedule.replace(slope=slope))
     domain = _Domain(g, prepended(_constant(Q(1, 2))), budget)
     domain.start_step(data.draw(st.integers(0, domain.m - 2)))
     ref = StageByStage(g, domain.m, domain.gap)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -533,7 +532,7 @@ def prop1_scenario(name, u, v, c):
     prop1_scenario("g_overshoots", "1", "0", "1"),
 ], ids=lambda sc: sc.name)
 def test_prop1_rows_equal_the_old_comparisons(scenario):
-    sections = verify_prop1(replace(scenario, depth=8)).sections
+    sections = verify_prop1(scenario.replace(depth=8)).sections
     for row in sections["below_alpha"]["steps"]:
         lo, hi = map(Q, row["alpha_enclosure"])
         assert row["verdict"] == old_below_alpha(Q(row["a_n"]), lo, hi)
