@@ -205,13 +205,12 @@ class PrefixMaxGen(Record):
     __slots__ = ("inner", "maxima", "key_maxima")
     _fields = ("inner",)
 
-    def __init__(self, inner: object, maxima: list | None = None,
-                 key_maxima: dict | None = None) -> None:
+    def __init__(self, inner: object) -> None:
         super().__init__(inner)
         # maxima[n] = max(inner.term(0..n)); key_maxima[m][n] = the running maximum
         # of inner.keys(0..n, m); not fields, so not part of equality, hash or repr
-        object.__setattr__(self, "maxima", [] if maxima is None else maxima)
-        object.__setattr__(self, "key_maxima", {} if key_maxima is None else key_maxima)
+        object.__setattr__(self, "maxima", [])
+        object.__setattr__(self, "key_maxima", {})
 
     def term(self, n: int) -> Fraction:
         maxima = self.maxima
@@ -241,9 +240,6 @@ class PrefixMaxGen(Record):
 
 class ComplementGen(Record):
     __slots__ = _fields = ("inner",)
-
-    def __init__(self, inner: object) -> None:
-        super().__init__(inner)
 
     def term(self, n: int) -> Fraction:
         return ONE - self.inner.term(n)

@@ -77,12 +77,7 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            prefix = sep + encode_basestring_ascii(key) + ": "
-            scalar = _SCALAR.get(type(item))
-            if scalar is None:
-                _write(item, prefix, inner, out)
-            else:
-                out.append(prefix + scalar(item))
+            _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out)
             sep = "," + inner
         out.append(nl + "}")
     elif type(value) is list or type(value) is tuple:
@@ -97,11 +92,7 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
             return
         sep = head + "[" + inner
         for item in value:
-            scalar = _SCALAR.get(type(item))
-            if scalar is None:
-                _write(item, sep, inner, out)
-            else:
-                out.append(sep + scalar(item))
+            _write(item, sep, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     else:

@@ -172,10 +172,6 @@ class StepRecord(Record):
 
     __slots__ = _fields = ("n", "index", "value", "b_value", "tup", "stage_found")
 
-    def __init__(self, n: int, index: int, value: Fraction, b_value: Fraction,
-                 tup: RequirementTuple | None, stage_found: int) -> None:
-        super().__init__(n, index, value, b_value, tup, stage_found)
-
 
 class ConstructionTrace(Record):
     """The steps, the target they index (0, then beta_approx) and, when the
@@ -630,9 +626,6 @@ class WitnessImage(Record):
     """
 
     __slots__ = _fields = ("fn", "base", "stage_budget")
-
-    def __init__(self, fn: StagedPartialFunction, base: object, stage_budget: int) -> None:
-        super().__init__(fn, base, stage_budget)
 
     def term(self, n: int) -> tuple[Fraction, int, Fraction] | None:
         hit = eval_staged(self.fn, q := self.base.term(n), self.stage_budget)

@@ -28,11 +28,10 @@ from .construction import (
 )
 from .errors import InvalidScenario
 from .oracle import oracle_min_hit
-from .reals import Complement, Interval, enclose
+from .reals import Complement, Interval, certify, enclose
 from .scenario import Scenario, format_fraction
 from .witnesses import (
     S2aStepCheck,
-    certify,
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
@@ -66,13 +65,11 @@ class Report:
     __slots__ = ("mode", "scenario", "parameters", "sections", "citations",
                  "holds", "fails", "unknown", "exhausted")
 
-    def __init__(self, mode: str, scenario: str, parameters: dict, sections: dict | None = None,
-                 citations: list | None = None, holds: int = 0, fails: int = 0,
-                 unknown: int = 0, exhausted: bool = False) -> None:
+    def __init__(self, mode: str, scenario: str, parameters: dict) -> None:
         self.mode, self.scenario, self.parameters = mode, scenario, parameters
-        self.sections = {} if sections is None else sections
-        self.citations = [] if citations is None else citations
-        self.holds, self.fails, self.unknown, self.exhausted = holds, fails, unknown, exhausted
+        self.sections, self.citations = {}, []
+        self.holds = self.fails = self.unknown = 0
+        self.exhausted = False
 
     def add(self, name: str, body: dict, verdicts: Iterable[str] = ()) -> None:
         """Record a section and tally each verdict it reports."""

@@ -41,6 +41,7 @@ from .records import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+OPEN_UNIT_BUDGET = 64  # refinement ticks certify_in_open_unit spends on each side
 
 
 class Interval(NamedTuple):
@@ -151,9 +152,6 @@ class DyadicSeries(ReferenceReal):
 
     __slots__ = _fields = ("exponents",)
 
-    def __init__(self, exponents: AffineExponents | ListExponents) -> None:
-        super().__init__(exponents)
-
     def _box(self, k: int, exhausted: bool) -> Interval:
         total = self.exponents.numerator(k)
         return Interval(total, total + (not exhausted),
@@ -188,15 +186,9 @@ class Scale(ReferenceReal):
 class Average(ReferenceReal):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: ReferenceReal, right: ReferenceReal) -> None:
-        super().__init__(left, right)
-
 
 class Complement(ReferenceReal):
     __slots__ = _fields = ("inner",)
-
-    def __init__(self, inner: ReferenceReal) -> None:
-        super().__init__(inner)
 
 
 def _refine(real: ReferenceReal, leaf, fn: int = 1, fd: int = 1) -> Interval:
@@ -266,7 +258,7 @@ def left_cut_member(real: ReferenceReal, q: Fraction, budget: int) -> S2aVerdict
     return S2aVerdict.UNKNOWN
 
 
-def certify_in_open_unit(real: ReferenceReal, budget: int = 64) -> bool:
-    """True when refinement certifies 0 < value and 0 < 1 - value within the budget."""
-    return all(left_cut_member(r, ZERO, budget) is S2aVerdict.HOLDS
+def certify_in_open_unit(real: ReferenceReal) -> bool:
+    """True when refinement certifies 0 < value and 0 < 1 - value within OPEN_UNIT_BUDGET ticks."""
+    return all(left_cut_member(r, ZERO, OPEN_UNIT_BUDGET) is S2aVerdict.HOLDS
                for r in (real, Complement(real)))

@@ -75,13 +75,6 @@ class Scenario(Record):
     __slots__ = _fields = ("name", "alpha", "beta", "beta_approx", "solovay_witness",
                            "alpha_leftce_approx", "s2a_witness", "depth", "stage_budget", "guard")
 
-    def __init__(self, name: str, alpha: ReferenceReal, beta: ReferenceReal,
-                 beta_approx: Approximation, solovay_witness: SolovayWitness | None,
-                 alpha_leftce_approx: Approximation | None, s2a_witness: S2aWitness | None,
-                 depth: int, stage_budget: int, guard: int) -> None:
-        super().__init__(name, alpha, beta, beta_approx, solovay_witness,
-                         alpha_leftce_approx, s2a_witness, depth, stage_budget, guard)
-
 
 def parse_fraction(raw: object, where: str) -> Fraction:
     if not isinstance(raw, str):

@@ -23,11 +23,10 @@ approximations and a constant; the claimed relation between them is
 checked prefix-wise against reference reals via enclosures.
 
 All checkers are budgeted and three-valued: each verdict comes from one
-kernel, ``certify`` (defined in reals and re-exported here), which
-decides an inequality from interval endpoints as Holds, Fails or
-Unknown, on integers: each side of an inequality over one denominator,
-cross-multiplied.  More budget can only move Unknown to a certified
-verdict, never flip one.
+kernel, ``reals.certify``, which decides an inequality from interval
+endpoints as Holds, Fails or Unknown, on integers: each side of an
+inequality over one denominator, cross-multiplied.  More budget can only
+move Unknown to a certified verdict, never flip one.
 """
 from __future__ import annotations
 
@@ -114,9 +113,6 @@ class DyadicEnumeration(Record):
 
     def scaled(self, j: int, m: int) -> int:
         """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""
-        level = j.bit_length()
-        if 0 < level <= m and j >= len(self.prefix):  # canonical_dyadic(j), inline
-            return (2 * j + 1 - (1 << level)) << (m - level)
         return _at_scale(*self.dyadic(j), m)
 
     def point(self, j: int) -> Fraction:

@@ -22,6 +22,7 @@ from solred.approximations import (
     Table,
 )
 from solred.construction import ConstructionTrace, RequirementTuple, StepRecord, WitnessImage
+from solred.harness import Report
 from solred.reals import (
     AffineExponents,
     Average,
@@ -118,8 +119,13 @@ FROZEN = [
 
 @pytest.mark.parametrize("cls, args, changes, error", FROZEN, ids=[c[0].__name__ for c in FROZEN])
 def test_frozen_records_are_values_that_replace_validates(cls, args, changes, error):
+    """Fields bind by position, by keyword in any order, or mixed: all give equal records."""
+    named = list(zip(cls._fields, args))
     a, b = cls(*args), cls(*args)
     assert a is not b and a == b and hash(a) == hash(b)
+    for other in (cls(**dict(named)), cls(**dict(reversed(named))),
+                  cls(*args[:1], **dict(reversed(named[1:])))):
+        assert other == a and hash(other) == hash(a)
     assert copy.copy(a) == a and copy.deepcopy(a) == a
     for name in cls._fields:
         with pytest.raises(AttributeError):
@@ -141,6 +147,22 @@ def test_frozen_records_are_values_that_replace_validates(cls, args, changes, er
     assert str(replaced.value) == error
 
 
+BOUND_BY_RECORD = [case[:2] for case in FROZEN if case[0].__init__ is Record.__init__]
+
+
+@pytest.mark.parametrize("cls, args", BOUND_BY_RECORD, ids=[c[0].__name__ for c in BOUND_BY_RECORD])
+def test_record_init_takes_each_field_exactly_once(cls, args):
+    """A record without its own __init__ names its fields when one is missing,
+    extra or given twice."""
+    first = cls._fields[0]
+    calls = [lambda: cls(*args[:-1]), lambda: cls(*args, args[-1]),
+             lambda: cls(*args, extra=None), lambda: cls(*args, **{first: args[0]}),
+             lambda: cls(**{**dict(zip(cls._fields[1:], args[1:])), "extra": args[0]})]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"{cls.__name__}\\({', '.join(cls._fields)}\\)"):
+            call()
+
+
 def test_every_record_class_is_covered():
     """Each record class of solred with fields, bar the _Dyadic base of two covered ones."""
     found, todo = set(), [Record]
@@ -157,6 +179,23 @@ def test_records_equal_only_records_of_the_same_type():
     assert affine != alternating and alternating != affine
     assert ComplementGen(affine) != Complement(affine)
     assert affine != (Q(1, 2), Q(1, 4), 1)
+
+
+def test_prefix_max_replace_and_copies_start_with_their_own_empty_caches():
+    gen = PrefixMaxGen(_dyadic())
+    assert gen.term(3) == Q(15, 32) and gen.keys(3, 4) == (7, 8)
+    for other in (PrefixMaxGen(gen.inner), gen.replace(), copy.copy(gen), copy.deepcopy(gen)):
+        assert other == gen and (other.maxima, other.key_maxima) == ([], {})
+        assert other.term(1) == Q(3, 8) and len(gen.maxima) == 4 and len(other.maxima) == 2
+
+
+def test_a_new_report_has_empty_sections_and_zero_tallies():
+    first = Report("mirror", "linear_basic", {"depth": 3})
+    first.add("step", {"verdict": "fails"}, ["fails"])
+    report = Report("mirror", "linear_basic", {"depth": 3})
+    assert (report.sections, report.citations) == ({}, [])
+    assert report.payload()["summary"] == {"holds": 0, "fails": 0, "unknown": 0,
+                                           "exhausted": False, "overall": "pass"}
 
 
 def test_requirement_tuple_normalizes_through_init_and_replace():

@@ -17,6 +17,7 @@ from solred.reals import (
     ExactRational,
     Interval,
     ListExponents,
+    certify,
     enclose,
 )
 from solred.scenario import parse_scenario
@@ -34,7 +35,6 @@ from solred.witnesses import (
     canonical_dyadic,
     canonical_index,
     canonical_point,
-    certify,
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
