@@ -8,9 +8,10 @@ Three subcommands over scenario JSON files:
 
 Payloads are deterministic: byte-identical across reruns with equal
 inputs and overrides, in the format of ``json.dumps(payload, indent=2)``
-plus a newline, which ``_dump`` writes directly.  Timing goes to
-standard error only, marked non-deterministic, so it never contaminates
-an output file.  Exit codes:
+plus a newline, which ``_dump`` writes directly, and only for a file
+that --out names: standard output is the same without it.  Timing goes
+to standard error only, marked non-deterministic, so it never
+contaminates an output file.  Exit codes:
 0 all checks hold / full success, 1 any certified failure, 2 any
 Unknown or budget exhaustion (and none failed), 3 invalid input (a
 malformed command line, or an --out that cannot be written or that
@@ -149,8 +150,7 @@ def _load(path: str, opts: dict) -> Scenario:
     return load_scenario(path).replace(**overrides)
 
 
-def _run_construct(path: str, opts: dict) -> dict:
-    sc = _load(path, opts)
+def _run_construct(sc: Scenario, opts: dict) -> dict:
     if sc.solovay_witness is None:
         raise InvalidScenario("construct needs a scenario with a solovay_witness")
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
@@ -160,12 +160,10 @@ def _run_construct(path: str, opts: dict) -> dict:
         code, err = EXIT_OK, ""
     else:
         code, err = EXIT_INCONCLUSIVE, f"{sc.name}: {_exhausted_text(trace)}\n"
-    return {"code": code, "stdout": _construct_text(payload), "stderr": err,
-            "payload": _dump(payload)}
+    return {"code": code, "stdout": _construct_text(payload), "stderr": err, "payload": payload}
 
 
-def _run_verify(path: str, opts: dict) -> dict:
-    sc = _load(path, opts)
+def _run_verify(sc: Scenario, opts: dict) -> dict:
     mode = opts["mode"]
     # Each mode by name, not from a dict: the perfbench tracer rebinds these module names.
     if mode == "construction":
@@ -179,11 +177,10 @@ def _run_verify(path: str, opts: dict) -> dict:
     else:  # solovay-check: argparse's choices admit no other mode
         report = verify_solovay_grid(sc)
     return {"code": report.exit_code(), "stdout": report.to_text(), "stderr": "",
-            "payload": _dump(report.payload())}
+            "payload": report.payload()}
 
 
-def _run_oracle(path: str, opts: dict) -> dict:
-    sc = _load(path, opts)
+def _run_oracle(sc: Scenario, opts: dict) -> dict:
     if sc.solovay_witness is None:
         raise InvalidScenario("oracle needs a scenario with a solovay_witness")
     n = opts["step"]
@@ -216,16 +213,22 @@ def _run_oracle(path: str, opts: dict) -> dict:
                 f"hit        stage {hit.stage_found}, i {hit.index}, "
                 f"ladder length {hit.tup.ell}\n")
         code = EXIT_OK
-    return {"code": code, "stdout": text, "stderr": "", "payload": _dump(payload)}
+    return {"code": code, "stdout": text, "stderr": "", "payload": payload}
 
 
+# Each runs one command on a loaded scenario and returns its payload as an object, or None.
 _RUNNERS = {"construct": _run_construct, "verify": _run_verify, "oracle": _run_oracle}
 
 
-def _run_one(command: str, path: str, opts: dict) -> dict:
+def _run_one(command: str, path: str, opts: dict, encode: bool) -> dict:
+    """One file's exit code, stdout and stderr, and its payload's bytes when
+    encode and it has a payload, else None.  The encoding is timed with the
+    run, and a payload that cannot be encoded is an internal error."""
     start = time.perf_counter()
     try:
-        result = _RUNNERS[command](path, opts)
+        result = _RUNNERS[command](_load(path, opts), opts)
+        payload = result["payload"]
+        result["payload"] = _dump(payload) if encode and payload is not None else None
     except (ScenarioError, InvalidScenario) as exc:
         result = {"code": EXIT_INVALID, "stdout": "",
                   "stderr": f"{path}: {exc}\n", "payload": None}
@@ -266,11 +269,11 @@ def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
             return _cannot_write(args.out, exc)
     codes = []
     for path, target in zip(paths, targets):  # each file's output, before the next file runs
-        res = _run_one(command, path, opts)
+        res = _run_one(command, path, opts, target is not None)
         sys.stdout.write(res["stdout"])
         sys.stderr.write(res["stderr"])
         codes.append(res["code"])
-        if target is not None and res["payload"] is not None:
+        if res["payload"] is not None:
             try:
                 target.write_bytes(res["payload"])
             except OSError as exc:

@@ -15,8 +15,8 @@ function is given declaratively:
 The enumeration gives each point as an integer pair, q_j = numerator /
 2**exponent, and the value rule turns it into g(q_j) as one unreduced
 integer pair.  The search and the oracle read points only as integers
-at a power-of-two scale; point(j) and canonical_point(j) are the
-Fraction views of the pair.
+at a power-of-two scale; canonical_point(j) is the Fraction view of
+the canonical pair.
 
 An approximation-pair witness (S2aWitness) is two computable
 approximations and a constant; the claimed relation between them is
@@ -114,10 +114,6 @@ class DyadicEnumeration(Record):
     def scaled(self, j: int, m: int) -> int:
         """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""
         return _at_scale(*self.dyadic(j), m)
-
-    def point(self, j: int) -> Fraction:
-        numerator, exponent = self.dyadic(j)
-        return Q(numerator, 1 << exponent)
 
     def index_of(self, q: Fraction) -> int | None:
         # The prefix permutes the first canonical points, so a point

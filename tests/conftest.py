@@ -34,6 +34,12 @@ def corpus_path(name: str) -> Path:
     return CORPUS / f"{name}.json"
 
 
+def point(enumeration: DyadicEnumeration, j: int) -> Fraction:
+    """q_j as a Fraction, from its integer pair."""
+    numerator, exponent = enumeration.dyadic(j)
+    return Fraction(numerator, 1 << exponent)
+
+
 def box_fractions(box) -> tuple[Fraction, Fraction]:
     """An integer enclosure (lo, hi, d) as its two Fraction endpoints."""
     return Fraction(box.lo, box.d), Fraction(box.hi, box.d)
@@ -109,19 +115,15 @@ def nested_generator_text(levels: int, kind: str) -> str:
 
 
 def count_fraction_points(monkeypatch) -> dict[str, int]:
-    """Count calls of the two Fraction views of a domain point from now on."""
-    calls = {"canonical_point": 0, "point": 0}
+    """Count calls of canonical_point, the library's Fraction view of a domain
+    point, from now on."""
+    calls = {"canonical_point": 0}
+    real = witnesses.canonical_point
 
-    def counting(owner, name):
-        real = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(witnesses, "canonical_point")
-    counting(DyadicEnumeration, "point")
+    def counting(j):
+        calls["canonical_point"] += 1
+        return real(j)
+    monkeypatch.setattr(witnesses, "canonical_point", counting)
     return calls
 
 

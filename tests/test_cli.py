@@ -463,9 +463,9 @@ def test_each_payload_is_written_before_the_next_file_runs(tmp_path, capsys, mon
     seen = []
     real = cli._run_one
 
-    def run_one(command, path, opts):
+    def run_one(command, path, opts, encode):
         seen.append(sorted(p.name for p in out.iterdir()))
-        return real(command, path, opts)
+        return real(command, path, opts, encode)
 
     monkeypatch.setattr(cli, "_run_one", run_one)
     code, _, _ = run(capsys, "verify", *paths, "--mode", "solovay-check", "--out", str(out))
@@ -521,10 +521,10 @@ def test_internal_error_exits_4_without_payload(tmp_path, capsys, monkeypatch):
     broken = str(corpus_path("table_tail"))
     real = cli._RUNNERS["verify"]
 
-    def runner(path, opts):
-        if path == broken:
+    def runner(sc, opts):
+        if sc.name == "table_tail":
             raise RuntimeError("lost a ladder")
-        return real(path, opts)
+        return real(sc, opts)
 
     monkeypatch.setitem(cli._RUNNERS, "verify", runner)
     out = tmp_path / "reports"
@@ -697,6 +697,41 @@ def test_writer_matches_json_dumps_on_every_corpus_payload(tmp_path, capsys, mon
             assert out.read_bytes() == written[-1]
         else:  # the oracle finds no hit on invalid_small_c within its budget
             assert (name, argv[0], code) == ("invalid_small_c", "oracle", 2)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_payload_is_encoded_only_for_a_file_that_out_names(tmp_path, capsys, monkeypatch,
+                                                             name):
+    """Without --out no payload is encoded; with it, one per file written.  The exit
+    code, stdout and stderr (less its timing) are the same either way."""
+    encoded = []
+    real = cli._dump
+    monkeypatch.setattr(cli, "_dump", lambda payload: encoded.append(payload) or real(payload))
+    out = tmp_path / "payload.json"
+    for argv in payload_runs(name):
+        argv = [argv[0], str(corpus_path(name)), *argv[1:]]
+        code, text, err = run(capsys, *argv)
+        assert encoded == [], argv
+        out.unlink(missing_ok=True)
+        code_out, text_out, err_out = run(capsys, *argv, "--out", str(out))
+        assert len(encoded) == out.exists(), argv
+        encoded.clear()
+        assert (code, text, TIMING.sub("", err)) == (code_out, text_out, TIMING.sub("", err_out))
+
+
+def test_several_files_encode_one_payload_per_file_written(tmp_path, capsys, monkeypatch):
+    """mirror_geometric has no Solovay witness to construct from, so it writes nothing."""
+    encoded = []
+    real = cli._dump
+    monkeypatch.setattr(cli, "_dump", lambda payload: encoded.append(payload) or real(payload))
+    argv = ["construct", *(str(corpus_path(n)) for n in
+                           ("table_tail", "mirror_geometric", "linear_basic")), "--depth", "1"]
+    code, text, _ = run(capsys, *argv)
+    assert (code, encoded) == (3, [])
+    out = tmp_path / "traces"
+    assert run(capsys, *argv, "--out", str(out))[:2] == (code, text)
+    assert sorted(p.name for p in out.iterdir()) == ["linear_basic.json", "table_tail.json"]
+    assert [payload["scenario"] for payload in encoded] == ["table_tail", "linear_basic"]
 
 
 VERDICTS = {"holds": "holds", "fails": "fails", "fails_lower": "fails", "fails_upper": "fails",

@@ -509,7 +509,7 @@ def test_construction_builds_no_fraction_point(monkeypatch):
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
                                    sc.stage_budget)
     assert trace.steps[-1].stage_found == 9214
-    assert calls == {"canonical_point": 0, "point": 0}
+    assert calls == {"canonical_point": 0}
 
 
 def test_construction_inserts_each_point_once(monkeypatch):

@@ -233,7 +233,7 @@ def test_enumeration_prefix_must_be_a_permutation_prefix(base):
         parse(base)
     base["solovay_witness"]["enumeration"] = {"prefix": ["0", "1/4", "1/2"]}
     sc = parse(base)
-    assert sc.solovay_witness.g.enumeration.point(1) == Q(1, 4)
+    assert sc.solovay_witness.g.enumeration.dyadic(1) == (1, 2)
 
 
 def test_unknown_generator_and_real_kinds(base):

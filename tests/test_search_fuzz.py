@@ -9,7 +9,8 @@ the oracle's stage shell is also run with the plain backtracking ladder
 enumerator kept below as a reference, fed Fraction points rebuilt from
 the shell's integers, and all three must agree.  A full construction, whose
 steps share one domain at one scale, swept forward once, must give the
-steps of a chain of standalone searches, whose stages never decrease.
+steps of a chain of standalone searches, whose stages never decrease,
+and each of its steps, and the step it exhausts at, must be the oracle's.
 The integer keys the search compares target values by must order every
 value against every dyadic point exactly as the rationals do, and the
 reach the domain keeps incrementally must equal a fresh walk from 0,
@@ -69,7 +70,7 @@ from solred.witnesses import (
     enumerate_domain,
 )
 
-from conftest import TwoTail, integer_ladder, prepended, probe_bound
+from conftest import TwoTail, integer_ladder, point, prepended, probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -93,7 +94,7 @@ def staged_witnesses(draw):
     # Small nudges off the affine value make a point fail clause (v) against
     # some finals but not others; wild values break it outright.
     nudges = draw(st.dictionaries(st.integers(0, 26), st.integers(-6, 6), max_size=6))
-    table = {j: min(max(u * enumeration.point(j) + Q(d, 128), ZERO), Q(127, 128))
+    table = {j: min(max(u * point(enumeration, j) + Q(d, 128), ZERO), Q(127, 128))
              for j, d in nudges.items()}
     table.update(draw(st.dictionaries(st.integers(0, 40), dyadics, max_size=2)))
     rule = ValueRule(u, ZERO, tuple(sorted(table.items())))
@@ -342,7 +343,7 @@ def test_candidates_at_one_cut_with_different_windows_get_their_own_ladders():
     """
     w = ZEROED
     b = prepended(_table((Q(3, 8), Q(5, 16))))
-    points = sorted(w.g.enumeration.point(j) for j in range(10))
+    points = sorted(point(w.g.enumeration, j) for j in range(10))
     gap = Q(1, 4)
     positions = [(bisect_left(points, bi), bisect_right(points, bi - gap))
                  for bi in (b.term(1), b.term(2))]
@@ -537,6 +538,38 @@ def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget
     trace = build_s2a_from_solovay(w, raw, depth, budget)
     assert trace.steps == tuple(chain)  # stage_found, index, tup, a_n and b_i of every step
     assert trace.exhausted == exhausted
+
+
+# 300 examples: each builds to depth 8 and replays every step in the oracle,
+# which probes about 2 * log2(budget) stages per step.
+@settings(FUZZ, max_examples=300)
+# Seven steps hit, at stages up to 445; step 8 needs the points of denominator 2**10.
+@example(w=_halving_witness(schedule=StageSchedule(0, 0)),
+         raw=Approximation(AffineDyadic(Q(3, 4), Q(3, 4), 1), Kind.LEFT_CE), budget=600)
+# Stage 9 inserts 3/16, the slot just below b_4 = 7/32 at scale 2**4, which must
+# wake the missed candidate 4: step 1 hits there with (0, 1/16, 3/16).
+@example(w=SolovayWitness(StagedPartialFunction(
+             DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO, ((4, ZERO),))),
+             Q(3, 16)),
+         raw=Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE), budget=9)
+# Past the settle index the target alternates above and below 1/4.  Step 5 hits
+# index 8, two past step 4's index 6: a routing bound one lower stops at 7.
+@example(w=SolovayWitness(StagedPartialFunction(
+             DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO)), Q(1, 4)),
+         raw=Approximation(AlternatingDyadic(Q(1, 4), Q(1, 8), 2)), budget=78)
+@given(w=staged_witnesses(), raw=targets, budget=st.integers(8, 600))
+def test_a_whole_construction_equals_the_oracle(w, raw, budget):
+    """Every step of a construction to depth 8 is the oracle's minimal hit, and
+    the step it exhausts at, if any, has no hit within the budget."""
+    trace = build_s2a_from_solovay(w, raw, 8, budget)
+    for prev, rec in zip(trace.steps, trace.steps[1:]):
+        assert oracle_min_hit(rec.n, prev.index, w, trace.target, budget) == rec
+    k = len(trace.steps)  # the first step not built
+    if trace.exhausted is None:
+        assert k == 9
+    else:
+        assert trace.exhausted == (k, budget) and k >= 1
+        assert oracle_min_hit(k, trace.steps[-1].index, w, trace.target, budget) is None
 
 
 @settings(FUZZ, max_examples=200)
