@@ -32,6 +32,7 @@ from .errors import InvalidScenario, ScenarioError
 from .harness import (
     ORACLE_DEPTH,
     ladder_payload,
+    row_table,
     trace_payload,
     verify_construction,
     verify_mirror,
@@ -65,7 +66,7 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
     its first chunk; nl is a newline and the indent of value's own line.
     Each dict entry or list element is one chunk, a scalar joined onto its
     key, except that a list whose items all have the one exact type str or
-    int is one chunk, written in one join."""
+    int, or a row table, is one chunk, written in one join."""
     scalar = _SCALAR.get(type(value))
     if scalar is not None:
         out.append(head + scalar(value))
@@ -91,6 +92,13 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
             out.append(head + "[" + inner + ("," + inner).join(map(_SCALAR[types.pop()], value))
                        + nl + "]")
             return
+        table = row_table(value)
+        if table is not None:
+            shape, columns = table
+            texts = [map(_SCALAR[type(column[0])], column) for column in columns]
+            out.append(head + "[" + inner + ("," + inner).join(
+                map(_row_template(shape, inner).__mod__, zip(*texts))) + nl + "]")
+            return
         sep = head + "[" + inner
         for item in value:
             _write(item, sep, inner, out)
@@ -100,22 +108,36 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _dump(payload: dict) -> bytes:
-    """(json.dumps(payload, indent=2) + "\\n").encode("ascii"), written directly.
+def _row_template(shape: list[tuple[str, int]], nl: str) -> str:
+    """The % template of one row of a row table, as _write writes a dict at nl."""
+    inner, deeper = nl + "  ", nl + "    "
+    entries = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+               + ("[" + deeper + ("," + deeper).join(["%s"] * length) + inner + "]"
+                  if length else "%s")
+               for key, length in shape]
+    return "{" + inner + ("," + inner).join(entries) + nl + "}"
+
+
+def _dump(payload: dict) -> list[str]:
+    """The chunks of json.dumps(payload, indent=2) + "\\n", written directly.
 
     With an indent, json.dumps always runs its pure-Python encoder; this
     keeps its format (two-space indent, "," and ": ", {} and [] when
     empty, strings through json's own C encoder) at about twice its
     speed.  A list of items of the one exact type str or int, such as a
-    ladder's indices, points and values, is written in one join.  A
-    payload holds only dicts with str keys, lists, str, int, bool and
-    None: exact rationals are already strings.  Anything else, a float,
-    a Fraction or a subclass of str or int, raises TypeError.
+    ladder's indices, points and values, is written in one join, and so
+    is a row table (see harness.row_table), such as a report's per-step
+    rows: one % template per table, filled from each row's column texts.
+    The caller writes the chunks to the payload file as they are, never
+    joined into one string.  A payload holds only dicts with str keys,
+    lists, str, int, bool and None: exact rationals are already strings.
+    Anything else, a float, a Fraction or a subclass of str or int,
+    raises TypeError.
     """
     out: list[str] = []
     _write(payload, "", "\n", out)
     out.append("\n")
-    return "".join(out).encode("ascii")
+    return out
 
 
 def _construct_text(payload: dict) -> str:
@@ -221,7 +243,7 @@ _RUNNERS = {"construct": _run_construct, "verify": _run_verify, "oracle": _run_o
 
 
 def _run_one(command: str, path: str, opts: dict, encode: bool) -> dict:
-    """One file's exit code, stdout and stderr, and its payload's bytes when
+    """One file's exit code, stdout and stderr, and its payload's chunks when
     encode and it has a payload, else None.  The encoding is timed with the
     run, and a payload that cannot be encoded is an internal error."""
     start = time.perf_counter()
@@ -275,7 +297,8 @@ def _execute(command: str, args: argparse.Namespace, opts: dict) -> int:
         codes.append(res["code"])
         if res["payload"] is not None:
             try:
-                target.write_bytes(res["payload"])
+                with open(target, "wb") as fh:  # each chunk is ASCII text
+                    fh.writelines(map(str.encode, res["payload"]))
             except OSError as exc:
                 codes.append(_cannot_write(target, exc))
     return worst_exit(codes)

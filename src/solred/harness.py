@@ -136,9 +136,66 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+_TABLE_SCALARS = {str, int, bool, type(None)}
+
+
+def row_table(rows: list) -> tuple[list[tuple[str, int]], list[tuple]] | None:
+    """The shape and columns of rows if it is a row table, else None.
+
+    A row table is a list of two or more dicts with one nonempty sequence
+    of str keys, in which each key's values have one exact type: str,
+    int, bool, None, or a list of str of one length, at least 1, in every
+    row.  The shape is each key with its list length, 0 for a scalar; the
+    columns are one tuple of values per scalar key and per list position,
+    in key order.  Both writers, Report.to_text and cli._dump, write a row
+    table as one join of a per-table template.
+    """
+    if (len(rows) < 2 or type(rows[0]) is not dict or not rows[0]
+            or set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1):
+        return None
+    shape, columns = [], []
+    for key, column in zip(rows[0], zip(*map(dict.values, rows))):
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or type(key) is not str:
+            return None
+        if kind is list:
+            positions = list(zip(*column))
+            if (not positions or set(map(len, column)) != {len(positions)}
+                    or any(set(map(type, p)) != {str} for p in positions)):
+                return None
+            shape.append((key, len(positions)))
+            columns += positions
+        elif kind in _TABLE_SCALARS:
+            shape.append((key, 0))
+            columns.append(column)
+        else:
+            return None
+    return shape, columns
+
+
+def _table_text(shape: list[tuple[str, int]], columns: list[tuple], indent: str) -> str:
+    """A row table's lines as _section_lines writes them, in one join."""
+    width, deeper = max(len(key) for key, _ in shape), "\n" + indent + "  "
+    columns, template, at = list(columns), "", 0
+    for key, length in shape:
+        at += length or 1
+        if not length:
+            template += "\n" + indent + key.ljust(width).replace("%", "%%") + "  %s"
+            continue
+        template += "\n" + indent + key.replace("%", "%%") + ":" + (deeper + "%s") * length
+        if "-" in columns[at - 1]:  # the walk drops a list's last item "-", and its line
+            template = template[:-len(deeper) - 2] + "%s"
+            columns[at - 1] = ["" if s == "-" else deeper + s for s in columns[at - 1]]
+    return ("\n" + indent + "-\n").join(map(template[1:].__mod__, zip(*columns)))
+
+
 def _section_lines(body: object, indent: str = "  ") -> list[str]:
     out: list[str] = []
-    if isinstance(body, dict):
+    table = row_table(body) if type(body) is list else None
+    if table is not None:
+        out.append(_table_text(*table, indent))
+    elif isinstance(body, dict):
         width = max((len(str(k)) for k in body), default=0)
         for k, v in body.items():
             if isinstance(v, (dict, list)):

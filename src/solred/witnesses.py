@@ -116,10 +116,10 @@ class DyadicEnumeration(Record):
         return _at_scale(*self.dyadic(j), m)
 
     def index_of(self, q: Fraction) -> int | None:
-        # The prefix permutes the first canonical points, so a point
-        # outside it has no canonical index below len(prefix).
-        hit = self._prefix_index.get(q)
-        return canonical_index(q) if hit is None else hit
+        # The prefix permutes the first canonical points, so it moves only
+        # a point whose canonical index is below len(prefix).
+        j = canonical_index(q)
+        return self._prefix_index[q] if j is not None and j < len(self.prefix) else j
 
 
 NEVER = None  # stage value meaning "never defined"

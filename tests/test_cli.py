@@ -39,6 +39,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def dumped(payload) -> bytes:
+    """The bytes of the file that cli writes from _dump's chunks."""
+    return "".join(cli._dump(payload)).encode("ascii")
+
+
 def test_construct_writes_trace_and_reports_steps(tmp_path, capsys):
     out = tmp_path / "trace.json"
     code, text, err = run(capsys, "construct", str(corpus_path("table_tail")),
@@ -206,7 +211,7 @@ def test_overrides_run_the_library_on_the_replaced_scenario(tmp_path, capsys, ar
         options = [a for k in given for a in (f"--{k.replace('_', '-')}", str(_OVERRIDES[k]))]
         assert run(capsys, argv[0], str(path), *argv[1:], *options, "--out", str(out))[0] == 0
         applied = sc.replace(**{k: _OVERRIDES[k] for k in given})
-        assert out.read_bytes() == cli._dump(_library_payload(argv, applied))
+        assert out.read_bytes() == dumped(_library_payload(argv, applied))
         parameters = json.loads(out.read_bytes())["parameters"]
         for k in set(_OVERRIDES) & set(parameters):
             assert parameters[k] == (_OVERRIDES[k] if k in given else getattr(sc, k)), k
@@ -682,10 +687,11 @@ def test_writer_matches_json_dumps_on_every_corpus_payload(tmp_path, capsys, mon
     real = cli._dump
 
     def checked(payload):
-        data = real(payload)
+        chunks = real(payload)
+        data = "".join(chunks).encode("ascii")
         assert data == stdlib_bytes(payload)
         written.append(data)
-        return data
+        return chunks
 
     monkeypatch.setattr(cli, "_dump", checked)
     out = tmp_path / "payload.json"
@@ -815,7 +821,7 @@ def test_writer_matches_json_dumps_on_random_trees(tree):
     A list of items all of the one exact type str or int is written in one
     join, every other list item by item: lists of bools or of a mix of
     types must take the second path."""
-    assert cli._dump(tree) == stdlib_bytes(tree)
+    assert dumped(tree) == stdlib_bytes(tree)
 
 
 class Text(str):
@@ -841,11 +847,17 @@ class Opaque:
     0.5, Q(1, 3), Text("1/3"), Count(3), {1: "one"}, {None: 0}, {True: 0}, {"a": {2.0}},
     [1, [2, Opaque()]], [Level.LOW, Level.LOW], [Text("a"), Text("b")], ["a", Text("b")],
     [1, Count(2)],
+    [{"n": 1, "q": Text("1/3")}, {"n": 2, "q": Text("2/3")}],
+    [{"n": 1, "k": Count(1)}, {"n": 2, "k": Count(2)}],
+    [{"n": 1, "x": 0.5}, {"n": 2, "x": 1.5}],
+    [{"n": 1, "q": Q(1, 3)}, {"n": 2, "q": Q(2, 3)}],
+    [{"n": 1, "box": ["0", Text("1")]}, {"n": 2, "box": ["0", Text("1")]}],
 ], ids=repr)
 def test_writer_rejects_what_a_payload_never_holds(value):
     """A float, a Fraction, a non-str key or a subclass of str or int raises
     TypeError, where json.dumps would write some of them; so does a list of
-    such subclasses, which is never written in one join."""
+    such subclasses, which is never written in one join, and a row table
+    with such a column, which is never written with one template."""
     with pytest.raises(TypeError):
         cli._dump({"rows": [value]})
 
@@ -860,3 +872,112 @@ def test_an_unwritable_payload_is_an_internal_error(tmp_path, capsys, monkeypatc
     assert "internal error: TypeError: Object of type Fraction is not JSON serializable" in err
     assert "\nTraceback (most recent call last):\n" in err
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # nor any temporary file beside it
+
+
+# -- row tables: one template per list of uniform rows, in both writers -------
+
+table_text = st.sampled_from(["-", "1/3", "%s", "%%", "a\nb"]) | text_with_escapes
+table_keys = st.sampled_from(["n", "verdict", "%", '"q"', "a\nb", "\u00e9t\u00e9", "%(x)s"]) \
+    | text_with_escapes
+# Each column of a drawn row list: a uniform one, which a row table allows,
+# or one of the shapes that sends the whole list through the walk.
+COLUMNS = {
+    "str": lambda n: st.lists(table_text, min_size=n, max_size=n),
+    "int": lambda n: st.lists(st.integers(-(1 << 80), 1 << 80), min_size=n, max_size=n),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
+    "none": lambda n: st.just([None] * n),
+    "list": lambda n: st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(table_text, min_size=k, max_size=k), min_size=n, max_size=n)),
+    "mixed": lambda n: st.lists(st.none() | st.booleans() | st.integers() | table_text
+                                | st.lists(table_text, max_size=2), min_size=n, max_size=n),
+    "bool-int": lambda n: st.lists(st.booleans() | st.integers(-2, 2), min_size=n, max_size=n),
+    "ragged": lambda n: st.lists(st.lists(table_text, max_size=3), min_size=n, max_size=n),
+    "nested": lambda n: st.lists(st.dictionaries(table_keys, st.integers() | table_text,
+                                                 max_size=2), min_size=n, max_size=n),
+}
+
+
+@st.composite
+def row_lists(draw):
+    """A list of 0-5 dicts, usually with one key sequence, each column drawn from COLUMNS."""
+    keys = draw(st.lists(table_keys, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=len(keys),
+                          max_size=len(keys)))
+    if draw(st.booleans()):  # mostly tables: every column uniform
+        kinds = [k if k in ("str", "int", "bool", "none", "list") else "str" for k in kinds]
+    columns = [draw(COLUMNS[kind](n)) for kind in kinds]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    if rows and draw(st.integers(0, 4)) == 0:  # one row's keys in another order, or one fewer
+        last = list(rows[-1].items())
+        rows[-1] = dict(last[::-1] if len(last) > 1 and draw(st.booleans()) else last[:-1])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[{"n": 0, "box": ["0", "1/2"]}, {"n": 1, "box": ["1/4", "1/2"]}])
+@example(rows=[{"%": "a", '"k"': True}, {"%": "b", '"k"': False}])
+@example(rows=[{"n": [], "v": 1}, {"n": [], "v": 2}])
+@example(rows=[{"b": ["x"]}, {"b": ["x", "y"]}])
+@given(rows=row_lists())
+def test_writer_matches_json_dumps_on_row_lists(rows):
+    """A list of uniform rows is written with one template, and every other
+    list of dicts (mixed or bool-and-int columns, lists of unequal length or
+    empty, nested dicts, other key orders) item by item: keys with %, quotes,
+    newlines or non-ASCII text are escaped in the template as json escapes them."""
+    for payload in ({"steps": rows}, {"table": {"steps": rows}, "more": [rows, rows]}):
+        assert dumped(payload) == stdlib_bytes(payload)
+
+
+def reference_section_lines(body: object, indent: str = "  ") -> list[str]:
+    """harness._section_lines as it was before row tables: every line by the walk."""
+    out: list[str] = []
+    if isinstance(body, dict):
+        width = max((len(str(k)) for k in body), default=0)
+        for k, v in body.items():
+            if isinstance(v, (dict, list)):
+                out.append(f"{indent}{k}:")
+                out.extend(reference_section_lines(v, indent + "  "))
+            else:
+                out.append(f"{indent}{str(k).ljust(width)}  {v}")
+    elif isinstance(body, list):
+        for item in body:
+            if isinstance(item, (dict, list)):
+                out.extend(reference_section_lines(item, indent))
+                out.append(indent + "-")
+            else:
+                out.append(f"{indent}{item}")
+        if out and out[-1] == indent + "-":
+            out.pop()
+    else:
+        out.append(f"{indent}{body}")
+    return out
+
+
+def reference_text(report: harness.Report) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_section_lines", reference_section_lines)
+        return report.to_text()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_report_text_matches_the_reference_walk(name):
+    """Every corpus report, in each mode the file accepts, the checkers also at depth 600."""
+    sc = load_scenario(corpus_path(name))
+    for mode in accepted_modes(CORPUS_DOCS[name]):
+        for depth in (sc.depth, 600) if mode in ("prop1", "mirror", "s2a-check") else (sc.depth,):
+            report = _VERIFY_MODES[mode](sc.replace(depth=depth))
+            assert report.to_text() == reference_text(report), (mode, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[{"n": 0, "box": ["0", "-"]}, {"n": 1, "box": ["-", "1/2"]}], tree=None)
+@example(rows=[{"n": 0, "%": "a"}, {"n": 1, "%": "b"}], tree=[])
+@given(rows=row_lists(), tree=json_trees)
+def test_report_text_matches_the_reference_walk_on_random_bodies(rows, tree):
+    """A list's last item "-" is dropped by the walk, so a table drops it too."""
+    report = harness.Report("prop1", "random", {"depth": 1})
+    report.add("rows", {"inequality": "a_n < alpha", "steps": rows, "nested": [rows, rows]})
+    report.add("tree", {"tree": tree, "rows": rows})
+    assert report.to_text() == reference_text(report)

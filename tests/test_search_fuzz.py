@@ -78,8 +78,12 @@ FUZZ = settings(max_examples=400, deadline=None,
 dyadics = st.integers(0, 63).map(lambda k: Q(k, 64))
 
 
+RATIOS = (Q(1, 2), Q(3, 4), Q(7, 8), Q(1), Q(2))
+
+
 @st.composite
-def staged_witnesses(draw):
+def staged_witnesses(draw, ratios=RATIOS, overrides=True):
+    """A small staged witness; without overrides its values are the affine rule's."""
     size = draw(st.sampled_from([0, 2, 4, 8, 16]))
     perm = draw(st.permutations(range(1, size))) if size else []
     prefix = tuple(canonical_point(j) for j in [0, *perm]) if size else ()
@@ -93,32 +97,49 @@ def staged_witnesses(draw):
     enumeration = DyadicEnumeration(prefix)
     # Small nudges off the affine value make a point fail clause (v) against
     # some finals but not others; wild values break it outright.
-    nudges = draw(st.dictionaries(st.integers(0, 26), st.integers(-6, 6), max_size=6))
+    nudges = draw(st.dictionaries(st.integers(0, 26), st.integers(-6, 6),
+                                  max_size=6 if overrides else 0))
     table = {j: min(max(u * point(enumeration, j) + Q(d, 128), ZERO), Q(127, 128))
              for j, d in nudges.items()}
-    table.update(draw(st.dictionaries(st.integers(0, 40), dyadics, max_size=2)))
+    table.update(draw(st.dictionaries(st.integers(0, 40), dyadics,
+                                      max_size=2 if overrides else 0)))
     rule = ValueRule(u, ZERO, tuple(sorted(table.items())))
     # The affine part has ratio u: constants range from well below to above it.
-    c = u * draw(st.sampled_from([Q(1, 2), Q(3, 4), Q(7, 8), Q(1), Q(2)]))
+    c = u * draw(st.sampled_from(ratios))
     return SolovayWitness(StagedPartialFunction(enumeration, schedule, rule), c)
+
+
+@st.composite
+def dipped_witnesses(draw):
+    """A witness whose values are the affine rule's but at one point q_j, j = 2**k,
+    where g dips to 1/8 or below: a ladder through that point must wait for a
+    later one, often the point just below its b_i."""
+    w = draw(staged_witnesses(overrides=False))
+    j = 1 << draw(st.integers(1, 3))
+    rule = ValueRule(w.g.rule.u, ZERO, ((j, draw(st.sampled_from([ZERO, Q(1, 16), Q(1, 8)]))),))
+    return SolovayWitness(StagedPartialFunction(w.g.enumeration, w.g.schedule, rule), w.c)
 
 
 def _table(terms):
     return Approximation(Table(tuple(terms), terms[-1]), Kind.GENERAL)
 
 
+# Keys that repeat by parity past the settle index: with dyadic u the two
+# tail keys differ, so the search must route both parities.
+alternating_targets = st.tuples(
+    st.sampled_from([Q(1, 4), Q(3, 8), Q(1, 2), Q(1, 3)]), st.sampled_from([Q(1, 8), Q(1, 4)]),
+    st.integers(1, 2)).map(lambda uvw: Approximation(AlternatingDyadic(*uvw)))
+
+affine_targets = st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
+    lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE))
+
 targets = st.one_of(
     st.lists(st.integers(2, 15).map(lambda k: Q(k, 16)), min_size=1, max_size=30).map(_table),
     # Values off the dyadic grid, whose floor and ceiling keys differ.
     st.lists(st.integers(6, 45).map(lambda k: Q(k, 48)), min_size=1, max_size=30).map(_table),
-    st.sampled_from([Q(1, 4), Q(1, 2), Q(3, 4)]).map(
-        lambda u: Approximation(AffineDyadic(u, u, 1), Kind.LEFT_CE)),
+    affine_targets,
     st.just(Approximation(AffineDyadic(Q(1, 3), Q(1, 3), 1), Kind.LEFT_CE)),
-    # Keys that repeat by parity past the settle index: with dyadic u the two
-    # tail keys differ, so the search must route both parities.
-    st.tuples(st.sampled_from([Q(1, 4), Q(3, 8), Q(1, 2), Q(1, 3)]),
-              st.sampled_from([Q(1, 8), Q(1, 4)]), st.integers(1, 2)).map(
-        lambda uvw: Approximation(AlternatingDyadic(*uvw))),
+    alternating_targets,
     st.sampled_from([AlternatingDyadic(Q(1, 4), Q(1, 8), 1),
                      AlternatingDyadic(Q(3, 8), Q(1, 4), 1),
                      Table((Q(1, 2), Q(1, 8), Q(3, 8)), Q(5, 16))]).map(
@@ -540,27 +561,43 @@ def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget
     assert trace.exhausted == exhausted
 
 
+# (witness, target, budget) of a whole construction, from one of three kinds:
+# - affine values at a constant of at least their ratio, a target alternating
+#   past its settle index and a large budget, so that steps hit deep and some
+#   hit two indices past the step before (the routing bound's case);
+# - affine values but one dip, a budget of 9 to 31 and an affine or any
+#   target, so that a missed candidate often hits at the stage that inserts
+#   the point just below its b_i;
+# - any witness, target and budget.
+constructions = st.one_of(
+    st.tuples(staged_witnesses(ratios=(Q(1), Q(2)), overrides=False), alternating_targets,
+              st.integers(78, 600)),
+    st.tuples(dipped_witnesses(), affine_targets | targets, st.integers(9, 31)),
+    st.tuples(staged_witnesses(), targets, st.integers(8, 600)),
+)
+
+
 # 300 examples: each builds to depth 8 and replays every step in the oracle,
 # which probes about 2 * log2(budget) stages per step.
 @settings(FUZZ, max_examples=300)
 # Seven steps hit, at stages up to 445; step 8 needs the points of denominator 2**10.
-@example(w=_halving_witness(schedule=StageSchedule(0, 0)),
-         raw=Approximation(AffineDyadic(Q(3, 4), Q(3, 4), 1), Kind.LEFT_CE), budget=600)
+@example(case=(_halving_witness(schedule=StageSchedule(0, 0)),
+               Approximation(AffineDyadic(Q(3, 4), Q(3, 4), 1), Kind.LEFT_CE), 600))
 # Stage 9 inserts 3/16, the slot just below b_4 = 7/32 at scale 2**4, which must
 # wake the missed candidate 4: step 1 hits there with (0, 1/16, 3/16).
-@example(w=SolovayWitness(StagedPartialFunction(
-             DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO, ((4, ZERO),))),
-             Q(3, 16)),
-         raw=Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE), budget=9)
+@example(case=(SolovayWitness(StagedPartialFunction(
+    DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO, ((4, ZERO),))), Q(3, 16)),
+    Approximation(AffineDyadic(Q(1, 4), Q(1, 4), 1), Kind.LEFT_CE), 9))
 # Past the settle index the target alternates above and below 1/4.  Step 5 hits
 # index 8, two past step 4's index 6: a routing bound one lower stops at 7.
-@example(w=SolovayWitness(StagedPartialFunction(
-             DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO)), Q(1, 4)),
-         raw=Approximation(AlternatingDyadic(Q(1, 4), Q(1, 8), 2)), budget=78)
-@given(w=staged_witnesses(), raw=targets, budget=st.integers(8, 600))
-def test_a_whole_construction_equals_the_oracle(w, raw, budget):
+@example(case=(SolovayWitness(StagedPartialFunction(
+    DyadicEnumeration(), StageSchedule(0, 0), ValueRule(Q(1, 4), ZERO)), Q(1, 4)),
+    Approximation(AlternatingDyadic(Q(1, 4), Q(1, 8), 2)), 78))
+@given(case=constructions)
+def test_a_whole_construction_equals_the_oracle(case):
     """Every step of a construction to depth 8 is the oracle's minimal hit, and
     the step it exhausts at, if any, has no hit within the budget."""
+    w, raw, budget = case
     trace = build_s2a_from_solovay(w, raw, 8, budget)
     for prev, rec in zip(trace.steps, trace.steps[1:]):
         assert oracle_min_hit(rec.n, prev.index, w, trace.target, budget) == rec
