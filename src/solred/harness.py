@@ -177,16 +177,12 @@ def row_table(rows: list) -> tuple[list[tuple[str, int]], list[tuple]] | None:
 def _table_text(shape: list[tuple[str, int]], columns: list[tuple], indent: str) -> str:
     """A row table's lines as _section_lines writes them, in one join."""
     width, deeper = max(len(key) for key, _ in shape), "\n" + indent + "  "
-    columns, template, at = list(columns), "", 0
+    template = ""
     for key, length in shape:
-        at += length or 1
-        if not length:
+        if length:
+            template += "\n" + indent + key.replace("%", "%%") + ":" + (deeper + "%s") * length
+        else:
             template += "\n" + indent + key.ljust(width).replace("%", "%%") + "  %s"
-            continue
-        template += "\n" + indent + key.replace("%", "%%") + ":" + (deeper + "%s") * length
-        if "-" in columns[at - 1]:  # the walk drops a list's last item "-", and its line
-            template = template[:-len(deeper) - 2] + "%s"
-            columns[at - 1] = ["" if s == "-" else deeper + s for s in columns[at - 1]]
     return ("\n" + indent + "-\n").join(map(template[1:].__mod__, zip(*columns)))
 
 
@@ -210,8 +206,8 @@ def _section_lines(body: object, indent: str = "  ") -> list[str]:
                 out.append(indent + "-")
             else:
                 out.append(f"{indent}{item}")
-        if out and out[-1] == indent + "-":
-            out.pop()
+        if body and isinstance(body[-1], (dict, list)):
+            out.pop()  # the separator after the last item
     else:
         out.append(f"{indent}{body}")
     return out
@@ -359,7 +355,8 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
     rows = []
     for n in range(1, min(oracle_depth, len(steps) - 1) + 1):
         rec = steps[n]
-        hit = oracle_min_hit(n, steps[n - 1].index, w, trace.target, stage_budget)
+        hit = oracle_min_hit(n, steps[n - 1].index, w, trace.target, stage_budget,
+                             rec.stage_found)
         agrees = hit == rec
         row = {"n": n, "agrees": agrees, "search": {"stage": rec.stage_found, "i": rec.index}}
         if hit is None:

@@ -3,7 +3,13 @@
 Re-derives step hits with none of the incremental machinery the main
 search uses: every probed stage rebuilds the domain from scratch, and
 nothing is cached across stages.  The least hitting stage is found by
-galloping and bisecting over stages, which oracle_min_hit justifies.
+galloping and bisecting over stages from a start stage, which
+oracle_min_hit justifies.  Construction mode starts at the search's own
+stage s, so a correct record costs two probes, s and s - 1.  The answer
+is still the oracle's record, read from its own rebuild of the stage it
+proves least, so the guess moves only the probes: a wrong index or
+ladder differs at s, a stage one too late hits at s - 1, and a stage
+too early misses at s, from which the gallop goes on.
 Each stage's points are the integers P_k that enumerate_domain returns at
 one scale d = 2**m per stage, with
 m = max(n+2, stage.bit_length(), len(prefix).bit_length()), at which
@@ -50,8 +56,9 @@ positions lives for that one stage: nothing is cached across stages.
 The oracle shares with the search only Approximation.keys, which
 test_keys_agree_with_the_exact_term holds to the exact term, and
 check_requirement, RequirementTuple and the StepRecord both answer
-with; the test suite holds their records to equality.  Its stage
-shell, its exact-length ladder count, its bisection over stages and its
+with, and in construction mode the stage its stage search starts at;
+the test suite holds their records to equality.  Its stage
+shell, its exact-length ladder count, its search over stages and its
 per-probe rebuild stay its own: enumerate_domain rebuilds each probed
 stage from the witness's schedule and value rule, one canonical level
 at a time, where the search keeps one domain at one scale per
@@ -70,25 +77,32 @@ from .witnesses import SolovayWitness, enumerate_domain
 
 
 def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
-                   b: Approximation, stage_cap: int) -> StepRecord | None:
+                   b: Approximation, stage_cap: int, start: int = 1) -> StepRecord | None:
     """The step-n record at the least hitting stage up to the cap, or None.
 
     "Some candidate hits at stage s" is monotone in s: the domain at s
     (j <= s with s_j <= s) only grows with s, and g(q_j) does not depend
     on s; the candidates (prev_index, s] only grow; whether a ladder is
     valid depends only on n, b_i, c and its own points; and
-    _stage_hit finds a candidate's ladder whenever one exists.  So the probes
-    gallop up from stage 1 (1, 2, 4, ..., then the cap) to the first
-    stage that hits, and bisect between it and the last stage that
-    missed.  The probe at the least hitting stage gives that stage, its
-    least hitting index and that index's canonical ladder: exactly the
-    hit of a scan of every stage from 1.
+    _stage_hit finds a candidate's ladder whenever one exists.  So the
+    search probes start first, clamped to [1, stage_cap].  If start hits
+    and start - 1 misses, start is the least hitting stage; if start - 1
+    hits too, the probes bisect below it.  If start misses, they gallop up
+    (2 * start, 4 * start, ..., then the cap) to the first stage that
+    hits and bisect between it and the last stage that missed.  Stage 0
+    has no candidate, so start = 1 is the plain gallop from stage 1.
+    The probe at the least hitting stage gives that stage, its least
+    hitting index and that index's canonical ladder: exactly the hit of
+    a scan of every stage from 1, whatever start is.  start only chooses
+    the stages probed, so a caller may pass a guess, such as another
+    search's stage: a guess one stage too late hits at start - 1, and
+    one too early misses at start and the gallop goes on.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
     if stage_cap < 0:
         raise ValueError("stage cap must be >= 0")
-    miss, stage = 0, min(1, stage_cap)  # stage 0 has no candidate, so it always misses
+    miss, stage = 0, min(max(start, 1), stage_cap)  # stage 0 has no candidate, so it always misses
     while True:
         if stage == miss:
             return None
@@ -96,6 +110,11 @@ def oracle_min_hit(n: int, prev_index: int, witness: SolovayWitness,
         if hit is not None:
             break
         miss, stage = stage, min(2 * stage, stage_cap)
+    if miss == 0 and stage > 1:  # start hit: the stage below decides whether it is the least
+        probe = _stage_hit(n, prev_index, witness, b, stage - 1)
+        if probe is None:
+            return hit
+        stage, hit = stage - 1, probe
     while stage - miss > 1:
         mid = (miss + stage) // 2
         probe = _stage_hit(n, prev_index, witness, b, mid)

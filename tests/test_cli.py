@@ -931,7 +931,7 @@ def test_writer_matches_json_dumps_on_row_lists(rows):
 
 
 def reference_section_lines(body: object, indent: str = "  ") -> list[str]:
-    """harness._section_lines as it was before row tables: every line by the walk."""
+    """harness._section_lines without row tables: every line by the walk."""
     out: list[str] = []
     if isinstance(body, dict):
         width = max((len(str(k)) for k in body), default=0)
@@ -948,11 +948,18 @@ def reference_section_lines(body: object, indent: str = "  ") -> list[str]:
                 out.append(indent + "-")
             else:
                 out.append(f"{indent}{item}")
-        if out and out[-1] == indent + "-":
+        if body and isinstance(body[-1], (dict, list)):
             out.pop()
     else:
         out.append(f"{indent}{body}")
     return out
+
+
+def test_a_lists_last_item_dash_is_written():
+    """Only the separator after a last nested item goes, not an item that reads "-"."""
+    assert harness._section_lines(["a", "-"]) == ["  a", "  -"]
+    assert harness._section_lines([{"k": 1}, "-"]) == ["  k  1", "  -", "  -"]
+    assert harness._section_lines(["-", {"k": 1}]) == ["  -", "  k  1"]
 
 
 def reference_text(report: harness.Report) -> str:
@@ -976,7 +983,7 @@ def test_report_text_matches_the_reference_walk(name):
 @example(rows=[{"n": 0, "%": "a"}, {"n": 1, "%": "b"}], tree=[])
 @given(rows=row_lists(), tree=json_trees)
 def test_report_text_matches_the_reference_walk_on_random_bodies(rows, tree):
-    """A list's last item "-" is dropped by the walk, so a table drops it too."""
+    """A list's last item "-" is written by the walk, and so by a table too."""
     report = harness.Report("prop1", "random", {"depth": 1})
     report.add("rows", {"inequality": "a_n < alpha", "steps": rows, "nested": [rows, rows]})
     report.add("tree", {"tree": tree, "rows": rows})

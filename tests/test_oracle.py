@@ -7,7 +7,12 @@ import pytest
 
 from solred import cli, harness, oracle
 from solred.approximations import AffineDyadic, Approximation, Kind
-from solred.construction import build_s2a_from_solovay, check_requirement
+from solred.construction import (
+    ConstructionTrace,
+    StepRecord,
+    build_s2a_from_solovay,
+    check_requirement,
+)
 from solred.oracle import oracle_min_hit
 from solred.scenario import load_scenario
 from solred.witnesses import (
@@ -108,87 +113,133 @@ def test_oracle_requirement_checks_are_pinned(monkeypatch):
     assert calls == 1
 
 
-def test_oracle_probe_count_is_pinned(monkeypatch):
-    """Construction mode's 8 oracle replays on the two invalid files rebuild 84 stages.
-
-    Each replay probes at most 2 * ceil(log2(stage budget)) + 2 stages,
-    one domain rebuild each.  Scanning every stage from 1 rebuilt 342.
-    """
-    rebuilds = []
-    real_domain, real_min_hit = oracle.enumerate_domain, oracle_min_hit
-
-    def domain(*args):
-        rebuilds[-1] += 1
-        return real_domain(*args)
-
-    def min_hit(n, prev_index, w, b, stage_cap):
-        rebuilds.append(0)
-        hit = real_min_hit(n, prev_index, w, b, stage_cap)
-        assert rebuilds[-1] <= probe_bound(stage_cap)
-        return hit
-
-    monkeypatch.setattr(oracle, "enumerate_domain", domain)
-    monkeypatch.setattr(harness, "oracle_min_hit", min_hit)
-    for name in INVALID_WITNESS_NAMES:
-        assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
-    assert (len(rebuilds), sum(rebuilds)) == (8, 84)
-
-
-def test_oracle_ladder_work_is_pinned(monkeypatch):
-    """The same 8 replays build one ladder per (cut, lo) position in each stage.
-
-    Over the 84 rebuilt stages they make 92 _first_ladder and 70 _members
-    calls.  A ladder search per candidate made 1,226 and 1,240.
-    """
-    calls = {"enumerate_domain": 0, "_first_ladder": 0, "_members": 0}
+def count_calls(monkeypatch, owner, names):
+    """Calls of each named attribute of owner, counted as they are made."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        real = getattr(oracle, name)
+        real = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return real(*args)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(oracle, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name))
+    return calls
+
+
+def replay_invalid_files(monkeypatch, calls, seeded):
+    """Construction mode on the two invalid files, whose 8 oracle replays
+    each start at the search's stage when seeded and at stage 1 when not.
+
+    Returns each replay's stage cap and the calls counted in calls while
+    it ran.
+    """
+    real = oracle_min_hit
+    replays = []
+
+    def min_hit(n, prev_index, w, b, stage_cap, start):
+        before = dict(calls)
+        hit = real(n, prev_index, w, b, stage_cap, start if seeded else 1)
+        replays.append((stage_cap, {k: v - before[k] for k, v in calls.items()}))
+        return hit
+
+    monkeypatch.setattr(harness, "oracle_min_hit", min_hit)
     for name in INVALID_WITNESS_NAMES:
         assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
-    assert calls == {"enumerate_domain": 84, "_first_ladder": 92, "_members": 70}
+    return replays
+
+
+def total(replays):
+    return {k: sum(counts[k] for _, counts in replays) for k in replays[0][1]}
+
+
+def test_oracle_probe_count_is_pinned(monkeypatch):
+    """Construction mode's 8 oracle replays on the two invalid files rebuild
+    16 stages: each replay's search stage and the one below it.
+
+    Started at stage 1, they rebuild 84, each replay at most
+    2 * ceil(log2(stage budget)) + 2 stages, one domain rebuild per probe.
+    Scanning every stage from 1 rebuilt 342.
+    """
+    calls = count_calls(monkeypatch, oracle, ["enumerate_domain"])
+    replays = replay_invalid_files(monkeypatch, calls, seeded=True)
+    assert all(counts["enumerate_domain"] <= 2 for _, counts in replays)
+    assert (len(replays), total(replays)["enumerate_domain"]) == (8, 16)
+    replays = replay_invalid_files(monkeypatch, calls, seeded=False)
+    assert all(counts["enumerate_domain"] <= probe_bound(cap) for cap, counts in replays)
+    assert (len(replays), total(replays)["enumerate_domain"]) == (8, 84)
+
+
+def test_oracle_ladder_work_is_pinned(monkeypatch):
+    """The same 8 replays build one ladder per (cut, lo) position in each stage.
+
+    Over their 16 rebuilt stages they make 24 _first_ladder and 25
+    _members calls; started at stage 1, over 84 stages, 92 and 70.  A
+    ladder search per candidate made 1,226 and 1,240 from stage 1.
+    """
+    calls = count_calls(monkeypatch, oracle, ["enumerate_domain", "_first_ladder", "_members"])
+    replays = replay_invalid_files(monkeypatch, calls, seeded=True)
+    assert total(replays) == {"enumerate_domain": 16, "_first_ladder": 24, "_members": 25}
+    replays = replay_invalid_files(monkeypatch, calls, seeded=False)
+    assert total(replays) == {"enumerate_domain": 84, "_first_ladder": 92, "_members": 70}
 
 
 def test_oracle_exact_term_reads_are_pinned(monkeypatch):
     """The same 8 replays locate each candidate by its keys and read b_i exactly
-    only for a ladder check_requirement tests: 1,226 key reads and 20 term reads.
+    only for a ladder check_requirement tests: 318 key reads and 8 term
+    reads, one per replay; started at stage 1, 1,226 and 20.
 
-    Reading every candidate's exact term made 1,226 term reads.
+    Reading every candidate's exact term made 1,226 term reads from stage 1.
     """
-    calls = {"term": 0, "keys": 0}
-    replaying = False
-    real_min_hit = oracle_min_hit
+    calls = count_calls(monkeypatch, Approximation, ["term", "keys"])
+    replays = replay_invalid_files(monkeypatch, calls, seeded=True)
+    assert total(replays) == {"term": 8, "keys": 318}
+    replays = replay_invalid_files(monkeypatch, calls, seeded=False)
+    assert total(replays) == {"term": 20, "keys": 1226}
 
-    def counting(name):
-        real = getattr(Approximation, name)
 
-        def counted(self, *args):
-            calls[name] += replaying
-            return real(self, *args)
-        return counted
+# Wrong step records handed to construction mode as the search's: each keeps
+# the other fields of linear_basic's step 6, the last step it compares.
+WRONG_RECORDS = {
+    "another index": lambda r, prev: StepRecord(r.n, r.index + 1, r.value, r.b_value, r.tup,
+                                                r.stage_found),
+    "another ladder": lambda r, prev: StepRecord(r.n, r.index, r.value, r.b_value, prev.tup,
+                                                 r.stage_found),
+    "one stage late": lambda r, prev: StepRecord(r.n, r.index, r.value, r.b_value, r.tup,
+                                                 r.stage_found + 1),
+    "one stage early": lambda r, prev: StepRecord(r.n, r.index, r.value, r.b_value, r.tup,
+                                                  r.stage_found - 1),
+}
 
-    def min_hit(*args):
-        nonlocal replaying
-        replaying = True
-        try:
-            return real_min_hit(*args)
-        finally:
-            replaying = False
 
-    for name in calls:
-        monkeypatch.setattr(Approximation, name, counting(name))
-    monkeypatch.setattr(harness, "oracle_min_hit", min_hit)
-    for name in INVALID_WITNESS_NAMES:
-        assert harness.verify_construction(load_scenario(corpus_path(name))).exit_code() == 1
-    assert calls == {"term": 20, "keys": 1226}
+@pytest.mark.parametrize("wrong", WRONG_RECORDS)
+def test_construction_mode_reports_a_wrong_record_with_the_oracles_hit(monkeypatch, wrong):
+    """The oracle starts at the stage of the record it checks, yet answers
+    with its own record: the wrong one disagrees, and the row gives the
+    oracle's stage and index."""
+    n, real_build = 6, harness.build_s2a_from_solovay
+    seen = {}
+
+    def build(*args):
+        trace = real_build(*args)
+        steps = list(trace.steps)
+        seen["real"] = steps[n]
+        steps[n] = seen["given"] = WRONG_RECORDS[wrong](steps[n], steps[n - 1])
+        return ConstructionTrace(tuple(steps), trace.target, trace.exhausted)
+
+    monkeypatch.setattr(harness, "build_s2a_from_solovay", build)
+    report = harness.verify_construction(load_scenario(corpus_path("linear_basic")))
+    rows = report.sections["oracle"]["comparisons"]
+    real, given = seen["real"], seen["given"]
+    assert given != real
+    assert len(rows) == n and all(row["agrees"] for row in rows[:n - 1])
+    assert rows[n - 1] == {"n": n, "agrees": False,
+                           "search": {"stage": given.stage_found, "i": given.index},
+                           "oracle": {"stage": real.stage_found, "i": real.index}}
+    assert report.exit_code() == 1
 
 
 def test_oracle_inner_loop_runs_on_integers(monkeypatch):

@@ -21,7 +21,8 @@ stage that inserts a point below a slot and the first stage at which the
 reach gets to a slot, must name the stages at which that reference does.
 The oracle's galloping, bisecting stage search must return the hit of
 the linear stage shell kept below, built from the same one-stage probe,
-in at most 2 * ceil(log2(cap)) + 2 probes.  That probe, which builds one
+in at most 2 * ceil(log2(cap)) + 2 probes, from whatever stage it starts
+at, and in at most two from the search's own stage.  That probe, which builds one
 ladder per (cut, lo) position of the candidates in its stage, must return
 the hit of the memo-free probe kept below, which searches every candidate
 on its own.
@@ -267,7 +268,7 @@ def linear_min_hit(n, prev_index, w, b, stage_cap):
     return None
 
 
-def probed_min_hit(n, prev_index, w, b, stage_cap):
+def probed_min_hit(n, prev_index, w, b, stage_cap, start=1):
     """oracle_min_hit's result and the stages it probed, in order."""
     probed = []
     real = oracle._stage_hit
@@ -277,7 +278,7 @@ def probed_min_hit(n, prev_index, w, b, stage_cap):
         return real(n, prev_index, w, b, stage)
 
     with mock.patch.object(oracle, "_stage_hit", probe):
-        return oracle_min_hit(n, prev_index, w, b, stage_cap), probed
+        return oracle_min_hit(n, prev_index, w, b, stage_cap, start), probed
 
 
 def _halving_witness(values=(), schedule=StageSchedule(0, 9)):
@@ -490,6 +491,44 @@ def test_a_hit_on_a_gallop_point_bisects_only_below_it():
     hit, probed = probed_min_hit(1, 7, _halving_witness(schedule=StageSchedule(0, 0)), HALVES, 100)
     assert probed == [1, 2, 4, 8, 6, 7]
     assert (hit.stage_found, hit.index) == (8, 8)
+
+
+@FUZZ
+@given(w=staged_witnesses(), raw=targets, n=st.integers(1, 3), cap=st.integers(0, 40),
+       prev_index=st.integers(0, 3))
+def test_every_start_gives_the_hit_from_stage_1(w, raw, n, cap, prev_index):
+    """Started anywhere in [0, cap + 2], the stage search returns the hit it
+    returns from stage 1, within the same probe bound; started at the
+    search's own stage, it probes at most 2 stages."""
+    b = prepended(raw)
+    hit = oracle_min_hit(n, prev_index, w, b, cap)
+    for start in range(cap + 3):
+        seeded, probed = probed_min_hit(n, prev_index, w, b, cap, start)
+        assert seeded == hit
+        assert len(probed) <= probe_bound(cap)
+    rec = search_step(n, prev_index, w, b, cap)
+    if rec is not None:
+        seeded, probed = probed_min_hit(n, prev_index, w, b, cap, rec.stage_found)
+        assert seeded == rec
+        assert len(probed) <= 2
+
+
+# The halving witness with b_i = 1/2 after index 7: the least hitting stage is 8.
+LATE = (1, 7, _halving_witness(schedule=StageSchedule(0, 0)), HALVES)
+
+
+@pytest.mark.parametrize("cap, start, stages", [
+    (100, 8, [8, 7]),  # at the least stage: it and the stage below
+    (100, 9, [9, 8, 4, 6, 7]),  # one late: 8 hits too, so the bisection runs below it
+    (100, 7, [7, 14, 10, 8]),  # one early: 7 misses, so the gallop goes on
+    (100, 200, [100, 99, 49, 24, 12, 6, 9, 7, 8]),  # past the cap: from the cap
+    (7, 200, [7]),  # past a cap below the least stage: no hit
+])
+def test_a_start_changes_only_the_stages_probed(cap, start, stages):
+    hit, probed = probed_min_hit(*LATE, cap, start)
+    assert probed == stages
+    assert hit == oracle_min_hit(*LATE, cap)
+    assert (hit and hit.stage_found) == (8 if cap >= 8 else None)
 
 
 @FUZZ
