@@ -42,14 +42,14 @@ step n's requirement for b_i meets step n-1's too, and every step-n
 candidate is a step-(n-1) candidate, so step n cannot hit before the
 stage where step n-1 did, and it resumes there.  Within a step the
 domain only grows, and a search's answer depends only on (n, c), the
-domain points
-strictly below b_i and b_i's keys (fl, ce) below.  So a candidate that
-missed is searched again only at a stage that inserts a point below
-its b_i, and of equal-key candidates only the least index is routed,
-since candidates are searched in ascending i.  Past the target's settle
-index n0 the keys repeat by parity (see approximations), so no
-candidate past max(n0, i_{n-1} + 1) + 1 is routed, and b's keys are
-read only up to index n0 + 1.
+domain points strictly below b_i and b_i's keys (fl, ce) below.  So a
+candidate that missed is searched again only at a stage that inserts a
+point below its b_i, and of equal-key candidates only the least index
+is routed, since candidates are searched in ascending i.  The routed
+candidates are one list in key order, and the ready ones, whose b_i
+lies below reach + gap, are its prefix.  Past the settle index n0 the
+keys repeat by parity (see approximations), so no candidate past
+max(n0, i_{n-1} + 1) + 1 is routed, and keys are read up to n0 + 1.
 Within one search, each live final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
@@ -79,11 +79,11 @@ Fraction a step builds is its output a_n.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import itemgetter
 
 from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
@@ -92,6 +92,7 @@ from .scenario import MAX_STAGE_BUDGET
 from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
 
 Q = Fraction
+_index = itemgetter(2)  # a routed candidate's (fl, ce, i) -> i
 
 
 class RequirementTuple(Record):
@@ -174,14 +175,10 @@ class StepRecord(Record):
 
 
 class ConstructionTrace(Record):
-    """The steps, the target they index (0, then beta_approx) and, when the
-    stage budget ran out, (the failed step, the stage budget)."""
+    """The steps, the target they index (0, then beta_approx) and (the failed
+    step, the stage budget) if the stage budget ran out, else None."""
 
     __slots__ = _fields = ("steps", "target", "exhausted")
-
-    def __init__(self, steps: tuple[StepRecord, ...], target: Approximation,
-                 exhausted: tuple[int, int] | None = None) -> None:
-        super().__init__(steps, target, exhausted)
 
 
 class _Domain:
@@ -512,32 +509,45 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     enters the domain to max(1, s_0), where q_0 enters, or returns None at
     once if the budget stops short of it.
     Every comparison with a key is at the scale 2**m, the domain's slots.
-    A candidate whose b_i is at or above the domain's ceil (reach + gap)
-    provably admits no ladder yet, since its window holds no point that 0
-    reaches.  It waits in one heap keyed by fl, and the reach only
-    increases within a step, so it is woken at most once.  Every other
-    candidate is ready.  A ready candidate is searched when it becomes
-    ready, and after a miss only at a stage that inserts a point below its
-    b_i.  It misses unsearched while fewer than three points lie below b_i
-    (two finds over the occupancy bytes tell), and while its window
-    (b_i - gap, b_i) holds no live final (one find over the live bytes),
-    since then the search would find no final to end a ladder at.
-    A candidate whose keys (fl, ce) equal a lesser candidate's is never
-    routed: every search outcome depends on b_i only through its keys, and
-    the lesser one, searched first, hits at every stage the later one would.
-    So no candidate past last = max(n0, prev_index + 1) + 1 is routed, n0
-    the domain's settle index: for i > last >= n0 + 1, keys(i) == keys(i - 2),
-    and stepping down by 2 reaches last - 1 or last, both at least
-    max(n0, prev_index + 1), so above prev_index, with the same keys on
-    the way (each step down starts at n0 + 2 or above).  Those are
-    candidates that arrive before i.  Routing and key reads stop at last.
+    The routed candidates are one list, cands, of their (fl, ce, i) in
+    ascending order, and the search reads all else it tracks from it:
+    - routing: an arriving candidate is placed with one bisect on its
+      keys, and is not added when a candidate with equal keys (fl, ce) is
+      there already: every search outcome depends on b_i only through its
+      keys, and that lesser index, searched first, hits at every stage the
+      later one would;
+    - ready and waiting: a candidate whose b_i is at or above the domain's
+      ceil (reach + gap) provably admits no ladder yet, since its window
+      holds no point that 0 reaches, and it waits.  The others are ready:
+      the prefix fl < ceil, up to r = bisect_left(cands, (ceil,)).  The
+      reach only increases within a step, so a candidate wakes, at most
+      once, by the prefix growing past it, and the least waiting fl is
+      cands[r][0];
+    - the greatest ce of a ready candidate is cands[r - 1][1], since each
+      ce is fl or fl + 1;
+    - missed: every walk handles every ready candidate or returns, so a
+      ready candidate missed at the last walk iff it was ready then (its
+      fl below that walk's ceil) and has not just arrived.
+    A walk visits the ready prefix in ascending i.  A candidate is searched
+    when it becomes ready, and after a miss only at a stage that inserts a
+    point below its b_i.  It misses unsearched while fewer than three
+    points lie below b_i (two finds over the occupancy bytes tell), and
+    while its window (b_i - gap, b_i) holds no live final (one find over
+    the live bytes), since then the search would find no final to end a
+    ladder at.  No candidate past last = max(n0, prev_index + 1) + 1 is
+    routed, n0 the domain's settle index: for i > last >= n0 + 1,
+    keys(i) == keys(i - 2), and stepping down by 2 reaches last - 1 or
+    last, both at least max(n0, prev_index + 1), so above prev_index, with
+    the same keys on the way (each step down starts at n0 + 2 or above).
+    Those are candidates that arrive before i, so routing would not add i.
+    Routing and key reads stop at last.
 
     After it walks stage s, the search enters s+1..e with one enter and
     walks the next event stage e.  e is the least of:
     - s + 1 while s < last: it brings candidate s + 1;
-    - the first stage that inserts a point below top_ce, the greatest ce
-      of a ready candidate: each has missed by then and is searched again
-      only at a stage that inserts a point below its ce;
+    - the first stage that inserts a point below the greatest ready ce:
+      each ready candidate has missed by then and is searched again only
+      at a stage that inserts a point below its ce;
     - the first stage at which the least waiting fl is below ceil: the
       reach only grows, and that candidate wakes first;
     - the stage budget.
@@ -548,11 +558,11 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     That one enter returns low, the least point inserted in s+1..e, where
     a walk stage by stage would test a missed candidate against the least
     point of stage e alone; the two agree.  When e > s + 1, e is at most
-    the first stage that inserts a point below top_ce, so the quiet
-    stages s+1..e-1 insert none: low is below a missed candidate's
-    ce <= top_ce only if stage e inserted it.  When stage e inserts
-    nothing, low is 2**m or at least top_ce, and every missed candidate
-    is skipped either way.
+    the first stage that inserts a point below the greatest ready ce, so
+    the quiet stages s+1..e-1 insert none: low is below a missed
+    candidate's ce only if stage e inserted it.  When stage e inserts
+    nothing, low is 2**m or at least the greatest ready ce, and every
+    missed candidate is skipped either way.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -564,12 +574,9 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
         domain.enter(s0)
     domain.start_step(n)
 
-    ready: list[tuple[int, int, int]] = []  # (i, fl, ce): b_i below ceil
-    wait: list[tuple[int, tuple]] = []      # (fl, candidate): b_i at or above ceil
-    missed: set[int] = set()                # ready candidates whose last search failed
-    top_ce = 0                              # the greatest ce of a ready candidate
-    seen: set[tuple[int, int]] = set()      # keys (fl, ce) of the routed candidates
+    cands: list[tuple[int, int, int]] = []  # (fl, ce, i) of each routed candidate, in order
     ceil = domain.ceil()                    # only increases
+    prior = 0                               # ceil at the last walk
     occ = domain.occ                        # its slots x < ce are the points below b_i
     live, gap = domain.live, domain.gap
     last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
@@ -579,39 +586,28 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
-            if (keys := domain.keys(i)) in seen:
-                continue  # a lesser routed index shares every search outcome
-            seen.add(keys)
-            cand = (i, *keys)
-            if cand[1] >= ceil:  # b_i >= ceil
-                heapq.heappush(wait, (cand[1], cand))
-            else:
-                ready.append(cand)
-                top_ce = max(top_ce, cand[2])
-        while wait and wait[0][0] < ceil:  # b_i < ceil
-            ready.append(cand := heapq.heappop(wait)[1])
-            top_ce = max(top_ce, cand[2])
-        if ready:
-            ready.sort()
-            for i, fl, ce in ready:
-                if i in missed and ce <= low:
-                    continue  # nothing new below b_i (low >= b_i) since its last miss
-                if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
-                        or live.find(1, max(0, fl - gap + 1), ce) < 0):
-                    missed.add(i)  # a ladder needs 0, two more points and a live final
-                    continue
-                hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
-                if hit is not None:
-                    bi, tup = hit
-                    return StepRecord(n, i, Q(*tup.values[-1]), bi, tup, s)
-                missed.add(i)
+            keys = domain.keys(i)
+            at = bisect_left(cands, keys)
+            if at == len(cands) or cands[at][:2] != keys:  # else a lesser i hits first
+                cands.insert(at, (*keys, i))
+        r = bisect_left(cands, (ceil,))  # the ready prefix: b_i < ceil
+        for fl, ce, i in sorted(cands[:r], key=_index):
+            if fl < prior and i < s and ce <= low:
+                continue  # ready, so missed, at the last walk; nothing new below b_i since
+            if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
+                    or live.find(1, max(0, fl - gap + 1), ce) < 0):
+                continue  # a ladder needs 0, two more points and a live final
+            hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
+            if hit is not None:
+                bi, tup = hit
+                return StepRecord(n, i, Q(*tup.values[-1]), bi, tup, s)
         if s >= stage_budget:
             return None
-        e = s + 1 if s < last else domain.first_below(top_ce, stage_budget)
-        if wait and e > s + 1:
-            e = domain.first_reach(wait[0][0], e)
+        e = s + 1 if s < last else domain.first_below(cands[r - 1][1] if r else 0, stage_budget)
+        if r < len(cands) and e > s + 1:
+            e = domain.first_reach(cands[r][0], e)
         low = domain.enter(e)
-        ceil = domain.ceil()
+        prior, ceil = ceil, domain.ceil()
         arrived = (e,) if prev_index < e <= last else ()
         s = e
 
@@ -656,7 +652,7 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
         if rec is None:
             return ConstructionTrace(tuple(steps), b, (n, stage_budget))
         steps.append(rec)
-    return ConstructionTrace(tuple(steps), b)
+    return ConstructionTrace(tuple(steps), b, None)
 
 
 def mirror_s2a(a: Approximation) -> S2aWitness:

@@ -324,7 +324,8 @@ def test_ladder_search_work_is_pinned(monkeypatch):
     assert count_searches(monkeypatch, "linear_basic") == (12, None)
 
 
-@pytest.mark.parametrize("budget,searches,finals", [(400, 46, 53), (8192, 596, 603)])
+@pytest.mark.parametrize("budget,searches,finals", [(400, 46, 53), (8192, 596, 603),
+                                                    (65536, 4634, 4641)])
 def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):
     """A final that fails clause (v) against 0 is walked once per step.
 
@@ -366,6 +367,45 @@ def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, 3, budget)
     assert trace.exhausted == (3, budget)
     assert (calls, found - calls) == (searches, finals)
+
+
+@pytest.mark.parametrize("name,enters,below,reaches,searches", [
+    ("linear_basic", 29, 9, 9, 12),
+    ("identity_c2", 29, 9, 9, 12),
+    ("staged_delay", 31, 11, 10, 12),
+    ("oscillating", 29, 9, 9, 12),
+    ("table_tail", 17, 11, 10, 12),
+    ("scaled_alpha", 28, 9, 9, 12),
+    ("invalid_small_c", 78, 63, 0, 46),
+    ("invalid_g_above", 20, 3, 3, 6),
+])
+def test_search_event_work_is_pinned(monkeypatch, name, enters, below, reaches, searches):
+    """The step search's domain calls and ladder searches at each file's own depth and budget.
+
+    Each step enters the domain once per event stage and looks ahead with
+    first_below (the next stage that inserts a point below a ready b_i)
+    and first_reach (the next stage at which a waiting b_i gets ready).
+    Counting a candidate with fl == reach + gap as ready cost oscillating
+    17 searches; reading the greatest ready ce one slot low, from an fl,
+    cost invalid_small_c 77 enters and 62 first_below calls.
+    """
+    calls = dict.fromkeys(("enter", "first_below", "first_reach", "search"), 0)
+
+    def counting(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for method in ("enter", "first_below", "first_reach"):
+        counting(construction._Domain, method, method)
+    counting(construction, "_lex_first_ladder", "search")
+    sc = load_scenario(corpus_path(name))
+    build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth, sc.stage_budget)
+    assert tuple(calls.values()) == (enters, below, reaches, searches)
 
 
 @pytest.mark.parametrize("name", VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES)

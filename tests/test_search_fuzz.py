@@ -331,6 +331,12 @@ NUDGED = ((8, Q(7, 64)),)
 # (0, 1/16, 3/16).
 @example(w=_halving_witness(((4, Q(1, 8)),)), raw=_constant(Q(1, 4)), step=(1, 12),
          prev_index=0)
+# Candidate 5 (b = 5/16) arrives at stage 5, below the last walk's reach + gap (1/2),
+# and stage 5 inserts only 3/8, above it: it has never been searched, so it must be,
+# and it hits with (0, 1/8, 1/4).
+@example(w=_halving_witness(schedule=StageSchedule(0, 0)),
+         raw=_table((Q(1, 8), Q(1, 8), Q(1, 8), Q(13, 16), Q(5, 16))), step=(1, 5),
+         prev_index=0)
 @given(w=staged_witnesses(), raw=targets, step=steps, prev_index=st.integers(0, 3))
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
