@@ -66,7 +66,7 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
     its first chunk; nl is a newline and the indent of value's own line.
     Each dict entry or list element is one chunk, a scalar joined onto its
     key, except that a list whose items all have the one exact type str or
-    int, or a row table, is one chunk, written in one join."""
+    int, or a row table, is one chunk, written in one join (see _dump)."""
     scalar = _SCALAR.get(type(value))
     if scalar is not None:
         out.append(head + scalar(value))
@@ -89,8 +89,12 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         types = set(map(type, value))
         if types == {str} or types == {int}:
-            out.append(head + "[" + inner + ("," + inner).join(map(_SCALAR[types.pop()], value))
-                       + nl + "]")
+            kind = types.pop()
+            if kind is str and _bare("".join(value)):
+                body = '"' + ('",' + inner + '"').join(value) + '"'
+            else:
+                body = ("," + inner).join(map(_SCALAR[kind], value))
+            out.append(head + "[" + inner + body + nl + "]")
             return
         table = row_table(value)
         if table is not None:
@@ -106,6 +110,11 @@ def _write(value, head: str, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _bare(text: str) -> bool:
+    """Whether json writes each str joined into text as itself between quotes (see _dump)."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _row_template(shape: list[tuple[str, int]], nl: str) -> str:
@@ -128,6 +137,12 @@ def _dump(payload: dict) -> list[str]:
     ladder's indices, points and values, is written in one join, and so
     is a row table (see harness.row_table), such as a report's per-step
     rows: one % template per table, filled from each row's column texts.
+    A list of str whose joined text is printable ASCII with no " and no \\
+    is joined as it is, each item between two quotes: json's own encoder
+    escapes only \\, " and the characters outside space to ~, and
+    str.isprintable rejects every control character, DEL among them, so
+    with str.isascii it admits none of the latter.  Any other list of str
+    encodes each item.
     The caller writes the chunks to the payload file as they are, never
     joined into one string.  A payload holds only dicts with str keys,
     lists, str, int, bool and None: exact rationals are already strings.
@@ -229,7 +244,7 @@ def _run_oracle(sc: Scenario, opts: dict) -> dict:
         payload["hit"] = {
             "stage": hit.stage_found,
             "i": hit.index,
-            "ladder": ladder_payload(hit.tup),
+            "ladder": ladder_payload(hit.tup, {}),
         }
         text = (f"oracle     {sc.name}\nstep       {n}\n"
                 f"hit        stage {hit.stage_found}, i {hit.index}, "

@@ -74,7 +74,12 @@ unreduced integer pair, and the search pre-filters clause (v) by
 cross-multiplying those pairs.  A returned ladder stays in integers too:
 its RequirementTuple holds the slots, reduced to the ladder's least
 exact scale, and the cached pairs, and check_requirement, which
-cross-multiplies every clause into integers, accepts every hit.  The one
+cross-multiplies every clause into integers, accepts every hit.  So a
+walked member costs one find over the occupancy bytes, one read of the
+domain's pair cache (the value rule only on a point's first read) and
+one clause (v) test against the final, whose side of it is read once per
+final; a member of the returned ladder costs one more read of its index
+and of its cached pair, and check_requirement's tests of it.  The one
 Fraction a step builds is its output a_n.
 """
 from __future__ import annotations
@@ -83,7 +88,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, inf, lcm
-from operator import itemgetter
+from operator import itemgetter, lt, sub
 
 from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
 from .errors import InvalidScenario
@@ -93,6 +98,7 @@ from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_s
 
 Q = Fraction
 _index = itemgetter(2)  # a routed candidate's (fl, ce, i) -> i
+_den = itemgetter(1)    # a g-value's (p, q) -> q
 
 
 class RequirementTuple(Record):
@@ -117,7 +123,7 @@ class RequirementTuple(Record):
             raise ValueError("ladder components must have equal length")
         if len(indices) == 0:
             raise ValueError("ladder must be nonempty")
-        if scale < 1 or any(q < 1 for _, q in values):
+        if scale < 1 or min(map(_den, values)) < 1:
             raise ValueError("the scale and every g-value denominator must be positive")
         k = gcd(scale, *points)
         if k > 1:
@@ -137,7 +143,8 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
     d = lcm(b's denominator, 2**(n+2), the ladder's scale) (the gap limit
     is then 2S), and each g-difference g_last - g_k = num / den is
     cross-multiplied from the two pairs, so clause (v) reads 0 < num and
-    num * d * c_d < c_n * (P_last - P_k + S) * den.
+    num * d * c_d < c_n * (P_last - P_k + S) * den, with d * c_d, c_n
+    times g_last's denominator and P_last + S formed once per ladder.
     Every comparison is exact, so the answer is total and certain.
     """
     if n < 0:
@@ -154,15 +161,15 @@ def check_requirement(n: int, b: Fraction, c: Fraction, tup: RequirementTuple) -
     bn = b.numerator * (d // b.denominator)
     if not (bn - gap_limit < last < bn):
         return 2
-    if pts[0] != 0 or any(x >= y for x, y in zip(pts, pts[1:])):
+    if pts[0] != 0 or not all(map(lt, pts, pts[1:])):
         return 3
-    if any(y - x >= gap_limit for x, y in zip(pts, pts[1:])):
+    if max(map(sub, pts[1:], pts)) >= gap_limit:
         return 4
-    cn, cd = c.numerator, c.denominator
     ln, ld = tup.values[-1]
+    dcd, cld, top = d * c.denominator, c.numerator * ld, last + slack
     for x, (p, q) in zip(pts, tup.values[:-1]):
         num = ln * q - p * ld
-        if not (0 < num and num * d * cd < cn * (last - x + slack) * ld * q):
+        if not (0 < num and num * dcd < cld * (top - x) * q):
             return 5
     return None
 
@@ -437,37 +444,35 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     """
     gap = state.gap
     occ, live, index = state.occ, state.live, state.index
-    pair = state.pair
-    cn, cd = c.numerator, c.denominator
-    shift = state.m + 1
+    pair, pairs = state.pair, state.pairs
+    cn, cds = c.numerator, c.denominator << (state.m + 1)
 
     def pair_ok(f: int, k: int) -> bool:
         (pf, qf), (pk, qk) = pair(index[f]), pair(index[k])
         num = pf * qk - pk * qf
-        return 0 < num and (num * cd << shift) < cn * qf * qk * (((f - k) << 1) + gap)
-
-    def first_member(f: int, lo: int, hi: int) -> int:
-        """The least point k in [lo, hi) with pair_ok(f, k); -1 if none."""
-        k = occ.find(1, lo, hi)
-        while k >= 0 and not pair_ok(f, k):
-            k = occ.find(1, k + 1, hi)
-        return k
+        return 0 < num and num * cds < cn * qf * qk * (((f - k) << 1) + gap)
 
     def ladder_to(f: int) -> list[int] | None:
-        """Lex-first shortest ladder ending at f; None if 0 cannot reach f."""
+        """Lex-first shortest ladder ending at f; None if 0 cannot reach f.
+
+        A class's least member is its first k >= 1 with pair_ok(f, k), tested
+        inline; if 0 reaches f in one hop, clause (i) needs one in [1, f)."""
+        pf, qf = pairs[index[f]]  # read by pair_ok(f, 0)
+        cq, span = cn * qf, (f << 1) + gap  # pair_ok(f, k): cq * qk * (span - 2k)
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
-        top, hi = f, f
-        while (lo := top - gap + 1) > 0:
-            top = first_member(f, lo, hi)
-            if top < 0:
-                return None  # empty distance class: 0 cannot reach f
-            chain.append(top)
-            hi = lo
-        if not chain:  # 0 reaches f in one hop, but clause (i) needs ell >= 2
-            k = first_member(f, 1, f)
+        top = hi = f
+        while (lo := top - gap + 1) > 0 or not chain:
+            k = occ.find(1, lo if lo > 0 else 1, hi)
+            while k >= 0:
+                pk, qk = pairs.get(j := index[k]) or pair(j)
+                num = pf * qk - pk * qf
+                if 0 < num and num * cds < cq * qk * (span - (k << 1)):
+                    break
+                k = occ.find(1, k + 1, hi)
             if k < 0:
-                return None
-            chain = [k]
+                return None  # empty distance class: 0 cannot reach f
+            chain.append(k)
+            top, hi = k, lo
         return [0] + chain[::-1] + [f]
 
     best: list[int] | None = None
@@ -482,8 +487,8 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     if best is None:
         return None
     b = state.b.term(i)
-    js = [index[t] for t in best]
-    tup = RequirementTuple(tuple(js), tuple(best), 1 << state.m, tuple(map(pair, js)))
+    js = tuple(map(index.__getitem__, best))
+    tup = RequirementTuple(js, tuple(best), 1 << state.m, tuple(map(pairs.__getitem__, js)))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 

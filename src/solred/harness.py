@@ -275,20 +275,24 @@ def _step_head(rec: StepRecord) -> dict:
     }
 
 
-def ladder_payload(tup: RequirementTuple) -> dict:
+def ladder_payload(tup: RequirementTuple, memo: dict[int, tuple[str, str]]) -> dict:
     """A ladder as the trace and the oracle result write it: each point
-    and g-value as the text of its reduced fraction."""
-    scale = tup.scale
-    return {
-        "indices": list(tup.indices),
-        "points": [_ratio_text(x, scale) for x in tup.points],
-        "values": [_ratio_text(p, q) for p, q in tup.values],
-    }
+    and g-value as the text of its reduced fraction.  Both texts depend
+    only on the member's index j, as q_j and g(q_j), so memo holds them by
+    j, and the ladders of one trace share it: each j is formatted once."""
+    indices, scale = tup.indices, tup.scale
+    for j, x, (p, q) in zip(indices, tup.points, tup.values):
+        if j not in memo:
+            memo[j] = _ratio_text(x, scale), _ratio_text(p, q)
+    texts = list(map(memo.__getitem__, indices))
+    return {"indices": list(indices), "points": [p for p, _ in texts],
+            "values": [v for _, v in texts]}
 
 
 def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
     """Deterministic JSON payload for a construction trace."""
     steps = trace.steps
+    memo: dict[int, tuple[str, str]] = {}  # one domain, so one text per index
     payload: dict = {
         "format_version": "1",
         "kind": "construction_trace",
@@ -299,7 +303,7 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
         # is always i_n - 1; format 1 keeps the field for its readers
         "beta_index_offset": 1,
         "steps": [{**_step_head(rec),
-                   "ladder": None if rec.tup is None else ladder_payload(rec.tup)}
+                   "ladder": None if rec.tup is None else ladder_payload(rec.tup, memo)}
                   for rec in steps],
         "exhausted": None,
     }

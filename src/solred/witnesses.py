@@ -68,15 +68,12 @@ def canonical_point(j: int) -> Fraction:
 
 def canonical_index(q: Fraction) -> int | None:
     """Inverse of canonical_point on Q cap [0,1); None off the enumeration."""
-    if q == ZERO:
+    num, den = q.numerator, q.denominator  # den > 0, so the sign and the range read from num
+    if num == 0:
         return 0
-    if q < ZERO or q >= ONE:
-        return None
-    den = q.denominator
-    if den & (den - 1) != 0:
-        return None  # not dyadic
-    level = den.bit_length() - 1
-    return (1 << (level - 1)) + (q.numerator - 1) // 2
+    if num < 0 or num >= den or den & (den - 1) != 0:
+        return None  # outside [0, 1), or not dyadic
+    return (1 << (den.bit_length() - 2)) + (num - 1) // 2
 
 
 class DyadicEnumeration(Record):
@@ -106,10 +103,16 @@ class DyadicEnumeration(Record):
         return tuple((q.numerator, q.denominator.bit_length() - 1) for q in self.prefix)
 
     def dyadic(self, j: int) -> tuple[int, int]:
-        """q_j as (numerator, exponent): q_j = numerator / 2**exponent."""
+        """q_j as (numerator, exponent): q_j = numerator / 2**exponent; as
+        canonical_dyadic(j) past the prefix, computed inline."""
+        if j < 0:
+            raise ValueError("enumeration index must be >= 0")
         if j < len(self.prefix):
             return self._prefix_dyadics[j]
-        return canonical_dyadic(j)
+        if j == 0:
+            return 0, 0
+        level = j.bit_length()
+        return 2 * j + 1 - (1 << level), level
 
     def scaled(self, j: int, m: int) -> int:
         """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""
@@ -187,8 +190,8 @@ class ValueRule(Record):
         hit = self._override_map.get(j)
         if hit is not None:
             return hit.numerator, hit.denominator
-        a, b, q = self.affine_at(e)
-        return a * num + b, q
+        a, b, q = self._affine  # affine_at(e), inline
+        return a * num + (b << e), q << e
 
 
 class StagedPartialFunction(Record):

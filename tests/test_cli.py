@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solred import cli, harness
+from solred import cli, construction, harness
 from solred.construction import build_s2a_from_solovay
 from solred.oracle import oracle_min_hit
 from solred.scenario import (
@@ -27,8 +27,9 @@ from solred.scenario import (
     MAX_STAGE_BUDGET,
     load_scenario,
 )
+from solred.witnesses import ValueRule
 
-from conftest import ALL_NAMES, corpus_path, nested_alpha_text
+from conftest import ALL_NAMES, VALID_WITNESS_NAMES, corpus_path, nested_alpha_text
 
 TIMING = re.compile(r": \d+\.\d{3}s elapsed \(non-deterministic\)$", re.M)
 
@@ -184,7 +185,7 @@ def _library_payload(argv: list[str], sc) -> dict:
     return {"format_version": "1", "kind": "oracle_result", "scenario": sc.name,
             "parameters": {"step": step, "stage_budget": sc.stage_budget, "prev_index": prev},
             "hit": {"stage": hit.stage_found, "i": hit.index,
-                    "ladder": harness.ladder_payload(hit.tup)}}
+                    "ladder": harness.ladder_payload(hit.tup, {})}}
 
 
 _OVERRIDES = {"depth": 3, "stage_budget": 700, "guard": 3}
@@ -822,6 +823,52 @@ def test_writer_matches_json_dumps_on_random_trees(tree):
     join, every other list item by item: lists of bools or of a mix of
     types must take the second path."""
     assert dumped(tree) == stdlib_bytes(tree)
+
+
+@pytest.mark.parametrize("odd", ['"', "\\", "\x1f", "\x7f", "\u00e9", "\u2028", "", '""',
+                                 'a"b', "1/2\\", "\x001"], ids=ascii)
+@pytest.mark.parametrize("where", ["alone", "first", "middle", "last", "twice"])
+def test_a_list_of_str_that_json_escapes_matches_json_dumps(odd, where):
+    """A list of str whose joined text is printable ASCII with no " or \\
+    is written in one join, each item between two quotes; any other list
+    of str, here one with a quote, a backslash, a control character, DEL,
+    a non-ASCII character or a line separator in one item, is written
+    item by item through json's own encoder."""
+    plain = ["0", "1/2", "-3/4"]
+    value = {"alone": [odd], "first": [odd, *plain], "middle": [plain[0], odd, *plain[1:]],
+             "last": [*plain, odd], "twice": [odd, *plain, odd]}[where]
+    assert dumped({"ladder": {"points": value}}) == stdlib_bytes({"ladder": {"points": value}})
+
+
+def test_construct_ladder_work_is_pinned(tmp_path, capsys, monkeypatch):
+    """Reads, texts and encodes of the six valid files' construct runs.
+
+    A ladder member's g-value is read from the domain's cache in the walk,
+    and _Domain.pair is called only for a final's clause (v) test against 0
+    and for a member not yet read; ValueRule.ratio, the first read of each
+    point, is unchanged.  Calling pair for each member test, with the
+    final's side read again each time, cost 84,870 pair calls.  Each
+    index's two texts are formatted once per trace: per member they took
+    51,804 _ratio_text calls.  A ladder's points and values are printable
+    ASCII with no quote or backslash, so _dump writes each list in one
+    join: encoding each str of them cost 52,146 encodes.
+    """
+    calls = dict.fromkeys(("pair", "ratio", "ratio_text", "encode"), 0)
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(construction._Domain, "pair", counting("pair", construction._Domain.pair))
+    monkeypatch.setattr(ValueRule, "ratio", counting("ratio", ValueRule.ratio))
+    monkeypatch.setattr(harness, "_ratio_text", counting("ratio_text", harness._ratio_text))
+    monkeypatch.setitem(cli._SCALAR, str, counting("encode", cli._SCALAR[str]))
+    for name in VALID_WITNESS_NAMES:
+        out = tmp_path / f"{name}.json"
+        assert run(capsys, "construct", str(corpus_path(name)), "--out", str(out))[0] == 0
+    assert calls == {"pair": 13088, "ratio": 12975, "ratio_text": 25936, "encode": 186}
 
 
 class Text(str):

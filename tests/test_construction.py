@@ -158,11 +158,31 @@ def test_ladder_payload_writes_str_of_each_fraction(m, raw):
     numerators among them, are written as str(Fraction) writes them."""
     tup = RequirementTuple(tuple(range(len(raw))), tuple(x for x, _, _ in raw), 1 << m,
                            tuple((p, q) for _, p, q in raw))
-    assert harness.ladder_payload(tup) == {
+    assert harness.ladder_payload(tup, {}) == {
         "indices": list(range(len(raw))),
         "points": [str(Q(x, 1 << m)) for x, _, _ in raw],
         "values": [str(Q(p, q)) for _, p, q in raw],
     }
+
+
+def test_a_trace_writes_each_member_from_its_own_fractions(scenarios, built):
+    """A trace's ladders share indices, and their texts come from one memo
+    per trace: every member is still written as str(Fraction) of its own
+    point and g-value.  The oracle result writes its one ladder with a
+    fresh memo, and writes step 3's ladder as the trace does."""
+    for name, trace in built.items():
+        sc = scenarios[name]
+        rows = trace_payload(sc, trace)["steps"]
+        held = [j for rec in trace.steps[1:] for j in rec.tup.indices]
+        assert len(set(held)) < len(held), name
+        for rec, row in zip(trace.steps[1:], rows[1:]):
+            tup = rec.tup
+            assert row["ladder"] == {"indices": list(tup.indices),
+                                     "points": [str(Q(x, tup.scale)) for x in tup.points],
+                                     "values": [str(Q(p, q)) for p, q in tup.values]}, name
+        hit = oracle_min_hit(3, trace.steps[2].index, sc.solovay_witness, trace.target,
+                             sc.stage_budget)
+        assert harness.ladder_payload(hit.tup, {}) == rows[3]["ladder"], name
 
 
 def fraction_check_requirement(n, b, c, points, values):

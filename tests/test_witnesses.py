@@ -75,6 +75,36 @@ def test_canonical_index_inverts_canonical_point(j):
     assert canonical_index(canonical_point(j)) == j
 
 
+def fraction_canonical_index(q):
+    """Reference: canonical_index as it was, in Fraction comparisons."""
+    if q == Q(0):
+        return 0
+    if q < Q(0) or q >= Q(1):
+        return None
+    den = q.denominator
+    if den & (den - 1) != 0:
+        return None
+    level = den.bit_length() - 1
+    return (1 << (level - 1)) + (q.numerator - 1) // 2
+
+
+@settings(max_examples=500, deadline=None)
+@example(q=Q(0))
+@example(q=Q(1))
+@example(q=Q(-1, 2))
+@example(q=Q(3, 2))
+@example(q=Q(1, 3))
+@example(q=Q(-5, 3))
+@example(q=Q(1, 1 << 80))
+@given(q=st.one_of(
+    st.builds(Q, st.integers(-(1 << 12), 1 << 12), st.integers(1, 1 << 12)),
+    st.builds(lambda n, e: Q(n, 1 << e), st.integers(-(1 << 70), 1 << 70), st.integers(0, 70)),
+))
+def test_canonical_index_on_integers_equals_the_fraction_reference(q):
+    """Negative, zero, >= 1 and non-dyadic fractions, and dyadics of every level."""
+    assert canonical_index(q) == fraction_canonical_index(q)
+
+
 @st.composite
 def permuted_enumerations(draw):
     size = draw(st.integers(0, 40))
@@ -207,6 +237,17 @@ def test_dyadic_pairs_are_the_points_in_integers(enum, far, extra):
             message = f"domain point {q} is not exact at scale 2**{e - 1}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 enum.scaled(j, e - 1)
+
+
+@pytest.mark.parametrize("enum", [DyadicEnumeration(), DyadicEnumeration((Q(0), Q(1, 4), Q(1, 2)))],
+                         ids=["canonical", "prefix"])
+@pytest.mark.parametrize("j", [-1, -2, -(1 << 40)])
+def test_a_negative_index_has_no_point(enum, j):
+    """Without a prefix, dyadic(-1) raised IndexError; with one, it gave the
+    prefix's last point."""
+    for read in (enum.dyadic, lambda j: enum.scaled(j, 8)):
+        with pytest.raises(ValueError, match=r"^enumeration index must be >= 0$"):
+            read(j)
 
 
 def test_scaled_rejects_a_point_finer_than_the_scale():
