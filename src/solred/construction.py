@@ -74,18 +74,24 @@ unreduced integer pair, and the search pre-filters clause (v) by
 cross-multiplying those pairs.  A returned ladder stays in integers too:
 its RequirementTuple holds the slots, reduced to the ladder's least
 exact scale, and the cached pairs, and check_requirement, which
-cross-multiplies every clause into integers, accepts every hit.  So a
-walked member costs one find over the occupancy bytes, one read of the
-domain's pair cache (the value rule only on a point's first read) and
-one clause (v) test against the final, whose side of it is read once per
-final; a member of the returned ladder costs one more read of its index
-and of its cached pair, and check_requirement's tests of it.  The one
+cross-multiplies every clause into integers, accepts every hit.  The
+ladder walk takes most members in runs of equal hops: one comparison of
+two slices of the occupancy bytes shows that the next classes' first
+points go on in the same hop, and clause (v), affine in the member's
+slot off the value overrides, admits a prefix of them that O(log t)
+tests find.  So a run of t members costs O(log t) clause (v) tests and
+compares bytes in proportion to the slots its classes span; a member no
+run takes costs one find over the occupancy bytes, one read of the
+domain's pair cache and one clause (v) test against the final, whose
+side of it is read once per final.  A member of the returned ladder
+costs one read of its pair (the value rule, from its slot, only on the
+point's first read) and check_requirement's tests of it.  The one
 Fraction a step builds is its output a_n.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import itemgetter, lt, sub
@@ -200,7 +206,10 @@ class _Domain:
     the keys repeat by parity, so keys(i) returns a later index's keys
     from n0 or n0 + 1; and g-values, cached by enumeration index as an
     unreduced integer pair (pairs) on a ladder search's first read, which
-    a returned ladder's RequirementTuple holds as they are.
+    pair and read take from the point's slot and a returned ladder's
+    RequirementTuple holds as they are.  valued holds the slots of the
+    value-overridden points, the only ones where g is not affine in the
+    slot.
 
     The points themselves are occupancy bytes, one slot per integer
     x < 2**m: occ[x] is 1 iff x / 2**m is a point, and index[x] is its
@@ -245,6 +254,9 @@ class _Domain:
         self.stage = 0
         self._keys: list[tuple[int, int]] = [(0, 0)]  # (fl, ce) of b_i; index 0 is no candidate
         self.pairs: dict[int, tuple[int, int]] = {}  # j -> g(q_j) unreduced, on first read
+        m, dyadic = self.m, g.enumeration.dyadic  # off these slots g is affine in the slot
+        self.valued = sorted(num << (m - e) for num, e in map(dyadic, dict(g.rule.overrides))
+                             if e <= m)  # a point finer than 2**-m never enters
         self.occ = bytearray(1 << self.m)   # occ[x] = 1 iff x / 2**m is a point
         self.index = [0] * (1 << self.m)    # index[x]: the enumeration index of point x
         self.live = bytearray(1 << self.m)  # occ less this step's finals that fail against 0
@@ -273,13 +285,29 @@ class _Domain:
             keys.append(self.b.keys(len(keys), self.m))
         return keys[i]
 
-    def pair(self, j: int) -> tuple[int, int]:
-        """g(q_j) of an inserted point as an unreduced integer pair (p, q), q > 0."""
-        p = self.pairs.get(j)
+    def pair(self, x: int) -> tuple[int, int]:
+        """g at the point in the slot x as an unreduced integer pair (p, q), q > 0.
+
+        A point's pair is read once, as rule.ratio(j, num, e) with q_j =
+        num / 2**e taken from its slot x = num * 2**(m - e): num is odd, or
+        x = num = e = 0 (see DyadicEnumeration.dyadic), so m - e is the
+        count of x's trailing zero bits.
+        """
+        p = self.pairs.get(j := self.index[x])
         if p is None:
-            g = self.g
-            p = self.pairs[j] = g.rule.ratio(j, *g.enumeration.dyadic(j))
+            t = (x & -x).bit_length() - 1 if x else self.m
+            p = self.pairs[j] = self.g.rule.ratio(j, x >> t, self.m - t)
         return p
+
+    def read(self, slots: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """The pairs of the points in these slots, each read as pair reads
+        it, in one pass with no call per point but the value rule's."""
+        pairs, index, m, ratio = self.pairs, self.index, self.m, self.g.rule.ratio
+        for x in slots:
+            if (j := index[x]) not in pairs:
+                t = (x & -x).bit_length() - 1 if x else m
+                pairs[j] = ratio(j, x >> t, m - t)
+        return tuple(map(pairs.__getitem__, map(index.__getitem__, slots)))
 
     def start_step(self, n: int) -> None:
         """Set step n's gap limit, walk its reach from 0, and reset live."""
@@ -405,6 +433,51 @@ class _Domain:
         return self.reach + self.gap
 
 
+def _repeats(occ: bytearray, a: int, z: int, d: int) -> bool:
+    """Whether the slots a..z-1 hold what the slots d above them hold."""
+    return occ[a:z] == occ[a + d:z + d]
+
+
+def _run(occ: bytearray, k: int, d: int, gap: int, valued: list[int],
+         admits: Callable[[int], bool]) -> int:
+    """How many of k - d, k - 2d, ... follow k as the least members of the
+    walk's next classes (see _lex_first_ladder, which proves the test).
+
+    k is the first slot of its class's window, d the hop that ended there,
+    and admits the clause (v) test against the final.  Member t counts
+    while the top it is found from leaves 0 past one hop, no member down
+    to it is value-overridden, the slots from member t's window start a_t
+    = k - (t - 1) * d - gap + 1 up to k - d repeat the slots d above them,
+    and admits(k - t * d).  That test is monotone in t, so t is galloped
+    (1, 3, 7, ...) and then bisected, in O(log t) admits tests.  A repeat
+    test compares only the slots below those already shown to repeat, so
+    the galloping tests compare at most gap - d + 2td bytes and the
+    bisecting ones at most td + d more: in all at most four times the
+    slots of the class windows the run stands for, the t windows of d
+    slots its members lie in and k's own, which holds the gap - d slots
+    from its start to k.
+    """
+    most = (k - gap) // d + 1  # member t's top, k - (t - 1) * d, is at least gap
+    at = bisect_left(valued, k)
+    while at and (x := valued[at - 1]) >= k - most * d:
+        if (k - x) % d == 0:
+            most = (k - x) // d - 1
+            break
+        at -= 1
+    seen = k - d + 1  # the slots seen..k-d repeat the ones d above them
+    good, bad, step = 0, most + 1, 1  # step 0: bisecting
+    while good + 1 < bad:
+        t = min(good + step, bad - 1) if step else (good + bad) // 2
+        a = k - (t - 1) * d - gap + 1
+        if a >= seen or _repeats(occ, a, seen, d):
+            seen = min(seen, a)
+            if admits(k - t * d):
+                good, step = t, step * 2
+                continue
+        bad, step = t, 0
+    return good
+
+
 def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
                       ) -> tuple[Fraction, RequirementTuple] | None:
     """(b_i, canonically first requirement-satisfying ladder) for this stage.
@@ -431,11 +504,28 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
       slot within one hop of the least member m_{h-1} of class h-1
       (m_0 = f), and m_h is its first admissible point; the walk stops
       when 0 is within one hop, or fails on an empty class;
+    - a run of equal hops takes many classes in one step (see _run).  Let
+      k = m_h be the first point of its window, which starts at p - gap + 1
+      >= 1 for p = m_{h-1}, and d = p - k.  Periodicity: class h+1's window
+      starts at k - gap + 1, d below class h's, and the slots p - gap + 1..k
+      are empty but for k.  So if the slots k - gap + 1..k - d repeat the
+      slots d above them, class h+1's first point is k - d, and k - d lies
+      below that window's end p - gap + 1, since the slots p - gap + 1..k-1
+      are empty; by induction, if the slots from k - (t - 1) * d - gap + 1
+      to k - d repeat, one comparison of two slices, then k - d, ..., k - td
+      are the first points of classes h+1..h+t.  Affinity: off the value
+      overrides g(x) = u * x / 2**m + v, so each of pair_ok's two
+      inequalities, divided by the positive product of the denominators,
+      compares two affine functions of the member's slot x and holds on a
+      half-line of x; both hold on an interval.  Once pair_ok(f, k - d)
+      holds, the run's points below it leave that interval at most once,
+      so pair_ok holds on a prefix of the run, found by galloping tests;
     - the lex-first shortest path is then 0, m_{h-1}, ..., m_1, f.  When
       0 reaches f in one hop, the ladder is (0, first admissible k, f),
       because clause (i) needs ell >= 2;
     - the least (ell, slots) over the finals wins.  Only then is b_i
-      read as a Fraction; the ladder's RequirementTuple holds its slots
+      read as a Fraction, and its members' g-values not read in the walk
+      are read in one pass; the ladder's RequirementTuple holds its slots
       at the domain's scale 2**m and its cached pairs, with no Fraction
       per member, and it is accepted solely by check_requirement.
 
@@ -444,41 +534,42 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     """
     gap = state.gap
     occ, live, index = state.occ, state.live, state.index
-    pair, pairs = state.pair, state.pairs
+    pair, pairs, valued = state.pair, state.pairs, state.valued
     cn, cds = c.numerator, c.denominator << (state.m + 1)
 
-    def pair_ok(f: int, k: int) -> bool:
-        (pf, qf), (pk, qk) = pair(index[f]), pair(index[k])
+    def admits(k: int) -> bool:  # pair_ok(f, k): num * cds < cq * qk * (span - 2k)
+        pk, qk = pairs.get(index[k]) or pair(k)
         num = pf * qk - pk * qf
-        return 0 < num and num * cds < cn * qf * qk * (((f - k) << 1) + gap)
+        return 0 < num and num * cds < cq * qk * (span - (k << 1))
 
     def ladder_to(f: int) -> list[int] | None:
         """Lex-first shortest ladder ending at f; None if 0 cannot reach f.
 
-        A class's least member is its first k >= 1 with pair_ok(f, k), tested
-        inline; if 0 reaches f in one hop, clause (i) needs one in [1, f)."""
-        pf, qf = pairs[index[f]]  # read by pair_ok(f, 0)
-        cq, span = cn * qf, (f << 1) + gap  # pair_ok(f, k): cq * qk * (span - 2k)
+        A class's least member is its first k >= 1 with pair_ok(f, k); if 0
+        reaches f in one hop, clause (i) needs one in [1, f)."""
         chain: list[int] = []   # m_1, m_2, ...: least member of each distance class
         top = hi = f
         while (lo := top - gap + 1) > 0 or not chain:
-            k = occ.find(1, lo if lo > 0 else 1, hi)
-            while k >= 0:
-                pk, qk = pairs.get(j := index[k]) or pair(j)
-                num = pf * qk - pk * qf
-                if 0 < num and num * cds < cq * qk * (span - (k << 1)):
-                    break
+            k = first = occ.find(1, lo if lo > 0 else 1, hi)
+            while k >= 0 and not admits(k):
                 k = occ.find(1, k + 1, hi)
             if k < 0:
                 return None  # empty distance class: 0 cannot reach f
             chain.append(k)
+            d = top - k
+            if k == first and (t := _run(occ, k, d, gap, valued, admits)):
+                chain.extend(range(k - d, k - t * d - 1, -d))
+                k -= t * d
+                lo = k + d - gap + 1  # where the last member's window starts
             top, hi = k, lo
-        return [0] + chain[::-1] + [f]
+        return [0, *reversed(chain), f]
 
     best: list[int] | None = None
     f = max(0, fl - gap + 1) - 1  # b - gap < x iff fl - gap < x
     while (f := live.find(1, f + 1, ce)) >= 0:  # x < b iff x < ce
-        if not pair_ok(f, 0):
+        pf, qf = pairs.get(index[f]) or pair(f)  # admits reads these four
+        cq, span = cn * qf, (f << 1) + gap
+        if not admits(0):
             live[f] = 0  # ends no ladder for the rest of the step
             continue
         ladder = ladder_to(f)
@@ -488,7 +579,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
         return None
     b = state.b.term(i)
     js = tuple(map(index.__getitem__, best))
-    tup = RequirementTuple(js, tuple(best), 1 << state.m, tuple(map(pairs.__getitem__, js)))
+    tup = RequirementTuple(js, tuple(best), 1 << state.m, state.read(best))
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 

@@ -843,11 +843,14 @@ def test_a_list_of_str_that_json_escapes_matches_json_dumps(odd, where):
 def test_construct_ladder_work_is_pinned(tmp_path, capsys, monkeypatch):
     """Reads, texts and encodes of the six valid files' construct runs.
 
-    A ladder member's g-value is read from the domain's cache in the walk,
-    and _Domain.pair is called only for a final's clause (v) test against 0
-    and for a member not yet read; ValueRule.ratio, the first read of each
-    point, is unchanged.  Calling pair for each member test, with the
-    final's side read again each time, cost 84,870 pair calls.  Each
+    _Domain.pair is called only for a point that the walk tests before it
+    is read: a final, the point 0 or a member; runs of equal hops test
+    O(log t) of their t members, and the returned ladder's members not
+    yet read are read in one pass.  ValueRule.ratio, the first read of
+    each point, is unchanged.  Calling pair for each member test, with the
+    final's side read again each time, cost 84,870 pair calls, testing
+    each member in the walk 13,088, and reading both sides of each final's
+    test against 0 through pair 383.  Each
     index's two texts are formatted once per trace: per member they took
     51,804 _ratio_text calls.  A ladder's points and values are printable
     ASCII with no quote or backslash, so _dump writes each list in one
@@ -868,7 +871,7 @@ def test_construct_ladder_work_is_pinned(tmp_path, capsys, monkeypatch):
     for name in VALID_WITNESS_NAMES:
         out = tmp_path / f"{name}.json"
         assert run(capsys, "construct", str(corpus_path(name)), "--out", str(out))[0] == 0
-    assert calls == {"pair": 13088, "ratio": 12975, "ratio_text": 25936, "encode": 186}
+    assert calls == {"pair": 264, "ratio": 12975, "ratio_text": 25936, "encode": 186}
 
 
 class Text(str):

@@ -344,6 +344,30 @@ def test_ladder_search_work_is_pinned(monkeypatch):
     assert count_searches(monkeypatch, "linear_basic") == (12, None)
 
 
+def test_runs_take_the_ladder_members_on_linear_basic(monkeypatch):
+    """A run of equal hops takes many distance classes in one step.
+
+    linear_basic's 12 ladders hold 4,088 points.  Each ladder's walk finds
+    one member by a find over its class window and tries a run after it,
+    and 9 of those 12 runs take the other 4,052 members between 0 and the
+    final: walking them one at a time cost one find and one clause (v)
+    test each.
+    """
+    runs = []
+    real = construction._run
+
+    def counting(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(construction, "_run", counting)
+    sc = load_scenario(corpus_path("linear_basic"))
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, sc.depth,
+                                   sc.stage_budget)
+    assert sum(len(rec.tup.points) for rec in trace.steps[1:]) == 4088
+    assert (len(runs), sum(t > 0 for t in runs), sum(runs)) == (12, 9, 4052)
+
+
 @pytest.mark.parametrize("budget,searches,finals", [(400, 46, 53), (8192, 596, 603),
                                                     (65536, 4634, 4641)])
 def test_finals_walk_is_pinned(monkeypatch, budget, searches, finals):

@@ -29,6 +29,7 @@ on its own.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import tracemalloc
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solred import oracle
+from solred import construction, oracle
 from solred.approximations import (
     AffineDyadic,
     AlternatingDyadic,
@@ -51,8 +52,10 @@ from solred.approximations import (
     Table,
 )
 from solred.construction import (
+    RequirementTuple,
     StepRecord,
     _Domain,
+    _lex_first_ladder,
     build_s2a_from_solovay,
     check_requirement,
     search_step,
@@ -934,7 +937,183 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
     assert domain.m == 1
     domain.start_step(0)
     assert domain.enter(1) == 0
-    assert [(j, x, Q(*domain.pair(j))) for x, j in _all_points(domain)] == [
+    assert [(j, x, Q(*domain.pair(x))) for x, j in _all_points(domain)] == [
         (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
         domain.enter(2)  # q_2 = 1/4
+
+
+def member_first_ladder(n, i, fl, ce, c, state, spans=None):
+    """_lex_first_ladder walking one member at a time, the reference for its runs.
+
+    Each distance class's least member is found by a find over the class's
+    window and a clause (v) test of each point in it in turn, from the
+    window's start, and each g-value is read as rule.ratio(j, *dyadic(j)),
+    apart from the domain's cache.  spans, if given, collects the number of
+    slots each class's window spans.
+    """
+    gap, occ, live, index = state.gap, state.occ, state.live, state.index
+    g = state.g
+
+    def pair(x):
+        j = index[x]
+        return g.rule.ratio(j, *g.enumeration.dyadic(j))
+
+    cn, cds = c.numerator, c.denominator << (state.m + 1)
+
+    def pair_ok(f, k):
+        (pf, qf), (pk, qk) = pair(f), pair(k)
+        num = pf * qk - pk * qf
+        return 0 < num and num * cds < cn * qf * qk * (((f - k) << 1) + gap)
+
+    def ladder_to(f):
+        chain = []
+        top = hi = f
+        while (lo := top - gap + 1) > 0 or not chain:
+            start = lo if lo > 0 else 1
+            if spans is not None:
+                spans.append(max(0, hi - start))
+            k = occ.find(1, start, hi)
+            while k >= 0 and not pair_ok(f, k):
+                k = occ.find(1, k + 1, hi)
+            if k < 0:
+                return None
+            chain.append(k)
+            top, hi = k, lo
+        return [0] + chain[::-1] + [f]
+
+    best = None
+    f = max(0, fl - gap + 1) - 1
+    while (f := live.find(1, f + 1, ce)) >= 0:
+        if not pair_ok(f, 0):
+            live[f] = 0
+            continue
+        ladder = ladder_to(f)
+        if ladder is not None and (best is None or (len(ladder), ladder) < (len(best), best)):
+            best = ladder
+    if best is None:
+        return None
+    b = state.b.term(i)
+    tup = RequirementTuple(tuple(index[x] for x in best), tuple(best), 1 << state.m,
+                           tuple(map(pair, best)))
+    return (b, tup) if check_requirement(n, b, c, tup) is None else None
+
+
+def _both_walks(w, raw, stage, n):
+    """The results of _lex_first_ladder and member_first_ladder for each
+    distinct key of the target on one drawn domain entered to the stage, in
+    step min(n, m - 2), each walk on its own copy; the bytes _run compares;
+    and the slots that the reference's class windows span."""
+    domain = _Domain(w.g, prepended(raw), stage)
+    if max(1, w.g.schedule.stage_of(0)) > stage or domain.m < 3:
+        return [], 0, 0  # no point 0, or no step with a gap limit of at least 2
+    domain.enter(stage)
+    n = min(n, domain.m - 2)
+    domain.start_step(n)
+    ref = copy.deepcopy(domain)
+    compared, spans, pairs = 0, [], []
+    real = construction._repeats
+
+    def counting(occ, a, z, d):
+        nonlocal compared
+        compared += z - a
+        return real(occ, a, z, d)
+
+    for i in range(1, min(domain.n0 + 2, 40) + 1):  # later indices repeat these keys
+        fl, ce = domain.keys(i)
+        with mock.patch.object(construction, "_repeats", counting):
+            got = _lex_first_ladder(n, i, fl, ce, w.c, domain)
+        pairs.append((got, member_first_ladder(n, i, fl, ce, w.c, ref, spans)))
+        assert domain.live == ref.live
+    return pairs, compared, sum(spans)
+
+
+def _lattice_witness(values=(), c=Q(1, 2)):
+    """g = q/2 with value-table overrides, each point q_j entering at stage j."""
+    return SolovayWitness(_halving_witness(values, StageSchedule(0, 0)).g, c)
+
+
+# Stage 63 holds every slot at the scale 2**6, so step 3 (gap 4) walks from the
+# final 29 in hops of 3.  g(7/32) raised by 1/256 still passes clause (v): its
+# slot 14 ends the first run, the member step takes it, and a second run
+# goes on from it.
+RUN_OVERRIDE = (_lattice_witness(((19, Q(29, 256)),)), 63, 3)
+# Stage 80 holds the even slots at 2**7 and the level-7 points up to slot 33:
+# step 4 (gap 4) walks from the final 62 in hops of 2 until the window reaches
+# slot 33, where the repeat breaks and a run in hops of 3 takes over.
+RUN_BREAK = (_lattice_witness(), 80, 4)
+# c = 7/16 < 1/2 fails clause (v) for members 14 slots or more below the final,
+# and g(0) = 1/8 lets the final 29 pass it against 0 all the same: the run from
+# 26 must stop after 17, found by galloping to 7 members and bisecting back.
+RUN_FAILS = (_lattice_witness(((0, Q(1, 8)),), Q(7, 16)), 63, 3)
+
+
+@pytest.mark.parametrize("case,runs", [
+    (RUN_OVERRIDE, [(26, 3, 3), (14, 3, 4), (27, 3, 8), (28, 3, 9)]),
+    (RUN_BREAK, [(60, 2, 12), (33, 3, 10)]),
+    (RUN_FAILS, [(26, 3, 3), (27, 3, 3), (28, 3, 3)]),
+])
+def test_the_pinned_walks_take_their_runs(case, runs):
+    """(k, d, members taken) of each run tried in the pinned walks below, on
+    the target 1/2: the first run of each walk ends where its comment says."""
+    (w, stage, n), taken = case, []
+    real = construction._run
+
+    def counting(occ, k, d, *args):
+        taken.append((k, d, real(occ, k, d, *args)))
+        return taken[-1][2]
+
+    with mock.patch.object(construction, "_run", counting):
+        pairs, _, _ = _both_walks(w, _constant(Q(1, 2)), stage, n)
+    assert taken[:len(runs)] == runs
+    assert all(got == ref for got, ref in pairs)
+
+
+@FUZZ
+@example(w=RUN_OVERRIDE[0], raw=_constant(Q(1, 2)), stage=63, n=3)
+@example(w=RUN_BREAK[0], raw=_constant(Q(1, 2)), stage=80, n=4)
+@example(w=RUN_FAILS[0], raw=_constant(Q(1, 2)), stage=63, n=3)
+@given(w=staged_witnesses(), raw=targets, stage=st.integers(1, 127), n=st.integers(1, 5))
+def test_runs_give_the_member_walk_ladders(w, raw, stage, n):
+    """_lex_first_ladder equals the member-by-member reference, ladder,
+    b_i and cleared finals, on drawn domains: permuted prefixes, value
+    and stage overrides, and levels partly entered."""
+    for got, ref in _both_walks(w, raw, stage, n)[0]:
+        assert got == ref
+
+
+@settings(FUZZ, max_examples=200)
+@given(w=staged_witnesses(), raw=targets, stage=st.integers(1, 127), n=st.integers(1, 5))
+def test_run_checks_compare_a_bounded_number_of_bytes(w, raw, stage, n):
+    """The bytes the runs compare stay within four times the slots of the
+    class windows that the member walk's finds span.
+
+    A run from k after a hop d that takes t members compares at most
+    gap - d + 4td bytes (see _run), and stands for t class windows of d
+    slots and k's own, whose empty slots before k number gap - d - 1.
+    Comparing from the run's top at every galloping and bisecting test
+    compared up to six times these slots on such draws.
+    """
+    _, compared, spans = _both_walks(w, raw, stage, n)
+    assert compared <= 4 * spans
+
+
+@settings(FUZZ, max_examples=200)
+@example(w=SolovayWitness(StagedPartialFunction(
+    DyadicEnumeration((Q(0), Q(1, 4), Q(1, 2), Q(3, 4))), StageSchedule(0, 0),
+    ValueRule(Q(1, 2), ZERO, ((0, Q(1, 8)), (2, Q(1, 16))))), Q(1, 2)), stage=40)
+@given(w=staged_witnesses(), stage=st.integers(1, 127))
+def test_a_pair_read_from_its_slot_is_the_value_rules(w, stage):
+    """read gives each inserted point's pair from its slot, as
+    rule.ratio(j, *dyadic(j)) gives it, and caches it under j: on permuted
+    prefixes, value overrides and the point 0."""
+    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), stage)
+    domain.enter(stage)
+    slots = [x for x, _ in _all_points(domain)]
+    js = [domain.index[x] for x in slots]
+    assert (0 in js) == (max(1, w.g.schedule.stage_of(0)) <= stage)
+    rule, dyadic = w.g.rule, w.g.enumeration.dyadic
+    expected = tuple(rule.ratio(j, *dyadic(j)) for j in js)
+    assert domain.read(slots) == expected
+    assert domain.pairs == dict(zip(js, expected))
+    assert [domain.pair(x) for x in slots] == list(expected)
