@@ -22,7 +22,7 @@ A generator provides term(n), an exact rational; keys(n, m), the
 floor and ceiling of term(n) * 2**m, for a caller that compares terms
 only with integers at the scale 2**m; and settle(m), an index n0 past
 which the keys repeat by parity: keys(n, m) == keys(n - 2, m) for every
-n >= n0 + 2, so a caller reads keys(n, m) only up to n0 + 1 (each
+n >= n0 + 2, so a caller need read keys(n, m) only up to n0 + 1 (each
 generator proves its bound in its settle).  The dyadic generators give keys
 in closed form: with u = U / D, v = V / D, once w*n - m >= bits(V) they
 follow from divmod(U * 2**m, D) and the sign of V alone, at a cost that

@@ -49,7 +49,7 @@ is routed, since candidates are searched in ascending i.  The routed
 candidates are one list in key order, and the ready ones, whose b_i
 lies below reach + gap, are its prefix.  Past the settle index n0 the
 keys repeat by parity (see approximations), so no candidate past
-max(n0, i_{n-1} + 1) + 1 is routed, and keys are read up to n0 + 1.
+max(n0, i_{n-1} + 1) + 1 is routed, and no key past it is read.
 Within one search, each live final in the window gets a direct
 shortest-path search over the members that clause (v) admits against
 it, and the least ladder over the finals is the canonical one.  The
@@ -100,7 +100,7 @@ from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, Prepe
 from .errors import InvalidScenario
 from .records import Record
 from .scenario import MAX_STAGE_BUDGET
-from .witnesses import S2aWitness, SolovayWitness, StagedPartialFunction, eval_staged
+from .witnesses import S2aWitness, SolovayWitness, eval_staged
 
 Q = Fraction
 _index = itemgetter(2)  # a routed candidate's (fl, ce, i) -> i
@@ -197,15 +197,17 @@ class ConstructionTrace(Record):
 class _Domain:
     """The dovetailed domain of a construction, entered up to each event stage.
 
+    It holds the step search's inputs, the witness's g and c, the target
+    b and the stage budget, and search_step reads them from here.
     Points, keys and gap limits are integers at one scale 2**m, the
     least at which all points j <= stage_budget and all points of the
     prefix are exact, and at which the gap limit of every step that
     search_step starts is exact too (see there).  Tracks, incrementally:
     the keys (fl, ce) of b_i, read from the target's generator once per
-    index and only up to n0 + 1, where n0 = max(1, b.settle(m)): past it
-    the keys repeat by parity, so keys(i) returns a later index's keys
-    from n0 or n0 + 1; and g-values, cached by enumeration index as an
-    unreduced integer pair (pairs) on a ladder search's first read, which
+    index, in ascending order, up to the greatest index asked for, which
+    search_step's routing bound keeps at most max(n0, i_{n-1}) + 2 for
+    n0 = max(1, b.settle(m)); and g-values, cached by enumeration index
+    as an unreduced integer pair (pairs) on a ladder search's first read, which
     pair and read take from the point's slot and a returned ladder's
     RequirementTuple holds as they are.  valued holds the slots of the
     value-overridden points, the only ones where g is not affine in the
@@ -245,10 +247,11 @@ class _Domain:
     look-aheads first_below and first_reach.
     """
 
-    def __init__(self, g: StagedPartialFunction, b: Approximation, stage_budget: int):
+    def __init__(self, witness: SolovayWitness, b: Approximation, stage_budget: int):
         if not 0 <= stage_budget <= MAX_STAGE_BUDGET:
             raise ValueError(f"stage budget must be in 0..{MAX_STAGE_BUDGET}")
-        self.g, self.b = g, b
+        self.g = g = witness.g
+        self.c, self.b, self.stage_budget = witness.c, b, stage_budget
         self.m = max(stage_budget.bit_length(), len(g.enumeration.prefix).bit_length())
         self.n0 = max(1, b.settle(self.m))  # keys(i) == keys(i - 2) for i >= n0 + 2
         self.stage = 0
@@ -276,10 +279,7 @@ class _Domain:
         self._single = [j for _, j in single]
 
     def keys(self, i: int) -> tuple[int, int]:
-        """(fl, ce) of b_i, i >= 1: each index up to n0 + 1 read once, in order."""
-        n0 = self.n0
-        if i > n0 + 1:
-            i = n0 + (i - n0) % 2
+        """(fl, ce) of b_i, i >= 1: each index up to i read once, in order."""
         keys = self._keys
         while len(keys) <= i:
             keys.append(self.b.keys(len(keys), self.m))
@@ -478,7 +478,7 @@ def _run(occ: bytearray, k: int, d: int, gap: int, valued: list[int],
     return good
 
 
-def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Domain
+def _lex_first_ladder(n: int, i: int, fl: int, ce: int, state: _Domain
                       ) -> tuple[Fraction, RequirementTuple] | None:
     """(b_i, canonically first requirement-satisfying ladder) for this stage.
 
@@ -532,7 +532,7 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     search_step calls it only with a gap limit of at least 2: below
     that, no point but 0 lies below a ready b_i.
     """
-    gap = state.gap
+    gap, c = state.gap, state.c
     occ, live, index = state.occ, state.live, state.index
     pair, pairs, valued = state.pair, state.pairs, state.valued
     cn, cds = c.numerator, c.denominator << (state.m + 1)
@@ -583,18 +583,16 @@ def _lex_first_ladder(n: int, i: int, fl: int, ce: int, c: Fraction, state: _Dom
     return (b, tup) if check_requirement(n, b, c, tup) is None else None
 
 
-def search_step(n: int, prev_index: int, witness: SolovayWitness,
-                b: Approximation, stage_budget: int,
-                domain: _Domain | None = None) -> StepRecord | None:
+def search_step(n: int, prev_index: int, domain: _Domain) -> StepRecord | None:
     """Deterministic dovetailed hunt for the step-n record; None on budget.
 
-    At stage s the domain holds exactly the enumeration indices j <= s
-    whose definition stage has arrived, and the candidate target indices
-    are prev_index < i <= s.  The search resumes at the domain's stage
-    and enters stages up to stage_budget: a construction passes the one
-    domain that step n-1 left at stage_found_{n-1}, where step n cannot
-    yet have hit (see the module docstring), and a standalone search
-    builds a fresh domain at stage 0.
+    g, c, the target b and the stage budget are the domain's.  At stage
+    s the domain holds exactly the enumeration indices j <= s whose
+    definition stage has arrived, and the candidate target indices are
+    prev_index < i <= s.  The search resumes at the domain's stage and
+    enters stages up to the budget: a construction passes the one domain
+    that step n-1 left at stage_found_{n-1}, where step n cannot yet
+    have hit (see the module docstring), and a fresh domain is at stage 0.
     A step n with n + 1 >= m, the domain's scale, returns None at once,
     before start_step: every point that can enter by the budget is exact
     at 2**-m, so at that scale a hop between distinct points is a
@@ -662,8 +660,8 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
-    domain = domain or _Domain(witness.g, b, stage_budget)
-    s0 = max(1, witness.g.schedule.stage_of(0))  # the stage where the point 0 enters
+    stage_budget = domain.stage_budget
+    s0 = max(1, domain.g.schedule.stage_of(0))  # the stage where the point 0 enters
     if n + 1 >= domain.m or s0 > stage_budget:
         return None  # no hop between points exact at 2**-m is below 2**-(n+1), or no point 0
     if domain.stage < s0:
@@ -693,7 +691,7 @@ def search_step(n: int, prev_index: int, witness: SolovayWitness,
             if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
                     or live.find(1, max(0, fl - gap + 1), ce) < 0):
                 continue  # a ladder needs 0, two more points and a live final
-            hit = _lex_first_ladder(n, i, fl, ce, witness.c, domain)
+            hit = _lex_first_ladder(n, i, fl, ce, domain)
             if hit is not None:
                 bi, tup = hit
                 return StepRecord(n, i, Q(*tup.values[-1]), bi, tup, s)
@@ -742,9 +740,9 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
     if s0 > stage_budget:
         return ConstructionTrace((), b, (0, stage_budget))
     steps = [StepRecord(0, 0, witness.g.value_at(0), b.term(0), None, s0)]
-    domain = _Domain(witness.g, b, stage_budget)
+    domain = _Domain(witness, b, stage_budget)
     for n in range(1, depth + 1):
-        rec = search_step(n, steps[-1].index, witness, b, stage_budget, domain)
+        rec = search_step(n, steps[-1].index, domain)
         if rec is None:
             return ConstructionTrace(tuple(steps), b, (n, stage_budget))
         steps.append(rec)

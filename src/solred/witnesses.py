@@ -103,16 +103,10 @@ class DyadicEnumeration(Record):
         return tuple((q.numerator, q.denominator.bit_length() - 1) for q in self.prefix)
 
     def dyadic(self, j: int) -> tuple[int, int]:
-        """q_j as (numerator, exponent): q_j = numerator / 2**exponent; as
-        canonical_dyadic(j) past the prefix, computed inline."""
-        if j < 0:
-            raise ValueError("enumeration index must be >= 0")
-        if j < len(self.prefix):
-            return self._prefix_dyadics[j]
-        if j == 0:
-            return 0, 0
-        level = j.bit_length()
-        return 2 * j + 1 - (1 << level), level
+        """q_j as (numerator, exponent): q_j = numerator / 2**exponent; past
+        the prefix, and for j < 0, which raises, canonical_dyadic(j)."""
+        prefix = self._prefix_dyadics
+        return prefix[j] if 0 <= j < len(prefix) else canonical_dyadic(j)
 
     def scaled(self, j: int, m: int) -> int:
         """q_j * 2**m; raises ValueError when q_j is not exact at that scale."""

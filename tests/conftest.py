@@ -9,7 +9,7 @@ import pytest
 
 from solred import witnesses
 from solred.approximations import Approximation, PrependGen, _fraction_keys
-from solred.construction import RequirementTuple, build_s2a_from_solovay
+from solred.construction import RequirementTuple, _Domain, build_s2a_from_solovay, search_step
 from solred.reals import ZERO
 from solred.scenario import load_scenario
 from solred.witnesses import DyadicEnumeration
@@ -48,6 +48,11 @@ def box_fractions(box) -> tuple[Fraction, Fraction]:
 def prepended(raw: Approximation) -> Approximation:
     """0, then raw: the target a construction on raw builds, which i_n indexes."""
     return Approximation(PrependGen(ZERO, raw.gen))
+
+
+def fresh_search(n, prev_index, w, b, stage_budget):
+    """The step-n search after prev_index on a fresh domain at stage 0."""
+    return search_step(n, prev_index, _Domain(w, b, stage_budget))
 
 
 class TwoTail:

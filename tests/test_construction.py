@@ -45,6 +45,7 @@ from conftest import (
     box_fractions,
     corpus_path,
     count_fraction_points,
+    fresh_search,
     integer_ladder,
     prepended,
 )
@@ -298,7 +299,7 @@ def test_a_ladder_accepted_at_step_n_is_accepted_at_every_earlier_step(case):
 def test_search_step_first_hit_on_halving_witness():
     w = witness()
     b = prepended(climb_to("1/2"))
-    rec = search_step(1, 0, w, b, stage_budget=100)
+    rec = fresh_search(1, 0, w, b, 100)
     assert rec is not None
     assert (rec.stage_found, rec.index) == (4, 3)
     assert (rec.tup.points, rec.tup.scale) == ((0, 1, 2), 8)  # 0, 1/8, 1/4
@@ -314,12 +315,12 @@ def count_searches(monkeypatch, name, reads=None):
     calls = 0
     real = construction._lex_first_ladder
 
-    def counting(n, i, fl, ce, c, state):
+    def counting(n, i, fl, ce, state):
         nonlocal calls
         calls += 1
         if reads is not None:
             reads.append((n, state.stage, state.keys(i)))
-        return real(n, i, fl, ce, c, state)
+        return real(n, i, fl, ce, state)
 
     monkeypatch.setattr(construction, "_lex_first_ladder", counting)
     sc = load_scenario(corpus_path(name))
@@ -452,6 +453,36 @@ def test_search_event_work_is_pinned(monkeypatch, name, enters, below, reaches, 
     assert tuple(calls.values()) == (enters, below, reaches, searches)
 
 
+@pytest.mark.parametrize("name,n0,reads", [("oscillating", 22, 26), ("table_tail", 5, 17)])
+def test_the_domain_reads_each_key_once_up_to_the_last_index_routed(monkeypatch, name, n0, reads):
+    """A construction to depth 14 at stage budget 65,536 reads b_1..b_L once
+    each, in ascending order, L the greatest index routed.
+
+    Routing asks for no index past max(n0, i_{n-1} + 1) + 1, and here it
+    asks past n0 + 1, n0 the target's settle index at the scale 2**17.
+    Serving those indices from n0 or n0 + 1, whose keys they repeat, read
+    23 keys on oscillating and 6 on table_tail.
+    """
+    read, asked = [], []
+    real_read, real_ask = Approximation.keys, construction._Domain.keys
+
+    def reading(self, i, m):
+        read.append(i)
+        return real_read(self, i, m)
+
+    def asking(self, i):
+        asked.append(i)
+        return real_ask(self, i)
+
+    monkeypatch.setattr(Approximation, "keys", reading)
+    monkeypatch.setattr(construction._Domain, "keys", asking)
+    sc = load_scenario(corpus_path(name))
+    trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx, 14, 65536)
+    assert trace.exhausted is None
+    assert max(1, trace.target.settle(17)) == n0 and max(asked) > n0 + 1
+    assert read == list(range(1, max(asked) + 1)) and len(read) == reads
+
+
 @pytest.mark.parametrize("name", VALID_WITNESS_NAMES + INVALID_WITNESS_NAMES)
 def test_no_two_searches_of_one_stage_read_the_same_keys(monkeypatch, name):
     """Equal keys give equal search outcomes, so one stage of a step searches each once."""
@@ -570,9 +601,9 @@ def test_ladder_search_builds_fractions_only_for_returned_ladders(monkeypatch, n
     monkeypatch.setattr(construction, "Q", counting)
     sc = load_scenario(corpus_path(name))
     w, b = sc.solovay_witness, prepended(sc.beta_approx)
-    domain = construction._Domain(w.g, b, sc.stage_budget)
+    domain = construction._Domain(w, b, sc.stage_budget)
     steps, index = [], 0
-    while (rec := search_step(len(steps) + 1, index, w, b, sc.stage_budget, domain)):
+    while (rec := search_step(len(steps) + 1, index, domain)):
         steps.append(rec)
         index = rec.index
     ladders = {j for rec in steps for j in rec.tup.indices}

@@ -74,7 +74,7 @@ from solred.witnesses import (
     enumerate_domain,
 )
 
-from conftest import TwoTail, integer_ladder, point, prepended, probe_bound
+from conftest import TwoTail, fresh_search, integer_ladder, point, prepended, probe_bound
 
 FUZZ = settings(max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -344,7 +344,7 @@ NUDGED = ((8, Q(7, 64)),)
 def test_search_step_equals_oracle(w, raw, step, prev_index):
     n, budget = step
     b = prepended(raw)
-    rec = search_step(n, prev_index, w, b, budget)
+    rec = fresh_search(n, prev_index, w, b, budget)
     assert oracle_min_hit(n, prev_index, w, b, budget) == rec
     with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
         assert oracle_min_hit(n, prev_index, w, b, budget) == rec
@@ -382,7 +382,7 @@ def test_candidates_at_one_cut_with_different_windows_get_their_own_ladders():
     rec = oracle._stage_hit(1, 0, w, b, 9)
     assert (rec.stage_found, rec.index, rec.tup.points, rec.tup.scale) == (9, 2, (0, 1, 2), 16)
     assert memo_free_stage_hit(1, 0, w, b, 9) == rec
-    assert oracle_min_hit(1, 0, w, b, 12) == rec == search_step(1, 0, w, b, 12)
+    assert oracle_min_hit(1, 0, w, b, 12) == rec == fresh_search(1, 0, w, b, 12)
     with mock.patch.object(oracle, "_first_ladder", fraction_first_ladder):
         assert oracle._stage_hit(1, 0, w, b, 9) == rec
 
@@ -398,12 +398,12 @@ def test_a_candidate_with_two_points_below_it_hits_when_a_third_lands():
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = prepended(_constant(Q(1, 4)))
-    domain = _Domain(w.g, b, 12)
+    domain = _Domain(w, b, 12)
     domain.start_step(1)
     domain.enter(4)
     points = [Q(x, 2 ** domain.m) for x, _ in _all_points(domain)]
     assert points == [0, Q(1, 8), Q(1, 4), Q(1, 2), Q(3, 4)]
-    rec = search_step(1, 3, w, b, 12)
+    rec = fresh_search(1, 3, w, b, 12)
     assert (rec.stage_found, rec.index, rec.tup.points, rec.tup.scale) == (8, 4, (0, 1, 2), 16)
     assert oracle_min_hit(1, 3, w, b, 12) == rec
 
@@ -422,7 +422,7 @@ def test_a_step_hits_a_later_index_whose_target_value_an_earlier_step_took():
     assert [(r.index, r.stage_found, r.b_value) for r in trace.steps[1:]] == [
         (1, 4, Q(3, 8)), (3, 10, Q(3, 8)), (4, 21, Q(3, 8))]
     for prev, rec in zip(trace.steps, trace.steps[1:]):
-        assert search_step(rec.n, prev.index, w, trace.target, 40) == rec
+        assert fresh_search(rec.n, prev.index, w, trace.target, 40) == rec
         assert oracle_min_hit(rec.n, prev.index, w, trace.target, 40) == rec
 
 
@@ -437,7 +437,7 @@ def test_the_odd_tail_candidate_past_the_settle_index_is_routed(prev_index, inde
     """
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = Approximation(TwoTail((ZERO, ZERO), ZERO, Q(1, 4)))
-    rec = search_step(1, prev_index, w, b, 40)
+    rec = fresh_search(1, prev_index, w, b, 40)
     assert (rec.index, rec.stage_found, rec.tup.points, rec.tup.scale) == (index, 8, (0, 1, 2), 16)
     assert oracle_min_hit(1, prev_index, w, b, 40) == rec
 
@@ -447,7 +447,7 @@ def test_the_odd_tail_candidate_past_the_settle_index_is_routed(prev_index, inde
 def test_search_step_equals_oracle_at_raised_budgets(w, raw, step, prev_index):
     n, budget = step
     b = prepended(raw)
-    assert oracle_min_hit(n, prev_index, w, b, budget) == search_step(n, prev_index, w, b, budget)
+    assert oracle_min_hit(n, prev_index, w, b, budget) == fresh_search(n, prev_index, w, b, budget)
 
 
 @FUZZ
@@ -515,7 +515,7 @@ def test_every_start_gives_the_hit_from_stage_1(w, raw, n, cap, prev_index):
         seeded, probed = probed_min_hit(n, prev_index, w, b, cap, start)
         assert seeded == hit
         assert len(probed) <= probe_bound(cap)
-    rec = search_step(n, prev_index, w, b, cap)
+    rec = fresh_search(n, prev_index, w, b, cap)
     if rec is not None:
         seeded, probed = probed_min_hit(n, prev_index, w, b, cap, rec.stage_found)
         assert seeded == rec
@@ -546,8 +546,8 @@ def test_a_start_changes_only_the_stages_probed(cap, start, stages):
 def test_raising_the_budget_keeps_found_hits(w, raw, step, prev_index, extra):
     n, budget = step
     b = prepended(raw)
-    rec = search_step(n, prev_index, w, b, budget)
-    more = search_step(n, prev_index, w, b, budget + extra)
+    rec = fresh_search(n, prev_index, w, b, budget)
+    more = fresh_search(n, prev_index, w, b, budget + extra)
     if rec is not None:
         assert more == rec
     elif more is not None:
@@ -560,7 +560,7 @@ def _standalone_chain(w, raw, depth, budget):
     b = prepended(raw)
     chain = [StepRecord(0, 0, w.g.value_at(0), b.term(0), None, w.g.schedule.stage_of(0))]
     for n in range(1, depth + 1):
-        rec = search_step(n, chain[-1].index, w, b, budget)
+        rec = fresh_search(n, chain[-1].index, w, b, budget)
         if rec is None:
             return chain, (n, budget)
         chain.append(rec)
@@ -600,7 +600,7 @@ def test_standalone_steps_never_find_an_earlier_stage(w, raw, depth, budget):
 def test_shared_log_gives_the_steps_of_standalone_searches(w, raw, depth, budget):
     """The construction's one domain, swept forward once, changes no step.
 
-    Each standalone search_step builds its own domain and scans it from
+    Each standalone search runs on a fresh domain of its own and scans it from
     stage 1.
     """
     chain, exhausted = _standalone_chain(w, raw, depth, budget)
@@ -667,9 +667,9 @@ def test_a_step_no_hop_can_meet_exhausts_before_any_stage(w, raw, budget, past):
     scans the stages, finds no hit either.
     """
     b = prepended(raw)
-    domain = _Domain(w.g, b, budget)
+    domain = _Domain(w, b, budget)
     n = max(1, domain.m - 1 + past)
-    assert search_step(n, 0, w, b, budget, domain) is None
+    assert search_step(n, 0, domain) is None
     assert domain.stage == 0
     assert oracle_min_hit(n, 0, w, b, budget) is None
 
@@ -694,7 +694,7 @@ def test_keys_order_values_against_dyadics_exactly(b, m, data):
     assert (fl == ce) == (b * 2 ** m == near)
     assert target.term(1) == b
     if 1 << (m - 1) <= MAX_STAGE_BUDGET:  # a larger budget builds no domain
-        domain = _Domain(StagedPartialFunction(), target, 1 << (m - 1))
+        domain = _Domain(SolovayWitness(StagedPartialFunction(), Q(1)), target, 1 << (m - 1))
         assert domain.m == m
         domain.start_step(m - 1)
         domain.enter(1)
@@ -728,7 +728,7 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     and only once the domain holds the point 0: as search_step does, the
     stage where q_0 enters is entered before step 1 starts.
     """
-    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
+    domain = _Domain(w, prepended(_constant(Q(1, 2))), budget)
     if (s0 := max(1, w.g.schedule.stage_of(0))) > budget:
         return  # search_step returns None before it starts a step
     domain.enter(s0)
@@ -820,7 +820,7 @@ def test_a_run_equals_its_stages(w, budget, data):
     Runs of drawn lengths come with a live point cleared now and then, as
     a ladder search clears a final.
     """
-    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), budget)
+    domain = _Domain(w, prepended(_constant(Q(1, 2))), budget)
     domain.start_step(data.draw(st.integers(0, domain.m - 1)))
     ref = StageByStage(w.g, domain.m, domain.gap)
     for _ in range(data.draw(st.integers(1, 12))):
@@ -841,7 +841,7 @@ def _entered_at(w, slope, budget, data, least_stage=0):
     step with a gap limit of at least 2, entered to a drawn stage below the
     budget, with its stage-by-stage reference at the same stage."""
     g = w.g.replace(schedule=w.g.schedule.replace(slope=slope))
-    domain = _Domain(g, prepended(_constant(Q(1, 2))), budget)
+    domain = _Domain(w.replace(g=g), prepended(_constant(Q(1, 2))), budget)
     domain.start_step(data.draw(st.integers(0, domain.m - 2)))
     ref = StageByStage(g, domain.m, domain.gap)
     stage = data.draw(st.integers(min(least_stage, budget - 1), budget - 1))
@@ -905,15 +905,14 @@ def test_first_reach_names_the_first_stage_the_reach_gets_to_a_slot(w, slope, bu
 @pytest.mark.parametrize("budget", [MAX_STAGE_BUDGET + 1, 1 << 63])
 def test_a_budget_past_the_largest_raises_before_allocating(budget):
     """No mode passes a budget above MAX_STAGE_BUDGET, so a domain refuses
-    one before it sizes its 2**m slots, and so does a standalone search."""
+    one before it sizes its 2**m slots.  Every search runs on a domain, so
+    this is the one place a budget is refused."""
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = prepended(_constant(Q(3, 8)))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="stage budget"):
-            _Domain(w.g, b, budget)
-        with pytest.raises(ValueError, match="stage budget"):
-            search_step(1, 0, w, b, budget)
+            _Domain(w, b, budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -926,14 +925,14 @@ def test_an_early_hit_at_a_huge_budget_equals_the_oracle(n, prev_index):
     w = _halving_witness(schedule=StageSchedule(0, 0))
     b = prepended(_constant(Q(3, 8)))
     budget = MAX_STAGE_BUDGET
-    rec = search_step(n, prev_index, w, b, budget)
+    rec = fresh_search(n, prev_index, w, b, budget)
     assert rec is not None and rec.stage_found < 64
     assert oracle_min_hit(n, prev_index, w, b, budget) == rec
 
 
 def test_log_rejects_a_point_not_exact_at_its_scale():
     """A point finer than the scale raises instead of rounding."""
-    domain = _Domain(StagedPartialFunction(), _constant(Q(1, 2)), 1)
+    domain = _Domain(SolovayWitness(StagedPartialFunction(), Q(1)), _constant(Q(1, 2)), 1)
     assert domain.m == 1
     domain.start_step(0)
     assert domain.enter(1) == 0
@@ -943,7 +942,7 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
         domain.enter(2)  # q_2 = 1/4
 
 
-def member_first_ladder(n, i, fl, ce, c, state, spans=None):
+def member_first_ladder(n, i, fl, ce, state, spans=None):
     """_lex_first_ladder walking one member at a time, the reference for its runs.
 
     Each distance class's least member is found by a find over the class's
@@ -953,7 +952,7 @@ def member_first_ladder(n, i, fl, ce, c, state, spans=None):
     slots each class's window spans.
     """
     gap, occ, live, index = state.gap, state.occ, state.live, state.index
-    g = state.g
+    g, c = state.g, state.c
 
     def pair(x):
         j = index[x]
@@ -1004,7 +1003,7 @@ def _both_walks(w, raw, stage, n):
     distinct key of the target on one drawn domain entered to the stage, in
     step min(n, m - 2), each walk on its own copy; the bytes _run compares;
     and the slots that the reference's class windows span."""
-    domain = _Domain(w.g, prepended(raw), stage)
+    domain = _Domain(w, prepended(raw), stage)
     if max(1, w.g.schedule.stage_of(0)) > stage or domain.m < 3:
         return [], 0, 0  # no point 0, or no step with a gap limit of at least 2
     domain.enter(stage)
@@ -1022,8 +1021,8 @@ def _both_walks(w, raw, stage, n):
     for i in range(1, min(domain.n0 + 2, 40) + 1):  # later indices repeat these keys
         fl, ce = domain.keys(i)
         with mock.patch.object(construction, "_repeats", counting):
-            got = _lex_first_ladder(n, i, fl, ce, w.c, domain)
-        pairs.append((got, member_first_ladder(n, i, fl, ce, w.c, ref, spans)))
+            got = _lex_first_ladder(n, i, fl, ce, domain)
+        pairs.append((got, member_first_ladder(n, i, fl, ce, ref, spans)))
         assert domain.live == ref.live
     return pairs, compared, sum(spans)
 
@@ -1107,7 +1106,7 @@ def test_a_pair_read_from_its_slot_is_the_value_rules(w, stage):
     """read gives each inserted point's pair from its slot, as
     rule.ratio(j, *dyadic(j)) gives it, and caches it under j: on permuted
     prefixes, value overrides and the point 0."""
-    domain = _Domain(w.g, prepended(_constant(Q(1, 2))), stage)
+    domain = _Domain(w, prepended(_constant(Q(1, 2))), stage)
     domain.enter(stage)
     slots = [x for x, _ in _all_points(domain)]
     js = [domain.index[x] for x in slots]

@@ -58,9 +58,34 @@ def staged(slope=0, offset=0, stage_overrides=(), u=Q(1, 2), v=Q(0), value_overr
 HALVING = staged()  # g(q) = q/2, every point defined at stage 0
 
 
+# The canonical order by its definition: 0, then level by level the odd
+# multiples of 2**-level, ascending.  Every point of levels 0 to 10.
+CANONICAL = [Q(0), *(Q(k, 1 << level) for level in range(1, 11) for k in range(1, 1 << level, 2))]
+
+
+def fraction_dyadic(q):
+    """q = numerator / 2**exponent as (numerator, exponent), from the reduced Fraction."""
+    return q.numerator, q.denominator.bit_length() - 1
+
+
 def test_canonical_enumeration_first_points():
     want = [Q(0), Q(1, 2), Q(1, 4), Q(3, 4), Q(1, 8), Q(3, 8), Q(5, 8), Q(7, 8), Q(1, 16)]
-    assert [canonical_point(j) for j in range(9)] == want
+    assert CANONICAL[:9] == want and len(CANONICAL) == 1 << 10
+    js = range(len(CANONICAL))
+    assert list(map(canonical_point, js)) == CANONICAL
+    assert list(map(canonical_dyadic, js)) == list(map(fraction_dyadic, CANONICAL))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 16], ids=["canonical", "zero", "two", "sixteen"])
+def test_dyadic_is_the_prefix_then_the_canonical_order(size):
+    """dyadic(j) against the Fraction definition at every point of levels 0
+    to 10, with no prefix and with a prefix that reverses the first size - 1
+    points after 0."""
+    prefix = tuple(CANONICAL[:1] + CANONICAL[size - 1:0:-1]) if size else ()
+    assert len(prefix) == size
+    want = [*prefix, *CANONICAL[size:]]
+    enum = DyadicEnumeration(prefix)
+    assert [enum.dyadic(j) for j in range(len(CANONICAL))] == list(map(fraction_dyadic, want))
 
 
 def test_canonical_index_off_enumeration():
