@@ -43,9 +43,10 @@ candidate is a step-(n-1) candidate, so step n cannot hit before the
 stage where step n-1 did, and it resumes there.  Within a step the
 domain only grows, and a search's answer depends only on (n, c), the
 domain points strictly below b_i and b_i's keys (fl, ce) below.  So a
-candidate that missed is searched again only at a stage that inserts a
-point below its b_i, and of equal-key candidates only the least index
-is routed, since candidates are searched in ascending i.  The routed
+candidate that missed misses again until a point lands below its b_i,
+the search walks only the event stages below and searches every ready
+candidate at each, and of equal-key candidates only the least index is
+routed, since candidates are searched in ascending i.  The routed
 candidates are one list in key order, and the ready ones, whose b_i
 lies below reach + gap, are its prefix.  Past the settle index n0 the
 keys repeat by parity (see approximations), so no candidate past
@@ -57,10 +58,11 @@ oracle re-derives the same hits with none of this machinery, and the
 test suite holds the two to exact equality.
 
 The search's work grows with its events, not with its stages: the
-stages at which a walk stage by stage would route, wake or search a
-candidate.  The search computes the next one directly (see search_step)
-and enters it together with the quiet stages before it, in one enter
-with one write per canonical level, so each stage is entered once.
+stages at which a candidate arrives or wakes, or a point lands below a
+ready candidate's b_i.  The search computes the next one directly (see
+search_step) and enters it together with the quiet stages before it, in
+one enter with one write per canonical level, so each stage is entered
+once.
 
 The search loop compares integers only.  Domain points and every step's
 gap limit are dyadic, so the search compares at one scale 2**m, the
@@ -359,8 +361,8 @@ class _Domain:
             yield scaled(a, m), top - a + 1, 2 << (m - level), a  # on level L, 2**(m-L+1) apart
             a = top + 1
 
-    def enter(self, e: int) -> int:
-        """Enter the stages stage+1..e; return the least point they insert, or 2**m."""
+    def enter(self, e: int) -> None:
+        """Enter the stages stage+1..e, and walk the reach on if they can move it."""
         occ, live, index = self.occ, self.live, self.index
         low, high = len(occ), -1
         for x, count, step, j in self._groups(self.stage, e):
@@ -381,7 +383,6 @@ class _Domain:
         reach = self.reach
         if low < reach + self.gap and high > reach:  # a point may extend the reach
             self.reach = self._reach_from(reach)
-        return low
 
     def first_below(self, x: int, hi: int) -> int:
         """min(hi, the first stage after this one that inserts a point below the slot x).
@@ -427,10 +428,6 @@ class _Domain:
             else:
                 lo = t
         return hi
-
-    def ceil(self) -> int:
-        """reach + gap: the window of a b_i at or above it holds no reached point."""
-        return self.reach + self.gap
 
 
 def _repeats(occ: bytearray, a: int, z: int, d: int) -> bool:
@@ -610,53 +607,41 @@ def search_step(n: int, prev_index: int, domain: _Domain) -> StepRecord | None:
       there already: every search outcome depends on b_i only through its
       keys, and that lesser index, searched first, hits at every stage the
       later one would;
-    - ready and waiting: a candidate whose b_i is at or above the domain's
-      ceil (reach + gap) provably admits no ladder yet, since its window
-      holds no point that 0 reaches, and it waits.  The others are ready:
-      the prefix fl < ceil, up to r = bisect_left(cands, (ceil,)).  The
+    - ready and waiting: a candidate whose b_i is at or above reach + gap
+      provably admits no ladder yet, since its window holds no point that
+      0 reaches, and it waits.  The others are ready: the prefix
+      fl < reach + gap, up to r = bisect_left(cands, (reach + gap,)).  The
       reach only increases within a step, so a candidate wakes, at most
       once, by the prefix growing past it, and the least waiting fl is
       cands[r][0];
     - the greatest ce of a ready candidate is cands[r - 1][1], since each
-      ce is fl or fl + 1;
-    - missed: every walk handles every ready candidate or returns, so a
-      ready candidate missed at the last walk iff it was ready then (its
-      fl below that walk's ceil) and has not just arrived.
-    A walk visits the ready prefix in ascending i.  A candidate is searched
-    when it becomes ready, and after a miss only at a stage that inserts a
-    point below its b_i.  It misses unsearched while fewer than three
-    points lie below b_i (two finds over the occupancy bytes tell), and
-    while its window (b_i - gap, b_i) holds no live final (one find over
-    the live bytes), since then the search would find no final to end a
-    ladder at.  No candidate past last = max(n0, prev_index + 1) + 1 is
-    routed, n0 the domain's settle index: for i > last >= n0 + 1,
-    keys(i) == keys(i - 2), and stepping down by 2 reaches last - 1 or
-    last, both at least max(n0, prev_index + 1), so above prev_index, with
-    the same keys on the way (each step down starts at n0 + 2 or above).
-    Those are candidates that arrive before i, so routing would not add i.
-    Routing and key reads stop at last.
+      ce is fl or fl + 1.
+    A walk searches the ready prefix in ascending i.  A candidate misses
+    unsearched while fewer than three points lie below b_i (two finds over
+    the occupancy bytes tell), and while its window (b_i - gap, b_i) holds
+    no live final (one find over the live bytes), since then the search
+    would find no final to end a ladder at.  No candidate past last =
+    max(n0, prev_index + 1) + 1 is routed, n0 the domain's settle index:
+    for i > last >= n0 + 1, keys(i) == keys(i - 2), and stepping down by 2
+    reaches last - 1 or last, both at least max(n0, prev_index + 1), so
+    above prev_index, with the same keys on the way (each step down starts
+    at n0 + 2 or above).  Those are candidates that arrive before i, so
+    routing would not add i.  Routing and key reads stop at last.
 
     After it walks stage s, the search enters s+1..e with one enter and
     walks the next event stage e.  e is the least of:
     - s + 1 while s < last: it brings candidate s + 1;
     - the first stage that inserts a point below the greatest ready ce:
-      each ready candidate has missed by then and is searched again only
-      at a stage that inserts a point below its ce;
-    - the first stage at which the least waiting fl is below ceil: the
-      reach only grows, and that candidate wakes first;
+      a search's answer depends only on n, c, the points below b_i, b_i's
+      keys and the live bytes, which lose only finals that fail against 0,
+      so until then every ready candidate, having missed, misses again;
+    - the first stage at which the least waiting fl is below reach + gap:
+      the reach only grows, and that candidate wakes first;
     - the stage budget.
-    At every stage before e no candidate arrives, wakes or is searched, so
-    stage_found, the ladder and every search are those of a walk stage by
+    At every stage before e no candidate arrives or wakes, and every ready
+    one misses, so stage_found and the ladder are those of a walk stage by
     stage.  Keys are read only in routing, in ascending i, so a key that
     leaves [0, 1] raises at the stage where that walk reads it.
-    That one enter returns low, the least point inserted in s+1..e, where
-    a walk stage by stage would test a missed candidate against the least
-    point of stage e alone; the two agree.  When e > s + 1, e is at most
-    the first stage that inserts a point below the greatest ready ce, so
-    the quiet stages s+1..e-1 insert none: low is below a missed
-    candidate's ce only if stage e inserted it.  When stage e inserts
-    nothing, low is 2**m or at least the greatest ready ce, and every
-    missed candidate is skipped either way.
     """
     if n < 1:
         raise ValueError("searchable steps start at n = 1")
@@ -669,14 +654,11 @@ def search_step(n: int, prev_index: int, domain: _Domain) -> StepRecord | None:
     domain.start_step(n)
 
     cands: list[tuple[int, int, int]] = []  # (fl, ce, i) of each routed candidate, in order
-    ceil = domain.ceil()                    # only increases
-    prior = 0                               # ceil at the last walk
     occ = domain.occ                        # its slots x < ce are the points below b_i
     live, gap = domain.live, domain.gap
     last = max(domain.n0, prev_index + 1) + 1  # every later candidate repeats a lesser one's keys
 
     s = domain.stage
-    low = 0  # least point inserted since the last walked stage
     arrived = range(prev_index + 1, min(s, last) + 1)  # candidates entered since the last routing
     while True:
         for i in arrived:
@@ -684,10 +666,8 @@ def search_step(n: int, prev_index: int, domain: _Domain) -> StepRecord | None:
             at = bisect_left(cands, keys)
             if at == len(cands) or cands[at][:2] != keys:  # else a lesser i hits first
                 cands.insert(at, (*keys, i))
-        r = bisect_left(cands, (ceil,))  # the ready prefix: b_i < ceil
+        r = bisect_left(cands, (domain.reach + gap,))  # the ready prefix: b_i < reach + gap
         for fl, ce, i in sorted(cands[:r], key=_index):
-            if fl < prior and i < s and ce <= low:
-                continue  # ready, so missed, at the last walk; nothing new below b_i since
             if ((k := occ.find(1, 1, ce)) < 0 or occ.find(1, k + 1, ce) < 0
                     or live.find(1, max(0, fl - gap + 1), ce) < 0):
                 continue  # a ladder needs 0, two more points and a live final
@@ -700,8 +680,7 @@ def search_step(n: int, prev_index: int, domain: _Domain) -> StepRecord | None:
         e = s + 1 if s < last else domain.first_below(cands[r - 1][1] if r else 0, stage_budget)
         if r < len(cands) and e > s + 1:
             e = domain.first_reach(cands[r][0], e)
-        low = domain.enter(e)
-        prior, ceil = ceil, domain.ceil()
+        domain.enter(e)
         arrived = (e,) if prev_index < e <= last else ()
         s = e
 

@@ -335,6 +335,8 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: {exc}") from None
     _check_nesting(text)
     try:
         raw = json.loads(text)

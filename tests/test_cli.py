@@ -93,6 +93,23 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert first.count(str(bad)) == 1
 
 
+@pytest.mark.parametrize("body", [b"\xff" + b'{"name": "x"}', b'{"name": "\xff"}'],
+                         ids=["leading", "in-string"])
+def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, body):
+    """A byte that does not decode as UTF-8, at the start or inside a
+    string, is invalid input: exit 3, one line, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "solred.cli", "construct", str(bad), "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0].startswith(f"{bad}: not UTF-8 text: ")
+    assert not out.exists()
+
+
 def test_deep_nesting_is_invalid_input_without_traceback(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text(nested_alpha_text(3000), encoding="utf-8")

@@ -734,13 +734,13 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     domain.enter(s0)
     for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
-        assert domain.ceil() == _walked_ceil(domain)
+        assert domain.reach + domain.gap == _walked_ceil(domain)
         _assert_occupancy_holds_the_domain(w, domain)
         for _ in range(data.draw(st.integers(0, 4))):
             if domain.stage == budget:
                 break
             domain.enter(data.draw(st.integers(domain.stage + 1, budget)))
-            assert domain.ceil() == _walked_ceil(domain)
+            assert domain.reach + domain.gap == _walked_ceil(domain)
             _assert_occupancy_holds_the_domain(w, domain)
 
 
@@ -814,8 +814,7 @@ def _domain_state(d):
 @settings(FUZZ, max_examples=300)
 @given(w=staged_witnesses(), budget=st.integers(2, 80), data=st.data())
 def test_a_run_equals_its_stages(w, budget, data):
-    """enter(e) leaves the domain as entering stage+1..e one at a time does,
-    and returns the least point inserted, or 2**m for an empty run.
+    """enter(e) leaves the domain as entering stage+1..e one at a time does.
 
     Runs of drawn lengths come with a live point cleared now and then, as
     a ladder search clears a final.
@@ -827,9 +826,9 @@ def test_a_run_equals_its_stages(w, budget, data):
         op = data.draw(st.sampled_from(["enter", "enter", "clear"]))
         if op == "enter" and domain.stage < budget:
             e = data.draw(st.integers(domain.stage + 1, budget))
-            lows = [ref.advance() for _ in range(e - ref.stage)]
-            low = min((x for x in lows if x is not None), default=1 << domain.m)
-            assert domain.enter(e) == low
+            for _ in range(e - ref.stage):
+                ref.advance()
+            domain.enter(e)
         elif op == "clear" and (points := [x for x, on in enumerate(domain.live) if on]):
             x = data.draw(st.sampled_from(points))
             domain.live[x] = ref.live[x] = 0
@@ -935,7 +934,7 @@ def test_log_rejects_a_point_not_exact_at_its_scale():
     domain = _Domain(SolovayWitness(StagedPartialFunction(), Q(1)), _constant(Q(1, 2)), 1)
     assert domain.m == 1
     domain.start_step(0)
-    assert domain.enter(1) == 0
+    domain.enter(1)
     assert [(j, x, Q(*domain.pair(x))) for x, j in _all_points(domain)] == [
         (0, 0, ZERO), (1, 1, Q(1, 4))]
     with pytest.raises(ValueError, match="not exact"):
@@ -1082,6 +1081,12 @@ def test_runs_give_the_member_walk_ladders(w, raw, stage, n):
 
 
 @settings(FUZZ, max_examples=200)
+# q_2 = 1/4 never enters, which leaves a hole in the domain: comparing from the
+# run's top at every test compares 536 bytes here, over four times the 129 slots.
+@example(w=SolovayWitness(StagedPartialFunction(
+             DyadicEnumeration(), StageSchedule(0, 0, ((2, NEVER),)), ValueRule(Q(1, 4), ZERO)),
+             Q(1, 4)),
+         raw=Approximation(AffineDyadic(Q(1, 2), Q(1, 2), 1), Kind.LEFT_CE), stage=46, n=4)
 @given(w=staged_witnesses(), raw=targets, stage=st.integers(1, 127), n=st.integers(1, 5))
 def test_run_checks_compare_a_bounded_number_of_bytes(w, raw, stage, n):
     """The bytes the runs compare stay within four times the slots of the
