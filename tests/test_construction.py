@@ -332,17 +332,19 @@ def count_searches(monkeypatch, name, reads=None):
 def test_ladder_search_work_is_pinned():
     """Each file's searches at its shipped parameters, walking event stages only.
 
-    Searching every ready candidate at every stage cost 78,870 searches on
-    invalid_small_c; each step of a valid witness needs exactly one
-    search.  Each event stage searches every ready candidate again: a skip
-    of the candidates with no point landed below b_i since their last miss
-    saved no search on any of these files.  A step resumes at the stage
-    where the step before it hit, so the stages before that are not
-    searched again: re-running them cost 11,674 searches.  Of the
-    candidates with equal keys (fl, ce) only the least is routed: routing
-    every one of them cost 11,635 searches.  A candidate whose window
-    (b_i - gap, b_i) holds no live final misses unsearched: searching those
-    cost 245 searches in all.
+    Each step of a valid witness needs exactly one search; the 124 in all
+    are 46 on invalid_small_c and 6 on invalid_g_above past the 72 of the
+    six valid files.  Each figure below is the count on a copy of this
+    search with one rule taken out.  Searching every ready candidate at
+    every stage, not only at event stages, gives 116 on invalid_small_c.
+    Each event stage searches every ready candidate again: a skip of the
+    candidates with no point landed below b_i since their last miss saved
+    no search on any of these files.  A step resumes at the stage where
+    the step before it hit: starting each step on a fresh domain gives 47.
+    Of the candidates with equal keys (fl, ce) only the least is routed:
+    routing every one of them gives 60.  A candidate whose window
+    (b_i - gap, b_i) holds no live final misses unsearched: searching
+    those gives 334 over the eight files, 256 of them on invalid_small_c.
     """
     expected = {**dict.fromkeys(VALID_WITNESS_NAMES, (12, None)),
                 "invalid_small_c": (46, 3), "invalid_g_above": (6, None)}
