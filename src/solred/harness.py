@@ -29,7 +29,7 @@ from .construction import (
 from .errors import InvalidScenario
 from .oracle import oracle_min_hit
 from .reals import Complement, Interval, certify, enclose
-from .scenario import Scenario, format_fraction
+from .scenario import Scenario
 from .witnesses import (
     S2aStepCheck,
     check_s2a_prefix,
@@ -256,7 +256,7 @@ def _add_witness_grid(report: Report, scenario: Scenario) -> None:
         verdict = check_solovay_at(scenario.solovay_witness, scenario.alpha, scenario.beta,
                                    q, scenario.stage_budget, GRID_BUDGET)
         if verdict is not None:  # else q is not certified below beta
-            rows.append({"q": format_fraction(q), "verdict": verdict.value})
+            rows.append({"q": str(q), "verdict": verdict.value})
     report.add("witness_grid", {
         "inequality": "0 < alpha - g(q) < c*(beta - q)",
         "stage": scenario.stage_budget,
@@ -270,8 +270,8 @@ def _step_head(rec: StepRecord) -> dict:
         "n": rec.n,
         "i": rec.index,
         "stage_found": rec.stage_found,
-        "a": format_fraction(rec.value),
-        "b_i": format_fraction(rec.b_value),
+        "a": str(rec.value),
+        "b_i": str(rec.b_value),
     }
 
 
@@ -298,7 +298,7 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
         "kind": "construction_trace",
         "scenario": scenario.name,
         "parameters": {"depth": scenario.depth, "stage_budget": scenario.stage_budget},
-        "constant": format_fraction(scenario.solovay_witness.c),
+        "constant": str(scenario.solovay_witness.c),
         # i_n indexes trace.target, 0 then beta_approx, so beta_approx's index
         # is always i_n - 1; format 1 keeps the field for its readers
         "beta_index_offset": 1,
@@ -312,9 +312,9 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
                                 "stage_budget": trace.exhausted[1]}
     else:
         payload["witness"] = {
-            "constant": format_fraction(scenario.solovay_witness.c),
-            "alpha_terms": [format_fraction(r.value) for r in steps],
-            "beta_terms": [format_fraction(r.b_value) for r in steps],
+            "constant": str(scenario.solovay_witness.c),
+            "alpha_terms": [str(r.value) for r in steps],
+            "beta_terms": [str(r.b_value) for r in steps],
         }
     return payload
 
@@ -351,8 +351,8 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
     }, [check_strict_at(scenario.alpha, scenario.beta, rec.value, rec.b_value, w.c, rec.n, guard)
         for rec in steps])
     report.add("same_constant", {
-        "input": format_fraction(w.c),
-        "output": format_fraction(w.c),
+        "input": str(w.c),
+        "output": str(w.c),
         "equal": True,
     })
 
@@ -388,7 +388,7 @@ def verify_mirror(scenario: Scenario) -> Report:
 
     m = mirror_s2a(a)
     _add_step_checks(report, "mirror", {
-        "constant": format_fraction(m.c),
+        "constant": str(m.c),
         "inequality": "|(1-alpha) - (1-a_n)| <= 1*(|alpha - a_n| + 2^-n)",
     }, check_s2a_prefix(m, Complement(scenario.alpha), scenario.alpha, depth, guard))
     # 1 - a_n rises exactly where a_n falls, and leftce_prefix found no fall
@@ -402,7 +402,7 @@ def _prop1_rows(n: int, a_box: Interval, b_box: Interval, a_n: Fraction, b_n: Fr
     lo, hi, d = a_box
     p, q = a_n.numerator * d, a_n.denominator
     below = {"n": n, "verdict": certify(p, p, lo * q, hi * q, True).value,
-             "a_n": format_fraction(a_n), "alpha_enclosure": _box_text(a_box)}
+             "a_n": str(a_n), "alpha_enclosure": _box_text(a_box)}
     diff, gap = solovay_sides(a_box, b_box, g_n, b_n, c)
     verdict = solovay_verdict(diff, gap).value
     return below, {"n": n, "verdict": "fails" if verdict.startswith("fails") else verdict,
@@ -435,8 +435,7 @@ def verify_prop1(scenario: Scenario) -> Report:
         b_n, stage, g_n = hit
         a_n = g_n if a_n is None else max(a_n, g_n)
         stages.append(stage)
-        terms.append({"n": n, "b_n": format_fraction(b_n), "g_of_b_n": format_fraction(g_n),
-                      "a_n": format_fraction(a_n)})
+        terms.append({"n": n, "b_n": str(b_n), "g_of_b_n": str(g_n), "a_n": str(a_n)})
         rows.append(_prop1_rows(n, enclose(scenario.alpha, n + guard),
                                 enclose(scenario.beta, n + guard), a_n, b_n, g_n, w.c))
     report.add("image", {
@@ -462,7 +461,7 @@ def verify_s2a_declared(scenario: Scenario) -> Report:
     m = scenario.s2a_witness
     report = Report("s2a-check", scenario.name, {"depth": depth, "guard": guard})
     _add_step_checks(report, "s2a", {
-        "constant": format_fraction(m.c),
+        "constant": str(m.c),
         "inequality": "|alpha - a_n| <= c*(|beta - b_n| + 2^-n)",
     }, check_s2a_prefix(m, scenario.alpha, scenario.beta, depth, guard))
     return report

@@ -14,8 +14,10 @@ Each stage's points are the integers P_k that enumerate_domain returns at
 one scale d = 2**m per stage, with
 m = max(n+2, stage.bit_length(), len(prefix).bit_length()), at which
 every point j <= stage is exact, and its g-values are the value rule's
-unreduced integer pairs n_k / d_k; the slack is S = d >> (n+2) and the
-gap limit 2S.
+unreduced integer pairs n_k / d_k.  enumerate_domain reads each index
+j <= stage one at a time through the witness's own definitions:
+stage_of decides whether it is in the domain, dyadic gives q_j and
+ratio gives g(q_j).  The slack is S = d >> (n+2) and the gap limit 2S.
 
 Every candidate index i in (prev_index, stage] is located in the stage
 by two positions, computed from its keys fl = floor(b_i * d) and
@@ -57,11 +59,12 @@ The oracle shares with the search only Approximation.keys, which
 test_keys_agree_with_the_exact_term holds to the exact term, and
 check_requirement, RequirementTuple and the StepRecord both answer
 with, and in construction mode the stage its stage search starts at;
-the test suite holds their records to equality.  Its stage
-shell, its exact-length ladder count, its search over stages and its
-per-probe rebuild stay its own: enumerate_domain rebuilds each probed
-stage from the witness's schedule and value rule, one canonical level
-at a time, where the search keeps one domain at one scale per
+the test suite holds their records to equality.  It reads g only
+through the witness's stage_of, dyadic and ratio, and shares no level
+arithmetic with the search's _Domain._affine.  Its stage shell, its
+exact-length ladder count, its search over stages and its per-probe
+rebuild stay its own: enumerate_domain rebuilds each probed stage one
+index at a time, where the search keeps one domain at one scale per
 construction, walks distance classes backward from each final and
 routes only the least of candidates with equal keys.
 """

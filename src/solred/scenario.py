@@ -90,10 +90,6 @@ def parse_fraction(raw: object, where: str) -> Fraction:
                             f"({len(raw)} characters)") from None
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def _expect_obj(raw: object, where: str) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(raw).__name__}")

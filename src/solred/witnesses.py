@@ -174,17 +174,12 @@ class ValueRule(Record):
     def _affine(self) -> tuple[int, int, int]:
         return over_one_denominator(self.u, self.v)
 
-    def affine_at(self, e: int) -> tuple[int, int, int]:
-        """(a, b, q) with u*x + v = (a * num + b) / q for every x = num / 2**e, q > 0."""
-        a, b, d = self._affine
-        return a, b << e, d << e
-
     def ratio(self, j: int, num: int, e: int) -> tuple[int, int]:
         """g(q_j) for q_j = num / 2**e as an unreduced integer pair (p, q), q > 0."""
         hit = self._override_map.get(j)
         if hit is not None:
             return hit.numerator, hit.denominator
-        a, b, q = self._affine  # affine_at(e), inline
+        a, b, q = self._affine  # u*x + v = (a * num + b * 2**e) / (q * 2**e)
         return a * num + (b << e), q << e
 
 
@@ -243,44 +238,15 @@ def enumerate_domain(g: StagedPartialFunction, stage: int,
     Returns (index, q_j * 2**m, (p, q)) triples in ascending index order:
     each point is the integer at scale 2**m, and a point not exact at
     that scale raises ValueError; g(q_j) = p / q is the value rule's
-    unreduced integer pair, q > 0.
-
-    q_0, the prefix and every index with a stage or value override are
-    read one at a time through stage_of, dyadic and ratio.  Every other
-    index is in the domain iff slope*j + offset <= stage, that is up to
-    the schedule's last index, (stage - offset) // slope or stage when
-    slope = 0, and has the canonical point and the affine value, so the
-    indices between two read one at a time are built one canonical level
-    at a time.
+    unreduced integer pair, q > 0.  Every index is read one at a time
+    through the witness's own stage_of, dyadic and ratio.
     """
-    schedule, rule = g.schedule, g.rule
-    if schedule.slope:  # at most stage, and below 0 when offset > stage
-        last = (stage - schedule.offset) // schedule.slope
-    else:
-        last = stage if schedule.offset <= stage else -1
-    singles = sorted({0, *range(min(len(g.enumeration.prefix), stage + 1)),
-                      *(j for j, _ in schedule.overrides if j <= stage),
-                      *(j for j, _ in rule.overrides if j <= stage)})
     out: list[tuple[int, int, tuple[int, int]]] = []
-    start = 0  # the least index not yet read
-    for k in (*singles, stage + 1):
-        hi = min(k, last + 1)
-        while start < hi:  # a pass per canonical level e: 2**(e-1) <= j < 2**e
-            e = start.bit_length()
-            top = min(hi, 1 << e)
-            if e > m:
-                _at_scale(*canonical_dyadic(start), m)  # raises for the level's first index
-            a, b, q = rule.affine_at(e)
-            shift, base = m - e, 1 - (1 << e)  # q_j = (2j + base) / 2**e on the level
-            nums = zip(range(start, top), range(2 * start + base, 2 * top + base, 2))
-            out += [(j, num << shift, (a * num + b, q)) for j, num in nums]
-            start = top
-        if k <= stage:
-            s = schedule.stage_of(k)
-            if s is not None and s <= stage:
-                num, e = g.enumeration.dyadic(k)
-                out.append((k, _at_scale(num, e, m), rule.ratio(k, num, e)))
-        start = k + 1
+    for j in range(stage + 1):
+        s = g.schedule.stage_of(j)
+        if s is not None and s <= stage:
+            num, e = g.enumeration.dyadic(j)
+            out.append((j, _at_scale(num, e, m), g.rule.ratio(j, num, e)))
     return out
 
 

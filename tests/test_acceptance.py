@@ -29,7 +29,6 @@ from solred.reals import (
     Scale,
     enclose,
 )
-from solred.scenario import format_fraction
 from solred.witnesses import S2aVerdict, check_s2a_prefix, check_strict_at
 
 from conftest import (
@@ -57,7 +56,7 @@ def test_same_constant_full_depth_holds_within_budget(built, scenarios):
             cert = check_strict_at(sc.alpha, sc.beta, rec.value, rec.b_value,
                                    c, rec.n, guard=8)
             assert cert.verdict is S2aVerdict.HOLDS, (name, rec.n)
-        assert trace_payload(sc, trace)["witness"]["constant"] == format_fraction(c), name
+        assert trace_payload(sc, trace)["witness"]["constant"] == str(c), name
 
 
 def test_search_and_oracle_agree_exactly_through_step_six(built, scenarios):

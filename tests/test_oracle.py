@@ -278,6 +278,33 @@ def test_oracle_inner_loop_runs_on_integers(monkeypatch):
     assert points == {"canonical_point": 0}
 
 
+def test_oracle_reads_every_domain_value_through_the_value_rule(monkeypatch):
+    """Each probe rebuilds its stage one index at a time through the
+    witness's own value rule: replaying the first six steps of
+    invalid_g_above, as construction mode does, calls ValueRule.ratio once
+    per entry that enumerate_domain returns, with no second formula for
+    the affine values."""
+    sc = load_scenario(corpus_path("invalid_g_above"))
+    w = sc.solovay_witness
+    trace = build_s2a_from_solovay(w, sc.beta_approx, 6, sc.stage_budget)
+    calls = count_calls(monkeypatch, ValueRule, ["ratio"])
+    real_domain = oracle.enumerate_domain
+    entries = 0
+
+    def domain_counting(g, stage, m):
+        nonlocal entries
+        domain = real_domain(g, stage, m)
+        entries += len(domain)
+        return domain
+
+    monkeypatch.setattr(oracle, "enumerate_domain", domain_counting)
+    for rec in trace.steps[1:]:
+        assert oracle_min_hit(rec.n, trace.steps[rec.n - 1].index, w, trace.target,
+                              sc.stage_budget) == rec
+    assert len(trace.steps) == 7 and entries > 0
+    assert calls == {"ratio": entries}
+
+
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (scenario, step, exit code, SHA-256 of stdout, SHA-256 of the payload or None)

@@ -17,7 +17,6 @@ from solred.scenario import (
     MAX_NESTING,
     MAX_RATE,
     MAX_STAGE_BUDGET,
-    format_fraction,
     load_scenario,
     parse_fraction,
     parse_scenario,
@@ -623,4 +622,4 @@ def test_every_rejection_has_its_exact_class_and_message(name, path, value, erro
 
 @pytest.mark.parametrize("q", [Q(0), Q(1, 3), Q(-7, 2), Q(5), Q(22, 7)])
 def test_fraction_roundtrip(q):
-    assert parse_fraction(format_fraction(q), "roundtrip") == q
+    assert parse_fraction(str(q), "roundtrip") == q

@@ -31,7 +31,6 @@ from solred.witnesses import (
     StagedPartialFunction,
     StageSchedule,
     ValueRule,
-    _at_scale,
     canonical_dyadic,
     canonical_index,
     canonical_point,
@@ -205,17 +204,6 @@ def test_enumerate_domain_examples():
         enumerate_domain(HALVING, 3, 1)
 
 
-def reference_domain(g, stage, m):
-    """enumerate_domain one index at a time, through stage_of, dyadic, _at_scale and ratio."""
-    out = []
-    for j in range(stage + 1):
-        s = g.schedule.stage_of(j)
-        if s is not None and s <= stage:
-            num, e = g.enumeration.dyadic(j)
-            out.append((j, _at_scale(num, e, m), g.rule.ratio(j, num, e)))
-    return out
-
-
 twelfths = st.integers(0, 11).map(lambda k: Q(k, 12))
 
 
@@ -226,23 +214,41 @@ twelfths = st.integers(0, 11).map(lambda k: Q(k, 12))
        values=st.dictionaries(st.integers(0, 80), twelfths, max_size=6),
        v=twelfths, u_share=st.integers(0, 12), stage=st.integers(0, 300),
        extra=st.integers(-3, 3))
-def test_enumerate_domain_equals_the_per_index_reference(enum, slope, offset, stages, values,
-                                                         v, u_share, stage, extra):
+def test_enumerate_domain_is_the_staged_points_and_values(enum, slope, offset, stages, values,
+                                                          v, u_share, stage, extra):
     """Prefix permutations, both schedule overrides (never among them) and value
-    overrides (at j = 0 too): the triples of the per-index reference, or, at a
-    scale too coarse for some point, the same ValueError."""
+    overrides (at j = 0 too), held to the witness's definitions in plain
+    Fractions: the indices j <= stage whose stage (the override, else
+    slope*j + offset) has come, ascending, each with q_j at scale 2**m and
+    g(q_j) (the override, else u*q_j + v); or, at a scale too coarse for an
+    in-domain point, the ValueError naming the first such point."""
     assume(stages.get(0, 0) is not NEVER)
-    schedule = StageSchedule(slope, offset, tuple(sorted(stages.items())))
-    rule = ValueRule((1 - v) * Q(u_share, 12), v, tuple(sorted(values.items())))
-    g = StagedPartialFunction(enum, schedule, rule)
+    u = (1 - v) * Q(u_share, 12)
+    g = StagedPartialFunction(enum, StageSchedule(slope, offset, tuple(sorted(stages.items()))),
+                              ValueRule(u, v, tuple(sorted(values.items()))))
     m = max(0, max(stage.bit_length(), len(enum.prefix).bit_length()) + extra)
-    try:
-        want = reference_domain(g, stage, m)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+
+    def q(j):  # the prefix point, else 0 or the odd multiple of 2**-L at level L
+        if j < len(enum.prefix):
+            return enum.prefix[j]
+        if j == 0:
+            return Q(0)
+        level = j.bit_length()
+        return Q(2 * (j - 2 ** (level - 1)) + 1, 2 ** level)
+
+    indices = [j for j in range(stage + 1)
+               if (s := stages.get(j, slope * j + offset)) is not NEVER and s <= stage]
+    coarse = [q(j) for j in indices if (q(j) * 2 ** m).denominator != 1]
+    if coarse:
+        with pytest.raises(ValueError, match=f"^domain point {re.escape(str(coarse[0]))} "
+                                             rf"is not exact at scale 2\*\*{m}$"):
             enumerate_domain(g, stage, m)
-    else:
-        assert enumerate_domain(g, stage, m) == want
+        return
+    domain = enumerate_domain(g, stage, m)
+    assert [j for j, _, _ in domain] == indices
+    for j, x, (p, d) in domain:
+        assert type(x) is int and Q(x, 2 ** m) == q(j)
+        assert d > 0 and Q(p, d) == values.get(j, u * q(j) + v)
 
 
 @settings(max_examples=200, deadline=None)
