@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .construction import ConstructionTrace, build_s2a_from_solovay
-from .errors import InvalidScenario, ScenarioError
 from .harness import (
     ORACLE_DEPTH,
     ladder_payload,
@@ -41,7 +40,7 @@ from .harness import (
     verify_solovay_grid,
 )
 from .oracle import oracle_min_hit
-from .scenario import MAX_DEPTH, MAX_GUARD, MAX_STAGE_BUDGET, Scenario, load_scenario
+from .scenario import MAX_DEPTH, RUN_PARAMETERS, Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -183,13 +182,13 @@ def _exhausted_text(trace: ConstructionTrace) -> str:
 
 def _load(path: str, opts: dict) -> Scenario:
     """The scenario at path with each --depth, --stage-budget and --guard given applied."""
-    overrides = {k: opts[k] for k in ("depth", "stage_budget", "guard") if opts.get(k) is not None}
+    overrides = {k: opts[k] for k in RUN_PARAMETERS if opts.get(k) is not None}
     return load_scenario(path).replace(**overrides)
 
 
 def _run_construct(sc: Scenario, opts: dict) -> dict:
     if sc.solovay_witness is None:
-        raise InvalidScenario("construct needs a scenario with a solovay_witness")
+        raise ScenarioError("construct needs a scenario with a solovay_witness")
     trace = build_s2a_from_solovay(sc.solovay_witness, sc.beta_approx,
                                    sc.depth, sc.stage_budget)
     payload = trace_payload(sc, trace)
@@ -219,7 +218,7 @@ def _run_verify(sc: Scenario, opts: dict) -> dict:
 
 def _run_oracle(sc: Scenario, opts: dict) -> dict:
     if sc.solovay_witness is None:
-        raise InvalidScenario("oracle needs a scenario with a solovay_witness")
+        raise ScenarioError("oracle needs a scenario with a solovay_witness")
     n = opts["step"]
     budget = sc.stage_budget
     w = sc.solovay_witness
@@ -266,7 +265,7 @@ def _run_one(command: str, path: str, opts: dict, encode: bool) -> dict:
         result = _RUNNERS[command](_load(path, opts), opts)
         payload = result["payload"]
         result["payload"] = _dump(payload) if encode and payload is not None else None
-    except (ScenarioError, InvalidScenario) as exc:
+    except ScenarioError as exc:
         result = {"code": EXIT_INVALID, "stdout": "",
                   "stderr": f"{path}: {exc}\n", "payload": None}
     except Exception as exc:  # a fault in the program, never a verdict on the input
@@ -364,17 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Least and greatest accepted value of each numeric option; anything outside is invalid input.
-_LEAST = {"depth": 0, "stage_budget": 0, "guard": 0, "oracle_depth": 0, "step": 1}
-_MOST = {"depth": MAX_DEPTH, "stage_budget": MAX_STAGE_BUDGET, "guard": MAX_GUARD,
-         "oracle_depth": MAX_DEPTH, "step": MAX_DEPTH}
+_BOUNDS = {name: (least, most) for name, (_, least, most) in RUN_PARAMETERS.items()}
+_BOUNDS.update(oracle_depth=(0, MAX_DEPTH), step=(1, MAX_DEPTH))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for name, least in _LEAST.items():
+    for name, (least, most) in _BOUNDS.items():
         value = getattr(args, name, None)
-        if value is not None and not least <= value <= _MOST.get(name, value):
-            bound = f">= {least}" if value < least else f"<= {_MOST[name]}"
+        if value is not None and not least <= value <= most:
+            bound = f">= {least}" if value < least else f"<= {most}"
             sys.stderr.write(f"--{name.replace('_', '-')} must be {bound}\n")
             return EXIT_INVALID
     return _execute(args.command, args, vars(args))

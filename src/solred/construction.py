@@ -99,9 +99,8 @@ from math import gcd, inf, lcm
 from operator import itemgetter, lt, sub
 
 from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
-from .errors import InvalidScenario
 from .records import Record
-from .scenario import MAX_STAGE_BUDGET
+from .scenario import MAX_STAGE_BUDGET, ScenarioError
 from .witnesses import S2aWitness, SolovayWitness, eval_staged
 
 Q = Fraction
@@ -737,6 +736,6 @@ def mirror_s2a(a: Approximation) -> S2aWitness:
     makes the pair a witness with constant exactly 1.
     """
     if a.kind is not Kind.LEFT_CE:
-        raise InvalidScenario("mirror input must carry a left-c.e. kind claim")
+        raise ScenarioError("mirror input must carry a left-c.e. kind claim")
     return S2aWitness(alpha_approx=Approximation(ComplementGen(a.gen), Kind.RIGHT_CE),
                       beta_approx=a, c=ONE)

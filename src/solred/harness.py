@@ -26,10 +26,9 @@ from .construction import (
     build_s2a_from_solovay,
     mirror_s2a,
 )
-from .errors import InvalidScenario
 from .oracle import oracle_min_hit
 from .reals import Complement, Interval, certify, enclose
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .witnesses import (
     S2aStepCheck,
     check_s2a_prefix,
@@ -322,7 +321,7 @@ def trace_payload(scenario: Scenario, trace: ConstructionTrace) -> dict:
 def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH) -> Report:
     """Full pipeline check: witness grid, build, per-step strict bounds, oracle."""
     if scenario.solovay_witness is None:
-        raise InvalidScenario("construction mode needs a solovay_witness")
+        raise ScenarioError("construction mode needs a solovay_witness")
     depth, stage_budget, guard = scenario.depth, scenario.stage_budget, scenario.guard
     w = scenario.solovay_witness
     report = Report("construction", scenario.name,
@@ -376,7 +375,7 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
 def verify_mirror(scenario: Scenario) -> Report:
     """Mirror pipeline: the left-c.e. kind check plus the c = 1 pair bound."""
     if scenario.alpha_leftce_approx is None:
-        raise InvalidScenario("mirror mode needs an alpha_leftce_approx")
+        raise ScenarioError("mirror mode needs an alpha_leftce_approx")
     depth, guard = scenario.depth, scenario.guard
     a = scenario.alpha_leftce_approx
     report = Report("mirror", scenario.name, {"depth": depth, "guard": guard})
@@ -412,9 +411,9 @@ def _prop1_rows(n: int, a_box: Interval, b_box: Interval, a_n: Fraction, b_n: Fr
 def verify_prop1(scenario: Scenario) -> Report:
     """Downward-closure check: monotone image below alpha with the gap bound."""
     if scenario.solovay_witness is None:
-        raise InvalidScenario("prop1 mode needs a solovay_witness")
+        raise ScenarioError("prop1 mode needs a solovay_witness")
     if scenario.beta_approx.kind is not Kind.LEFT_CE:
-        raise InvalidScenario("prop1 mode needs a left_ce beta_approx")
+        raise ScenarioError("prop1 mode needs a left_ce beta_approx")
     depth, stage_budget, guard = scenario.depth, scenario.stage_budget, scenario.guard
     w = scenario.solovay_witness
     b = scenario.beta_approx
@@ -456,7 +455,7 @@ def verify_prop1(scenario: Scenario) -> Report:
 def verify_s2a_declared(scenario: Scenario) -> Report:
     """Check a declared approximation pair against alpha and beta."""
     if scenario.s2a_witness is None:
-        raise InvalidScenario("s2a-check mode needs an s2a_witness")
+        raise ScenarioError("s2a-check mode needs an s2a_witness")
     depth, guard = scenario.depth, scenario.guard
     m = scenario.s2a_witness
     report = Report("s2a-check", scenario.name, {"depth": depth, "guard": guard})
@@ -470,7 +469,7 @@ def verify_s2a_declared(scenario: Scenario) -> Report:
 def verify_solovay_grid(scenario: Scenario) -> Report:
     """Grid-only spot check of the Solovay condition."""
     if scenario.solovay_witness is None:
-        raise InvalidScenario("solovay-check mode needs a solovay_witness")
+        raise ScenarioError("solovay-check mode needs a solovay_witness")
     report = Report("solovay-check", scenario.name, {"stage_budget": scenario.stage_budget})
     _add_witness_grid(report, scenario)
     return report

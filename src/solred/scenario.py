@@ -3,9 +3,9 @@
 Scenario files carry every number as an exact fraction string ("p/q" or
 an integer string); decimal literals are rejected so nothing is rounded
 at the boundary.  Unknown keys are rejected at every level, as is any
-format-version other than "1".  Schema violations raise ScenarioError,
-semantically invalid but well-formed scenarios raise InvalidScenario;
-the command line maps both to exit 3.
+format-version other than "1".  Every rejection raises ScenarioError,
+whether the file is malformed, an integer is out of bounds or a
+constructor's precondition fails, and the command line maps it to exit 3.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .approximations import (
     PrependGen,
     Table,
 )
-from .errors import InvalidScenario, ScenarioError
 from .reals import (
     AffineExponents,
     Average,
@@ -66,9 +65,19 @@ MAX_DEPTH = 2 ** 16
 MAX_GUARD = 2 ** 16
 MAX_STAGE_BUDGET = 2 ** 16
 
+# Each run parameter's default and its least and greatest value; the command
+# line's overrides of them are held to the same bounds.
+RUN_PARAMETERS = {"depth": (12, 0, MAX_DEPTH), "stage_budget": (10000, 0, MAX_STAGE_BUDGET),
+                  "guard": (8, 0, MAX_GUARD)}
+
 _FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # A whole JSON string (brackets inside it do not nest), or one bracket.
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+class ScenarioError(ValueError):
+    """Input that solred rejects: a malformed or out-of-bounds scenario, or
+    one that fails a constructor's or a command's precondition (CLI exit 3)."""
 
 
 class Scenario(Record):
@@ -137,7 +146,7 @@ def _object(raw: object, where: str, build: Callable, required: tuple, optional:
     try:
         return build(*args)
     except ValueError as exc:
-        raise InvalidScenario(f"{where}: {exc}") from None
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 class _Record(NamedTuple):
@@ -201,17 +210,13 @@ _NONNEGATIVE = partial(_expect_int, minimum=0)
 _CLAIM = partial(_lookup, table={k.value: k for k in Kind}, noun="claim")
 _DYADIC_TERMS = (_KIND, ("u", parse_fraction), ("v", parse_fraction), ("w", _RATE))
 
-# An exponent family is built by its series, so that its ValueError names the series.
 _EXPONENTS = {
-    "affine": _Record(lambda s, t: partial(AffineExponents, s, t),
-                      (_KIND, ("slope", _EXPONENT), ("offset", _EXPONENT))),
-    "list": _Record(lambda values: partial(ListExponents, values),
-                    (_KIND, ("values", _list_of(_EXPONENT)))),
+    "affine": _Record(AffineExponents, (_KIND, ("slope", _EXPONENT), ("offset", _EXPONENT))),
+    "list": _Record(ListExponents, (_KIND, ("values", _list_of(_EXPONENT)))),
 }
 _REALS = {
     "rational": _Record(ExactRational, (_KIND, ("value", parse_fraction))),
-    "dyadic_series": _Record(lambda exponents: DyadicSeries(exponents()),
-                             (_KIND, ("exponents", _parse_exponents))),
+    "dyadic_series": _Record(DyadicSeries, (_KIND, ("exponents", _parse_exponents))),
     "scale": _Record(lambda factor, inner: Scale(inner, factor),
                      (_KIND, ("factor", parse_fraction), ("inner", parse_real))),
     "average": _Record(Average, (_KIND, ("left", parse_real), ("right", parse_real))),
@@ -267,7 +272,7 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
     _check_keys(obj, "scenario",
                 ("format_version", "alpha", "beta", "beta_approx"),
                 ("name", "solovay_witness", "alpha_leftce_approx", "s2a_witness",
-                 "depth", "stage_budget", "guard"))
+                 *RUN_PARAMETERS))
     version = obj["format_version"]
     if version != FORMAT_VERSION:
         raise ScenarioError(
@@ -279,36 +284,31 @@ def parse_scenario(raw: object, default_name: str) -> Scenario:
     alpha = parse_real(obj["alpha"], "scenario.alpha")
     beta = parse_real(obj["beta"], "scenario.beta")
     if not certify_in_open_unit(alpha):
-        raise InvalidScenario("scenario.alpha: not certified inside (0,1)")
+        raise ScenarioError("scenario.alpha: not certified inside (0,1)")
     if not certify_in_open_unit(beta):
-        raise InvalidScenario("scenario.beta: not certified inside (0,1)")
+        raise ScenarioError("scenario.beta: not certified inside (0,1)")
 
     beta_approx, beta_limit = _APPROXIMATION(obj["beta_approx"], "scenario.beta_approx")
     if beta_limit is None:
         raise ScenarioError("scenario.beta_approx: a declared limit is required")
     if beta_limit != beta:
-        raise InvalidScenario(
+        raise ScenarioError(
             "scenario.beta_approx: declared limit must be structurally equal to beta")
 
     witness = _optional(obj, "solovay_witness", _SOLOVAY_WITNESS)
     leftce, alpha_limit = _optional(obj, "alpha_leftce_approx", _APPROXIMATION) or (None, None)
     if leftce is not None:
         if leftce.kind is not Kind.LEFT_CE:
-            raise InvalidScenario("scenario.alpha_leftce_approx: claim must be left_ce")
+            raise ScenarioError("scenario.alpha_leftce_approx: claim must be left_ce")
         if alpha_limit is None:
             raise ScenarioError("scenario.alpha_leftce_approx: a declared limit is required")
         if alpha_limit != alpha:
-            raise InvalidScenario("scenario.alpha_leftce_approx: declared limit must equal alpha")
+            raise ScenarioError("scenario.alpha_leftce_approx: declared limit must equal alpha")
 
     s2a = _optional(obj, "s2a_witness", _S2A_WITNESS)
-
-    depth = _expect_int(obj.get("depth", 12), "scenario.depth", 0, MAX_DEPTH)
-    stage_budget = _expect_int(obj.get("stage_budget", 10000), "scenario.stage_budget",
-                               0, MAX_STAGE_BUDGET)
-    guard = _expect_int(obj.get("guard", 8), "scenario.guard", 0, MAX_GUARD)
-
-    return Scenario(name, alpha, beta, beta_approx, witness, leftce, s2a,
-                    depth, stage_budget, guard)
+    runs = [_expect_int(obj.get(key, default), f"scenario.{key}", least, most)
+            for key, (default, least, most) in RUN_PARAMETERS.items()]
+    return Scenario(name, alpha, beta, beta_approx, witness, leftce, s2a, *runs)
 
 
 def _check_nesting(text: str) -> None:

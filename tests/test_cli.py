@@ -25,6 +25,7 @@ from solred.scenario import (
     MAX_GUARD,
     MAX_RATE,
     MAX_STAGE_BUDGET,
+    ScenarioError,
     load_scenario,
 )
 from solred.witnesses import ValueRule
@@ -668,16 +669,32 @@ def mutated_runs(draw):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(run=mutated_runs())
 def test_mutated_corpus_files_exit_honestly(run):
-    """Every exit code is 0-3, no traceback escapes, and exit 1 is a reported failure."""
+    """Every exit code is 0-3, no traceback escapes, and exit 1 is a reported failure.
+
+    A file that load_scenario rejects exits 3 with no stdout and no payload,
+    and stderr starts with "<path>: <its message>"; a file that loads exits 3
+    only for a command's precondition ("... needs ...")."""
     doc, argv = run
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            load_scenario(path)
+            rejected = None
+        except ScenarioError as exc:
+            rejected = f"{path}: {exc}"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([*argv, str(path), "--out", str(out)])
-        assert code in (0, 1, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        if rejected is not None:
+            assert (code, stdout.getvalue(), out.exists()) == (3, "", False), err
+            assert err.splitlines()[0] == rejected
+        elif code == 3:
+            first = err.splitlines()[0]
+            assert first.startswith(f"{path}: ") and " needs " in first, err
         if code == 1:
             assert json.loads(out.read_bytes())["summary"]["fails"] > 0
 

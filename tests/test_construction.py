@@ -23,11 +23,10 @@ from solred.construction import (
     mirror_s2a,
     search_step,
 )
-from solred.errors import InvalidScenario
 from solred.harness import trace_payload, verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import ZERO, ExactRational, enclose
-from solred.scenario import load_scenario
+from solred.scenario import ScenarioError, load_scenario
 from solred.witnesses import (
     NEVER,
     DyadicEnumeration,
@@ -878,7 +877,7 @@ def test_mirror_s2a_pairs_complement_with_original():
 
 def test_mirror_s2a_rejects_unclaimed_input():
     wobble = Approximation(Table((Q(1, 2),), Q(1, 4)), Kind.GENERAL)
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ScenarioError):
         mirror_s2a(wobble)
 
 

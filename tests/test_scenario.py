@@ -9,7 +9,6 @@ import pytest
 
 from solred import cli, scenario
 from solred.approximations import Kind
-from solred.errors import InvalidScenario, ScenarioError
 from solred.scenario import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -17,6 +16,7 @@ from solred.scenario import (
     MAX_NESTING,
     MAX_RATE,
     MAX_STAGE_BUDGET,
+    ScenarioError,
     load_scenario,
     parse_fraction,
     parse_scenario,
@@ -160,7 +160,7 @@ def test_integers_that_reach_an_exponent_are_bounded(base, path, most, swap):
 @pytest.mark.parametrize("edge", ["0", "1", "5/4", "-1/2"])
 def test_alpha_must_be_certified_inside_open_unit(base, edge):
     base["alpha"] = {"kind": "rational", "value": edge}
-    with pytest.raises(InvalidScenario, match="alpha"):
+    with pytest.raises(ScenarioError, match="alpha"):
         parse(base)
 
 
@@ -175,7 +175,7 @@ def test_beta_approx_limit_must_match_beta_structurally(base):
         "kind": "dyadic_series",
         "exponents": {"kind": "list", "values": [3]},
     }
-    with pytest.raises(InvalidScenario, match="structurally equal"):
+    with pytest.raises(ScenarioError, match="structurally equal"):
         parse(base)
 
 
@@ -191,17 +191,17 @@ def test_leftce_claim_required_on_alpha_approx(base):
         "limit": {"kind": "rational", "value": "1/16"},
     }
     base["alpha_leftce_approx"] = block
-    with pytest.raises(InvalidScenario, match="left_ce"):
+    with pytest.raises(ScenarioError, match="left_ce"):
         parse(base)
     block["claim"] = "left_ce"
     block["limit"] = {"kind": "rational", "value": "1/32"}
-    with pytest.raises(InvalidScenario, match="equal alpha"):
+    with pytest.raises(ScenarioError, match="equal alpha"):
         parse(base)
 
 
 def test_witness_constant_must_be_positive(base):
     base["solovay_witness"]["constant"] = "0"
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ScenarioError):
         parse(base)
 
 
@@ -222,13 +222,13 @@ def test_stage_override_accepts_never_and_rejects_prose(base):
 
 def test_value_rule_bounds_are_enforced(base):
     base["solovay_witness"]["value_rule"] = {"u": "3/4", "v": "1/2"}
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ScenarioError):
         parse(base)
 
 
 def test_enumeration_prefix_must_be_a_permutation_prefix(base):
     base["solovay_witness"]["enumeration"] = {"prefix": ["0", "1/8"]}
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ScenarioError):
         parse(base)
     base["solovay_witness"]["enumeration"] = {"prefix": ["0", "1/4", "1/2"]}
     sc = parse(base)
@@ -263,7 +263,7 @@ def test_modulus_keys_are_closed(base):
 def test_generator_terms_outside_unit_interval_rejected(base):
     base["beta_approx"]["generator"] = {
         "kind": "table", "entries": ["0", "3/2"], "tail": "1/8"}
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ScenarioError):
         parse(base)
 
 
@@ -346,7 +346,7 @@ MESSAGES = [
     ("rational-wrong-type", "linear_basic", "alpha.value", 1,
      ScenarioError, "scenario.alpha.value: expected a fraction string, got 1"),
     ("rational-value-error", "linear_basic", "alpha.value", "3/2",
-     InvalidScenario, "scenario.alpha: exact rational out of [0,1]: 3/2"),
+     ScenarioError, "scenario.alpha: exact rational out of [0,1]: 3/2"),
     ("dyadic-series-unknown-key", "mirror_geometric", "alpha.scale", 1,
      ScenarioError, "scenario.alpha: unknown key(s) scale"),
     ("dyadic-series-missing-key", "mirror_geometric", "alpha", {"kind": "dyadic_series"},
@@ -360,7 +360,7 @@ MESSAGES = [
     ("affine-wrong-type", "mirror_geometric", "alpha.exponents.slope", "2",
      ScenarioError, "scenario.alpha.exponents.slope: expected an integer, got '2'"),
     ("affine-value-error", "mirror_geometric", "beta.exponents.slope", 0,
-     InvalidScenario, "scenario.beta: affine exponent family needs s >= 1 and t >= 1"),
+     ScenarioError, "scenario.beta.exponents: affine exponent family needs s >= 1 and t >= 1"),
     ("list-unknown-key", "mirror_geometric", "alpha.exponents",
      {"kind": "list", "values": [1, 3], "slope": 1},
      ScenarioError, "scenario.alpha.exponents: unknown key(s) slope"),
@@ -372,7 +372,7 @@ MESSAGES = [
      {"kind": "list", "values": [1, "3"]},
      ScenarioError, "scenario.alpha.exponents.values[1]: expected an integer, got '3'"),
     ("list-value-error", "mirror_geometric", "alpha.exponents", {"kind": "list", "values": [3, 1]},
-     InvalidScenario, "scenario.alpha: exponent list must be strictly increasing and positive"),
+     ScenarioError, "scenario.alpha.exponents: exponent list must be strictly increasing and positive"),
     ("exponents-unknown-kind", "mirror_geometric", "alpha.exponents.kind", "geometric",
      ScenarioError, "scenario.alpha.exponents.kind: unknown kind 'geometric'"),
     ("exponents-list-kind", "mirror_geometric", "alpha.exponents.kind", ["affine"],
@@ -386,7 +386,7 @@ MESSAGES = [
     ("scale-wrong-type", "scaled_alpha", "alpha.factor", 0.25,
      ScenarioError, "scenario.alpha.factor: expected a fraction string, got 0.25"),
     ("scale-value-error", "scaled_alpha", "alpha.factor", "0",
-     InvalidScenario, "scenario.alpha: scale factor must be in (0,1]: 0"),
+     ScenarioError, "scenario.alpha: scale factor must be in (0,1]: 0"),
     ("average-unknown-key", "scaled_alpha", "beta.weight", "1/2",
      ScenarioError, "scenario.beta: unknown key(s) weight"),
     ("average-missing-key", "scaled_alpha", "beta.right", DROP,
@@ -402,7 +402,7 @@ MESSAGES = [
      ScenarioError, "scenario.alpha.inner: expected an object, got str"),
     ("complement-inner-value-error", "linear_basic", "alpha",
      {"kind": "complement", "inner": {"kind": "rational", "value": "2"}},
-     InvalidScenario, "scenario.alpha.inner: exact rational out of [0,1]: 2"),
+     ScenarioError, "scenario.alpha.inner: exact rational out of [0,1]: 2"),
     ("real-unknown-kind", "linear_basic", "beta.kind", "surreal",
      ScenarioError, "scenario.beta.kind: unknown reference-real kind 'surreal'"),
     ("real-list-kind", "linear_basic", "beta.kind", ["rational"],
@@ -420,7 +420,7 @@ MESSAGES = [
     ("affine-dyadic-rate-below-one", "linear_basic", "beta_approx.generator.w", 0,
      ScenarioError, "scenario.beta_approx.generator.w: must be >= 1, got 0"),
     ("affine-dyadic-value-error", "linear_basic", "beta_approx.generator.v", "1/4",
-     InvalidScenario,
+     ScenarioError,
      "scenario.beta_approx.generator: affine-dyadic first term out of [0,1]: -1/8"),
     ("alternating-unknown-key", "oscillating", "beta_approx.generator.x", 1,
      ScenarioError, "scenario.beta_approx.generator: unknown key(s) x"),
@@ -429,7 +429,7 @@ MESSAGES = [
     ("alternating-wrong-type", "oscillating", "beta_approx.generator.v", 0,
      ScenarioError, "scenario.beta_approx.generator.v: expected a fraction string, got 0"),
     ("alternating-value-error", "oscillating", "beta_approx.generator.v", "-1/8",
-     InvalidScenario, "scenario.beta_approx.generator: oscillation amplitude must be >= 0"),
+     ScenarioError, "scenario.beta_approx.generator: oscillation amplitude must be >= 0"),
     ("table-unknown-key", "table_tail", "beta_approx.generator.head", "0",
      ScenarioError, "scenario.beta_approx.generator: unknown key(s) head"),
     ("table-missing-key", "table_tail", "beta_approx.generator.tail", DROP,
@@ -440,7 +440,7 @@ MESSAGES = [
      ScenarioError,
      "scenario.beta_approx.generator.entries[1]: expected a fraction string, got 5"),
     ("table-value-error", "table_tail", "beta_approx.generator.entries", ["0", "3/2"],
-     InvalidScenario, "scenario.beta_approx.generator: table entry 1 out of [0,1]: 3/2"),
+     ScenarioError, "scenario.beta_approx.generator: table entry 1 out of [0,1]: 3/2"),
     ("prepend-unknown-key", "linear_basic", "beta_approx.generator",
      {"kind": "prepend", "head": "0", "inner": AFFINE, "tail": "0"},
      ScenarioError, "scenario.beta_approx.generator: unknown key(s) tail"),
@@ -452,10 +452,10 @@ MESSAGES = [
      ScenarioError, "scenario.beta_approx.generator.head: expected a fraction string, got 0"),
     ("prepend-value-error", "linear_basic", "beta_approx.generator",
      {"kind": "prepend", "head": "2", "inner": AFFINE},
-     InvalidScenario, "scenario.beta_approx.generator: prepended head out of [0,1]: 2"),
+     ScenarioError, "scenario.beta_approx.generator: prepended head out of [0,1]: 2"),
     ("prepend-inner-value-error", "linear_basic", "beta_approx.generator",
      {"kind": "prepend", "head": "0", "inner": {**AFFINE, "u": "2"}},
-     InvalidScenario, "scenario.beta_approx.generator.inner: affine-dyadic u out of [0,1]: 2"),
+     ScenarioError, "scenario.beta_approx.generator.inner: affine-dyadic u out of [0,1]: 2"),
     ("prefix-max-unknown-key", "mirror_staircase", "s2a_witness.alpha_approx.generator.head", "0",
      ScenarioError, "scenario.s2a_witness.alpha_approx.generator: unknown key(s) head"),
     ("prefix-max-missing-key", "mirror_staircase", "s2a_witness.alpha_approx.generator.inner",
@@ -473,7 +473,7 @@ MESSAGES = [
      ScenarioError, "scenario.beta_approx.generator.inner: expected an object, got str"),
     ("complement-gen-inner-value-error", "linear_basic", "beta_approx.generator",
      {"kind": "complement", "inner": {"kind": "table", "entries": ["0", "1/16"], "tail": "9/8"}},
-     InvalidScenario, "scenario.beta_approx.generator.inner: table tail out of [0,1]: 9/8"),
+     ScenarioError, "scenario.beta_approx.generator.inner: table tail out of [0,1]: 9/8"),
     ("generator-unknown-kind", "linear_basic", "beta_approx.generator.kind", "fibonacci",
      ScenarioError, "scenario.beta_approx.generator.kind: unknown generator kind 'fibonacci'"),
     ("generator-list-kind", "linear_basic", "beta_approx.generator.kind", ["table"],
@@ -504,7 +504,7 @@ MESSAGES = [
     ("modulus-rate-wrong-type", "linear_basic", "beta_approx.modulus.w", True,
      ScenarioError, "scenario.beta_approx.modulus.w: expected an integer, got True"),
     ("modulus-value-error", "linear_basic", "beta_approx.modulus.v", "-1/8",
-     InvalidScenario, "scenario.beta_approx.modulus: decay coefficient must be >= 0: -1/8"),
+     ScenarioError, "scenario.beta_approx.modulus: decay coefficient must be >= 0: -1/8"),
     ("modulus-rate-below-one", "linear_basic", "beta_approx.modulus.w", 0,
      ScenarioError, "scenario.beta_approx.modulus.w: must be >= 1, got 0"),
     ("leftce-approximation-wrong-type", "mirror_geometric", "alpha_leftce_approx.generator", 3,
@@ -520,10 +520,10 @@ MESSAGES = [
     ("solovay-wrong-type", "linear_basic", "solovay_witness.constant", 1,
      ScenarioError, "scenario.solovay_witness.constant: expected a fraction string, got 1"),
     ("solovay-value-error", "linear_basic", "solovay_witness.constant", "0",
-     InvalidScenario, "scenario.solovay_witness: witness constant must be positive: 0"),
+     ScenarioError, "scenario.solovay_witness: witness constant must be positive: 0"),
     ("solovay-staged-function-value-error", "linear_basic",
      "solovay_witness.stage_schedule.overrides",
-     [[0, "never"]], InvalidScenario,
+     [[0, "never"]], ScenarioError,
      "scenario.solovay_witness: q_0 = 0 must become defined at some finite stage"),
     ("schedule-unknown-key", "linear_basic", "solovay_witness.stage_schedule.step", 1,
      ScenarioError, "scenario.solovay_witness.stage_schedule: unknown key(s) step"),
@@ -550,7 +550,7 @@ MESSAGES = [
     ("value-rule-wrong-type", "linear_basic", "solovay_witness.value_rule.v", 0,
      ScenarioError, "scenario.solovay_witness.value_rule.v: expected a fraction string, got 0"),
     ("value-rule-value-error", "linear_basic", "solovay_witness.value_rule.v", "1",
-     InvalidScenario,
+     ScenarioError,
      "scenario.solovay_witness.value_rule: affine value rule escapes [0,1) at 0: v=1"),
     ("value-rule-override-not-a-pair", "linear_basic", "solovay_witness.value_rule.overrides",
      [[1, "1/2", 2]], ScenarioError,
@@ -561,7 +561,7 @@ MESSAGES = [
      "scenario.solovay_witness.value_rule.overrides[0][1]: expected a fraction string, got 0.5"),
     ("value-rule-override-value-error", "linear_basic", "solovay_witness.value_rule.overrides",
      [[1, "1"]],
-     InvalidScenario, "scenario.solovay_witness.value_rule: value override out of range"),
+     ScenarioError, "scenario.solovay_witness.value_rule: value override out of range"),
     ("enumeration-unknown-key", "linear_basic", "solovay_witness.enumeration",
      {"prefix": ["0"], "order": "canonical"},
      ScenarioError, "scenario.solovay_witness.enumeration: unknown key(s) order"),
@@ -576,7 +576,7 @@ MESSAGES = [
      {"prefix": [0]}, ScenarioError,
      "scenario.solovay_witness.enumeration.prefix[0]: expected a fraction string, got 0"),
     ("enumeration-value-error", "linear_basic", "solovay_witness.enumeration",
-     {"prefix": ["1/2", "0"]}, InvalidScenario,
+     {"prefix": ["1/2", "0"]}, ScenarioError,
      "scenario.solovay_witness.enumeration: enumeration prefix must keep 0 at index 0"),
     ("enumeration-null", "linear_basic", "solovay_witness.enumeration", None, None, None),
     ("s2a-unknown-key", "mirror_staircase", "s2a_witness.gamma_approx", {},
@@ -586,9 +586,9 @@ MESSAGES = [
     ("s2a-wrong-type", "mirror_staircase", "s2a_witness.alpha_approx", "table",
      ScenarioError, "scenario.s2a_witness.alpha_approx: expected an object, got str"),
     ("s2a-value-error", "mirror_staircase", "s2a_witness.constant", "-1",
-     InvalidScenario, "scenario.s2a_witness: witness constant must be positive: -1"),
+     ScenarioError, "scenario.s2a_witness: witness constant must be positive: -1"),
     ("s2a-modulus-value-error", "mirror_staircase", "s2a_witness.alpha_approx.modulus.v", "-1/8",
-     InvalidScenario,
+     ScenarioError,
      "scenario.s2a_witness.alpha_approx.modulus: decay coefficient must be >= 0: -1/8"),
     ("s2a-limit-wrong-type", "mirror_staircase", "s2a_witness.beta_approx.limit", 5,
      ScenarioError, "scenario.s2a_witness.beta_approx.limit: expected an object, got int"),

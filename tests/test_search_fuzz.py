@@ -706,7 +706,7 @@ def _all_points(domain):
     return [(x, domain.index[x]) for x, on in enumerate(domain.occ) if on]
 
 
-def _walked_ceil(domain):
+def _walked_reach_plus_gap(domain):
     """reach + gap by a walk from the point 0 over every point."""
     pts = [x for x, _ in _all_points(domain)]
     assert pts[0] == 0
@@ -719,7 +719,7 @@ def _walked_ceil(domain):
 @settings(FUZZ, max_examples=200)
 @given(w=staged_witnesses(), depth=st.integers(1, 6), budget=st.integers(0, 60),
        data=st.data())
-def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
+def test_reach_is_the_walk_from_zero(w, depth, budget, data):
     """The incrementally kept reach equals a fresh walk after every run and step.
 
     Steps 1..depth start in order on one domain, as in a construction,
@@ -734,13 +734,13 @@ def test_ceil_is_the_walk_from_zero_plus_the_gap(w, depth, budget, data):
     domain.enter(s0)
     for n in range(1, min(depth, domain.m - 2) + 1):
         domain.start_step(n)
-        assert domain.reach + domain.gap == _walked_ceil(domain)
+        assert domain.reach + domain.gap == _walked_reach_plus_gap(domain)
         _assert_occupancy_holds_the_domain(w, domain)
         for _ in range(data.draw(st.integers(0, 4))):
             if domain.stage == budget:
                 break
             domain.enter(data.draw(st.integers(domain.stage + 1, budget)))
-            assert domain.reach + domain.gap == _walked_ceil(domain)
+            assert domain.reach + domain.gap == _walked_reach_plus_gap(domain)
             _assert_occupancy_holds_the_domain(w, domain)
 
 

@@ -8,7 +8,7 @@ installed and no PYTHONPATH; a checkout runs it with
 
     PYTHONPATH=src python -m pytest tools/ci_checks.py
 
-in about 15 s, and ``tools/ci_checks.py::<check>`` runs one check.  The
+in about 12 s, and ``tools/ci_checks.py::<check>`` runs one check.  The
 file lies outside the tier-1 testpaths.  The CLI's PYTHONPATH is this
 process's sys.path, whose entries are absolute, so the CLI imports the
 same solred from its temporary directory.
@@ -34,6 +34,8 @@ VARIANTS = {
     "w256-max": ("w256", {("beta_approx", "generator"): lambda g: {"kind": "prefix_max", "inner": g}}),
     "valued": ("linear_basic", {("solovay_witness", "value_rule", "overrides"): [[4097, "193/1048576"],
                [9000, "51745/1048576"], [17000, "19729/1048576"], [33000, "3721/1048576"]]}),
+    "extra-key": ("linear_basic", {("extra",): 1}),
+    "negative-c": ("linear_basic", {("solovay_witness", "constant"): "-1"}),
 }
 # name: (subcommand, scenario, flags, timeout) of a run whose payload several checks read
 PAYLOADS = {
@@ -325,7 +327,8 @@ def test_solovay_check_writes_every_payload(tmp_path):
 @pytest.mark.parametrize("args", [
     ("construct", "linear_basic", "--jobs", "2"), ("verify", "linear_basic", "--mode", "no-such-mode"),
     ("construct", "linear_basic", "--depth", "1", "--out", "no-such-dir/x.json"),
-    ("construct", "not-utf8.json")], ids=["jobs", "mode", "out", "utf8"])
+    ("construct", "not-utf8.json"), ("construct", "extra-key"), ("construct", "negative-c")],
+    ids=["jobs", "mode", "out", "utf8", "extra-key", "negative-c"])
 def test_invalid_input_exits_3_without_traceback(tmp_path, args):
     """Invalid input must exit 3, with no traceback.
 
@@ -334,6 +337,9 @@ def test_invalid_input_exits_3_without_traceback(tmp_path, args):
       no --jobs option.
     - An --out in a missing directory, where an uncaught error would exit 1.
     - A scenario file that is not UTF-8 (a leading 0xff byte).
+    - A scenario file with an unknown top-level key, and one whose Solovay
+      constant is -1: a malformed file and one that fails a constructor's
+      precondition both raise ScenarioError.
     """
     (tmp_path / "not-utf8.json").write_bytes(b"\xff{}")
     assert b"Traceback" not in solred(*args, cwd=tmp_path, rc=3).stderr
