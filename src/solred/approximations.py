@@ -70,7 +70,7 @@ def _fraction_keys(q: Fraction, m: int) -> tuple[int, int]:
 
 
 class _Dyadic(Record):
-    """Fields and keys of the dyadic generators: with u = U / D, v = V / D and
+    """Fields, terms and keys of the dyadic generators: with u = U / D, v = V / D and
     k = w*n, term(n) = u - V' / (D * 2**k), where V' = signs[n % 2] * V."""
 
     _fields = ("u", "v", "w")
@@ -86,6 +86,11 @@ class _Dyadic(Record):
         """(U, V, D, the bit length of |V|)."""
         u, v, d = over_one_denominator(self.u, self.v)
         return u, v, d, abs(v).bit_length()
+
+    def term(self, n: int) -> Fraction:
+        u, v, d, _ = self._pair
+        k = self.w * n
+        return Q((u << k) - self.signs[n % 2] * v, d << k)
 
     def keys(self, n: int, m: int) -> tuple[int, int]:
         """(floor, ceil) of term(n) * 2**m, on integers of O(m + bits(U, V, D)) bits.
@@ -128,10 +133,7 @@ class AffineDyadic(_Dyadic):
         _check_unit(self.u, "affine-dyadic u")
         _check_unit(self.u - self.v, "affine-dyadic first term")
 
-    def term(self, n: int) -> Fraction:
-        u, v, d, _ = self._pair
-        k = self.w * n
-        return Q((u << k) - v, d << k)
+    term = _Dyadic.term  # the class's own, so a per-class wrapper of term sees its calls
 
 
 class AlternatingDyadic(_Dyadic):
@@ -146,10 +148,7 @@ class AlternatingDyadic(_Dyadic):
         _check_unit(self.u + self.v, "alternating-dyadic upper excursion")
         _check_unit(self.u - self.v, "alternating-dyadic lower excursion")
 
-    def term(self, n: int) -> Fraction:
-        u, v, d, _ = self._pair
-        k = self.w * n
-        return Q((u << k) + (v if n % 2 == 0 else -v), d << k)
+    term = _Dyadic.term  # the class's own, so a per-class wrapper of term sees its calls
 
 
 class Table(Record):

@@ -199,19 +199,19 @@ def _run_construct(sc: Scenario, opts: dict) -> dict:
     return {"code": code, "stdout": _construct_text(payload), "stderr": err, "payload": payload}
 
 
+# Each verify mode's report.  A lambda looks its verify_* name up here when it
+# runs, so a wrapper bound to that name after import is the one called.
+_MODES = {
+    "construction": lambda sc, opts: verify_construction(sc, oracle_depth=opts["oracle_depth"]),
+    "mirror": lambda sc, opts: verify_mirror(sc),
+    "prop1": lambda sc, opts: verify_prop1(sc),
+    "s2a-check": lambda sc, opts: verify_s2a_declared(sc),
+    "solovay-check": lambda sc, opts: verify_solovay_grid(sc),
+}
+
+
 def _run_verify(sc: Scenario, opts: dict) -> dict:
-    mode = opts["mode"]
-    # Each mode by name, not from a dict: the perfbench tracer rebinds these module names.
-    if mode == "construction":
-        report = verify_construction(sc, oracle_depth=opts["oracle_depth"])
-    elif mode == "mirror":
-        report = verify_mirror(sc)
-    elif mode == "prop1":
-        report = verify_prop1(sc)
-    elif mode == "s2a-check":
-        report = verify_s2a_declared(sc)
-    else:  # solovay-check: argparse's choices admit no other mode
-        report = verify_solovay_grid(sc)
+    report = _MODES[opts["mode"]](sc, opts)
     return {"code": report.exit_code(), "stdout": report.to_text(), "stderr": "",
             "payload": report.payload()}
 
@@ -347,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification mode, write the report")
     _add_common(v)
-    v.add_argument("--mode", required=True,
-                   choices=["construction", "mirror", "prop1", "s2a-check",
-                            "solovay-check"])
+    v.add_argument("--mode", required=True, choices=list(_MODES))
     v.add_argument("--depth", type=int, help="override the scenario's step depth")
     v.add_argument("--guard", type=int, help="override the enclosure guard bits")
     v.add_argument("--oracle-depth", type=int, default=ORACLE_DEPTH, dest="oracle_depth",

@@ -98,10 +98,10 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import itemgetter, lt, sub
 
-from .approximations import ONE, ZERO, Approximation, ComplementGen, Kind, PrependGen
+from .approximations import ZERO, Approximation, PrependGen
 from .records import Record
-from .scenario import MAX_STAGE_BUDGET, ScenarioError
-from .witnesses import S2aWitness, SolovayWitness, eval_staged
+from .scenario import MAX_STAGE_BUDGET
+from .witnesses import SolovayWitness, eval_staged
 
 Q = Fraction
 _index = itemgetter(2)  # a routed candidate's (fl, ce, i) -> i
@@ -726,16 +726,3 @@ def build_s2a_from_solovay(witness: SolovayWitness, beta_approx: Approximation,
         steps.append(rec)
     return ConstructionTrace(tuple(steps), b, None)
 
-
-def mirror_s2a(a: Approximation) -> S2aWitness:
-    """Pair a nondecreasing approximation with its complement, constant 1.
-
-    The complement 1 - a_n rises exactly where a_n falls, so a's
-    left-c.e. claim makes it a right-c.e. claim: it approximates one
-    minus the original limit from above.  The termwise distance identity
-    makes the pair a witness with constant exactly 1.
-    """
-    if a.kind is not Kind.LEFT_CE:
-        raise ScenarioError("mirror input must carry a left-c.e. kind claim")
-    return S2aWitness(alpha_approx=Approximation(ComplementGen(a.gen), Kind.RIGHT_CE),
-                      beta_approx=a, c=ONE)

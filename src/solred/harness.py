@@ -17,20 +17,20 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
-from .approximations import Approximation, Kind, check_kind_prefix
+from .approximations import ONE, Approximation, ComplementGen, Kind, check_kind_prefix
 from .construction import (
     ConstructionTrace,
     RequirementTuple,
     StepRecord,
     WitnessImage,
     build_s2a_from_solovay,
-    mirror_s2a,
 )
 from .oracle import oracle_min_hit
 from .reals import Complement, Interval, certify, enclose
 from .scenario import Scenario, ScenarioError
 from .witnesses import (
     S2aStepCheck,
+    S2aWitness,
     check_s2a_prefix,
     check_solovay_at,
     check_strict_at,
@@ -373,11 +373,20 @@ def verify_construction(scenario: Scenario, *, oracle_depth: int = ORACLE_DEPTH)
 
 
 def verify_mirror(scenario: Scenario) -> Report:
-    """Mirror pipeline: the left-c.e. kind check plus the c = 1 pair bound."""
-    if scenario.alpha_leftce_approx is None:
-        raise ScenarioError("mirror mode needs an alpha_leftce_approx")
-    depth, guard = scenario.depth, scenario.guard
+    """Mirror pipeline: the left-c.e. kind check plus the c = 1 pair bound.
+
+    The pair is the nondecreasing approximation a and its complement
+    1 - a_n, which rises exactly where a_n falls, so a's left-c.e. claim
+    makes it a right-c.e. claim: it approximates one minus the original
+    limit from above.  The termwise distance identity makes the pair a
+    witness with constant exactly 1.
+    """
     a = scenario.alpha_leftce_approx
+    if a is None:
+        raise ScenarioError("mirror mode needs an alpha_leftce_approx")
+    if a.kind is not Kind.LEFT_CE:
+        raise ScenarioError("mirror mode needs a left_ce alpha_leftce_approx")
+    depth, guard = scenario.depth, scenario.guard
     report = Report("mirror", scenario.name, {"depth": depth, "guard": guard})
     report.citations.append(MIRROR_CITATION)
 
@@ -385,7 +394,7 @@ def verify_mirror(scenario: Scenario) -> Report:
         report.add("mirror", {"skipped": "left-c.e. prefix check failed"})
         return report
 
-    m = mirror_s2a(a)
+    m = S2aWitness(Approximation(ComplementGen(a.gen), Kind.RIGHT_CE), a, ONE)
     _add_step_checks(report, "mirror", {
         "constant": str(m.c),
         "inequality": "|(1-alpha) - (1-a_n)| <= 1*(|alpha - a_n| + 2^-n)",

@@ -14,9 +14,9 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 
-from solred import cli
+from solred import cli, harness
 from solred.approximations import Kind, check_kind_prefix
-from solred.construction import check_requirement, mirror_s2a
+from solred.construction import check_requirement
 from solred.harness import trace_payload, verify_mirror, verify_prop1
 from solred.oracle import oracle_min_hit
 from solred.reals import (
@@ -29,7 +29,7 @@ from solred.reals import (
     Scale,
     enclose,
 )
-from solred.witnesses import S2aVerdict, check_s2a_prefix, check_strict_at
+from solred.witnesses import S2aVerdict, check_strict_at
 
 from conftest import (
     ALL_NAMES,
@@ -174,18 +174,36 @@ def _leftce_pool(scenarios):
     return pool
 
 
-def test_mirror_pairs_hold_with_constant_one(scenarios):
+def test_mirror_pairs_hold_with_constant_one(scenarios, monkeypatch):
+    """Mirror mode pairs each left-c.e. approximation with its right-c.e.
+    complement 1 - a_n at constant 1, and every pair row Holds at depth 30."""
     pool = _leftce_pool(scenarios)
     assert len(pool) == 12
+    pairs = []
+    real = harness.check_s2a_prefix
+
+    def recording(m, *args):
+        pairs.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(harness, "check_s2a_prefix", recording)
     for label, approx, limit in pool:
-        m = mirror_s2a(approx)
+        sc = scenarios[label.split(":")[0]].replace(
+            alpha=limit, alpha_leftce_approx=approx, depth=30, guard=8)
+        report = verify_mirror(sc)
+        (m,) = pairs
+        pairs.clear()
         assert m.c == Q(1), label
-        assert m.alpha_approx.kind is Kind.RIGHT_CE
+        assert m.beta_approx is approx and m.alpha_approx.kind is Kind.RIGHT_CE, label
+        assert [m.alpha_approx.term(n) for n in range(31)] == \
+            [1 - approx.term(n) for n in range(31)], label
         assert check_kind_prefix(m.alpha_approx, 30) is None, label
         assert check_kind_prefix(m.beta_approx, 30) is None, label
-        checks = check_s2a_prefix(m, Complement(limit), limit, 30, 8)
-        assert len(checks) == 31
-        assert all(chk.verdict is S2aVerdict.HOLDS for chk in checks), label
+        assert report.sections["leftce_prefix"] == {"n_max": 30, "violation_at": None}, label
+        section = report.sections["mirror"]
+        assert section["constant"] == "1", label
+        assert len(section["steps"]) == 31
+        assert all(row["verdict"] == "holds" for row in section["steps"]), label
 
 
 def test_mirror_reports_carry_labeled_citation(scenarios):

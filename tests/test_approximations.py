@@ -349,7 +349,9 @@ dyadics = st.builds(lambda a, e: Q(a, 2 ** e), st.integers(-8, 16), st.integers(
 @given(u=st.one_of(dyadics, wide), v=st.one_of(dyadics, wide), sign=st.sampled_from((-1, 1)),
        w=st.integers(1, 256), m=st.integers(0, 40), head=units, data=st.data())
 def test_dyadic_keys_match_exact_floor_and_ceil(u, v, sign, w, m, head, data):
-    """The dyadic generators' keys, bare and wrapped, against exact Fractions.
+    """The dyadic generators' terms and keys, bare and wrapped, against their
+    closed forms u - v * 2**(-w*n) and u + (-1)**n * v * 2**(-w*n), each
+    built as a plain Fraction, not from the sign table both methods read.
 
     n is drawn up to 10,000, or within a few indices of the closed form's
     threshold w*n - m >= bits(V), so both the exact division and the
@@ -358,9 +360,10 @@ def test_dyadic_keys_match_exact_floor_and_ceil(u, v, sign, w, m, head, data):
     v = sign * abs(v)
     edge = (m + abs(over_one_denominator(u, v)[1]).bit_length()) // w
     n = data.draw(st.one_of(st.integers(0, 10_000), st.integers(max(0, edge - 2), edge + 2)))
-    for cls in (AffineDyadic, AlternatingDyadic):
+    decay = v * Q(1, 2 ** (w * n))
+    for cls, term in ((AffineDyadic, u - decay), (AlternatingDyadic, u + (-1) ** n * decay)):
         gen = unchecked(cls, u=u, v=v, w=w)
-        term = gen.term(n)
+        assert gen.term(n) == term
         assert gen.keys(n, m) == exact_keys(term, m)
         assert ComplementGen(gen).keys(n, m) == exact_keys(1 - term, m)
         prepended = PrependGen(head, gen)

@@ -236,6 +236,29 @@ def test_overrides_run_the_library_on_the_replaced_scenario(tmp_path, capsys, ar
             assert parameters[k] == (_OVERRIDES[k] if k in given else getattr(sc, k)), k
 
 
+@pytest.mark.parametrize("mode,name", [("construction", "linear_basic"),
+                                       ("mirror", "mirror_geometric"),
+                                       ("prop1", "linear_basic"),
+                                       ("s2a-check", "mirror_staircase"),
+                                       ("solovay-check", "table_tail")])
+def test_each_mode_calls_the_function_that_cli_names_when_it_runs(capsys, monkeypatch, mode,
+                                                                    name):
+    """main runs each verify mode through cli's module name for its function,
+    read at each run, so a wrapper bound there after import (as the perfbench
+    tracer binds one) is the function called."""
+    assert list(cli._MODES) == list(_VERIFY_MODES)
+    attr = _VERIFY_MODES[mode].__name__
+    real, calls = getattr(cli, attr), []
+
+    def counting(sc, *args, **kwargs):
+        calls.append(sc.name)
+        return real(sc, *args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, counting)
+    assert run(capsys, "verify", str(corpus_path(name)), "--mode", mode, "--depth", "2")[0] == 0
+    assert calls == [name]
+
+
 def test_verify_flags_a_witness_that_overshoots(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", str(corpus_path("invalid_g_above")),

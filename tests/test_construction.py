@@ -20,7 +20,6 @@ from solred.construction import (
     WitnessImage,
     build_s2a_from_solovay,
     check_requirement,
-    mirror_s2a,
     search_step,
 )
 from solred.harness import trace_payload, verify_mirror, verify_prop1
@@ -867,18 +866,14 @@ def test_witness_image_exhausts_past_budget():
     assert WitnessImage(w.g, at_half, 499).term(1) is None
 
 
-def test_mirror_s2a_pairs_complement_with_original():
-    stair = Approximation(Table((Q(0), Q(1, 2)), Q(3, 4)), Kind.LEFT_CE)
-    m = mirror_s2a(stair)
-    assert m.c == Q(1)
-    assert [m.alpha_approx.term(n) for n in range(3)] == [Q(1), Q(1, 2), Q(1, 4)]
-    assert [m.beta_approx.term(n) for n in range(3)] == [Q(0), Q(1, 2), Q(3, 4)]
-
-
-def test_mirror_s2a_rejects_unclaimed_input():
+def test_mirror_mode_rejects_an_approximation_not_claimed_left_ce():
+    """A scenario built by hand bypasses the loader, which admits only a left_ce
+    alpha_leftce_approx.  Mirror mode still refuses a general one: else it would
+    report rightce_prefix Holds for the complement 1/2, 3/4, 3/4, ..., which rises."""
     wobble = Approximation(Table((Q(1, 2),), Q(1, 4)), Kind.GENERAL)
-    with pytest.raises(ScenarioError):
-        mirror_s2a(wobble)
+    sc = load_scenario(corpus_path("mirror_geometric")).replace(alpha_leftce_approx=wobble)
+    with pytest.raises(ScenarioError, match="^mirror mode needs a left_ce alpha_leftce_approx$"):
+        verify_mirror(sc)
 
 
 def test_strict_certificates_hold_for_every_built_step(built, scenarios):
